@@ -26,8 +26,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .residues import (DirichletCharacter, character_with_value, characters,
-                       unit_group)
+from .residues import (DirichletCharacter, character_label,
+                       character_with_value, characters, unit_group)
 from .simulator import dominant_member_values, theorem_decomposition
 from .trigpoly import (ScanReport, TrigPoly, certified_positive_scan, eps1,
                        eps2)
@@ -172,7 +172,6 @@ def build_thm311(q: int, tau: float = 0.0, beta: float = 0.75,
     if gamma <= tau:
         raise ValueError("gamma must exceed tau")
     structure = _pick_structure(q)
-    chars = characters(q)
     entries: Dict[int, Dict[Zero, int]] = {}
 
     def put(label: int, k: int, mult: int) -> None:
@@ -184,8 +183,8 @@ def build_thm311(q: int, tau: float = 0.0, beta: float = 0.75,
     if case in ("even_cyclic", "n8"):
         a, n = structure["a"], structure["n"]
         chi = character_with_value(q, a, Fraction(-1, n))
-        chi_label = chars.index(chi)
-        labels = {j: chars.index(chi**j) for j in range(1, n)}
+        chi_label = character_label(chi)
+        labels = {j: character_label(chi**j) for j in range(1, n)}
         if case == "even_cyclic":
             h = n
             d = 0
@@ -220,7 +219,7 @@ def build_thm311(q: int, tau: float = 0.0, beta: float = 0.75,
         a, b = structure["a"], structure["b"]
         chi1 = _z4z2_chi1(q, a, b)
         chi2 = _z4z2_chi2(q, a, b)
-        chi1_label, chi2_label = chars.index(chi1), chars.index(chi2)
+        chi1_label, chi2_label = character_label(chi1), character_label(chi2)
         put(chi1_label, 1, 1)
         for l, w in SIN_WEIGHTS.items():
             put(chi2_label, l, w)
@@ -621,10 +620,9 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
     n_final = n_tilde[:, 1:] - shift  # drop j=0: a common-mode term
 
     chi = character_with_value(q, generator, Fraction(-1, r))
-    chars = characters(q)
     entries: Dict[int, Dict[Zero, int]] = {}
     for j in range(1, r):
-        label = chars.index(chi**j)
+        label = character_label(chi**j)
         for k in range(1, K_use + 1):
             mult = int(n_final[k - 1, j - 1])
             if mult > 0:
@@ -643,7 +641,7 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
 
     params = {"a1": generator, "r": r, "V": V, "D": members, "beta1": beta1,
               "gamma": gamma, "K": K_use, "N": N_use, "seed": seed,
-              "chi": chars.index(chi), "size": system.size,
+              "chi": character_label(chi), "size": system.size,
               "corners": {str(v): omega.corners[v] for v in omega.corners},
               "a": generator}
     return BarrierRecipe(kind="thm43_extremal", q=q, params=params,
@@ -723,30 +721,21 @@ def build_thm51(q: int, tau: float = 0.0, M: int = 64,
             or not all(0.5 < b < 1.0 for b in betas):
         raise ValueError("betas must be strictly decreasing in (1/2, 1)")
 
-    chars = characters(q)
-    char_labels = []
-    for j, (g_j, n_j) in enumerate(gens):
-        target = None
-        for c in chars:
-            if c.phase(g_j) == Fraction(n_j - 1, n_j) and all(
-                    c.phase(g_h) == 0 for h, (g_h, _) in enumerate(gens)
-                    if h != j):
-                target = c
-                break
-        if target is None:
-            raise RuntimeError("generator-dual character missing (internal)")
-        char_labels.append(chars.index(target))
+    # level j's character is the generator dual: chi_j(g_j) = e(-1/n_j),
+    # chi_j(g_h) = 1 for h != j
+    duals = [DirichletCharacter(q, tuple(n_j - 1 if h == j else 0
+                                         for h in range(m)))
+             for j, (_, n_j) in enumerate(gens)]
+    char_labels = [character_label(chi) for chi in duals]
 
     entries: Dict[int, Dict[Zero, int]] = {}
     orders = []
-    for j, (label, (g_j, n_j), beta) in enumerate(zip(char_labels, gens, betas),
-                                                  start=1):
+    for chi, (_, n_j), beta in zip(duals, gens, betas):
         orders.append(n_j)
         c = (1, 0) if n_j == 2 else (M, 1)
-        chi = chars[label]
         for k in (1, 2):
             if c[k - 1]:
-                lab_k = chars.index(chi**k)
+                lab_k = character_label(chi**k)
                 ch = entries.setdefault(lab_k, {})
                 z = Zero(beta, k * gamma)
                 ch[z] = ch.get(z, 0) + c[k - 1]

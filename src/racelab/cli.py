@@ -209,6 +209,8 @@ def cmd_orderings(args: argparse.Namespace) -> int:
         tr = simulator.one_period_trace(rfs, samples=args.samples,
                                         base_u=args.base_u)
     else:
+        if args.samples < 1:
+            raise ValueError(f"samples must be positive, got {args.samples}")
         u0, u1 = (float(t) for t in args.window.split(":"))
         tr = simulator.trace(rfs, (u0, u1), (u1 - u0) / args.samples)
     rep = orderings.census(tr)
@@ -273,7 +275,16 @@ def cmd_race(args: argparse.Namespace) -> int:
 # --- trig toolbox ---------------------------------------------------------------
 
 
+_TRIG_NEEDS = {"frac-parts": ("s",), "all-negative": ("t",),
+               "dominate": ("freqs", "b")}
+
+
 def cmd_trig(args: argparse.Namespace) -> int:
+    missing = [f"--{name}" for name in _TRIG_NEEDS[args.tool]
+               if getattr(args, name) is None]
+    if missing:
+        print(f"error: {args.tool} needs {', '.join(missing)}", file=sys.stderr)
+        return EXIT_CONFIG
     if args.tool == "frac-parts":
         s = [float(t) for t in args.s.split(",")]
         u = trigpoly.find_fractional_parts(s, args.alpha)
@@ -296,24 +307,22 @@ def cmd_trig(args: argparse.Namespace) -> int:
         _dump_json(args.out, {"u": u, "sines": sines, "eps2": e2, "ok": ok,
                               "config": _config_of(args)})
         return EXIT_OK if ok else EXIT_VERIFY
-    if args.tool == "dominate":
-        freqs = [float(v) for v in args.freqs.split(",")]
-        b = [float(v) for v in args.b.split(",")]
-        a = [float(v) for v in args.a.split(",")] if args.a else [0.0] * len(b)
-        c = [float(v) for v in args.c.split(",")] if args.c else [0.0] * len(b)
-        q_poly = trigpoly.TrigPoly.sine(b, freqs)
-        p_poly = trigpoly.TrigPoly.cosine(a, freqs)
-        r_poly = trigpoly.TrigPoly.sine(c, freqs)
-        try:
-            cert = trigpoly.find_dominating(q_poly, p_poly, r_poly, args.gamma)
-        except (ValueError, trigpoly.SearchExhaustedError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        _dump_json(args.out, {"certificate": cert.to_dict(),
-                              "config": _config_of(args)})
-        return EXIT_OK
-    print(f"unknown trig tool {args.tool}", file=sys.stderr)
-    return EXIT_CONFIG
+    # dominate
+    freqs = [float(v) for v in args.freqs.split(",")]
+    b = [float(v) for v in args.b.split(",")]
+    a = [float(v) for v in args.a.split(",")] if args.a else [0.0] * len(b)
+    c = [float(v) for v in args.c.split(",")] if args.c else [0.0] * len(b)
+    q_poly = trigpoly.TrigPoly.sine(b, freqs)
+    p_poly = trigpoly.TrigPoly.cosine(a, freqs)
+    r_poly = trigpoly.TrigPoly.sine(c, freqs)
+    try:
+        cert = trigpoly.find_dominating(q_poly, p_poly, r_poly, args.gamma)
+    except (ValueError, trigpoly.SearchExhaustedError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    _dump_json(args.out, {"certificate": cert.to_dict(),
+                          "config": _config_of(args)})
+    return EXIT_OK
 
 
 # --- parser --------------------------------------------------------------------
@@ -408,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError,) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

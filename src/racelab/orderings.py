@@ -24,10 +24,6 @@ class InconclusiveWindowError(RuntimeError):
     """Census still growing at the window edge; a longer window is needed."""
 
 
-class InvalidPairError(ValueError):
-    pass
-
-
 Chain = Tuple[Tuple[int, ...], ...]  # descending tie blocks of member indices
 
 

@@ -1,20 +1,28 @@
 """Exact arithmetic for the unit group mod q and its Dirichlet characters.
 
-Character values are exact roots of unity, stored as rational phases:
-chi(a) = e(phase(a)) with phase a Fraction in [0, 1).  All zero-tests on
-character combinations (chi(a) != chi(b), orthogonality sums, the g-values
-of zero systems) reduce to exact rational/cyclotomic arithmetic; floats
-appear only when a numeric value is explicitly requested.
+The unit group is prod_j Z/n_j over fixed generators (g_j, n_j): every unit
+a has an integer exponent vector alpha(a).  A character is an integer
+exponent vector b over the dual group prod_j Z/n_j, with
+chi(a) = e(phase(a)) and phase(a) = sum_j b_j alpha_j(a) / n_j mod 1.
+Product, power and conjugation are vector operations mod n_j; phases are
+integer numerators over the group exponent lam, handed out as exact
+Fractions in [0, 1) at the API boundary.  All zero-tests on character
+combinations (chi(a) != chi(b), orthogonality sums, the g-values of zero
+systems) reduce to exact rational/cyclotomic arithmetic; floats appear only
+when a numeric value is explicitly requested.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Tuple
+
+import numpy as np
 
 
 class InvalidModulusError(ValueError):
@@ -54,8 +62,6 @@ def _order_mod(a: int, m: int, group_order: int) -> int:
 
 
 def _primitive_root(pe: int, p: int) -> int:
-    phi = pe - p * pe // (p * p) if pe % (p * p) == 0 else pe - pe // p
-    # phi(p^e) = p^(e-1)(p-1); recompute cleanly
     e = 0
     t = pe
     while t % p == 0:
@@ -149,8 +155,6 @@ def unit_group(q: int) -> ResidueGroup:
 
     # drop order-1 factors (q = 2^1 * ...) and build the exponent table
     gens = [(g, n) for g, n in gens if n > 1]
-    if not gens:  # q in {3,4}? no: phi(3)=2 handled above. Defensive only.
-        gens = [(1, 1)]
     exps: Dict[int, Tuple[int, ...]] = {}
 
     def fill(idx: int, acc: int, vec: Tuple[int, ...]) -> None:
@@ -179,84 +183,102 @@ def _frac_mod1(x: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class DirichletCharacter:
-    """A Dirichlet character mod q with exact rational phases.
+    """A Dirichlet character mod q as an exponent vector over the dual group.
 
-    chi(a) = e(phase(a)) = exp(2*pi*i*phase(a)); phases are multiplicative
-    mod 1.  Characters are hashable and compare by their phase table.
+    b_j in [0, n_j) for the generators (g_j, n_j) of unit_group(q), so
+    chi(g_j) = e(b_j / n_j) and chi(a) = e(phase(a)).  Characters are
+    hashable and compare by (q, b).
     """
 
     q: int
-    _phases: Tuple[Tuple[int, Fraction], ...]  # sorted (unit, phase) pairs
+    b: Tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        group = unit_group(self.q)
+        if len(self.b) != len(group.generators):
+            raise ValueError(f"exponent vector {self.b} does not fit the "
+                             f"{len(group.generators)} generators mod {self.q}")
+        b = tuple(int(x) % n for x, (_, n) in zip(self.b, group.generators))
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_group", group)
+        # phase numerator weights: phase(a) = sum_j w_j alpha_j(a) / lam
+        object.__setattr__(self, "_w", tuple(
+            x * (group.lam // n) for x, (_, n) in zip(b, group.generators)))
+
+    def _numerator(self, a: int) -> int:
+        alpha = self._group.exponents(a)
+        return sum(w * e for w, e in zip(self._w, alpha)) % self._group.lam
 
     @property
     def phases(self) -> Dict[int, Fraction]:
-        return dict(self._phases)
+        return {a: self.phase(a) for a in self._group.units}
 
     def phase(self, a: int) -> Fraction:
-        a %= self.q
-        for u, p in self._phases:
-            if u == a:
-                return p
-        raise InvalidResidueError(f"{a} is not a unit mod {self.q}")
+        return Fraction(self._numerator(a), self._group.lam)
 
     def __call__(self, a: int) -> complex:
-        p = self.phase(a)
-        return cmath.exp(2j * cmath.pi * float(p))
+        return cmath.exp(2j * cmath.pi * (self._numerator(a) / self._group.lam))
 
     @property
     def is_principal(self) -> bool:
-        return all(p == 0 for _, p in self._phases)
+        return not any(self.b)
 
     @property
     def order(self) -> int:
-        return int(math.lcm(*(p.denominator for _, p in self._phases)))
+        return math.lcm(*(n // math.gcd(x, n)
+                          for x, (_, n) in zip(self.b, self._group.generators)))
 
     def conjugate(self) -> "DirichletCharacter":
-        return DirichletCharacter(
-            self.q, tuple((u, _frac_mod1(-p)) for u, p in self._phases))
+        return DirichletCharacter(self.q, tuple(-x for x in self.b))
 
     def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
         if other.q != self.q:
             raise ValueError("characters must share a modulus")
-        od = dict(other._phases)
-        return DirichletCharacter(
-            self.q, tuple((u, _frac_mod1(p + od[u])) for u, p in self._phases))
+        return DirichletCharacter(self.q,
+                                  tuple(x + y for x, y in zip(self.b, other.b)))
 
     def __pow__(self, k: int) -> "DirichletCharacter":
-        return DirichletCharacter(
-            self.q, tuple((u, _frac_mod1(k * p)) for u, p in self._phases))
+        return DirichletCharacter(self.q, tuple(k * x for x in self.b))
 
 
 @lru_cache(maxsize=None)
 def characters(q: int) -> Tuple[DirichletCharacter, ...]:
     """All phi(q) characters mod q; index 0 is the principal character.
 
-    The list is closed under conjugation and ordered canonically by the
-    character's phase vector on the group generators.
+    The list is closed under conjugation and ordered lexicographically by
+    the phase vector (phase(a) for the units a in increasing order), which
+    puts the principal character first.  The order is sorted from the
+    integer numerator table B A mod lam (row: character, column: unit),
+    which is then dropped.  Two characters first differ on a unit inside any
+    prefix of units that generates the group, so only a prefix of columns is
+    built, widened until its rows are distinct.
     """
     group = unit_group(q)
-    gens = group.generators
-    chars: List[DirichletCharacter] = []
+    orders = [n for _, n in group.generators]
+    B = np.array(list(itertools.product(*map(range, orders))), dtype=np.int64)
+    A = np.array([group.exponents(a) for a in group.units], dtype=np.int64).T
+    weights = np.array([group.lam // n for n in orders], dtype=np.int64)
+    width = 8
+    while True:
+        numerators = (B * weights) @ A[:, :width] % group.lam
+        label_order = np.lexsort(numerators[:, ::-1].T)  # last key is primary
+        ranked = numerators[label_order]
+        if (ranked[1:] != ranked[:-1]).any(axis=1).all():
+            break
+        width *= 2
+    rows = B.tolist()
+    return tuple(DirichletCharacter(q, tuple(rows[i]))
+                 for i in label_order.tolist())
 
-    def build(idx: int, chosen: Tuple[int, ...]) -> None:
-        if idx == len(gens):
-            table = []
-            for a in group.units:
-                alpha = group.exponents(a)
-                ph = Fraction(0)
-                for (g, n), b, e in zip(gens, chosen, alpha):
-                    ph += Fraction(b * e, n)
-                table.append((a, _frac_mod1(ph)))
-            chars.append(DirichletCharacter(q, tuple(table)))
-            return
-        _, n = gens[idx]
-        for b in range(n):
-            build(idx + 1, chosen + (b,))
 
-    build(0, ())
-    chars.sort(key=lambda c: tuple(c._phases))
-    chars.sort(key=lambda c: not c.is_principal)  # principal first
-    return tuple(chars)
+@lru_cache(maxsize=None)
+def _labels(q: int) -> Dict[Tuple[int, ...], int]:
+    return {c.b: i for i, c in enumerate(characters(q))}
+
+
+def character_label(chi: DirichletCharacter) -> int:
+    """The index of chi in characters(chi.q)."""
+    return _labels(chi.q)[chi.b]
 
 
 def nonprincipal_characters(q: int) -> Tuple[DirichletCharacter, ...]:
@@ -266,11 +288,12 @@ def nonprincipal_characters(q: int) -> Tuple[DirichletCharacter, ...]:
 def separating_characters(q: int, a: int, b: int) -> Tuple[DirichletCharacter, ...]:
     """Non-principal characters with chi(a) != chi(b) (exact phase test)."""
     return tuple(c for c in nonprincipal_characters(q)
-                 if c.phase(a) != c.phase(b))
+                 if c._numerator(a) != c._numerator(b))
 
 
 def character_with_value(q: int, a: int, target_phase: Fraction) -> DirichletCharacter:
-    """Some character chi mod q with chi(a) = e(target_phase)."""
+    """The first character chi mod q, in label order, with
+    chi(a) = e(target_phase)."""
     target = _frac_mod1(Fraction(target_phase))
     for c in characters(q):
         if c.phase(a) == target:

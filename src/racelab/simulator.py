@@ -30,7 +30,7 @@ from scipy import integrate
 from scipy.special import expi
 
 from .orderings import OrderingTrace
-from .residues import unit_group
+from .residues import character_label, unit_group
 from .trigpoly import TrigPoly
 from .zerosys import DominantData, Zero, ZeroSystem, dominant_data, g_rho_exact
 
@@ -86,14 +86,9 @@ def _oscillatory_integral(beta: float, gamma: float, a: float, b: float,
     return total
 
 
-def f_rho_parts(rho: complex, x: float,
-                rel_tol: float = 1e-9) -> Tuple[complex, complex, float]:
-    """(main term, integral term, discard bound) of f(rho) at x.
-
-    main = x^rho/(rho log x); integral = (1/rho) int_2^x t^(rho-1)/log^2 t dt,
-    and the discard bound dominates |integral|:
-    (1/|rho|) int_2^x t^(Re rho - 1)/log^2 t dt.
-    """
+def _f_rho_terms(rho: complex, x: float, rel_tol: float,
+                 ) -> Tuple[complex, float, complex, complex]:
+    """(rho, log x, main term, integral term) of f(rho) at x."""
     rho = complex(rho)
     if x < 2.0:
         raise DomainError(f"x must be >= 2, got {x}")
@@ -102,15 +97,29 @@ def f_rho_parts(rho: complex, x: float,
     w = math.log(x)
     main = cmath.exp(rho * w) / (rho * w)
     if x == 2.0:
-        return main, 0.0j, 0.0
+        return rho, w, main, 0.0j
     osc = _oscillatory_integral(rho.real, rho.imag, LOG2, w, rel_tol)
+    return rho, w, main, osc / rho
+
+
+def f_rho_parts(rho: complex, x: float,
+                rel_tol: float = 1e-9) -> Tuple[complex, complex, float]:
+    """(main term, integral term, discard bound) of f(rho) at x.
+
+    main = x^rho/(rho log x); integral = (1/rho) int_2^x t^(rho-1)/log^2 t dt,
+    and the discard bound dominates |integral|:
+    (1/|rho|) int_2^x t^(Re rho - 1)/log^2 t dt.
+    """
+    rho, w, main, tail = _f_rho_terms(rho, x, rel_tol)
+    if x == 2.0:
+        return main, tail, 0.0
     env = _oscillatory_integral(rho.real, 0.0, LOG2, w, rel_tol).real
-    return main, osc / rho, env / abs(rho)
+    return main, tail, env / abs(rho)
 
 
 def f_rho(rho: complex, x: float, rel_tol: float = 1e-9) -> complex:
     """f(rho) = x^rho/(rho log x) + (1/rho) int_2^x t^(rho-1)/log^2 t dt."""
-    main, tail, _ = f_rho_parts(rho, x, rel_tol)
+    _, _, main, tail = _f_rho_terms(rho, x, rel_tol)
     return main + tail
 
 
@@ -374,6 +383,8 @@ def trace(s: RaceFunctionSet, u_range: Tuple[float, float], step: float,
     u0, u1 = float(u_range[0]), float(u_range[1])
     if u1 <= u0:
         raise ValueError("u range must be increasing")
+    if not step > 0:
+        raise ValueError(f"step must be positive, got {step}")
     n = max(int(round((u1 - u0) / step)) + 1, 2)
     u = np.linspace(u0, u1, n)
     beta_star = s.system.r_plus
@@ -414,6 +425,8 @@ def one_period_trace(s: RaceFunctionSet, samples: int = 4096,
     lattice = s.system.height_lattice
     if not lattice:
         raise ValueError("system has no height lattice; supply a u-range")
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
     period = 2.0 * math.pi / lattice
     u = base_u + np.linspace(0.0, period, samples, endpoint=False)
     values = dominant_member_values(s.system, s.members, u)
@@ -613,7 +626,7 @@ def decompose_power_lattice(system: ZeroSystem, a: int, n: int, gamma: float,
     chi = chars[chi_label]
     power_label = {}
     for j in range(1, n):
-        power_label[chars.index(chi**j)] = j
+        power_label[character_label(chi**j)] = j
     m: Dict[Tuple[int, int], int] = {}
     for label, z, mult in system.items():
         if label not in power_label:
@@ -650,7 +663,7 @@ def decompose_two_generator_lattice(system: ZeroSystem, gamma: float,
     for j in range(4):
         for k in range(2):
             if (j, k) != (0, 0):
-                jk_label[chars.index((chi1**j) * (chi2**k))] = (j, k)
+                jk_label[character_label((chi1**j) * (chi2**k))] = (j, k)
     m: Dict[Tuple[int, int, int], int] = {}
     for label, z, mult in system.items():
         if label not in jk_label:
@@ -692,7 +705,7 @@ def decompose_level_waves(system: ZeroSystem, char_labels: Sequence[int],
                                            start=1):
         chi = chars[label]
         for k in (1, 2):
-            lab_k = chars.index(chi**k)
+            lab_k = character_label(chi**k)
             c = 0
             for z, mult in system.zeros_of(lab_k).items():
                 if z.beta == beta and abs(z.gamma - k * gamma) < 1e-9:

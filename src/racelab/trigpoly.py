@@ -330,6 +330,8 @@ def certified_positive_scan(f: Callable[[np.ndarray], np.ndarray],
     f must accept an ndarray of points.  Returns the minimum sampled value
     (the reported margin) and the finest step used.
     """
+    if not step > 0:
+        raise ValueError(f"step must be positive, got {step}")
     pts = np.linspace(lo, hi, max(int(math.ceil((hi - lo) / step)) + 1, 3))
     vals = np.asarray(f(pts), dtype=float)
     min_val = float(vals.min())

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .residues import RootOfUnitySum, characters, unit_group
+from .residues import RootOfUnitySum, character_label, characters, unit_group
 
 
 class ZeroDataError(ValueError):
@@ -98,8 +98,7 @@ class ZeroSystem:
 
     # --- basic queries -----------------------------------------------------
     def conjugate_label(self, label: int) -> int:
-        conj = self.chars[label].conjugate()
-        return self.chars.index(conj)
+        return character_label(self.chars[label].conjugate())
 
     @property
     def size(self) -> int:

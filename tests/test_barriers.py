@@ -74,15 +74,31 @@ def test_thm311_verification():
         assert max(rep.identity_errors.values()) <= 1e-12
 
 
+def predicted_thm311_case(q):
+    """Structure case from the group exponent lam alone: element orders are
+    exactly the divisors of lam."""
+    lam = unit_group(q).lam
+    odd = lam
+    while odd % 2 == 0:
+        odd //= 2
+    if lam % 2 == 0 and odd >= 3:
+        return "even_cyclic"
+    return "n8" if lam % 8 == 0 else "z4z2"
+
+
 def test_thm311_modulus_sweep():
-    # every admissible modulus up to 40 picks a structure case and verifies
+    # every admissible modulus up to 150 picks the predicted structure case,
+    # has the matching |B|, and verifies
+    sizes = {"even_cyclic": 20, "n8": 34, "z4z2": 16}
     excluded = {8, 10, 12, 24}
-    for q in range(7, 41):
+    for q in range(7, 151):
         if q in excluded:
             continue
         rec = build_thm311(q, tau=50.0)
-        assert rec.system.size in (20, 34, 16)
-        rep = verify_thm311(rec, step=2e-3)
+        case = predicted_thm311_case(q)
+        assert rec.params["case"] == case, q
+        assert rec.system.size == sizes[case], q
+        rep = verify_thm311(rec)
         assert rep.ok, (q, rep)
 
 

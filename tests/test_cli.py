@@ -109,3 +109,32 @@ def test_trig_tools(tmp_path):
     assert run(["trig", "dominate", "--freqs", "1", "--b", "1", "--a", "1",
                 "--gamma", "0.5", "--out", out3]) == 0
     assert json.loads(out3.read_text())["certificate"]["margins"][0] > 0
+
+
+def assert_config_error(argv, capsys):
+    assert run(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+def test_missing_recipe_file_is_config_error(tmp_path, capsys):
+    assert_config_error(["barrier", "verify", "--recipe",
+                         tmp_path / "missing.json"], capsys)
+
+
+def test_zero_step_is_config_error(tmp_path, capsys):
+    rec = tmp_path / "rec.json"
+    assert run(["barrier", "build", "thm311", "--q", 7, "--out", rec]) == 0
+    capsys.readouterr()
+    assert_config_error(["simulate", "--recipe", rec, "--window", "0:1",
+                         "--step", 0, "--out", tmp_path / "t.csv"], capsys)
+    assert_config_error(["barrier", "verify", "--recipe", rec, "--step", 0],
+                        capsys)
+    assert_config_error(["orderings", "--recipe", rec, "--window", "0:1",
+                         "--samples", 0], capsys)
+
+
+def test_trig_missing_arguments_is_config_error(capsys):
+    assert_config_error(["trig", "frac-parts"], capsys)
+    assert_config_error(["trig", "all-negative"], capsys)
+    assert_config_error(["trig", "dominate", "--freqs", "1"], capsys)

@@ -1,12 +1,21 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from racelab.residues import (InvalidModulusError, InvalidResidueError,
-                              NotRepresentableError, RootOfUnitySum,
-                              character_sum, character_with_value, characters,
+from racelab.residues import (DirichletCharacter, InvalidModulusError,
+                              InvalidResidueError, NotRepresentableError,
+                              RootOfUnitySum, character_label, character_sum,
+                              character_with_value, characters,
                               nonprincipal_characters, separating_characters,
                               sqrt_count, unit_group)
+from racelab.zerosys import ZeroSystem
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+moduli = st.integers(min_value=3, max_value=400)
 
 
 def brute_order(a, q):
@@ -159,3 +168,108 @@ def test_root_of_unity_sum_cancellation():
     t.add(Fraction(1, 5), 2).add(Fraction(4, 5), -2)
     assert not t.is_zero()
     assert abs(t.to_complex().real) < 1e-12  # purely imaginary
+
+
+# --- characters as exponent vectors -------------------------------------------
+
+
+def reference_phase_tables(q):
+    """The Fraction-table construction characters(q) used to store: every
+    exponent vector b gives the phase table a -> sum_j b_j alpha_j(a)/n_j
+    mod 1 over the units in increasing order; tables sorted
+    lexicographically, principal first."""
+    group = unit_group(q)
+    tables = []
+    for b in itertools.product(*(range(n) for _, n in group.generators)):
+        table = []
+        for a in group.units:
+            ph = sum((Fraction(bj * e, n) for (_, n), bj, e
+                      in zip(group.generators, b, group.exponents(a))),
+                     Fraction(0))
+            table.append(ph - math.floor(ph))
+        tables.append(tuple(table))
+    tables.sort()
+    tables.sort(key=lambda t: any(t))  # principal first
+    return tables
+
+
+def test_golden_label_order_and_phase_tables():
+    for q in range(3, 61):
+        units = unit_group(q).units
+        want = reference_phase_tables(q)
+        got = characters(q)
+        assert [tuple(c.phase(a) for a in units) for c in got] == want, q
+        for c, table in zip(got, want):
+            assert c.phases == dict(zip(units, table))
+            assert c.order == math.lcm(*(f.denominator for f in table))
+            assert c.is_principal == (not any(table))
+
+
+@PROPERTY
+@given(moduli)
+def test_unit_group_exponent_bijection(q):
+    g = unit_group(q)
+    vectors = {g.exponents(a): a for a in g.units}
+    assert len(vectors) == g.phi == math.prod(n for _, n in g.generators)
+    for vec, a in vectors.items():
+        prod = 1
+        for (gen, n), e in zip(g.generators, vec):
+            assert 0 <= e < n
+            prod = prod * pow(gen, e, q) % q
+        assert prod == a
+
+
+@PROPERTY
+@given(moduli, st.data())
+def test_orthogonality_exact_property(q, data):
+    g = unit_group(q)
+    a = data.draw(st.sampled_from(g.units))
+    column = character_sum(q, a)
+    assert column.is_zero() == (a != 1)
+    chi = data.draw(st.sampled_from(characters(q)))
+    row = RootOfUnitySum()
+    for u in g.units:
+        row.add(chi.phase(u))
+    assert row.is_zero() == (not chi.is_principal)
+
+
+@PROPERTY
+@given(moduli, st.data())
+def test_product_and_power_add_phases(q, data):
+    chars = characters(q)
+    chi = data.draw(st.sampled_from(chars))
+    psi = data.draw(st.sampled_from(chars))
+    k = data.draw(st.integers(min_value=-50, max_value=50))
+    for a in data.draw(st.lists(st.sampled_from(unit_group(q).units),
+                                min_size=1, max_size=8)):
+        assert (chi * psi).phase(a) == (chi.phase(a) + psi.phase(a)) % 1
+        assert (chi**k).phase(a) == (k * chi.phase(a)) % 1
+        assert chi.conjugate().phase(a) == (-chi.phase(a)) % 1
+        assert abs(chi(a) - complex(math.cos(2 * math.pi * chi.phase(a)),
+                                    math.sin(2 * math.pi * chi.phase(a)))) < 1e-12
+
+
+@PROPERTY
+@given(moduli, st.data())
+def test_label_vector_round_trip(q, data):
+    chars = characters(q)
+    label = data.draw(st.integers(min_value=0, max_value=len(chars) - 1))
+    chi = chars[label]
+    assert character_label(chi) == label
+    again = DirichletCharacter(q, chi.b)
+    assert again == chi and hash(again) == hash(chi)
+    assert character_label(again) == label
+    system = ZeroSystem(q, {})
+    conj = system.conjugate_label(label)
+    assert chars[conj] == chi.conjugate()
+    assert system.conjugate_label(conj) == label
+
+
+def test_character_vector_normalized_and_checked():
+    chi = DirichletCharacter(15, (3, -1))  # generators of orders 2 and 4
+    assert chi.b == (1, 3)
+    assert chi != DirichletCharacter(16, (1, 1))
+    with pytest.raises(ValueError):
+        DirichletCharacter(15, (1,))
+    with pytest.raises(InvalidResidueError):
+        chi.phase(5)

@@ -37,6 +37,13 @@ def test_f_rho_at_two():
     assert f_rho(0.75 + 10j, 2.0) == main
 
 
+def test_f_rho_is_main_plus_tail():
+    for rho in (0.75 + 14.134725j, 0.6 - 3.0j, 0.9 + 100.0j, 0.8):
+        for x in (2.0, 2.5, 1e3, 1e8):
+            main, tail, _ = f_rho_parts(rho, x)
+            assert f_rho(rho, x) == main + tail
+
+
 def test_f_rho_domain_errors():
     with pytest.raises(DomainError):
         f_rho(0.75, 1.5)

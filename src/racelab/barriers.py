@@ -28,6 +28,7 @@ import numpy as np
 
 from .residues import (DirichletCharacter, character_label,
                        character_with_value, characters, unit_group)
+from .orderings import column_orders
 from .simulator import dominant_member_values, theorem_decomposition
 from .trigpoly import (ScanReport, TrigPoly, certified_positive_scan, eps1,
                        eps2)
@@ -493,47 +494,37 @@ def check_omega_type(candidate: np.ndarray, w_grid: np.ndarray,
 
     Between midpoints of consecutive reference crossing points, every sample's
     ordering must match the reference ordering at one of the two midpoints;
-    tied samples pass if any strict expansion matches.
+    tied samples pass if either reference ordering is admissible once ties
+    within tie_tol split.  All columns are ordered at once by
+    `orderings.column_orders`, each column's two reference orderings are
+    looked up with one searchsorted, and first_violation is the u of the
+    first failing column (intervals_checked counts the columns before it).
     """
     pts = omega.crossing_points()
     pts = sorted(pts + [2 * math.pi - p for p in pts])
     mids = [(a + b) / 2.0 for a, b in zip(pts, pts[1:])]
     wrap_mid = ((pts[-1] + pts[0] + 2 * math.pi) / 2.0) % (2 * math.pi)
     mids = sorted(mids + [wrap_mid])
+    ref, _, _ = column_orders(omega.values(np.array(mids)), 0.0)
 
-    def ordering_at(u_val: float) -> Tuple[int, ...]:
-        vals = omega.values(np.array([u_val]))[:, 0]
-        return tuple(np.argsort(-vals))
+    u = np.asarray(w_grid, dtype=float) % (2 * math.pi)
+    idx = np.searchsorted(mids, u) - 1
+    lo = ref[:, idx % len(mids)]
+    hi = ref[:, (idx + 1) % len(mids)]
+    order, _, strict = column_orders(candidate, tie_tol)
 
-    ref = [ordering_at(m) for m in mids]
-    n_mid = len(mids)
-    checked = 0
-    for col in range(candidate.shape[1]):
-        u = float(w_grid[col]) % (2 * math.pi)
-        # locate the mid-interval containing u (cyclic)
-        idx = np.searchsorted(mids, u) - 1
-        lo = ref[idx % n_mid]
-        hi = ref[(idx + 1) % n_mid]
-        vals = candidate[:, col]
-        order = tuple(np.argsort(-vals))
-        sorted_vals = vals[list(order)]
-        strict = np.all(np.diff(sorted_vals) < -tie_tol)
-        if strict:
-            if order != lo and order != hi:
-                return OmegaTypeReport(False, first_violation=u,
-                                       intervals_checked=checked)
-        else:
-            if not (_compatible(vals, lo, tie_tol) or _compatible(vals, hi, tie_tol)):
-                return OmegaTypeReport(False, first_violation=u,
-                                       intervals_checked=checked)
-        checked += 1
-    return OmegaTypeReport(True, intervals_checked=checked)
+    def admissible(perm: np.ndarray) -> np.ndarray:
+        vals = np.take_along_axis(candidate, perm, axis=0)
+        return np.all(vals[:-1] >= vals[1:] - tie_tol, axis=0)
 
-
-def _compatible(vals: np.ndarray, perm: Tuple[int, ...], tol: float) -> bool:
-    """Is perm an admissible ordering of vals when ties within tol split?"""
-    return all(vals[perm[i]] >= vals[perm[i + 1]] - tol
-               for i in range(len(perm) - 1))
+    ok = np.where(strict,
+                  np.all(order == lo, axis=0) | np.all(order == hi, axis=0),
+                  admissible(lo) | admissible(hi))
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        return OmegaTypeReport(False, first_violation=float(u[bad[0]]),
+                               intervals_checked=int(bad[0]))
+    return OmegaTypeReport(True, intervals_checked=candidate.shape[1])
 
 
 def build_extremal(q: int, generator: int, D: Sequence[int],
@@ -579,9 +570,12 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
     K_use = K
     for _ in range(max_escalations):
         b = {v: -fourier_cosine_coeffs(omega, v, K_use) for v in V}
-        cand = np.vstack([
-            -sum(b[v][k - 1] * np.cos(k * w_grid) for k in range(1, K_use + 1))
-            for v in V])
+        b_rows = np.array([b[v] for v in V])
+        # -sum_k b_v[k] cos(k w) for every v at once, added in order of k
+        cand = np.zeros((len(V), len(w_grid)))
+        for k in range(1, K_use + 1):
+            cand += b_rows[:, k - 1, None] * np.cos(k * w_grid)
+        cand = -cand
         if check_omega_type(cand, w_grid, omega).ok:
             break
         K_use *= 2
@@ -598,17 +592,27 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
                 d_vec[r - v] = -b[v][k - 1]
         nu[k - 1] = solve_lemma44(r, np.zeros(r), d_vec)
 
-    # stage 3: integerization resolution
+    # stage 3: integerization resolution.  Member v's candidate sums, in
+    # order of (k, j), n/(kN) sin(k w + 2 pi j v/r): block[0] carries the
+    # running sum and block[1:] the r terms of one k, so the sequential
+    # axis-0 reduce adds them in (k, j) order
+    block = np.empty((r + 1, len(w_grid)))
+    cand = np.empty((len(V), len(w_grid)))
     N_use = N
     for _ in range(max_escalations):
         n_tilde = np.array([[k * math.floor(N_use * nu[k - 1, j])
                              for j in range(r)] for k in range(1, K_use + 1)],
                            dtype=np.int64)
-        cand = np.vstack([
-            sum(n_tilde[k - 1, j] / (k * N_use)
-                * np.sin(k * w_grid + 2 * math.pi * j * v / r)
-                for k in range(1, K_use + 1) for j in range(r))
-            for v in V])
+        for row, v in zip(cand, V):
+            phase = 2 * math.pi * np.arange(r) * v / r
+            block[0] = 0.0
+            for k in range(1, K_use + 1):
+                terms = block[1:]
+                np.add(k * w_grid, phase[:, None], out=terms)
+                np.sin(terms, out=terms)
+                terms *= (n_tilde[k - 1] / (k * N_use))[:, None]
+                block[0] = np.add.reduce(block, axis=0)
+            row[:] = block[0]
         # candidate tracks -f_v; flip for the pattern comparison
         if check_omega_type(-cand, w_grid, omega).ok:
             break
@@ -674,31 +678,34 @@ def _wave_crossings(w1: TrigPoly, w2: TrigPoly, period: float,
     this density cannot merge them; the bisection then localizes each root to
     machine scale, which is what the distinctness condition compares against
     (crossings of different pairs can be separated by as little as
-    beta/gamma^2)."""
+    beta/gamma^2).  A grid value that is exactly zero is a root of width 0;
+    a cell is bisected only when both its end values are nonzero and of
+    opposite sign.  All brackets are bisected together, each until its
+    midpoint no longer splits it (at most 80 steps)."""
     u = np.linspace(0.0, period, samples, endpoint=False)
     diff = w1(u) - w2(u)
-    roots: List[Tuple[float, float]] = []
-    for i in range(samples):
-        a = u[i]
-        b = u[i + 1] if i + 1 < samples else period
-        fa = diff[i]
-        fb = diff[(i + 1) % samples]
-        if fa == 0.0:
-            roots.append((float(a), 0.0))
-            continue
-        if (fa > 0) != (fb > 0):
-            lo, hi, flo = float(a), float(b), float(fa)
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if mid == lo or mid == hi:
-                    break
-                fm = float(w1(mid) - w2(mid))
-                if (fm > 0) == (flo > 0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            roots.append((0.5 * (lo + hi), hi - lo))
-    return roots
+    fb = np.roll(diff, -1)
+    cells = np.flatnonzero((diff != 0.0) & (fb != 0.0) & ((diff > 0) != (fb > 0)))
+    lo = u[cells]
+    hi = np.append(u[1:], period)[cells]
+    flo = diff[cells]
+    active = np.ones(len(cells), dtype=bool)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        active &= (mid != lo) & (mid != hi)
+        if not active.any():
+            break
+        fm = w1(mid) - w2(mid)
+        left = active & ((fm > 0) == (flo > 0))
+        lo = np.where(left, mid, lo)
+        flo = np.where(left, fm, flo)
+        hi = np.where(active & ~left, mid, hi)
+    zeros = np.flatnonzero(diff == 0.0)
+    at = np.concatenate([zeros, cells])
+    roots = np.concatenate([u[zeros], 0.5 * (lo + hi)])
+    widths = np.concatenate([np.zeros(len(zeros)), hi - lo])
+    pick = np.argsort(at, kind="stable")
+    return list(zip(roots[pick].tolist(), widths[pick].tolist()))
 
 
 def build_thm51(q: int, tau: float = 0.0, M: int = 64,
@@ -780,46 +787,51 @@ def check_thm51_conditions(recipe: BarrierRecipe,
     pts = sorted(t for pair in theta.values() for t in pair)
     gap_tol = 10.0 * width  # roots are localized far below the scan grid
     min_gap = math.inf
-    for a, b in zip(pts, pts[1:]):
-        min_gap = min(min_gap, b - a)
     if pts:
         # crossing points must also stay clear of 0 (mod period)
-        min_gap = min(min_gap, pts[0], period - pts[-1])
+        min_gap = min(min_gap, *np.diff(pts).tolist(), pts[0], period - pts[-1])
     if min_gap <= gap_tol:
         raise ConditionFailedError(
             "B", f"crossing points collide (gap {min_gap:.3g} <= {gap_tol:.3g})")
 
+    m = len(orders)
+    keys = np.array(list(theta))            # rows (j, a1, a2)
+    roots = np.array(list(theta.values()))  # rows (t0, t1)
+
+    def wave_table(j: int, t: np.ndarray, derivative: bool = False) -> np.ndarray:
+        """W[a, k]: level j's wave of phase a (or its derivative) at t[k]."""
+        return np.array([waves[(j, a)].derivative(t) if derivative
+                         else waves[(j, a)](t) for a in range(orders[j - 1])])
+
     min_deriv = math.inf
     second_deriv = max(sum(abs(c) * t * t for c, t, _ in w.terms)
                        for w in waves.values())
-    for (j, a1, a2), pair in theta.items():
-        dpoly_1 = waves[(j, a1)]
-        dpoly_2 = waves[(j, a2)]
-        for t in pair:
-            gap = abs(dpoly_1.derivative(t) - dpoly_2.derivative(t))
-            min_deriv = min(min_deriv, gap)
+    for j in range(1, m + 1):
+        rows = keys[:, 0] == j
+        t = roots[rows].ravel()
+        a1, a2 = np.repeat(keys[rows, 1], 2), np.repeat(keys[rows, 2], 2)
+        d = wave_table(j, t, derivative=True)
+        k = np.arange(len(t))
+        min_deriv = min(min_deriv, float(np.min(np.abs(d[a1, k] - d[a2, k]))))
     deriv_tol = 10.0 * width * 2.0 * second_deriv
     if min_deriv <= deriv_tol:
         raise ConditionFailedError(
             "C", f"derivative gap {min_deriv:.3g} below {deriv_tol:.3g}")
 
+    # (D): for each a3, the differences W3 - W4 - W5 + W6 over every
+    # (a4, a5, a6) and every crossing point of the lower-index level at once
     min_d = math.inf
-    m = len(orders)
     for j_prime in range(1, m + 1):
+        t = roots[keys[:, 0] == j_prime].ravel()
         for j in range(j_prime + 1, m + 1):
             n_j = orders[j - 1]
-            quads = [(a3, a4, a5, a6)
-                     for a3 in range(n_j) for a4 in range(n_j)
-                     for a5 in range(n_j) for a6 in range(n_j)
-                     if (a3, a4) != (a5, a6) and not (a3 == a4 and a5 == a6)]
-            for (jp, a1, a2), pair in theta.items():
-                if jp != j_prime:
-                    continue
-                for t in pair:
-                    for a3, a4, a5, a6 in quads:
-                        val = (waves[(j, a3)](t) - waves[(j, a4)](t)
-                               - waves[(j, a5)](t) + waves[(j, a6)](t))
-                        min_d = min(min_d, abs(val))
+            table = wave_table(j, t)
+            a4, a5, a6 = np.ix_(*[np.arange(n_j)] * 3)
+            for a3 in range(n_j):
+                keep = ~((a3 == a5) & (a4 == a6)) & ~((a3 == a4) & (a5 == a6))
+                val = (table[a3][None, None, None] - table[:, None, None]
+                       - table[None, :, None] + table[None, None, :])
+                min_d = min(min_d, float(np.min(np.abs(val[keep]))))
     d_tol = 10.0 * width * 4.0 * max(w.lipschitz_bound for w in waves.values())
     if m >= 2 and min_d <= d_tol:
         raise ConditionFailedError("D", f"difference margin {min_d:.3g}")
@@ -829,40 +841,33 @@ def check_thm51_conditions(recipe: BarrierRecipe,
     # (5.19)-style polynomial avoidance on the large-order levels
     min_p = math.inf
     for j in range(2, m + 1):
-        if orders[j - 1] < 4:
+        n_j = orders[j - 1]
+        if n_j < 4:
             continue
-        z_j = betas[j - 1] / gamma
-        for (jp, a1, a2), pair in theta.items():
-            if jp >= j:
-                continue
-            n_j = orders[j - 1]
-            for t in pair:
-                for a3 in range(n_j):
-                    for a4 in range(a3 + 1, n_j):
-                        for a5 in range(n_j):
-                            for a6 in range(a5 + 1, n_j):
-                                if (a3, a4) == (a5, a6):
-                                    continue
-                                val = _avoidance_poly(
-                                    M, z_j, gamma * t, n_j, a3, a4, a5, a6)
-                                min_p = min(min_p, abs(val))
+        t = roots[keys[:, 0] < j].ravel()
+        a3, a4 = np.triu_indices(n_j, 1)  # phase pairs a3 < a4
+        p1, p2 = np.nonzero(~np.eye(len(a3), dtype=bool))  # distinct pairs
+        val = _avoidance_poly(M, betas[j - 1] / gamma, gamma * t[None, :], n_j,
+                              a3[p1, None], a4[p1, None], a3[p2, None],
+                              a4[p2, None])
+        min_p = min(min_p, float(np.min(np.abs(val))))
     margins["P_min_abs"] = min_p
     return WSystem(betas=tuple(betas), orders=tuple(orders), gamma=gamma,
                    M=M, theta=theta, margins=margins)
 
 
-def _avoidance_poly(M: int, z: float, gu: float, n_j: int,
-                    a3: int, a4: int, a5: int, a6: int) -> float:
+def _avoidance_poly(M: int, z: float, gu, n_j: int, a3, a4, a5, a6):
     """The degeneracy polynomial whose nonvanishing at z = beta_j/gamma
-    underpins the level-to-level condition."""
+    underpins the level-to-level condition; broadcasts over gu and the
+    phase indices."""
     y1 = gu + math.pi * (a3 + a4) / n_j
     y2 = gu + math.pi * (a5 + a6) / n_j
     b1 = math.pi * (a4 - a3) / n_j
     b2 = math.pi * (a6 - a5) / n_j
-    return (M * (4 + z * z) * (math.sin(b1) * (math.cos(y1) - z * math.sin(y1))
-                               - math.sin(b2) * (math.cos(y2) - z * math.sin(y2)))
-            + (1 + z * z) * (math.sin(2 * b1) * (2 * math.cos(2 * y1) - z * math.sin(2 * y1))
-                             - math.sin(2 * b2) * (2 * math.cos(2 * y2) - z * math.sin(2 * y2))))
+    return (M * (4 + z * z) * (np.sin(b1) * (np.cos(y1) - z * np.sin(y1))
+                               - np.sin(b2) * (np.cos(y2) - z * np.sin(y2)))
+            + (1 + z * z) * (np.sin(2 * b1) * (2 * np.cos(2 * y1) - z * np.sin(2 * y1))
+                             - np.sin(2 * b2) * (2 * np.cos(2 * y2) - z * np.sin(2 * y2))))
 
 
 # --- hypothesis checkers ---------------------------------------------------------------

@@ -4,8 +4,8 @@ Subcommands: `barrier build|verify`, `simulate`, `orderings`, `race`, and
 the `trig` toolbox.  Every JSON output embeds the resolved run configuration,
 and identical configurations (including --seed) produce byte-identical files.
 
-Exit codes: 0 success, 2 verification failed, 3 invalid configuration,
-4 budget exceeded.
+Exit codes: 0 success, 2 verification failed, 3 invalid configuration
+(including a command line the parser rejects), 4 budget exceeded.
 """
 
 from __future__ import annotations
@@ -328,9 +328,17 @@ def cmd_trig(args: argparse.Namespace) -> int:
 # --- parser --------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an invalid configuration (exit 3, one
+    `error:` line) rather than argparse's exit 2, which means "verification
+    failed" here."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="racelab",
-                                 description=__doc__.split("\n")[0])
+    ap = _Parser(prog="racelab", description=__doc__.split("\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("barrier", help="build or verify barrier recipes")
@@ -414,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,6 +5,13 @@ Orderings admit non-strict inequalities: a sample where members tie within
 tolerance carries every ordering compatible with the tie blocks.  The strict
 census is taken over tie-free samples (between crossings the strict ordering
 is constant, so a dense grid sees every arc).
+
+Every sample is ordered at once by one kernel, `column_orders`: a stable
+descending argsort of each column, the gaps between neighbours in that
+order, and the mask of tie-free columns.  The census groups the columns by
+(order, tie cuts) with `np.unique` and run-length encodes the strict ones;
+crossing detection finds sign flips and tie runs of all member pairs with
+array operations; `barriers.check_omega_type` reuses the same kernel.
 """
 
 from __future__ import annotations
@@ -76,23 +83,25 @@ class OrderingTrace:
         return len(self.members)
 
     def ordering_at(self, idx: int) -> Ordering:
-        vals = self.values[:, idx]
-        order = sorted(range(self.n_members), key=lambda i: -vals[i])
-        blocks: List[Tuple[int, ...]] = []
-        cur = [order[0]]
-        for i in order[1:]:
-            if abs(vals[cur[-1]] - vals[i]) <= self.tie_tol:
-                cur.append(i)
-            else:
-                blocks.append(tuple(sorted(cur)))
-                cur = [i]
-        blocks.append(tuple(sorted(cur)))
-        return Ordering(tuple(blocks))
+        order, gaps, _ = column_orders(self.values[:, [idx]], self.tie_tol)
+        return Ordering(_chain(order[:, 0], gaps[:, 0] > self.tie_tol))
 
-    def resolved(self, idx: int) -> bool:
-        """True if no two members tie within tolerance at this sample."""
-        vals = np.sort(self.values[:, idx])
-        return bool(np.all(np.diff(vals) > self.tie_tol))
+
+def column_orders(values: np.ndarray, tie_tol: float,
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ordering kernel: for each column of values (members x samples),
+    the member indices in descending order of value (a stable sort, so tied
+    members keep index order), the gaps between neighbours in that order,
+    and the mask of strict columns (every gap > tie_tol)."""
+    order = np.argsort(-values, axis=0, kind="stable")
+    gaps = -np.diff(np.take_along_axis(values, order, axis=0), axis=0)
+    return order, gaps, np.all(gaps > tie_tol, axis=0)
+
+
+def _chain(order: np.ndarray, cuts: np.ndarray) -> Chain:
+    """Tie blocks of one column: the order split where its gap is a cut."""
+    blocks = np.split(order, np.flatnonzero(cuts) + 1)
+    return tuple(tuple(sorted(b.tolist())) for b in blocks)
 
 
 @dataclass(frozen=True)
@@ -105,36 +114,42 @@ class Crossing:
 
 
 def detect_crossings(trace: OrderingTrace) -> List[Crossing]:
-    out: List[Crossing] = []
+    """Sign changes of value_i - value_j (i < j), ties within tie_tol read as
+    sign 0.  A direct flip between neighbouring samples is a crossing; so is
+    a maximal tie run whose signs before and after differ.  A run starting at
+    the first sample is never a crossing, and a run reaching the last sample
+    has sign 0 after it.  Crossings come sorted by u_enter, ties in (i, j,
+    sample) order."""
     u = trace.u
-    for i in range(trace.n_members):
-        for j in range(i + 1, trace.n_members):
-            diff = trace.values[i] - trace.values[j]
-            state = np.where(np.abs(diff) <= trace.tie_tol, 0, np.sign(diff))
-            k = 0
-            n = len(state)
-            while k < n - 1:
-                if state[k] != 0 and state[k + 1] != 0 and state[k] != state[k + 1]:
-                    out.append(Crossing((i, j), float(u[k]), float(u[k + 1]),
-                                        int(state[k]), int(state[k + 1])))
-                    k += 1
-                    continue
-                if state[k + 1] == 0:
-                    # maximal tie run
-                    start = k + 1
-                    end = start
-                    while end < n - 1 and state[end + 1] == 0:
-                        end += 1
-                    before = int(state[k]) if state[k] != 0 else 0
-                    after = int(state[end + 1]) if end + 1 < n else 0
-                    if before != 0 and after != 0 and before != after:
-                        out.append(Crossing((i, j), float(u[start]),
-                                            float(u[end]), before, after))
-                    k = end
-                    continue
-                k += 1
-    out.sort(key=lambda c: c.u_enter)
-    return out
+    n = len(u)
+    parts = []  # (i, j, key sample, enter, exit, before, after) per pair block
+    for i in range(trace.n_members - 1):  # the pairs (i, j > i) at once
+        diff = trace.values[i] - trace.values[i + 1:]
+        state = np.where(np.abs(diff) <= trace.tie_tol, 0,
+                         np.sign(diff)).astype(np.int8)
+        p, k = np.nonzero(state[:, :-1] * state[:, 1:] < 0)
+        flips = (p, k, k, k + 1, state[p, k], state[p, k + 1])
+        edges = np.diff(np.pad(state == 0, ((0, 0), (1, 1))).astype(np.int8),
+                        axis=1)
+        rp, start = np.nonzero(edges == 1)
+        end = np.nonzero(edges == -1)[1] - 1
+        inner = (start > 0) & (end + 1 < n)
+        rp, start, end = rp[inner], start[inner], end[inner]
+        before, after = state[rp, start - 1], state[rp, end + 1]
+        cross = before != after
+        runs = (rp[cross], start[cross] - 1, start[cross], end[cross],
+                before[cross], after[cross])
+        for pp, key, enter, exit_, sb, sa in (flips, runs):
+            parts.append((np.full(len(pp), i), i + 1 + pp, key,
+                          enter, exit_, sb, sa))
+    if not parts:
+        return []
+    ii, jj, key, enter, exit_, sb, sa = (np.concatenate(col)
+                                         for col in zip(*parts))
+    pick = np.lexsort((key, jj, ii, u[enter]))
+    return [Crossing((int(ii[x]), int(jj[x])), float(u[enter[x]]),
+                     float(u[exit_[x]]), int(sb[x]), int(sa[x]))
+            for x in pick]
 
 
 @dataclass
@@ -196,33 +211,42 @@ def census(trace: OrderingTrace) -> CensusReport:
     Strict orderings are collected at tie-free samples; tied samples are
     recorded as weak chains (their strict expansions occur on neighboring
     arcs, so the strict census between crossings is complete on a grid that
-    resolves every arc).
+    resolves every arc).  Both dicts keep first-occurrence order.
     """
+    r = trace.n_members
+    order, gaps, strict_cols = column_orders(trace.values, trace.tie_tol)
+    # a column's ordering is fixed by its order and where its tie blocks cut
+    keys = np.concatenate([order, gaps > trace.tie_tol],
+                          dtype=np.min_scalar_type(r), casting="unsafe")
+    groups, first, inverse, counts = np.unique(
+        keys, axis=1, return_index=True, return_inverse=True,
+        return_counts=True)
+    inverse = inverse.reshape(-1)
+    last = np.zeros(len(first), dtype=np.intp)
+    np.maximum.at(last, inverse, np.arange(len(inverse)))
+    u = trace.u
     strict: Dict[Tuple[int, ...], Tuple[float, float]] = {}
-    counts: Dict[Tuple[int, ...], int] = {}
+    sample_counts: Dict[Tuple[int, ...], int] = {}
     weak: Dict[Chain, int] = {}
-    sequence: List[Tuple[float, Tuple[int, ...]]] = []
-    last_perm: Tuple[int, ...] | None = None
-    for idx in range(len(trace.u)):
-        ordering = trace.ordering_at(idx)
-        if ordering.is_strict:
-            perm = tuple(b[0] for b in ordering.blocks)
-            uu = float(trace.u[idx])
-            counts[perm] = counts.get(perm, 0) + 1
-            if perm in strict:
-                first, _ = strict[perm]
-                strict[perm] = (first, uu)
-            else:
-                strict[perm] = (uu, uu)
-            if perm != last_perm:
-                sequence.append((uu, perm))
-                last_perm = perm
+    perms: Dict[int, Tuple[int, ...]] = {}  # group id -> strict permutation
+    for g in np.argsort(first).tolist():
+        col = groups[:, g].tolist()
+        if all(col[r:]):
+            perm = perms[g] = tuple(col[:r])
+            strict[perm] = (float(u[first[g]]), float(u[last[g]]))
+            sample_counts[perm] = int(counts[g])
         else:
-            weak[ordering.blocks] = weak.get(ordering.blocks, 0) + 1
+            chain = _chain(groups[:r, g], groups[r:, g])
+            weak[chain] = weak.get(chain, 0) + int(counts[g])
+    # the strict ordering sequence: one entry per run of equal strict columns
+    cols = np.flatnonzero(strict_cols)
+    ids = inverse[cols]
+    runs = np.flatnonzero(np.diff(ids, prepend=-1) != 0)
+    sequence = [(float(u[cols[k]]), perms[int(ids[k])]) for k in runs]
     return CensusReport(members=trace.members, strict=strict, weak=weak,
                         crossings=detect_crossings(trace), sequence=sequence,
-                        window=(float(trace.u[0]), float(trace.u[-1])),
-                        periodic=trace.periodic, sample_counts=counts)
+                        window=(float(u[0]), float(u[-1])),
+                        periodic=trace.periodic, sample_counts=sample_counts)
 
 
 # --- ordering graph and the forest lower bound --------------------------------

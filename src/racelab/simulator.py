@@ -30,7 +30,7 @@ from scipy import integrate
 from scipy.special import expi
 
 from .orderings import OrderingTrace
-from .residues import character_label, unit_group
+from .residues import DirichletCharacter, character_label, unit_group
 from .trigpoly import TrigPoly
 from .zerosys import DominantData, Zero, ZeroSystem, dominant_data, g_rho_exact
 
@@ -186,12 +186,12 @@ def race_values(s: RaceFunctionSet, x: float, rel_tol: float = 1e-9,
     for _, z, _ in s.system.items():
         if z not in f_cache:
             f_cache[z] = f_rho(z.rho, x, rel_tol)
+    chi_bar = _conjugates(s.system)
     out: Dict[int, float] = {}
     for a in s.members:
         total = 0.0j
         for label, z, mult in s.system.items():
-            chi_bar = s.system.chars[label].conjugate()
-            total += chi_bar(a) * mult * _star_weight(z) * f_cache[z]
+            total += chi_bar[label](a) * mult * _star_weight(z) * f_cache[z]
         out[a] = base - (2.0 / phi) * total.real
     return out
 
@@ -331,14 +331,19 @@ def angle_shift_bound(sigma: float, t: float) -> float:
 # --- traces -----------------------------------------------------------------------
 
 
+def _conjugates(system: ZeroSystem) -> Dict[int, DirichletCharacter]:
+    """conj(chi) for each character label that carries zeros."""
+    return {label: system.chars[label].conjugate() for label in system.entries}
+
+
 def _member_amplitudes(system: ZeroSystem, member: int,
+                       chi_bar: Dict[int, DirichletCharacter],
                        ) -> Dict[Zero, complex]:
     """Per-zero complex amplitude of the member's oscillation term:
     sum_chi n(rho, chi) conj(chi)(member) / rho, star-weighted."""
     out: Dict[Zero, complex] = {}
     for label, z, mult in system.items():
-        chi_bar = system.chars[label].conjugate()
-        c = mult * _star_weight(z) * chi_bar(member) / z.rho
+        c = mult * _star_weight(z) * chi_bar[label](member) / z.rho
         out[z] = out.get(z, 0.0j) + c
     return out
 
@@ -358,9 +363,10 @@ def dominant_member_values(system: ZeroSystem, members: Sequence[int],
     beta_star = system.r_plus
     if beta_star is None:
         return np.zeros((len(members), len(u)))
+    chi_bar = _conjugates(system)
     rows = []
     for a in members:
-        amps = _member_amplitudes(system, a)
+        amps = _member_amplitudes(system, a, chi_bar)
         acc = np.zeros_like(u)
         for z, c in amps.items():
             osc = (c * np.exp(1j * z.gamma * u)).real if z.gamma else np.full_like(u, c.real)

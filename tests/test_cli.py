@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from racelab import cli
 
 
@@ -138,3 +140,20 @@ def test_trig_missing_arguments_is_config_error(capsys):
     assert_config_error(["trig", "frac-parts"], capsys)
     assert_config_error(["trig", "all-negative"], capsys)
     assert_config_error(["trig", "dominate", "--freqs", "1"], capsys)
+
+
+def test_usage_errors_are_config_errors(capsys):
+    # argparse's own exit 2 would read as "verification failed"
+    assert_config_error(["barrier", "build", "thm99"], capsys)
+    assert_config_error(["barrier"], capsys)
+    assert_config_error(["orderings", "--recipe", "r.json", "--samples", "x"],
+                        capsys)
+    assert_config_error(["nosuchcommand"], capsys)
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["barrier", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out

@@ -1,0 +1,289 @@
+"""The vectorized ordering kernel against the per-sample loops it replaced.
+
+The reference functions below are the earlier loop implementations of the
+census, crossing detection, the omega-type check and the wave-crossing
+root finder, kept here verbatim apart from names (and the one root-finder
+fix: a cell whose end value is exactly zero is not bracketed).  Random
+traces are quantized so that ties, tie runs at both ends of the window and
+all-tied columns occur often.
+"""
+
+import math
+from typing import Dict, List, Tuple
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from racelab import residues, simulator
+from racelab.barriers import (OmegaTypeReport, _wave_crossings, build_omega,
+                              build_thm51, check_omega_type)
+from racelab.orderings import (CensusReport, Crossing, Ordering,
+                               OrderingTrace, census, detect_crossings)
+from racelab.trigpoly import TrigPoly
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+# --- the loop references ------------------------------------------------------
+
+
+def ref_ordering_at(trace: OrderingTrace, idx: int) -> Ordering:
+    vals = trace.values[:, idx]
+    order = sorted(range(trace.n_members), key=lambda i: -vals[i])
+    blocks: List[Tuple[int, ...]] = []
+    cur = [order[0]]
+    for i in order[1:]:
+        if abs(vals[cur[-1]] - vals[i]) <= trace.tie_tol:
+            cur.append(i)
+        else:
+            blocks.append(tuple(sorted(cur)))
+            cur = [i]
+    blocks.append(tuple(sorted(cur)))
+    return Ordering(tuple(blocks))
+
+
+def ref_detect_crossings(trace: OrderingTrace) -> List[Crossing]:
+    out: List[Crossing] = []
+    u = trace.u
+    for i in range(trace.n_members):
+        for j in range(i + 1, trace.n_members):
+            diff = trace.values[i] - trace.values[j]
+            state = np.where(np.abs(diff) <= trace.tie_tol, 0, np.sign(diff))
+            k = 0
+            n = len(state)
+            while k < n - 1:
+                if state[k] != 0 and state[k + 1] != 0 and state[k] != state[k + 1]:
+                    out.append(Crossing((i, j), float(u[k]), float(u[k + 1]),
+                                        int(state[k]), int(state[k + 1])))
+                    k += 1
+                    continue
+                if state[k + 1] == 0:
+                    start = k + 1
+                    end = start
+                    while end < n - 1 and state[end + 1] == 0:
+                        end += 1
+                    before = int(state[k]) if state[k] != 0 else 0
+                    after = int(state[end + 1]) if end + 1 < n else 0
+                    if before != 0 and after != 0 and before != after:
+                        out.append(Crossing((i, j), float(u[start]),
+                                            float(u[end]), before, after))
+                    k = end
+                    continue
+                k += 1
+    out.sort(key=lambda c: c.u_enter)
+    return out
+
+
+def ref_census(trace: OrderingTrace) -> CensusReport:
+    strict: Dict[Tuple[int, ...], Tuple[float, float]] = {}
+    counts: Dict[Tuple[int, ...], int] = {}
+    weak: Dict[tuple, int] = {}
+    sequence: List[Tuple[float, Tuple[int, ...]]] = []
+    last_perm = None
+    for idx in range(len(trace.u)):
+        ordering = ref_ordering_at(trace, idx)
+        if ordering.is_strict:
+            perm = tuple(b[0] for b in ordering.blocks)
+            uu = float(trace.u[idx])
+            counts[perm] = counts.get(perm, 0) + 1
+            if perm in strict:
+                first, _ = strict[perm]
+                strict[perm] = (first, uu)
+            else:
+                strict[perm] = (uu, uu)
+            if perm != last_perm:
+                sequence.append((uu, perm))
+                last_perm = perm
+        else:
+            weak[ordering.blocks] = weak.get(ordering.blocks, 0) + 1
+    return CensusReport(members=trace.members, strict=strict, weak=weak,
+                        crossings=ref_detect_crossings(trace),
+                        sequence=sequence,
+                        window=(float(trace.u[0]), float(trace.u[-1])),
+                        periodic=trace.periodic, sample_counts=counts)
+
+
+def ref_compatible(vals, perm, tol) -> bool:
+    return all(vals[perm[i]] >= vals[perm[i + 1]] - tol
+               for i in range(len(perm) - 1))
+
+
+def ref_check_omega_type(candidate, w_grid, omega, tie_tol=0.0):
+    pts = omega.crossing_points()
+    pts = sorted(pts + [2 * math.pi - p for p in pts])
+    mids = [(a + b) / 2.0 for a, b in zip(pts, pts[1:])]
+    wrap_mid = ((pts[-1] + pts[0] + 2 * math.pi) / 2.0) % (2 * math.pi)
+    mids = sorted(mids + [wrap_mid])
+
+    def ordering_at(u_val):
+        vals = omega.values(np.array([u_val]))[:, 0]
+        return tuple(np.argsort(-vals))
+
+    ref = [ordering_at(m) for m in mids]
+    n_mid = len(mids)
+    checked = 0
+    for col in range(candidate.shape[1]):
+        u = float(w_grid[col]) % (2 * math.pi)
+        idx = np.searchsorted(mids, u) - 1
+        lo = ref[idx % n_mid]
+        hi = ref[(idx + 1) % n_mid]
+        vals = candidate[:, col]
+        order = tuple(np.argsort(-vals))
+        sorted_vals = vals[list(order)]
+        if np.all(np.diff(sorted_vals) < -tie_tol):
+            if order != lo and order != hi:
+                return OmegaTypeReport(False, first_violation=u,
+                                       intervals_checked=checked)
+        elif not (ref_compatible(vals, lo, tie_tol)
+                  or ref_compatible(vals, hi, tie_tol)):
+            return OmegaTypeReport(False, first_violation=u,
+                                   intervals_checked=checked)
+        checked += 1
+    return OmegaTypeReport(True, intervals_checked=checked)
+
+
+def ref_wave_crossings(w1, w2, period, samples):
+    u = np.linspace(0.0, period, samples, endpoint=False)
+    diff = w1(u) - w2(u)
+    roots = []
+    for i in range(samples):
+        a = u[i]
+        b = u[i + 1] if i + 1 < samples else period
+        fa = diff[i]
+        fb = diff[(i + 1) % samples]
+        if fa == 0.0:
+            roots.append((float(a), 0.0))
+            continue
+        if fb != 0.0 and (fa > 0) != (fb > 0):
+            lo, hi, flo = float(a), float(b), float(fa)
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:
+                    break
+                fm = float(w1(mid) - w2(mid))
+                if (fm > 0) == (flo > 0):
+                    lo, flo = mid, fm
+                else:
+                    hi = mid
+            roots.append((0.5 * (lo + hi), hi - lo))
+    return roots
+
+
+# --- strategies -----------------------------------------------------------------
+
+
+@st.composite
+def quantized_traces(draw):
+    """Few members, few samples, values on a coarse grid: ties are common,
+    including runs at either end of the window and all-tied columns."""
+    r = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=40))
+    levels = draw(st.integers(min_value=1, max_value=4))
+    raw = draw(st.lists(st.integers(min_value=-levels, max_value=levels),
+                        min_size=r * n, max_size=r * n))
+    values = 0.5 * np.array(raw, dtype=float).reshape(r, n)
+    tie_tol = draw(st.sampled_from([0.0, 1e-9, 0.5, 1.0]))
+    u = 0.25 * np.arange(n) + draw(st.sampled_from([0.0, -3.0, 7.5]))
+    return OrderingTrace(u=u, members=tuple(range(1, r + 1)), values=values,
+                         tie_tol=tie_tol, periodic=draw(st.booleans()))
+
+
+def census_fields(rep: CensusReport):
+    return (list(rep.strict.items()), list(rep.weak.items()), rep.crossings,
+            rep.sequence, list(rep.sample_counts.items()), rep.window,
+            rep.periodic)
+
+
+# --- equivalence ----------------------------------------------------------------
+
+
+@PROPERTY
+@given(quantized_traces())
+def test_census_matches_loop_reference(trace):
+    assert census_fields(census(trace)) == census_fields(ref_census(trace))
+
+
+@PROPERTY
+@given(quantized_traces())
+def test_detect_crossings_matches_loop_reference(trace):
+    assert detect_crossings(trace) == ref_detect_crossings(trace)
+
+
+@PROPERTY
+@given(quantized_traces())
+def test_ordering_at_matches_loop_reference(trace):
+    for idx in range(len(trace.u)):
+        assert trace.ordering_at(idx) == ref_ordering_at(trace, idx)
+
+
+@PROPERTY
+@given(st.data())
+def test_check_omega_type_matches_loop_reference(data):
+    r, V = data.draw(st.sampled_from([(6, (1, 2, 3)), (6, (1, 2)),
+                                      (8, (1, 2, 3)), (16, (1, 2, 3, 4))]))
+    omega = build_omega(r, V, seed=data.draw(st.integers(0, 3)))
+    w = np.linspace(0.0, 2 * math.pi, data.draw(st.sampled_from([48, 96, 257])),
+                    endpoint=False)
+    quantum = data.draw(st.sampled_from([0.0, 0.05, 0.2, 0.6]))
+    vals = omega.values(w)
+    if quantum:
+        vals = quantum * np.round(vals / quantum)
+    # on a stretch of the grid, swap two members or pin one next to another
+    i, j = data.draw(st.sampled_from([(0, 1), (0, len(V) - 1)]))
+    lo = data.draw(st.integers(0, len(w) - 1))
+    hi = data.draw(st.integers(lo, len(w)))
+    edit = data.draw(st.sampled_from(["none", "swap", "nudge"]))
+    if edit == "swap":
+        vals[[i, j], lo:hi] = vals[[j, i], lo:hi]
+    elif edit == "nudge":
+        vals[i, lo:hi] = vals[j, lo:hi] + data.draw(
+            st.sampled_from([-0.05, -0.005, 0.0, 0.005, 0.05]))
+    tie_tol = data.draw(st.sampled_from([0.0, 0.01, 0.1]))
+    assert check_omega_type(vals, w, omega, tie_tol) \
+        == ref_check_omega_type(vals, w, omega, tie_tol)
+
+
+@PROPERTY
+@given(st.data())
+def test_wave_crossings_matches_loop_reference(data):
+    def poly():
+        k = data.draw(st.integers(1, 3))
+        coeffs = data.draw(st.lists(st.sampled_from([-1.0, -0.5, 0.5, 1.0, 2.0]),
+                                    min_size=k, max_size=k))
+        freqs = data.draw(st.lists(st.integers(1, 6), min_size=k, max_size=k,
+                                   unique=True))
+        phases = data.draw(st.lists(st.sampled_from([0.0, 0.0, math.pi / 2, 1.0]),
+                                    min_size=k, max_size=k))
+        return TrigPoly.sine(coeffs, [float(f) for f in freqs], phases)
+
+    w1, w2 = poly(), poly()
+    samples = data.draw(st.sampled_from([12, 24, 64, 100]))
+    period = 2 * math.pi
+    assert _wave_crossings(w1, w2, period, samples) \
+        == ref_wave_crossings(w1, w2, period, samples)
+
+
+def test_wave_crossings_counts_a_grid_root_once():
+    # w1 - w2 > 0 just left of the wrap-around and exactly 0 at u = 0: the
+    # last cell must not bracket the root that the grid point already holds
+    period = 2 * math.pi / 1000
+    roots = _wave_crossings(TrigPoly.sine([-1.0], [1000.0]),
+                            TrigPoly.sine([1e-300], [2000.0]), period, 1024)
+    assert len(roots) == 2
+    assert roots[0] == (0.0, 0.0)
+    assert abs(roots[1][0] - period / 2) < 1e-15
+
+
+def test_q35_all_units_census_golden():
+    """Pins the sampled census of the q=35 layered recipe with all 24 units
+    as members at 1024 samples.  It records what this sample count sees, not
+    a converged count (more samples see more orderings)."""
+    recipe = build_thm51(35, tau=1000.0)
+    rfs = simulator.RaceFunctionSet(35, recipe.system,
+                                    residues.unit_group(35).units,
+                                    pi_proxy="zero")
+    rep = census(simulator.one_period_trace(rfs, samples=1024))
+    assert rep.strict_count == 231
+    assert len(rep.crossings) == 540
+    assert not rep.weak

@@ -249,8 +249,8 @@ def cmd_race(args: argparse.Namespace) -> int:
     if args.a is not None and args.b is not None:
         x = primes.first_lead_change(args.q, args.a, args.b, int(args.xmax))
         summary["first_lead_change"] = x
-        print(f"first lead change ({args.a} vs {args.b}): "
-              f"{x if x is not None else 'none found within budget'}")
+        found = x if x is not None else f"none found up to x = {int(args.xmax)}"
+        print(f"first lead change ({args.a} vs {args.b}): {found}")
     if args.zeros:
         zs = load_zero_data(args.zeros, q=args.q)
         if zs is None:
@@ -415,9 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--gamma", type=float, default=0.5)
     t.add_argument("--out", default=None)
     t.set_defaults(func=cmd_trig)
-
-    ap.add_argument("--threads", type=int, default=None,
-                    help="cap worker parallelism (advisory)")
     return ap
 
 

@@ -2,6 +2,11 @@
 per-residue counts pi_{q,a}(x) at checkpoints, exact lead-change detection,
 and comparison of real races against the sigma-line oscillation sum fed by
 critical-line zero data.
+
+The segmented sieve marks odd numbers only, and each segment starts from a
+wheel pattern with the multiples of 3, 5, 7, 11, 13 and 17 already struck,
+so only the base primes above 17 are crossed off per segment.
+`simple_sieve` supplies the base primes and is the small-range oracle.
 """
 
 from __future__ import annotations
@@ -21,6 +26,9 @@ from .zerosys import ZeroSystem
 
 DEFAULT_BUDGET = 100_000_000
 SEGMENT = 1 << 21
+# odd primes presieved by the segment mask's starting pattern, whose period
+# is their product (255255 odd numbers)
+WHEEL = (3, 5, 7, 11, 13, 17)
 
 
 class BudgetExceededError(ValueError):
@@ -55,26 +63,42 @@ def simple_sieve(limit: int) -> np.ndarray:
 
 def iter_prime_segments(x_max: int, segment: int = SEGMENT,
                         ) -> Iterator[np.ndarray]:
-    """Yield ascending arrays of primes covering [2, x_max]."""
+    """Yield ascending arrays of primes covering [2, x_max], one per
+    segment [lo, min(lo + segment, x_max + 1)) with lo starting at 2.
+
+    Each mask holds the odd n = 2k+1 of its segment only, and starts as a
+    copy of the wheel pattern.
+    """
     base = simple_sieve(int(math.isqrt(x_max)))
+    base = base[base > WHEEL[-1]].tolist()
+    # the wheel pattern over k, long enough to cut a segment's odd slots
+    # from any phase of its period, and no longer than [0, x_max] needs
+    period = math.prod(WHEEL)
+    slots = min(segment, x_max) // 2 + 1
+    pattern = np.ones(min(x_max // 2 + 1, period - 1 + slots), dtype=bool)
+    for p in WHEEL:
+        pattern[(p - 1) // 2:: p] = False
     lo = 2
     while lo <= x_max:
         hi = min(lo + segment, x_max + 1)
-        mask = np.ones(hi - lo, dtype=bool)
+        k0, k1 = lo // 2, hi // 2          # odd n in [lo, hi) <-> k in [k0, k1)
+        phase = k0 % period
+        mask = pattern[phase: phase + k1 - k0].copy()
         for p in base:
-            p = int(p)
             if p * p >= hi:
                 break
             start = max(p * p, ((lo + p - 1) // p) * p)
-            mask[start - lo:: p] = False
-        if lo <= 1:
-            mask[: 2 - lo] = False
-        for p in base:
+            if start % 2 == 0:
+                start += p
+            mask[(start - 1) // 2 - k0:: p] = False
+        for p in WHEEL:
             if lo <= p < hi:
-                mask[p - lo] = True
-            if p >= hi:
-                break
-        yield (np.flatnonzero(mask) + lo).astype(np.int64)
+                mask[(p - 1) // 2 - k0] = True
+        idx = np.flatnonzero(mask).astype(np.int64, copy=False)
+        idx += k0
+        idx *= 2
+        idx += 1
+        yield np.concatenate(([2], idx)) if lo == 2 else idx
         lo = hi
 
 

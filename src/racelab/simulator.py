@@ -15,6 +15,11 @@ bound rather than an asymptotic claim.
 Two trace modes: full-formula (quadrature-backed, overflows past u ~ 700) and
 dominant-only (the scaled limit the dominant-term analysis uses, valid for
 any u).
+
+scipy is imported on first use, by the quadrature behind full-formula
+traces, `f_rho`, `f_rho_parts` and `envelope_integral`, and by `li`; nothing
+else in racelab loads it, so `import racelab` and the dominant-only paths
+stay light.
 """
 
 from __future__ import annotations
@@ -26,8 +31,6 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate
-from scipy.special import expi
 
 from .orderings import OrderingTrace
 from .residues import DirichletCharacter, character_label, unit_group
@@ -60,6 +63,8 @@ LOG2 = math.log(2.0)
 def _oscillatory_integral(beta: float, gamma: float, a: float, b: float,
                           rel_tol: float = 1e-9) -> complex:
     """int_a^b e^(beta*v) e^(i*gamma*v) / v^2 dv, oscillation-aware."""
+    from scipy import integrate
+
     if b <= a:
         return 0.0j
 
@@ -135,6 +140,8 @@ def envelope_integral(beta: float, x: float) -> float:
 
 def li(x: float) -> float:
     """Logarithmic integral li(x) = PV int_0^x dt/log t."""
+    from scipy.special import expi
+
     return float(expi(math.log(x)))
 
 

@@ -85,6 +85,15 @@ def test_race_command(tmp_path, monkeypatch):
                 "--out", tmp_path / "r2.csv"]) == cli.EXIT_BUDGET
 
 
+def test_race_no_lead_change_names_xmax(tmp_path, capsys):
+    summary = tmp_path / "sum.json"
+    assert run(["race", "--q", 4, "--xmax", 1, "--a", 1, "--b", 3,
+                "--out", tmp_path / "race.csv", "--summary", summary]) == 0
+    assert "first lead change (1 vs 3): none found up to x = 1" \
+        in capsys.readouterr().out
+    assert json.loads(summary.read_text())["first_lead_change"] is None
+
+
 def test_race_with_zero_comparison(tmp_path):
     from importlib import resources
     csv = tmp_path / "race3.csv"
@@ -149,6 +158,9 @@ def test_usage_errors_are_config_errors(capsys):
     assert_config_error(["orderings", "--recipe", "r.json", "--samples", "x"],
                         capsys)
     assert_config_error(["nosuchcommand"], capsys)
+    # the flag was advisory and read by nothing; it is gone
+    assert_config_error(["--threads", "2", "trig", "dominate", "--freqs", "1",
+                         "--b", "1", "--a", "1"], capsys)
 
 
 def test_help_exits_zero(capsys):

@@ -1,13 +1,16 @@
+import hashlib
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from racelab.primes import (BudgetExceededError, InsufficientZeroDataError,
-                            InvalidPairError, PrimeRaceTable,
-                            checkpoints_from_rule, compare_with_simulator,
-                            first_lead_change, iter_prime_segments,
-                            sieve_race, simple_sieve)
+from racelab.primes import (SEGMENT, BudgetExceededError,
+                            InsufficientZeroDataError, InvalidPairError,
+                            PrimeRaceTable, checkpoints_from_rule,
+                            compare_with_simulator, first_lead_change,
+                            iter_prime_segments, sieve_race, simple_sieve)
 from racelab.zerosys import load_zero_data, parse_zero_lines
 
 
@@ -37,6 +40,38 @@ def test_sieve_matches_trial_division():
     assert simple_sieve(10_000).tolist() == oracle
     segmented = np.concatenate(list(iter_prime_segments(10_000, segment=512)))
     assert segmented.tolist() == oracle
+
+
+def assert_segments_match_oracle(x_max, segment):
+    """Each yielded array holds exactly simple_sieve's primes in its segment
+    [lo, min(lo + segment, x_max + 1)), lo = 2, 2 + segment, ..."""
+    oracle = simple_sieve(x_max)
+    got = list(iter_prime_segments(x_max, segment))
+    bounds = range(2, x_max + 1, segment)
+    assert len(got) == len(bounds)
+    for arr, lo in zip(got, bounds):
+        hi = min(lo + segment, x_max + 1)
+        assert arr.dtype == np.int64
+        assert np.array_equal(arr, oracle[(oracle >= lo) & (oracle < hi)])
+
+
+@pytest.mark.parametrize("segment", [2, 7, 64, 1000, SEGMENT])
+def test_segments_match_simple_sieve_small_x(segment):
+    # below, at and around the wheel primes, 17^2 and 19^2
+    for x_max in range(601):
+        assert_segments_match_oracle(x_max, segment)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2 * 10**5), st.integers(50, 1 << 18))
+def test_segments_match_simple_sieve(x_max, segment):
+    assert_segments_match_oracle(x_max, segment)
+
+
+def test_sieve_race_q7_golden():
+    csv = sieve_race(7, 10**6).to_csv()
+    assert hashlib.sha256(csv.encode()).hexdigest() == \
+        "414b56fe88d972a292636b3b62b8ac222717bbed208415074f8922955119b88e"
 
 
 def test_pi_at_million():

@@ -1,8 +1,15 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import racelab
 
 from racelab.residues import characters, unit_group
 from racelab.simulator import (DomainError, EmptyDominantSetError,
@@ -270,3 +277,43 @@ def test_full_formula_agrees_with_dominant_signs():
             assert np.sign(diff_full[k]) == np.sign(diff_dom[k])
             checked += 1
     assert checked > 10
+
+
+SCIPY_GUARD = """
+import contextlib, io, json, os, sys
+import racelab, racelab.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [racelab.cli.main(argv) for argv in (
+        ["barrier", "build", "thm311", "--q", "7", "--tau", "1000",
+         "--out", os.path.join(sys.argv[1], "rec.json")],
+        ["trig", "dominate", "--freqs", "1", "--b", "1", "--a", "1",
+         "--gamma", "0.5", "--out", os.path.join(sys.argv[1], "dom.json")])]
+before = scipy_modules()
+li = racelab.simulator.li(1e6)
+f = racelab.simulator.f_rho(0.5 + 14.134725j, 1e4)
+print(json.dumps({"codes": codes, "before": before,
+                  "after": "scipy" in sys.modules,
+                  "li": li, "f_rho": [f.real, f.imag]}))
+"""
+
+
+def test_scipy_loaded_only_by_quadrature_and_li(tmp_path):
+    # a fresh interpreter, since this test process may have loaded scipy
+    src = str(Path(racelab.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", SCIPY_GUARD, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    got = json.loads(out.stdout.splitlines()[-1])
+    assert got["codes"] == [0, 0]
+    assert got["before"] == []
+    assert got["after"]
+    # values of the module-level-import version, bit for bit
+    assert got["li"] == 78627.54915946216
+    assert complex(*got["f_rho"]) == complex(-0.7714852618405431,
+                                             0.12090690826989862)

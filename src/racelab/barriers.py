@@ -352,7 +352,8 @@ def solve_lemma44(r: int, c: Sequence[float], d: Sequence[float],
     half = r // 2
     vs = np.arange(half + 1)
     js = np.arange(half + 1)
-    a_cos = np.cos(2 * math.pi * np.outer(vs, js) / r)
+    # j v is reduced mod r in integers, so each phase keeps full precision
+    a_cos = np.cos(2 * math.pi * (np.outer(vs, js) % r) / r)
     try:
         mu = np.linalg.solve(a_cos, c[: half + 1])
     except np.linalg.LinAlgError as exc:  # the proof rules this out
@@ -363,7 +364,7 @@ def solve_lemma44(r: int, c: Sequence[float], d: Sequence[float],
     if half_s >= 1:
         vs = np.arange(1, half_s + 1)
         js = np.arange(1, half_s + 1)
-        a_sin = np.sin(2 * math.pi * np.outer(vs, js) / r)
+        a_sin = np.sin(2 * math.pi * (np.outer(vs, js) % r) / r)
         try:
             lam[1:] = np.linalg.solve(a_sin, d[1: half_s + 1])
         except np.linalg.LinAlgError as exc:
@@ -380,7 +381,8 @@ def solve_lemma44(r: int, c: Sequence[float], d: Sequence[float],
     rng = np.random.default_rng(12345)
     us = rng.uniform(0, 2 * math.pi, 16)
     for v in range(r):
-        lhs = sum(nu[j] * np.sin(us + 2 * math.pi * j * v / r) for j in range(r))
+        lhs = sum(nu[j] * np.sin(us + 2 * math.pi * (j * v % r) / r)
+                  for j in range(r))
         rhs = c[v] * np.sin(us) + d[v] * np.cos(us)
         if np.max(np.abs(lhs - rhs)) > residual_tol:
             raise RuntimeError("solution residual exceeded tolerance "
@@ -604,7 +606,7 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
                              for j in range(r)] for k in range(1, K_use + 1)],
                            dtype=np.int64)
         for row, v in zip(cand, V):
-            phase = 2 * math.pi * np.arange(r) * v / r
+            phase = 2 * math.pi * (np.arange(r) * v % r) / r
             block[0] = 0.0
             for k in range(1, K_use + 1):
                 terms = block[1:]

@@ -245,7 +245,7 @@ def cmd_race(args: argparse.Namespace) -> int:
     Path(out).write_text(table.to_csv(), encoding="utf-8")
     print(f"race table written to {out} ({len(table.checkpoints)} checkpoints)")
     summary: dict = {"config": _config_of(args),
-                     "pi_max": int(table.pi[-1])}
+                     "pi_max": int(table.pi[-1]) if len(table.pi) else 0}
     if args.a is not None and args.b is not None:
         x = primes.first_lead_change(args.q, args.a, args.b, int(args.xmax))
         summary["first_lead_change"] = x

@@ -104,32 +104,33 @@ def iter_prime_segments(x_max: int, segment: int = SEGMENT,
 
 def checkpoints_from_rule(rule: str | Sequence[float], x_max: int) -> np.ndarray:
     """Checkpoint grids: "geometric:<ratio>" (default 1.01), "linear:<step>",
-    or an explicit sequence."""
+    or an explicit sequence; every rule keeps the points in [2, x_max], so
+    the grid is empty for x_max < 2."""
     if not isinstance(rule, str):
-        pts = np.unique(np.asarray(rule, dtype=np.int64))
-        return pts[(pts >= 2) & (pts <= x_max)]
-    kind, _, arg = rule.partition(":")
-    if kind == "geometric":
-        ratio = float(arg) if arg else 1.01
-        if ratio <= 1.0:
-            raise ValueError("geometric ratio must exceed 1")
-        pts = [2]
-        x = 2.0
-        while True:
-            x = max(x * ratio, x + 1.0)
-            if x > x_max:
-                break
-            pts.append(int(x))
-        if pts[-1] != x_max:
+        pts = rule
+    else:
+        kind, _, arg = rule.partition(":")
+        if kind == "geometric":
+            ratio = float(arg) if arg else 1.01
+            if ratio <= 1.0:
+                raise ValueError("geometric ratio must exceed 1")
+            pts = [2]
+            x = 2.0
+            while True:
+                x = max(x * ratio, x + 1.0)
+                if x > x_max:
+                    break
+                pts.append(int(x))
             pts.append(x_max)
-        return np.unique(np.asarray(pts, dtype=np.int64))
-    if kind == "linear":
-        step = int(float(arg)) if arg else max(x_max // 1000, 1)
-        pts = np.arange(2, x_max + 1, step, dtype=np.int64)
-        if pts[-1] != x_max:
-            pts = np.append(pts, x_max)
-        return pts
-    raise ValueError(f"unknown checkpoint rule {rule!r}")
+        elif kind == "linear":
+            step = int(float(arg)) if arg else max(x_max // 1000, 1)
+            if step < 1:
+                raise ValueError("linear step must be at least 1")
+            pts = np.append(np.arange(2, x_max + 1, step), x_max)
+        else:
+            raise ValueError(f"unknown checkpoint rule {rule!r}")
+    pts = np.unique(np.asarray(pts, dtype=np.int64))
+    return pts[(pts >= 2) & (pts <= x_max)]
 
 
 @dataclass
@@ -188,49 +189,31 @@ def sieve_race(q: int, x_max: int,
     if x_max > budget:
         raise BudgetExceededError(
             f"x_max {x_max} exceeds budget {budget} (RACE_LAB_BUDGET)")
-    group = unit_group(q)
-    residues = group.units
-    col = -np.ones(q, dtype=np.int64)
-    for i, a in enumerate(residues):
-        col[a] = i
+    residues = unit_group(q).units
+    phi = len(residues)
+    # class column of each residue mod q; primes dividing q go to column phi
+    col = np.full(q, phi, dtype=np.int64)
+    col[list(residues)] = np.arange(phi)
     cps = checkpoints_from_rule(checkpoint_rule, int(x_max))
-    counts = np.zeros((len(cps), len(residues)), dtype=np.int64)
-    pi = np.zeros(len(cps), dtype=np.int64)
-    running = np.zeros(len(residues), dtype=np.int64)
-    running_pi = 0
-    next_cp = 0
+    # hist[i]: primes per column in (cps[i-1], cps[i]]; the last row takes
+    # the primes above the last checkpoint
+    hist = np.zeros((len(cps) + 1, phi + 1), dtype=np.int64)
     for primes in iter_prime_segments(int(x_max)):
-        while next_cp < len(cps) and cps[next_cp] < (primes[0] if len(primes) else x_max + 1):
-            counts[next_cp] = running
-            pi[next_cp] = running_pi
-            next_cp += 1
-        if len(primes) == 0:
+        if not len(primes):
             continue
-        # split the segment at interior checkpoints
-        bounds = cps[(cps >= primes[0]) & (cps <= primes[-1])]
-        cuts = np.searchsorted(primes, bounds, side="right")
-        prev = 0
-        for cut, cp in zip(cuts, bounds):
-            chunk = primes[prev:cut]
-            if len(chunk):
-                cls = col[chunk % q]
-                cls = cls[cls >= 0]
-                running += np.bincount(cls, minlength=len(residues))
-                running_pi += len(chunk)
-            counts[next_cp] = running
-            pi[next_cp] = running_pi
-            next_cp += 1
-            prev = cut
-        chunk = primes[prev:]
-        if len(chunk):
-            cls = col[chunk % q]
-            cls = cls[cls >= 0]
-            running += np.bincount(cls, minlength=len(residues))
-            running_pi += len(chunk)
-    while next_cp < len(cps):
-        counts[next_cp] = running
-        pi[next_cp] = running_pi
-        next_cp += 1
+        # rows first..last take the segment's primes, cut at the checkpoints
+        # cps[first:last] that fall inside it
+        first, last = np.searchsorted(cps, primes[[0, -1]])
+        cuts = np.searchsorted(primes, cps[first:last], side="right")
+        rows = last - first + 1
+        slot = np.repeat(np.arange(rows),
+                         np.diff(cuts, prepend=0, append=len(primes)))
+        slot *= phi + 1
+        slot += col[primes % q]
+        hist[first:last + 1] += np.bincount(
+            slot, minlength=rows * (phi + 1)).reshape(rows, phi + 1)
+    cum = np.cumsum(hist[:-1], axis=0)
+    counts, pi = cum[:, :phi], cum.sum(axis=1)
     return PrimeRaceTable(q=q, residues=residues, checkpoints=cps,
                           counts=counts, pi=pi)
 

@@ -12,21 +12,23 @@ pairwise difference is an almost periodic trigonometric sum with amplitudes
 |g(beta+i*gamma)| / |beta+i*gamma|; the residual is reported as an explicit
 bound rather than an asymptotic claim.
 
-Two trace modes: full-formula (quadrature-backed, overflows past u ~ 700) and
-dominant-only (the scaled limit the dominant-term analysis uses, valid for
-any u).
+f(rho) and its error envelope are evaluated in closed form through the
+exponential integrals E1 and Ei.
 
-scipy is imported on first use, by the quadrature behind full-formula
-traces, `f_rho`, `f_rho_parts` and `envelope_integral`, and by `li`; nothing
-else in racelab loads it, so `import racelab` and the dominant-only paths
-stay light.
+Two trace modes: full-formula (closed-form f(rho), overflows past u ~ 700)
+and dominant-only (the scaled limit the dominant-term analysis uses, valid
+for any u).
+
+scipy.special is imported on first use, by the exponential integrals behind
+full-formula traces, `race_values`, `f_rho`, `f_rho_parts` and
+`envelope_integral`, and by `li`; nothing else in racelab loads scipy, so
+`import racelab` and the dominant-only paths stay light.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence, Tuple
 
@@ -60,71 +62,59 @@ LOG2 = math.log(2.0)
 # --- f(rho) -------------------------------------------------------------------
 
 
-def _oscillatory_integral(beta: float, gamma: float, a: float, b: float,
-                          rel_tol: float = 1e-9) -> complex:
-    """int_a^b e^(beta*v) e^(i*gamma*v) / v^2 dv, oscillation-aware."""
-    from scipy import integrate
+def _f_table(rho: Sequence[complex], x: Sequence[float],
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(main, tail, envelope) of f(rho) at every (rho[i], x[k]), x >= 2, as
+    (len(rho), len(x)) arrays, in closed form.
 
-    if b <= a:
-        return 0.0j
+    With v = log t, w = log x and I(s) = int_(log 2)^w e^(s v)/v dv,
+    integration by parts gives
 
-    def envelope(v):
-        return np.exp(beta * v) / (v * v)
+        f(rho) = 2^rho/(rho log 2) + I(rho),
+        int_2^x t^(beta-1)/log^2 t dt = 2^beta/log 2 - x^beta/w + beta I(beta),
 
-    if gamma == 0.0:
-        val, _ = integrate.quad(envelope, a, b, epsabs=1e-13, epsrel=rel_tol,
-                                limit=200)
-        return complex(val, 0.0)
-    # panels of a bounded number of cycles keep QUADPACK's oscillatory rule fed
-    cycles = gamma * (b - a) / (2.0 * math.pi)
-    n_panels = max(1, int(math.ceil(cycles / 256.0)))
-    edges = np.linspace(a, b, n_panels + 1)
-    total = 0.0j
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for lo, hi in zip(edges, edges[1:]):
-            re, _ = integrate.quad(envelope, lo, hi, weight="cos", wvar=gamma,
-                                   epsabs=1e-13, epsrel=rel_tol, limit=300)
-            im, _ = integrate.quad(envelope, lo, hi, weight="sin", wvar=gamma,
-                                   epsabs=1e-13, epsrel=rel_tol, limit=300)
-            total += complex(re, im)
-    return total
+    where I(rho) = E1(-rho log 2) - E1(-rho w) off the real axis and
+    I(beta) = Ei(beta w) - Ei(beta log 2) on it (DLMF 6.2).  main is
+    x^rho/(rho log x), tail = f - main, and envelope is the second integral
+    at beta = Re rho.
+    """
+    from scipy.special import exp1, expi
 
-
-def _f_rho_terms(rho: complex, x: float, rel_tol: float,
-                 ) -> Tuple[complex, float, complex, complex]:
-    """(rho, log x, main term, integral term) of f(rho) at x."""
-    rho = complex(rho)
-    if x < 2.0:
-        raise DomainError(f"x must be >= 2, got {x}")
-    if rho == 0:
-        raise DomainError("rho must be nonzero")
-    w = math.log(x)
-    main = cmath.exp(rho * w) / (rho * w)
-    if x == 2.0:
-        return rho, w, main, 0.0j
-    osc = _oscillatory_integral(rho.real, rho.imag, LOG2, w, rel_tol)
-    return rho, w, main, osc / rho
+    rho = np.asarray(rho, dtype=complex).reshape(-1, 1)
+    w = np.log(np.asarray(x, dtype=float)).reshape(1, -1)
+    beta = rho.real
+    ei = np.zeros((rho.shape[0], w.shape[1]))
+    # Ei(0) = -inf; at beta = 0 the real rho is excluded and env needs no Ei
+    live = beta[:, 0] != 0.0
+    ei[live] = expi(beta[live] * w) - expi(beta[live] * LOG2)
+    inner = ei.astype(complex)
+    osc = rho.imag[:, 0] != 0.0
+    inner[osc] = exp1(-rho[osc] * LOG2) - exp1(-rho[osc] * w)
+    main = np.exp(rho * w) / (rho * w)
+    tail = np.exp(rho * LOG2) / (rho * LOG2) + inner - main
+    env = np.exp(beta * LOG2) / LOG2 - np.exp(beta * w) / w + beta * ei
+    return main, tail, env
 
 
-def f_rho_parts(rho: complex, x: float,
-                rel_tol: float = 1e-9) -> Tuple[complex, complex, float]:
+def f_rho_parts(rho: complex, x: float) -> Tuple[complex, complex, float]:
     """(main term, integral term, discard bound) of f(rho) at x.
 
     main = x^rho/(rho log x); integral = (1/rho) int_2^x t^(rho-1)/log^2 t dt,
     and the discard bound dominates |integral|:
     (1/|rho|) int_2^x t^(Re rho - 1)/log^2 t dt.
     """
-    rho, w, main, tail = _f_rho_terms(rho, x, rel_tol)
-    if x == 2.0:
-        return main, tail, 0.0
-    env = _oscillatory_integral(rho.real, 0.0, LOG2, w, rel_tol).real
-    return main, tail, env / abs(rho)
+    rho = complex(rho)
+    if x < 2.0:
+        raise DomainError(f"x must be >= 2, got {x}")
+    if rho == 0:
+        raise DomainError("rho must be nonzero")
+    main, tail, env = (a[0, 0] for a in _f_table([rho], [x]))
+    return complex(main), complex(tail), float(env) / abs(rho)
 
 
-def f_rho(rho: complex, x: float, rel_tol: float = 1e-9) -> complex:
+def f_rho(rho: complex, x: float) -> complex:
     """f(rho) = x^rho/(rho log x) + (1/rho) int_2^x t^(rho-1)/log^2 t dt."""
-    _, _, main, tail = _f_rho_terms(rho, x, rel_tol)
+    main, tail, _ = f_rho_parts(rho, x)
     return main + tail
 
 
@@ -132,7 +122,7 @@ def envelope_integral(beta: float, x: float) -> float:
     """int_2^x t^(beta-1)/log^2 t dt (the error envelope of the main term)."""
     if x <= 2.0:
         return 0.0
-    return _oscillatory_integral(beta, 0.0, LOG2, math.log(x)).real
+    return float(_f_table([beta], [x])[2][0, 0])
 
 
 # --- race function sets ----------------------------------------------------------
@@ -182,25 +172,28 @@ def _star_weight(z: Zero) -> float:
     return 0.5 if z.is_real else 1.0
 
 
-def race_values(s: RaceFunctionSet, x: float, rel_tol: float = 1e-9,
-                ) -> Dict[int, float]:
+def _formula_sums(s: RaceFunctionSet, x: Sequence[float]) -> np.ndarray:
+    """Re sum_(chi,rho) n(rho,chi) conj(chi)(a) f(rho) at every x >= 2, with
+    the half-weight star convention: one row per member, one column per x."""
+    zeros = s.system.all_zeros()
+    col = {z: k for k, z in enumerate(zeros)}
+    chi_bar = _conjugates(s.system)
+    amp = np.zeros((len(s.members), len(zeros)), dtype=complex)
+    for label, z, mult in s.system.items():
+        for i, a in enumerate(s.members):
+            amp[i, col[z]] += chi_bar[label](a) * mult * _star_weight(z)
+    main, tail, _ = _f_table([z.rho for z in zeros], x)
+    return (amp @ (main + tail)).real
+
+
+def race_values(s: RaceFunctionSet, x: float) -> Dict[int, float]:
     """P_{q,a}(x; B) for each member, with the half-weight star convention."""
     if x < 2.0:
         raise DomainError(f"x must be >= 2, got {x}")
     phi = unit_group(s.q).phi
     base = s.pi_value(x) / phi
-    f_cache: Dict[Zero, complex] = {}
-    for _, z, _ in s.system.items():
-        if z not in f_cache:
-            f_cache[z] = f_rho(z.rho, x, rel_tol)
-    chi_bar = _conjugates(s.system)
-    out: Dict[int, float] = {}
-    for a in s.members:
-        total = 0.0j
-        for label, z, mult in s.system.items():
-            total += chi_bar[label](a) * mult * _star_weight(z) * f_cache[z]
-        out[a] = base - (2.0 / phi) * total.real
-    return out
+    sums = _formula_sums(s, [x])[:, 0]
+    return {a: base - (2.0 / phi) * float(v) for a, v in zip(s.members, sums)}
 
 
 # --- dominant profiles ------------------------------------------------------------
@@ -328,13 +321,6 @@ def corollary13_sum(zeros: ZeroSystem, a: int, b: int, u: float) -> float:
     return total
 
 
-def angle_shift_bound(sigma: float, t: float) -> float:
-    """|sin(v + arctan(sigma/t)) - sin v| <= sigma/t, for truncation accounting."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    return sigma / t
-
-
 # --- traces -----------------------------------------------------------------------
 
 
@@ -385,13 +371,13 @@ def dominant_member_values(system: ZeroSystem, members: Sequence[int],
 
 
 def trace(s: RaceFunctionSet, u_range: Tuple[float, float], step: float,
-          mode: str = "dominant-only", tie_tol: float = 1e-9,
-          rel_tol: float = 1e-7) -> OrderingTrace:
+          mode: str = "dominant-only", tie_tol: float = 1e-9) -> OrderingTrace:
     """Sample scaled member values over a u-grid (x = e^u).
 
     dominant-only evaluates the exact almost-periodic limit; full-formula
-    evaluates P_{q,a}(e^u; B) by quadrature and scales by
-    phi(q) u / (2 e^(R+ u)).  The grid includes both endpoints.
+    evaluates the oscillating part of P_{q,a}(e^u; B) from the closed-form
+    f(rho) and scales it by phi(q) u / (2 e^(R+ u)); the common pi(x)/phi(q)
+    term is left out.  The grid includes both endpoints.
     """
     u0, u1 = float(u_range[0]), float(u_range[1])
     if u1 <= u0:
@@ -415,16 +401,8 @@ def trace(s: RaceFunctionSet, u_range: Tuple[float, float], step: float,
                 "x = e^u exceeds double range; use dominant-only mode")
         if u0 < math.log(2.0):
             raise DomainError("full-formula trace needs e^u >= 2")
-        rows = np.zeros((len(s.members), n))
-        phi = unit_group(s.q).phi
-        for k, uu in enumerate(u):
-            x = math.exp(uu)
-            vals = race_values(s, x, rel_tol)
-            base = s.pi_value(x) / phi
-            scale = phi * uu / (2.0 * math.exp((beta_star or 0.0) * uu))
-            for i, a in enumerate(s.members):
-                rows[i, k] = scale * (vals[a] - base)
-        values = rows
+        # phi(q) u/(2 e^(R+ u)) times -(2/phi(q)) times the formula sums
+        values = -u / np.exp((beta_star or 0.0) * u) * _formula_sums(s, np.exp(u))
     else:
         raise ValueError(f"unknown trace mode {mode!r}")
     return OrderingTrace(u=u, members=tuple(s.members), values=values,
@@ -448,20 +426,6 @@ def one_period_trace(s: RaceFunctionSet, samples: int = 4096,
 
 
 # --- theorem-specific decompositions ----------------------------------------------
-
-
-def _poly_from_g_terms(entries: Mapping[Zero, complex]) -> Tuple[float, TrigPoly]:
-    """(constant, TrigPoly) for u -> sum_rho Re(conj(g) e^(i gamma u)/rho),
-    with real-rho terms star-halved into the constant."""
-    const = 0.0
-    terms: Dict[float, complex] = {}
-    for z, g in entries.items():
-        coeff = g.conjugate() / z.rho * _star_weight(z)
-        if z.is_real:
-            const += coeff.real
-        else:
-            terms[z.gamma] = terms.get(z.gamma, 0.0j) + coeff
-    return const, _poly_from_complex_terms(terms)
 
 
 def _kset_weights(system: ZeroSystem, a: int, order: int, beta: float,
@@ -505,29 +469,6 @@ def _cos_poly(weights: Mapping[float, float], beta: float, scale: float = 1.0,
         ph = (math.atan2(beta, gamma) if phase_shift else 0.0) + math.pi / 2
         terms.append((amp, gamma, ph))
     return TrigPoly(tuple(terms))
-
-
-def decompose_leading_trailing(system: ZeroSystem, a: int) -> dict:
-    """The per-character comparison profiles R_a(u; chi) for the pair (a, 1):
-    constant n(beta_a, chi)/(2 beta_a) plus the sine sum over positive
-    heights of z(chi; a, 1)."""
-    dd = dominant_data(system, a, 1)
-    if dd.empty:
-        raise EmptyDominantSetError(f"z({a},1) is empty")
-    beta = dd.beta
-    per_char = {}
-    for label, zs in dd.per_char.items():
-        const = 0.0
-        weights: Dict[float, int] = {}
-        for z in zs:
-            mult = system.multiplicity(label, z)
-            if z.is_real:
-                const += mult / (2.0 * beta)
-            else:
-                weights[z.gamma] = weights.get(z.gamma, 0) + mult
-        per_char[label] = {"constant": const,
-                           "poly": _sin_poly(weights, beta)}
-    return {"beta": beta, "per_char": per_char}
 
 
 def decompose_order3(system: ZeroSystem, a: int) -> dict:
@@ -593,44 +534,6 @@ def decompose_order4(system: ZeroSystem, a1: int) -> dict:
             "k1": k1, "k2": k2, "l": l_w, "m": m_w}
 
 
-def decompose_order3_extremal(system: ZeroSystem, a: int) -> dict:
-    """The two comparison profiles for the order-3 extremal question:
-    h from the pair (a, a^2) (purely imaginary g) and h1 from comparing 1
-    against the average of a and a^2 (real g1)."""
-    group = unit_group(system.q)
-    if group.order(a) != 3:
-        raise RecipeMismatchError(f"{a} must have order 3 mod {system.q}")
-    a2 = pow(a, 2, system.q)
-    dd = dominant_data(system, a, a2)
-    if dd.empty:
-        raise EmptyDominantSetError(f"z({a},{a2}) is empty")
-    h_const, h_poly = _poly_from_g_terms(dd.g_values)
-
-    # g1(rho) = sum_chi n(rho,chi) (1 - (chi(a)+chi(a^2))/2); exact zero test
-    # via the doubled integer combination.
-    from .residues import RootOfUnitySum
-    live: Dict[Zero, complex] = {}
-    for zero in system.all_zeros():
-        s2 = RootOfUnitySum()
-        for label, zs in system.entries.items():
-            mult = zs.get(zero, 0)
-            if mult:
-                chi = system.chars[label]
-                s2.add(0, 2 * mult)
-                s2.add(chi.phase(a), -mult)
-                s2.add(chi.phase(a2), -mult)
-        if not s2.is_zero():
-            live[zero] = s2.to_complex() / 2.0
-    if not live:
-        raise EmptyDominantSetError("g1 vanishes identically")
-    beta1 = max(z.beta for z in live)
-    r1 = {z: g for z, g in live.items() if z.beta == beta1}
-    h1_const, h1_poly = _poly_from_g_terms(r1)
-    return {"beta": dd.beta, "beta1": beta1,
-            "h": h_poly, "h_constant": h_const,
-            "h1": h1_poly, "h1_constant": h1_const}
-
-
 def decompose_power_lattice(system: ZeroSystem, a: int, n: int, gamma: float,
                             chi_label: int) -> dict:
     """G_r(v) = sum_{j,k} m_{j,k}/k sin(k v + 2 pi j r / n) read off a system
@@ -653,8 +556,9 @@ def decompose_power_lattice(system: ZeroSystem, a: int, n: int, gamma: float,
     def G(r: int) -> TrigPoly:
         parts: Dict[float, complex] = {}
         for (j, k), mult in m.items():
-            # (m/k) sin(kv + 2 pi j r/n) as a phasor at frequency k
-            ph = 2.0 * math.pi * j * r / n
+            # (m/k) sin(kv + 2 pi j r/n) as a phasor at frequency k; j r is
+            # reduced mod n in integers, so the phase keeps full precision
+            ph = 2.0 * math.pi * ((j * r) % n) / n
             parts[float(k)] = parts.get(float(k), 0j) + (
                 mult / k) * cmath.exp(1j * ph)
         terms = []
@@ -691,7 +595,7 @@ def decompose_two_generator_lattice(system: ZeroSystem, gamma: float,
     def G(r: int, s: int) -> TrigPoly:
         parts: Dict[float, complex] = {}
         for (j, k, l), mult in m.items():
-            ph = math.pi / 2 * r * j + math.pi * s * k
+            ph = math.pi / 2 * ((r * j + 2 * s * k) % 4)
             parts[float(l)] = parts.get(float(l), 0j) + (
                 mult / l) * cmath.exp(1j * ph)
         terms = []
@@ -732,7 +636,7 @@ def decompose_level_waves(system: ZeroSystem, char_labels: Sequence[int],
                 c = coeffs[(j, k)]
                 if c:
                     amp = c / math.hypot(k * gamma, beta)
-                    ph = (2.0 * math.pi * k * alpha / n_j
+                    ph = (2.0 * math.pi * ((k * alpha) % n_j) / n_j
                           + math.atan2(beta, k * gamma))
                     terms.append((amp, k * gamma, ph))
             waves[(j, alpha)] = TrigPoly(tuple(terms))
@@ -741,10 +645,8 @@ def decompose_level_waves(system: ZeroSystem, char_labels: Sequence[int],
 
 
 _DECOMPOSERS = {
-    "thm31": lambda sys_, p: decompose_leading_trailing(sys_, p["a"]),
     "thm34": lambda sys_, p: decompose_order3(sys_, p["a"]),
     "thm39": lambda sys_, p: decompose_order4(sys_, p["a1"]),
-    "thm47": lambda sys_, p: decompose_order3_extremal(sys_, p["a"]),
     "thm311": lambda sys_, p: (
         decompose_two_generator_lattice(sys_, p["gamma"], p["chi1"], p["chi2"])
         if p.get("subcase") == "z4z2"

@@ -88,10 +88,12 @@ def predicted_thm311_case(q):
 
 def test_thm311_modulus_sweep():
     # every admissible modulus up to 150 picks the predicted structure case,
-    # has the matching |B|, and verifies
+    # has the matching |B|, and verifies; so do 839, 1019 and 1307, whose
+    # lattice phases 2 pi j r/n need j r reduced mod n to pass the 1e-12
+    # identity check
     sizes = {"even_cyclic": 20, "n8": 34, "z4z2": 16}
     excluded = {8, 10, 12, 24}
-    for q in range(7, 151):
+    for q in [*range(7, 151), 839, 1019, 1307]:
         if q in excluded:
             continue
         rec = build_thm311(q, tau=50.0)

@@ -87,11 +87,22 @@ def test_race_command(tmp_path, monkeypatch):
 
 def test_race_no_lead_change_names_xmax(tmp_path, capsys):
     summary = tmp_path / "sum.json"
+    csv = tmp_path / "race.csv"
     assert run(["race", "--q", 4, "--xmax", 1, "--a", 1, "--b", 3,
-                "--out", tmp_path / "race.csv", "--summary", summary]) == 0
+                "--out", csv, "--summary", summary]) == 0
     assert "first lead change (1 vs 3): none found up to x = 1" \
         in capsys.readouterr().out
-    assert json.loads(summary.read_text())["first_lead_change"] is None
+    rep = json.loads(summary.read_text())
+    assert rep["first_lead_change"] is None and rep["pi_max"] == 0
+    # no checkpoint lies in [2, 1]: the table has its header only
+    assert csv.read_text().splitlines()[1:] == ["x,pi,pi_1,pi_3"]
+
+
+def test_race_below_two_linear_checkpoints(tmp_path):
+    csv = tmp_path / "race.csv"
+    assert run(["race", "--q", 4, "--xmax", 1, "--checkpoints", "linear:5",
+                "--out", csv]) == 0
+    assert csv.read_text().splitlines()[1:] == ["x,pi,pi_1,pi_3"]
 
 
 def test_race_with_zero_comparison(tmp_path):
@@ -158,6 +169,8 @@ def test_usage_errors_are_config_errors(capsys):
     assert_config_error(["orderings", "--recipe", "r.json", "--samples", "x"],
                         capsys)
     assert_config_error(["nosuchcommand"], capsys)
+    assert_config_error(["race", "--q", 4, "--xmax", 100, "--checkpoints",
+                         "linear:0"], capsys)
     # the flag was advisory and read by nothing; it is gone
     assert_config_error(["--threads", "2", "trig", "dominate", "--freqs", "1",
                          "--b", "1", "--a", "1"], capsys)

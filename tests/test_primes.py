@@ -74,6 +74,23 @@ def test_sieve_race_q7_golden():
         "414b56fe88d972a292636b3b62b8ac222717bbed208415074f8922955119b88e"
 
 
+def test_sieve_race_matches_simple_sieve():
+    # checkpoints on both sides of the segment boundary 2 + SEGMENT, inside
+    # the last segment (empty of primes at x_max = SEGMENT + 2), and past
+    # x_max; every count is checked against simple_sieve
+    x_max = SEGMENT + 2
+    cps = [2, 3, 4, 97, SEGMENT - 1, SEGMENT + 1, SEGMENT + 2, SEGMENT + 3]
+    ps = simple_sieve(x_max)
+    for q in (3, 4, 12, 35):
+        tab = sieve_race(q, x_max, checkpoint_rule=cps)
+        assert tab.checkpoints.tolist() == cps[:-1]
+        for x, pi, row in zip(tab.checkpoints, tab.pi, tab.counts):
+            below = ps[ps <= x]
+            assert pi == len(below)
+            assert row.tolist() == [int(np.sum(below % q == a))
+                                    for a in tab.residues]
+
+
 def test_pi_at_million():
     tab = sieve_race(3, 10**6, checkpoint_rule=[10**6])
     assert tab.pi[-1] == 78498
@@ -108,6 +125,13 @@ def test_checkpoint_rules():
     assert explicit.tolist() == [10, 500]
     with pytest.raises(ValueError):
         checkpoints_from_rule("geometric:0.9", 1000)
+    with pytest.raises(ValueError):
+        checkpoints_from_rule("linear:0", 1000)
+    # no rule yields a point outside [2, x_max]
+    for rule in ("geometric", "linear:5", [0, 1, 2]):
+        for x_max in (-1, 0, 1):
+            pts = checkpoints_from_rule(rule, x_max)
+            assert pts.dtype == np.int64 and pts.size == 0
 
 
 def test_first_lead_change_q4():

@@ -16,7 +16,8 @@ from racelab.simulator import (DomainError, EmptyDominantSetError,
                                OverflowRiskError, RaceFunctionSet,
                                RecipeMismatchError, corollary13_sum,
                                dominant_member_values, dominant_profile,
-                               f_rho, f_rho_parts, li, one_period_trace,
+                               envelope_integral, f_rho, f_rho_parts, li,
+                               one_period_trace,
                                race_values, theorem_decomposition, trace)
 from racelab.zerosys import Zero, ZeroSystem
 
@@ -49,6 +50,56 @@ def test_f_rho_is_main_plus_tail():
         for x in (2.0, 2.5, 1e3, 1e8):
             main, tail, _ = f_rho_parts(rho, x)
             assert f_rho(rho, x) == main + tail
+
+
+# relative error bound of the closed-form f(rho) against mpmath; the
+# quadrature evaluation it replaced met it too (worst 1.2e-13 on this set)
+F_RHO_REL_TOL = 1e-11
+F_RHO_PROBE = [(rho, x) for rho in (0.75, 0.75 + 1e-9j, 0.6 - 3.0j,
+                                    0.5 + 14.134725j, 0.9 + 100.0j)
+               for x in (2.001, 1e3, 1e8)]
+
+
+def mpmath_f_parts(rho, x):
+    """(f, main, tail, discard bound, envelope) at 40 digits, by the same
+    exponential-integral identities as the code under test."""
+    import mpmath as mp
+    with mp.workdps(40):
+        rho, w, l2 = mp.mpmathify(rho), mp.log(x), mp.log(2)
+        if mp.im(rho) == 0:
+            inner = mp.ei(rho * w) - mp.ei(rho * l2)
+        else:
+            inner = mp.e1(-rho * l2) - mp.e1(-rho * w)
+        f = mp.exp(rho * l2) / (rho * l2) + inner
+        main = mp.exp(rho * w) / (rho * w)
+        beta = mp.re(rho)
+        env = (mp.exp(beta * l2) / l2 - mp.exp(beta * w) / w
+               + beta * (mp.ei(beta * w) - mp.ei(beta * l2)))
+        return (complex(f), complex(main), complex(f - main),
+                float(env / abs(rho)), float(env))
+
+
+def test_mpmath_reference_is_the_definition():
+    # the identities behind mpmath_f_parts against direct quadrature
+    import mpmath as mp
+    with mp.workdps(40):
+        for rho in (0.75, 0.5 + 14.134725j, 0.6 - 3.0j):
+            x = 1e3
+            _, _, tail, _, env = mpmath_f_parts(rho, x)
+            r, panels = mp.mpmathify(rho), mp.linspace(mp.log(2), mp.log(x), 20)
+            quad_tail = mp.quad(lambda v: mp.exp(r * v) / v**2, panels) / r
+            quad_env = mp.quad(lambda v: mp.exp(mp.re(r) * v) / v**2, panels)
+            assert abs(tail - complex(quad_tail)) <= 1e-15 * abs(tail)
+            assert abs(env - float(quad_env)) <= 1e-15 * env
+
+
+def test_f_rho_matches_mpmath():
+    for rho, x in F_RHO_PROBE:
+        main, tail, bound = f_rho_parts(rho, x)
+        got = (f_rho(rho, x), main, tail, bound,
+               envelope_integral(complex(rho).real, x))
+        for value, ref in zip(got, mpmath_f_parts(rho, x)):
+            assert abs(value - ref) <= F_RHO_REL_TOL * abs(ref), (rho, x)
 
 
 def test_f_rho_domain_errors():
@@ -169,16 +220,6 @@ def test_corollary13_mixed_levels_rejected():
         corollary13_sum(system, 2, 1, 1.0)
 
 
-def test_angle_shift_bound():
-    from racelab.simulator import angle_shift_bound
-    sigma, t = 0.5, 40.0
-    bound = angle_shift_bound(sigma, t)
-    assert bound == pytest.approx(sigma / t)
-    v = np.linspace(0, 2 * math.pi, 1001)
-    gap = np.max(np.abs(np.sin(v + math.atan(sigma / t)) - np.sin(v)))
-    assert gap <= bound
-
-
 def test_decomposition_weight_bound():
     # |m(gamma)| <= n(gamma) for the order-3 split
     q = 7
@@ -281,6 +322,7 @@ def test_full_formula_agrees_with_dominant_signs():
 
 SCIPY_GUARD = """
 import contextlib, io, json, os, sys
+from importlib import resources
 import racelab, racelab.cli
 
 def scipy_modules():
@@ -295,13 +337,20 @@ with contextlib.redirect_stdout(io.StringIO()):
 before = scipy_modules()
 li = racelab.simulator.li(1e6)
 f = racelab.simulator.f_rho(0.5 + 14.134725j, 1e4)
+with resources.as_file(resources.files("racelab") / "data/chi3_zeros.txt") as p:
+    zeros = racelab.zerosys.load_zero_data(p)
+rfs = racelab.simulator.RaceFunctionSet(3, zeros, (1, 2), pi_proxy="li")
+tr = racelab.simulator.trace(rfs, (9.0, 10.0), 0.025, mode="full-formula")
 print(json.dumps({"codes": codes, "before": before,
                   "after": "scipy" in sys.modules,
-                  "li": li, "f_rho": [f.real, f.imag]}))
+                  "integrate": [m for m in scipy_modules()
+                                if m.startswith("scipy.integrate")],
+                  "li": li, "f_rho": [f.real, f.imag],
+                  "trace_shape": list(tr.values.shape)}))
 """
 
 
-def test_scipy_loaded_only_by_quadrature_and_li(tmp_path):
+def test_scipy_loaded_only_by_exponential_integrals(tmp_path):
     # a fresh interpreter, since this test process may have loaded scipy
     src = str(Path(racelab.__file__).resolve().parents[1])
     env = dict(os.environ,
@@ -313,7 +362,9 @@ def test_scipy_loaded_only_by_quadrature_and_li(tmp_path):
     assert got["codes"] == [0, 0]
     assert got["before"] == []
     assert got["after"]
-    # values of the module-level-import version, bit for bit
+    assert got["integrate"] == []  # f(rho) needs no quadrature
+    assert got["trace_shape"] == [2, 41]
+    # li: the value of the module-level-import version, bit for bit
     assert got["li"] == 78627.54915946216
-    assert complex(*got["f_rho"]) == complex(-0.7714852618405431,
-                                             0.12090690826989862)
+    ref = mpmath_f_parts(0.5 + 14.134725j, 1e4)[0]
+    assert abs(complex(*got["f_rho"]) - ref) <= F_RHO_REL_TOL * abs(ref)

@@ -122,7 +122,8 @@ def envelope_integral(beta: float, x: float) -> float:
     """int_2^x t^(beta-1)/log^2 t dt (the error envelope of the main term)."""
     if x <= 2.0:
         return 0.0
-    return float(_f_table([beta], [x])[2][0, 0])
+    with np.errstate(divide="ignore", invalid="ignore"):  # f is 1/0 at beta = 0
+        return float(_f_table([beta], [x])[2][0, 0])
 
 
 # --- race function sets ----------------------------------------------------------

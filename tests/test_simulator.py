@@ -17,8 +17,8 @@ from racelab.simulator import (DomainError, EmptyDominantSetError,
                                RecipeMismatchError, corollary13_sum,
                                dominant_member_values, dominant_profile,
                                envelope_integral, f_rho, f_rho_parts, li,
-                               one_period_trace,
-                               race_values, theorem_decomposition, trace)
+                               one_period_trace, race_values,
+                               theorem_decomposition, trace)
 from racelab.zerosys import Zero, ZeroSystem
 
 

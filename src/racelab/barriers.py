@@ -335,59 +335,64 @@ def solve_lemma44(r: int, c: Sequence[float], d: Sequence[float],
 
     Requires the compatibility symmetries c_v = c_{r-v}, d_0 = 0,
     d_v = -d_{r-v}.  The system splits into a cosine half and a sine half,
-    each uniquely solvable; the recombined nu is verified on samples.
+    each uniquely solvable; the recombined nu is verified on samples.  c and
+    d may also be (m, r) arrays: each row pair is one system, all m are
+    solved at once, and nu has one row per system.
     """
     c = np.asarray(c, dtype=float)
     d = np.asarray(d, dtype=float)
-    if len(c) != r or len(d) != r:
+    if c.shape[-1:] != (r,) or c.ndim > 2 or d.shape != c.shape:
         raise ValueError("c and d must have length r")
-    for v in range(1, r):
-        if abs(c[v] - c[r - v]) > 1e-12:
-            raise ValueError("need c_v = c_{r-v}")
-        if abs(d[v] + d[r - v]) > 1e-12:
-            raise ValueError("need d_v = -d_{r-v}")
-    if abs(d[0]) > 1e-12:
+    single = c.ndim == 1
+    c, d = np.atleast_2d(c), np.atleast_2d(d)
+    # the least offending v names the broken symmetry
+    bad_c = np.any(np.abs(c[:, 1:] - c[:, :0:-1]) > 1e-12, axis=0)
+    bad_d = np.any(np.abs(d[:, 1:] + d[:, :0:-1]) > 1e-12, axis=0)
+    if np.any(bad_c | bad_d):
+        v = np.argmax(bad_c | bad_d)
+        raise ValueError("need c_v = c_{r-v}" if bad_c[v]
+                         else "need d_v = -d_{r-v}")
+    if np.any(np.abs(d[:, 0]) > 1e-12):
         raise ValueError("need d_0 = 0")
 
     half = r // 2
-    vs = np.arange(half + 1)
     js = np.arange(half + 1)
     # j v is reduced mod r in integers, so each phase keeps full precision
-    a_cos = np.cos(2 * math.pi * (np.outer(vs, js) % r) / r)
+    a_cos = np.cos(2 * math.pi * (np.outer(js, js) % r) / r)
+    # one right-hand side per stacked system rounds as a lone solve does (a
+    # multi-column solve would not, and would move build_extremal's output)
     try:
-        mu = np.linalg.solve(a_cos, c[: half + 1])
+        mu = np.linalg.solve(a_cos, c[:, : half + 1, None])[:, :, 0]
     except np.linalg.LinAlgError as exc:  # the proof rules this out
         raise RuntimeError(f"cosine system unexpectedly singular: {exc}")
 
     half_s = (r - 1) // 2
-    lam = np.zeros(half_s + 1)
+    lam = np.zeros((len(c), half_s + 1))
     if half_s >= 1:
-        vs = np.arange(1, half_s + 1)
         js = np.arange(1, half_s + 1)
-        a_sin = np.sin(2 * math.pi * (np.outer(vs, js) % r) / r)
+        a_sin = np.sin(2 * math.pi * (np.outer(js, js) % r) / r)
         try:
-            lam[1:] = np.linalg.solve(a_sin, d[1: half_s + 1])
+            lam[:, 1:] = np.linalg.solve(a_sin, d[:, 1: half_s + 1, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"sine system unexpectedly singular: {exc}")
 
-    nu = np.zeros(r)
-    nu[0] = mu[0]
+    nu = np.zeros((len(c), r))
+    nu[:, 0] = mu[:, 0]
     if r % 2 == 0:
-        nu[half] = mu[half]
-    for j in range(1, (r + 1) // 2):
-        nu[j] = (mu[j] + lam[j]) / 2.0
-        nu[r - j] = (mu[j] - lam[j]) / 2.0
+        nu[:, half] = mu[:, half]
+    js = np.arange(1, (r + 1) // 2)
+    nu[:, js] = (mu[:, js] + lam[:, js]) / 2.0
+    nu[:, r - js] = (mu[:, js] - lam[:, js]) / 2.0
 
     rng = np.random.default_rng(12345)
     us = rng.uniform(0, 2 * math.pi, 16)
-    for v in range(r):
-        lhs = sum(nu[j] * np.sin(us + 2 * math.pi * (j * v % r) / r)
-                  for j in range(r))
-        rhs = c[v] * np.sin(us) + d[v] * np.cos(us)
-        if np.max(np.abs(lhs - rhs)) > residual_tol:
-            raise RuntimeError("solution residual exceeded tolerance "
-                               "(internal check)")
-    return nu
+    jv = np.outer(np.arange(r), np.arange(r)) % r
+    lhs = np.tensordot(nu, np.sin(us + 2 * math.pi * jv[:, :, None] / r), 1)
+    rhs = c[:, :, None] * np.sin(us) + d[:, :, None] * np.cos(us)
+    if np.max(np.abs(lhs - rhs)) > residual_tol:
+        raise RuntimeError("solution residual exceeded tolerance "
+                           "(internal check)")
+    return nu[0] if single else nu
 
 
 # --- crossing-pattern systems -------------------------------------------------------
@@ -533,15 +538,17 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
                    beta1: float = 0.75, gamma: float = 1000.0,
                    K: int = 16, N: int = 64, seed: int = 0,
                    max_escalations: int = 5) -> BarrierRecipe:
-    """Emit a bounded extremal barrier for D inside the cyclic subgroup
-    generated by `generator` (order r >= 6).
+    """Emit a bounded extremal barrier for D (two or more members, no 1, no
+    inverse pair) inside the cyclic subgroup generated by `generator`
+    (order r >= 6).
 
     Pipeline: build the crossing-pattern system, Fourier-approximate each
     member (escalating K until the truncations follow the pattern), solve the
-    per-frequency linear system for real multiplicity densities, integerize
-    at resolution N (escalating until the pattern survives), shift to
-    nonnegative integers and emit zeros at beta1 + i k gamma on the powers of
-    a character pinned at the generator.
+    per-frequency linear systems for real multiplicity densities (one batch),
+    integerize at resolution N (escalating until the pattern survives; every
+    N round shares one sine and one cosine table), shift to nonnegative
+    integers and emit zeros at beta1 + i k gamma on the powers of a
+    character pinned at the generator.
     """
     group = unit_group(q)
     r = group.order(generator)
@@ -563,58 +570,49 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
     for v in V:
         if v != r - v and (r - v) in V:
             raise ValueError("D may not contain an inverse pair")
+    if len(V) < 2:
+        raise ValueError("D needs at least two members")
 
     omega = build_omega(r, V, seed=seed)
     w_grid = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)
 
-    # stage 1: truncation order (targets are the sign-flipped members, so the
-    # emitted race traces come out ordered like the reference pattern)
+    # stage 1: truncation order; stage 3 reuses the last cosine table
     K_use = K
     for _ in range(max_escalations):
-        b = {v: -fourier_cosine_coeffs(omega, v, K_use) for v in V}
-        b_rows = np.array([b[v] for v in V])
-        # -sum_k b_v[k] cos(k w) for every v at once, added in order of k
-        cand = np.zeros((len(V), len(w_grid)))
-        for k in range(1, K_use + 1):
-            cand += b_rows[:, k - 1, None] * np.cos(k * w_grid)
-        cand = -cand
-        if check_omega_type(cand, w_grid, omega).ok:
+        k = np.arange(1, K_use + 1)[:, None]
+        coeffs = np.array([fourier_cosine_coeffs(omega, v, K_use) for v in V])
+        cos_kw = np.outer(k, w_grid)
+        np.cos(cos_kw, out=cos_kw)
+        if check_omega_type(coeffs @ cos_kw, w_grid, omega).ok:
             break
         K_use *= 2
     else:
         raise OmegaTypeLostError("K escalation exhausted; raise K")
 
-    # stage 2: per-frequency solve with the antisymmetric completion
-    nu = np.zeros((K_use, r))
-    for k in range(1, K_use + 1):
-        d_vec = np.zeros(r)
-        for v in V:
-            d_vec[v] = b[v][k - 1]
-            if v != 0 and (r - v) != v:
-                d_vec[r - v] = -b[v][k - 1]
-        nu[k - 1] = solve_lemma44(r, np.zeros(r), d_vec)
+    # stage 2: the per-frequency solves, row k-1 for frequency k.  Targets
+    # are the sign-flipped members (so the emitted race traces come out
+    # ordered like the reference pattern), completed by d_{r-v} = -d_v; the
+    # member r/2 is zero, so its two writes agree
+    d_rows = np.zeros((K_use, r))
+    d_rows[:, V] = -coeffs.T
+    d_rows[:, np.subtract(r, V)] = coeffs.T
+    nu = solve_lemma44(r, np.zeros((K_use, r)), d_rows)
 
-    # stage 3: integerization resolution.  Member v's candidate sums, in
-    # order of (k, j), n/(kN) sin(k w + 2 pi j v/r): block[0] carries the
-    # running sum and block[1:] the r terms of one k, so the sequential
-    # axis-0 reduce adds them in (k, j) order
-    block = np.empty((r + 1, len(w_grid)))
-    cand = np.empty((len(V), len(w_grid)))
+    # stage 3: integerization resolution.  Member v's candidate is
+    # sum_(k,j) c_kj sin(k w + phi_vj), c_kj = n_kj/(kN) and
+    # phi_vj = 2 pi (j v mod r)/r.  By angle addition that is
+    # sum_k (cos phi . c)_vk sin(k w) + (sin phi . c)_vk cos(k w), so the
+    # K x 4096 sine and cosine tables are built once, and each N round forms
+    # two (|V|, K) matrices
+    sin_kw = np.outer(k, w_grid)
+    np.sin(sin_kw, out=sin_kw)
+    phase = 2 * math.pi * (np.outer(V, np.arange(r)) % r) / r
     N_use = N
     for _ in range(max_escalations):
-        n_tilde = np.array([[k * math.floor(N_use * nu[k - 1, j])
-                             for j in range(r)] for k in range(1, K_use + 1)],
-                           dtype=np.int64)
-        for row, v in zip(cand, V):
-            phase = 2 * math.pi * (np.arange(r) * v % r) / r
-            block[0] = 0.0
-            for k in range(1, K_use + 1):
-                terms = block[1:]
-                np.add(k * w_grid, phase[:, None], out=terms)
-                np.sin(terms, out=terms)
-                terms *= (n_tilde[k - 1] / (k * N_use))[:, None]
-                block[0] = np.add.reduce(block, axis=0)
-            row[:] = block[0]
+        n_tilde = k * np.floor(N_use * nu).astype(np.int64)
+        coef = n_tilde / (k * N_use)
+        cand = ((np.cos(phase) @ coef.T) @ sin_kw
+                + (np.sin(phase) @ coef.T) @ cos_kw)
         # candidate tracks -f_v; flip for the pattern comparison
         if check_omega_type(-cand, w_grid, omega).ok:
             break

@@ -64,11 +64,14 @@ def simple_sieve(limit: int) -> np.ndarray:
 def iter_prime_segments(x_max: int, segment: int = SEGMENT,
                         ) -> Iterator[np.ndarray]:
     """Yield ascending arrays of primes covering [2, x_max], one per
-    segment [lo, min(lo + segment, x_max + 1)) with lo starting at 2.
+    segment [lo, min(lo + segment, x_max + 1)) with lo starting at 2, and
+    nothing for x_max < 2.
 
     Each mask holds the odd n = 2k+1 of its segment only, and starts as a
     copy of the wheel pattern.
     """
+    if x_max < 2:
+        return
     base = simple_sieve(int(math.isqrt(x_max)))
     base = base[base > WHEEL[-1]].tolist()
     # the wheel pattern over k, long enough to cut a segment's odd slots
@@ -307,7 +310,7 @@ def compare_with_simulator(table: PrimeRaceTable, zeros: ZeroSystem,
     scaled = u * phi / (2.0 * np.exp(sigma * u)) * diff
     bias = (sqrt_count(q, b % q) - sqrt_count(q, a % q)) / 2.0 \
         if include_sqrt_bias and sigma == 0.5 else 0.0
-    predicted = np.array([bias + corollary13_sum(zeros, a, b, uu) for uu in u])
+    predicted = bias + corollary13_sum(zeros, a, b, u)
     if a % q == b % q:
         agreement = 1.0
     else:

@@ -289,21 +289,23 @@ def dominant_profile(s: RaceFunctionSet, a: int, b: int) -> DominantProfile:
 # --- the sigma-line comparison sum ------------------------------------------------
 
 
-def corollary13_sum(zeros: ZeroSystem, a: int, b: int, u: float) -> float:
+def corollary13_sum(zeros: ZeroSystem, a: int, b: int,
+                    u: float | np.ndarray) -> float | np.ndarray:
     """The double sum approximating u*phi(q)/(2 e^(sigma u)) (pi_a - pi_b)
     for zeros all lying on a common vertical line Re = sigma.
 
     nu(n) = sin(t u - Arg chi(n) + arctan(sigma/t)), with arctan(sigma/0)
-    taken as pi/2; real zeros (t = 0) get half weight.
+    taken as pi/2; real zeros (t = 0) get half weight.  u may be a float
+    (the sum is a float) or an array (the sum at every u, the zeros added in
+    the same order at each).
     """
     sigmas = {z.beta for zs in zeros.entries.values() for z in zs}
     if len(sigmas) > 1:
         raise ValueError(f"zeros must share one real part, got {sorted(sigmas)}")
-    if not sigmas:
-        return 0.0
-    sigma = sigmas.pop()
+    sigma = sigmas.pop() if sigmas else 0.0
     chars = zeros.chars
-    total = 0.0
+    u = np.asarray(u, dtype=float)
+    total = np.zeros(u.shape)
     for label, zs in zeros.entries.items():
         chi = chars[label]
         if chi.phase(a) == chi.phase(b):
@@ -315,11 +317,11 @@ def corollary13_sum(zeros: ZeroSystem, a: int, b: int, u: float) -> float:
             shift = math.atan2(sigma, t) if t > 0 or sigma != 0 else math.pi / 2
             if t == 0.0:
                 shift = math.pi / 2
-            nu_b = math.sin(t * u - arg_b + shift)
-            nu_a = math.sin(t * u - arg_a + shift)
+            nu_b = np.sin(t * u - arg_b + shift)
+            nu_a = np.sin(t * u - arg_a + shift)
             total += (_star_weight(z) * mult * (nu_b - nu_a)
                       / math.sqrt(t * t + sigma * sigma))
-    return total
+    return float(total) if total.ndim == 0 else total
 
 
 # --- traces -----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from racelab.barriers import (BarrierRecipe,
-                              ExcludedModulusError, build_extremal,
+                              ExcludedModulusError, OmegaTypeLostError,
+                              build_extremal,
                               build_omega, build_thm311, build_thm51,
                               check_hypotheses, check_omega_type,
                               check_thm51_conditions, fourier_cosine_coeffs,
@@ -158,6 +160,7 @@ def test_solve_lemma44_zero_input():
 def test_solve_lemma44_random_property():
     rng = np.random.default_rng(23)
     for r in range(3, 13):
+        rows = []
         for _ in range(4):
             c = np.zeros(r)
             d = np.zeros(r)
@@ -174,13 +177,24 @@ def test_solve_lemma44_random_property():
                           for j in range(r))
                 rhs = c[v] * np.sin(us) + d[v] * np.cos(us)
                 assert np.max(np.abs(lhs - rhs)) < 1e-10
+            rows.append((c, d, nu))
+        # all systems at once: one row each, the same bits as one by one
+        c, d, nu = map(np.array, zip(*rows))
+        assert np.array_equal(solve_lemma44(r, c, d), nu)
 
 
 def test_solve_lemma44_symmetry_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need c_v"):
         solve_lemma44(4, [0, 1, 0, 2], [0.0] * 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need d_v"):
         solve_lemma44(4, [0.0] * 4, [0, 1, 0, 1])
+    # several systems: the least offending v, in any row, names the symmetry
+    with pytest.raises(ValueError, match="need d_v"):
+        solve_lemma44(4, [[0.0] * 4, [0, 0, 1, 0]], [[0.0] * 4, [0, 1, 0, 1]])
+    with pytest.raises(ValueError, match="need d_0"):
+        solve_lemma44(4, [[0.0] * 4] * 2, [[0.0] * 4, [1, 0, 0, 0]])
+    with pytest.raises(ValueError, match="length r"):
+        solve_lemma44(4, [[0.0] * 4] * 2, [[0.0] * 4])
 
 
 def test_omega_construction():
@@ -240,6 +254,45 @@ def test_build_extremal_q7():
     assert verdict(rep, "extremal_exact", r=3).ok
 
 
+# (q, V as powers of the least unit of maximal order, K asked, then K, N and
+# the recipe JSON's sha256, or the OmegaTypeLostError message)
+EXTREMAL_GOLDEN = [
+    (7, (2, 5), 16, 16, 64,
+     "26554787a6614e85aa46b4c72c606785d81fa70e7a88075a7dffae19deef8bdd"),
+    (7, (1, 2, 3), 16, 16, 256,
+     "801dbda4ef79e805835c966b2a7cc03475563c1ac88f1000b56d3536ef99e13e"),
+    (34, (4, 5, 6), 16, 16, 128,
+     "d459a0cffddc45b9daea8c30bbcf596e5c8163e9f2b71fb88f43e1878a92da80"),
+    (19, (2, 8, 9), 16, 16, 512,
+     "4fcc25b18456e37030277697d381c711ec921c6cef85c49a4293a10afd5d09aa"),
+    (19, (2, 8, 9), 2, 4, 128,  # K escalates 2 -> 4
+     "886cd5fb0fb3c9461ad6c1a7bb98e4b970cf294b7540053de36249ce166b7084"),
+    (29, (1, 11, 14), 16, 16, 1024,
+     "5273a8555e42adc8c0a5ec46252f1939146e049215f99bc59323d3adb1e9950b"),
+    (34, (1, 2, 3, 4), 16, 16, 1024,
+     "4eef0010141c245d3c41a9b1a13554a45a8dfe450e5d410e5cfb2ba2e7eaed93"),
+    (19, (12, 13, 14, 16), 16, None, None, "N escalation exhausted; raise N"),
+    (29, (5, 19, 24, 26), 16, None, None,
+     "emitted dominant trace lost the pattern; raise gamma or N"),
+]
+
+
+def test_build_extremal_golden():
+    for q, V, K_ask, K, N, want in EXTREMAL_GOLDEN:
+        g = unit_group(q)
+        gen = min(a for a in g.units if g.order(a) == g.phi)
+        sub = g.subgroup(gen)
+        D = [sub[v] for v in V]
+        if K is None:
+            with pytest.raises(OmegaTypeLostError) as exc:
+                build_extremal(q, gen, D, K=K_ask)
+            assert str(exc.value) == want, (q, V)
+            continue
+        rec = build_extremal(q, gen, D, K=K_ask)
+        got = hashlib.sha256(rec.to_json().encode()).hexdigest()
+        assert (rec.params["K"], rec.params["N"], got) == (K, N, want), (q, V)
+
+
 def test_build_extremal_rejects_bad_sets():
     g = unit_group(7)
     gen = min(a for a in g.units if g.order(a) == 6)
@@ -250,6 +303,8 @@ def test_build_extremal_rejects_bad_sets():
         build_extremal(7, gen, [sub[1], sub[5]])  # inverse pair
     with pytest.raises(ValueError):
         build_extremal(5, 2, [2, 4])  # subgroup order 4 < 6
+    with pytest.raises(ValueError, match="at least two members"):
+        build_extremal(7, gen, [sub[1]])
 
 
 def test_root_of_unity_sine_cancellation():

@@ -88,21 +88,25 @@ def test_race_command(tmp_path, monkeypatch):
 def test_race_no_lead_change_names_xmax(tmp_path, capsys):
     summary = tmp_path / "sum.json"
     csv = tmp_path / "race.csv"
-    assert run(["race", "--q", 4, "--xmax", 1, "--a", 1, "--b", 3,
-                "--out", csv, "--summary", summary]) == 0
-    assert "first lead change (1 vs 3): none found up to x = 1" \
-        in capsys.readouterr().out
-    rep = json.loads(summary.read_text())
-    assert rep["first_lead_change"] is None and rep["pi_max"] == 0
-    # no checkpoint lies in [2, 1]: the table has its header only
-    assert csv.read_text().splitlines()[1:] == ["x,pi,pi_1,pi_3"]
+    for xmax in (1, -5):
+        assert run(["race", "--q", 4, "--xmax", xmax, "--a", 1, "--b", 3,
+                    "--out", csv, "--summary", summary]) == 0
+        captured = capsys.readouterr()
+        assert f"first lead change (1 vs 3): none found up to x = {xmax}" \
+            in captured.out
+        assert captured.err == ""
+        rep = json.loads(summary.read_text())
+        assert rep["first_lead_change"] is None and rep["pi_max"] == 0
+        # no checkpoint lies in [2, xmax]: the table has its header only
+        assert csv.read_text().splitlines()[1:] == ["x,pi,pi_1,pi_3"]
 
 
 def test_race_below_two_linear_checkpoints(tmp_path):
     csv = tmp_path / "race.csv"
-    assert run(["race", "--q", 4, "--xmax", 1, "--checkpoints", "linear:5",
-                "--out", csv]) == 0
-    assert csv.read_text().splitlines()[1:] == ["x,pi,pi_1,pi_3"]
+    for xmax in (1, -5):
+        assert run(["race", "--q", 4, "--xmax", xmax, "--checkpoints",
+                    "linear:5", "--out", csv]) == 0
+        assert csv.read_text().splitlines()[1:] == ["x,pi,pi_1,pi_3"]
 
 
 def test_race_with_zero_comparison(tmp_path):
@@ -174,6 +178,13 @@ def test_usage_errors_are_config_errors(capsys):
     # the flag was advisory and read by nothing; it is gone
     assert_config_error(["--threads", "2", "trig", "dominate", "--freqs", "1",
                          "--b", "1", "--a", "1"], capsys)
+
+
+def test_thm43_single_member_is_config_error(tmp_path, capsys):
+    assert run(["barrier", "build", "thm43", "--q", 7, "--D", "a",
+                "--out", tmp_path / "x.json"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: D needs at least two members\n"
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_help_exits_zero(capsys):

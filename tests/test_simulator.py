@@ -213,6 +213,48 @@ def test_corollary13_examples():
     assert v0 == pytest.approx(2 * 0.5 / 0.75)
 
 
+def corollary13_reference(zeros, a, b, u):
+    """The scalar sum with math.sin, one zero at a time."""
+    sigma = next(z.beta for zs in zeros.entries.values() for z in zs)
+    total = 0.0
+    for label, zs in zeros.entries.items():
+        chi = zeros.chars[label]
+        arg_a = 2.0 * math.pi * float(chi.phase(a))
+        arg_b = 2.0 * math.pi * float(chi.phase(b))
+        for z, mult in zs.items():
+            t = z.gamma
+            shift = math.atan2(sigma, t) if t > 0 else math.pi / 2
+            weight = 0.5 if t == 0 else 1.0
+            total += (weight * mult * (math.sin(t * u - arg_b + shift)
+                                       - math.sin(t * u - arg_a + shift))
+                      / math.sqrt(t * t + sigma * sigma))
+    return total
+
+
+def test_corollary13_array_matches_scalar_calls():
+    from importlib import resources
+    from racelab.zerosys import load_zero_data
+    with resources.as_file(resources.files("racelab") / "data/chi3_zeros.txt") as p:
+        chi3 = load_zero_data(p)
+    mixed = ZeroSystem(5, {label_with_phase(5, 2, Fraction(1, 4)):
+                           {Zero(0.75, 3.5): 2},
+                           label_with_phase(5, 2, Fraction(1, 2)):
+                           {Zero(0.75, 0.0): 1, Zero(0.75, 7.25): 3}})
+    u = np.linspace(0.0, 40.0, 301)
+    for system, a, b in ((chi3, 2, 1), (chi3, 1, 2), (mixed, 2, 3),
+                         (ZeroSystem(5, {}), 2, 3)):
+        values = corollary13_sum(system, a, b, u)
+        assert values.shape == u.shape
+        scalars = [corollary13_sum(system, a, b, float(x)) for x in u]
+        assert all(isinstance(s, float) for s in scalars)
+        assert np.array_equal(values, scalars)
+        if system.size:
+            ref = [corollary13_reference(system, a, b, float(x)) for x in u]
+            np.testing.assert_allclose(values, ref, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(ref)))
+    assert corollary13_sum(chi3, 2, 1, np.array([])).shape == (0,)
+
+
 def test_corollary13_mixed_levels_rejected():
     lbl = label_with_phase(3, 2, Fraction(1, 2))
     system = ZeroSystem(3, {lbl: {Zero(0.6, 5.0): 1, Zero(0.7, 9.0): 1}})

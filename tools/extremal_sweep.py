@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Build extremal barriers over a fixed grid of (q, V) and record each
+outcome, so that two source trees can be compared case by case.
+
+The grid: every q < 100 whose unit group (Z/q)^* is cyclic of order
+r >= 6, with the generator the CLI and the benchmark use (the least unit of
+maximal order).  For each member count m in (2, 3, 4), up to two admissible
+exponent sets V (no 0, no inverse pair v, r - v) are drawn by a generator
+seeded with (q, m).  Each case records q, V, and either K, N and the sha256
+of the recipe JSON, or the error as "<class>: <message>".
+
+Usage, once per source tree, then compare the two files line by line (one
+case per line, in a fixed order):
+    python tools/extremal_sweep.py --out sweep.json
+    diff old.json new.json
+"""
+
+import argparse
+import hashlib
+import itertools
+import json
+import random
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from racelab import barriers  # noqa: E402
+from racelab.residues import unit_group  # noqa: E402
+
+Q_MAX = 100
+SIZES = (2, 3, 4)
+SETS_PER_SIZE = 2
+
+
+def cases():
+    for q in range(3, Q_MAX):
+        group = unit_group(q)
+        if group.lam != group.phi or group.phi < 6:
+            continue
+        r = group.phi
+        gen = min(a for a in group.units if group.order(a) == r)
+        for m in SIZES:
+            admissible = [V for V in itertools.combinations(range(1, r), m)
+                          if not any(v != r - v and r - v in V for v in V)]
+            rng = random.Random(f"{q}:{m}")
+            for V in sorted(rng.sample(admissible,
+                                       min(SETS_PER_SIZE, len(admissible)))):
+                yield q, gen, V
+
+
+def run_case(q: int, gen: int, V) -> dict:
+    sub = unit_group(q).subgroup(gen)
+    out = {"q": q, "V": list(V)}
+    try:
+        recipe = barriers.build_extremal(q, gen, [sub[v] for v in V])
+    except (ValueError, RuntimeError) as exc:
+        out["error"] = f"{type(exc).__name__}: {exc}"
+        return out
+    out.update(K=recipe.params["K"], N=recipe.params["N"],
+               sha256=hashlib.sha256(recipe.to_json().encode()).hexdigest())
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args()
+
+    t0 = time.perf_counter()
+    results = [run_case(*case) for case in cases()]
+    elapsed = time.perf_counter() - t0
+    Path(args.out).write_text(
+        "[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in results)
+        + "\n]\n", encoding="utf-8")
+    errors = sum("error" in r for r in results)
+    print(f"{len(results)} cases ({errors} errors) in {elapsed:.1f} s "
+          f"-> {args.out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

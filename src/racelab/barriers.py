@@ -266,58 +266,61 @@ def verify_thm311(recipe: BarrierRecipe, step: float = 1e-3,
                   identity_tol: float = 1e-12) -> Thm311Report:
     """Certified check that at every v in [0, 2pi) some designated difference
     G_0 - G_r (resp. G_00 - G_rs) is negative, plus the closed-form case
-    identities."""
+    identities.
+
+    An identity error is sum over frequencies of |phasor of (G_0 - G_r) -
+    phasor of the closed form|, which bounds the gap at every v."""
     if not recipe.kind.startswith("thm311"):
         raise ValueError("recipe is not a three-residue lattice barrier")
     params = recipe.params
     case = params["case"]
     decomp = theorem_decomposition(recipe.system, "thm311", params)
     G = decomp["G"]
+    g0 = G[(0, 0)] if case == "z4z2" else G[0]
     q_poly, p_poly, r_poly = qpr_polys()
-    grid = np.linspace(0.0, 2 * math.pi, 4096)
-    identity_errors: Dict[str, float] = {}
+    sin_v, cos_v = TrigPoly.sine([1.0], [1.0]), TrigPoly.cosine([1.0], [1.0])
 
+    def identity_error(r, form: TrigPoly) -> float:
+        return TrigPoly.combine([g0, G[r].scale(-1.0),
+                                 form.scale(-1.0)]).amplitude_sum
+
+    identity_errors: Dict[str, float] = {}
     if case == "even_cyclic":
-        n, h, s = params["n"], params["h"], params["s"]
+        n, s = params["n"], params["s"]
         designated = params["designated"]
         c = 4.0 * math.pi * s / n  # the weight-6 carrier's phase at r = s
-        forms = {
-            s: lambda v: (1 - math.cos(c)) * q_poly(v) + math.sin(c) * p_poly(v),
-            n - s: lambda v: (1 - math.cos(c)) * q_poly(v) - math.sin(c) * p_poly(v),
-            n // 2: lambda v: 2.0 * r_poly(v),
-        }
+        carrier = q_poly.scale(1 - math.cos(c))
+        forms = {s: carrier + p_poly.scale(math.sin(c)),
+                 n - s: carrier + p_poly.scale(-math.sin(c)),
+                 n // 2: r_poly.scale(2.0)}
         for r in sorted(set(designated)):
-            diff = G[0](grid) - G[r](grid)
-            identity_errors[f"G0-G{r}"] = float(
-                np.max(np.abs(diff - forms[r](grid))))
-        polys = [(G[0], G[r]) for r in designated]
+            identity_errors[f"G0-G{r}"] = identity_error(r, forms[r])
     elif case == "n8":
         designated = params["designated"]
-        forms = [lambda v: 4 * (np.sin(v) + np.cos(v)) + (2 - math.sqrt(2)) * r_poly(v),
-                 lambda v: 4 * (np.sin(v) - np.cos(v)) + (2 - math.sqrt(2)) * r_poly(v)]
+        tail = r_poly.scale(2 - math.sqrt(2))
+        forms = [TrigPoly.combine([sin_v.scale(4.0), cos_v.scale(4.0), tail]),
+                 TrigPoly.combine([sin_v.scale(4.0), cos_v.scale(-4.0), tail])]
         for r in (3, 5):
-            diff = G[0](grid) - G[r](grid)
-            err = min(float(np.max(np.abs(diff - f(grid)))) for f in forms)
-            identity_errors[f"G0-G{r}"] = err
-        identity_errors["G0-G4"] = float(
-            np.max(np.abs(G[0](grid) - G[4](grid) - 4.0 * r_poly(grid))))
-        polys = [(G[0], G[r]) for r in designated]
+            identity_errors[f"G0-G{r}"] = min(identity_error(r, f)
+                                              for f in forms)
+        identity_errors["G0-G4"] = identity_error(4, r_poly.scale(4.0))
     else:
         designated = [tuple(t) for t in params["designated"]]
-        closed = {(1, 0): lambda v: np.sin(v) - np.cos(v),
-                  (3, 0): lambda v: np.sin(v) + np.cos(v),
-                  (0, 1): lambda v: 2.0 * r_poly(v)}
+        closed = {(1, 0): sin_v + cos_v.scale(-1.0),
+                  (3, 0): sin_v + cos_v,
+                  (0, 1): r_poly.scale(2.0)}
         for rs in designated:
-            diff = G[(0, 0)](grid) - G[rs](grid)
-            identity_errors[f"G00-G{rs[0]}{rs[1]}"] = float(
-                np.max(np.abs(diff - closed[rs](grid))))
-        polys = [(G[(0, 0)], G[rs]) for rs in designated]
+            identity_errors[f"G00-G{rs[0]}{rs[1]}"] = identity_error(
+                rs, closed[rs])
 
-    lips = [g0.lipschitz_bound + gr.lipschitz_bound for g0, gr in polys]
+    grs = [G[r] for r in designated]
+    lips = [g0.lipschitz_bound + gr.lipschitz_bound for gr in grs]
 
     def objective(v: np.ndarray) -> np.ndarray:
-        # certify: max over designated r of (G_r - G_0) stays positive
-        return np.max(np.vstack([gr(v) - g0(v) for g0, gr in polys]), axis=0)
+        # certify: max over designated r of (G_r - G_0) stays positive;
+        # x -> fl(x - g) is monotone, so subtracting G_0 once after the max
+        # gives the same floats as subtracting it from every G_r
+        return np.max(np.vstack([gr(v) for gr in grs]), axis=0) - g0(v)
 
     scan = certified_positive_scan(objective, max(lips), 0.0, 2 * math.pi, step)
     ok = scan.ok and all(e <= identity_tol for e in identity_errors.values())
@@ -572,6 +575,8 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
             raise ValueError("D may not contain an inverse pair")
     if len(V) < 2:
         raise ValueError("D needs at least two members")
+    if len(set(V)) < len(V):
+        raise ValueError("D names a member twice")
 
     omega = build_omega(r, V, seed=seed)
     w_grid = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)

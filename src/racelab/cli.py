@@ -120,7 +120,7 @@ def cmd_barrier(args: argparse.Namespace) -> int:
         print(f"recipe written to {out} (|B| = {recipe.system.size})")
         if args.kind == "thm311":
             report = barriers.verify_thm311(recipe)
-            print(f"verify: ok={report.ok} min_margin={-report.scan.min_value:.6g}")
+            print(f"verify: ok={report.ok} min_margin={report.scan.min_value:.6g}")
             return EXIT_OK if report.ok else EXIT_VERIFY
         return EXIT_OK
 

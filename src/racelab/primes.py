@@ -304,6 +304,9 @@ def compare_with_simulator(table: PrimeRaceTable, zeros: ZeroSystem,
     phi = len(table.residues)
     ia, ib = table.residues.index(a % q), table.residues.index(b % q)
     keep = table.checkpoints >= x_min
+    if not keep.any():
+        raise InsufficientZeroDataError(
+            f"no checkpoint at or above x_min = {x_min:g}")
     xs = table.checkpoints[keep].astype(float)
     diff = (table.counts[keep, ia] - table.counts[keep, ib]).astype(float)
     u = np.log(xs)

@@ -324,45 +324,77 @@ class ScanReport:
 def certified_positive_scan(f: Callable[[np.ndarray], np.ndarray],
                             lipschitz: float, lo: float, hi: float,
                             step: float, max_depth: int = 40) -> ScanReport:
-    """Certify f > 0 on [lo, hi]: each grid cell needs min endpoint value
-    > (cell width) * L / 2; cells failing that are bisected recursively.
+    """Certify f > 0 on [lo, hi], lo < hi: each grid cell needs min endpoint
+    value > (cell width) * L / 2; cells failing that are bisected, down to
+    max_depth halvings.
 
-    f must accept an ndarray of points.  Returns the minimum sampled value
-    (the reported margin) and the finest step used.
+    f must accept an ndarray of points.  The bisection runs one depth at a
+    time: every cell still uncertified at a depth has its midpoint evaluated
+    in one call to f.  A cell fails when an endpoint value is <= 0, or when
+    it is still uncertified at max_depth.  The scan reports the rightmost
+    failing cell (the one a right-first depth-first bisection meets first),
+    and then min_value, argmin and certified_step cover the grid plus only
+    the midpoints such a bisection evaluates before reaching that cell: its
+    enclosing cells and every cell to its right.  A passing scan reports the
+    minimum over every sampled value (the margin) and the finest step used.
     """
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
+    if not hi > lo:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     pts = np.linspace(lo, hi, max(int(math.ceil((hi - lo) / step)) + 1, 3))
     vals = np.asarray(f(pts), dtype=float)
+    width = pts[1] - pts[0]
+    live = np.flatnonzero(np.minimum(vals[:-1], vals[1:])
+                          <= width * lipschitz / 2.0)
+    # live cells (a, b) with end values (fa, fb), kept in position order
+    a, b, fa, fb = pts[live], pts[live + 1], vals[live], vals[live + 1]
+    # every bisected cell: (a, b, midpoint, value there, depth), per depth
+    split = [(np.empty(0),) * 4 + (np.empty(0, dtype=int),)]
+    failure_point = None  # of the rightmost failing cell (fail_a, fail_b)
+    depth = 0
+    while len(a):
+        bad = (fa <= 0.0) | (fb <= 0.0)
+        open_ = ~bad & ~(np.minimum(fa, fb) > (b - a) * lipschitz / 2.0)
+        exhausted = depth >= max_depth
+        hit = np.flatnonzero(bad | open_ if exhausted else bad)
+        if len(hit):
+            k = hit[-1]
+            point = (a[k] if fa[k] <= fb[k] else b[k]) if bad[k] else a[k]
+            fail_a, fail_b, failure_point = a[k], b[k], float(point)
+            open_[:k + 1] = False  # cells left of it come later in DFS order
+        if exhausted or not open_.any():
+            break
+        a, b, fa, fb = a[open_], b[open_], fa[open_], fb[open_]
+        m = 0.5 * (a + b)
+        fm = np.asarray(f(m), dtype=float)
+        split.append((a, b, m, fm, np.full(len(m), depth)))
+        a, b = np.column_stack([a, m]).ravel(), np.column_stack([m, b]).ravel()
+        fa, fb = (np.column_stack([fa, fm]).ravel(),
+                  np.column_stack([fm, fb]).ravel())
+        depth += 1
+
     min_val = float(vals.min())
     argmin = float(pts[int(vals.argmin())])
-    finest = float(pts[1] - pts[0])
-
-    stack: List[Tuple[float, float, float, float, int]] = []
-    width = pts[1] - pts[0]
-    need = width * lipschitz / 2.0
-    for i in range(len(pts) - 1):
-        if min(vals[i], vals[i + 1]) <= need:
-            stack.append((pts[i], pts[i + 1], vals[i], vals[i + 1], 0))
-    while stack:
-        a, b, fa, fb, depth = stack.pop()
-        if fa <= 0.0 or fb <= 0.0:
-            bad = a if fa <= fb else b
-            return ScanReport(False, min(min_val, fa, fb), argmin, finest,
-                              lipschitz, failure_point=float(bad))
-        if min(fa, fb) > (b - a) * lipschitz / 2.0:
-            continue
-        if depth >= max_depth:
-            return ScanReport(False, min_val, argmin, finest, lipschitz,
-                              failure_point=float(a))
-        m = 0.5 * (a + b)
-        fm = float(f(np.array([m]))[0])
-        finest = min(finest, (b - a) / 2.0)
-        if fm < min_val:
-            min_val, argmin = fm, m
-        stack.append((a, m, fa, fm, depth + 1))
-        stack.append((m, b, fm, fb, depth + 1))
-    return ScanReport(True, min_val, argmin, finest, lipschitz)
+    finest = float(width)
+    sa, sb, sm, sf, sd = (np.concatenate(col) for col in zip(*split))
+    if failure_point is not None:
+        # what DFS evaluates before the failing cell: its enclosing cells
+        # and the cells right of it
+        seen = (sa >= fail_b) | ((sa <= fail_a) & (sb >= fail_b))
+        sa, sb, sm, sf, sd = (col[seen] for col in (sa, sb, sm, sf, sd))
+    if len(sm):
+        finest = min(finest, float(((sb - sa) / 2.0).min()))
+        mid_min = float(sf.min())
+        if mid_min < min_val:
+            # ties go to the midpoint evaluated first in right-first DFS
+            # order: the shallowest one that is, or encloses, the rightmost
+            tied = np.flatnonzero(sf == mid_min)
+            x = sm[tied].max()
+            tied = tied[(sm[tied] == x) | ((sa[tied] < x) & (x < sb[tied]))]
+            min_val, argmin = mid_min, float(sm[tied[np.argmin(sd[tied])]])
+    return ScanReport(failure_point is None, min_val, argmin, finest,
+                      lipschitz, failure_point=failure_point)
 
 
 def _window_scan(objective: Callable[[np.ndarray], np.ndarray],

@@ -88,22 +88,35 @@ def predicted_thm311_case(q):
     return "n8" if lam % 8 == 0 else "z4z2"
 
 
+THM311_SIZES = {"even_cyclic": 20, "n8": 34, "z4z2": 16}
+
+
+def check_thm311_modulus(q):
+    rec = build_thm311(q, tau=50.0)
+    case = predicted_thm311_case(q)
+    assert rec.params["case"] == case, q
+    assert rec.system.size == THM311_SIZES[case], q
+    rep = verify_thm311(rec)
+    assert rep.ok, (q, rep)
+    assert max(rep.identity_errors.values()) <= 1e-12, (q, rep)
+
+
 def test_thm311_modulus_sweep():
     # every admissible modulus up to 150 picks the predicted structure case,
     # has the matching |B|, and verifies; so do 839, 1019 and 1307, whose
     # lattice phases 2 pi j r/n need j r reduced mod n to pass the 1e-12
     # identity check
-    sizes = {"even_cyclic": 20, "n8": 34, "z4z2": 16}
-    excluded = {8, 10, 12, 24}
     for q in [*range(7, 151), 839, 1019, 1307]:
-        if q in excluded:
-            continue
-        rec = build_thm311(q, tau=50.0)
-        case = predicted_thm311_case(q)
-        assert rec.params["case"] == case, q
-        assert rec.system.size == sizes[case], q
-        rep = verify_thm311(rec)
-        assert rep.ok, (q, rep)
+        if q not in (8, 10, 12, 24):
+            check_thm311_modulus(q)
+
+
+@pytest.mark.slow
+def test_thm311_modulus_sweep_to_2000():
+    # the same for every admissible q <= 2000 (1990 moduli)
+    for q in range(7, 2001):
+        if q not in (8, 10, 12, 24):
+            check_thm311_modulus(q)
 
 
 def test_build_extremal_proper_subgroup():
@@ -305,6 +318,8 @@ def test_build_extremal_rejects_bad_sets():
         build_extremal(5, 2, [2, 4])  # subgroup order 4 < 6
     with pytest.raises(ValueError, match="at least two members"):
         build_extremal(7, gen, [sub[1]])
+    with pytest.raises(ValueError, match="names a member twice"):
+        build_extremal(7, gen, [sub[1], sub[1] + 7])  # one unit, twice
 
 
 def test_root_of_unity_sine_cancellation():

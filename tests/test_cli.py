@@ -9,17 +9,20 @@ def run(args):
     return cli.main([str(a) for a in args])
 
 
-def test_barrier_build_and_verify(tmp_path):
+def test_barrier_build_and_verify(tmp_path, capsys):
     rec = tmp_path / "rec.json"
     out = tmp_path / "verify.json"
     assert run(["barrier", "build", "thm311", "--q", 7, "--tau", 1000,
                 "--out", rec]) == 0
+    printed = capsys.readouterr().out.splitlines()[-1]
     payload = json.loads(rec.read_text())
     assert payload["params"]["size"] == 20
     assert payload["config"]["q"] == 7  # provenance embedded
     assert run(["barrier", "verify", "--recipe", rec, "--out", out]) == 0
     rep = json.loads(out.read_text())
     assert rep["ok"] and rep["scan_min"] > 0
+    # build prints the same positive margin that verify writes
+    assert printed == f"verify: ok=True min_margin={rep['scan_min']:.6g}"
 
 
 def test_barrier_build_excluded_modulus(tmp_path):
@@ -120,6 +123,18 @@ def test_race_with_zero_comparison(tmp_path):
     assert rep["comparison"]["sign_agreement"] >= 0.9
 
 
+def test_race_comparison_below_x_min_is_config_error(tmp_path, capsys):
+    from importlib import resources
+    summary = tmp_path / "sum.json"
+    with resources.as_file(resources.files("racelab") / "data/chi3_zeros.txt") as p:
+        assert run(["race", "--q", 3, "--xmax", 500, "--a", 2, "--b", 1,
+                    "--zeros", p, "--out", tmp_path / "race.csv",
+                    "--summary", summary]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        "error: no checkpoint at or above x_min = 1000\n"
+    assert not summary.exists()
+
+
 def test_trig_tools(tmp_path):
     out = tmp_path / "frac.json"
     assert run(["trig", "frac-parts", "--s", "1.4142,1", "--alpha", "0.4615",
@@ -184,6 +199,14 @@ def test_thm43_single_member_is_config_error(tmp_path, capsys):
     assert run(["barrier", "build", "thm43", "--q", 7, "--D", "a",
                 "--out", tmp_path / "x.json"]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == "error: D needs at least two members\n"
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_thm43_repeated_member_is_config_error(tmp_path, capsys):
+    # a and a^7 are one unit mod 7 (a has order 6)
+    assert run(["barrier", "build", "thm43", "--q", 7, "--D", "a,a7",
+                "--out", tmp_path / "x.json"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: D names a member twice\n"
     assert not (tmp_path / "x.json").exists()
 
 

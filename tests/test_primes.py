@@ -205,6 +205,9 @@ def test_compare_with_simulator_errors():
     empty = parse_zero_lines([], q=3)
     with pytest.raises(InsufficientZeroDataError):
         compare_with_simulator(tab, empty, 0.5, 2, 1)
+    # every checkpoint lies below x_min: nothing to compare, not NaN
+    with pytest.raises(InsufficientZeroDataError, match="x_min = 100000"):
+        compare_with_simulator(tab, bundled_chi3_zeros(), 0.5, 2, 1, x_min=1e5)
 
 
 def test_compare_same_residue_is_zero():

@@ -53,6 +53,16 @@ def _config_of(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_powers(text: str) -> list[int]:
     """Parse a target set like "a,a2,a3" (powers of the chosen generator)."""
     out = []
@@ -390,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("race", help="sieve a real prime race")
     r.add_argument("--q", type=int, required=True)
-    r.add_argument("--xmax", type=float, default=1e6)
+    r.add_argument("--xmax", type=_finite_float, default=1e6)
     r.add_argument("--a", type=int, default=None)
     r.add_argument("--b", type=int, default=None)
     r.add_argument("--checkpoints", default="geometric:1.01")

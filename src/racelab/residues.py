@@ -109,7 +109,9 @@ class ResidueGroup:
             raise InvalidResidueError(f"{a} is not a unit mod {self.q}") from None
 
     def order(self, a: int) -> int:
-        return _order_mod(a % self.q, self.q, self.phi)
+        """Multiplicative order of the unit a: lcm_j n_j/gcd(alpha_j(a), n_j)."""
+        return math.lcm(*(n // math.gcd(e, n) for e, (_, n)
+                          in zip(self.exponents(a), self.generators)))
 
     def is_unit(self, a: int) -> bool:
         return math.gcd(a, self.q) == 1
@@ -120,13 +122,8 @@ class ResidueGroup:
         return pow(a, -1, self.q)
 
     def subgroup(self, a: int) -> Tuple[int, ...]:
-        """Cyclic subgroup generated by a, in power order 1, a, a^2, ..."""
-        out = [1]
-        x = a % self.q
-        while x != 1:
-            out.append(x)
-            x = (x * a) % self.q
-        return tuple(out)
+        """Cyclic subgroup generated by the unit a: 1, a, a^2, ..."""
+        return tuple(pow(a, k, self.q) for k in range(self.order(a)))
 
 
 @lru_cache(maxsize=None)

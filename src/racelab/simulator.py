@@ -13,16 +13,11 @@ pairwise difference is an almost periodic trigonometric sum with amplitudes
 bound rather than an asymptotic claim.
 
 f(rho) and its error envelope are evaluated in closed form through the
-exponential integrals E1 and Ei.
+exponential integrals E1 and Ei, computed here in numpy.
 
-Two trace modes: full-formula (closed-form f(rho), overflows past u ~ 700)
-and dominant-only (the scaled limit the dominant-term analysis uses, valid
-for any u).
-
-scipy.special is imported on first use, by the exponential integrals behind
-full-formula traces, `race_values`, `f_rho`, `f_rho_parts` and
-`envelope_integral`, and by `li`; nothing else in racelab loads scipy, so
-`import racelab` and the dominant-only paths stay light.
+Two trace modes: full-formula (closed-form f(rho), refused where u or
+R+ u exceeds 690, near the double range) and dominant-only (the scaled
+limit the dominant-term analysis uses, valid for any u).
 """
 
 from __future__ import annotations
@@ -59,6 +54,63 @@ class RecipeMismatchError(ValueError):
 LOG2 = math.log(2.0)
 
 
+# --- exponential integrals ------------------------------------------------------
+
+
+def _exp1_region(z: np.ndarray) -> np.ndarray:
+    """Which expansion `_exp1` uses at each z: 0 the power series, 1 the
+    continued fraction, 2 the asymptotic expansion."""
+    r = np.abs(z)
+    near = (r <= 1.0) | ((z.real < 0.0) & (z.imag**2 < 2.0 * r))
+    return np.where(r >= 40.0, 2, np.where(near, 0, 1))
+
+
+def _exp1(z) -> np.ndarray:
+    """E1(z) on the principal branch, elementwise over a complex array,
+    to a few ulp against 40-digit mpmath (`tools/e1_sweep.py`).
+
+    - Power series (DLMF 6.6.2), 150 terms: |z| <= 1, and |z| < 40 inside
+      the parabola Re z < 0, Im(z)^2 < 2|z|.  There the continued fraction
+      converges slowly, while the series' terms cancel by at most e^2; in
+      the wider sector |Im z| < -Re z they cancel by up to e^12.
+    - Asymptotic expansion (DLMF 6.12.1), 40 terms: |z| >= 40.
+    - Continued fraction (the even part of DLMF 6.9.1) elsewhere, evaluated
+      backward from depth 300; forward (Lentz) evaluation loses digits near
+      the imaginary axis.
+    """
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
+    out = np.empty_like(flat)
+    region = _exp1_region(flat)
+    series, fraction, asymptotic = (region == k for k in range(3))
+    if series.any():
+        s = flat[series]
+        term = np.ones_like(s)
+        acc = np.zeros_like(s)
+        for k in range(1, 151):
+            term = term * (-s) / k
+            acc += term / k
+        out[series] = -np.euler_gamma - np.log(s) - acc
+    if asymptotic.any():
+        s = flat[asymptotic]
+        acc = np.ones_like(s)
+        for k in range(39, 0, -1):
+            acc = 1.0 - k * acc / s
+        out[asymptotic] = np.exp(-s) / s * acc
+    if fraction.any():
+        s = flat[fraction]
+        acc = s + 601.0
+        for k in range(300, 0, -1):
+            acc = s + (2 * k - 1) - k * k / acc
+        out[fraction] = np.exp(-s) / acc
+    return out.reshape(z.shape)
+
+
+def _ei(x) -> np.ndarray:
+    """Ei(x) for real x, as -Re E1(-x + 0i) (DLMF 6.2.6)."""
+    return -_exp1(-np.asarray(x, dtype=float) + 0j).real
+
+
 # --- f(rho) -------------------------------------------------------------------
 
 
@@ -78,18 +130,16 @@ def _f_table(rho: Sequence[complex], x: Sequence[float],
     x^rho/(rho log x), tail = f - main, and envelope is the second integral
     at beta = Re rho.
     """
-    from scipy.special import exp1, expi
-
     rho = np.asarray(rho, dtype=complex).reshape(-1, 1)
     w = np.log(np.asarray(x, dtype=float)).reshape(1, -1)
     beta = rho.real
     ei = np.zeros((rho.shape[0], w.shape[1]))
     # Ei(0) = -inf; at beta = 0 the real rho is excluded and env needs no Ei
     live = beta[:, 0] != 0.0
-    ei[live] = expi(beta[live] * w) - expi(beta[live] * LOG2)
+    ei[live] = _ei(beta[live] * w) - _ei(beta[live] * LOG2)
     inner = ei.astype(complex)
     osc = rho.imag[:, 0] != 0.0
-    inner[osc] = exp1(-rho[osc] * LOG2) - exp1(-rho[osc] * w)
+    inner[osc] = _exp1(-rho[osc] * LOG2) - _exp1(-rho[osc] * w)
     main = np.exp(rho * w) / (rho * w)
     tail = np.exp(rho * LOG2) / (rho * LOG2) + inner - main
     env = np.exp(beta * LOG2) / LOG2 - np.exp(beta * w) / w + beta * ei
@@ -131,9 +181,7 @@ def envelope_integral(beta: float, x: float) -> float:
 
 def li(x: float) -> float:
     """Logarithmic integral li(x) = PV int_0^x dt/log t."""
-    from scipy.special import expi
-
-    return float(expi(math.log(x)))
+    return float(_ei(math.log(x)))
 
 
 @dataclass(frozen=True)
@@ -387,9 +435,16 @@ def trace(s: RaceFunctionSet, u_range: Tuple[float, float], step: float,
         raise ValueError("u range must be increasing")
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
+    beta_star = s.system.r_plus
+    if mode == "full-formula":
+        # x = e^u overflows past u ~ 709.8, and x^beta past beta u ~ 709.8
+        if u1 > 690.0 or (beta_star is not None and u1 * beta_star > 690.0):
+            raise OverflowRiskError(
+                "x = e^u exceeds double range; use dominant-only mode")
+        if u0 < math.log(2.0):
+            raise DomainError("full-formula trace needs e^u >= 2")
     n = max(int(round((u1 - u0) / step)) + 1, 2)
     u = np.linspace(u0, u1, n)
-    beta_star = s.system.r_plus
     lattice = s.system.height_lattice
     periodic = False
     period = None
@@ -399,11 +454,6 @@ def trace(s: RaceFunctionSet, u_range: Tuple[float, float], step: float,
     if mode == "dominant-only":
         values = dominant_member_values(s.system, s.members, u)
     elif mode == "full-formula":
-        if beta_star is not None and u1 * beta_star > 690.0:
-            raise OverflowRiskError(
-                "x = e^u exceeds double range; use dominant-only mode")
-        if u0 < math.log(2.0):
-            raise DomainError("full-formula trace needs e^u >= 2")
         # phi(q) u/(2 e^(R+ u)) times -(2/phi(q)) times the formula sums
         values = -u / np.exp((beta_star or 0.0) * u) * _formula_sums(s, np.exp(u))
     else:

@@ -139,11 +139,6 @@ class EmpiricalMoments:
     sup_seen: float
 
 
-def _grid(U: float, step: float) -> np.ndarray:
-    n = max(int(U / step), 2)
-    return np.linspace(0.0, U, n, endpoint=False) + step / 2.0
-
-
 def empirical_moments(p: TrigPoly, U: float, step: float) -> EmpiricalMoments:
     """Grid estimates of the time averages over [0, U]."""
     if U <= 0 or step <= 0:
@@ -180,78 +175,6 @@ def empirical_moments(p: TrigPoly, U: float, step: float) -> EmpiricalMoments:
 def mean_bound(p: TrigPoly, U: float) -> float:
     """Exact antiderivative bound: |(1/U) int_0^U P| <= sum 2|c_k|/(t_k U)."""
     return sum(2.0 * abs(c) / (t * U) for c, t, _ in p.terms)
-
-
-# --- Nazarov inequality as a numeric check -----------------------------------
-
-
-@dataclass(frozen=True)
-class NazarovReport:
-    lhs: float
-    rhs: float
-    holds: bool
-    n_exponentials: int
-
-
-def as_exponential(p: TrigPoly) -> Tuple[np.ndarray, np.ndarray]:
-    """Coefficients and frequencies of P written as sum c_k e^{i t_k u}."""
-    coeffs: List[complex] = []
-    freqs: List[float] = []
-    for c, t, a in p.terms:
-        # c sin(tu+a) = (c/2i) e^{ia} e^{itu} - (c/2i) e^{-ia} e^{-itu}
-        coeffs.append(c / 2j * complex(math.cos(a), math.sin(a)))
-        freqs.append(t)
-        coeffs.append(-c / 2j * complex(math.cos(a), -math.sin(a)))
-        freqs.append(-t)
-    return np.array(coeffs), np.array(freqs)
-
-
-def nazarov_check(coeffs, freqs, intervals: Sequence[Tuple[float, float]],
-                  U: float, C: float, samples_per_unit: float = 64.0,
-                  ) -> NazarovReport:
-    """Compare max_{[0,U]} |P| against (C U / mu(E))^{n-1} sup_E |P| for an
-    exponential polynomial P = sum c_k e^{i t_k u}.
-
-    The constant C is configurable (the underlying inequality holds for some
-    absolute constant); this check is exploratory, not load-bearing.
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    freqs = np.asarray(freqs, dtype=float)
-    mu = sum(b - a for a, b in intervals)
-    if mu <= 0:
-        raise ValueError("E must have positive measure")
-    n = len(coeffs)
-
-    def absP(u: np.ndarray) -> np.ndarray:
-        return np.abs(np.exp(1j * np.outer(u, freqs)) @ coeffs)
-
-    density = max(samples_per_unit, 16 * float(np.abs(freqs).max() or 1.0))
-    grid = np.linspace(0.0, U, max(int(U * density), 64))
-    lhs = float(absP(grid).max())
-    sup_e = 0.0
-    for a, b in intervals:
-        g = np.linspace(a, b, max(int((b - a) * density), 16))
-        sup_e = max(sup_e, float(absP(g).max()))
-    rhs = (C * U / mu) ** (n - 1) * sup_e
-    return NazarovReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs, n_exponentials=n)
-
-
-def small_value_fraction(p: TrigPoly, eps_mult: float, U: float,
-                         step: float | None = None) -> float:
-    """Fraction of [0, U] where |P(u)| < eps_mult * sum|c_k| (grid estimate)."""
-    if p.n_terms == 0:
-        raise ValueError("zero polynomial has no small-value set")
-    S = p.amplitude_sum
-    step = step if step is not None else (TWO_PI / p.max_freq) / 64.0
-    u = _grid(U, step)
-    below = 0
-    total = 0
-    chunk = 1 << 20
-    for start in range(0, len(u), chunk):
-        vals = p(u[start:start + chunk])
-        below += int((np.abs(vals) < eps_mult * S).sum())
-        total += len(vals)
-    return below / total
 
 
 # --- proof-driven constants ---------------------------------------------------

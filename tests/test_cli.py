@@ -175,6 +175,31 @@ def test_zero_step_is_config_error(tmp_path, capsys):
                          "--samples", 0], capsys)
 
 
+def test_full_formula_past_double_range_is_config_error(tmp_path, capsys):
+    # beta* = 0.75 keeps beta* u below 690, but e^800 overflows a double
+    rec = tmp_path / "rec.json"
+    assert run(["barrier", "build", "thm311", "--q", 7, "--out", rec]) == 0
+    capsys.readouterr()
+    csv = tmp_path / "t.csv"
+    assert_config_error(["simulate", "--recipe", rec, "--window", "1:800",
+                         "--mode", "full-formula", "--out", csv], capsys)
+    assert not csv.exists()
+
+
+def test_race_non_finite_xmax_is_config_error(tmp_path, capsys):
+    for xmax in ("inf", "-inf", "nan"):
+        assert_config_error(["race", "--q", 4, f"--xmax={xmax}",
+                             "--out", tmp_path / "r.csv"], capsys)
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_thm43_non_unit_generator_is_config_error(tmp_path, capsys):
+    # the powers of 2 mod 14 never reach 1
+    assert_config_error(["barrier", "build", "thm43", "--q", 14,
+                         "--generator", 2, "--out", tmp_path / "x.json"],
+                        capsys)
+
+
 def test_trig_missing_arguments_is_config_error(capsys):
     assert_config_error(["trig", "frac-parts"], capsys)
     assert_config_error(["trig", "all-negative"], capsys)

@@ -12,6 +12,7 @@ from racelab.residues import (DirichletCharacter, InvalidModulusError,
                               character_with_value, characters,
                               nonprincipal_characters, separating_characters,
                               sqrt_count, unit_group)
+from racelab.residues import _order_mod
 from racelab.zerosys import ZeroSystem
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -66,6 +67,29 @@ def test_exponent_vectors_reconstruct():
                 assert 0 <= e < n
                 prod = prod * pow(gen, e, q) % q
             assert prod == a
+
+
+def test_order_from_exponents_matches_power_test():
+    # the exponent-vector lcm against the pow-based search it replaced
+    for q in range(3, 401):
+        g = unit_group(q)
+        for a in g.units:
+            assert g.order(a) == _order_mod(a, q, g.phi), (q, a)
+    assert unit_group(7).order(3 + 7) == 6
+    with pytest.raises(InvalidResidueError):
+        unit_group(8).order(2)
+
+
+def test_subgroup_is_the_power_cycle():
+    for q in (7, 8, 15, 24, 35):
+        g = unit_group(q)
+        for a in g.units:
+            cycle = [1]
+            while (cycle[-1] * a) % q != 1:
+                cycle.append((cycle[-1] * a) % q)
+            assert g.subgroup(a) == tuple(cycle) == g.subgroup(a + q)
+    with pytest.raises(InvalidResidueError):
+        unit_group(14).subgroup(2)  # its powers never reach 1
 
 
 def test_invalid_modulus():

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import racelab
 
@@ -19,6 +21,7 @@ from racelab.simulator import (DomainError, EmptyDominantSetError,
                                envelope_integral, f_rho, f_rho_parts, li,
                                one_period_trace, race_values,
                                theorem_decomposition, trace)
+from racelab.simulator import _ei, _exp1
 from racelab.zerosys import Zero, ZeroSystem
 
 
@@ -100,6 +103,69 @@ def test_f_rho_matches_mpmath():
                envelope_integral(complex(rho).real, x))
         for value, ref in zip(got, mpmath_f_parts(rho, x)):
             assert abs(value - ref) <= F_RHO_REL_TOL * abs(ref), (rho, x)
+
+
+# relative error bound of the numpy E1 and Ei against mpmath (worst seen on
+# the probes below: 1.8e-15)
+EXP1_REL_TOL = 1e-14
+
+
+def mpmath_e1(z):
+    import mpmath as mp
+    with mp.workdps(40):
+        return complex(mp.e1(mp.mpc(z.real, z.imag)))
+
+
+def assert_exp1_matches(z):
+    z = np.asarray(z, dtype=complex)
+    for got, arg in zip(_exp1(z), z):
+        ref = mpmath_e1(arg)
+        assert abs(got - ref) <= EXP1_REL_TOL * abs(ref), arg
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(beta=st.floats(0.5, 1.0), log10_gamma=st.floats(-9.0, 4.0),
+       sign=st.sampled_from([1.0, -1.0]),
+       log_w=st.floats(math.log(math.log(2.0)), math.log(690.0)))
+def test_exp1_matches_mpmath(beta, log10_gamma, sign, log_w):
+    # the arguments f(rho) takes: -rho log 2 and -rho log x, x <= e^690
+    rho = complex(beta, sign * 10.0**log10_gamma)
+    assert_exp1_matches([-rho * math.log(2.0), -rho * math.exp(log_w)])
+
+
+def test_exp1_region_seams():
+    angles = np.linspace(0.0, math.pi, 25)
+    ring = np.concatenate([np.exp(1j * angles), np.exp(-1j * angles)])
+    points = [r * ring for r in (1 - 1e-12, 1.0, 1 + 1e-12, 2.0,
+                                 40 - 1e-9, 40.0, 40 + 1e-9)]
+    for r in (2.0, 5.0, 10.0, 20.0, 39.9):
+        # the parabola Im^2 = 2|z| around the negative axis, both sides
+        y = math.sqrt(2.0 * r)
+        x = -math.sqrt(r * r - y * y)
+        points += [np.array([complex(x, y * d), complex(x, -y * d)])
+                   for d in (1 - 1e-12, 1.0, 1 + 1e-12)]
+        # the sector edge |Im z| = -Re z, where a series loses digits
+        points.append(r * np.exp(1j * np.array([0.75, -0.75]) * math.pi))
+    # just off the negative real axis, on both sides of the branch cut
+    for x in (-0.5, -1.5, -3.0, -20.0, -39.9, -40.0, -60.0, -690.0):
+        points.append(np.array([complex(x, y) for y in
+                                (1e-300, -1e-300, 1e-12, -1e-12, 1e-3, -1e-3)]))
+    assert_exp1_matches(np.concatenate(points))
+
+
+def test_ei_matches_mpmath():
+    import mpmath as mp
+    root = 0.37250741078136663  # Ei's only real zero
+    with mp.workdps(40):
+        far = [s * x for s in (1.0, -1.0) for x in
+               (1e-10, 0.1, 1.0, 2.0, 5.0, 30.0, 39.9, 40.0, 100.0, 690.0)]
+        for x, got in zip(far, _ei(far)):
+            ref = float(mp.ei(x))
+            assert abs(got - ref) <= EXP1_REL_TOL * abs(ref), x
+        # near the root the relative error is unbounded; the absolute is not
+        near = [root + d for d in (0.0, 1e-12, -1e-9, 1e-6, -1e-3, 0.05)]
+        for x, got in zip(near, _ei(near)):
+            assert abs(got - float(mp.ei(x))) <= 1e-15, x
 
 
 def test_f_rho_domain_errors():
@@ -326,6 +392,14 @@ def test_trace_overflow_guard():
     s = RaceFunctionSet(5, system, (1, 2), pi_proxy="zero")
     with pytest.raises(OverflowRiskError):
         trace(s, (900.0, 1000.0), 1.0, mode="full-formula")
+    # beta* u stays below 690 here, but x = e^u itself overflows past 709.8
+    with pytest.raises(OverflowRiskError):
+        trace(s, (1.0, 800.0), 1.0, mode="full-formula")
+    empty = RaceFunctionSet(5, ZeroSystem(5, {}), (1, 2), pi_proxy="zero")
+    with pytest.raises(OverflowRiskError):
+        trace(empty, (1.0, 800.0), 1.0, mode="full-formula")
+    assert np.all(np.isfinite(
+        trace(s, (689.0, 690.0), 0.5, mode="full-formula").values))
 
 
 def test_member_oscillations_cancel_over_group():
@@ -367,33 +441,31 @@ import contextlib, io, json, os, sys
 from importlib import resources
 import racelab, racelab.cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [racelab.cli.main(argv) for argv in (
         ["barrier", "build", "thm311", "--q", "7", "--tau", "1000",
          "--out", os.path.join(sys.argv[1], "rec.json")],
+        ["simulate", "--recipe", os.path.join(sys.argv[1], "rec.json"),
+         "--mode", "full-formula", "--window", "5:6", "--step", "0.05",
+         "--out", os.path.join(sys.argv[1], "trace.csv")],
         ["trig", "dominate", "--freqs", "1", "--b", "1", "--a", "1",
          "--gamma", "0.5", "--out", os.path.join(sys.argv[1], "dom.json")])]
-before = scipy_modules()
 li = racelab.simulator.li(1e6)
 f = racelab.simulator.f_rho(0.5 + 14.134725j, 1e4)
 with resources.as_file(resources.files("racelab") / "data/chi3_zeros.txt") as p:
     zeros = racelab.zerosys.load_zero_data(p)
 rfs = racelab.simulator.RaceFunctionSet(3, zeros, (1, 2), pi_proxy="li")
 tr = racelab.simulator.trace(rfs, (9.0, 10.0), 0.025, mode="full-formula")
-print(json.dumps({"codes": codes, "before": before,
-                  "after": "scipy" in sys.modules,
-                  "integrate": [m for m in scipy_modules()
-                                if m.startswith("scipy.integrate")],
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules
+                                  if m == "scipy" or m.startswith("scipy.")),
                   "li": li, "f_rho": [f.real, f.imag],
                   "trace_shape": list(tr.values.shape)}))
 """
 
 
-def test_scipy_loaded_only_by_exponential_integrals(tmp_path):
-    # a fresh interpreter, since this test process may have loaded scipy
+def test_scipy_never_imported(tmp_path):
+    # a fresh interpreter, since another test may have loaded scipy
     src = str(Path(racelab.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
@@ -401,12 +473,12 @@ def test_scipy_loaded_only_by_exponential_integrals(tmp_path):
     out = subprocess.run([sys.executable, "-c", SCIPY_GUARD, str(tmp_path)],
                          env=env, capture_output=True, text=True, check=True)
     got = json.loads(out.stdout.splitlines()[-1])
-    assert got["codes"] == [0, 0]
-    assert got["before"] == []
-    assert got["after"]
-    assert got["integrate"] == []  # f(rho) needs no quadrature
+    assert got["codes"] == [0, 0, 0]
+    assert got["scipy"] == []
     assert got["trace_shape"] == [2, 41]
-    # li: the value of the module-level-import version, bit for bit
-    assert got["li"] == 78627.54915946216
+    import mpmath as mp
+    with mp.workdps(40):
+        li_ref = float(mp.li(1e6))
+    assert abs(got["li"] - li_ref) <= 2e-15 * li_ref
     ref = mpmath_f_parts(0.5 + 14.134725j, 1e4)[0]
     assert abs(complex(*got["f_rho"]) - ref) <= F_RHO_REL_TOL * abs(ref)

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from racelab.trigpoly import (ResolutionTooCoarseError, TrigPoly,
-                              as_exponential, certified_positive_scan,
-                              empirical_moments, eps1, eps2, eps_box,
-                              eps_small_values, find_all_negative,
-                              find_dominating, find_fractional_parts,
+                              certified_positive_scan, empirical_moments,
+                              eps1, eps2, eps_box, eps_small_values,
+                              find_all_negative, find_dominating,
+                              find_fractional_parts,
                               find_simultaneous_positive, l2_norm,
-                              lemma28_gap, mean_bound, nazarov_check,
-                              small_value_fraction)
+                              lemma28_gap, mean_bound)
 
 TWO_PI = 2 * math.pi
 
@@ -98,33 +97,12 @@ def test_sup_at_least_half_max_coeff():
         assert em.sup_seen >= cmax / 2 - 0.01 * p.amplitude_sum
 
 
-def test_nazarov_examples():
-    rep = nazarov_check([1.0], [1.0], [(0.0, 50.0)], 50.0, C=1.0)
-    assert rep.holds and rep.n_exponentials == 1
-    coeffs, freqs = as_exponential(TrigPoly.sine([1.0], [1.0]))
-    rep2 = nazarov_check(coeffs, freqs, [(0.0, 25.0)], 50.0, C=10.0)
-    assert rep2.holds
-    rep3 = nazarov_check(coeffs, freqs, [(0.0, 25.0)], 50.0, C=0.0)
-    assert not rep3.holds and rep3.rhs == 0.0
-    with pytest.raises(ValueError):
-        nazarov_check(coeffs, freqs, [], 50.0, C=1.0)
-
-
-def test_small_value_fraction():
-    p = TrigPoly.sine([1.0], [1.0])
-    frac = small_value_fraction(p, 0.01, TWO_PI * 500)
-    assert abs(frac - 2 / math.pi * math.asin(0.01)) < 1e-3  # arcsine law
-    assert small_value_fraction(p, 1.0, TWO_PI * 500) == pytest.approx(1.0)
-    eps = eps_small_values(1, 1 / 3, 10.0)
-    assert eps == pytest.approx(1 / 60)
-    assert small_value_fraction(p, eps, TWO_PI * 500) < 1 / 3
-
-
 def test_eps_constants():
     assert eps2(1) == pytest.approx(1 / 13)
     assert eps2(2) == pytest.approx(1 / 169)
     assert eps2(3) == pytest.approx(1 / 28561)
     assert eps1(1, C=10.0) == pytest.approx(1 / 400)
+    assert eps_small_values(1, 1 / 3, 10.0) == pytest.approx(1 / 60)
 
 
 def test_fractional_parts_base_case():

@@ -125,8 +125,12 @@ class BarrierRecipe:
     @classmethod
     def from_json(cls, text: str) -> "BarrierRecipe":
         d = json.loads(text)
-        return cls(kind=d["kind"], q=d["q"], params=d["params"],
-                   system=ZeroSystem.from_dict(d["system"]), claim=d["claim"])
+        try:
+            return cls(kind=d["kind"], q=d["q"], params=d["params"],
+                       system=ZeroSystem.from_dict(d["system"]),
+                       claim=d["claim"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"not a barrier recipe (missing {exc})") from None
 
 
 # --- the three-residue lattice barrier -------------------------------------------
@@ -170,6 +174,8 @@ def build_thm311(q: int, tau: float = 0.0, beta: float = 0.75,
     if not 0.5 < beta < 1.0:
         raise ValueError("beta must lie in (1/2, 1)")
     gamma = gamma if gamma is not None else max(tau + 1.0, 100.0)
+    if not (math.isfinite(tau) and math.isfinite(gamma)):
+        raise ValueError("tau and gamma must be finite")
     if gamma <= tau:
         raise ValueError("gamma must exceed tau")
     structure = _pick_structure(q)
@@ -274,38 +280,37 @@ def verify_thm311(recipe: BarrierRecipe, step: float = 1e-3,
         raise ValueError("recipe is not a three-residue lattice barrier")
     params = recipe.params
     case = params["case"]
-    decomp = theorem_decomposition(recipe.system, "thm311", params)
-    G = decomp["G"]
-    g0 = G[(0, 0)] if case == "z4z2" else G[0]
+    G = theorem_decomposition(recipe.system, "thm311", params)["G"]
+    # G is keyed by exponent tuples: (r,) on one factor, (r, s) on Z4 x Z2
+    designated = [tuple(t) if isinstance(t, list) else (t,)
+                  for t in params["designated"]]
+    g0 = G[(0,) * len(designated[0])]
     q_poly, p_poly, r_poly = qpr_polys()
     sin_v, cos_v = TrigPoly.sine([1.0], [1.0]), TrigPoly.cosine([1.0], [1.0])
 
-    def identity_error(r, form: TrigPoly) -> float:
+    def identity_error(r: Tuple[int, ...], form: TrigPoly) -> float:
         return TrigPoly.combine([g0, G[r].scale(-1.0),
                                  form.scale(-1.0)]).amplitude_sum
 
     identity_errors: Dict[str, float] = {}
     if case == "even_cyclic":
         n, s = params["n"], params["s"]
-        designated = params["designated"]
         c = 4.0 * math.pi * s / n  # the weight-6 carrier's phase at r = s
         carrier = q_poly.scale(1 - math.cos(c))
         forms = {s: carrier + p_poly.scale(math.sin(c)),
                  n - s: carrier + p_poly.scale(-math.sin(c)),
                  n // 2: r_poly.scale(2.0)}
-        for r in sorted(set(designated)):
-            identity_errors[f"G0-G{r}"] = identity_error(r, forms[r])
+        for (r,) in sorted(set(designated)):
+            identity_errors[f"G0-G{r}"] = identity_error((r,), forms[r])
     elif case == "n8":
-        designated = params["designated"]
         tail = r_poly.scale(2 - math.sqrt(2))
         forms = [TrigPoly.combine([sin_v.scale(4.0), cos_v.scale(4.0), tail]),
                  TrigPoly.combine([sin_v.scale(4.0), cos_v.scale(-4.0), tail])]
         for r in (3, 5):
-            identity_errors[f"G0-G{r}"] = min(identity_error(r, f)
+            identity_errors[f"G0-G{r}"] = min(identity_error((r,), f)
                                               for f in forms)
-        identity_errors["G0-G4"] = identity_error(4, r_poly.scale(4.0))
+        identity_errors["G0-G4"] = identity_error((4,), r_poly.scale(4.0))
     else:
-        designated = [tuple(t) for t in params["designated"]]
         closed = {(1, 0): sin_v + cos_v.scale(-1.0),
                   (3, 0): sin_v + cos_v,
                   (0, 1): r_poly.scale(2.0)}
@@ -553,6 +558,8 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
     integers and emit zeros at beta1 + i k gamma on the powers of a
     character pinned at the generator.
     """
+    if not math.isfinite(gamma):
+        raise ValueError("gamma must be finite")
     group = unit_group(q)
     r = group.order(generator)
     if r < 6:
@@ -724,6 +731,8 @@ def build_thm51(q: int, tau: float = 0.0, M: int = 64,
     gens = group.generators
     m = len(gens)
     gamma = gamma if gamma is not None else max(tau + 1.0, 1000.0, 10.0 * M)
+    if not (math.isfinite(tau) and math.isfinite(gamma)):
+        raise ValueError("tau and gamma must be finite")
     if gamma <= tau:
         raise ValueError("gamma must exceed tau")
     if betas is None:

@@ -63,6 +63,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _window(text: str) -> str:
+    """Check a --window value, "period" or "u0:u1" with finite ends, and
+    keep its text, which the config block records as given."""
+    if text != "period":
+        _u0, _u1 = map(_finite_float, text.split(":"))
+    return text
+
+
 def _parse_powers(text: str) -> list[int]:
     """Parse a target set like "a,a2,a3" (powers of the chosen generator)."""
     out = []
@@ -245,6 +253,8 @@ def cmd_orderings(args: argparse.Namespace) -> int:
 
 
 def cmd_race(args: argparse.Namespace) -> int:
+    if args.zeros and (args.a is None or args.b is None):
+        raise ValueError("--zeros needs --a and --b")
     try:
         table = primes.sieve_race(args.q, int(args.xmax),
                                   checkpoint_rule=args.checkpoints)
@@ -356,9 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("kind", nargs="?", default="thm311",
                    choices=["thm311", "thm43", "thm51"])
     b.add_argument("--q", type=int, default=7)
-    b.add_argument("--tau", type=float, default=0.0)
-    b.add_argument("--beta", type=float, default=0.75)
-    b.add_argument("--gamma", type=float, default=None)
+    b.add_argument("--tau", type=_finite_float, default=0.0)
+    b.add_argument("--beta", type=_finite_float, default=0.75)
+    b.add_argument("--gamma", type=_finite_float, default=None)
     b.add_argument("--M", type=int, default=64)
     b.add_argument("--K", type=int, default=16)
     b.add_argument("--N", type=int, default=64)
@@ -366,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target powers, e.g. a,a2,a3")
     b.add_argument("--generator", type=int, default=None)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--step", type=float, default=1e-3)
+    b.add_argument("--step", type=_finite_float, default=1e-3)
     b.add_argument("--recipe", type=str, default=None)
     b.add_argument("--out", type=str, default=None)
     b.set_defaults(func=cmd_barrier)
@@ -375,11 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--recipe", required=True)
     s.add_argument("--mode", choices=["dominant-only", "full-formula"],
                    default="dominant-only")
-    s.add_argument("--window", default="period",
+    s.add_argument("--window", type=_window, default="period",
                    help='"period" or "u0:u1"')
-    s.add_argument("--step", type=float, default=1e-3)
+    s.add_argument("--step", type=_finite_float, default=1e-3)
     s.add_argument("--samples", type=int, default=4096)
-    s.add_argument("--base-u", type=float, default=0.0)
+    s.add_argument("--base-u", type=_finite_float, default=0.0)
     s.add_argument("--out", default=None)
     s.add_argument("--crossings", default=None,
                    help="also write a crossings/census JSON")
@@ -388,9 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("orderings", help="census the orderings of a trace")
     o.add_argument("--recipe", required=True)
-    o.add_argument("--window", default="period")
+    o.add_argument("--window", type=_window, default="period")
     o.add_argument("--samples", type=int, default=8192)
-    o.add_argument("--base-u", type=float, default=0.0)
+    o.add_argument("--base-u", type=_finite_float, default=0.0)
     o.add_argument("--claim", default=None,
                    choices=[None, "extremal_exact", "thm51_upper",
                             "kt_all_pairs", "lead_trail"])
@@ -405,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--b", type=int, default=None)
     r.add_argument("--checkpoints", default="geometric:1.01")
     r.add_argument("--zeros", default=None, help="zero-list file for comparison")
-    r.add_argument("--sigma", type=float, default=0.5)
-    r.add_argument("--xmin-compare", type=float, default=1e3)
+    r.add_argument("--sigma", type=_finite_float, default=0.5)
+    r.add_argument("--xmin-compare", type=_finite_float, default=1e3)
     r.add_argument("--out", default=None)
     r.add_argument("--summary", default=None)
     r.add_argument("--gnuplot", action="store_true")
@@ -415,14 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("trig", help="constructive trig-polynomial tools")
     t.add_argument("tool", choices=["frac-parts", "all-negative", "dominate"])
     t.add_argument("--s", default=None, help="decreasing positive reals")
-    t.add_argument("--alpha", type=float, default=0.4615)
+    t.add_argument("--alpha", type=_finite_float, default=0.4615)
     t.add_argument("--t", default=None, help="positive frequencies")
     t.add_argument("--beta", default=None, help="phases")
     t.add_argument("--freqs", default=None)
     t.add_argument("--a", default=None)
     t.add_argument("--b", default=None)
     t.add_argument("--c", default=None)
-    t.add_argument("--gamma", type=float, default=0.5)
+    t.add_argument("--gamma", type=_finite_float, default=0.5)
     t.add_argument("--out", default=None)
     t.set_defaults(func=cmd_trig)
     return ap

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .residues import unit_group
+from .residues import separating_characters, unit_group
 from .simulator import corollary13_sum
 from .zerosys import ZeroSystem
 
@@ -115,7 +115,7 @@ def checkpoints_from_rule(rule: str | Sequence[float], x_max: int) -> np.ndarray
         kind, _, arg = rule.partition(":")
         if kind == "geometric":
             ratio = float(arg) if arg else 1.01
-            if ratio <= 1.0:
+            if not ratio > 1.0:
                 raise ValueError("geometric ratio must exceed 1")
             pts = [2]
             x = 2.0
@@ -126,9 +126,10 @@ def checkpoints_from_rule(rule: str | Sequence[float], x_max: int) -> np.ndarray
                 pts.append(int(x))
             pts.append(x_max)
         elif kind == "linear":
-            step = int(float(arg)) if arg else max(x_max // 1000, 1)
-            if step < 1:
-                raise ValueError("linear step must be at least 1")
+            step = float(arg) if arg else max(x_max // 1000, 1)
+            if not 1.0 <= step < math.inf:
+                raise ValueError("linear step must be finite and at least 1")
+            step = int(step)
             pts = np.append(np.arange(2, x_max + 1, step), x_max)
         else:
             raise ValueError(f"unknown checkpoint rule {rule!r}")
@@ -293,10 +294,8 @@ def compare_with_simulator(table: PrimeRaceTable, zeros: ZeroSystem,
         raise InsufficientZeroDataError("no zeros supplied")
     if zeros.q != table.q:
         raise InsufficientZeroDataError("zero data modulus mismatch")
-    sep = [c for c in zeros.chars
-           if not c.is_principal and c.phase(a) != c.phase(b)]
-    covered = any(label for label in zeros.entries
-                  if zeros.chars[label] in sep)
+    sep = separating_characters(zeros.q, a, b)
+    covered = any(zeros.chars[label] in sep for label in zeros.entries)
     if sep and not covered:
         raise InsufficientZeroDataError(
             "zero data covers no character separating the pair")

@@ -23,7 +23,9 @@ limit the dominant-term analysis uses, valid for any u).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence, Tuple
 
@@ -248,16 +250,6 @@ def race_values(s: RaceFunctionSet, x: float) -> Dict[int, float]:
 # --- dominant profiles ------------------------------------------------------------
 
 
-def _poly_from_complex_terms(terms: Mapping[float, complex]) -> TrigPoly:
-    """TrigPoly for u -> sum_gamma Re(c_gamma e^(i gamma u)), gamma > 0."""
-    out = []
-    for gamma, c in sorted(terms.items()):
-        amp = abs(c)
-        if amp > 0.0 and gamma > 0.0:
-            out.append((amp, gamma, math.atan2(c.imag, c.real) + math.pi / 2))
-    return TrigPoly(tuple(out))
-
-
 @dataclass(frozen=True)
 class DominantProfile:
     """The dominant part M of a scaled race difference, as a TrigPoly in
@@ -314,7 +306,8 @@ def dominant_profile(s: RaceFunctionSet, a: int, b: int) -> DominantProfile:
         if z.gamma == 0.0:
             constant += coeff.real
         else:
-            terms[z.gamma] = terms.get(z.gamma, 0.0j) + coeff
+            # Re(c e^(i gamma u)) = Im(i c e^(i gamma u))
+            terms[z.gamma] = terms.get(z.gamma, 0.0j) + 1j * coeff
     dom_terms = []
     res_terms = []
     for zero in s.system.all_zeros():
@@ -328,7 +321,7 @@ def dominant_profile(s: RaceFunctionSet, a: int, b: int) -> DominantProfile:
         else:
             res_terms.append(rec)
     return DominantProfile(q=s.q, a=a, b=b, beta=beta,
-                           poly=_poly_from_complex_terms(terms),
+                           poly=TrigPoly.from_phasors(terms),
                            constant=constant, dominant=dd,
                            _residual_terms=tuple(res_terms),
                            _dominant_terms=tuple(dom_terms))
@@ -343,32 +336,16 @@ def corollary13_sum(zeros: ZeroSystem, a: int, b: int,
     for zeros all lying on a common vertical line Re = sigma.
 
     nu(n) = sin(t u - Arg chi(n) + arctan(sigma/t)), with arctan(sigma/0)
-    taken as pi/2; real zeros (t = 0) get half weight.  u may be a float
-    (the sum is a float) or an array (the sum at every u, the zeros added in
-    the same order at each).
+    taken as pi/2; real zeros (t = 0) get half weight.  On one line this is
+    v_a(u) - v_b(u) of `dominant_member_values`.  u may be a float (the sum
+    is a float) or an array (the sum at every u).
     """
     sigmas = {z.beta for zs in zeros.entries.values() for z in zs}
     if len(sigmas) > 1:
         raise ValueError(f"zeros must share one real part, got {sorted(sigmas)}")
-    sigma = sigmas.pop() if sigmas else 0.0
-    chars = zeros.chars
     u = np.asarray(u, dtype=float)
-    total = np.zeros(u.shape)
-    for label, zs in zeros.entries.items():
-        chi = chars[label]
-        if chi.phase(a) == chi.phase(b):
-            continue
-        arg_a = 2.0 * math.pi * float(chi.phase(a))
-        arg_b = 2.0 * math.pi * float(chi.phase(b))
-        for z, mult in zs.items():
-            t = z.gamma
-            shift = math.atan2(sigma, t) if t > 0 or sigma != 0 else math.pi / 2
-            if t == 0.0:
-                shift = math.pi / 2
-            nu_b = np.sin(t * u - arg_b + shift)
-            nu_a = np.sin(t * u - arg_a + shift)
-            total += (_star_weight(z) * mult * (nu_b - nu_a)
-                      / math.sqrt(t * t + sigma * sigma))
+    v = dominant_member_values(zeros, [a, b], u.reshape(-1))
+    total = (v[0] - v[1]).reshape(u.shape)
     return float(total) if total.ndim == 0 else total
 
 
@@ -489,13 +466,9 @@ def _kset_weights(system: ZeroSystem, a: int, order: int, beta: float,
     for label, z, mult in system.items():
         if z.beta != beta:
             continue
-        ph = system.chars[label].phase(a)
-        if ph == 0:
-            continue
-        if ph.denominator and (ph * order).denominator == 1:
-            j = int(ph * order) % order
-            if j:
-                out[j][z.gamma] = out[j].get(z.gamma, 0) + mult
+        j = system.chars[label].phase(a) * order  # the phase is in [0, 1)
+        if j.denominator == 1 and j:
+            out[int(j)][z.gamma] = out[int(j)].get(z.gamma, 0) + mult
     return out
 
 
@@ -514,14 +487,9 @@ def _sin_poly(weights: Mapping[float, float], beta: float, scale: float = 1.0,
 
 def _cos_poly(weights: Mapping[float, float], beta: float, scale: float = 1.0,
               phase_shift: bool = True) -> TrigPoly:
-    terms = []
-    for gamma, w in sorted(weights.items()):
-        if w == 0 or gamma <= 0:
-            continue
-        amp = scale * w / math.hypot(gamma, beta)
-        ph = (math.atan2(beta, gamma) if phase_shift else 0.0) + math.pi / 2
-        terms.append((amp, gamma, ph))
-    return TrigPoly(tuple(terms))
+    """`_sin_poly` with every phase advanced by pi/2."""
+    sines = _sin_poly(weights, beta, scale, phase_shift)
+    return TrigPoly(tuple((c, t, a + math.pi / 2) for c, t, a in sines.terms))
 
 
 def decompose_order3(system: ZeroSystem, a: int) -> dict:
@@ -587,79 +555,43 @@ def decompose_order4(system: ZeroSystem, a1: int) -> dict:
             "k1": k1, "k2": k2, "l": l_w, "m": m_w}
 
 
-def decompose_power_lattice(system: ZeroSystem, a: int, n: int, gamma: float,
-                            chi_label: int) -> dict:
-    """G_r(v) = sum_{j,k} m_{j,k}/k sin(k v + 2 pi j r / n) read off a system
-    whose zeros sit at heights k*gamma on powers chi^j of one character."""
+def decompose_lattice(system: ZeroSystem, gamma: float,
+                      factors: Sequence[Tuple[int, int]]) -> dict:
+    """G_r(v) = sum_{e,k} m_{e,k}/k sin(k v + 2 pi <e, r>) read off a system
+    whose zeros sit at heights k*gamma on the characters chi_1^e_1 ...
+    chi_m^e_m, where factors = [(label of chi_i, n_i), ...], chi_i has order
+    n_i and <e, r> = sum_i e_i r_i / n_i.  m and G are keyed by exponent
+    tuples: m by (e, k), G by r in prod_i Z/n_i."""
     chars = system.chars
-    chi = chars[chi_label]
-    power_label = {}
-    for j in range(1, n):
-        power_label[character_label(chi**j)] = j
-    m: Dict[Tuple[int, int], int] = {}
+    orders = [n for _, n in factors]
+    lcm = math.lcm(*orders)
+    exponents = list(itertools.product(*(range(n) for n in orders)))
+    family = {}
+    for e in exponents[1:]:
+        chis = [chars[label]**ei for (label, _), ei in zip(factors, e)]
+        family[character_label(math.prod(chis[1:], start=chis[0]))] = e
+    m: Dict[Tuple[Tuple[int, ...], int], int] = {}
     for label, z, mult in system.items():
-        if label not in power_label:
-            raise RecipeMismatchError("zero on a character outside the chi-power family")
+        if label not in family:
+            raise RecipeMismatchError("zero on a character outside the lattice family")
         k = z.gamma / gamma
         if abs(k - round(k)) > 1e-9 or round(k) < 1:
             raise RecipeMismatchError("height off the k*gamma lattice")
-        m[(power_label[label], int(round(k)))] = (
-            m.get((power_label[label], int(round(k))), 0) + mult)
-
-    def G(r: int) -> TrigPoly:
-        parts: Dict[float, complex] = {}
-        for (j, k), mult in m.items():
-            # (m/k) sin(kv + 2 pi j r/n) as a phasor at frequency k; j r is
-            # reduced mod n in integers, so the phase keeps full precision
-            ph = 2.0 * math.pi * ((j * r) % n) / n
-            parts[float(k)] = parts.get(float(k), 0j) + (
-                mult / k) * cmath.exp(1j * ph)
-        terms = []
-        for k, z in sorted(parts.items()):
-            if abs(z) > 0:
-                terms.append((abs(z), k, math.atan2(z.imag, z.real)))
-        return TrigPoly(tuple(terms))
-
-    return {"m": m, "G": {r: G(r) for r in range(n)}, "n": n, "gamma": gamma}
-
-
-def decompose_two_generator_lattice(system: ZeroSystem, gamma: float,
-                                    chi1_label: int, chi2_label: int) -> dict:
-    """G_{r,s}(v) = sum m_{j,k,l}/l sin(l v + (pi/2) r j + pi s k) for a
-    system on the characters chi1^j chi2^k (chi1 order 4, chi2 order 2)."""
-    chars = system.chars
-    chi1, chi2 = chars[chi1_label], chars[chi2_label]
-    jk_label = {}
-    for j in range(4):
-        for k in range(2):
-            if (j, k) != (0, 0):
-                jk_label[character_label((chi1**j) * (chi2**k))] = (j, k)
-    m: Dict[Tuple[int, int, int], int] = {}
-    for label, z, mult in system.items():
-        if label not in jk_label:
-            raise RecipeMismatchError("zero outside the chi1^j chi2^k family")
-        l = z.gamma / gamma
-        if abs(l - round(l)) > 1e-9 or round(l) < 1:
-            raise RecipeMismatchError("height off the l*gamma lattice")
-        j, k = jk_label[label]
-        key = (j, k, int(round(l)))
+        key = (family[label], int(round(k)))
         m[key] = m.get(key, 0) + mult
+    # <e, r> = x/lcm with x = sum_i e_i r_i (lcm/n_i) reduced mod lcm in
+    # integers, so the phase keeps full precision
+    weights = [(tuple(ei * (lcm // n) for ei, n in zip(e, orders)), k, mult / k)
+               for (e, k), mult in m.items()]
 
-    def G(r: int, s: int) -> TrigPoly:
-        parts: Dict[float, complex] = {}
-        for (j, k, l), mult in m.items():
-            ph = math.pi / 2 * ((r * j + 2 * s * k) % 4)
-            parts[float(l)] = parts.get(float(l), 0j) + (
-                mult / l) * cmath.exp(1j * ph)
-        terms = []
-        for l, z in sorted(parts.items()):
-            if abs(z) > 0:
-                terms.append((abs(z), l, math.atan2(z.imag, z.real)))
-        return TrigPoly(tuple(terms))
+    def G(r: Tuple[int, ...]) -> TrigPoly:
+        phasors: Dict[float, complex] = {}
+        for w, k, amp in weights:
+            ph = 2.0 * math.pi * (sum(map(operator.mul, w, r)) % lcm) / lcm
+            phasors[float(k)] = phasors.get(float(k), 0j) + amp * cmath.exp(1j * ph)
+        return TrigPoly.from_phasors(phasors)
 
-    return {"m": m,
-            "G": {(r, s): G(r, s) for r in range(4) for s in range(2)},
-            "gamma": gamma}
+    return {"m": m, "G": {r: G(r) for r in exponents}, "gamma": gamma}
 
 
 def decompose_level_waves(system: ZeroSystem, char_labels: Sequence[int],
@@ -700,12 +632,10 @@ def decompose_level_waves(system: ZeroSystem, char_labels: Sequence[int],
 _DECOMPOSERS = {
     "thm34": lambda sys_, p: decompose_order3(sys_, p["a"]),
     "thm39": lambda sys_, p: decompose_order4(sys_, p["a1"]),
-    "thm311": lambda sys_, p: (
-        decompose_two_generator_lattice(sys_, p["gamma"], p["chi1"], p["chi2"])
-        if p.get("subcase") == "z4z2"
-        else decompose_power_lattice(sys_, p["a"], p["n"], p["gamma"], p["chi"])),
-    "thm43": lambda sys_, p: decompose_power_lattice(
-        sys_, p["a"], p["r"], p["gamma"], p["chi"]),
+    "thm311": lambda sys_, p: decompose_lattice(
+        sys_, p["gamma"], [(p["chi1"], 4), (p["chi2"], 2)]
+        if p.get("subcase") == "z4z2" else [(p["chi"], p["n"])]),
+    "thm43": lambda sys_, p: decompose_lattice(sys_, p["gamma"], [(p["chi"], p["r"])]),
     "thm51": lambda sys_, p: decompose_level_waves(
         sys_, p["chars"], p["betas"], p["orders"], p["gamma"]),
 }

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -66,6 +66,13 @@ class TrigPoly:
         return TrigPoly(())
 
     @staticmethod
+    def from_phasors(phasors: Mapping[float, complex]) -> "TrigPoly":
+        """sum_t Im(z_t e^{itu}) = sum_t |z_t| sin(tu + arg z_t), dropping
+        zero phasors."""
+        return TrigPoly(tuple((abs(z), t, math.atan2(z.imag, z.real))
+                              for t, z in sorted(phasors.items()) if abs(z) > 0.0))
+
+    @staticmethod
     def combine(parts: Iterable["TrigPoly"]) -> "TrigPoly":
         """Sum of polynomials, merging equal frequencies by phasor addition."""
         phasors: dict[float, complex] = {}
@@ -73,12 +80,7 @@ class TrigPoly:
             for c, t, a in p.terms:
                 # c sin(tu+a) = Im(c e^{ia} e^{itu})
                 phasors[t] = phasors.get(t, 0j) + c * complex(math.cos(a), math.sin(a))
-        terms = []
-        for t, z in sorted(phasors.items()):
-            c = abs(z)
-            if c > 0.0:
-                terms.append((c, t, math.atan2(z.imag, z.real)))
-        return TrigPoly(tuple(terms))
+        return TrigPoly.from_phasors(phasors)
 
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
         return TrigPoly.combine([self, other])

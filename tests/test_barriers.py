@@ -143,6 +143,21 @@ def test_build_extremal_two_members():
     assert verdict(rep, "extremal_exact", r=2).ok
 
 
+def test_builders_reject_non_finite_heights():
+    g = unit_group(7)
+    gen = min(a for a in g.units if g.order(a) == 6)
+    sub = g.subgroup(gen)
+    for bad in (math.inf, -math.inf, math.nan):
+        for build in (lambda: build_thm311(7, gamma=bad),
+                      lambda: build_thm311(7, tau=bad),
+                      lambda: build_extremal(7, gen, [sub[1], sub[2]],
+                                             gamma=bad),
+                      lambda: build_thm51(5, gamma=bad),
+                      lambda: build_thm51(5, tau=bad)):
+            with pytest.raises(ValueError, match="must be finite"):
+                build()
+
+
 def test_thm311_h3_slope_is_sqrt3():
     # |(1 - cos(4pi/3)) / sin(4pi/3)| = (3/2) / (sqrt(3)/2) exactly
     c = 4 * math.pi / 3

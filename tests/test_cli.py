@@ -1,4 +1,6 @@
+import copy
 import json
+from importlib import resources
 
 import pytest
 
@@ -241,3 +243,92 @@ def test_help_exits_zero(capsys):
             run(argv)
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+
+def built_thm311(tmp_path, capsys, q=7):
+    rec = tmp_path / "rec.json"
+    assert run(["barrier", "build", "thm311", "--q", q, "--out", rec]) == 0
+    capsys.readouterr()
+    return rec
+
+
+@pytest.mark.parametrize("q", [7, 15])  # one cyclic factor; Z4 x Z2
+def test_tampered_thm311_recipe_is_config_error(tmp_path, capsys, q):
+    payload = json.loads(built_thm311(tmp_path, capsys, q).read_text())
+    gamma = payload["params"]["gamma"]
+    # a zero moved off the k*gamma lattice; a zero moved to the principal
+    # character, outside the lattice family
+    for field, value in (("gamma", 1.5 * gamma), ("chi", 0)):
+        bad = copy.deepcopy(payload)
+        bad["system"]["zeros"][0][field] = value
+        path = tmp_path / f"bad_{field}.json"
+        path.write_text(json.dumps(bad))
+        out = tmp_path / "verify.json"
+        assert_config_error(["barrier", "verify", "--recipe", path,
+                             "--out", out], capsys)
+        assert not out.exists()
+
+
+def test_thm311_non_finite_gamma_is_config_error(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert_config_error(["barrier", "build", "thm311", "--q", 7,
+                         "--gamma", "inf", "--out", out], capsys)
+    assert not out.exists()
+
+
+def test_thm43_non_finite_gamma_is_config_error(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert_config_error(["barrier", "build", "thm43", "--q", 7,
+                         "--gamma", "nan", "--out", out], capsys)
+    assert not out.exists()
+
+
+def test_simulate_non_finite_base_u_is_config_error(tmp_path, capsys):
+    rec = built_thm311(tmp_path, capsys)
+    csv = tmp_path / "t.csv"
+    assert_config_error(["simulate", "--recipe", rec, "--base-u", "nan",
+                         "--out", csv], capsys)
+    assert not csv.exists()
+
+
+def test_simulate_non_finite_window_is_config_error(tmp_path, capsys):
+    rec = built_thm311(tmp_path, capsys)
+    csv = tmp_path / "t.csv"
+    for window in ("0:inf", "nan:1", "0:1:2"):
+        assert_config_error(["simulate", "--recipe", rec, "--window", window,
+                             "--out", csv], capsys)
+    assert not csv.exists()
+
+
+def test_window_text_is_kept_in_config(tmp_path, capsys):
+    rec = built_thm311(tmp_path, capsys)
+    out = tmp_path / "census.json"
+    assert run(["orderings", "--recipe", rec, "--window", "0:1e0",
+                "--samples", 64, "--out", out]) == 0
+    assert json.loads(out.read_text())["config"]["window"] == "0:1e0"
+
+
+def test_race_non_finite_sigma_is_config_error(tmp_path, capsys):
+    summary = tmp_path / "sum.json"
+    with resources.as_file(resources.files("racelab") / "data/chi3_zeros.txt") as p:
+        assert_config_error(["race", "--q", 3, "--xmax", "1e4", "--a", 2,
+                             "--b", 1, "--zeros", p, "--sigma", "nan",
+                             "--out", tmp_path / "r.csv", "--summary", summary],
+                            capsys)
+    assert not summary.exists()
+
+
+def test_race_zeros_without_pair_is_config_error(tmp_path, capsys):
+    csv = tmp_path / "r.csv"
+    with resources.as_file(resources.files("racelab") / "data/chi3_zeros.txt") as p:
+        for pair in ([], ["--a", 2]):
+            assert_config_error(["race", "--q", 3, "--xmax", 4000,
+                                 "--zeros", p, "--out", csv, *pair], capsys)
+    assert not csv.exists()
+
+
+def test_race_non_finite_checkpoint_step_is_config_error(tmp_path, capsys):
+    for rule in ("linear:inf", "geometric:nan"):
+        assert_config_error(["race", "--q", 3, "--xmax", 4000,
+                             "--checkpoints", rule, "--out", tmp_path / "r.csv"],
+                            capsys)

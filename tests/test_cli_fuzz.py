@@ -1,0 +1,100 @@
+"""Fuzzed command lines end with a documented exit code (0, 2, 3 or 4).
+
+Each argv is drawn from `build_parser()`'s own subcommands, positional
+choices and flags.  Flag values come from a small pool of edge cases, plus
+the names of a few prebuilt recipes and the bundled zero list, so that runs
+get past the file checks.  Every command runs in-process through `cli.main`
+in a temporary directory, with a small sieve budget; moduli stay <= 40 and
+K/N/M/samples small, because the pool holds no larger integer.
+"""
+
+import argparse
+import contextlib
+import io
+import os
+import shutil
+from importlib import resources
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from racelab import cli
+
+POOL = ("0", "-1", "1", "2", "3", "7", "15", "40", "1e300", "nan", "inf",
+        "-inf", "", "1:0")
+RECIPES = {"t311.json": ["barrier", "build", "thm311", "--q", "7"],
+           "t43.json": ["barrier", "build", "thm43", "--q", "7"],
+           "t51.json": ["barrier", "build", "thm51", "--q", "5", "--tau", "500"]}
+ZEROS = "chi3_zeros.txt"
+EXTRA = {"recipe": tuple(RECIPES), "zeros": (ZEROS,),
+         "checkpoints": ("linear:1", "geometric:2", "linear:inf",
+                         "geometric:nan")}
+
+
+def _commands():
+    """(name, positionals, flags) for every subcommand of the parser."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    out = []
+    for name, p in sub.choices.items():
+        positionals = [a for a in p._actions if not a.option_strings]
+        flags = [a for a in p._actions
+                 if a.option_strings and not isinstance(a, argparse._HelpAction)]
+        out.append((name, positionals, flags))
+    return out
+
+
+def _values(action):
+    if action.choices is not None:
+        return st.sampled_from([c for c in action.choices if c is not None])
+    if action.dest in EXTRA:  # an existing file half of the time
+        return st.sampled_from(EXTRA[action.dest]) | st.sampled_from(POOL)
+    return st.sampled_from(POOL)
+
+
+@st.composite
+def argvs(draw):
+    name, positionals, flags = draw(st.sampled_from(_commands()))
+    argv = [name]
+    for action in positionals:
+        if action.nargs == "?" and draw(st.booleans()):
+            continue
+        argv.append(draw(_values(action)))
+    chosen = draw(st.lists(st.sampled_from(flags), unique_by=id, max_size=4))
+    chosen += [a for a in flags if a.required and a not in chosen]
+    for action in chosen:
+        flag = action.option_strings[0]
+        # --flag=value, so that values like -inf are not read as flags
+        argv.append(flag if action.nargs == 0
+                    else f"{flag}={draw(_values(action))}")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(path)
+        mp.setenv("RACE_LAB_BUDGET", "1e5")
+        with resources.as_file(resources.files("racelab") / "data" / ZEROS) as p:
+            shutil.copy(p, path / ZEROS)
+        for out, argv in RECIPES.items():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv + ["--out", out]) == cli.EXIT_OK
+        yield path
+
+
+@settings(max_examples=400, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=argvs())
+def test_fuzzed_cli_exits_with_documented_code(workdir, argv):
+    assert os.getcwd() == str(workdir)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # an exit-1 traceback on the command line
+            pytest.fail(f"{argv}: {type(exc).__name__}: {exc}")
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())

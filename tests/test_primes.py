@@ -125,8 +125,9 @@ def test_checkpoint_rules():
     assert explicit.tolist() == [10, 500]
     with pytest.raises(ValueError):
         checkpoints_from_rule("geometric:0.9", 1000)
-    with pytest.raises(ValueError):
-        checkpoints_from_rule("linear:0", 1000)
+    for rule in ("linear:0", "linear:inf", "linear:nan", "geometric:nan"):
+        with pytest.raises(ValueError):
+            checkpoints_from_rule(rule, 1000)
     # no rule yields a point outside [2, x_max]
     for rule in ("geometric", "linear:5", [0, 1, 2]):
         for x_max in (-1, 0, 1):
@@ -208,6 +209,16 @@ def test_compare_with_simulator_errors():
     # every checkpoint lies below x_min: nothing to compare, not NaN
     with pytest.raises(InsufficientZeroDataError, match="x_min = 100000"):
         compare_with_simulator(tab, bundled_chi3_zeros(), 0.5, 2, 1, x_min=1e5)
+    # zeros only on the real character mod 5, which takes one value at 1
+    # and 4: no separating character carries zeros
+    from racelab.residues import characters
+    real = next(i for i, c in enumerate(characters(5)) if c.order == 2)
+    zeros5 = parse_zero_lines([f"q=5 chi={real} gamma=6.6"])
+    with pytest.raises(InsufficientZeroDataError, match="separating"):
+        compare_with_simulator(sieve_race(5, 10**4), zeros5, 0.5, 4, 1)
+    # the real character does separate 2 from 1
+    rep = compare_with_simulator(sieve_race(5, 10**4), zeros5, 0.5, 2, 1)
+    assert len(rep.checkpoints) > 0
 
 
 def test_compare_same_residue_is_zero():

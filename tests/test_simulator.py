@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import racelab
 
-from racelab.residues import characters, unit_group
+from racelab.residues import character_label, characters, unit_group
 from racelab.simulator import (DomainError, EmptyDominantSetError,
                                OverflowRiskError, RaceFunctionSet,
                                RecipeMismatchError, corollary13_sum,
@@ -22,6 +23,7 @@ from racelab.simulator import (DomainError, EmptyDominantSetError,
                                one_period_trace, race_values,
                                theorem_decomposition, trace)
 from racelab.simulator import _ei, _exp1
+from racelab.trigpoly import TrigPoly
 from racelab.zerosys import Zero, ZeroSystem
 
 
@@ -365,6 +367,123 @@ def test_decomposition_recipe_mismatch():
     system, _, _ = single_zero_system()
     with pytest.raises(RecipeMismatchError):
         theorem_decomposition(system, "thm34", {"a": 2})  # 2 has order 4 mod 5
+
+
+# The one- and two-factor lattice decomposers that `decompose_lattice`
+# replaced, kept verbatim apart from their names and the output helper, as
+# the bitwise reference for the merged one.
+
+
+def ref_decompose_power_lattice(system, a, n, gamma, chi_label):
+    chars = system.chars
+    chi = chars[chi_label]
+    power_label = {}
+    for j in range(1, n):
+        power_label[character_label(chi**j)] = j
+    m = {}
+    for label, z, mult in system.items():
+        if label not in power_label:
+            raise RecipeMismatchError("zero on a character outside the chi-power family")
+        k = z.gamma / gamma
+        if abs(k - round(k)) > 1e-9 or round(k) < 1:
+            raise RecipeMismatchError("height off the k*gamma lattice")
+        m[(power_label[label], int(round(k)))] = (
+            m.get((power_label[label], int(round(k))), 0) + mult)
+
+    def G(r):
+        parts = {}
+        for (j, k), mult in m.items():
+            ph = 2.0 * math.pi * ((j * r) % n) / n
+            parts[float(k)] = parts.get(float(k), 0j) + (
+                mult / k) * cmath.exp(1j * ph)
+        terms = []
+        for k, z in sorted(parts.items()):
+            if abs(z) > 0:
+                terms.append((abs(z), k, math.atan2(z.imag, z.real)))
+        return TrigPoly(tuple(terms))
+
+    return {"m": m, "G": {r: G(r) for r in range(n)}, "n": n, "gamma": gamma}
+
+
+def ref_decompose_two_generator_lattice(system, gamma, chi1_label, chi2_label):
+    chars = system.chars
+    chi1, chi2 = chars[chi1_label], chars[chi2_label]
+    jk_label = {}
+    for j in range(4):
+        for k in range(2):
+            if (j, k) != (0, 0):
+                jk_label[character_label((chi1**j) * (chi2**k))] = (j, k)
+    m = {}
+    for label, z, mult in system.items():
+        if label not in jk_label:
+            raise RecipeMismatchError("zero outside the chi1^j chi2^k family")
+        l = z.gamma / gamma
+        if abs(l - round(l)) > 1e-9 or round(l) < 1:
+            raise RecipeMismatchError("height off the l*gamma lattice")
+        j, k = jk_label[label]
+        key = (j, k, int(round(l)))
+        m[key] = m.get(key, 0) + mult
+
+    def G(r, s):
+        parts = {}
+        for (j, k, l), mult in m.items():
+            ph = math.pi / 2 * ((r * j + 2 * s * k) % 4)
+            parts[float(l)] = parts.get(float(l), 0j) + (
+                mult / l) * cmath.exp(1j * ph)
+        terms = []
+        for l, z in sorted(parts.items()):
+            if abs(z) > 0:
+                terms.append((abs(z), l, math.atan2(z.imag, z.real)))
+        return TrigPoly(tuple(terms))
+
+    return {"m": m,
+            "G": {(r, s): G(r, s) for r in range(4) for s in range(2)},
+            "gamma": gamma}
+
+
+def assert_same_lattice(recipe, case, old_m, old_G):
+    """The merged decomposition's m and G equal the old ones, keys mapped to
+    exponent tuples and terms compared by repr (bit for bit, signed zeros
+    included)."""
+    new = theorem_decomposition(recipe.system, case, recipe.params)
+    assert new["m"] == old_m
+    assert list(new["G"]) == list(old_G)
+    for r, poly in old_G.items():
+        assert repr(new["G"][r].terms) == repr(poly.terms), (recipe.q, r)
+
+
+def test_decompose_lattice_matches_old_decomposers():
+    from racelab.barriers import build_extremal, build_thm311
+    for q in range(7, 151):
+        if q in (8, 10, 12, 24):
+            continue
+        rec = build_thm311(q)
+        p = rec.params
+        if p["case"] == "z4z2":
+            old = ref_decompose_two_generator_lattice(
+                rec.system, p["gamma"], p["chi1"], p["chi2"])
+            old_m = {((j, k), l): v for (j, k, l), v in old["m"].items()}
+            old_G = old["G"]
+        else:
+            old = ref_decompose_power_lattice(rec.system, p["a"], p["n"],
+                                              p["gamma"], p["chi"])
+            old_m = {((j,), k): v for (j, k), v in old["m"].items()}
+            old_G = {(r,): g for r, g in old["G"].items()}
+        assert_same_lattice(rec, "thm311", old_m, old_G)
+    # the layered-census benchmark's extremal classes: cyclic order 6 with
+    # a 3-member D, and cyclic order 16 with D = a, a^2, a^3, a^4
+    for q, V in ((7, (1, 2, 3)), (9, (3, 4, 5)), (17, (1, 2, 3, 4))):
+        g = unit_group(q)
+        r = max(g.order(a) for a in g.units)
+        gen = min(a for a in g.units if g.order(a) == r)
+        sub = g.subgroup(gen)
+        rec = build_extremal(q, gen, [sub[v] for v in V])
+        p = rec.params
+        old = ref_decompose_power_lattice(rec.system, p["a"], p["r"],
+                                          p["gamma"], p["chi"])
+        assert_same_lattice(rec, "thm43",
+                            {((j,), k): v for (j, k), v in old["m"].items()},
+                            {(r,): g for r, g in old["G"].items()})
 
 
 def test_trace_empty_system():

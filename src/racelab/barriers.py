@@ -31,7 +31,7 @@ from .residues import (DirichletCharacter, character_label,
 from .orderings import column_orders
 from .simulator import dominant_member_values, theorem_decomposition
 from .trigpoly import (ScanReport, TrigPoly, certified_positive_scan, eps1,
-                       eps2)
+                       eps2, roots as trig_roots)
 from .zerosys import Zero, ZeroSystem, dominant_data
 
 
@@ -224,8 +224,8 @@ def build_thm311(q: int, tau: float = 0.0, beta: float = 0.75,
         d_set = [pow(a, r, q) for r in designated]
     else:
         a, b = structure["a"], structure["b"]
-        chi1 = _z4z2_chi1(q, a, b)
-        chi2 = _z4z2_chi2(q, a, b)
+        chi1 = _z4z2_char(q, a, b, (Fraction(3, 4), 0))  # the Z4 factor
+        chi2 = _z4z2_char(q, a, b, (0, Fraction(1, 2)))  # the Z2 factor
         chi1_label, chi2_label = character_label(chi1), character_label(chi2)
         put(chi1_label, 1, 1)
         for l, w in SIN_WEIGHTS.items():
@@ -244,18 +244,13 @@ def build_thm311(q: int, tau: float = 0.0, beta: float = 0.75,
                          claim="player-1 neither trails nor leads all of D")
 
 
-def _z4z2_chi1(q: int, a: int, b: int) -> DirichletCharacter:
+def _z4z2_char(q: int, a: int, b: int,
+               phases: Tuple[Fraction, Fraction]) -> DirichletCharacter:
+    """The first character, in label order, with these phases at a and b."""
     for c in characters(q):
-        if c.phase(a) == Fraction(3, 4) and c.phase(b) == 0:
+        if c.phase(a) == phases[0] and c.phase(b) == phases[1]:
             return c
-    raise RuntimeError("no order-4 character separating the Z4 factor")
-
-
-def _z4z2_chi2(q: int, a: int, b: int) -> DirichletCharacter:
-    for c in characters(q):
-        if c.phase(a) == 0 and c.phase(b) == Fraction(1, 2):
-            return c
-    raise RuntimeError("no order-2 character separating the Z2 factor")
+    raise RuntimeError(f"no character with phases {phases} at ({a}, {b})")
 
 
 @dataclass(frozen=True)
@@ -450,17 +445,10 @@ def build_omega(r: int, V: Sequence[int], seed: int = 0,
         jitter = rng.uniform(-0.05, 0.05, len(movable)) * math.pi / max(len(movable), 1)
         corners = {v: float(t + j) for v, t, j in zip(movable, base, jitter)}
         omega = OmegaSystem(r=r, V=V, corners=corners, crossings={})
-        crossings: Dict[Tuple[int, int], float] = {}
-        ok = True
-        for i, v in enumerate(V):
-            for w in V[i + 1:]:
-                crossings[(v, w)] = _omega_crossing(omega, v, w)
-        pts = sorted(crossings.values())
-        if any(b - a < min_gap for a, b in zip(pts, pts[1:])):
-            ok = False
-        if pts and (pts[0] < min_gap or pts[-1] > math.pi - min_gap):
-            ok = False
-        if ok:
+        crossings = {(v, w): _omega_crossing(omega, v, w)
+                     for i, v in enumerate(V) for w in V[i + 1:]}
+        # the smallest gap between sorted crossing points, 0 and pi included
+        if np.diff([0.0, *sorted(crossings.values()), math.pi]).min() >= min_gap:
             omega.crossings = crossings
             return omega
     raise OmegaConstructionError(
@@ -682,44 +670,6 @@ class WSystem:
     margins: Dict[str, float]
 
 
-def _wave_crossings(w1: TrigPoly, w2: TrigPoly, period: float,
-                    samples: int = 1 << 14) -> List[Tuple[float, float]]:
-    """(root, bracket width) of each zero of w1 - w2 on [0, period).
-
-    Within one pair the two roots sit about half a period apart, so a grid of
-    this density cannot merge them; the bisection then localizes each root to
-    machine scale, which is what the distinctness condition compares against
-    (crossings of different pairs can be separated by as little as
-    beta/gamma^2).  A grid value that is exactly zero is a root of width 0;
-    a cell is bisected only when both its end values are nonzero and of
-    opposite sign.  All brackets are bisected together, each until its
-    midpoint no longer splits it (at most 80 steps)."""
-    u = np.linspace(0.0, period, samples, endpoint=False)
-    diff = w1(u) - w2(u)
-    fb = np.roll(diff, -1)
-    cells = np.flatnonzero((diff != 0.0) & (fb != 0.0) & ((diff > 0) != (fb > 0)))
-    lo = u[cells]
-    hi = np.append(u[1:], period)[cells]
-    flo = diff[cells]
-    active = np.ones(len(cells), dtype=bool)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        active &= (mid != lo) & (mid != hi)
-        if not active.any():
-            break
-        fm = w1(mid) - w2(mid)
-        left = active & ((fm > 0) == (flo > 0))
-        lo = np.where(left, mid, lo)
-        flo = np.where(left, fm, flo)
-        hi = np.where(active & ~left, mid, hi)
-    zeros = np.flatnonzero(diff == 0.0)
-    at = np.concatenate([zeros, cells])
-    roots = np.concatenate([u[zeros], 0.5 * (lo + hi)])
-    widths = np.concatenate([np.zeros(len(zeros)), hi - lo])
-    pick = np.argsort(at, kind="stable")
-    return list(zip(roots[pick].tolist(), widths[pick].tolist()))
-
-
 def build_thm51(q: int, tau: float = 0.0, M: int = 64,
                 gamma: float | None = None,
                 betas: Sequence[float] | None = None) -> BarrierRecipe:
@@ -771,117 +721,101 @@ def build_thm51(q: int, tau: float = 0.0, M: int = 64,
     return recipe
 
 
-def check_thm51_conditions(recipe: BarrierRecipe,
-                           samples: int = 1 << 14) -> WSystem:
+def check_thm51_conditions(recipe: BarrierRecipe) -> WSystem:
     """Verify (A) two crossings per wave pair and period, (B) all crossing
     points distinct and nonzero, (C) derivative gaps at every crossing, and
-    (D) level-to-level difference non-degeneracy, with explicit margins."""
+    (D) level-to-level difference non-degeneracy, with explicit margins.
+
+    Every wave pair's crossings come from one `trigpoly.roots` call with
+    certified radii, which with the rounding bounds set the tolerances of
+    (B)-(D).  (D) and (5.19) are smallest gaps between sorted pair values."""
     p = recipe.params
-    decomp = theorem_decomposition(recipe.system, "thm51", p)
-    waves: Dict[Tuple[int, int], TrigPoly] = decomp["w"]
-    gamma = p["gamma"]
+    waves: Dict[Tuple[int, int], TrigPoly] = theorem_decomposition(
+        recipe.system, "thm51", p)["w"]
+    gamma, betas, orders, M = p["gamma"], p["betas"], p["orders"], p["M"]
     period = 2.0 * math.pi / gamma
-    betas, orders, M = p["betas"], p["orders"], p["M"]
-
-    theta: Dict[Tuple[int, int, int], Tuple[float, float]] = {}
-    width = 0.0
-    for j, n_j in enumerate(orders, start=1):
-        for a1 in range(n_j):
-            for a2 in range(a1 + 1, n_j):
-                roots = _wave_crossings(waves[(j, a1)], waves[(j, a2)],
-                                        period, samples)
-                if len(roots) != 2:
-                    raise ConditionFailedError(
-                        "A", f"level {j} phases ({a1},{a2}) crossed "
-                             f"{len(roots)} times per period")
-                theta[(j, a1, a2)] = (roots[0][0], roots[1][0])
-                width = max(width, roots[0][1], roots[1][1])
-
-    width = max(width, 64.0 * np.finfo(float).eps * period)
-    pts = sorted(t for pair in theta.values() for t in pair)
-    gap_tol = 10.0 * width  # roots are localized far below the scan grid
-    min_gap = math.inf
-    if pts:
-        # crossing points must also stay clear of 0 (mod period)
-        min_gap = min(min_gap, *np.diff(pts).tolist(), pts[0], period - pts[-1])
-    if min_gap <= gap_tol:
-        raise ConditionFailedError(
-            "B", f"crossing points collide (gap {min_gap:.3g} <= {gap_tol:.3g})")
-
     m = len(orders)
-    keys = np.array(list(theta))            # rows (j, a1, a2)
-    roots = np.array(list(theta.values()))  # rows (t0, t1)
 
-    def wave_table(j: int, t: np.ndarray, derivative: bool = False) -> np.ndarray:
-        """W[a, k]: level j's wave of phase a (or its derivative) at t[k]."""
-        return np.array([waves[(j, a)].derivative(t) if derivative
-                         else waves[(j, a)](t) for a in range(orders[j - 1])])
+    keys = [(j, a1, a2) for j, n_j in enumerate(orders, start=1)
+            for a1 in range(n_j) for a2 in range(a1 + 1, n_j)]
+    found = trig_roots([waves[(j, a1)] + waves[(j, a2)].scale(-1.0)
+                        for j, a1, a2 in keys], gamma)
+    for (j, a1, a2), res in zip(keys, found):
+        if not res.certified or len(res.roots) != 2:
+            raise ConditionFailedError(
+                "A", f"level {j} phases ({a1},{a2}): {len(res.roots)} isolated "
+                     f"crossings per period, count margin {res.margin:.3g} "
+                     f"({'' if res.certified else 'not '}certified)")
+    theta = {key: (float(res.roots[0]), float(res.roots[1]))
+             for key, res in zip(keys, found)}
+    level_pts = {j: np.array([t for key, pair in theta.items() if key[0] == j
+                              for t in pair]) for j in range(1, m + 1)}
 
-    min_deriv = math.inf
+    # each margin moves by at most (its Lipschitz bound) * radius between a
+    # computed crossing point and the true one, plus the rounding bounds
+    radius = max(float(res.radii.max()) for res in found)
+    delta = max(w.rounding_bound(period) for w in waves.values())
+    delta1 = max(w.rounding_bound(period, 1) for w in waves.values())
+    lip = max(w.lipschitz_bound for w in waves.values())
     second_deriv = max(sum(abs(c) * t * t for c, t, _ in w.terms)
                        for w in waves.values())
-    for j in range(1, m + 1):
-        rows = keys[:, 0] == j
-        t = roots[rows].ravel()
-        a1, a2 = np.repeat(keys[rows, 1], 2), np.repeat(keys[rows, 2], 2)
-        d = wave_table(j, t, derivative=True)
-        k = np.arange(len(t))
-        min_deriv = min(min_deriv, float(np.min(np.abs(d[a1, k] - d[a2, k]))))
-    deriv_tol = 10.0 * width * 2.0 * second_deriv
+
+    # (B): crossing points must also stay clear of 0 (mod period)
+    min_gap = float(np.diff([0.0, *sorted(np.concatenate(
+        list(level_pts.values()))), period]).min())
+    if min_gap <= 2.0 * radius:
+        raise ConditionFailedError(
+            "B", f"crossing points collide (gap {min_gap:.3g} <= "
+                 f"{2.0 * radius:.3g})")
+
+    min_deriv = min(float(np.abs(res.slopes).min()) for res in found)
+    deriv_tol = 2.0 * (second_deriv * radius + delta1)
     if min_deriv <= deriv_tol:
         raise ConditionFailedError(
             "C", f"derivative gap {min_deriv:.3g} below {deriv_tol:.3g}")
 
-    # (D): for each a3, the differences W3 - W4 - W5 + W6 over every
-    # (a4, a5, a6) and every crossing point of the lower-index level at once
+    def smallest_gap(values: np.ndarray) -> float:
+        """Smallest gap between sorted rows, over every column."""
+        return float(np.diff(np.sort(values, axis=0), axis=0).min())
+
+    # (D): W3 - W4 - W5 + W6 = (W3 + W6) - (W4 + W5), and the excluded index
+    # cases are exactly {a3, a6} = {a4, a5}, so min |D| at a crossing point
+    # of a lower level is the smallest gap between sorted pair sums
     min_d = math.inf
     for j_prime in range(1, m + 1):
-        t = roots[keys[:, 0] == j_prime].ravel()
         for j in range(j_prime + 1, m + 1):
-            n_j = orders[j - 1]
-            table = wave_table(j, t)
-            a4, a5, a6 = np.ix_(*[np.arange(n_j)] * 3)
-            for a3 in range(n_j):
-                keep = ~((a3 == a5) & (a4 == a6)) & ~((a3 == a4) & (a5 == a6))
-                val = (table[a3][None, None, None] - table[:, None, None]
-                       - table[None, :, None] + table[None, None, :])
-                min_d = min(min_d, float(np.min(np.abs(val[keep]))))
-    d_tol = 10.0 * width * 4.0 * max(w.lipschitz_bound for w in waves.values())
+            w = np.array([waves[(j, a)](level_pts[j_prime])
+                          for a in range(orders[j - 1])])
+            a, b = np.triu_indices(orders[j - 1])
+            min_d = min(min_d, smallest_gap(w[a] + w[b]))
+    d_tol = 4.0 * (lip * radius + 2.0 * delta)
     if m >= 2 and min_d <= d_tol:
         raise ConditionFailedError("D", f"difference margin {min_d:.3g}")
 
-    margins = {"B_min_gap": min_gap, "C_min_derivative_gap": min_deriv,
-               "D_min_difference": min_d if m >= 2 else math.inf}
-    # (5.19)-style polynomial avoidance on the large-order levels
+    # (5.19)-style polynomial avoidance on the large-order levels: the
+    # smallest gap between sorted F(a3, a4) over phase pairs a3 < a4
     min_p = math.inf
     for j in range(2, m + 1):
-        n_j = orders[j - 1]
-        if n_j < 4:
-            continue
-        t = roots[keys[:, 0] < j].ravel()
-        a3, a4 = np.triu_indices(n_j, 1)  # phase pairs a3 < a4
-        p1, p2 = np.nonzero(~np.eye(len(a3), dtype=bool))  # distinct pairs
-        val = _avoidance_poly(M, betas[j - 1] / gamma, gamma * t[None, :], n_j,
-                              a3[p1, None], a4[p1, None], a3[p2, None],
-                              a4[p2, None])
-        min_p = min(min_p, float(np.min(np.abs(val))))
-    margins["P_min_abs"] = min_p
+        if orders[j - 1] >= 4:
+            t = np.concatenate([level_pts[i] for i in range(1, j)])
+            a3, a4 = np.triu_indices(orders[j - 1], 1)
+            min_p = min(min_p, smallest_gap(_avoidance_poly(
+                M, betas[j - 1] / gamma, gamma * t[None, :], orders[j - 1],
+                a3[:, None], a4[:, None])))
+    margins = {"B_min_gap": min_gap, "C_min_derivative_gap": min_deriv,
+               "D_min_difference": min_d if m >= 2 else math.inf,
+               "P_min_abs": min_p}
     return WSystem(betas=tuple(betas), orders=tuple(orders), gamma=gamma,
                    M=M, theta=theta, margins=margins)
 
 
-def _avoidance_poly(M: int, z: float, gu, n_j: int, a3, a4, a5, a6):
-    """The degeneracy polynomial whose nonvanishing at z = beta_j/gamma
-    underpins the level-to-level condition; broadcasts over gu and the
-    phase indices."""
-    y1 = gu + math.pi * (a3 + a4) / n_j
-    y2 = gu + math.pi * (a5 + a6) / n_j
-    b1 = math.pi * (a4 - a3) / n_j
-    b2 = math.pi * (a6 - a5) / n_j
-    return (M * (4 + z * z) * (np.sin(b1) * (np.cos(y1) - z * np.sin(y1))
-                               - np.sin(b2) * (np.cos(y2) - z * np.sin(y2)))
-            + (1 + z * z) * (np.sin(2 * b1) * (2 * np.cos(2 * y1) - z * np.sin(2 * y1))
-                             - np.sin(2 * b2) * (2 * np.cos(2 * y2) - z * np.sin(2 * y2))))
+def _avoidance_poly(M: int, z: float, gu, n_j: int, a3, a4):
+    """F(a3, a4) at z = beta_j/gamma: the level-to-level condition needs
+    F(a3, a4) != F(a5, a6).  Broadcasts over gu and the phase indices."""
+    y = gu + math.pi * (a3 + a4) / n_j
+    b = math.pi * (a4 - a3) / n_j
+    return (M * (4 + z * z) * np.sin(b) * (np.cos(y) - z * np.sin(y))
+            + (1 + z * z) * np.sin(2 * b) * (2 * np.cos(2 * y) - z * np.sin(2 * y)))
 
 
 # --- hypothesis checkers ---------------------------------------------------------------
@@ -922,6 +856,16 @@ def check_hypotheses(thm: int | str, system: ZeroSystem,
                 union.update(dd.zeros)
         return ok, union
 
+    def cap(union: set) -> int:
+        n = n_cap if n_cap is not None else len(union)
+        checks.append((f"|union| <= {n}", len(union) <= n, f"got {len(union)}"))
+        return n
+
+    def heights(union: set, threshold: float, name: str) -> None:
+        if union:
+            mh = min(z.gamma for z in union)
+            checks.append((f"heights >= {name}", mh >= threshold, f"min={mh}"))
+
     if thm == "31":
         checks.append(("1 not in D", 1 not in [t % system.q for t in targets], ""))
         dominant_union(targets)
@@ -931,46 +875,31 @@ def check_hypotheses(thm: int | str, system: ZeroSystem,
         ok, union = dominant_union([a])
         thr = 2.0 + math.sqrt(3.0)
         if ok:
-            mh = min(z.gamma for z in union)
-            checks.append((f"heights >= {thr:.7f}", mh >= thr, f"min={mh}"))
+            heights(union, thr, f"{thr:.7f}")
     elif thm == "36":
         ok, union = dominant_union(targets)
-        n = n_cap if n_cap is not None else len(union)
-        checks.append((f"|union| <= {n}", len(union) <= n, f"got {len(union)}"))
-        tau_eff = 1.0 / eps2(n)
-        if ok and union:
-            mh = min(z.gamma for z in union)
-            checks.append((f"heights >= tau = {tau_eff:.6g}", mh >= tau_eff,
-                           f"min={mh}"))
+        tau_eff = 1.0 / eps2(cap(union))
+        if ok:
+            heights(union, tau_eff, f"tau = {tau_eff:.6g}")
     elif thm == "39":
         a1 = targets[0]
         checks.append(("order(a1) == 4", group.order(a1) == 4, f"a1={a1}"))
-        members = [pow(a1, k, system.q) for k in (1, 2, 3)]
-        ok, union = dominant_union(members)
-        n = n_cap if n_cap is not None else len(union)
-        checks.append((f"|union| <= {n}", len(union) <= n, f"got {len(union)}"))
-        e2 = eps2(n)
+        ok, union = dominant_union([pow(a1, k, system.q) for k in (1, 2, 3)])
+        e2 = eps2(cap(union))
         tau_eff = max(1.0 / e2, 2.0 / (eps3 * (e2 / 2.0) ** 2))
-        if ok and union:
-            mh = min(z.gamma for z in union)
-            checks.append((f"heights >= tau = {tau_eff:.6g}", mh >= tau_eff,
-                           f"min={mh}"))
+        if ok:
+            heights(union, tau_eff, f"tau = {tau_eff:.6g}")
     elif thm == "47":
         a = targets[0]
         checks.append(("order(a) == 3", group.order(a) == 3, f"a={a}"))
-        a2 = pow(a, 2, system.q)
         union = set()
-        for pair in ((a, 1), (a, a2)):
+        for pair in ((a, 1), (a, pow(a, 2, system.q))):
             dd = dominant_data(system, pair[0], pair[1])
             checks.append((f"z({pair[0]},{pair[1]}) nonempty", not dd.empty, ""))
             union.update(dd.zeros)
-        n = n_cap if n_cap is not None else len(union)
-        checks.append((f"|union| <= {n}", len(union) <= n, f"got {len(union)}"))
+        n = cap(union)
         tau_eff = max(1.0 / eps2(n), 1.0 / eps1(n, C))
-        if union:
-            mh = min(z.gamma for z in union)
-            checks.append((f"heights >= tau = {tau_eff:.6g}", mh >= tau_eff,
-                           f"min={mh}"))
+        heights(union, tau_eff, f"tau = {tau_eff:.6g}")
     else:
         raise ValueError(f"unknown theorem {thm!r}")
     return HypothesisReport(theorem=thm, checks=tuple(checks),

@@ -5,7 +5,8 @@ the `trig` toolbox.  Every JSON output embeds the resolved run configuration,
 and identical configurations (including --seed) produce byte-identical files.
 
 Exit codes: 0 success, 2 verification failed, 3 invalid configuration
-(including a command line the parser rejects), 4 budget exceeded.
+(including a command line the parser rejects), 4 budget exceeded (the sieve
+range, or a trace's samples x members; RACE_LAB_BUDGET).
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ def _coerce(obj):
 
 
 def _config_of(args: argparse.Namespace) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
 
 
 def _finite_float(text: str) -> float:
@@ -63,6 +63,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _floats(text: str) -> list[float]:
+    return [_finite_float(t) for t in text.split(",")]
+
+
+def _float_list(text: str) -> str:
+    """Check a comma-separated list of finite numbers and keep its text,
+    which the config block records as given."""
+    _floats(text)
+    return text
+
+
 def _window(text: str) -> str:
     """Check a --window value, "period" or "u0:u1" with finite ends, and
     keep its text, which the config block records as given."""
@@ -73,13 +84,8 @@ def _window(text: str) -> str:
 
 def _parse_powers(text: str) -> list[int]:
     """Parse a target set like "a,a2,a3" (powers of the chosen generator)."""
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if tok.startswith("a"):
-            tok = tok[1:] or "1"
-        out.append(int(tok))
-    return out
+    toks = [tok.strip() for tok in text.split(",")]
+    return [int(t[1:] or "1") if t.startswith("a") else int(t) for t in toks]
 
 
 def _write_gnuplot(csv_path: str, columns: list[str]) -> str:
@@ -99,38 +105,25 @@ def _write_gnuplot(csv_path: str, columns: list[str]) -> str:
 
 def cmd_barrier(args: argparse.Namespace) -> int:
     if args.action == "build":
-        try:
-            if args.kind == "thm311":
-                recipe = barriers.build_thm311(args.q, tau=args.tau,
-                                               beta=args.beta,
-                                               gamma=args.gamma)
-            elif args.kind == "thm43":
-                from .residues import unit_group
-                group = unit_group(args.q)
-                gen = args.generator
-                if gen is None:
-                    order = max(group.order(a) for a in group.units)
-                    gen = min(a for a in group.units
-                              if group.order(a) == order)
-                powers = _parse_powers(args.D) if args.D else [1, 2, 3]
-                sub = group.subgroup(gen)
-                D = [sub[v % len(sub)] for v in powers]
-                recipe = barriers.build_extremal(
-                    args.q, gen, D, beta1=args.beta, gamma=args.gamma or 1000.0,
-                    K=args.K, N=args.N, seed=args.seed)
-            elif args.kind == "thm51":
-                recipe = barriers.build_thm51(args.q, tau=args.tau, M=args.M,
-                                              gamma=args.gamma)
-            else:
-                print(f"unknown kind {args.kind}", file=sys.stderr)
-                return EXIT_CONFIG
-        except (barriers.ExcludedModulusError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        except (barriers.ConditionFailedError, barriers.OmegaTypeLostError,
-                barriers.OmegaConstructionError) as exc:
-            print(f"verification failed: {exc}", file=sys.stderr)
-            return EXIT_VERIFY
+        if args.kind == "thm311":
+            recipe = barriers.build_thm311(args.q, tau=args.tau,
+                                           beta=args.beta, gamma=args.gamma)
+        elif args.kind == "thm43":
+            from .residues import unit_group
+            group = unit_group(args.q)
+            gen = args.generator
+            if gen is None:
+                order = max(group.order(a) for a in group.units)
+                gen = min(a for a in group.units if group.order(a) == order)
+            powers = _parse_powers(args.D) if args.D else [1, 2, 3]
+            sub = group.subgroup(gen)
+            D = [sub[v % len(sub)] for v in powers]
+            recipe = barriers.build_extremal(
+                args.q, gen, D, beta1=args.beta, gamma=args.gamma or 1000.0,
+                K=args.K, N=args.N, seed=args.seed)
+        else:
+            recipe = barriers.build_thm51(args.q, tau=args.tau, M=args.M,
+                                          gamma=args.gamma)
         out = args.out or f"{args.kind}_q{args.q}.json"
         payload = json.loads(recipe.to_json())
         payload["config"] = _config_of(args)
@@ -156,11 +149,7 @@ def cmd_barrier(args: argparse.Namespace) -> int:
         _dump_json(args.out, payload)
         return EXIT_OK if report.ok else EXIT_VERIFY
     if recipe.kind == "thm51_census":
-        try:
-            wsys = barriers.check_thm51_conditions(recipe)
-        except barriers.ConditionFailedError as exc:
-            print(f"verification failed: {exc}", file=sys.stderr)
-            return EXIT_VERIFY
+        wsys = barriers.check_thm51_conditions(recipe)
         _dump_json(args.out, {"ok": True, "margins": wsys.margins,
                               "config": _config_of(args)})
         return EXIT_OK
@@ -181,22 +170,28 @@ def cmd_barrier(args: argparse.Namespace) -> int:
 # --- simulate -----------------------------------------------------------------
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def _recipe_trace(args: argparse.Namespace, mode: str = "dominant-only",
+                  step: float | None = None):
+    """The recipe's members (its D, else every unit) and their trace over
+    --window: one period, or u0:u1 at the step given (else --samples cells)."""
     recipe = BarrierRecipe.from_json(Path(args.recipe).read_text())
     from .residues import unit_group
     members = tuple(recipe.params.get("D") or unit_group(recipe.q).units)
     rfs = simulator.RaceFunctionSet(recipe.q, recipe.system, members,
-                                    pi_proxy="zero" if args.mode == "dominant-only" else "li")
-    try:
-        if args.window == "period":
-            tr = simulator.one_period_trace(rfs, samples=args.samples,
-                                            base_u=args.base_u)
-        else:
-            u0, u1 = (float(t) for t in args.window.split(":"))
-            tr = simulator.trace(rfs, (u0, u1), args.step, mode=args.mode)
-    except simulator.OverflowRiskError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+                                    pi_proxy="zero" if mode == "dominant-only" else "li")
+    if args.window == "period":
+        return members, simulator.one_period_trace(rfs, samples=args.samples,
+                                                   base_u=args.base_u)
+    u0, u1 = (float(t) for t in args.window.split(":"))
+    if step is None:
+        if args.samples < 1:
+            raise ValueError(f"samples must be positive, got {args.samples}")
+        step = (u1 - u0) / args.samples
+    return members, simulator.trace(rfs, (u0, u1), step, mode=mode)
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    _, tr = _recipe_trace(args, args.mode, args.step)
     out = args.out or "trace.csv"
     cols = ["u"] + [f"a{m}" for m in tr.members]
     with open(out, "w", encoding="utf-8") as fh:
@@ -218,19 +213,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_orderings(args: argparse.Namespace) -> int:
-    recipe = BarrierRecipe.from_json(Path(args.recipe).read_text())
-    from .residues import unit_group
-    members = tuple(recipe.params.get("D") or unit_group(recipe.q).units)
-    rfs = simulator.RaceFunctionSet(recipe.q, recipe.system, members,
-                                    pi_proxy="zero")
-    if args.window == "period":
-        tr = simulator.one_period_trace(rfs, samples=args.samples,
-                                        base_u=args.base_u)
-    else:
-        if args.samples < 1:
-            raise ValueError(f"samples must be positive, got {args.samples}")
-        u0, u1 = (float(t) for t in args.window.split(":"))
-        tr = simulator.trace(rfs, (u0, u1), (u1 - u0) / args.samples)
+    members, tr = _recipe_trace(args)
     rep = orderings.census(tr)
     payload = rep.to_dict()
     payload["config"] = _config_of(args)
@@ -255,12 +238,8 @@ def cmd_orderings(args: argparse.Namespace) -> int:
 def cmd_race(args: argparse.Namespace) -> int:
     if args.zeros and (args.a is None or args.b is None):
         raise ValueError("--zeros needs --a and --b")
-    try:
-        table = primes.sieve_race(args.q, int(args.xmax),
-                                  checkpoint_rule=args.checkpoints)
-    except primes.BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    table = primes.sieve_race(args.q, int(args.xmax),
+                              checkpoint_rule=args.checkpoints)
     out = args.out or f"race_q{args.q}.csv"
     Path(out).write_text(table.to_csv(), encoding="utf-8")
     print(f"race table written to {out} ({len(table.checkpoints)} checkpoints)")
@@ -276,12 +255,8 @@ def cmd_race(args: argparse.Namespace) -> int:
         if zs is None:
             print("error: empty zero data", file=sys.stderr)
             return EXIT_CONFIG
-        try:
-            rep = primes.compare_with_simulator(
-                table, zs, args.sigma, args.a, args.b, x_min=args.xmin_compare)
-        except primes.InsufficientZeroDataError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+        rep = primes.compare_with_simulator(
+            table, zs, args.sigma, args.a, args.b, x_min=args.xmin_compare)
         summary["comparison"] = rep.to_dict()
         print(f"sign agreement vs zero-data prediction: {rep.sign_agreement:.3f}")
     if args.summary:
@@ -306,7 +281,7 @@ def cmd_trig(args: argparse.Namespace) -> int:
         print(f"error: {args.tool} needs {', '.join(missing)}", file=sys.stderr)
         return EXIT_CONFIG
     if args.tool == "frac-parts":
-        s = [float(t) for t in args.s.split(",")]
+        s = _floats(args.s)
         u = trigpoly.find_fractional_parts(s, args.alpha)
         n = len(s)
         eps = trigpoly.eps_box(n, args.alpha)
@@ -317,9 +292,8 @@ def cmd_trig(args: argparse.Namespace) -> int:
                               "config": _config_of(args)})
         return EXIT_OK if ok else EXIT_VERIFY
     if args.tool == "all-negative":
-        t = [float(v) for v in args.t.split(",")]
-        beta = [float(v) for v in args.beta.split(",")] if args.beta \
-            else [0.0] * len(t)
+        t = _floats(args.t)
+        beta = _floats(args.beta) if args.beta else [0.0] * len(t)
         u = trigpoly.find_all_negative(t, beta)
         e2 = trigpoly.eps2(len(t))
         sines = [math.sin(tk * u + bk) for tk, bk in zip(t, beta)]
@@ -328,18 +302,13 @@ def cmd_trig(args: argparse.Namespace) -> int:
                               "config": _config_of(args)})
         return EXIT_OK if ok else EXIT_VERIFY
     # dominate
-    freqs = [float(v) for v in args.freqs.split(",")]
-    b = [float(v) for v in args.b.split(",")]
-    a = [float(v) for v in args.a.split(",")] if args.a else [0.0] * len(b)
-    c = [float(v) for v in args.c.split(",")] if args.c else [0.0] * len(b)
+    freqs, b = _floats(args.freqs), _floats(args.b)
+    a = _floats(args.a) if args.a else [0.0] * len(b)
+    c = _floats(args.c) if args.c else [0.0] * len(b)
     q_poly = trigpoly.TrigPoly.sine(b, freqs)
     p_poly = trigpoly.TrigPoly.cosine(a, freqs)
     r_poly = trigpoly.TrigPoly.sine(c, freqs)
-    try:
-        cert = trigpoly.find_dominating(q_poly, p_poly, r_poly, args.gamma)
-    except (ValueError, trigpoly.SearchExhaustedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cert = trigpoly.find_dominating(q_poly, p_poly, r_poly, args.gamma)
     _dump_json(args.out, {"certificate": cert.to_dict(),
                           "config": _config_of(args)})
     return EXIT_OK
@@ -424,14 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("trig", help="constructive trig-polynomial tools")
     t.add_argument("tool", choices=["frac-parts", "all-negative", "dominate"])
-    t.add_argument("--s", default=None, help="decreasing positive reals")
+    t.add_argument("--s", type=_float_list, help="decreasing positive reals")
     t.add_argument("--alpha", type=_finite_float, default=0.4615)
-    t.add_argument("--t", default=None, help="positive frequencies")
-    t.add_argument("--beta", default=None, help="phases")
-    t.add_argument("--freqs", default=None)
-    t.add_argument("--a", default=None)
-    t.add_argument("--b", default=None)
-    t.add_argument("--c", default=None)
+    t.add_argument("--t", type=_float_list, help="positive frequencies")
+    t.add_argument("--beta", type=_float_list, help="phases")
+    for name in ("--freqs", "--a", "--b", "--c"):
+        t.add_argument(name, type=_float_list)
     t.add_argument("--gamma", type=_finite_float, default=0.5)
     t.add_argument("--out", default=None)
     t.set_defaults(func=cmd_trig)
@@ -442,7 +409,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (barriers.ConditionFailedError, barriers.OmegaTypeLostError,
+            barriers.OmegaConstructionError) as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
+    except primes.BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except (ValueError, OSError, trigpoly.SearchExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

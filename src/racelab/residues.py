@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -386,12 +386,3 @@ class RootOfUnitySum:
     def __repr__(self) -> str:
         body = " + ".join(f"{c}*e({f})" for f, c in sorted(self._coeffs.items()))
         return f"RootOfUnitySum({body or '0'})"
-
-
-def character_sum(q: int, a: int, chars: Iterable[DirichletCharacter] | None = None,
-                  ) -> RootOfUnitySum:
-    """sum over characters of chi(a), as an exact root-of-unity sum."""
-    s = RootOfUnitySum()
-    for c in (characters(q) if chars is None else chars):
-        s.add(c.phase(a))
-    return s

@@ -405,7 +405,9 @@ def trace(s: RaceFunctionSet, u_range: Tuple[float, float], step: float,
     dominant-only evaluates the exact almost-periodic limit; full-formula
     evaluates the oscillating part of P_{q,a}(e^u; B) from the closed-form
     f(rho) and scales it by phi(q) u / (2 e^(R+ u)); the common pi(x)/phi(q)
-    term is left out.  The grid includes both endpoints.
+    term is left out.  The grid includes both endpoints; one of more samples
+    x members than the sieve budget (RACE_LAB_BUDGET) is refused before it
+    is built.
     """
     u0, u1 = float(u_range[0]), float(u_range[1])
     if u1 <= u0:
@@ -420,7 +422,9 @@ def trace(s: RaceFunctionSet, u_range: Tuple[float, float], step: float,
                 "x = e^u exceeds double range; use dominant-only mode")
         if u0 < math.log(2.0):
             raise DomainError("full-formula trace needs e^u >= 2")
-    n = max(int(round((u1 - u0) / step)) + 1, 2)
+    cells = (u1 - u0) / step  # inf for a subnormal step
+    _check_budget(cells + 1, s.members)
+    n = max(int(round(cells)) + 1, 2)
     u = np.linspace(u0, u1, n)
     lattice = s.system.height_lattice
     periodic = False
@@ -439,6 +443,15 @@ def trace(s: RaceFunctionSet, u_range: Tuple[float, float], step: float,
                          tie_tol=tie_tol, periodic=periodic, period=period)
 
 
+def _check_budget(samples: float, members: Sequence[int]) -> None:
+    """Refuse a trace of more samples x members than the sieve budget."""
+    from .primes import BudgetExceededError, sieve_budget  # primes imports us
+    if samples * len(members) > sieve_budget():
+        raise BudgetExceededError(
+            f"trace of {samples:.6g} samples x {len(members)} members exceeds "
+            f"budget {sieve_budget()} (RACE_LAB_BUDGET)")
+
+
 def one_period_trace(s: RaceFunctionSet, samples: int = 4096,
                      base_u: float = 0.0, tie_tol: float = 1e-9,
                      ) -> OrderingTrace:
@@ -448,6 +461,7 @@ def one_period_trace(s: RaceFunctionSet, samples: int = 4096,
         raise ValueError("system has no height lattice; supply a u-range")
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
+    _check_budget(samples, s.members)
     period = 2.0 * math.pi / lattice
     u = base_u + np.linspace(0.0, period, samples, endpoint=False)
     values = dominant_member_values(s.system, s.members, u)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Mapping, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +29,7 @@ class SearchExhaustedError(RuntimeError):
 
 
 TWO_PI = 2.0 * math.pi
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -96,13 +97,6 @@ class TrigPoly:
             out = out + c * np.sin(t * u + a)
         return out if out.shape else float(out)
 
-    def derivative(self, u):
-        u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        for c, t, a in self.terms:
-            out = out + c * t * np.cos(t * u + a)
-        return out if out.shape else float(out)
-
     @property
     def n_terms(self) -> int:
         return len(self.terms)
@@ -127,6 +121,14 @@ class TrigPoly:
     def l2_norm(self) -> float:
         """Besicovitch norm, closed form (half the coefficient energy)."""
         return math.sqrt(0.5 * sum(c * c for c, _, _ in self.terms))
+
+    def rounding_bound(self, u_max: float, order: int = 0) -> float:
+        """A bound on the float error of evaluating P (order 0) or P' (order
+        1) at any |u| <= u_max: the argument t u + alpha, the sine and the
+        product each round, and the sum adds one rounding per term."""
+        return (self.n_terms + 4) * EPS * sum(
+            abs(c) * t ** order * (3.0 + t * u_max + abs(a))
+            for c, t, a in self.terms)
 
 
 def l2_norm(p: TrigPoly) -> float:
@@ -172,11 +174,6 @@ def empirical_moments(p: TrigPoly, U: float, step: float) -> EmpiricalMoments:
                             l2=math.sqrt(total_sq / count),
                             positive_fraction=total_pos / count,
                             sup_seen=sup_seen)
-
-
-def mean_bound(p: TrigPoly, U: float) -> float:
-    """Exact antiderivative bound: |(1/U) int_0^U P| <= sum 2|c_k|/(t_k U)."""
-    return sum(2.0 * abs(c) / (t * U) for c, t, _ in p.terms)
 
 
 # --- proof-driven constants ---------------------------------------------------
@@ -322,22 +319,151 @@ def certified_positive_scan(f: Callable[[np.ndarray], np.ndarray],
                       lipschitz, failure_point=failure_point)
 
 
-def _window_scan(objective: Callable[[np.ndarray], np.ndarray],
-                 base_period: float, periods: int, per_period: int,
-                 ) -> Tuple[float, float]:
-    """Best (u, objective(u)) over a window of the given number of periods."""
-    n = periods * per_period
-    best_u, best_v = 0.0, -math.inf
-    chunk = 1 << 20
-    U = periods * base_period
-    for start in range(0, n, chunk):
-        idx = np.arange(start, min(start + chunk, n), dtype=float)
-        u = idx * (U / n)
-        v = objective(u)
-        i = int(np.argmax(v))
-        if v[i] > best_v:
-            best_v, best_u = float(v[i]), float(u[i])
-    return best_u, best_v
+# --- certified real roots ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TrigRoots:
+    """The real roots of one TrigPoly on [0, 2 pi/base), see `roots`:
+    [root - radius, root + radius] holds exactly one root, slope is P'
+    there, and margin > 0 certifies that no other root exists."""
+
+    roots: np.ndarray
+    radii: np.ndarray
+    slopes: np.ndarray
+    margin: float
+
+    @property
+    def certified(self) -> bool:
+        return self.margin > 0.0
+
+
+def roots(polys: Sequence[TrigPoly], base: float) -> List[TrigRoots]:
+    """Certified real roots on [0, 2 pi/base) of polynomials whose
+    frequencies are exact integer multiples k * base.
+
+    With v = base * u and z = e^{iv}, c sin(kv + a) = Im(c e^{ia} z^k), so
+    the roots are unit-circle eigenvalues of the companion matrix of
+    z^K sum_k (C_k z^k - conj(C_k) z^-k) (Boyd, SIAM Review 55, 2013), one
+    np.linalg.eigvals call per degree K.  After one Newton step a root's
+    radius 2(|P| + delta)/(|P'| - delta') (delta, delta': rounding bounds)
+    is valid when L2 * radius <= (|P'| - delta')/2, L2 = sum |c| k^2: P is
+    monotone and changes sign on the interval.  margin is what one
+    coefficient of the quotient by the valid roots exceeds the others' sum
+    by, less the error that rounding and the radii put in, relative to its
+    l1 norm; margin > 0 and disjoint intervals leave the quotient no
+    unit-circle root.  That holds for the degree-2 wave pairs of the layered
+    barrier; on higher degrees the test can refuse a right count.
+    """
+    row, ci, t, ai = np.array([(i, *term) for i, p in enumerate(polys)
+                               for term in p.terms]).reshape(-1, 4).T
+    row, kt = row.astype(int), np.rint(t / base).astype(int)
+    if np.any((kt < 1) | (kt * base != t)):
+        raise ValueError(f"frequencies must be integer multiples of {base}")
+    k_max = int(kt.max(initial=0))
+    c, a = np.zeros((2, len(polys), k_max))
+    c[row, kt - 1], a[row, kt - 1] = ci, ai
+    k = np.arange(1, k_max + 1)
+    l2 = np.abs(c) @ (k * k)
+    delta = np.array([p.rounding_bound(TWO_PI / base) for p in polys])
+    delta1 = np.array([p.rounding_bound(TWO_PI / base, 1) for p in polys]) / base
+    C = c * np.exp(1j * a)
+    coef = np.zeros((len(polys), 2 * k_max + 1), dtype=complex)  # ascending
+    coef[:, k_max + 1:], coef[:, :k_max] = C, -np.conj(C[:, ::-1])
+
+    # candidates: eigenvalues within 1e-6 of the unit circle (the count is
+    # certified below).  Terms below rounding level stay out of the companion
+    # matrix, where they would put entries near 1/EPS, not the certificate
+    big = np.abs(c) > EPS * np.abs(c).sum(1, keepdims=True)
+    degree = np.where(big.any(1), k_max - np.argmax(big[:, ::-1], 1), 0)
+    pi, v = [np.zeros(0, dtype=int)], [np.zeros(0)]
+    for K in np.unique(degree[degree > 0]):
+        idx = np.flatnonzero(degree == K)
+        mid = coef[idx, k_max - K:k_max + K + 1]
+        comp = np.zeros((len(idx), 2 * K, 2 * K), dtype=complex)
+        comp[:, np.arange(1, 2 * K), np.arange(2 * K - 1)] = 1.0
+        comp[:, :, -1] = -mid[:, :-1] / mid[:, -1:]
+        eig = np.linalg.eigvals(comp)
+        row, col = np.nonzero(np.abs(np.abs(eig) - 1.0) <= 1e-6)
+        pi.append(idx[row])
+        v.append(np.angle(eig[row, col]) % TWO_PI)
+    pi, v = np.concatenate(pi), np.concatenate(v)
+
+    def values(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        arg = k * v[:, None] + a[pi]
+        return (c[pi] * np.sin(arg)).sum(1), (c[pi] * k * np.cos(arg)).sum(1)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f, fp = values(v)
+        v = (v - f / fp) % TWO_PI
+        v[v == TWO_PI] = 0.0
+        f, fp = values(v)
+        slope = np.abs(fp) - delta1[pi]
+        rho = 2.0 * (np.abs(f) + delta[pi]) / slope
+        ok = (slope > 0) & (l2[pi] * rho <= slope / 2.0)
+    order = np.flatnonzero(ok)
+    order = order[np.lexsort((v[order], pi[order]))]
+    pi, v, rho, fp = pi[order], v[order], rho[order], fp[order]
+    count = np.bincount(pi, minlength=len(polys))
+    n = np.arange(len(pi))
+    first = np.searchsorted(pi, pi)
+    zeta = np.zeros((len(polys), count.max(initial=0)), dtype=complex)
+    dz = np.zeros(zeta.shape)
+    zeta[pi, n - first], dz[pi, n - first] = np.exp(1j * v), rho + 2.0 * EPS
+
+    # divide by (z - zeta), zeta within dz of a true root, keeping the width
+    # 2 k_max + 1: b_j = sum_{i>j} q_i zeta^(i-j-1), so an l1 error E of q
+    # becomes at most d (1+2eps)^d (E + (d-1) dz (|q|_1 + E)), plus
+    # 8 eps d^2 |q|_1 for the division's rounding (d = 2 k_max)
+    d = 2 * k_max
+    q, err = coef, 8.0 * EPS * np.abs(c).sum(1)
+    for r in range(zeta.shape[1]):
+        rows = count > r
+        b = np.zeros_like(q)
+        for j in range(d, 0, -1):
+            b[:, j - 1] = q[:, j] + zeta[:, r] * b[:, j]
+        size = np.abs(q).sum(1)
+        err = np.where(rows, d * (1.0 + 2.0 * EPS) ** d * (
+            err + (d - 1) * dz[:, r] * (size + err)) + 8.0 * EPS * d * d * size,
+            err)
+        q = np.where(rows[:, None], b, q)
+    mag = np.abs(q)
+    total = mag.sum(1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        margin = np.where(total > 0, (2.0 * mag.max(1) - total - err) / total,
+                          -math.inf)
+    # intervals that meet, across the wrap-around too
+    last = np.searchsorted(pi, pi, side="right") - 1
+    nxt = np.where(n == last, first, n + 1)
+    margin[pi[(nxt != n) & ((v[nxt] - v) % TWO_PI <= rho + rho[nxt])]] = -math.inf
+
+    split = np.cumsum(count)[:-1]
+    radii = (rho + 2.0 * EPS * TWO_PI) / base
+    return [TrigRoots(roots=r, radii=w, slopes=s, margin=float(m))
+            for r, w, s, m in zip(np.split(v / base, split),
+                                  np.split(radii, split),
+                                  np.split(fp * base, split), margin)]
+
+
+def _window_scans(objective: Callable[[np.ndarray], np.ndarray],
+                  base_period: float, rounds: int,
+                  ) -> Iterator[Tuple[float, float, float]]:
+    """Per round r, the best (u, objective(u)) over 64 * 2^r periods at
+    256 * 2^r points per period, and that grid's step."""
+    for r in range(rounds):
+        periods, per_period = 64 << r, 256 << r
+        n = periods * per_period
+        best_u, best_v = 0.0, -math.inf
+        chunk = 1 << 20
+        U = periods * base_period
+        for start in range(0, n, chunk):
+            idx = np.arange(start, min(start + chunk, n), dtype=float)
+            u = idx * (U / n)
+            v = objective(u)
+            i = int(np.argmax(v))
+            if v[i] > best_v:
+                best_v, best_u = float(v[i]), float(u[i])
+        yield best_u, best_v, base_period / per_period
 
 
 # --- constructive lemmas --------------------------------------------------------
@@ -389,15 +515,9 @@ def find_all_negative(t: Sequence[float], beta: Sequence[float]) -> float:
         raise ValueError("frequencies must be positive")
     if any(abs(b) > e2 + 1e-15 for b in beta):
         raise ValueError(f"phases must satisfy |beta_k| <= eps2({n}) = {e2}")
-    order = sorted(range(n), key=lambda i: -t[i])
-    s = [t[i] / TWO_PI for i in order]
-    # collapse equal frequencies (box constraint is shared)
-    s_unique: List[float] = []
-    for x in s:
-        if not s_unique or x < s_unique[-1]:
-            s_unique.append(x)
-    u_prime = find_fractional_parts(s_unique, 6.0 / 13.0)
-    return -u_prime
+    # equal frequencies share one box constraint
+    s = sorted({x / TWO_PI for x in t}, reverse=True)
+    return -find_fractional_parts(s, 6.0 / 13.0)
 
 
 def find_simultaneous_positive(p_cos: TrigPoly, q_sin: TrigPoly,
@@ -435,22 +555,15 @@ def find_simultaneous_positive(p_cos: TrigPoly, q_sin: TrigPoly,
         neg = np.minimum(pv_m - e1 * s1, qv_m - e1 * s2)
         return np.maximum(pos, neg)
 
-    periods, per_period = 64, 256
-    for _ in range(max_escalations):
-        u, margin = _window_scan(objective, base, periods, per_period)
+    for u, margin, step in _window_scans(objective, base, max_escalations):
         if margin > 0:
-            plus = min(float(p_cos(u) - e1 * s1), float(q_sin(u) - e1 * s2))
-            minus = min(float(p_cos(-u) - e1 * s1), float(q_sin(-u) - e1 * s2))
-            if minus > plus:
-                u = -u
-            m1 = float(p_cos(u) - e1 * s1)
-            m2 = float(q_sin(u) - e1 * s2)
-            if min(m1, m2) > 0:
+            m = {x: (float(p_cos(x) - e1 * s1), float(q_sin(x) - e1 * s2))
+                 for x in (u, -u)}
+            u = max((u, -u), key=lambda x: min(m[x]))  # u on a tie
+            if min(m[u]) > 0:
                 return SearchCertificate(
-                    u=u, margins=(m1, m2), derivative_bound=lip,
-                    grid_step=base / per_period, target=0.0)
-        periods *= 2
-        per_period *= 2
+                    u=u, margins=m[u], derivative_bound=lip,
+                    grid_step=step, target=0.0)
     raise SearchExhaustedError(
         "no certified simultaneous-positive point within grid budget")
 
@@ -458,15 +571,9 @@ def find_simultaneous_positive(p_cos: TrigPoly, q_sin: TrigPoly,
 def _aligned_coeffs(q_sin: TrigPoly, p_cos: TrigPoly, r_sin: TrigPoly,
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     freqs = sorted({t for poly in (q_sin, p_cos, r_sin) for _, t, _ in poly.terms})
-    def coeff(poly: TrigPoly, t: float) -> float:
-        for c, tt, _ in poly.terms:
-            if tt == t:
-                return c
-        return 0.0
-    a = np.array([coeff(p_cos, t) for t in freqs])
-    b = np.array([coeff(q_sin, t) for t in freqs])
-    c = np.array([coeff(r_sin, t) for t in freqs])
-    return np.array(freqs), a, b, c
+    return (np.array(freqs),) + tuple(
+        np.array([{t: c for c, t, _ in poly.terms}.get(t, 0.0) for t in freqs])
+        for poly in (p_cos, q_sin, r_sin))
 
 
 def _check_domination_pre(a: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -499,9 +606,7 @@ def find_dominating(q_sin: TrigPoly, p_cos: TrigPoly, r_sin: TrigPoly,
         out_m = q_sin(-u) - np.maximum(np.abs(p_cos(-u)), r_sin(-u))
         return np.maximum(out, out_m)
 
-    periods, per_period = 64, 256
-    for _ in range(max_escalations):
-        u, margin = _window_scan(objective, base, periods, per_period)
+    for u, margin, step in _window_scans(objective, base, max_escalations):
         direct = float(q_sin(u) - max(abs(p_cos(u)), r_sin(u)))
         if direct < margin - 1e-15:
             u = -u
@@ -509,10 +614,7 @@ def find_dominating(q_sin: TrigPoly, p_cos: TrigPoly, r_sin: TrigPoly,
         if direct > 0:
             return SearchCertificate(
                 u=u, margins=(direct,), derivative_bound=lip,
-                grid_step=base / per_period, target=target,
-                satisfied=direct >= target)
-        periods *= 2
-        per_period *= 2
+                grid_step=step, target=target, satisfied=direct >= target)
     raise SearchExhaustedError("no dominating point found within grid budget")
 
 
@@ -540,11 +642,7 @@ def lemma28_gap(q_sin: TrigPoly, p_cos: TrigPoly, r_sin: TrigPoly,
         qv, pv, rv = q_sin(u), p_cos(u), r_sin(u)
         return qv * qv - np.maximum(pv * pv, rv * rv)
 
-    periods, per_period = 64, 256
-    for _ in range(max_escalations):
-        u, gap = _window_scan(objective, base, periods, per_period)
+    for u, gap, _ in _window_scans(objective, base, max_escalations):
         if gap > 0:
             return u, gap, target
-        periods *= 2
-        per_period *= 2
     raise SearchExhaustedError("no positive squared gap found within budget")

@@ -106,11 +106,6 @@ class ZeroSystem:
         return sum(m for zs in self.entries.values() for m in zs.values())
 
     @property
-    def r_minus(self) -> float | None:
-        betas = [z.beta for zs in self.entries.values() for z in zs]
-        return min(betas) if betas else None
-
-    @property
     def r_plus(self) -> float | None:
         betas = [z.beta for zs in self.entries.values() for z in zs]
         return max(betas) if betas else None
@@ -122,9 +117,6 @@ class ZeroSystem:
 
     def has_real_zeros(self) -> bool:
         return any(z.is_real for zs in self.entries.values() for z in zs)
-
-    def multiplicity(self, label: int, zero: Zero) -> int:
-        return self.entries.get(label, {}).get(zero, 0)
 
     def items(self) -> Iterable[Tuple[int, Zero, int]]:
         for label, zs in self.entries.items():

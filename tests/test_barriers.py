@@ -396,6 +396,16 @@ def test_build_thm51_multi_level():
     assert verdict(rep, "thm51_upper", r=r).ok
 
 
+@pytest.mark.slow
+def test_thm51_modulus_sweep_to_200():
+    # every q <= 200 whose unit group needs two or more generators (115
+    # moduli) builds the layered barrier: (A)-(D) pass at the defaults
+    moduli = [q for q in range(3, 201) if len(unit_group(q).generators) >= 2]
+    assert len(moduli) == 115
+    for q in moduli:
+        assert build_thm51(q).kind == "thm51_census"
+
+
 def test_check_hypotheses_thresholds():
     q = 7
     chars = characters(q)

@@ -332,3 +332,40 @@ def test_race_non_finite_checkpoint_step_is_config_error(tmp_path, capsys):
         assert_config_error(["race", "--q", 3, "--xmax", 4000,
                              "--checkpoints", rule, "--out", tmp_path / "r.csv"],
                             capsys)
+
+
+def test_trig_non_finite_list_entry_is_config_error(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    for argv in (["frac-parts", "--s", "nan"],
+                 ["all-negative", "--t", "1,nan"],
+                 ["all-negative", "--t", "1", "--beta", "inf"],
+                 ["dominate", "--freqs", "inf", "--b", "1", "--a", "1"],
+                 ["dominate", "--freqs", "1", "--b", "1", "--c", "-inf"]):
+        assert_config_error(["trig", *argv, "--out", out], capsys)
+    assert not out.exists()
+
+
+def test_trig_list_text_is_kept_in_config(tmp_path):
+    out = tmp_path / "neg.json"
+    assert run(["trig", "all-negative", "--t", "1,1.7320508",
+                "--beta", "0,0e0", "--out", out]) == 0
+    assert json.loads(out.read_text())["config"]["beta"] == "0,0e0"
+
+
+@pytest.mark.parametrize("command", ["simulate", "orderings"])
+def test_trace_over_budget_is_budget_error(tmp_path, capsys, monkeypatch,
+                                           command):
+    rec = built_thm311(tmp_path, capsys)
+    out = tmp_path / "t.out"
+    # 1e7 / 1e-3 samples at the default step, 1/1e-320 = inf samples, and
+    # 2^20 samples x 3 members
+    argvs = {"simulate": [["--window", "0:1e7"],
+                          ["--window", "0:1", "--step", "1e-320"]],
+             "orderings": [["--window", "0:1", "--samples", 1 << 20]]}
+    monkeypatch.setenv("RACE_LAB_BUDGET", "3e6")
+    for argv in argvs[command]:
+        assert run([command, "--recipe", rec, *argv, "--out", out]) \
+            == cli.EXIT_BUDGET
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "exceeds budget 3000000" in err[0], err
+        assert not out.exists()

@@ -22,12 +22,13 @@ from hypothesis import strategies as st
 from racelab import cli
 
 POOL = ("0", "-1", "1", "2", "3", "7", "15", "40", "1e300", "nan", "inf",
-        "-inf", "", "1:0")
+        "-inf", "", "1:0", "1,nan", "inf,1")
 RECIPES = {"t311.json": ["barrier", "build", "thm311", "--q", "7"],
            "t43.json": ["barrier", "build", "thm43", "--q", "7"],
            "t51.json": ["barrier", "build", "thm51", "--q", "5", "--tau", "500"]}
 ZEROS = "chi3_zeros.txt"
 EXTRA = {"recipe": tuple(RECIPES), "zeros": (ZEROS,),
+         "window": ("0:1e7", "0:1e300"),
          "checkpoints": ("linear:1", "geometric:2", "linear:inf",
                          "geometric:nan")}
 

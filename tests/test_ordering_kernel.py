@@ -1,9 +1,10 @@
 """The vectorized ordering kernel against the per-sample loops it replaced.
 
 The reference functions below are the earlier loop implementations of the
-census, crossing detection, the omega-type check and the wave-crossing
-root finder, kept here verbatim apart from names (and the one root-finder
-fix: a cell whose end value is exactly zero is not bracketed).  Random
+census, crossing detection, the omega-type check and the grid-and-bisection
+wave-crossing root finder, kept here verbatim apart from names (and the one
+root-finder fix: a cell whose end value is exactly zero is not bracketed);
+the root finder is now the reference for `trigpoly.roots`.  Random
 traces are quantized so that ties, tie runs at both ends of the window and
 all-tied columns occur often.
 """
@@ -11,16 +12,18 @@ all-tied columns occur often.
 import math
 from typing import Dict, List, Tuple
 
+import mpmath
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from racelab import residues, simulator
-from racelab.barriers import (OmegaTypeReport, _wave_crossings, build_omega,
-                              build_thm51, check_omega_type)
+from racelab import barriers, residues, simulator
+from racelab.barriers import (OmegaTypeReport, build_omega, build_thm51,
+                              check_omega_type)
 from racelab.orderings import (CensusReport, Crossing, Ordering,
                                OrderingTrace, census, detect_crossings)
-from racelab.trigpoly import TrigPoly
+from racelab.trigpoly import TrigPoly, roots as trig_roots
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -246,7 +249,7 @@ def test_check_omega_type_matches_loop_reference(data):
 
 @PROPERTY
 @given(st.data())
-def test_wave_crossings_matches_loop_reference(data):
+def test_trig_roots_match_loop_reference(data):
     def poly():
         k = data.draw(st.integers(1, 3))
         coeffs = data.draw(st.lists(st.sampled_from([-1.0, -0.5, 0.5, 1.0, 2.0]),
@@ -255,24 +258,82 @@ def test_wave_crossings_matches_loop_reference(data):
                                    unique=True))
         phases = data.draw(st.lists(st.sampled_from([0.0, 0.0, math.pi / 2, 1.0]),
                                     min_size=k, max_size=k))
-        return TrigPoly.sine(coeffs, [float(f) for f in freqs], phases)
+        return TrigPoly.sine(coeffs, [f * base for f in freqs], phases)
 
+    base = data.draw(st.sampled_from([1.0, 1000.0]))
     w1, w2 = poly(), poly()
+    diff = w1 + w2.scale(-1.0)
+    assume(diff.n_terms > 0)
     samples = data.draw(st.sampled_from([12, 24, 64, 100]))
-    period = 2 * math.pi
-    assert _wave_crossings(w1, w2, period, samples) \
-        == ref_wave_crossings(w1, w2, period, samples)
+    period = 2 * math.pi / base
+    [res] = trig_roots([diff], base)
+    # every kept root is isolated: the interval ends straddle a sign change
+    for r, rho in zip(res.roots, res.radii):
+        assert diff(r - rho) * diff(r + rho) < 0
+    if not res.certified:
+        return
+    # the grid can miss roots but cannot invent one
+    ref = ref_wave_crossings(w1, w2, period, samples)
+    assert len(ref) <= len(res.roots)
+    for root, width in ref:
+        dist = np.abs((res.roots - root + period / 2) % period - period / 2)
+        i = int(np.argmin(dist))
+        assert dist[i] <= width + res.radii[i]
 
 
-def test_wave_crossings_counts_a_grid_root_once():
-    # w1 - w2 > 0 just left of the wrap-around and exactly 0 at u = 0: the
-    # last cell must not bracket the root that the grid point already holds
+def test_trig_roots_count_a_root_at_zero_once():
+    # w1 - w2 > 0 just left of the wrap-around and 0 at u = 0, with a
+    # negligible top term: one root at 0, one at half the period
     period = 2 * math.pi / 1000
-    roots = _wave_crossings(TrigPoly.sine([-1.0], [1000.0]),
-                            TrigPoly.sine([1e-300], [2000.0]), period, 1024)
-    assert len(roots) == 2
-    assert roots[0] == (0.0, 0.0)
-    assert abs(roots[1][0] - period / 2) < 1e-15
+    [res] = trig_roots([TrigPoly.sine([-1.0], [1000.0])
+                        + TrigPoly.sine([1e-300], [2000.0]).scale(-1.0)], 1000.0)
+    assert res.certified and len(res.roots) == 2
+    assert res.roots[0] <= res.radii[0]
+    assert abs(res.roots[1] - period / 2) <= res.radii[1] + 1e-18
+
+
+def near_double_pair(gamma):
+    """Waves whose difference kappa cos(v - 1) - cos(2(v - 1))/2, v = gamma u,
+    has four real roots: 1 +- 8.6e-9 (about 3e-9 of the period apart, since
+    kappa is the float just below 1/2) and 1 +- 2 pi/3."""
+    kappa = float(np.nextafter(0.5, 0.0))
+    return (TrigPoly.sine([kappa], [gamma], [math.pi / 2 - 1.0]),
+            TrigPoly.sine([0.5], [2 * gamma], [math.pi / 2 - 2.0]))
+
+
+def test_trig_roots_refuse_a_near_double_root():
+    gamma = 1000.0
+    w1, w2 = near_double_pair(gamma)
+    diff = w1 + w2.scale(-1.0)
+    # 40 digits, on the float coefficients: negative between the close
+    # roots, positive outside them
+    def exact(v):
+        return sum(mpmath.mpf(c) * mpmath.sin(mpmath.mpf(t / gamma) * v
+                                              + mpmath.mpf(a))
+                   for c, t, a in diff.terms)
+    with mpmath.workdps(40):
+        one, step = mpmath.mpf(1), mpmath.mpf("2e-8")
+        assert exact(one - step) > 0 > exact(one) and exact(one + step) > 0
+    # a grid of 2^14 cells sees only the two far roots
+    assert len(ref_wave_crossings(w1, w2, 2 * math.pi / gamma, 1 << 14)) == 2
+    [res] = trig_roots([diff], gamma)
+    assert not res.certified
+
+
+def test_thm51_condition_a_refuses_a_near_double_root(monkeypatch):
+    gamma = 1000.0
+    w1, w2 = near_double_pair(gamma)
+    recipe = barriers.BarrierRecipe(
+        kind="thm51_census", q=8, claim="",
+        params={"gamma": gamma, "betas": [0.75], "orders": [2], "M": 64},
+        system=build_thm51(8).system)
+    monkeypatch.setattr(barriers, "theorem_decomposition",
+                        lambda *args: {"w": {(1, 0): w1, (1, 1): w2}})
+    with pytest.raises(barriers.ConditionFailedError) as err:
+        barriers.check_thm51_conditions(recipe)
+    assert err.value.condition == "A"
+    assert "level 1 phases (0,1)" in str(err.value)
+    assert "margin" in str(err.value)
 
 
 def test_q35_all_units_census_golden():

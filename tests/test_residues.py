@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from racelab.residues import (DirichletCharacter, InvalidModulusError,
                               InvalidResidueError, NotRepresentableError,
-                              RootOfUnitySum, character_label, character_sum,
+                              RootOfUnitySum, character_label,
                               character_with_value, characters,
                               nonprincipal_characters, separating_characters,
                               sqrt_count, unit_group)
@@ -141,7 +141,9 @@ def test_orthogonality_exact():
     for q in (3, 5, 8, 12, 15, 24, 30, 100):
         g = unit_group(q)
         for a in g.units:
-            s = character_sum(q, a)
+            s = RootOfUnitySum()
+            for chi in characters(q):
+                s.add(chi.phase(a))
             if a == 1:
                 assert not s.is_zero()
                 assert abs(s.to_complex() - g.phi) < 1e-9
@@ -248,7 +250,9 @@ def test_unit_group_exponent_bijection(q):
 def test_orthogonality_exact_property(q, data):
     g = unit_group(q)
     a = data.draw(st.sampled_from(g.units))
-    column = character_sum(q, a)
+    column = RootOfUnitySum()
+    for c in characters(q):
+        column.add(c.phase(a))
     assert column.is_zero() == (a != 1)
     chi = data.draw(st.sampled_from(characters(q)))
     row = RootOfUnitySum()

@@ -9,7 +9,7 @@ from racelab.trigpoly import (ResolutionTooCoarseError, TrigPoly,
                               find_all_negative, find_dominating,
                               find_fractional_parts,
                               find_simultaneous_positive, l2_norm,
-                              lemma28_gap, mean_bound)
+                              lemma28_gap)
 
 TWO_PI = 2 * math.pi
 
@@ -66,15 +66,6 @@ def test_moments_sine_symmetry():
 def test_moments_resolution_error():
     with pytest.raises(ResolutionTooCoarseError):
         empirical_moments(TrigPoly.sine([1.0], [1.0]), 100.0, TWO_PI)
-
-
-def test_mean_bound_holds():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        p = random_poly(rng, int(rng.integers(1, 6)))
-        U = 200.0
-        em = empirical_moments(p, U, TWO_PI / p.max_freq / 32)
-        assert abs(em.mean) <= mean_bound(p, U) + 1e-6
 
 
 def test_positive_fraction_lower_bound_small_sample():

@@ -8,10 +8,11 @@ is constant, so a dense grid sees every arc).
 
 Every sample is ordered at once by one kernel, `column_orders`: a stable
 descending argsort of each column, the gaps between neighbours in that
-order, and the mask of tie-free columns.  The census groups the columns by
-(order, tie cuts) with `np.unique` and run-length encodes the strict ones;
-crossing detection finds sign flips and tie runs of all member pairs with
-array operations; `barriers.check_omega_type` reuses the same kernel.
+order, and the mask of tie-free columns.  The census cuts the columns into
+runs of equal (order, tie cuts) keys and groups only the run heads with
+`np.unique`; crossing detection finds sign flips and tie runs of all member
+pairs with array operations; `barriers.check_omega_type` reuses the same
+kernel.
 """
 
 from __future__ import annotations
@@ -212,37 +213,49 @@ def census(trace: OrderingTrace) -> CensusReport:
     recorded as weak chains (their strict expansions occur on neighboring
     arcs, so the strict census between crossings is complete on a grid that
     resolves every arc).  Both dicts keep first-occurrence order.
+
+    A column's key is its order plus where its tie blocks cut.  Neighbouring
+    columns almost always share a key, so the columns are cut into runs of
+    equal keys, and only the run heads are grouped with `np.unique`; first
+    and last samples, sample counts and the sequence come from the run
+    starts and lengths.
     """
     r = trace.n_members
-    order, gaps, strict_cols = column_orders(trace.values, trace.tie_tol)
-    # a column's ordering is fixed by its order and where its tie blocks cut
+    order, gaps, _ = column_orders(trace.values, trace.tie_tol)
     keys = np.concatenate([order, gaps > trace.tie_tol],
                           dtype=np.min_scalar_type(r), casting="unsafe")
-    groups, first, inverse, counts = np.unique(
-        keys, axis=1, return_index=True, return_inverse=True,
-        return_counts=True)
-    inverse = inverse.reshape(-1)
+    heads = np.flatnonzero(np.r_[True, np.any(keys[:, 1:] != keys[:, :-1],
+                                              axis=0)])
+    ends = np.append(heads[1:], keys.shape[1]) - 1  # each run's last column
+    groups, first, run_group = np.unique(
+        keys[:, heads], axis=1, return_index=True, return_inverse=True)
+    run_group = run_group.reshape(-1)
+    first = heads[first]
     last = np.zeros(len(first), dtype=np.intp)
-    np.maximum.at(last, inverse, np.arange(len(inverse)))
+    np.maximum.at(last, run_group, ends)
+    counts = np.zeros(len(first), dtype=np.intp)
+    np.add.at(counts, run_group, ends - heads + 1)
     u = trace.u
     strict: Dict[Tuple[int, ...], Tuple[float, float]] = {}
     sample_counts: Dict[Tuple[int, ...], int] = {}
     weak: Dict[Chain, int] = {}
     perms: Dict[int, Tuple[int, ...]] = {}  # group id -> strict permutation
+    strict_group = np.all(groups[r:], axis=0)
     for g in np.argsort(first).tolist():
-        col = groups[:, g].tolist()
-        if all(col[r:]):
-            perm = perms[g] = tuple(col[:r])
+        if strict_group[g]:
+            perm = perms[g] = tuple(groups[:r, g].tolist())
             strict[perm] = (float(u[first[g]]), float(u[last[g]]))
             sample_counts[perm] = int(counts[g])
         else:
             chain = _chain(groups[:r, g], groups[r:, g])
             weak[chain] = weak.get(chain, 0) + int(counts[g])
-    # the strict ordering sequence: one entry per run of equal strict columns
-    cols = np.flatnonzero(strict_cols)
-    ids = inverse[cols]
-    runs = np.flatnonzero(np.diff(ids, prepend=-1) != 0)
-    sequence = [(float(u[cols[k]]), perms[int(ids[k])]) for k in runs]
+    # the strict ordering sequence: strict runs, merged where the runs
+    # between two of the same ordering are all tied
+    runs = np.flatnonzero(strict_group[run_group])
+    ids = run_group[runs]
+    new = np.diff(ids, prepend=-1) != 0
+    sequence = [(float(u[heads[k]]), perms[g])
+                for k, g in zip(runs[new].tolist(), ids[new].tolist())]
     return CensusReport(members=trace.members, strict=strict, weak=weak,
                         crossings=detect_crossings(trace), sequence=sequence,
                         window=(float(u[0]), float(u[-1])),

@@ -27,12 +27,12 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from .orderings import OrderingTrace
-from .residues import DirichletCharacter, character_label, unit_group
+from .residues import character_label, unit_group
 from .trigpoly import TrigPoly
 from .zerosys import DominantData, Zero, ZeroSystem, dominant_data, g_rho_exact
 
@@ -228,11 +228,11 @@ def _formula_sums(s: RaceFunctionSet, x: Sequence[float]) -> np.ndarray:
     the half-weight star convention: one row per member, one column per x."""
     zeros = s.system.all_zeros()
     col = {z: k for k, z in enumerate(zeros)}
-    chi_bar = _conjugates(s.system)
+    chi_bar = _character_values(s.system, s.members)
     amp = np.zeros((len(s.members), len(zeros)), dtype=complex)
     for label, z, mult in s.system.items():
-        for i, a in enumerate(s.members):
-            amp[i, col[z]] += chi_bar[label](a) * mult * _star_weight(z)
+        for i, chi in enumerate(chi_bar[label]):
+            amp[i, col[z]] += chi * mult * _star_weight(z)
     main, tail, _ = _f_table([z.rho for z in zeros], x)
     return (amp @ (main + tail)).real
 
@@ -352,20 +352,14 @@ def corollary13_sum(zeros: ZeroSystem, a: int, b: int,
 # --- traces -----------------------------------------------------------------------
 
 
-def _conjugates(system: ZeroSystem) -> Dict[int, DirichletCharacter]:
-    """conj(chi) for each character label that carries zeros."""
-    return {label: system.chars[label].conjugate() for label in system.entries}
-
-
-def _member_amplitudes(system: ZeroSystem, member: int,
-                       chi_bar: Dict[int, DirichletCharacter],
-                       ) -> Dict[Zero, complex]:
-    """Per-zero complex amplitude of the member's oscillation term:
-    sum_chi n(rho, chi) conj(chi)(member) / rho, star-weighted."""
-    out: Dict[Zero, complex] = {}
-    for label, z, mult in system.items():
-        c = mult * _star_weight(z) * chi_bar[label](member) / z.rho
-        out[z] = out.get(z, 0.0j) + c
+def _character_values(system: ZeroSystem, members: Sequence[int],
+                       ) -> Dict[int, List[complex]]:
+    """conj(chi)(a) for each character label that carries zeros and each
+    member a, in member order: one character call per (label, member)."""
+    out = {}
+    for label in system.entries:
+        chi_bar = system.chars[label].conjugate()
+        out[label] = [chi_bar(a) for a in members]
     return out
 
 
@@ -379,23 +373,32 @@ def dominant_member_values(system: ZeroSystem, members: Sequence[int],
     the u -> infinity limit of phi(q) u/(2 e^(R+ u)) (P_a - pi/phi) with all
     residuals dropped.  Levels below R+ carry exponentially decaying weights,
     so any u is within numeric reach.
+
+    Each zero's amplitude per member, sum_chi n conj(chi)(a) / rho
+    (star-weighted), comes from one character value per (label, member).
+    The zeros are then streamed: each zero's wave e^(i Im rho u) and decay
+    are built once and added to every member's row, so no zeros x samples
+    table is held.
     """
     u = np.asarray(u, dtype=float)
+    values = np.zeros((len(members), len(u)))
     beta_star = system.r_plus
     if beta_star is None:
-        return np.zeros((len(members), len(u)))
-    chi_bar = _conjugates(system)
-    rows = []
-    for a in members:
-        amps = _member_amplitudes(system, a, chi_bar)
-        acc = np.zeros_like(u)
-        for z, c in amps.items():
-            osc = (c * np.exp(1j * z.gamma * u)).real if z.gamma else np.full_like(u, c.real)
-            if z.beta != beta_star:
-                osc = osc * np.exp((z.beta - beta_star) * u)
-            acc += osc
-        rows.append(-acc)
-    return np.vstack(rows)
+        return values
+    chi_bar = _character_values(system, members)
+    amps: Dict[Zero, List[complex]] = {}
+    for label, z, mult in system.items():
+        weight = mult * _star_weight(z)
+        row = amps.setdefault(z, [0.0j] * len(members))
+        for i, chi in enumerate(chi_bar[label]):
+            row[i] += weight * chi / z.rho
+    for z, row in amps.items():
+        wave = np.exp(1j * z.gamma * u) if z.gamma else None
+        decay = np.exp((z.beta - beta_star) * u) if z.beta != beta_star else None
+        for acc, c in zip(values, row):
+            osc = (c * wave).real if z.gamma else c.real
+            acc += osc if decay is None else osc * decay
+    return np.negative(values, out=values)
 
 
 def trace(s: RaceFunctionSet, u_range: Tuple[float, float], step: float,

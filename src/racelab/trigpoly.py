@@ -259,12 +259,20 @@ def certified_positive_scan(f: Callable[[np.ndarray], np.ndarray],
     the midpoints such a bisection evaluates before reaching that cell: its
     enclosing cells and every cell to its right.  A passing scan reports the
     minimum over every sampled value (the margin) and the finest step used.
+    A grid of more points than the sieve budget (RACE_LAB_BUDGET) is refused
+    before it is built.
     """
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
     if not hi > lo:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    pts = np.linspace(lo, hi, max(int(math.ceil((hi - lo) / step)) + 1, 3))
+    cells = (hi - lo) / step  # inf for a subnormal step
+    from .primes import BudgetExceededError, sieve_budget  # primes imports us
+    if cells + 1 > sieve_budget():
+        raise BudgetExceededError(
+            f"scan grid of {cells + 1:.6g} points exceeds budget "
+            f"{sieve_budget()} (RACE_LAB_BUDGET)")
+    pts = np.linspace(lo, hi, max(int(math.ceil(cells)) + 1, 3))
     vals = np.asarray(f(pts), dtype=float)
     width = pts[1] - pts[0]
     live = np.flatnonzero(np.minimum(vals[:-1], vals[1:])

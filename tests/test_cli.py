@@ -369,3 +369,18 @@ def test_trace_over_budget_is_budget_error(tmp_path, capsys, monkeypatch,
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "exceeds budget 3000000" in err[0], err
         assert not out.exists()
+
+
+def test_scan_grid_over_budget_is_budget_error(tmp_path, capsys,
+                                               monkeypatch):
+    # 2 pi / 1e-320 grid points is inf; the scan refuses it before numpy
+    # is asked for the grid
+    rec = built_thm311(tmp_path, capsys)
+    out = tmp_path / "v.json"
+    monkeypatch.setenv("RACE_LAB_BUDGET", "1e6")
+    assert run(["barrier", "verify", "--recipe", rec, "--step", "1e-320",
+                "--out", out]) == cli.EXIT_BUDGET
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "scan grid of inf points exceeds budget 1000000" in err[0]
+    assert not out.exists()

@@ -28,7 +28,7 @@ RECIPES = {"t311.json": ["barrier", "build", "thm311", "--q", "7"],
            "t51.json": ["barrier", "build", "thm51", "--q", "5", "--tau", "500"]}
 ZEROS = "chi3_zeros.txt"
 EXTRA = {"recipe": tuple(RECIPES), "zeros": (ZEROS,),
-         "window": ("0:1e7", "0:1e300"),
+         "window": ("0:1e7", "0:1e300"), "step": ("1e-320",),
          "checkpoints": ("linear:1", "geometric:2", "linear:inf",
                          "geometric:nan")}
 

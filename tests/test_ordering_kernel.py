@@ -1,15 +1,19 @@
 """The vectorized ordering kernel against the per-sample loops it replaced.
 
 The reference functions below are the earlier loop implementations of the
-census, crossing detection, the omega-type check and the grid-and-bisection
-wave-crossing root finder, kept here verbatim apart from names (and the one
-root-finder fix: a cell whose end value is exactly zero is not bracketed);
-the root finder is now the reference for `trigpoly.roots`.  Random
-traces are quantized so that ties, tie runs at both ends of the window and
-all-tied columns occur often.
+census, crossing detection, the omega-type check, the grid-and-bisection
+wave-crossing root finder and the per-member dominant trace, kept here
+verbatim apart from names (and two fixes: the root finder does not bracket
+a cell whose end value is exactly zero, and the trace returns an empty
+array for no members, where the loop's np.vstack raised); the root finder
+is now the reference for `trigpoly.roots`.  Random traces are quantized so
+that ties, tie runs at both ends of the window and all-tied columns occur
+often.
 """
 
 import math
+from fractions import Fraction
+from importlib import resources
 from typing import Dict, List, Tuple
 
 import mpmath
@@ -18,7 +22,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from racelab import barriers, residues, simulator
+from racelab import barriers, residues, simulator, zerosys
 from racelab.barriers import (OmegaTypeReport, build_omega, build_thm51,
                               check_omega_type)
 from racelab.orderings import (CensusReport, Crossing, Ordering,
@@ -173,6 +177,30 @@ def ref_wave_crossings(w1, w2, period, samples):
     return roots
 
 
+def ref_dominant_member_values(system, members, u):
+    u = np.asarray(u, dtype=float)
+    beta_star = system.r_plus
+    if beta_star is None:
+        return np.zeros((len(members), len(u)))
+    chi_bar = {label: system.chars[label].conjugate()
+               for label in system.entries}
+    rows = []
+    for a in members:
+        amps = {}
+        for label, z, mult in system.items():
+            w = 0.5 if z.is_real else 1.0
+            c = mult * w * chi_bar[label](a) / z.rho
+            amps[z] = amps.get(z, 0.0j) + c
+        acc = np.zeros_like(u)
+        for z, c in amps.items():
+            osc = (c * np.exp(1j * z.gamma * u)).real if z.gamma else np.full_like(u, c.real)
+            if z.beta != beta_star:
+                osc = osc * np.exp((z.beta - beta_star) * u)
+            acc += osc
+        rows.append(-acc)
+    return np.vstack(rows) if rows else np.zeros((0, len(u)))
+
+
 # --- strategies -----------------------------------------------------------------
 
 
@@ -205,6 +233,40 @@ def census_fields(rep: CensusReport):
 @given(quantized_traces())
 def test_census_matches_loop_reference(trace):
     assert census_fields(census(trace)) == census_fields(ref_census(trace))
+
+
+def fixed_trace(rows, tie_tol=0.0):
+    values = np.array(rows, dtype=float)
+    return OrderingTrace(u=0.5 * np.arange(values.shape[1]),
+                         members=tuple(range(1, len(values) + 1)),
+                         values=values, tie_tol=tie_tol)
+
+
+FIXED_TRACES = {
+    # (1, 2) recurs after other strict runs, and after a tied run
+    "recurring key": fixed_trace([[2, 2, 0, 0, 2, 1, 2, 2, 0],
+                                  [1, 1, 1, 1, 1, 1, 1, 1, 1],
+                                  [0, 0, 2, 2, 0, 0, 0, 0, 2]]),
+    "single sample": fixed_trace([[0.5], [0.0], [1.0]]),
+    "tied at both ends": fixed_trace([[0, 1, 0, 0, 1],
+                                      [0, 0, 1, 0, 1],
+                                      [0, 2, 2, 2, 0]], tie_tol=1e-9),
+    "all tied": fixed_trace([[1, 1, 1], [1, 1, 1]]),
+}
+
+
+@pytest.mark.parametrize("name", list(FIXED_TRACES))
+def test_census_matches_loop_reference_on_fixed_traces(name):
+    trace = FIXED_TRACES[name]
+    assert census_fields(census(trace)) == census_fields(ref_census(trace))
+
+
+def test_census_recurring_key_keeps_first_and_last_sample():
+    rep = census(FIXED_TRACES["recurring key"])
+    top = (0, 1, 2)
+    assert rep.strict[top] == (0.0, 3.5) and rep.sample_counts[top] == 5
+    # the tie at sample 5 does not split the (1, 2, 3) arc in the sequence
+    assert [p for _, p in rep.sequence] == [top, (2, 1, 0), top, (2, 1, 0)]
 
 
 @PROPERTY
@@ -338,13 +400,72 @@ def test_thm51_condition_a_refuses_a_near_double_root(monkeypatch):
 
 def test_q35_all_units_census_golden():
     """Pins the sampled census of the q=35 layered recipe with all 24 units
-    as members at 1024 samples.  It records what this sample count sees, not
-    a converged count (more samples see more orderings)."""
+    as members at 1024 and 32768 samples.  It records what each sample count
+    sees, not a converged count (more samples see more orderings); only at
+    32768 samples does every pair cross twice, r(r-1) = 552 crossings."""
     recipe = build_thm51(35, tau=1000.0)
     rfs = simulator.RaceFunctionSet(35, recipe.system,
                                     residues.unit_group(35).units,
                                     pi_proxy="zero")
-    rep = census(simulator.one_period_trace(rfs, samples=1024))
-    assert rep.strict_count == 231
-    assert len(rep.crossings) == 540
-    assert not rep.weak
+    for samples, strict, crossings in ((1024, 231, 540), (32768, 371, 552)):
+        rep = census(simulator.one_period_trace(rfs, samples=samples))
+        assert rep.strict_count == strict
+        assert len(rep.crossings) == crossings
+        assert not rep.weak
+
+
+# --- the dominant trace ---------------------------------------------------------
+
+
+def assert_bitwise(values, ref):
+    assert values.dtype == ref.dtype and values.shape == ref.shape
+    assert values.tobytes() == ref.tobytes()
+
+
+def recipe_case(recipe, members=None, samples=777):
+    period = 2 * math.pi / recipe.system.height_lattice
+    if members is None:
+        members = residues.unit_group(recipe.q).units
+    return recipe.system, members, np.linspace(-period, 3 * period, samples)
+
+
+def mixed_level_case():
+    """A real zero (half weight) on the quadratic character mod 13, two real
+    parts (the lower one decays), and zeros shared by two characters."""
+    chars = residues.characters(13)
+
+    def label(phase):  # 2 generates the units mod 13
+        return next(i for i, c in enumerate(chars) if c.phase(2) == phase)
+
+    Zero = zerosys.Zero
+    system = zerosys.ZeroSystem(13, {
+        label(Fraction(1, 2)): {Zero(0.75, 0.0): 1, Zero(0.75, 4.0): 2,
+                                Zero(0.6, 9.5): 1},
+        label(Fraction(1, 4)): {Zero(0.75, 4.0): 1, Zero(0.6, 2.25): 3},
+        label(Fraction(1, 3)): {Zero(0.6, 9.5): 2}})
+    return system, residues.unit_group(13).units, np.linspace(-5.0, 40.0, 901)
+
+
+DOMINANT_CASES = {
+    "thm311 Z4 x Z2": lambda: recipe_case(barriers.build_thm311(15, tau=1000.0)),
+    "thm51 all units": lambda: recipe_case(build_thm51(35, tau=1000.0)),
+    "thm43": lambda: recipe_case(barriers.build_extremal(7, 3, [3, 2, 6])),
+    "real zero, two levels": mixed_level_case,
+    "no members": lambda: recipe_case(barriers.build_thm311(7), members=()),
+    "one sample": lambda: recipe_case(barriers.build_thm311(7), samples=1),
+}
+
+
+@pytest.mark.parametrize("case", list(DOMINANT_CASES))
+def test_dominant_member_values_match_loop_reference(case):
+    system, members, u = DOMINANT_CASES[case]()
+    assert_bitwise(simulator.dominant_member_values(system, members, u),
+                   ref_dominant_member_values(system, members, u))
+
+
+def test_corollary13_sum_matches_loop_reference():
+    with resources.as_file(resources.files("racelab") / "data/chi3_zeros.txt") as p:
+        chi3 = zerosys.load_zero_data(p)
+    u = np.linspace(0.0, 40.0, 1001)
+    ref = ref_dominant_member_values(chi3, [2, 1], u)
+    assert_bitwise(simulator.corollary13_sum(chi3, 2, 1, u), ref[0] - ref[1])

@@ -145,3 +145,17 @@ def test_failing_r_scan_of_criterion_1():
 def test_rejects_empty_interval():
     with pytest.raises(ValueError, match="lo < hi"):
         certified_positive_scan(np.cos, 1.0, 1.0, 1.0, 0.1)
+
+
+def test_refuses_a_grid_over_budget(monkeypatch):
+    from racelab.primes import BudgetExceededError
+    monkeypatch.setenv("RACE_LAB_BUDGET", "1000")
+    calls = []
+    # 1000 cells are 1001 points; 999 cells fit
+    with pytest.raises(BudgetExceededError, match="1001 points"):
+        certified_positive_scan(calls.append, 1.0, 0.0, 1.0, 1e-3)
+    with pytest.raises(BudgetExceededError, match="inf points"):
+        certified_positive_scan(calls.append, 1.0, 0.0, 1.0, 1e-320)
+    assert not calls
+    assert certified_positive_scan(lambda v: 2.0 + np.cos(v), 1.0, 0.0,
+                                   0.999, 1e-3).ok

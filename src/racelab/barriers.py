@@ -31,7 +31,7 @@ from .residues import (DirichletCharacter, character_label,
 from .orderings import column_orders
 from .simulator import dominant_member_values, theorem_decomposition
 from .trigpoly import (ScanReport, TrigPoly, certified_positive_scan, eps1,
-                       eps2, roots as trig_roots)
+                       eps2, evaluate as trig_evaluate, roots as trig_roots)
 from .zerosys import Zero, ZeroSystem, dominant_data
 
 
@@ -139,22 +139,21 @@ class BarrierRecipe:
 def _pick_structure(q: int) -> dict:
     """Choose the applicable group-structure case for the modulus."""
     group = unit_group(q)
-    orders = {a: group.order(a) for a in group.units}
+    units = np.array(group.units)  # ascending
+    sizes = np.array([n for _, n in group.generators])
+    exps = np.array([group.exponents(a) for a in group.units])
+    orders = np.lcm.reduce(sizes // np.gcd(exps, sizes), axis=1)
     # even order >= 6 with odd part >= 3, smallest such order
-    cyclic = sorted(n for n in set(orders.values())
-                    if n >= 6 and n % 2 == 0 and (n & (n - 1)) != 0)
-    if cyclic:
-        n = cyclic[0]
-        a = min(u for u, o in orders.items() if o == n)
-        return {"case": "even_cyclic", "a": a, "n": n}
-    if any(o == 8 for o in orders.values()):
-        a = min(u for u, o in orders.items() if o == 8)
-        return {"case": "n8", "a": a, "n": 8}
+    even = (orders >= 6) & (orders % 2 == 0) & (orders & (orders - 1) != 0)
+    if even.any():
+        n = int(orders[even].min())
+        return {"case": "even_cyclic", "a": int(units[orders == n][0]), "n": n}
+    if np.any(orders == 8):
+        return {"case": "n8", "a": int(units[orders == 8][0]), "n": 8}
     # Z4 x Z2: order-4 element plus an involution outside its span
-    quads = sorted(u for u, o in orders.items() if o == 4)
-    for a in quads:
+    for a in units[orders == 4].tolist():
         span = set(group.subgroup(a))
-        invs = sorted(u for u, o in orders.items() if o == 2 and u not in span)
+        invs = [u for u in units[orders == 2].tolist() if u not in span]
         if invs:
             return {"case": "z4z2", "a": a, "b": invs[0]}
     raise RuntimeError(f"no suitable subgroup found for q={q} "
@@ -270,7 +269,11 @@ def verify_thm311(recipe: BarrierRecipe, step: float = 1e-3,
     identities.
 
     An identity error is sum over frequencies of |phasor of (G_0 - G_r) -
-    phasor of the closed form|, which bounds the gap at every v."""
+    phasor of the closed form|, which bounds the gap at every v.  The scan
+    certifies max_r G_r - G_0 > 0; G_0 and every designated G_r (integer
+    frequencies in v) come from one `trigpoly.evaluate` call per batch of
+    points, within its documented rounding bound of the term-by-term
+    values."""
     if not recipe.kind.startswith("thm311"):
         raise ValueError("recipe is not a three-residue lattice barrier")
     params = recipe.params
@@ -320,7 +323,8 @@ def verify_thm311(recipe: BarrierRecipe, step: float = 1e-3,
         # certify: max over designated r of (G_r - G_0) stays positive;
         # x -> fl(x - g) is monotone, so subtracting G_0 once after the max
         # gives the same floats as subtracting it from every G_r
-        return np.max(np.vstack([gr(v) for gr in grs]), axis=0) - g0(v)
+        vals = trig_evaluate([g0, *grs], v)
+        return vals[1:].max(axis=0) - vals[0]
 
     scan = certified_positive_scan(objective, max(lips), 0.0, 2 * math.pi, step)
     ok = scan.ok and all(e <= identity_tol for e in identity_errors.values())

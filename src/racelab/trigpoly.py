@@ -3,6 +3,12 @@ and the constructive sign-pattern searches used by the barrier machinery.
 
 A TrigPoly is a finite sum  P(u) = sum_k c_k sin(t_k u + alpha_k)  with
 pairwise distinct positive frequencies.  Cosines are phase-shifted sines.
+Calling it evaluates term by term, for any real frequencies.  When every
+frequency is an integer multiple k * base, P is Im(sum_k C_k z^k) over the
+phasors C_k = c_k e^{i alpha_k} and z = e^{i base u}: `evaluate` computes
+many such polynomials from one table of powers of z (two transcendentals
+per point, not one per term), and `roots` finds their real roots as
+unit-circle eigenvalues.
 
 The existence searches (find_simultaneous_positive, find_dominating,
 lemma28_gap) are backed by L2/measure arguments guaranteeing solutions on a
@@ -30,6 +36,7 @@ class SearchExhaustedError(RuntimeError):
 
 TWO_PI = 2.0 * math.pi
 EPS = float(np.finfo(float).eps)
+_CHUNK = 2048  # points per block of `evaluate`
 
 
 @dataclass(frozen=True)
@@ -346,6 +353,56 @@ class TrigRoots:
         return self.margin > 0.0
 
 
+def _phasor_table(polys: Sequence[TrigPoly], base: float,
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c, alpha, C), each (len(polys), K): column k - 1 of row i holds the
+    term c sin(k base u + alpha) of polys[i] and its phasor C = c e^{i alpha},
+    zero where there is none.  Every frequency must be an exact integer
+    multiple k * base."""
+    row, ci, t, ai = np.array([(i, *term) for i, p in enumerate(polys)
+                               for term in p.terms]).reshape(-1, 4).T
+    row, kt = row.astype(int), np.rint(t / base).astype(int)
+    if np.any((kt < 1) | (kt * base != t)):
+        raise ValueError(f"frequencies must be integer multiples of {base}")
+    c, a = np.zeros((2, len(polys), int(kt.max(initial=0))))
+    c[row, kt - 1], a[row, kt - 1] = ci, ai
+    return c, a, c * np.exp(1j * a)
+
+
+def evaluate(polys: Sequence[TrigPoly], v, base: float = 1.0) -> np.ndarray:
+    """Every polynomial at every point of the 1-D array v, as a
+    (len(polys), len(v)) array, for frequencies that are exact integer
+    multiples k * base (ValueError otherwise).
+
+    With z = e^{i base v}, c sin(k base v + alpha) = Im(C z^k), so the
+    values are Im(C @ Z) over the phasor table C and the powers
+    Z = (z, z^2, ..., z^K): one cos and one sin per point, then K - 1
+    complex products.  Points go through in blocks of _CHUNK, so no
+    K x len(v) table is held, and a longer input gives the same floats as
+    its blocks one by one.
+
+    Against the exact value of sum c_k sin(t_k v + alpha_k) on the float
+    inputs, the error is at most
+        EPS * sum|c_k| * (6K + 4 + K |base v|),
+    K the polynomial's largest k.  6K + 4 covers cos and sin with up to
+    4 ulp error, the powers, the phasors and any summation order;
+    K |base v| covers the rounding of base * v and of k * base, and is not
+    there when base is a power of two.
+    """
+    _, _, C = _phasor_table(polys, base)
+    v = np.asarray(v, dtype=float)
+    out = np.empty((len(polys), len(v)))
+    for start in range(0, len(v), _CHUNK):
+        w = base * v[start:start + _CHUNK]
+        z = np.empty((C.shape[1], len(w)), dtype=complex)
+        if len(z):
+            z[0] = np.cos(w) + 1j * np.sin(w)
+        for k in range(1, len(z)):
+            np.multiply(z[k - 1], z[0], out=z[k])
+        out[:, start:start + len(w)] = (C @ z).imag
+    return out
+
+
 def roots(polys: Sequence[TrigPoly], base: float) -> List[TrigRoots]:
     """Certified real roots on [0, 2 pi/base) of polynomials whose
     frequencies are exact integer multiples k * base.
@@ -363,19 +420,12 @@ def roots(polys: Sequence[TrigPoly], base: float) -> List[TrigRoots]:
     unit-circle root.  That holds for the degree-2 wave pairs of the layered
     barrier; on higher degrees the test can refuse a right count.
     """
-    row, ci, t, ai = np.array([(i, *term) for i, p in enumerate(polys)
-                               for term in p.terms]).reshape(-1, 4).T
-    row, kt = row.astype(int), np.rint(t / base).astype(int)
-    if np.any((kt < 1) | (kt * base != t)):
-        raise ValueError(f"frequencies must be integer multiples of {base}")
-    k_max = int(kt.max(initial=0))
-    c, a = np.zeros((2, len(polys), k_max))
-    c[row, kt - 1], a[row, kt - 1] = ci, ai
+    c, a, C = _phasor_table(polys, base)
+    k_max = c.shape[1]
     k = np.arange(1, k_max + 1)
     l2 = np.abs(c) @ (k * k)
     delta = np.array([p.rounding_bound(TWO_PI / base) for p in polys])
     delta1 = np.array([p.rounding_bound(TWO_PI / base, 1) for p in polys]) / base
-    C = c * np.exp(1j * a)
     coef = np.zeros((len(polys), 2 * k_max + 1), dtype=complex)  # ascending
     coef[:, k_max + 1:], coef[:, :k_max] = C, -np.conj(C[:, ::-1])
 

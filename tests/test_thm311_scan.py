@@ -1,0 +1,94 @@
+"""The thm311 certified scan and structure pick against the direct forms
+they replaced.
+
+`ref_scan` is the scan `verify_thm311` made before its objective went
+through `trigpoly.evaluate`: every designated G_r and G_0 evaluated term by
+term with `TrigPoly.__call__`.  Both scans must agree on the verdict, the
+finest step, the argmin and the failure point; the minimum may move by the
+rounding of the two evaluators.  `ref_pick_structure` is the structure pick
+that asked `ResidueGroup.order` once per unit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from racelab.barriers import _pick_structure, build_thm311, verify_thm311
+from racelab.residues import unit_group
+from racelab.simulator import theorem_decomposition
+from racelab.trigpoly import EPS, certified_positive_scan
+
+MODULI = [q for q in [*range(7, 151), 839, 1019, 1307]
+          if q not in (8, 10, 12, 24)]
+
+
+def designated_polys(recipe):
+    params = recipe.params
+    G = theorem_decomposition(recipe.system, "thm311", params)["G"]
+    designated = [tuple(t) if isinstance(t, list) else (t,)
+                  for t in params["designated"]]
+    return G[(0,) * len(designated[0])], [G[r] for r in designated]
+
+
+def ref_scan(recipe, step=1e-3):
+    g0, grs = designated_polys(recipe)
+    lips = [g0.lipschitz_bound + gr.lipschitz_bound for gr in grs]
+
+    def objective(v):
+        return np.max(np.vstack([gr(v) for gr in grs]), axis=0) - g0(v)
+
+    return certified_positive_scan(objective, max(lips), 0.0, 2 * math.pi,
+                                   step)
+
+
+def rounding_allowance(recipe, value):
+    """Both objectives' documented error bounds on [0, 2 pi), plus the
+    final subtraction's rounding."""
+    g0, grs = designated_polys(recipe)
+    polys = [g0, *grs]
+    evaluate_bound = sum(EPS * p.amplitude_sum * (6 * p.max_freq + 4)
+                         for p in polys)
+    call_bound = sum(p.rounding_bound(2 * math.pi) for p in polys)
+    return evaluate_bound + call_bound + 2 * EPS * abs(value)
+
+
+@pytest.mark.parametrize("q", MODULI)
+def test_scan_matches_direct_objective(q):
+    recipe = build_thm311(q, tau=50.0)
+    new, ref = verify_thm311(recipe).scan, ref_scan(recipe)
+    assert (new.ok, new.certified_step, new.argmin, new.failure_point) == \
+        (ref.ok, ref.certified_step, ref.argmin, ref.failure_point)
+    assert new.lipschitz == ref.lipschitz
+    gap = abs(new.min_value - ref.min_value)
+    assert (gap <= 1e-12 * abs(ref.min_value)
+            or gap <= rounding_allowance(recipe, ref.min_value))
+
+
+def ref_pick_structure(q):
+    group = unit_group(q)
+    orders = {a: group.order(a) for a in group.units}
+    cyclic = sorted(n for n in set(orders.values())
+                    if n >= 6 and n % 2 == 0 and (n & (n - 1)) != 0)
+    if cyclic:
+        n = cyclic[0]
+        a = min(u for u, o in orders.items() if o == n)
+        return {"case": "even_cyclic", "a": a, "n": n}
+    if any(o == 8 for o in orders.values()):
+        a = min(u for u, o in orders.items() if o == 8)
+        return {"case": "n8", "a": a, "n": 8}
+    quads = sorted(u for u, o in orders.items() if o == 4)
+    for a in quads:
+        span = set(group.subgroup(a))
+        invs = sorted(u for u, o in orders.items() if o == 2 and u not in span)
+        if invs:
+            return {"case": "z4z2", "a": a, "b": invs[0]}
+    raise AssertionError(q)
+
+
+def test_pick_structure_matches_per_unit_orders():
+    for q in range(7, 601):
+        if q not in (8, 10, 12, 24):
+            got = _pick_structure(q)
+            assert got == ref_pick_structure(q), q
+            assert all(type(got[k]) is int for k in got if k != "case")

@@ -1,13 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from racelab.trigpoly import (ResolutionTooCoarseError, TrigPoly,
-                              certified_positive_scan, empirical_moments,
-                              eps1, eps2, eps_box, eps_small_values,
-                              find_all_negative, find_dominating,
-                              find_fractional_parts,
+from racelab.trigpoly import (_CHUNK, EPS, ResolutionTooCoarseError,
+                              TrigPoly, certified_positive_scan,
+                              empirical_moments, eps1, eps2, eps_box,
+                              eps_small_values, evaluate, find_all_negative,
+                              find_dominating, find_fractional_parts,
                               find_simultaneous_positive, l2_norm,
                               lemma28_gap)
 
@@ -226,3 +229,72 @@ def test_combine_merges_frequencies():
     assert c.n_terms == 1
     u = np.linspace(0, 7, 101)
     assert np.allclose(c(u), a(u) + b(u))
+
+
+# --- the phasor-power evaluator ---------------------------------------------
+
+
+@st.composite
+def integer_frequency_polys(draw):
+    """1-3 polynomials with frequencies k * base, k <= 16, phases of both
+    signs, a base and points."""
+    base = draw(st.sampled_from([1.0, 0.5, 3.0, 0.1, 7.3]))
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        ks = draw(st.lists(st.integers(1, 16), max_size=8, unique=True))
+        polys.append(TrigPoly(tuple(
+            (draw(st.floats(-2.0, 2.0)), k * base,
+             draw(st.floats(-2 * math.pi, 2 * math.pi))) for k in ks)))
+    v = draw(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=6))
+    return polys, np.array(v), base
+
+
+def evaluate_bound(p, v, base):
+    """evaluate's documented error bound for p at v."""
+    K = round(p.max_freq / base)
+    return EPS * p.amplitude_sum * (6 * K + 4 + K * abs(base * v))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(integer_frequency_polys())
+def test_evaluate_within_bound_of_mpmath(case):
+    polys, v, base = case
+    got = evaluate(polys, v, base)
+    assert got.shape == (len(polys), len(v))
+    with mpmath.workdps(40):
+        for p, row in zip(polys, got):
+            for x, y in zip(v, row):
+                exact = sum(mpmath.mpf(c) * mpmath.sin(mpmath.mpf(t) * x
+                                                       + mpmath.mpf(a))
+                            for c, t, a in p.terms)
+                assert abs(y - exact) <= evaluate_bound(p, x, base)
+
+
+def test_evaluate_rejects_non_integer_frequency():
+    p = TrigPoly.sine([1.0, 0.5], [1.0, 2.5])
+    with pytest.raises(ValueError, match="integer multiples"):
+        evaluate([p], np.zeros(3))
+    with pytest.raises(ValueError, match="integer multiples"):
+        evaluate([TrigPoly.sine([1.0], [0.3])], np.zeros(3), base=0.2)
+
+
+def test_evaluate_empty_polynomial_is_zero():
+    v = np.linspace(-3.0, 3.0, 7)
+    assert np.array_equal(evaluate([TrigPoly.zero()], v), np.zeros((1, 7)))
+    vals = evaluate([TrigPoly.zero(), TrigPoly.sine([1.0], [2.0])], v)
+    assert np.array_equal(vals[0], np.zeros(7))
+    assert np.allclose(vals[1], np.sin(2.0 * v), rtol=0, atol=1e-15)
+    assert evaluate([], v).shape == (0, 7)
+    assert evaluate([TrigPoly.sine([1.0], [2.0])], np.zeros(0)).shape == (1, 0)
+
+
+def test_evaluate_longer_than_a_block_equals_its_blocks():
+    rng = np.random.default_rng(5)
+    polys = [TrigPoly.sine(rng.uniform(-1, 1, 7), np.arange(1.0, 8.0),
+                           rng.uniform(-3, 3, 7)) for _ in range(4)]
+    v = rng.uniform(0.0, TWO_PI, 2 * _CHUNK + 123)
+    whole = evaluate(polys, v)
+    parts = np.hstack([evaluate(polys, v[s:s + _CHUNK])
+                       for s in range(0, len(v), _CHUNK)])
+    assert whole.tobytes() == parts.tobytes()
+    assert np.allclose(whole, [p(v) for p in polys], rtol=0, atol=1e-13)

@@ -5,10 +5,10 @@ A TrigPoly is a finite sum  P(u) = sum_k c_k sin(t_k u + alpha_k)  with
 pairwise distinct positive frequencies.  Cosines are phase-shifted sines.
 Calling it evaluates term by term, for any real frequencies.  When every
 frequency is an integer multiple k * base, P is Im(sum_k C_k z^k) over the
-phasors C_k = c_k e^{i alpha_k} and z = e^{i base u}: `evaluate` computes
-many such polynomials from one table of powers of z (two transcendentals
-per point, not one per term), and `roots` finds their real roots as
-unit-circle eigenvalues.
+phasors C_k = c_k e^{i alpha_k} and z = e^{i base u}: `roots` finds the
+real roots of such polynomials as unit-circle eigenvalues, and `evaluate`
+computes many integer-frequency (base 1) ones from one table of powers of
+z, two transcendentals per point rather than one per term.
 
 The existence searches (find_simultaneous_positive, find_dominating,
 lemma28_gap) are backed by L2/measure arguments guaranteeing solutions on a
@@ -369,37 +369,35 @@ def _phasor_table(polys: Sequence[TrigPoly], base: float,
     return c, a, c * np.exp(1j * a)
 
 
-def evaluate(polys: Sequence[TrigPoly], v, base: float = 1.0) -> np.ndarray:
+def evaluate(polys: Sequence[TrigPoly], v) -> np.ndarray:
     """Every polynomial at every point of the 1-D array v, as a
-    (len(polys), len(v)) array, for frequencies that are exact integer
-    multiples k * base (ValueError otherwise).
+    (len(polys), len(v)) array, for integer frequencies (ValueError
+    otherwise).
 
-    With z = e^{i base v}, c sin(k base v + alpha) = Im(C z^k), so the
-    values are Im(C @ Z) over the phasor table C and the powers
-    Z = (z, z^2, ..., z^K): one cos and one sin per point, then K - 1
-    complex products.  Points go through in blocks of _CHUNK, so no
-    K x len(v) table is held, and a longer input gives the same floats as
-    its blocks one by one.
+    With z = e^{iv}, c sin(kv + alpha) = Im(C z^k), so the values are
+    Im(C @ Z) = Re(C) @ Im(Z) + Im(C) @ Re(Z) over the phasor table C and
+    the powers Z = (z, z^2, ..., z^K): one cos and one sin per point, then
+    K - 1 complex products, and only the imaginary part is summed.  Points
+    go through in blocks of _CHUNK, so no K x len(v) table is held, and a
+    longer input gives the same floats as its blocks one by one.
 
-    Against the exact value of sum c_k sin(t_k v + alpha_k) on the float
-    inputs, the error is at most
-        EPS * sum|c_k| * (6K + 4 + K |base v|),
-    K the polynomial's largest k.  6K + 4 covers cos and sin with up to
-    4 ulp error, the powers, the phasors and any summation order;
-    K |base v| covers the rounding of base * v and of k * base, and is not
-    there when base is a power of two.
+    Against the exact value of sum c_k sin(k v + alpha_k) at the float v,
+    the error is at most
+        EPS * sum|c_k| * (6K + 4),
+    K the polynomial's largest frequency: cos and sin with up to 4 ulp
+    error, the powers, the phasors and any summation order.
     """
-    _, _, C = _phasor_table(polys, base)
+    _, _, C = _phasor_table(polys, 1.0)
     v = np.asarray(v, dtype=float)
     out = np.empty((len(polys), len(v)))
     for start in range(0, len(v), _CHUNK):
-        w = base * v[start:start + _CHUNK]
+        w = v[start:start + _CHUNK]
         z = np.empty((C.shape[1], len(w)), dtype=complex)
         if len(z):
             z[0] = np.cos(w) + 1j * np.sin(w)
         for k in range(1, len(z)):
             np.multiply(z[k - 1], z[0], out=z[k])
-        out[:, start:start + len(w)] = (C @ z).imag
+        out[:, start:start + len(w)] = C.real @ z.imag + C.imag @ z.real
     return out
 
 

@@ -236,30 +236,28 @@ def test_combine_merges_frequencies():
 
 @st.composite
 def integer_frequency_polys(draw):
-    """1-3 polynomials with frequencies k * base, k <= 16, phases of both
-    signs, a base and points."""
-    base = draw(st.sampled_from([1.0, 0.5, 3.0, 0.1, 7.3]))
+    """1-3 polynomials with integer frequencies k <= 16, phases of both
+    signs, and points."""
     polys = []
     for _ in range(draw(st.integers(1, 3))):
         ks = draw(st.lists(st.integers(1, 16), max_size=8, unique=True))
         polys.append(TrigPoly(tuple(
-            (draw(st.floats(-2.0, 2.0)), k * base,
+            (draw(st.floats(-2.0, 2.0)), float(k),
              draw(st.floats(-2 * math.pi, 2 * math.pi))) for k in ks)))
     v = draw(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=6))
-    return polys, np.array(v), base
+    return polys, np.array(v)
 
 
-def evaluate_bound(p, v, base):
-    """evaluate's documented error bound for p at v."""
-    K = round(p.max_freq / base)
-    return EPS * p.amplitude_sum * (6 * K + 4 + K * abs(base * v))
+def evaluate_bound(p):
+    """evaluate's documented error bound for p."""
+    return EPS * p.amplitude_sum * (6 * round(p.max_freq) + 4)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(integer_frequency_polys())
 def test_evaluate_within_bound_of_mpmath(case):
-    polys, v, base = case
-    got = evaluate(polys, v, base)
+    polys, v = case
+    got = evaluate(polys, v)
     assert got.shape == (len(polys), len(v))
     with mpmath.workdps(40):
         for p, row in zip(polys, got):
@@ -267,15 +265,13 @@ def test_evaluate_within_bound_of_mpmath(case):
                 exact = sum(mpmath.mpf(c) * mpmath.sin(mpmath.mpf(t) * x
                                                        + mpmath.mpf(a))
                             for c, t, a in p.terms)
-                assert abs(y - exact) <= evaluate_bound(p, x, base)
+                assert abs(y - exact) <= evaluate_bound(p)
 
 
 def test_evaluate_rejects_non_integer_frequency():
-    p = TrigPoly.sine([1.0, 0.5], [1.0, 2.5])
-    with pytest.raises(ValueError, match="integer multiples"):
-        evaluate([p], np.zeros(3))
-    with pytest.raises(ValueError, match="integer multiples"):
-        evaluate([TrigPoly.sine([1.0], [0.3])], np.zeros(3), base=0.2)
+    for p in (TrigPoly.sine([1.0, 0.5], [1.0, 2.5]), TrigPoly.sine([1.0], [0.3])):
+        with pytest.raises(ValueError, match="integer multiples"):
+            evaluate([p], np.zeros(3))
 
 
 def test_evaluate_empty_polynomial_is_zero():

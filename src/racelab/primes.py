@@ -3,9 +3,15 @@ per-residue counts pi_{q,a}(x) at checkpoints, exact lead-change detection,
 and comparison of real races against the sigma-line oscillation sum fed by
 critical-line zero data.
 
-The segmented sieve marks odd numbers only, and each segment starts from a
-wheel pattern with the multiples of 3, 5, 7, 11, 13 and 17 already struck,
-so only the base primes above 17 are crossed off per segment.
+One kernel, `_odd_prime_masks`, sieves [2, x_max] segment by segment into
+boolean masks over the odd n = 2k + 1. Each mask starts from a wheel
+pattern with the multiples of 3, 5, 7, 11, 13 and 17 already struck, and
+every base prime above 17 carries its next strike index from segment to
+segment. `iter_prime_segments` turns the masks into prime arrays (for
+`first_lead_change`). `sieve_race` counts the masks directly: n mod q
+depends only on k mod m, m = q / gcd(q, 2), so each class k = s (mod m)
+of a mask is one residue class, and its primes below a checkpoint c are
+its true slots with k < (c + 1) // 2. The prime 2 is added once.
 `simple_sieve` supplies the base primes and is the small-range oracle.
 """
 
@@ -61,19 +67,15 @@ def simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(is_prime).astype(np.int64)
 
 
-def iter_prime_segments(x_max: int, segment: int = SEGMENT,
-                        ) -> Iterator[np.ndarray]:
-    """Yield ascending arrays of primes covering [2, x_max], one per
-    segment [lo, min(lo + segment, x_max + 1)) with lo starting at 2, and
-    nothing for x_max < 2.
-
-    Each mask holds the odd n = 2k+1 of its segment only, and starts as a
-    copy of the wheel pattern.
-    """
+def _odd_prime_masks(x_max: int, segment: int = SEGMENT,
+                     ) -> Iterator[Tuple[int, np.ndarray]]:
+    """Yield (k0, mask) per segment [lo, min(lo + segment, x_max + 1)), lo
+    from 2: mask[i] is true exactly when 2(k0 + i) + 1 is an odd prime."""
     if x_max < 2:
         return
     base = simple_sieve(int(math.isqrt(x_max)))
-    base = base[base > WHEEL[-1]].tolist()
+    base = base[base > WHEEL[-1]]
+    nxt = (base * base - 1) // 2       # k of each base prime's next strike
     # the wheel pattern over k, long enough to cut a segment's odd slots
     # from any phase of its period, and no longer than [0, x_max] needs
     period = math.prod(WHEEL)
@@ -87,28 +89,42 @@ def iter_prime_segments(x_max: int, segment: int = SEGMENT,
         k0, k1 = lo // 2, hi // 2          # odd n in [lo, hi) <-> k in [k0, k1)
         phase = k0 % period
         mask = pattern[phase: phase + k1 - k0].copy()
-        for p in base:
-            if p * p >= hi:
-                break
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start % 2 == 0:
-                start += p
-            mask[(start - 1) // 2 - k0:: p] = False
+        act = nxt < k1
+        strikes, steps = nxt[act], base[act]
+        for s, p in zip((strikes - k0).tolist(), steps.tolist()):
+            mask[s:: p] = False
+        nxt[act] = strikes + (k1 - strikes + steps - 1) // steps * steps
         for p in WHEEL:
             if lo <= p < hi:
                 mask[(p - 1) // 2 - k0] = True
-        idx = np.flatnonzero(mask).astype(np.int64, copy=False)
-        idx += k0
-        idx *= 2
-        idx += 1
-        yield np.concatenate(([2], idx)) if lo == 2 else idx
+        yield k0, mask
         lo = hi
 
 
-def checkpoints_from_rule(rule: str | Sequence[float], x_max: int) -> np.ndarray:
+def iter_prime_segments(x_max: int, segment: int = SEGMENT,
+                        ) -> Iterator[np.ndarray]:
+    """Yield ascending arrays of primes covering [2, x_max], one per
+    segment [lo, min(lo + segment, x_max + 1)) with lo starting at 2, and
+    nothing for x_max < 2."""
+    for i, (k0, mask) in enumerate(_odd_prime_masks(x_max, segment)):
+        idx = 2 * (np.flatnonzero(mask) + k0) + 1
+        yield np.concatenate(([2], idx)) if i == 0 else idx
+
+
+def checkpoints_from_rule(rule: str | Sequence[float], x_max: int,
+                          columns: int = 1) -> np.ndarray:
     """Checkpoint grids: "geometric:<ratio>" (default 1.01), "linear:<step>",
     or an explicit sequence; every rule keeps the points in [2, x_max], so
-    the grid is empty for x_max < 2."""
+    the grid is empty for x_max < 2. Rows x columns above sieve_budget()
+    raise BudgetExceededError before the grid is built."""
+    budget = sieve_budget()
+
+    def check(rows: float) -> None:
+        if rows * columns > budget:
+            raise BudgetExceededError(
+                f"checkpoint grid of {math.ceil(rows)} rows x {columns} "
+                f"columns exceeds budget {budget} (RACE_LAB_BUDGET)")
+
     if not isinstance(rule, str):
         pts = rule
     else:
@@ -117,6 +133,11 @@ def checkpoints_from_rule(rule: str | Sequence[float], x_max: int) -> np.ndarray
             ratio = float(arg) if arg else 1.01
             if not ratio > 1.0:
                 raise ValueError("geometric ratio must exceed 1")
+            # an upper bound: x steps by 1 while x < a, then by the ratio;
+            # 2, x_max and rounding take 3 more rows, at most x_max - 1
+            a = 1.0 / (ratio - 1.0)
+            check(min(max(x_max - 1, 0), min(a, x_max) + 3 + math.log(
+                max(x_max / max(a, 2.0), 1.0)) / math.log1p(ratio - 1.0)))
             pts = [2]
             x = 2.0
             while True:
@@ -130,11 +151,16 @@ def checkpoints_from_rule(rule: str | Sequence[float], x_max: int) -> np.ndarray
             if not 1.0 <= step < math.inf:
                 raise ValueError("linear step must be finite and at least 1")
             step = int(step)
+            grid = range(2, x_max + 1, step)
+            # the grid, and x_max where the grid misses it
+            check(len(grid) + (x_max >= 2 and x_max not in grid))
             pts = np.append(np.arange(2, x_max + 1, step), x_max)
         else:
             raise ValueError(f"unknown checkpoint rule {rule!r}")
     pts = np.unique(np.asarray(pts, dtype=np.int64))
-    return pts[(pts >= 2) & (pts <= x_max)]
+    pts = pts[(pts >= 2) & (pts <= x_max)]
+    check(len(pts))
+    return pts
 
 
 @dataclass
@@ -195,29 +221,43 @@ def sieve_race(q: int, x_max: int,
             f"x_max {x_max} exceeds budget {budget} (RACE_LAB_BUDGET)")
     residues = unit_group(q).units
     phi = len(residues)
-    # class column of each residue mod q; primes dividing q go to column phi
-    col = np.full(q, phi, dtype=np.int64)
-    col[list(residues)] = np.arange(phi)
-    cps = checkpoints_from_rule(checkpoint_rule, int(x_max))
-    # hist[i]: primes per column in (cps[i-1], cps[i]]; the last row takes
-    # the primes above the last checkpoint
-    hist = np.zeros((len(cps) + 1, phi + 1), dtype=np.int64)
-    for primes in iter_prime_segments(int(x_max)):
-        if not len(primes):
-            continue
-        # rows first..last take the segment's primes, cut at the checkpoints
-        # cps[first:last] that fall inside it
-        first, last = np.searchsorted(cps, primes[[0, -1]])
-        cuts = np.searchsorted(primes, cps[first:last], side="right")
-        rows = last - first + 1
-        slot = np.repeat(np.arange(rows),
-                         np.diff(cuts, prepend=0, append=len(primes)))
-        slot *= phi + 1
-        slot += col[primes % q]
-        hist[first:last + 1] += np.bincount(
-            slot, minlength=rows * (phi + 1)).reshape(rows, phi + 1)
-    cum = np.cumsum(hist[:-1], axis=0)
-    counts, pi = cum[:, :phi], cum.sum(axis=1)
+    cps = checkpoints_from_rule(checkpoint_rule, int(x_max), phi + 1)
+    # n = 2k + 1 mod q depends on k mod m only; the class of each residue
+    # is the k of its odd representative below 2q
+    m = q // math.gcd(q, 2)
+    units = np.array(residues)
+    klass = (units + q * (1 - units % 2) - 1) // 2
+    # the odd n <= c are the k < (c + 1) // 2
+    cut = (cps + 1) // 2
+    counts = np.zeros((len(cps), phi), dtype=np.int64)
+    pi = np.zeros(len(cps), dtype=np.int64)
+    # odd primes per class below the current segment
+    carry = np.zeros(m, dtype=np.int64)
+    done = 0
+    for k0, mask in _odd_prime_masks(int(x_max)):
+        end = int(np.searchsorted(cut, k0 + len(mask), side="right"))
+        # grid starts at the k below k0 divisible by m, so that row s of
+        # its transpose holds the class k = s (mod m) in order, from
+        # at[rows[s]] to at[rows[s + 1]]
+        lead = k0 % m
+        width = -(-(lead + len(mask)) // m)
+        grid = np.zeros(width * m, dtype=bool)
+        grid[lead: lead + len(mask)] = mask
+        at = np.flatnonzero(grid.reshape(width, m).T)
+        rows = np.searchsorted(at, np.arange(m + 1) * width)
+        # ceil((c - s) / m) slots of row s lie below a cut c
+        s = np.arange(m)[:, None]
+        below = np.searchsorted(
+            at, (cut[done:end] - k0 + lead - s + m - 1) // m + s * width)
+        below += (carry - rows[:-1])[:, None]
+        counts[done:end] = below[klass].T
+        pi[done:end] = below.sum(axis=0)
+        carry += np.diff(rows)
+        done = end
+    # the prime 2 lies below every checkpoint
+    pi += 1
+    if q % 2:
+        counts[:, residues.index(2)] += 1
     return PrimeRaceTable(q=q, residues=residues, checkpoints=cps,
                           counts=counts, pi=pi)
 

@@ -90,6 +90,22 @@ def test_race_command(tmp_path, monkeypatch):
                 "--out", tmp_path / "r2.csv"]) == cli.EXIT_BUDGET
 
 
+def test_race_checkpoint_rows_over_budget(tmp_path, capsys, monkeypatch):
+    # 1999 rows x (phi(3) + 1) columns exceed a budget of 3000; 1000 do not
+    csv = tmp_path / "race.csv"
+    monkeypatch.setenv("RACE_LAB_BUDGET", "3000")
+    for rule in ("linear:1", "geometric:1.000000000001"):
+        assert run(["race", "--q", 3, "--xmax", 2000, "--checkpoints", rule,
+                    "--out", csv]) == cli.EXIT_BUDGET
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: checkpoint grid of 1999 rows x 3 columns "
+                       "exceeds budget 3000 (RACE_LAB_BUDGET)"]
+        assert not csv.exists()
+    assert run(["race", "--q", 3, "--xmax", 2000, "--checkpoints", "linear:2",
+                "--out", csv]) == 0
+    assert len(csv.read_text().splitlines()) == 2 + 1000
+
+
 def test_race_no_lead_change_names_xmax(tmp_path, capsys):
     summary = tmp_path / "sum.json"
     csv = tmp_path / "race.csv"

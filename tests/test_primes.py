@@ -11,6 +11,7 @@ from racelab.primes import (SEGMENT, BudgetExceededError,
                             PrimeRaceTable, checkpoints_from_rule,
                             compare_with_simulator, first_lead_change,
                             iter_prime_segments, sieve_race, simple_sieve)
+from racelab.residues import unit_group
 from racelab.zerosys import load_zero_data, parse_zero_lines
 
 
@@ -62,10 +63,100 @@ def test_segments_match_simple_sieve_small_x(segment):
         assert_segments_match_oracle(x_max, segment)
 
 
+@pytest.mark.parametrize("segment", [2, 3, 64, 100, 1000])
+def test_segments_carry_strike_offsets(segment):
+    # the 27 base primes from 19 to 139 carry their next strike across
+    # many segment edges, landing on every offset in a segment
+    assert_segments_match_oracle(20_000, segment)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(0, 2 * 10**5), st.integers(50, 1 << 18))
 def test_segments_match_simple_sieve(x_max, segment):
     assert_segments_match_oracle(x_max, segment)
+
+
+def ref_sieve_race(q, x_max, checkpoint_rule="geometric:1.01"):
+    """Reference: the per-prime sieve_race that the mask counting replaced
+    (prime arrays reduced with % q, repeat and bincount)."""
+    residues = unit_group(q).units
+    phi = len(residues)
+    # class column of each residue mod q; primes dividing q go to column phi
+    col = np.full(q, phi, dtype=np.int64)
+    col[list(residues)] = np.arange(phi)
+    cps = checkpoints_from_rule(checkpoint_rule, int(x_max))
+    # hist[i]: primes per column in (cps[i-1], cps[i]]; the last row takes
+    # the primes above the last checkpoint
+    hist = np.zeros((len(cps) + 1, phi + 1), dtype=np.int64)
+    for primes in iter_prime_segments(int(x_max)):
+        if not len(primes):
+            continue
+        # rows first..last take the segment's primes, cut at the checkpoints
+        # cps[first:last] that fall inside it
+        first, last = np.searchsorted(cps, primes[[0, -1]])
+        cuts = np.searchsorted(primes, cps[first:last], side="right")
+        rows = last - first + 1
+        slot = np.repeat(np.arange(rows),
+                         np.diff(cuts, prepend=0, append=len(primes)))
+        slot *= phi + 1
+        slot += col[primes % q]
+        hist[first:last + 1] += np.bincount(
+            slot, minlength=rows * (phi + 1)).reshape(rows, phi + 1)
+    cum = np.cumsum(hist[:-1], axis=0)
+    counts, pi = cum[:, :phi], cum.sum(axis=1)
+    return PrimeRaceTable(q=q, residues=residues, checkpoints=cps,
+                          counts=counts, pi=pi)
+
+
+def assert_same_table(q, x_max, rule):
+    got, want = sieve_race(q, x_max, rule), ref_sieve_race(q, x_max, rule)
+    assert got.residues == want.residues
+    assert np.array_equal(got.checkpoints, want.checkpoints)
+    assert np.array_equal(got.counts, want.counts)
+    assert np.array_equal(got.pi, want.pi)
+    assert got.counts.dtype == got.pi.dtype == np.int64
+
+
+# the segments start at n = 2 + j * SEGMENT
+EDGE_PRIMES = simple_sieve(2 * SEGMENT + 3)
+EDGE_CHECKPOINTS = sorted(
+    [2, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 18, 19, 20, 360, 361, 362]
+    + [int(p) + e for p in EDGE_PRIMES[:40] for e in (-1, 0, 1)]
+    + [lo + e for lo in (2 + SEGMENT, 2 + 2 * SEGMENT)
+       for e in range(-4, 4)]
+    + [int(p) + e for lo in (2 + SEGMENT, 2 + 2 * SEGMENT)
+       for p in EDGE_PRIMES[np.searchsorted(EDGE_PRIMES, lo) - 2:
+                            np.searchsorted(EDGE_PRIMES, lo) + 2]
+       for e in (-1, 0, 1)]
+    + [SEGMENT + 2, 2 * SEGMENT + 10, 10**9])
+REF_X_MAX = [0, 1, 2, 3] + [SEGMENT * j + d for j in (1, 2)
+                            for d in (-1, 0, 1, 2)]
+
+
+@pytest.mark.parametrize("q", list(range(3, 41)) + [60, 210])
+def test_sieve_race_matches_reference(q):
+    # checkpoints at 2, at primes and their neighbours, at and around the
+    # segment edges, duplicated, and above x_max
+    for x_max in REF_X_MAX:
+        assert_same_table(q, x_max, EDGE_CHECKPOINTS
+                          + [x_max - 1, x_max, x_max, x_max + 1])
+    assert_same_table(q, 2 * SEGMENT + 2, "geometric:1.01")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(3, 100), st.integers(0, 5 * 10**6), st.data())
+def test_sieve_race_matches_reference_property(q, x_max, data):
+    cps = data.draw(st.lists(st.integers(-3, x_max + 3), max_size=60))
+    assert_same_table(q, x_max, cps)
+
+
+def test_pi_powers_of_ten_to_1e8():
+    cps = [10**k for k in range(3, 9)]
+    tab = sieve_race(3, 10**8, checkpoint_rule=cps)
+    assert tab.pi.tolist() == [168, 1229, 9592, 78498, 664579, 5761455]
+    ref = ref_sieve_race(3, 10**8, checkpoint_rule=cps)
+    assert np.array_equal(tab.counts, ref.counts)
+    assert np.array_equal(tab.pi, ref.pi)
 
 
 def test_sieve_race_q7_golden():
@@ -177,6 +268,36 @@ def test_budget(monkeypatch):
         first_lead_change(4, 1, 3, 10**4)
     monkeypatch.delenv("RACE_LAB_BUDGET")
     sieve_race(3, 10**4)
+
+
+def test_checkpoint_rows_over_budget(monkeypatch):
+    # budget 3000 with phi(3) + 1 = 3 columns leaves 1000 checkpoint rows,
+    # and phi(5) + 1 = 5 columns leave 600
+    monkeypatch.setenv("RACE_LAB_BUDGET", "3000")
+    for rule in ("linear:1", "linear:1.99", "geometric:1.000000000001",
+                 "geometric:1.0001", list(range(2, 1003))):
+        with pytest.raises(BudgetExceededError, match="rows x 3 columns"):
+            sieve_race(3, 2000, checkpoint_rule=rule)
+    for rule in ("linear:2", "geometric:1.01", list(range(2, 1002))):
+        assert len(sieve_race(3, 2000, checkpoint_rule=rule).pi) <= 1000
+    # linear:2 is exactly 1000 rows: at the limit for q = 3, over it at 5
+    assert len(sieve_race(3, 2000, checkpoint_rule="linear:2").pi) == 1000
+    with pytest.raises(BudgetExceededError, match="1000 rows x 5 columns"):
+        sieve_race(5, 2000, checkpoint_rule="linear:2")
+    # a linear row count is exact, a geometric one an upper bound within 5
+    for x_max in (0, 1, 2, 3, 999, 1000, 1001):
+        for step in (1, 2, 3, 7):
+            rows = len(checkpoints_from_rule(f"linear:{step}", x_max))
+            checkpoints_from_rule(f"linear:{step}", x_max, 3000 // rows
+                                  if rows else 3000)
+            if rows:
+                with pytest.raises(BudgetExceededError):
+                    checkpoints_from_rule(f"linear:{step}", x_max,
+                                          3000 // rows + 1)
+        for ratio in ("1.5", "1.01", "1.001"):
+            rows = len(checkpoints_from_rule(f"geometric:{ratio}", x_max))
+            checkpoints_from_rule(f"geometric:{ratio}", x_max,
+                                  3000 // (rows + 5) if rows else 3000)
 
 
 def test_csv_roundtrip_bit_exact():

@@ -141,8 +141,7 @@ def _pick_structure(q: int) -> dict:
     group = unit_group(q)
     units = np.array(group.units)  # ascending
     sizes = np.array([n for _, n in group.generators])
-    exps = np.array([group.exponents(a) for a in group.units])
-    orders = np.lcm.reduce(sizes // np.gcd(exps, sizes), axis=1)
+    orders = np.lcm.reduce(sizes // np.gcd(group.unit_exponents, sizes), axis=1)
     # even order >= 6 with odd part >= 3, smallest such order
     even = (orders >= 6) & (orders % 2 == 0) & (orders & (orders - 1) != 0)
     if even.any():
@@ -223,9 +222,9 @@ def build_thm311(q: int, tau: float = 0.0, beta: float = 0.75,
         d_set = [pow(a, r, q) for r in designated]
     else:
         a, b = structure["a"], structure["b"]
-        chi1 = _z4z2_char(q, a, b, (Fraction(3, 4), 0))  # the Z4 factor
-        chi2 = _z4z2_char(q, a, b, (0, Fraction(1, 2)))  # the Z2 factor
-        chi1_label, chi2_label = character_label(chi1), character_label(chi2)
+        table = characters(q)
+        chi1_label = table.label_with((a, Fraction(3, 4)), (b, 0))  # the Z4 factor
+        chi2_label = table.label_with((a, 0), (b, Fraction(1, 2)))  # the Z2 factor
         put(chi1_label, 1, 1)
         for l, w in SIN_WEIGHTS.items():
             put(chi2_label, l, w)
@@ -241,15 +240,6 @@ def build_thm311(q: int, tau: float = 0.0, beta: float = 0.75,
     return BarrierRecipe(kind=f"thm311_{case}", q=q, params=params,
                          system=system,
                          claim="player-1 neither trails nor leads all of D")
-
-
-def _z4z2_char(q: int, a: int, b: int,
-               phases: Tuple[Fraction, Fraction]) -> DirichletCharacter:
-    """The first character, in label order, with these phases at a and b."""
-    for c in characters(q):
-        if c.phase(a) == phases[0] and c.phase(b) == phases[1]:
-            return c
-    raise RuntimeError(f"no character with phases {phases} at ({a}, {b})")
 
 
 @dataclass(frozen=True)
@@ -552,6 +542,9 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
     """
     if not math.isfinite(gamma):
         raise ValueError("gamma must be finite")
+    for name, value in (("K", K), ("N", N)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     group = unit_group(q)
     r = group.order(generator)
     if r < 6:

@@ -238,6 +238,9 @@ def cmd_orderings(args: argparse.Namespace) -> int:
 def cmd_race(args: argparse.Namespace) -> int:
     if args.zeros and (args.a is None or args.b is None):
         raise ValueError("--zeros needs --a and --b")
+    pair = args.a is not None and args.b is not None
+    if pair:  # this validates the pair, so a bad one writes no table
+        x = primes.first_lead_change(args.q, args.a, args.b, int(args.xmax))
     table = primes.sieve_race(args.q, int(args.xmax),
                               checkpoint_rule=args.checkpoints)
     out = args.out or f"race_q{args.q}.csv"
@@ -245,8 +248,7 @@ def cmd_race(args: argparse.Namespace) -> int:
     print(f"race table written to {out} ({len(table.checkpoints)} checkpoints)")
     summary: dict = {"config": _config_of(args),
                      "pi_max": int(table.pi[-1]) if len(table.pi) else 0}
-    if args.a is not None and args.b is not None:
-        x = primes.first_lead_change(args.q, args.a, args.b, int(args.xmax))
+    if pair:
         summary["first_lead_change"] = x
         found = x if x is not None else f"none found up to x = {int(args.xmax)}"
         print(f"first lead change ({args.a} vs {args.b}): {found}")

@@ -196,9 +196,11 @@ class PrimeRaceTable:
         buf.write("# " + json.dumps({"q": self.q,
                                      "residues": list(self.residues)}) + "\n")
         buf.write("x,pi," + ",".join(f"pi_{a}" for a in self.residues) + "\n")
-        for i, x in enumerate(self.checkpoints):
-            row = ",".join(str(int(c)) for c in self.counts[i])
-            buf.write(f"{int(x)},{int(self.pi[i])},{row}\n")
+        # one row of Python ints at a time: a whole-table tolist() triples the
+        # peak memory of a large table
+        buf.write("".join(f"{x},{p}," + ",".join(map(str, row.tolist())) + "\n"
+                          for x, p, row in zip(self.checkpoints.tolist(),
+                                               self.pi.tolist(), self.counts)))
         return buf.getvalue()
 
     @classmethod
@@ -265,11 +267,11 @@ def sieve_race(q: int, x_max: int,
 def first_lead_change(q: int, a: int, b: int, x_max: int) -> int | None:
     """The least prime x where sign(pi_{q,a} - pi_{q,b}) flips against its
     initial nonzero sign; None if no change occurs up to x_max."""
+    group = unit_group(q)
     a %= q
     b %= q
     if a == b:
         raise InvalidPairError("residues must be distinct")
-    group = unit_group(q)
     if not (group.is_unit(a) and group.is_unit(b)):
         raise InvalidPairError("residues must be units")
     if x_max > sieve_budget():

@@ -4,20 +4,22 @@ The unit group is prod_j Z/n_j over fixed generators (g_j, n_j): every unit
 a has an integer exponent vector alpha(a).  A character is an integer
 exponent vector b over the dual group prod_j Z/n_j, with
 chi(a) = e(phase(a)) and phase(a) = sum_j b_j alpha_j(a) / n_j mod 1.
-Product, power and conjugation are vector operations mod n_j; phases are
-integer numerators over the group exponent lam, handed out as exact
-Fractions in [0, 1) at the API boundary.  All zero-tests on character
-combinations (chi(a) != chi(b), orthogonality sums, the g-values of zero
-systems) reduce to exact rational/cyclotomic arithmetic; floats appear only
-when a numeric value is explicitly requested.
+characters(q) holds every b in one label-ordered integer table: "which
+characters take this value at a" reads one column, and DirichletCharacter
+objects are built only when indexed.  Product, power and conjugation are
+vector operations mod n_j; phases are integer numerators over the group
+exponent lam, handed out as exact Fractions in [0, 1) at the API boundary.
+All zero-tests on character combinations (chi(a) != chi(b), orthogonality
+sums, the g-values of zero systems) reduce to exact rational/cyclotomic
+arithmetic; floats appear only when a numeric value is explicitly requested.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
@@ -91,7 +93,8 @@ class ResidueGroup:
 
     generators is a tuple of (g_j, n_j) with n_1 * ... * n_m = phi(q); every
     unit a has a unique exponent vector alpha with 0 <= alpha_j < n_j and
-    a = prod g_j^alpha_j (mod q).
+    a = prod g_j^alpha_j (mod q).  unit_exponents holds these vectors as a
+    (phi, m) int64 array, row i for units[i].
     """
 
     q: int
@@ -99,6 +102,7 @@ class ResidueGroup:
     generators: Tuple[Tuple[int, int], ...]
     phi: int
     lam: int
+    unit_exponents: np.ndarray = field(compare=False, repr=False)
     _exponents: Dict[int, Tuple[int, ...]]
 
     def exponents(self, a: int) -> Tuple[int, ...]:
@@ -116,11 +120,6 @@ class ResidueGroup:
     def is_unit(self, a: int) -> bool:
         return math.gcd(a, self.q) == 1
 
-    def inverse(self, a: int) -> int:
-        if not self.is_unit(a):
-            raise InvalidResidueError(f"{a} is not a unit mod {self.q}")
-        return pow(a, -1, self.q)
-
     def subgroup(self, a: int) -> Tuple[int, ...]:
         """Cyclic subgroup generated by the unit a: 1, a, a^2, ..."""
         return tuple(pow(a, k, self.q) for k in range(self.order(a)))
@@ -132,9 +131,6 @@ def unit_group(q: int) -> ResidueGroup:
     odd prime power and the {-1, 5} pair for 2^e, e >= 3."""
     if q < 3:
         raise InvalidModulusError(f"modulus must be >= 3, got {q}")
-    units = tuple(a for a in range(1, q) if math.gcd(a, q) == 1)
-    phi = len(units)
-
     gens: List[Tuple[int, int]] = []
     for p, e in _factorize(q):
         pe = p**e
@@ -150,28 +146,22 @@ def unit_group(q: int) -> ResidueGroup:
             g = _primitive_root(pe, p)
             gens.append((_crt_lift(g, pe, q), (p - 1) * p ** (e - 1)))
 
-    # drop order-1 factors (q = 2^1 * ...) and build the exponent table
+    # drop order-1 factors (q = 2^1 * ...); the exponent vectors in mixed-radix
+    # rank order give every unit once, and sorting puts the units in order
     gens = [(g, n) for g, n in gens if n > 1]
-    exps: Dict[int, Tuple[int, ...]] = {}
-
-    def fill(idx: int, acc: int, vec: Tuple[int, ...]) -> None:
-        if idx == len(gens):
-            exps[acc] = vec
-            return
-        g, n = gens[idx]
-        x = 1
-        for k in range(n):
-            fill(idx + 1, (acc * x) % q, vec + (k,))
-            x = (x * g) % q
-
-    fill(0, 1, ())
-    if len(exps) != phi:
+    ranked = np.indices([n for _, n in gens]).reshape(len(gens), -1).T
+    values = np.ones(len(ranked), dtype=np.int64)
+    for (g, n), column in zip(gens, ranked.T):
+        values = values * np.array([pow(g, k, q) for k in range(n)])[column] % q
+    by_value = np.argsort(values)
+    units, alpha = values[by_value], ranked[by_value]
+    if (np.diff(units) <= 0).any():
         raise RuntimeError(f"generator decomposition failed for q={q}")
-    lam = 1
-    for _, n in gens:
-        lam = lam * n // math.gcd(lam, n)
-    return ResidueGroup(q=q, units=units, generators=tuple(gens), phi=phi,
-                        lam=lam, _exponents=exps)
+    alpha.flags.writeable = False  # the cached group is shared by every caller
+    return ResidueGroup(q=q, units=tuple(units.tolist()), generators=tuple(gens),
+                        phi=len(units), lam=math.lcm(*(n for _, n in gens)),
+                        unit_exponents=alpha, _exponents=dict(
+                            zip(units.tolist(), map(tuple, alpha.tolist()))))
 
 
 def _frac_mod1(x: Fraction) -> Fraction:
@@ -238,65 +228,90 @@ class DirichletCharacter:
         return DirichletCharacter(self.q, tuple(k * x for x in self.b))
 
 
+class CharacterTable(Sequence):
+    """The characters mod q as one integer table: row i of b, a (phi, m)
+    int64 array, is the exponent vector of the character with label i.
+    Indexing builds a DirichletCharacter on demand; numerators(a) reads
+    every character's value at the unit a as one column."""
+
+    def __init__(self, q: int) -> None:
+        group = unit_group(q)
+        self.q, self._group = q, group
+        self._orders = tuple(n for _, n in group.generators)
+        self._weights = np.array([group.lam // n for n in self._orders])
+        ranked = np.indices(self._orders).reshape(len(self._orders), -1).T  # by rank
+        width = 8
+        while True:
+            numerators = ((ranked * self._weights)
+                          @ group.unit_exponents[:width].T % group.lam)
+            label_order = np.lexsort(numerators[:, ::-1].T)  # last key is primary
+            sorted_rows = numerators[label_order]
+            if (sorted_rows[1:] != sorted_rows[:-1]).any(axis=1).all():
+                break
+            width *= 2
+        self.b = ranked[label_order]
+        self.b.flags.writeable = False  # the cached table is shared by every caller
+        self._label_of_rank = np.argsort(label_order)
+
+    def __len__(self) -> int:
+        return len(self.b)
+
+    def __getitem__(self, label: int) -> DirichletCharacter:
+        return DirichletCharacter(self.q, tuple(self.b[label].tolist()))
+
+    def index(self, chi: DirichletCharacter) -> int:
+        """The label of chi, read at its mixed-radix rank."""
+        if chi.q != self.q:
+            raise ValueError(f"{chi} is not a character mod {self.q}")
+        return int(self._label_of_rank[np.ravel_multi_index(chi.b, self._orders)])
+
+    def numerators(self, a: int) -> np.ndarray:
+        """phase(a) * lam for every character, in label order."""
+        return self.b @ (self._weights * self._group.exponents(a)) % self._group.lam
+
+    def label_with(self, *values: Tuple[int, Fraction]) -> int:
+        """The first label whose character takes the value e(phase) at a,
+        for every (a, phase) given."""
+        hit = np.ones(len(self.b), dtype=bool)
+        for a, phase in values:
+            target = _frac_mod1(Fraction(phase)) * self._group.lam
+            hit &= (self.numerators(a) == target.numerator) & (target.denominator == 1)
+        if not hit.any():
+            wanted = " and ".join(f"e({_frac_mod1(Fraction(p))}) at {a}" for a, p in values)
+            raise NotRepresentableError(f"no character mod {self.q} takes value {wanted}")
+        return int(hit.argmax())
+
+
 @lru_cache(maxsize=None)
-def characters(q: int) -> Tuple[DirichletCharacter, ...]:
-    """All phi(q) characters mod q; index 0 is the principal character.
-
-    The list is closed under conjugation and ordered lexicographically by
-    the phase vector (phase(a) for the units a in increasing order), which
-    puts the principal character first.  The order is sorted from the
-    integer numerator table B A mod lam (row: character, column: unit),
-    which is then dropped.  Two characters first differ on a unit inside any
-    prefix of units that generates the group, so only a prefix of columns is
-    built, widened until its rows are distinct.
-    """
-    group = unit_group(q)
-    orders = [n for _, n in group.generators]
-    B = np.array(list(itertools.product(*map(range, orders))), dtype=np.int64)
-    A = np.array([group.exponents(a) for a in group.units], dtype=np.int64).T
-    weights = np.array([group.lam // n for n in orders], dtype=np.int64)
-    width = 8
-    while True:
-        numerators = (B * weights) @ A[:, :width] % group.lam
-        label_order = np.lexsort(numerators[:, ::-1].T)  # last key is primary
-        ranked = numerators[label_order]
-        if (ranked[1:] != ranked[:-1]).any(axis=1).all():
-            break
-        width *= 2
-    rows = B.tolist()
-    return tuple(DirichletCharacter(q, tuple(rows[i]))
-                 for i in label_order.tolist())
-
-
-@lru_cache(maxsize=None)
-def _labels(q: int) -> Dict[Tuple[int, ...], int]:
-    return {c.b: i for i, c in enumerate(characters(q))}
+def characters(q: int) -> CharacterTable:
+    """All phi(q) characters mod q, closed under conjugation and labelled
+    in lexicographic order of the phase vector (phase(a) for the units a in
+    increasing order), so label 0 is the principal character.  The order is
+    sorted from the numerator table B A mod lam (row: character, column:
+    unit).  Two characters first differ on a unit inside any prefix of units
+    that generates the group, so only a prefix of columns is built, widened
+    until its rows are distinct."""
+    return CharacterTable(q)
 
 
 def character_label(chi: DirichletCharacter) -> int:
     """The index of chi in characters(chi.q)."""
-    return _labels(chi.q)[chi.b]
-
-
-def nonprincipal_characters(q: int) -> Tuple[DirichletCharacter, ...]:
-    return tuple(c for c in characters(q) if not c.is_principal)
+    return characters(chi.q).index(chi)
 
 
 def separating_characters(q: int, a: int, b: int) -> Tuple[DirichletCharacter, ...]:
-    """Non-principal characters with chi(a) != chi(b) (exact phase test)."""
-    return tuple(c for c in nonprincipal_characters(q)
-                 if c._numerator(a) != c._numerator(b))
+    """Characters with chi(a) != chi(b) (exact phase test); the principal
+    character is 1 at both, so it never separates."""
+    table = characters(q)
+    differ = np.flatnonzero(table.numerators(a) != table.numerators(b))
+    return tuple(table[i] for i in differ.tolist())
 
 
 def character_with_value(q: int, a: int, target_phase: Fraction) -> DirichletCharacter:
     """The first character chi mod q, in label order, with
     chi(a) = e(target_phase)."""
-    target = _frac_mod1(Fraction(target_phase))
-    for c in characters(q):
-        if c.phase(a) == target:
-            return c
-    raise NotRepresentableError(
-        f"no character mod {q} takes value e({target}) at {a}")
+    table = characters(q)
+    return table[table.label_with((a, target_phase))]
 
 
 def sqrt_count(q: int, c: int) -> int:

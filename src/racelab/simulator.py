@@ -579,13 +579,13 @@ def decompose_lattice(system: ZeroSystem, gamma: float,
     chi_m^e_m, where factors = [(label of chi_i, n_i), ...], chi_i has order
     n_i and <e, r> = sum_i e_i r_i / n_i.  m and G are keyed by exponent
     tuples: m by (e, k), G by r in prod_i Z/n_i."""
-    chars = system.chars
     orders = [n for _, n in factors]
     lcm = math.lcm(*orders)
     exponents = list(itertools.product(*(range(n) for n in orders)))
+    base = [system.chars[label] for label, _ in factors]
     family = {}
     for e in exponents[1:]:
-        chis = [chars[label]**ei for (label, _), ei in zip(factors, e)]
+        chis = [chi**ei for chi, ei in zip(base, e)]
         family[character_label(math.prod(chis[1:], start=chis[0]))] = e
     m: Dict[Tuple[Tuple[int, ...], int], int] = {}
     for label, z, mult in system.items():

@@ -12,6 +12,7 @@ cyclotomic polynomial); the complex values used numerically are floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -30,6 +31,8 @@ class Zero:
     gamma: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.beta) and math.isfinite(self.gamma)):
+            raise ValueError(f"zero {self.beta} + i*{self.gamma} is not finite")
         if self.gamma < 0:
             raise ValueError("heights must be nonnegative")
 

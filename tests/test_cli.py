@@ -400,3 +400,45 @@ def test_scan_grid_over_budget_is_budget_error(tmp_path, capsys,
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert "scan grid of inf points exceeds budget 1000000" in err[0]
     assert not out.exists()
+
+
+def test_thm311_overflowing_gamma_is_config_error(tmp_path, capsys):
+    # 1e308 is finite, but the zeros at 2, 3, ... times it are not
+    out = tmp_path / "x.json"
+    assert_config_error(["barrier", "build", "thm311", "--q", 7,
+                         "--gamma", "1e308", "--out", out], capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [1e306, float("nan")])
+def test_recipe_with_non_finite_zero_is_config_error(tmp_path, capsys, scale):
+    # the q = 7 recipe with its heights scaled as --gamma 1e308 scales them
+    # (k * 1e308 overflows for k >= 2), or turned into NaN
+    payload = json.loads(built_thm311(tmp_path, capsys).read_text())
+    for z in payload["system"]["zeros"]:
+        z["gamma"] *= scale
+    rec = tmp_path / "bad.json"
+    rec.write_text(json.dumps(payload))
+    for command, name in (("simulate", "trace.csv"), ("orderings", "o.json")):
+        out = tmp_path / name
+        assert_config_error([command, "--recipe", rec, "--out", out], capsys)
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--K", 0), ("--N", 0), ("--N", -1)])
+def test_thm43_nonpositive_k_or_n_is_config_error(tmp_path, capsys, flag,
+                                                   value):
+    out = tmp_path / "x.json"
+    assert run(["barrier", "build", "thm43", "--q", 7, flag, value,
+                "--out", out]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {flag[2:]} must be >= 1, got {value}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("a,b", [(1, 2), (3, 3)])
+def test_race_bad_pair_writes_no_table(tmp_path, capsys, a, b):
+    csv = tmp_path / "race.csv"
+    assert_config_error(["race", "--q", 4, "--xmax", "1e5", "--a", a,
+                         "--b", b, "--out", csv], capsys)
+    assert not csv.exists()

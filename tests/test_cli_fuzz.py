@@ -29,6 +29,7 @@ RECIPES = {"t311.json": ["barrier", "build", "thm311", "--q", "7"],
 ZEROS = "chi3_zeros.txt"
 EXTRA = {"recipe": tuple(RECIPES), "zeros": (ZEROS,),
          "window": ("0:1e7", "0:1e300"), "step": ("1e-320",),
+         "gamma": ("1e308",),
          "checkpoints": ("linear:1", "geometric:2", "linear:inf",
                          "geometric:nan")}
 

@@ -1,4 +1,6 @@
 import hashlib
+import io
+import json
 from importlib import resources
 
 import numpy as np
@@ -11,7 +13,7 @@ from racelab.primes import (SEGMENT, BudgetExceededError,
                             PrimeRaceTable, checkpoints_from_rule,
                             compare_with_simulator, first_lead_change,
                             iter_prime_segments, sieve_race, simple_sieve)
-from racelab.residues import unit_group
+from racelab.residues import InvalidModulusError, unit_group
 from racelab.zerosys import load_zero_data, parse_zero_lines
 
 
@@ -260,6 +262,13 @@ def test_first_lead_change_validation():
         first_lead_change(4, 2, 1, 1000)
 
 
+def test_first_lead_change_checks_modulus_first():
+    # race validates its pair through first_lead_change before any sieve
+    for q in (0, 1, 2):
+        with pytest.raises(InvalidModulusError):
+            first_lead_change(q, 0, 0, 1000)
+
+
 def test_budget(monkeypatch):
     monkeypatch.setenv("RACE_LAB_BUDGET", "1000")
     with pytest.raises(BudgetExceededError):
@@ -308,6 +317,25 @@ def test_csv_roundtrip_bit_exact():
     assert np.array_equal(back.counts, tab.counts)
     assert np.array_equal(back.pi, tab.pi)
     assert back.to_csv() == tab.to_csv()
+
+
+def ref_to_csv(table):
+    """PrimeRaceTable.to_csv written one formatted cell at a time."""
+    buf = io.StringIO()
+    buf.write("# " + json.dumps({"q": table.q,
+                                 "residues": list(table.residues)}) + "\n")
+    buf.write("x,pi," + ",".join(f"pi_{a}" for a in table.residues) + "\n")
+    for i, x in enumerate(table.checkpoints):
+        row = ",".join(str(int(c)) for c in table.counts[i])
+        buf.write(f"{int(x)},{int(table.pi[i])},{row}\n")
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("q,x_max", [(3, 10**6), (60, 10**5), (2003, 10**6),
+                                     (7, 1)])
+def test_csv_matches_cellwise_reference(q, x_max):
+    table = sieve_race(q, x_max)
+    assert table.to_csv() == ref_to_csv(table)
 
 
 def test_compare_with_simulator_q3():

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +11,7 @@ from racelab.residues import (DirichletCharacter, InvalidModulusError,
                               InvalidResidueError, NotRepresentableError,
                               RootOfUnitySum, character_label,
                               character_with_value, characters,
-                              nonprincipal_characters, separating_characters,
-                              sqrt_count, unit_group)
+                              separating_characters, sqrt_count, unit_group)
 from racelab.residues import _order_mod
 from racelab.zerosys import ZeroSystem
 
@@ -111,8 +111,8 @@ def test_characters_count_and_closure():
 
 
 def test_c5_sizes():
-    assert len(nonprincipal_characters(5)) == 3
-    assert len(nonprincipal_characters(3)) == 1
+    assert sum(not c.is_principal for c in characters(5)) == 3
+    assert sum(not c.is_principal for c in characters(3)) == 1
     # all non-principal chi mod 5 separate 2 from 1 (direct table evaluation)
     assert len(separating_characters(5, 2, 1)) == 3
 
@@ -301,3 +301,84 @@ def test_character_vector_normalized_and_checked():
         DirichletCharacter(15, (1,))
     with pytest.raises(InvalidResidueError):
         chi.phase(5)
+
+
+# --- the character table against the object tuple it replaced -----------------
+
+
+def ref_characters(q):
+    """characters(q) as a tuple of DirichletCharacter objects, in the label
+    order sorted from a prefix of the numerator table B A mod lam."""
+    group = unit_group(q)
+    orders = [n for _, n in group.generators]
+    B = np.array(list(itertools.product(*map(range, orders))), dtype=np.int64)
+    A = np.array([group.exponents(a) for a in group.units], dtype=np.int64).T
+    weights = np.array([group.lam // n for n in orders], dtype=np.int64)
+    width = 8
+    while True:
+        numerators = (B * weights) @ A[:, :width] % group.lam
+        label_order = np.lexsort(numerators[:, ::-1].T)  # last key is primary
+        ranked = numerators[label_order]
+        if (ranked[1:] != ranked[:-1]).any(axis=1).all():
+            break
+        width *= 2
+    rows = B.tolist()
+    return tuple(DirichletCharacter(q, tuple(rows[i]))
+                 for i in label_order.tolist())
+
+
+def ref_character_with_value(chars, a, target_phase):
+    target = Fraction(target_phase) % 1
+    for c in chars:
+        if c.phase(a) == target:
+            return c
+    raise NotRepresentableError(target)
+
+
+def ref_separating_characters(chars, a, b):
+    return tuple(c for c in chars if not c.is_principal
+                 and c._numerator(a) != c._numerator(b))
+
+
+def test_table_matches_object_reference():
+    for q in range(3, 401):
+        group = unit_group(q)
+        table, ref = characters(q), ref_characters(q)
+        assert len(table) == len(ref) == group.phi
+        assert [c.b for c in table] == [c.b for c in ref], q
+        assert [table.index(c) for c in ref] == list(range(len(ref)))
+        gens = [g for g, _ in group.generators]
+        sample = sorted(set(group.units[:2] + group.units[-1:] + tuple(gens)))
+        # a primitive value at every sampled unit; at the last, one phase
+        # that needs 4 | lam and one that no character takes
+        last = sample[-1]
+        probes = [(u, Fraction(-1, group.order(u))) for u in sample] \
+            + [(last, Fraction(1, 4)), (last, Fraction(3, 2 * group.lam))]
+        for a in sample:
+            assert table.numerators(a).tolist() == [c._numerator(a) for c in ref]
+        for a, phase in probes:
+            try:
+                want = ref_character_with_value(ref, a, phase)
+            except NotRepresentableError:
+                with pytest.raises(NotRepresentableError):
+                    character_with_value(q, a, phase)
+            else:
+                assert character_with_value(q, a, phase) == want
+        for a, b in ((sample[1], sample[-1]), (sample[-1], sample[-1])):
+            assert separating_characters(q, a, b) \
+                == ref_separating_characters(ref, a, b)
+
+
+def test_table_lookups_reject_foreign_input():
+    table = characters(15)
+    with pytest.raises(ValueError):
+        table.index(characters(16)[1])
+    with pytest.raises(InvalidResidueError):
+        table.numerators(5)
+    with pytest.raises(InvalidResidueError):
+        character_with_value(15, 3, Fraction(1, 2))
+    with pytest.raises(InvalidResidueError):
+        separating_characters(15, 1, 6)
+    with pytest.raises(IndexError):
+        table[len(table)]
+    assert table[-1] == list(table)[-1]

@@ -157,8 +157,10 @@ def checkpoints_from_rule(rule: str | Sequence[float], x_max: int,
             pts = np.append(np.arange(2, x_max + 1, step), x_max)
         else:
             raise ValueError(f"unknown checkpoint rule {rule!r}")
-    pts = np.unique(np.asarray(pts, dtype=np.int64))
+    pts = np.sort(np.asarray(pts, dtype=np.int64))
     pts = pts[(pts >= 2) & (pts <= x_max)]
+    # a sorted dedupe: in numpy 2.x a plain np.unique imports numpy.ma
+    pts = pts[np.diff(pts, prepend=0) > 0]
     check(len(pts))
     return pts
 

@@ -26,14 +26,15 @@ import cmath
 import itertools
 import math
 import operator
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .orderings import OrderingTrace
-from .residues import character_label, unit_group
-from .trigpoly import TrigPoly
+from .residues import DirichletCharacter, character_label, unit_group
+from .trigpoly import TrigPoly, evaluate_phasors
 from .zerosys import DominantData, Zero, ZeroSystem, dominant_data, g_rho_exact
 
 
@@ -363,6 +364,56 @@ def _character_values(system: ZeroSystem, members: Sequence[int],
     return out
 
 
+def _zero_amplitudes(system: ZeroSystem, members: Sequence[int],
+                     ) -> Dict[Zero, np.ndarray]:
+    """Per distinct zero rho, in the order of system.items(), each member
+    a's star-weighted amplitude sum_chi n(rho, chi) conj(chi)(a) / rho, from
+    one character value per (label, member)."""
+    chi_bar = _character_values(system, members)
+    amps: Dict[Zero, np.ndarray] = {}
+    for label, z, mult in system.items():
+        weight = mult * _star_weight(z)
+        row = amps.setdefault(z, np.zeros(len(members), dtype=complex))
+        row += [weight * chi / z.rho for chi in chi_bar[label]]
+    return amps
+
+
+# The lattice path takes K powers of one phasor per sample and one matmul;
+# the loop takes a complex exponential per zero and a pass per (zero,
+# member).  With 8 members, 17 heights and 8192 samples the lattice path
+# took 0.6x the loop's time at K = 34 and 1.3x at K = 64.
+_LATTICE_FILL = 2
+
+
+def member_waves(system: ZeroSystem, members: Sequence[int],
+                 ) -> Dict[float, np.ndarray] | None:
+    """The members' waves on the system's height lattice lambda, per real
+    part beta: a (len(members), K) complex table W_beta whose column k - 1
+    holds the `_zero_amplitudes` of the zero beta + i k lambda (0 where
+    there is none), K the largest height multiple over all levels, so that
+        v_a(u) = -Re sum_beta e^((beta - R+) u)
+                         sum_k W_beta[a, k-1] e^(i k lambda u).
+    None when the system has no lattice, when some height is not an exact
+    float multiple k >= 1 of it, or when K exceeds _LATTICE_FILL times the
+    number of distinct heights.
+    """
+    lattice = system.height_lattice
+    if lattice is None or not lattice > 0.0:
+        return None
+    heights = {z.gamma for z in system.all_zeros()}
+    cap = _LATTICE_FILL * len(heights)
+    ks = {g: round(g / lattice) if 1.0 <= g / lattice <= cap else 0
+          for g in heights}
+    if any(k == 0 or k * lattice != g for g, k in ks.items()):
+        return None
+    K = max(ks.values(), default=0)
+    waves: Dict[float, np.ndarray] = {}
+    for z, row in _zero_amplitudes(system, members).items():
+        waves.setdefault(z.beta, np.zeros((len(members), K), dtype=complex)
+                         )[:, ks[z.gamma] - 1] = row
+    return waves
+
+
 def dominant_member_values(system: ZeroSystem, members: Sequence[int],
                            u: np.ndarray) -> np.ndarray:
     """Scaled member values in dominant-only mode:
@@ -374,25 +425,28 @@ def dominant_member_values(system: ZeroSystem, members: Sequence[int],
     residuals dropped.  Levels below R+ carry exponentially decaying weights,
     so any u is within numeric reach.
 
-    Each zero's amplitude per member, sum_chi n conj(chi)(a) / rho
-    (star-weighted), comes from one character value per (label, member).
-    The zeros are then streamed: each zero's wave e^(i Im rho u) and decay
-    are built once and added to every member's row, so no zeros x samples
-    table is held.
+    On a height lattice lambda (when `member_waves` gives tables) every
+    level goes through one `trigpoly.evaluate_phasors` call at v = lambda u,
+    weighted by its decay: one cos and one sin per sample, K - 1 complex
+    products and one matmul, within that function's error bound plus what
+    rounding lambda u and the decays moves.  Otherwise the zeros are
+    streamed: each zero's wave e^(i Im rho u) and decay are built once and
+    added to every member's row, so no zeros x samples table is held.
     """
     u = np.asarray(u, dtype=float)
-    values = np.zeros((len(members), len(u)))
     beta_star = system.r_plus
     if beta_star is None:
-        return values
-    chi_bar = _character_values(system, members)
-    amps: Dict[Zero, List[complex]] = {}
-    for label, z, mult in system.items():
-        weight = mult * _star_weight(z)
-        row = amps.setdefault(z, [0.0j] * len(members))
-        for i, chi in enumerate(chi_bar[label]):
-            row[i] += weight * chi / z.rho
-    for z, row in amps.items():
+        return np.zeros((len(members), len(u)))
+    waves = member_waves(system, members)
+    if waves is not None:
+        betas = list(waves)
+        decay = None if len(betas) == 1 else \
+            np.exp(np.subtract(betas, beta_star)[:, None] * u)
+        # -Re(W z^k) = Im(-i W z^k)
+        return evaluate_phasors(-1j * np.stack(list(waves.values()), axis=1),
+                                system.height_lattice * u, decay)
+    values = np.zeros((len(members), len(u)))
+    for z, row in _zero_amplitudes(system, members).items():
         wave = np.exp(1j * z.gamma * u) if z.gamma else None
         decay = np.exp((z.beta - beta_star) * u) if z.beta != beta_star else None
         for acc, c in zip(values, row):
@@ -572,17 +626,46 @@ def decompose_order4(system: ZeroSystem, a1: int) -> dict:
             "k1": k1, "k2": k2, "l": l_w, "m": m_w}
 
 
+def _recipe_character(system: ZeroSystem, label) -> DirichletCharacter:
+    """The character a recipe names by label: RecipeMismatchError unless an
+    int in [0, phi(q)), where a negative one would index from the end."""
+    if type(label) is not int or not 0 <= label < len(system.chars):
+        raise RecipeMismatchError(
+            f"character label {label!r} is not in 0..{len(system.chars) - 1}")
+    return system.chars[label]
+
+
+class _LazyMapping(Mapping):
+    """A read-only mapping over the given keys, in their order, whose value
+    at a key is build(key), built on first access."""
+
+    def __init__(self, keys: Iterable, build: Callable) -> None:
+        self._values, self._build = dict.fromkeys(keys), build
+
+    def __getitem__(self, key):
+        if self._values[key] is None:
+            self._values[key] = self._build(key)
+        return self._values[key]
+
+    def __iter__(self) -> Iterator:
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+
 def decompose_lattice(system: ZeroSystem, gamma: float,
                       factors: Sequence[Tuple[int, int]]) -> dict:
     """G_r(v) = sum_{e,k} m_{e,k}/k sin(k v + 2 pi <e, r>) read off a system
     whose zeros sit at heights k*gamma on the characters chi_1^e_1 ...
     chi_m^e_m, where factors = [(label of chi_i, n_i), ...], chi_i has order
     n_i and <e, r> = sum_i e_i r_i / n_i.  m and G are keyed by exponent
-    tuples: m by (e, k), G by r in prod_i Z/n_i."""
+    tuples: m by (e, k), G by r in prod_i Z/n_i.  G is a read-only mapping
+    that builds each G_r when it is first read."""
     orders = [n for _, n in factors]
     lcm = math.lcm(*orders)
     exponents = list(itertools.product(*(range(n) for n in orders)))
-    base = [system.chars[label] for label, _ in factors]
+    base = [_recipe_character(system, label) for label, _ in factors]
     family = {}
     for e in exponents[1:]:
         chis = [chi**ei for chi, ei in zip(base, e)]
@@ -608,7 +691,7 @@ def decompose_lattice(system: ZeroSystem, gamma: float,
             phasors[float(k)] = phasors.get(float(k), 0j) + amp * cmath.exp(1j * ph)
         return TrigPoly.from_phasors(phasors)
 
-    return {"m": m, "G": {r: G(r) for r in exponents}, "gamma": gamma}
+    return {"m": m, "G": _LazyMapping(exponents, G), "gamma": gamma}
 
 
 def decompose_level_waves(system: ZeroSystem, char_labels: Sequence[int],
@@ -617,12 +700,11 @@ def decompose_level_waves(system: ZeroSystem, char_labels: Sequence[int],
     """The level waves w_{j,alpha}(u) = sum_k c_{j,k}/sqrt(k^2 g^2 + b_j^2)
     sin(k g u + 2 pi k alpha/n_j + atan(b_j/(k g))) of a layered system with
     zeros at beta_j + i k gamma on chi_j^k."""
-    chars = system.chars
     waves: Dict[Tuple[int, int], TrigPoly] = {}
     coeffs: Dict[Tuple[int, int], int] = {}
     for j, (label, beta, n_j) in enumerate(zip(char_labels, betas, orders),
                                            start=1):
-        chi = chars[label]
+        chi = _recipe_character(system, label)
         for k in (1, 2):
             lab_k = character_label(chi**k)
             c = 0

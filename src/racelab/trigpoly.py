@@ -7,14 +7,15 @@ Calling it evaluates term by term, for any real frequencies.  When every
 frequency is an integer multiple k * base, P is Im(sum_k C_k z^k) over the
 phasors C_k = c_k e^{i alpha_k} and z = e^{i base u}: `roots` finds the
 real roots of such polynomials as unit-circle eigenvalues, and `evaluate`
-computes many integer-frequency (base 1) ones from one table of powers of
-z, two transcendentals per point rather than one per term.
+computes many integer-frequency (base 1) ones through `evaluate_phasors`,
+from one table of powers of z: two transcendentals per point rather than
+one per term.
 
-The existence searches (find_simultaneous_positive, find_dominating,
-lemma28_gap) are backed by L2/measure arguments guaranteeing solutions on a
-positive-density set, so a dense grid search must succeed; each returned
-point carries a SearchCertificate recording the margins and the Lipschitz
-bound that makes interval claims rigorous.
+The existence searches (find_simultaneous_positive, find_dominating) are
+backed by L2/measure arguments guaranteeing solutions on a positive-density
+set, so a dense grid search must succeed; each returned point carries a
+SearchCertificate recording the margins and the Lipschitz bound that makes
+interval claims rigorous.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ class SearchExhaustedError(RuntimeError):
 
 TWO_PI = 2.0 * math.pi
 EPS = float(np.finfo(float).eps)
-_CHUNK = 2048  # points per block of `evaluate`
+# phasor powers per block of `evaluate_phasors` (96 KiB): blocks of 2048
+# points, at K = 7 or 16 powers each, raised peak RSS by 0.2-0.3 MB
+_CHUNK = 6144
 
 
 @dataclass(frozen=True)
@@ -207,11 +210,6 @@ def eps_box(n: int, alpha: float) -> float:
     return 6.0 * (alpha / 6.0) ** (2 ** (n - 1))
 
 
-def eps4(n: int, C: float = 10.0) -> float:
-    """Default gap constant for the squared-domination search."""
-    return eps_small_values(n, 1.0 / 3.0, C) ** 2 / 4.0
-
-
 # --- certified grid scans ------------------------------------------------------
 
 
@@ -369,36 +367,54 @@ def _phasor_table(polys: Sequence[TrigPoly], base: float,
     return c, a, c * np.exp(1j * a)
 
 
+def evaluate_phasors(C: np.ndarray, v, decay: np.ndarray | None = None,
+                     ) -> np.ndarray:
+    """Im(sum_(l,k) d_l C[i, l, k-1] e^{ikv}) for every row i of the complex
+    (n, L, K) phasor table C at every point of the 1-D array v, as an
+    (n, len(v)) array: L tables of K powers each, level l scaled by the
+    real weights d_l = decay[l] (an (L, len(v)) array; all 1 by default).
+
+    With z = e^{iv} the values are Im(C @ Z) = Re(C) @ Im(Z) + Im(C) @ Re(Z)
+    over the powers Z = (d_l z^k): one cos and one sin per point, then K - 1
+    complex products, L K scalings when decay is given, and one matmul in
+    which only the imaginary part is summed.  Points go through in blocks of
+    at most _CHUNK powers (one point at least), so no K x len(v) table is
+    held, and a longer input gives the same floats as its blocks one by one.
+
+    Against the exact value of row i at the float v (and the given decay),
+    the error is at most
+        EPS * sum_(l,k) |d_l C[i, l, k-1]| * (6LK + 4),
+    plus one rounding of each term when decay is given: cos and sin with up
+    to 4 ulp error, the powers, the phasors and any summation order.
+    """
+    n, L, K = C.shape
+    C = C.reshape(n, L * K)
+    v = np.asarray(v, dtype=float)
+    out = np.empty((n, len(v)))
+    step = max(_CHUNK // max(L * K, 1), 1)
+    for start in range(0, len(v), step):
+        w = v[start:start + step]
+        z = np.empty((L, K, len(w)), dtype=complex)
+        if K:
+            z[0, 0] = np.cos(w) + 1j * np.sin(w)
+        for k in range(1, K):
+            np.multiply(z[0, k - 1], z[0, 0], out=z[0, k])
+        if decay is not None:
+            d = decay[:, None, start:start + len(w)]
+            np.multiply(z[0], d[1:], out=z[1:])
+            z[0] *= d[0]
+        z = z.reshape(L * K, len(w))
+        out[:, start:start + len(w)] = C.real @ z.imag + C.imag @ z.real
+    return out
+
+
 def evaluate(polys: Sequence[TrigPoly], v) -> np.ndarray:
     """Every polynomial at every point of the 1-D array v, as a
     (len(polys), len(v)) array, for integer frequencies (ValueError
-    otherwise).
-
-    With z = e^{iv}, c sin(kv + alpha) = Im(C z^k), so the values are
-    Im(C @ Z) = Re(C) @ Im(Z) + Im(C) @ Re(Z) over the phasor table C and
-    the powers Z = (z, z^2, ..., z^K): one cos and one sin per point, then
-    K - 1 complex products, and only the imaginary part is summed.  Points
-    go through in blocks of _CHUNK, so no K x len(v) table is held, and a
-    longer input gives the same floats as its blocks one by one.
-
-    Against the exact value of sum c_k sin(k v + alpha_k) at the float v,
-    the error is at most
-        EPS * sum|c_k| * (6K + 4),
-    K the polynomial's largest frequency: cos and sin with up to 4 ulp
-    error, the powers, the phasors and any summation order.
-    """
-    _, _, C = _phasor_table(polys, 1.0)
-    v = np.asarray(v, dtype=float)
-    out = np.empty((len(polys), len(v)))
-    for start in range(0, len(v), _CHUNK):
-        w = v[start:start + _CHUNK]
-        z = np.empty((C.shape[1], len(w)), dtype=complex)
-        if len(z):
-            z[0] = np.cos(w) + 1j * np.sin(w)
-        for k in range(1, len(z)):
-            np.multiply(z[k - 1], z[0], out=z[k])
-        out[:, start:start + len(w)] = C.real @ z.imag + C.imag @ z.real
-    return out
+    otherwise): `evaluate_phasors` on their phasors C = c e^{i alpha}, as
+    c sin(kv + alpha) = Im(C e^{ikv}).  The error is at most
+    EPS * sum|c_k| * (6K + 4), K the polynomial's largest frequency."""
+    return evaluate_phasors(_phasor_table(polys, 1.0)[2][:, None], v)
 
 
 def roots(polys: Sequence[TrigPoly], base: float) -> List[TrigRoots]:
@@ -433,7 +449,9 @@ def roots(polys: Sequence[TrigPoly], base: float) -> List[TrigRoots]:
     big = np.abs(c) > EPS * np.abs(c).sum(1, keepdims=True)
     degree = np.where(big.any(1), k_max - np.argmax(big[:, ::-1], 1), 0)
     pi, v = [np.zeros(0, dtype=int)], [np.zeros(0)]
-    for K in np.unique(degree[degree > 0]):
+    live = np.sort(degree[degree > 0])
+    # a sorted dedupe: in numpy 2.x a plain np.unique imports numpy.ma
+    for K in live[np.diff(live, prepend=0) > 0]:
         idx = np.flatnonzero(degree == K)
         mid = coef[idx, k_max - K:k_max + K + 1]
         comp = np.zeros((len(idx), 2 * K, 2 * K), dtype=complex)
@@ -633,12 +651,12 @@ def _aligned_coeffs(q_sin: TrigPoly, p_cos: TrigPoly, r_sin: TrigPoly,
 
 
 def _check_domination_pre(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                          gamma: float, need_a_mass: bool = True) -> None:
+                          gamma: float) -> None:
     if np.any(c < 0):
         raise ValueError("R coefficients must be nonnegative")
     if np.any(b + 1e-12 < np.abs(a) + c):
         raise ValueError("need b_k >= |a_k| + c_k at every shared frequency")
-    if need_a_mass and not np.sum(np.abs(a)) > gamma * np.sum(b):
+    if not np.sum(np.abs(a)) > gamma * np.sum(b):
         raise ValueError("need sum|a_k| > gamma * sum(b_k)")
 
 
@@ -672,33 +690,3 @@ def find_dominating(q_sin: TrigPoly, p_cos: TrigPoly, r_sin: TrigPoly,
                 u=u, margins=(direct,), derivative_bound=lip,
                 grid_step=step, target=target, satisfied=direct >= target)
     raise SearchExhaustedError("no dominating point found within grid budget")
-
-
-def lemma28_gap(q_sin: TrigPoly, p_cos: TrigPoly, r_sin: TrigPoly,
-                gamma: float, C: float = 10.0,
-                max_escalations: int = 6) -> Tuple[float, float, float]:
-    """A u and gap with Q^2(u) - max(P^2(u), R^2(u)) >= gap > 0.
-
-    Returns (u, gap, target) where target is
-    max_k min((b_k^2 - a_k^2 - gamma*b_k^2)/2, eps4*gamma^2*b_k^2).
-
-    Unlike the plain domination search, the coefficient-mass condition on P
-    is not required here: a frequency with small R-coefficient feeds the
-    energy branch of the gap directly.
-    """
-    freqs, a, b, c = _aligned_coeffs(q_sin, p_cos, r_sin)
-    _check_domination_pre(a, b, c, gamma, need_a_mass=False)
-    e4 = eps4(max(len(freqs), 1), C)
-    branch = np.minimum((b * b - a * a - gamma * b * b) / 2.0,
-                        e4 * gamma * gamma * b * b)
-    target = float(branch.max())
-    base = TWO_PI / float(freqs.min())
-
-    def objective(u: np.ndarray) -> np.ndarray:
-        qv, pv, rv = q_sin(u), p_cos(u), r_sin(u)
-        return qv * qv - np.maximum(pv * pv, rv * rv)
-
-    for u, gap, _ in _window_scans(objective, base, max_escalations):
-        if gap > 0:
-            return u, gap, target
-    raise SearchExhaustedError("no positive squared gap found within budget")

@@ -285,6 +285,27 @@ def test_tampered_thm311_recipe_is_config_error(tmp_path, capsys, q):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("label", [9999, -1])
+@pytest.mark.parametrize("kind, q, field", [
+    ("thm311", 7, "chi"), ("thm311", 15, "chi1"), ("thm311", 15, "chi2"),
+    ("thm51", 5, "chars")])
+def test_recipe_character_label_out_of_range_is_config_error(
+        tmp_path, capsys, kind, q, field, label):
+    rec = tmp_path / "rec.json"
+    assert run(["barrier", "build", kind, "--q", q, "--out", rec]) == 0
+    capsys.readouterr()
+    payload = json.loads(rec.read_text())
+    if field == "chars":
+        payload["params"]["chars"][0] = label
+    else:
+        payload["params"][field] = label
+    rec.write_text(json.dumps(payload))
+    out = tmp_path / "verify.json"
+    assert_config_error(["barrier", "verify", "--recipe", rec, "--out", out],
+                        capsys)
+    assert not out.exists()
+
+
 def test_thm311_non_finite_gamma_is_config_error(tmp_path, capsys):
     out = tmp_path / "x.json"
     assert_config_error(["barrier", "build", "thm311", "--q", 7,

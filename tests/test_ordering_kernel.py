@@ -26,8 +26,9 @@ from racelab import barriers, residues, simulator, zerosys
 from racelab.barriers import (OmegaTypeReport, build_omega, build_thm51,
                               check_omega_type)
 from racelab.orderings import (CensusReport, Crossing, Ordering,
-                               OrderingTrace, census, detect_crossings)
-from racelab.trigpoly import TrigPoly, roots as trig_roots
+                               OrderingTrace, census, detect_crossings,
+                               verdict)
+from racelab.trigpoly import EPS, TrigPoly, roots as trig_roots
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -446,6 +447,17 @@ def mixed_level_case():
     return system, residues.unit_group(13).units, np.linspace(-5.0, 40.0, 901)
 
 
+def far_height_case():
+    """The thm311 q = 7 lattice (heights 1..7 times lambda) plus one zero at
+    100 lambda: K = 100 is too sparse for the phasor table."""
+    system, members, u = recipe_case(barriers.build_thm311(7))
+    entries = {label: dict(zs) for label, zs in system.entries.items()}
+    far = zerosys.Zero(0.75, 100 * system.height_lattice)
+    entries[next(iter(entries))][far] = 1
+    return (zerosys.ZeroSystem(7, entries, height_lattice=system.height_lattice),
+            members, u)
+
+
 DOMINANT_CASES = {
     "thm311 Z4 x Z2": lambda: recipe_case(barriers.build_thm311(15, tau=1000.0)),
     "thm51 all units": lambda: recipe_case(build_thm51(35, tau=1000.0)),
@@ -453,14 +465,82 @@ DOMINANT_CASES = {
     "real zero, two levels": mixed_level_case,
     "no members": lambda: recipe_case(barriers.build_thm311(7), members=()),
     "one sample": lambda: recipe_case(barriers.build_thm311(7), samples=1),
+    "far sparse height": far_height_case,
 }
+# members of systems whose heights fill a lattice take the phasor-table path
+# and meet `lattice_bound`; the rest stream their zeros as the loop does, bit
+# for bit ("no members" is on a lattice, but has no values to differ)
+ON_LATTICE = {"thm311 Z4 x Z2", "thm51 all units", "thm43", "one sample"}
+
+
+def lattice_bound(system, members, u):
+    """How far the phasor-table values and the loop reference's may lie
+    apart, per member and sample: the sum of what each may lie from
+    -Re sum_rho A_rho d_rho(u) e^(i gamma_rho u), with the amplitudes A and
+    the float decays d that both compute alike.  Per zero, in units of
+    EPS |A| d:
+    - the table: `evaluate_phasors`' bound 6LK + 4 (L levels, K the largest
+      height multiple), 1 for the decay scaling, and |gamma u| / 2 for
+      v = fl(lambda u);
+    - the loop: |gamma u| / 2 for fl(gamma u), 6 for cos and sin of up to
+      4 ulp each (in modulus), 2 for the real part of A e^(i theta), 1 for
+      the decay product, and N for the sum over the N zeros.
+    """
+    beta_star = system.r_plus
+    lam = system.height_lattice
+    amps = {}
+    for label, z, mult in system.items():
+        chi_bar = system.chars[label].conjugate()
+        row = amps.setdefault(z, np.zeros(len(members), dtype=complex))
+        row += [mult * chi_bar(a) / z.rho for a in members]
+    L = len({z.beta for z in amps})
+    K = max(round(z.gamma / lam) for z in amps)
+    bound = np.zeros((len(members), len(u)))
+    for z, a in amps.items():
+        decay = np.exp((z.beta - beta_star) * u)
+        units = 6 * L * K + 4 + 1 + np.abs(z.gamma * u) + 6 + 2 + 1 + len(amps)
+        bound += np.outer(np.abs(a), decay * units)
+    return EPS * bound
 
 
 @pytest.mark.parametrize("case", list(DOMINANT_CASES))
 def test_dominant_member_values_match_loop_reference(case):
     system, members, u = DOMINANT_CASES[case]()
-    assert_bitwise(simulator.dominant_member_values(system, members, u),
-                   ref_dominant_member_values(system, members, u))
+    values = simulator.dominant_member_values(system, members, u)
+    ref = ref_dominant_member_values(system, members, u)
+    if case in ON_LATTICE:
+        assert values.dtype == ref.dtype and values.shape == ref.shape
+        assert np.all(np.abs(values - ref) <= lattice_bound(system, members, u))
+    else:
+        assert_bitwise(values, ref)
+
+
+def test_member_waves_only_on_a_filled_lattice():
+    for case, build in DOMINANT_CASES.items():
+        system, members, _ = build()
+        on_lattice = simulator.member_waves(system, members) is not None
+        assert on_lattice == (case in ON_LATTICE or case == "no members"), case
+
+
+@pytest.mark.slow
+def test_thm51_census_matches_loop_reference_values():
+    """Every thm51 recipe for q <= 100, all units as members, 1024 samples:
+    the census of the phasor-table values and of the loop reference's
+    values agree in strict orderings, crossings and verdict."""
+    for q in range(3, 101):
+        recipe = build_thm51(q, tau=1000.0)
+        units = residues.unit_group(q).units
+        tr = simulator.one_period_trace(simulator.RaceFunctionSet(
+            q, recipe.system, units, pi_proxy="zero"), samples=1024)
+        ref = OrderingTrace(u=tr.u, members=tr.members, tie_tol=tr.tie_tol,
+                            values=ref_dominant_member_values(
+                                recipe.system, units, tr.u),
+                            periodic=True, period=tr.period)
+        rep, ref_rep = census(tr), census(ref)
+        assert rep.strict == ref_rep.strict, q
+        assert rep.crossings == ref_rep.crossings, q
+        assert verdict(rep, "thm51_upper", r=len(units)) \
+            == verdict(ref_rep, "thm51_upper", r=len(units)), q
 
 
 def test_corollary13_sum_matches_loop_reference():

@@ -486,6 +486,22 @@ def test_decompose_lattice_matches_old_decomposers():
                             {(r,): g for r, g in old["G"].items()})
 
 
+def test_decompose_lattice_builds_each_g_on_first_read(monkeypatch):
+    from racelab.barriers import build_thm311
+    recipe = build_thm311(13)  # one cyclic factor, of order n = 6
+    built = []
+    from_phasors = TrigPoly.from_phasors
+    monkeypatch.setattr(TrigPoly, "from_phasors", staticmethod(
+        lambda phasors: built.append(1) or from_phasors(phasors)))
+    G = theorem_decomposition(recipe.system, "thm311", recipe.params)["G"]
+    assert list(G) == [(r,) for r in range(recipe.params["n"])] and not built
+    assert G[(5,)] is G[(5,)] and len(built) == 1
+    with pytest.raises(KeyError):
+        G[(6,)]
+    with pytest.raises(TypeError):
+        G[(5,)] = TrigPoly.zero()
+
+
 def test_trace_empty_system():
     system = ZeroSystem(5, {})
     s = RaceFunctionSet(5, system, (1, 2, 3, 4), pi_proxy="zero")
@@ -583,14 +599,19 @@ print(json.dumps({"codes": codes,
 """
 
 
-def test_scipy_never_imported(tmp_path):
-    # a fresh interpreter, since another test may have loaded scipy
+def fresh_python(code, *args):
+    """Run code in a fresh interpreter that imports racelab from this tree;
+    another test may already have loaded what the code checks for."""
     src = str(Path(racelab.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", SCIPY_GUARD, str(tmp_path)],
-                         env=env, capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True)
+
+
+def test_scipy_never_imported(tmp_path):
+    out = fresh_python(SCIPY_GUARD, str(tmp_path))
     got = json.loads(out.stdout.splitlines()[-1])
     assert got["codes"] == [0, 0, 0]
     assert got["scipy"] == []
@@ -601,3 +622,25 @@ def test_scipy_never_imported(tmp_path):
     assert abs(got["li"] - li_ref) <= 2e-15 * li_ref
     ref = mpmath_f_parts(0.5 + 14.134725j, 1e4)[0]
     assert abs(complex(*got["f_rho"]) - ref) <= F_RHO_REL_TOL * abs(ref)
+
+
+NUMPY_MA_GUARD = """
+import sys
+import racelab.cli
+from racelab import barriers, orderings, primes, simulator
+
+barriers.build_thm51(5)
+primes.sieve_race(3, 10**4)
+recipe = barriers.build_extremal(7, 3, [3, 2, 6])
+members = tuple(recipe.params["D"])
+rep = orderings.census(simulator.one_period_trace(simulator.RaceFunctionSet(
+    7, recipe.system, members, pi_proxy="zero")))
+orderings.verdict(rep, "extremal_exact", r=len(members))
+primes.first_lead_change(4, 3, 1, 10**4)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_numpy_ma_never_imported():
+    # in numpy 2.x a plain np.unique imports numpy.ma, a few ms per process
+    assert fresh_python(NUMPY_MA_GUARD).stdout.split() == ["False"]

@@ -11,8 +11,7 @@ from racelab.trigpoly import (_CHUNK, EPS, ResolutionTooCoarseError,
                               empirical_moments, eps1, eps2, eps_box,
                               eps_small_values, evaluate, find_all_negative,
                               find_dominating, find_fractional_parts,
-                              find_simultaneous_positive, l2_norm,
-                              lemma28_gap)
+                              find_simultaneous_positive, l2_norm)
 
 TWO_PI = 2 * math.pi
 
@@ -195,23 +194,6 @@ def test_find_dominating_precondition():
     r = TrigPoly.sine([1.0], [1.0])
     with pytest.raises(ValueError):
         find_dominating(q, p, r, gamma=0.5)  # sum|a| > gamma sum b fails
-
-
-def test_lemma28_gap_examples():
-    q = TrigPoly.sine([1.0], [1.0])
-    u, gap, target = lemma28_gap(q, TrigPoly.zero(), TrigPoly.zero(), 0.1)
-    assert gap >= 0.49  # Q^2 reaches 1, competitors vanish
-    q2 = TrigPoly.sine([math.sqrt(2)], [1.0])
-    p2 = TrigPoly.cosine([1.0], [1.0])
-    u2, gap2, _ = lemma28_gap(q2, p2, TrigPoly.zero(), 0.1)
-    assert gap2 > 0
-    # b_k = |a_k| exactly, c_k = 0: the energy branch goes vacuous and only
-    # the searched gap is informative
-    q3 = TrigPoly.sine([1.0], [1.0])
-    p3 = TrigPoly.cosine([-1.0], [1.0])
-    u3, gap3, target3 = lemma28_gap(q3, p3, TrigPoly.zero(), 0.01)
-    assert gap3 > 0
-    assert gap3 >= target3
 
 
 def test_certified_scan():

@@ -28,8 +28,9 @@ import numpy as np
 
 from .residues import (DirichletCharacter, character_label,
                        character_with_value, characters, unit_group)
-from .orderings import column_orders
-from .simulator import dominant_member_values, theorem_decomposition
+from .orderings import column_orders, run_edges
+from .simulator import (RecipeMismatchError, dominant_member_values,
+                        theorem_decomposition)
 from .trigpoly import (ScanReport, TrigPoly, certified_positive_scan, eps1,
                        eps2, evaluate as trig_evaluate, roots as trig_roots)
 from .zerosys import Zero, ZeroSystem, dominant_data
@@ -124,13 +125,19 @@ class BarrierRecipe:
 
     @classmethod
     def from_json(cls, text: str) -> "BarrierRecipe":
+        """The recipe in text; RecipeMismatchError unless its q is an int
+        equal to its system's q."""
         d = json.loads(text)
         try:
-            return cls(kind=d["kind"], q=d["q"], params=d["params"],
-                       system=ZeroSystem.from_dict(d["system"]),
-                       claim=d["claim"])
+            recipe = cls(kind=d["kind"], q=d["q"], params=d["params"],
+                         system=ZeroSystem.from_dict(d["system"]),
+                         claim=d["claim"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"not a barrier recipe (missing {exc})") from None
+        if type(recipe.q) is not int or recipe.q != recipe.system.q:
+            raise RecipeMismatchError(f"recipe q {recipe.q!r} is not its "
+                                      f"system's q {recipe.system.q}")
+        return recipe
 
 
 # --- the three-residue lattice barrier -------------------------------------------
@@ -496,6 +503,10 @@ def check_omega_type(candidate: np.ndarray, w_grid: np.ndarray,
     `orderings.column_orders`, each column's two reference orderings are
     looked up with one searchsorted, and first_violation is the u of the
     first failing column (intervals_checked counts the columns before it).
+
+    Only tied columns and the heads of runs of equal (order, strict,
+    reference interval) keys are tested (`orderings.run_edges`): a strict
+    column passes or fails with the head of its run.
     """
     pts = omega.crossing_points()
     pts = sorted(pts + [2 * math.pi - p for p in pts])
@@ -506,18 +517,21 @@ def check_omega_type(candidate: np.ndarray, w_grid: np.ndarray,
 
     u = np.asarray(w_grid, dtype=float) % (2 * math.pi)
     idx = np.searchsorted(mids, u) - 1
-    lo = ref[:, idx % len(mids)]
-    hi = ref[:, (idx + 1) % len(mids)]
     order, _, strict = column_orders(candidate, tie_tol)
+    heads, _ = run_edges(np.vstack([order, strict, idx]))
+    test = np.flatnonzero(heads | ~strict)
+    lo = ref[:, idx[test] % len(mids)]
+    hi = ref[:, (idx[test] + 1) % len(mids)]
+    values, order = candidate[:, test], order[:, test]
 
     def admissible(perm: np.ndarray) -> np.ndarray:
-        vals = np.take_along_axis(candidate, perm, axis=0)
+        vals = np.take_along_axis(values, perm, axis=0)
         return np.all(vals[:-1] >= vals[1:] - tie_tol, axis=0)
 
-    ok = np.where(strict,
+    ok = np.where(strict[test],
                   np.all(order == lo, axis=0) | np.all(order == hi, axis=0),
                   admissible(lo) | admissible(hi))
-    bad = np.flatnonzero(~ok)
+    bad = test[~ok]
     if len(bad):
         return OmegaTypeReport(False, first_violation=float(u[bad[0]]),
                                intervals_checked=int(bad[0]))

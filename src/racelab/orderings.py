@@ -8,11 +8,11 @@ is constant, so a dense grid sees every arc).
 
 Every sample is ordered at once by one kernel, `column_orders`: a stable
 descending argsort of each column, the gaps between neighbours in that
-order, and the mask of tie-free columns.  The census cuts the columns into
-runs of equal (order, tie cuts) keys and groups only the run heads with
-`np.unique`; crossing detection finds sign flips and tie runs of all member
-pairs with array operations; `barriers.check_omega_type` reuses the same
-kernel.
+order, and the mask of tie-free columns.  Through a run of strict columns
+with one order every member pair keeps its sign, so the consumers read only
+run edges and tied columns (`run_edges`): the census groups the run heads
+with `np.unique`, crossing detection finds the flips and tie runs of all
+member pairs there, and `barriers.check_omega_type` tests the run heads.
 """
 
 from __future__ import annotations
@@ -47,11 +47,9 @@ class Ordering:
 
     def strict_expansions(self) -> Tuple[Tuple[int, ...], ...]:
         """All strict permutations compatible with the tie blocks."""
-        parts = [list(itertools.permutations(b)) for b in self.blocks]
-        out = []
-        for combo in itertools.product(*parts):
-            out.append(tuple(x for blk in combo for x in blk))
-        return tuple(out)
+        parts = [itertools.permutations(b) for b in self.blocks]
+        return tuple(tuple(itertools.chain(*combo))
+                     for combo in itertools.product(*parts))
 
     def label(self, members: Sequence[int]) -> str:
         return ">".join("=".join(f"a{members[i]}" for i in blk)
@@ -105,6 +103,15 @@ def _chain(order: np.ndarray, cuts: np.ndarray) -> Chain:
     return tuple(tuple(sorted(b.tolist())) for b in blocks)
 
 
+def run_edges(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The run-edge rule: masks of the first and the last column of each run
+    of equal neighbouring columns of keys.  With a key that holds the order
+    and the strict flag, every member pair keeps its sign through a run, so
+    only run edges and tied columns can change an ordering."""
+    change = np.any(keys[:, 1:] != keys[:, :-1], axis=0)
+    return np.r_[True, change], np.r_[change, True]
+
+
 @dataclass(frozen=True)
 class Crossing:
     pair: Tuple[int, int]          # member indices (i, j), i < j
@@ -114,43 +121,63 @@ class Crossing:
     sign_after: int
 
 
+# pair x column cells per block of member pairs in detect_crossings
+_PAIR_BLOCK = 1 << 19
+
+
+def _pair_crossings(values: np.ndarray, ii: np.ndarray, jj: np.ndarray,
+                    tie_tol: float) -> Tuple[np.ndarray, ...]:
+    """Crossings of the pairs (ii, jj) over the columns of values, ties
+    within tie_tol read as sign 0: direct flips, then tie runs whose signs
+    before and after differ, as the arrays (i, j, key column, enter, exit,
+    sign before, sign after)."""
+    diff = np.take(values, ii, axis=0)
+    diff -= np.take(values, jj, axis=0)
+    state = (diff > 0).view(np.int8) - (diff < 0).view(np.int8)
+    state[np.abs(diff) <= tie_tol] = 0
+    p, k = np.nonzero(state[:, :-1] * state[:, 1:] < 0)
+    flips = (p, k, k, k + 1, state[p, k], state[p, k + 1])
+    edges = np.diff(np.pad(state == 0, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    rp, start = np.nonzero(edges == 1)
+    end = np.nonzero(edges == -1)[1] - 1
+    inner = (start > 0) & (end + 1 < state.shape[1])
+    rp, start, end = rp[inner], start[inner], end[inner]
+    before, after = state[rp, start - 1], state[rp, end + 1]
+    cross = before != after
+    runs = (rp[cross], start[cross] - 1, start[cross], end[cross],
+            before[cross], after[cross])
+    p, *rest = (np.concatenate(col) for col in zip(flips, runs))
+    return (ii[p], jj[p], *rest)
+
+
 def detect_crossings(trace: OrderingTrace) -> List[Crossing]:
     """Sign changes of value_i - value_j (i < j), ties within tie_tol read as
     sign 0.  A direct flip between neighbouring samples is a crossing; so is
     a maximal tie run whose signs before and after differ.  A run starting at
     the first sample is never a crossing, and a run reaching the last sample
     has sign 0 after it.  Crossings come sorted by u_enter, ties in (i, j,
-    sample) order."""
+    sample) order.
+
+    Only the columns where an ordering can change are read (`run_edges`):
+    tied ones, the first and the last, and those whose (order, strict) key
+    differs from a neighbour's.  All pairs are read at once, in blocks of
+    at most _PAIR_BLOCK cells, and the columns mapped back."""
     u = trace.u
-    n = len(u)
-    parts = []  # (i, j, key sample, enter, exit, before, after) per pair block
-    for i in range(trace.n_members - 1):  # the pairs (i, j > i) at once
-        diff = trace.values[i] - trace.values[i + 1:]
-        state = np.where(np.abs(diff) <= trace.tie_tol, 0,
-                         np.sign(diff)).astype(np.int8)
-        p, k = np.nonzero(state[:, :-1] * state[:, 1:] < 0)
-        flips = (p, k, k, k + 1, state[p, k], state[p, k + 1])
-        edges = np.diff(np.pad(state == 0, ((0, 0), (1, 1))).astype(np.int8),
-                        axis=1)
-        rp, start = np.nonzero(edges == 1)
-        end = np.nonzero(edges == -1)[1] - 1
-        inner = (start > 0) & (end + 1 < n)
-        rp, start, end = rp[inner], start[inner], end[inner]
-        before, after = state[rp, start - 1], state[rp, end + 1]
-        cross = before != after
-        runs = (rp[cross], start[cross] - 1, start[cross], end[cross],
-                before[cross], after[cross])
-        for pp, key, enter, exit_, sb, sa in (flips, runs):
-            parts.append((np.full(len(pp), i), i + 1 + pp, key,
-                          enter, exit_, sb, sa))
-    if not parts:
-        return []
-    ii, jj, key, enter, exit_, sb, sa = (np.concatenate(col)
-                                         for col in zip(*parts))
-    pick = np.lexsort((key, jj, ii, u[enter]))
-    return [Crossing((int(ii[x]), int(jj[x])), float(u[enter[x]]),
-                     float(u[exit_[x]]), int(sb[x]), int(sa[x]))
-            for x in pick]
+    order, _, strict = column_orders(trace.values, trace.tie_tol)
+    heads, tails = run_edges(np.vstack([order, strict]))
+    kept = np.flatnonzero(heads | tails | ~strict)
+    values = trace.values[:, kept]
+    ii, jj = np.triu_indices(trace.n_members, 1)
+    step = max(1, _PAIR_BLOCK // max(len(kept), 1))
+    blocks = [_pair_crossings(values, ii[s:s + step], jj[s:s + step],
+                              trace.tie_tol)
+              for s in range(0, max(len(ii), 1), step)]  # one, if no pairs
+    i, j, key, enter, exit_, sb, sa = (np.concatenate(col) for col in zip(*blocks))
+    key, enter, exit_ = kept[key], kept[enter], kept[exit_]
+    pick = np.lexsort((key, j, i, u[enter]))
+    return [Crossing((a, b), ue, ux, s0, s1)
+            for a, b, ue, ux, s0, s1 in zip(*(col[pick].tolist() for col in (
+                i, j, u[enter], u[exit_], sb, sa)))]
 
 
 @dataclass
@@ -176,20 +203,18 @@ class CensusReport:
             seen.update(Ordering(chain).strict_expansions())
         return len(seen)
 
+    def _label(self, perm: Tuple[int, ...]) -> str:
+        return ">".join(f"a{self.members[i]}" for i in perm)
+
     def labels(self) -> List[str]:
-        return sorted(
-            ">".join(f"a{self.members[i]}" for i in perm)
-            for perm in self.strict)
+        return sorted(map(self._label, self.strict))
 
     def to_dict(self) -> dict:
-        def label(perm):
-            return ">".join(f"a{self.members[i]}" for i in perm)
-
         return {
             "members": list(self.members),
             "strict_count": self.strict_count,
             "orderings": self.labels(),
-            "counts": {label(p): self.sample_counts.get(p, 0)
+            "counts": {self._label(p): self.sample_counts.get(p, 0)
                        for p in sorted(self.strict)},
             "crossings": [{"pair": [self.members[c.pair[0]],
                                     self.members[c.pair[1]]],
@@ -224,9 +249,7 @@ def census(trace: OrderingTrace) -> CensusReport:
     order, gaps, _ = column_orders(trace.values, trace.tie_tol)
     keys = np.concatenate([order, gaps > trace.tie_tol],
                           dtype=np.min_scalar_type(r), casting="unsafe")
-    heads = np.flatnonzero(np.r_[True, np.any(keys[:, 1:] != keys[:, :-1],
-                                              axis=0)])
-    ends = np.append(heads[1:], keys.shape[1]) - 1  # each run's last column
+    heads, ends = (np.flatnonzero(edge) for edge in run_edges(keys))
     groups, first, run_group = np.unique(
         keys[:, heads], axis=1, return_index=True, return_inverse=True)
     run_group = run_group.reshape(-1)
@@ -322,7 +345,6 @@ def _find_cycle(n_vertices: int, edges: List[Tuple[int, int, FrozenSet[int]]],
                     continue
                 if nxt in visited:
                     # walk both branches up to their common ancestor
-                    path_a: List[Tuple[int, int]] = [(node, eidx)]
                     cur = node
                     chain_a = []
                     while cur is not None:

@@ -128,7 +128,8 @@ class ResidueGroup:
 @lru_cache(maxsize=None)
 def unit_group(q: int) -> ResidueGroup:
     """Build (Z/qZ)^* by CRT over prime powers, with primitive roots per
-    odd prime power and the {-1, 5} pair for 2^e, e >= 3."""
+    odd prime power and the {-1, 5} pair for 2^e, e >= 3.  BudgetExceededError
+    before any table is built if phi(q) x (generators + 1) > sieve_budget()."""
     if q < 3:
         raise InvalidModulusError(f"modulus must be >= 3, got {q}")
     gens: List[Tuple[int, int]] = []
@@ -149,6 +150,12 @@ def unit_group(q: int) -> ResidueGroup:
     # drop order-1 factors (q = 2^1 * ...); the exponent vectors in mixed-radix
     # rank order give every unit once, and sorting puts the units in order
     gens = [(g, n) for g, n in gens if n > 1]
+    from .primes import BudgetExceededError, sieve_budget  # primes imports us
+    phi = math.prod(n for _, n in gens)
+    if phi * (len(gens) + 1) > sieve_budget():
+        raise BudgetExceededError(
+            f"unit group mod {q}: {phi} units x {len(gens) + 1} columns "
+            f"exceeds budget {sieve_budget()} (RACE_LAB_BUDGET)")
     ranked = np.indices([n for _, n in gens]).reshape(len(gens), -1).T
     values = np.ones(len(ranked), dtype=np.int64)
     for (g, n), column in zip(gens, ranked.T):
@@ -264,6 +271,12 @@ class CharacterTable(Sequence):
         if chi.q != self.q:
             raise ValueError(f"{chi} is not a character mod {self.q}")
         return int(self._label_of_rank[np.ravel_multi_index(chi.b, self._orders)])
+
+    def labels(self, b: np.ndarray) -> np.ndarray:
+        """The labels of the exponent vectors along the last axis of b
+        (entries reduced mod the generator orders), in one rank lookup."""
+        b = np.moveaxis(np.asarray(b) % self._orders, -1, 0)
+        return self._label_of_rank[np.ravel_multi_index(tuple(b), self._orders)]
 
     def numerators(self, a: int) -> np.ndarray:
         """phase(a) * lam for every character, in label order."""

@@ -529,103 +529,6 @@ def one_period_trace(s: RaceFunctionSet, samples: int = 4096,
 # --- theorem-specific decompositions ----------------------------------------------
 
 
-def _kset_weights(system: ZeroSystem, a: int, order: int, beta: float,
-                  ) -> Dict[int, Dict[float, int]]:
-    """weights[j][gamma] = sum over chi with chi(a) = e(j/order) of
-    n(beta + i gamma, chi)."""
-    out: Dict[int, Dict[float, int]] = {j: {} for j in range(1, order)}
-    for label, z, mult in system.items():
-        if z.beta != beta:
-            continue
-        j = system.chars[label].phase(a) * order  # the phase is in [0, 1)
-        if j.denominator == 1 and j:
-            out[int(j)][z.gamma] = out[int(j)].get(z.gamma, 0) + mult
-    return out
-
-
-def _sin_poly(weights: Mapping[float, float], beta: float, scale: float = 1.0,
-              phase_shift: bool = True) -> TrigPoly:
-    """sum_gamma w(gamma)/sqrt(gamma^2+beta^2) sin(gamma u + atan(beta/gamma))."""
-    terms = []
-    for gamma, w in sorted(weights.items()):
-        if w == 0 or gamma <= 0:
-            continue
-        amp = scale * w / math.hypot(gamma, beta)
-        ph = math.atan2(beta, gamma) if phase_shift else 0.0
-        terms.append((amp, gamma, ph))
-    return TrigPoly(tuple(terms))
-
-
-def _cos_poly(weights: Mapping[float, float], beta: float, scale: float = 1.0,
-              phase_shift: bool = True) -> TrigPoly:
-    """`_sin_poly` with every phase advanced by pi/2."""
-    sines = _sin_poly(weights, beta, scale, phase_shift)
-    return TrigPoly(tuple((c, t, a + math.pi / 2) for c, t, a in sines.terms))
-
-
-def decompose_order3(system: ZeroSystem, a: int) -> dict:
-    """f/g split for a cyclic group {1, a, a^2} of order 3: f carries the
-    symmetric weights n(gamma), g the skew weights m(gamma)."""
-    group = unit_group(system.q)
-    if group.order(a) != 3:
-        raise RecipeMismatchError(f"{a} must have order 3 mod {system.q}")
-    dd = dominant_data(system, a, 1)
-    if dd.empty:
-        raise EmptyDominantSetError(f"z({a},1) is empty")
-    beta = dd.beta
-    ks = _kset_weights(system, a, 3, beta)
-    gammas = sorted({g for j in (1, 2) for g in ks[j]})
-    n_w = {g: ks[1].get(g, 0) + ks[2].get(g, 0) for g in gammas}
-    m_w = {g: ks[2].get(g, 0) - ks[1].get(g, 0) for g in gammas}
-    f1 = TrigPoly(tuple((1.5 * n_w[g] * g / (g * g + beta * beta), g, 0.0)
-                        for g in gammas if n_w[g]))
-    f2 = TrigPoly(tuple((1.5 * n_w[g] * beta / (g * g + beta * beta), g,
-                         math.pi / 2) for g in gammas if n_w[g]))
-    g1 = TrigPoly(tuple((math.sqrt(3) / 2 * m_w[g] * g / (g * g + beta * beta),
-                         g, math.pi / 2) for g in gammas if m_w[g]))
-    g2 = TrigPoly(tuple((math.sqrt(3) / 2 * m_w[g] * beta / (g * g + beta * beta),
-                         g, 0.0) for g in gammas if m_w[g]))
-    return {"beta": beta,
-            "f": _sin_poly(n_w, beta, scale=1.5),
-            "f1": f1, "f2": f2,
-            "g": _cos_poly(m_w, beta, scale=math.sqrt(3) / 2),
-            "g1": g1, "g2": g2,
-            "n": n_w, "m": m_w}
-
-
-def decompose_order4(system: ZeroSystem, a1: int) -> dict:
-    """f/g/h split for a cyclic group of order 4 generated by a1."""
-    group = unit_group(system.q)
-    if group.order(a1) != 4:
-        raise RecipeMismatchError(f"{a1} must have order 4 mod {system.q}")
-    a2 = pow(a1, 2, system.q)
-    dd1 = dominant_data(system, a1, 1)
-    dd2 = dominant_data(system, a2, 1)
-    if dd1.empty or dd2.empty:
-        raise EmptyDominantSetError("z(a1,1) and z(a2,1) must be nonempty")
-    beta1, beta2 = dd1.beta, dd2.beta
-    ks1 = _kset_weights(system, a1, 4, beta1)
-    ks2 = _kset_weights(system, a1, 4, beta2)
-    z1_heights = {z.gamma for z in dd1.zeros}
-    z2_heights = {z.gamma for z in dd2.zeros}
-    k1 = {g: ks1[1].get(g, 0) + ks1[3].get(g, 0) for g in z1_heights}
-    k2 = {g: ks2[1].get(g, 0) + ks2[3].get(g, 0) for g in z2_heights}
-    l_w = {g: ks1[2].get(g, 0) for g in z1_heights}
-    m_w = {g: ks1[1].get(g, 0) - ks1[3].get(g, 0) for g in z1_heights}
-    f = _sin_poly({g: k1[g] + 2 * l_w[g] for g in z1_heights}, beta1)
-    g_poly = _cos_poly(m_w, beta1)
-    h = _sin_poly({g: 2 * k2[g] for g in z2_heights}, beta2)
-    q_poly = _sin_poly({g: k1[g] + 2 * l_w[g] for g in z1_heights}, beta1,
-                       phase_shift=False)
-    p_poly = _cos_poly(m_w, beta1, phase_shift=False)
-    r_poly = _sin_poly({g: 2 * l_w[g] for g in z1_heights}, beta1,
-                       phase_shift=False)
-    return {"beta1": beta1, "beta2": beta2,
-            "f": f, "g": g_poly, "h": h,
-            "Q": q_poly, "P": p_poly, "R": r_poly,
-            "k1": k1, "k2": k2, "l": l_w, "m": m_w}
-
-
 def _recipe_character(system: ZeroSystem, label) -> DirichletCharacter:
     """The character a recipe names by label: RecipeMismatchError unless an
     int in [0, phi(q)), where a negative one would index from the end."""
@@ -665,11 +568,11 @@ def decompose_lattice(system: ZeroSystem, gamma: float,
     orders = [n for _, n in factors]
     lcm = math.lcm(*orders)
     exponents = list(itertools.product(*(range(n) for n in orders)))
-    base = [_recipe_character(system, label) for label, _ in factors]
-    family = {}
-    for e in exponents[1:]:
-        chis = [chi**ei for chi, ei in zip(base, e)]
-        family[character_label(math.prod(chis[1:], start=chis[0]))] = e
+    # chi_1^e_1 ... chi_m^e_m has the exponent vector e B, B the rows of b
+    base = np.array([_recipe_character(system, label).b for label, _ in factors])
+    labels = system.chars.labels(
+        np.array(exponents[1:], dtype=np.int64).reshape(-1, len(orders)) @ base)
+    family = dict(zip(labels.tolist(), exponents[1:]))
     m: Dict[Tuple[Tuple[int, ...], int], int] = {}
     for label, z, mult in system.items():
         if label not in family:
@@ -729,8 +632,6 @@ def decompose_level_waves(system: ZeroSystem, char_labels: Sequence[int],
 
 
 _DECOMPOSERS = {
-    "thm34": lambda sys_, p: decompose_order3(sys_, p["a"]),
-    "thm39": lambda sys_, p: decompose_order4(sys_, p["a1"]),
     "thm311": lambda sys_, p: decompose_lattice(
         sys_, p["gamma"], [(p["chi1"], 4), (p["chi2"], 2)]
         if p.get("subcase") == "z4z2" else [(p["chi"], p["n"])]),

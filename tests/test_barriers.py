@@ -432,24 +432,21 @@ def test_sqrt_identity_behind_order3_threshold():
 
 
 def test_order4_caseIIb_domination_end_to_end():
-    # order-4 analysis with beta_2 = beta_1 and skew weight equal to the
-    # symmetric one: the domination search must still find a certified point
-    from fractions import Fraction
-    from racelab.simulator import theorem_decomposition
-    from racelab.trigpoly import eps2, find_dominating
+    # the order-4 analysis of two zeros at 3/4 + 300i on the character with
+    # chi(2) = i mod 5, with beta_2 = beta_1 and skew weight equal to the
+    # symmetric one: Q = 2 sin(300 u)/|rho|, P = 2 cos(300 u)/|rho|, R = 0;
+    # the domination search must still find a certified point
+    from racelab.trigpoly import TrigPoly, eps2, find_dominating
 
-    q = 5
-    chars = characters(q)
-    k1 = next(i for i, c in enumerate(chars) if c.phase(2) == Fraction(1, 4))
     gamma0 = 300.0
-    system = ZeroSystem(q, {k1: {Zero(0.75, gamma0): 2}},
-                        height_lattice=gamma0)
-    d = theorem_decomposition(system, "thm39", {"a1": 2})
-    gamma_search = eps2(1) / 2
-    cert = find_dominating(d["Q"], d["P"], d["R"], gamma_search)
+    amp = 2 / math.hypot(gamma0, 0.75)
+    Q = TrigPoly.sine([amp], [gamma0])
+    P = TrigPoly.cosine([amp], [gamma0])
+    R = TrigPoly.zero()
+    cert = find_dominating(Q, P, R, eps2(1) / 2)
     assert cert.margins[0] > 0
     u = cert.u
-    assert d["Q"](u) > max(abs(d["P"](u)), d["R"](u))
+    assert Q(u) > max(abs(P(u)), R(u))
 
 
 def test_forest_preserves_all_labels():

@@ -1,6 +1,7 @@
 import copy
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -463,3 +464,73 @@ def test_race_bad_pair_writes_no_table(tmp_path, capsys, a, b):
     assert_config_error(["race", "--q", 4, "--xmax", "1e5", "--a", a,
                          "--b", b, "--out", csv], capsys)
     assert not csv.exists()
+
+
+def run_limited(args, tmp_path):
+    """The CLI in a child process whose address space is capped at 3 GiB, so
+    a regression that builds a huge table fails fast instead of using up
+    the machine's memory."""
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    env.pop("RACE_LAB_BUDGET", None)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "racelab.cli",
+                           *map(str, args)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, preexec_fn=cap)
+
+
+@pytest.mark.parametrize("argv", [["barrier", "build", "thm311"],
+                                  ["race", "--xmax", 1000]])
+def test_huge_modulus_is_budget_error(tmp_path, argv):
+    # phi(1e9) = 4e8 units x 4 columns: the unit group is refused before
+    # numpy is asked for its 8.9 GiB exponent table
+    proc = run_limited([*argv, "--q", 10**9, "--out", "out"], tmp_path)
+    assert proc.returncode == cli.EXIT_BUDGET, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: unit group mod 1000000000: 400000000 units x 4 columns "
+        "exceeds budget 100000000 (RACE_LAB_BUDGET)"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["barrier", "build", "thm311"],
+                                  ["race", "--xmax", 1000]])
+def test_unit_group_over_budget_is_budget_error(tmp_path, capsys, monkeypatch,
+                                                argv):
+    # phi(1009) = 1008 units x 2 columns exceed a budget of 1000; the group
+    # is cached once built, so drop any copy an earlier test built
+    from racelab import residues
+    residues.unit_group.cache_clear()
+    monkeypatch.setenv("RACE_LAB_BUDGET", "1000")
+    out = tmp_path / "out"
+    assert run([*argv, "--q", 1009, "--out", out]) == cli.EXIT_BUDGET
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unit group mod 1009: 1008 units x 2 columns exceeds budget "
+        "1000 (RACE_LAB_BUDGET)"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("q", ["seven", 10**9, 7.0, True, 15])
+@pytest.mark.parametrize("command", ["barrier verify", "simulate", "orderings"])
+def test_recipe_q_not_its_systems_is_config_error(tmp_path, capsys, q,
+                                                   command):
+    from racelab.barriers import BarrierRecipe
+    from racelab.simulator import RecipeMismatchError
+
+    payload = json.loads(built_thm311(tmp_path, capsys).read_text())
+    payload["q"] = q
+    rec = tmp_path / "bad.json"
+    rec.write_text(json.dumps(payload))
+    with pytest.raises(RecipeMismatchError, match="is not its system's q 7"):
+        BarrierRecipe.from_json(rec.read_text())
+    out = tmp_path / "out"
+    assert_config_error([*command.split(), "--recipe", rec, "--out", out],
+                        capsys)
+    assert not out.exists()

@@ -6,9 +6,12 @@ wave-crossing root finder and the per-member dominant trace, kept here
 verbatim apart from names (and two fixes: the root finder does not bracket
 a cell whose end value is exactly zero, and the trace returns an empty
 array for no members, where the loop's np.vstack raised); the root finder
-is now the reference for `trigpoly.roots`.  Random traces are quantized so
+is now the reference for `trigpoly.roots`.  `scan_detect_crossings` is not
+one of them: it is a per-sample scan, checked against the crossing loop and
+fast enough for sweeps over many members.  Random traces are quantized so
 that ties, tie runs at both ends of the window and all-tied columns occur
-often.
+often; long traces with sparse order changes make crossing detection and
+the omega-type check skip most columns.
 """
 
 import math
@@ -26,8 +29,8 @@ from racelab import barriers, residues, simulator, zerosys
 from racelab.barriers import (OmegaTypeReport, build_omega, build_thm51,
                               check_omega_type)
 from racelab.orderings import (CensusReport, Crossing, Ordering,
-                               OrderingTrace, census, detect_crossings,
-                               verdict)
+                               OrderingTrace, census, column_orders,
+                               detect_crossings, run_edges, verdict)
 from racelab.trigpoly import EPS, TrigPoly, roots as trig_roots
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
@@ -81,6 +84,43 @@ def ref_detect_crossings(trace: OrderingTrace) -> List[Crossing]:
                 k += 1
     out.sort(key=lambda c: c.u_enter)
     return out
+
+
+def scan_detect_crossings(trace: OrderingTrace) -> List[Crossing]:
+    """The loop reference's reading of the pair states, stepping every pair
+    at once, one sample at a time: a flip closes at each sign change between
+    neighbours, and a tie run opens at a 0 after a sign and closes at the
+    next sign, a crossing when that differs from the sign before the run
+    (a run open from the first sample has sign 0 before it).  Same order:
+    u_enter, then (i, j), then the sample where the loop met the crossing.
+    Checked against `ref_detect_crossings` below; it takes O(samples) numpy
+    steps instead of O(pairs x samples) Python ones, so the sweep over many
+    members can use it."""
+    ii, jj = np.triu_indices(trace.n_members, 1)
+    state = np.ascontiguousarray(np.concatenate([  # by sample, pairs (i, j > i)
+        np.where(np.abs(diff) <= trace.tie_tol, 0, np.sign(diff)).astype(np.int8)
+        for diff in (trace.values[i] - trace.values[i + 1:]
+                     for i in range(trace.n_members))]).T)
+    prev, cur = state[:-1], state[1:]  # sample k - 1 and sample k, by row
+    flips, opens = prev * cur < 0, (prev != 0) & (cur == 0)
+    closes = (prev == 0) & (cur != 0)
+    u = trace.u.tolist()
+    found = []  # (u_enter, i, j, sample met, crossing)
+    before = np.zeros(len(ii), dtype=int)  # the sign before an open run
+    start = np.zeros(len(ii), dtype=int)   # where the open run started
+    for k in (np.flatnonzero((flips | opens | closes).any(axis=1)) + 1).tolist():
+        before[opens[k - 1]], start[opens[k - 1]] = state[k - 1, opens[k - 1]], k
+        p = np.flatnonzero(flips[k - 1])
+        found += [(u[k - 1], i, j, k - 1, Crossing((i, j), u[k - 1], u[k], b, a))
+                  for i, j, b, a in zip(*(x.tolist() for x in (
+                      ii[p], jj[p], state[k - 1, p], state[k, p])))]
+        p = np.flatnonzero(closes[k - 1])
+        p = p[(before[p] != 0) & (before[p] != state[k, p])]
+        found += [(u[s], i, j, s - 1, Crossing((i, j), u[s], u[k - 1], b, a))
+                  for i, j, s, b, a in zip(*(x.tolist() for x in (
+                      ii[p], jj[p], start[p], before[p], state[k, p])))]
+    found.sort(key=lambda f: f[:4])
+    return [f[4] for f in found]
 
 
 def ref_census(trace: OrderingTrace) -> CensusReport:
@@ -253,6 +293,19 @@ FIXED_TRACES = {
                                       [0, 0, 1, 0, 1],
                                       [0, 2, 2, 2, 0]], tie_tol=1e-9),
     "all tied": fixed_trace([[1, 1, 1], [1, 1, 1]]),
+    # column 2 is strict and has the order of the tied column 1 before it;
+    # column 3 lies inside a strict run, the one column crossing detection
+    # skips
+    "strict after tied, same order": fixed_trace([[2, 1, 1, 1, 1, 1],
+                                                  [0, 1, 0, 0, 0, 2],
+                                                  [3, 3, 3, 3, 3, 3]]),
+    # tie runs of two samples touch the first and the last sample; (1, 3)
+    # flips between them
+    "tie runs at both ends": fixed_trace([[1, 1, 2, 2, 2, 0, 0],
+                                          [1, 1, 0, 0, 0, 0, 0],
+                                          [.5, .5, .5, .5, .5, .5, .5]],
+                                         tie_tol=1e-9),
+    "one member": fixed_trace([[0, 1, 2, 1, 0]]),
 }
 
 
@@ -278,6 +331,64 @@ def test_detect_crossings_matches_loop_reference(trace):
 
 @PROPERTY
 @given(quantized_traces())
+def test_scan_reference_matches_loop_reference(trace):
+    assert scan_detect_crossings(trace) == ref_detect_crossings(trace)
+
+
+@pytest.mark.parametrize("name", list(FIXED_TRACES))
+def test_detect_crossings_matches_loop_reference_on_fixed_traces(name):
+    trace = FIXED_TRACES[name]
+    assert detect_crossings(trace) == ref_detect_crossings(trace)
+    assert scan_detect_crossings(trace) == ref_detect_crossings(trace)
+
+
+def kept_columns(trace):
+    """The columns crossing detection reads: tied ones, the first and the
+    last, and every edge of a run of equal (order, strict) keys."""
+    order, _, strict = column_orders(trace.values, trace.tie_tol)
+    heads, tails = run_edges(np.vstack([order, strict]))
+    return np.flatnonzero(heads | tails | ~strict)
+
+
+def test_run_edges_keep_a_strict_column_after_a_tie_with_its_order():
+    trace = FIXED_TRACES["strict after tied, same order"]
+    # column 2 differs from column 1 in its strict flag only
+    assert kept_columns(trace).tolist() == [0, 1, 2, 4, 5]
+    assert detect_crossings(trace) == [Crossing((0, 1), 2.0, 2.5, 1, -1)]
+
+
+@st.composite
+def long_traces(draw):
+    """2048 to 4096 samples whose order changes at a few samples only: few
+    members on piecewise-constant quantized levels (whole segments tie), or
+    a few slow sine waves."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.sampled_from([2048, 3001, 4096]))
+    if draw(st.booleans()):
+        cuts = np.sort(rng.choice(np.arange(1, n), replace=False,
+                                  size=draw(st.integers(0, 8))))
+        levels = 0.5 * rng.integers(-3, 4, size=(r, len(cuts) + 1))
+        values = levels[:, np.searchsorted(cuts, np.arange(n), side="right")]
+    else:
+        v = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+        values = np.sin(rng.integers(1, 4, size=(r, 1)) * v
+                        + rng.uniform(0.0, 2 * math.pi, size=(r, 1)))
+    return OrderingTrace(u=0.5 * np.arange(n), members=tuple(range(1, r + 1)),
+                         values=values,
+                         tie_tol=draw(st.sampled_from([0.0, 1e-9, 0.5])))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(long_traces())
+def test_long_traces_match_loop_reference(trace):
+    assume(len(kept_columns(trace)) < len(trace.u))  # columns are skipped
+    assert detect_crossings(trace) == ref_detect_crossings(trace)
+    assert census_fields(census(trace)) == census_fields(ref_census(trace))
+
+
+@PROPERTY
+@given(quantized_traces())
 def test_ordering_at_matches_loop_reference(trace):
     for idx in range(len(trace.u)):
         assert trace.ordering_at(idx) == ref_ordering_at(trace, idx)
@@ -289,7 +400,8 @@ def test_check_omega_type_matches_loop_reference(data):
     r, V = data.draw(st.sampled_from([(6, (1, 2, 3)), (6, (1, 2)),
                                       (8, (1, 2, 3)), (16, (1, 2, 3, 4))]))
     omega = build_omega(r, V, seed=data.draw(st.integers(0, 3)))
-    w = np.linspace(0.0, 2 * math.pi, data.draw(st.sampled_from([48, 96, 257])),
+    w = np.linspace(0.0, 2 * math.pi,
+                    data.draw(st.sampled_from([48, 96, 257, 2048])),
                     endpoint=False)
     quantum = data.draw(st.sampled_from([0.0, 0.05, 0.2, 0.6]))
     vals = omega.values(w)
@@ -308,6 +420,33 @@ def test_check_omega_type_matches_loop_reference(data):
     tie_tol = data.draw(st.sampled_from([0.0, 0.01, 0.1]))
     assert check_omega_type(vals, w, omega, tie_tol) \
         == ref_check_omega_type(vals, w, omega, tie_tol)
+
+
+def test_omega_failure_where_only_the_reference_interval_changes():
+    # the candidate keeps one strict order, admissible in reference interval
+    # k but not in k + 1, across the edge between them: the first failing
+    # column has its left neighbour's order, only its interval is new
+    omega = build_omega(6, (1, 2, 3), seed=0)
+    w = np.linspace(0.0, 2 * math.pi, 2048, endpoint=False)
+    pts = omega.crossing_points()
+    pts = sorted(pts + [2 * math.pi - p for p in pts])
+    mids = sorted([(a + b) / 2.0 for a, b in zip(pts, pts[1:])]
+                  + [((pts[-1] + pts[0] + 2 * math.pi) / 2.0) % (2 * math.pi)])
+    ref, _, _ = column_orders(omega.values(np.array(mids)), 0.0)
+    idx = np.searchsorted(mids, w) - 1
+    k = next(k for k in range(len(mids) - 2)
+             if {tuple(ref[:, k])} - {tuple(ref[:, k + 1]), tuple(ref[:, k + 2])})
+    vals = omega.values(w)
+    assert check_omega_type(vals, w, omega).ok
+    cols = np.flatnonzero((idx == k) | (idx == k + 1))
+    vals[ref[:, k], cols[:, None]] = np.arange(3, 0, -1)  # strict, order ref[k]
+    first = np.flatnonzero(idx == k + 1)[0]
+    rep = check_omega_type(vals, w, omega)
+    assert rep == ref_check_omega_type(vals, w, omega)
+    assert rep == OmegaTypeReport(False, first_violation=float(w[first]),
+                                  intervals_checked=int(first))
+    order, _, strict = column_orders(vals[:, first - 1:first + 1], 0.0)
+    assert strict.all() and (order[:, 0] == order[:, 1]).all()
 
 
 @PROPERTY
@@ -541,6 +680,19 @@ def test_thm51_census_matches_loop_reference_values():
         assert rep.crossings == ref_rep.crossings, q
         assert verdict(rep, "thm51_upper", r=len(units)) \
             == verdict(ref_rep, "thm51_upper", r=len(units)), q
+
+
+@pytest.mark.slow
+def test_thm51_census_crossings_match_scan_reference():
+    """Every thm51 recipe for q <= 100, all units as members, 2048 samples:
+    the census's crossings, read on run edges and tied columns only, are
+    those of the per-sample scan over every column."""
+    for q in range(3, 101):
+        recipe = build_thm51(q, tau=1000.0)
+        tr = simulator.one_period_trace(simulator.RaceFunctionSet(
+            q, recipe.system, residues.unit_group(q).units, pi_proxy="zero"),
+            samples=2048)
+        assert census(tr).crossings == scan_detect_crossings(tr), q
 
 
 def test_corollary13_sum_matches_loop_reference():

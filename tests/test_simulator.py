@@ -330,45 +330,6 @@ def test_corollary13_mixed_levels_rejected():
         corollary13_sum(system, 2, 1, 1.0)
 
 
-def test_decomposition_weight_bound():
-    # |m(gamma)| <= n(gamma) for the order-3 split
-    q = 7
-    k1 = label_with_phase(q, 2, Fraction(1, 3))
-    k2 = label_with_phase(q, 2, Fraction(2, 3))
-    system = ZeroSystem(q, {k1: {Zero(0.75, 5.0): 2},
-                            k2: {Zero(0.75, 5.0): 1, Zero(0.75, 9.0): 3}})
-    d = theorem_decomposition(system, "thm34", {"a": 2})
-    for g in d["n"]:
-        assert abs(d["m"][g]) <= d["n"][g]
-    u = np.linspace(0, 4, 257)
-    assert np.max(np.abs(d["f"](u) - d["f1"](u) - d["f2"](u))) < 1e-12
-    assert np.max(np.abs(d["g"](u) - d["g1"](u) + d["g2"](u))) < 1e-12
-
-
-def test_decomposition_order4_h_support():
-    # h is built only from the K1/K3 weights at the second level
-    q = 5
-    k1 = label_with_phase(q, 2, Fraction(1, 4))
-    k2 = label_with_phase(q, 2, Fraction(2, 4))
-    k3 = label_with_phase(q, 2, Fraction(3, 4))
-    system = ZeroSystem(q, {k1: {Zero(0.8, 20.0): 1},
-                            k2: {Zero(0.8, 30.0): 2},
-                            k3: {Zero(0.8, 20.0): 3}})
-    d = theorem_decomposition(system, "thm39", {"a1": 2})
-    assert d["k1"] == {20.0: 4, 30.0: 0}
-    assert d["l"] == {20.0: 0, 30.0: 2}
-    assert d["m"] == {20.0: -2, 30.0: 0}
-    assert [t for _, t, _ in d["h"].terms] == [20.0]
-    with pytest.raises(RecipeMismatchError):
-        theorem_decomposition(system, "thm39", {"a1": 4})  # order 2
-
-
-def test_decomposition_recipe_mismatch():
-    system, _, _ = single_zero_system()
-    with pytest.raises(RecipeMismatchError):
-        theorem_decomposition(system, "thm34", {"a": 2})  # 2 has order 4 mod 5
-
-
 # The one- and two-factor lattice decomposers that `decompose_lattice`
 # replaced, kept verbatim apart from their names and the output helper, as
 # the bitwise reference for the merged one.

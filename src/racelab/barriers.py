@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -31,8 +32,9 @@ from .residues import (DirichletCharacter, character_label,
 from .orderings import column_orders, run_edges
 from .simulator import (RecipeMismatchError, dominant_member_values,
                         theorem_decomposition)
-from .trigpoly import (ScanReport, TrigPoly, certified_positive_scan, eps1,
-                       eps2, evaluate as trig_evaluate, roots as trig_roots)
+from .trigpoly import (ScanReport, TrigPoly, certified_positive_scan,
+                       check_scan_grid, eps1, eps2, evaluate as trig_evaluate,
+                       roots as trig_roots)
 from .zerosys import Zero, ZeroSystem, dominant_data
 
 
@@ -126,7 +128,8 @@ class BarrierRecipe:
     @classmethod
     def from_json(cls, text: str) -> "BarrierRecipe":
         """The recipe in text; RecipeMismatchError unless its q is an int
-        equal to its system's q."""
+        equal to its system's q, and a thm311 recipe is one verify_thm311
+        can read (`_check_thm311`)."""
         d = json.loads(text)
         try:
             recipe = cls(kind=d["kind"], q=d["q"], params=d["params"],
@@ -134,9 +137,13 @@ class BarrierRecipe:
                          claim=d["claim"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"not a barrier recipe (missing {exc})") from None
+        if type(recipe.kind) is not str:
+            raise RecipeMismatchError(f"recipe kind {recipe.kind!r} is not a name")
         if type(recipe.q) is not int or recipe.q != recipe.system.q:
             raise RecipeMismatchError(f"recipe q {recipe.q!r} is not its "
                                       f"system's q {recipe.system.q}")
+        if recipe.kind.startswith("thm311"):
+            _check_thm311(recipe)
         return recipe
 
 
@@ -249,6 +256,52 @@ def build_thm311(q: int, tau: float = 0.0, beta: float = 0.75,
                          claim="player-1 neither trails nor leads all of D")
 
 
+# distinct thm311 scan objectives kept: all q <= 2000 give 67
+_SCAN_MEMO = 128
+# the integer params of each thm311 case
+_THM311_INTS = {"even_cyclic": ("a", "n", "h", "d", "s", "chi"),
+                "n8": ("a", "n", "s", "chi"), "z4z2": ("a", "b", "chi1", "chi2")}
+
+
+def _check_thm311(recipe: BarrierRecipe) -> None:
+    """RecipeMismatchError unless the kind is thm311_<case> for a known case
+    (tagged subcase z4z2 exactly on Z4 x Z2), the case's params are ints,
+    gamma is positive and finite, n divides the group exponent (n = 8 in
+    the n8 case), and the designated exponents are a nonempty list of
+    lattice points the case's identities name: s, n - s or n/2 in [0, n)
+    on the even cyclic lattice, r in [0, 8) in the n8 case, and (1, 0),
+    (3, 0) or (0, 1) on Z4 x Z2."""
+    p = recipe.params if isinstance(recipe.params, dict) else {}
+    case = recipe.kind.removeprefix("thm311_")
+    if (case not in _THM311_INTS or p.get("case") != case
+            or (p.get("subcase") == "z4z2") != (case == "z4z2")):
+        raise RecipeMismatchError(f"kind {recipe.kind!r} with case "
+                                  f"{p.get('case')!r} is not a thm311 case")
+    bad = [k for k in _THM311_INTS[case] if type(p.get(k)) is not int]
+    if bad:
+        raise RecipeMismatchError(f"thm311 {case} params {bad} must be ints")
+    if type(p.get("gamma")) not in (int, float) or not 0 < p["gamma"] < math.inf:
+        raise RecipeMismatchError(f"gamma {p.get('gamma')!r} must be positive")
+    if case == "z4z2":
+        named = {(1, 0), (3, 0), (0, 1)}
+    else:
+        n = p["n"]
+        if n < 1 or unit_group(recipe.q).lam % n or case == "n8" and n != 8:
+            raise RecipeMismatchError(f"n {n} is no {case} lattice order "
+                                      f"mod {recipe.q}")
+        named = {(r,) for r in ((p["s"], n - p["s"], n // 2)
+                                if case == "even_cyclic" else range(n))
+                 if 0 <= r < n}
+    designated = p.get("designated")
+    points = [tuple(t) if isinstance(t, list) else (t,)
+              for t in (designated if isinstance(designated, list) else [])]
+    if not points or not all(all(type(x) is int for x in t) and t in named
+                             for t in points):
+        raise RecipeMismatchError(
+            f"designated {designated!r} must list {case} exponents from "
+            f"{[list(t) if len(t) > 1 else t[0] for t in sorted(named)]}")
+
+
 @dataclass(frozen=True)
 class Thm311Report:
     case: str
@@ -257,6 +310,26 @@ class Thm311Report:
     identity_errors: Dict[str, float]
     ok: bool
     offending_v: float | None = None
+
+
+@lru_cache(maxsize=_SCAN_MEMO)
+def _lattice_scan(g0: TrigPoly, grs: Tuple[TrigPoly, ...],
+                  step: float) -> ScanReport:
+    """The certified scan of max_r G_r - G_0 over [0, 2 pi].  TrigPolys
+    compare by their float terms, and equal terms give the same phasor
+    table (e^{+0i} and e^{-0i} are both 1 + 0j), so a repeated objective
+    gets the report its own scan would give."""
+    lips = [g0.lipschitz_bound + gr.lipschitz_bound for gr in grs]
+
+    def objective(v: np.ndarray) -> np.ndarray:
+        # certify: max over designated r of (G_r - G_0) stays positive;
+        # x -> fl(x - g) is monotone, so subtracting G_0 once after the max
+        # gives the same floats as subtracting it from every G_r
+        vals = trig_evaluate([g0, *grs], v)
+        return vals[1:].max(axis=0) - vals[0]
+
+    return certified_positive_scan(objective, max(lips), 0.0, 2 * math.pi,
+                                   step)
 
 
 def verify_thm311(recipe: BarrierRecipe, step: float = 1e-3,
@@ -270,7 +343,12 @@ def verify_thm311(recipe: BarrierRecipe, step: float = 1e-3,
     certifies max_r G_r - G_0 > 0; G_0 and every designated G_r (integer
     frequencies in v) come from one `trigpoly.evaluate` call per batch of
     points, within its documented rounding bound of the term-by-term
-    values."""
+    values.
+
+    Moduli of one (case, n, s) class give the same G_0 and G_r, so the scan
+    of a repeated objective is kept and reused (the last `_SCAN_MEMO`
+    distinct ones); the step and grid-budget refusals still run on every
+    call."""
     if not recipe.kind.startswith("thm311"):
         raise ValueError("recipe is not a three-residue lattice barrier")
     params = recipe.params
@@ -313,17 +391,8 @@ def verify_thm311(recipe: BarrierRecipe, step: float = 1e-3,
             identity_errors[f"G00-G{rs[0]}{rs[1]}"] = identity_error(
                 rs, closed[rs])
 
-    grs = [G[r] for r in designated]
-    lips = [g0.lipschitz_bound + gr.lipschitz_bound for gr in grs]
-
-    def objective(v: np.ndarray) -> np.ndarray:
-        # certify: max over designated r of (G_r - G_0) stays positive;
-        # x -> fl(x - g) is monotone, so subtracting G_0 once after the max
-        # gives the same floats as subtracting it from every G_r
-        vals = trig_evaluate([g0, *grs], v)
-        return vals[1:].max(axis=0) - vals[0]
-
-    scan = certified_positive_scan(objective, max(lips), 0.0, 2 * math.pi, step)
+    check_scan_grid(0.0, 2 * math.pi, step)  # refusals run on a reuse too
+    scan = _lattice_scan(g0, tuple(G[r] for r in designated), step)
     ok = scan.ok and all(e <= identity_tol for e in identity_errors.values())
     return Thm311Report(case=case, size=recipe.system.size, scan=scan,
                         identity_errors=identity_errors, ok=ok,

@@ -125,11 +125,28 @@ class ResidueGroup:
         return tuple(pow(a, k, self.q) for k in range(self.order(a)))
 
 
-@lru_cache(maxsize=None)
 def unit_group(q: int) -> ResidueGroup:
-    """Build (Z/qZ)^* by CRT over prime powers, with primitive roots per
-    odd prime power and the {-1, 5} pair for 2^e, e >= 3.  BudgetExceededError
-    before any table is built if phi(q) x (generators + 1) > sieve_budget()."""
+    """(Z/qZ)^* by CRT over prime powers, with primitive roots per odd prime
+    power and the {-1, 5} pair for 2^e, e >= 3, built once per modulus.
+    BudgetExceededError if phi(q) x (generators + 1) > sieve_budget(), on
+    every call: before any table is built, and for a group built before."""
+    _check_budget(q)
+    return _unit_group(q)
+
+
+def _check_budget(q: int) -> None:
+    gens = _generators(q)
+    phi = math.prod(n for _, n in gens)
+    from .primes import BudgetExceededError, sieve_budget  # primes imports us
+    if phi * (len(gens) + 1) > sieve_budget():
+        raise BudgetExceededError(
+            f"unit group mod {q}: {phi} units x {len(gens) + 1} columns "
+            f"exceeds budget {sieve_budget()} (RACE_LAB_BUDGET)")
+
+
+@lru_cache(maxsize=None)
+def _generators(q: int) -> Tuple[Tuple[int, int], ...]:
+    """The generators (g_j, n_j) of (Z/qZ)^*, n_j > 1."""
     if q < 3:
         raise InvalidModulusError(f"modulus must be >= 3, got {q}")
     gens: List[Tuple[int, int]] = []
@@ -147,15 +164,17 @@ def unit_group(q: int) -> ResidueGroup:
             g = _primitive_root(pe, p)
             gens.append((_crt_lift(g, pe, q), (p - 1) * p ** (e - 1)))
 
-    # drop order-1 factors (q = 2^1 * ...); the exponent vectors in mixed-radix
-    # rank order give every unit once, and sorting puts the units in order
-    gens = [(g, n) for g, n in gens if n > 1]
-    from .primes import BudgetExceededError, sieve_budget  # primes imports us
-    phi = math.prod(n for _, n in gens)
-    if phi * (len(gens) + 1) > sieve_budget():
-        raise BudgetExceededError(
-            f"unit group mod {q}: {phi} units x {len(gens) + 1} columns "
-            f"exceeds budget {sieve_budget()} (RACE_LAB_BUDGET)")
+    # drop order-1 factors (q = 2^1 * ...)
+    return tuple((g, n) for g, n in gens if n > 1)
+
+
+@lru_cache(maxsize=None)
+def _unit_group(q: int) -> ResidueGroup:
+    """unit_group(q), refused over the budget only when it is built."""
+    _check_budget(q)
+    # the exponent vectors in mixed-radix rank order give every unit once,
+    # and sorting puts the units in order
+    gens = _generators(q)
     ranked = np.indices([n for _, n in gens]).reshape(len(gens), -1).T
     values = np.ones(len(ranked), dtype=np.int64)
     for (g, n), column in zip(gens, ranked.T):
@@ -188,7 +207,7 @@ class DirichletCharacter:
     b: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        group = unit_group(self.q)
+        group = _unit_group(self.q)
         if len(self.b) != len(group.generators):
             raise ValueError(f"exponent vector {self.b} does not fit the "
                              f"{len(group.generators)} generators mod {self.q}")
@@ -242,7 +261,7 @@ class CharacterTable(Sequence):
     every character's value at the unit a as one column."""
 
     def __init__(self, q: int) -> None:
-        group = unit_group(q)
+        group = _unit_group(q)
         self.q, self._group = q, group
         self._orders = tuple(n for _, n in group.generators)
         self._weights = np.array([group.lam // n for n in self._orders])
@@ -295,7 +314,6 @@ class CharacterTable(Sequence):
         return int(hit.argmax())
 
 
-@lru_cache(maxsize=None)
 def characters(q: int) -> CharacterTable:
     """All phi(q) characters mod q, closed under conjugation and labelled
     in lexicographic order of the phase vector (phase(a) for the units a in
@@ -303,13 +321,18 @@ def characters(q: int) -> CharacterTable:
     sorted from the numerator table B A mod lam (row: character, column:
     unit).  Two characters first differ on a unit inside any prefix of units
     that generates the group, so only a prefix of columns is built, widened
-    until its rows are distinct."""
-    return CharacterTable(q)
+    until its rows are distinct.  Built once per modulus; refused, as
+    unit_group(q) is, on every call over the budget."""
+    _check_budget(q)
+    return _character_table(q)
+
+
+_character_table = lru_cache(maxsize=None)(CharacterTable)
 
 
 def character_label(chi: DirichletCharacter) -> int:
     """The index of chi in characters(chi.q)."""
-    return characters(chi.q).index(chi)
+    return _character_table(chi.q).index(chi)
 
 
 def separating_characters(q: int, a: int, b: int) -> Tuple[DirichletCharacter, ...]:

@@ -248,6 +248,24 @@ class ScanReport:
     failure_point: float | None = None
 
 
+def check_scan_grid(lo: float, hi: float, step: float) -> float:
+    """The cell count (hi - lo) / step of a scan grid over [lo, hi]:
+    ValueError unless step > 0 and lo < hi, BudgetExceededError when the
+    grid has more points than the sieve budget (RACE_LAB_BUDGET).  Every
+    scan runs it, and so does a caller that reuses a scan's report."""
+    if not step > 0:
+        raise ValueError(f"step must be positive, got {step}")
+    if not hi > lo:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    cells = (hi - lo) / step  # inf for a subnormal step
+    from .primes import BudgetExceededError, sieve_budget  # primes imports us
+    if cells + 1 > sieve_budget():
+        raise BudgetExceededError(
+            f"scan grid of {cells + 1:.6g} points exceeds budget "
+            f"{sieve_budget()} (RACE_LAB_BUDGET)")
+    return cells
+
+
 def certified_positive_scan(f: Callable[[np.ndarray], np.ndarray],
                             lipschitz: float, lo: float, hi: float,
                             step: float, max_depth: int = 40) -> ScanReport:
@@ -265,18 +283,9 @@ def certified_positive_scan(f: Callable[[np.ndarray], np.ndarray],
     enclosing cells and every cell to its right.  A passing scan reports the
     minimum over every sampled value (the margin) and the finest step used.
     A grid of more points than the sieve budget (RACE_LAB_BUDGET) is refused
-    before it is built.
+    before it is built (`check_scan_grid`).
     """
-    if not step > 0:
-        raise ValueError(f"step must be positive, got {step}")
-    if not hi > lo:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    cells = (hi - lo) / step  # inf for a subnormal step
-    from .primes import BudgetExceededError, sieve_budget  # primes imports us
-    if cells + 1 > sieve_budget():
-        raise BudgetExceededError(
-            f"scan grid of {cells + 1:.6g} points exceeds budget "
-            f"{sieve_budget()} (RACE_LAB_BUDGET)")
+    cells = check_scan_grid(lo, hi, step)
     pts = np.linspace(lo, hi, max(int(math.ceil(cells)) + 1, 3))
     vals = np.asarray(f(pts), dtype=float)
     width = pts[1] - pts[0]

@@ -505,15 +505,92 @@ def test_huge_modulus_is_budget_error(tmp_path, argv):
 def test_unit_group_over_budget_is_budget_error(tmp_path, capsys, monkeypatch,
                                                 argv):
     # phi(1009) = 1008 units x 2 columns exceed a budget of 1000; the group
-    # is cached once built, so drop any copy an earlier test built
+    # and the character table built before, at the default budget, are
+    # refused all the same
     from racelab import residues
-    residues.unit_group.cache_clear()
+    from racelab.primes import BudgetExceededError
+    monkeypatch.delenv("RACE_LAB_BUDGET", raising=False)
+    residues.unit_group(1009), residues.characters(1009)
     monkeypatch.setenv("RACE_LAB_BUDGET", "1000")
+    for table in (residues.unit_group, residues.characters):
+        with pytest.raises(BudgetExceededError, match="unit group mod 1009"):
+            table(1009)
     out = tmp_path / "out"
     assert run([*argv, "--q", 1009, "--out", out]) == cli.EXIT_BUDGET
     assert capsys.readouterr().err.splitlines() == [
         "error: unit group mod 1009: 1008 units x 2 columns exceeds budget "
         "1000 (RACE_LAB_BUDGET)"]
+    assert not out.exists()
+
+
+def test_reused_scan_over_budget_is_budget_error(tmp_path, capsys,
+                                                 monkeypatch):
+    # the q = 7 scan at step 1e-3 is kept once made, but its 6284 grid
+    # points still exceed a budget of 1000 when it is asked for again
+    monkeypatch.delenv("RACE_LAB_BUDGET", raising=False)
+    rec = built_thm311(tmp_path, capsys)
+    argv = ["barrier", "verify", "--recipe", rec, "--step", "1e-3",
+            "--out", tmp_path / "out"]
+    assert run(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setenv("RACE_LAB_BUDGET", "1000")
+    (tmp_path / "out").unlink()
+    assert run(argv) == cli.EXIT_BUDGET
+    assert capsys.readouterr().err.splitlines() == [
+        "error: scan grid of 6284.19 points exceeds budget 1000 "
+        "(RACE_LAB_BUDGET)"]
+    assert not (tmp_path / "out").exists()
+
+
+def _set(path, value):
+    def edit(payload):
+        *keys, last = path
+        for key in keys:
+            payload = payload[key]
+        payload[last] = value
+    return edit
+
+
+def _drop(key):
+    return lambda payload: payload["params"].pop(key)
+
+
+@pytest.mark.parametrize("q, edit", [
+    (7, _set(["params", "designated"], [9999, 2, 3])),
+    (7, _set(["params", "designated"], [-1, 2, 3])),
+    (7, _set(["params", "designated"], [2.5, 2, 3])),
+    (7, _set(["params", "designated"], [True, 2, 3])),
+    (7, _set(["params", "designated"], [1, 2, 3])),  # no identity names G_1
+    (7, _set(["params", "designated"], [])),
+    (15, _set(["params", "designated"], [[1, 0], [3, 0], [0, 2]])),
+    (15, _set(["params", "designated"], [1, 3, 0])),
+    (7, _set(["params", "case"], "bogus")),
+    (7, _set(["params", "n"], 10**9)),
+    (7, _set(["params", "gamma"], 0)),
+    (7, _set(["kind"], "thm311_bogus")),
+    (7, _set(["kind"], "thm311_n8")),
+    (7, _set(["kind"], ["thm311_even_cyclic"])),
+    (7, _drop("s")),
+    (7, _drop("gamma")),
+    (15, _drop("subcase")),
+], ids=["designated-9999", "designated-negative", "designated-float",
+        "designated-bool", "designated-unnamed", "designated-empty",
+        "z4z2-designated-out-of-range", "z4z2-designated-flat", "case-bogus",
+        "n-huge", "gamma-zero", "kind-bogus", "kind-other-case",
+        "kind-not-a-name", "no-s", "no-gamma", "z4z2-no-subcase"])
+def test_malformed_thm311_recipe_is_config_error(tmp_path, capsys, q, edit):
+    from racelab.barriers import BarrierRecipe
+    from racelab.simulator import RecipeMismatchError
+
+    payload = json.loads(built_thm311(tmp_path, capsys, q).read_text())
+    edit(payload)
+    rec = tmp_path / "bad.json"
+    rec.write_text(json.dumps(payload))
+    with pytest.raises(RecipeMismatchError):
+        BarrierRecipe.from_json(rec.read_text())
+    out = tmp_path / "out"
+    assert_config_error(["barrier", "verify", "--recipe", rec, "--out", out],
+                        capsys)
     assert not out.exists()
 
 

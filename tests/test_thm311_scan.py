@@ -5,16 +5,20 @@ they replaced.
 through `trigpoly.evaluate`: every designated G_r and G_0 evaluated term by
 term with `TrigPoly.__call__`.  Both scans must agree on the verdict, the
 finest step, the argmin and the failure point; the minimum may move by the
-rounding of the two evaluators.  `ref_pick_structure` is the structure pick
-that asked `ResidueGroup.order` once per unit.
+rounding of the two evaluators.  A scan `verify_thm311` reuses for a
+repeated objective is checked the same way.  `ref_pick_structure` is the
+structure pick that asked `ResidueGroup.order` once per unit.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from racelab.barriers import _pick_structure, build_thm311, verify_thm311
+from racelab import barriers
+from racelab.barriers import (BarrierRecipe, _pick_structure, build_thm311,
+                              verify_thm311)
 from racelab.residues import unit_group
 from racelab.simulator import theorem_decomposition
 from racelab.trigpoly import EPS, certified_positive_scan
@@ -63,6 +67,45 @@ def test_scan_matches_direct_objective(q):
     gap = abs(new.min_value - ref.min_value)
     assert (gap <= 1e-12 * abs(ref.min_value)
             or gap <= rounding_allowance(recipe, ref.min_value))
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The scans verify_thm311 runs, from an empty memo."""
+    made = []
+
+    def counting(*args, **kwargs):
+        made.append(certified_positive_scan(*args, **kwargs))
+        return made[-1]
+
+    barriers._lattice_scan.cache_clear()
+    monkeypatch.setattr(barriers, "certified_positive_scan", counting)
+    yield made
+    barriers._lattice_scan.cache_clear()
+
+
+def test_one_scan_per_objective(scans):
+    # (Z/7)^* and (Z/9)^* are both Z6: one (case, n, s) class, one objective
+    r7, r9 = (verify_thm311(build_thm311(q, tau=50.0)) for q in (7, 9))
+    assert len(scans) == 1
+    assert r7.scan is r9.scan is scans[0]
+
+
+@pytest.mark.parametrize("edit", ["mult", "gamma"])
+def test_changed_objective_misses_the_memo(scans, edit):
+    recipe = build_thm311(7, tau=50.0)
+    verify_thm311(recipe)
+    payload = json.loads(recipe.to_json())
+    if edit == "mult":
+        payload["system"]["zeros"][0]["mult"] += 1
+    else:  # the heights k gamma become 2k (gamma / 2): new frequencies
+        payload["params"]["gamma"] /= 2
+    changed = BarrierRecipe.from_json(json.dumps(payload))
+    report = verify_thm311(changed)
+    assert len(scans) == 2 and report.scan is scans[1]
+    barriers._lattice_scan.cache_clear()
+    assert verify_thm311(changed) == report
+    assert len(scans) == 3
 
 
 def ref_pick_structure(q):

@@ -11,7 +11,9 @@ argmin or failure point is printed.  Then, for every modulus whose
 min_value moved by more than --tol relative, largest shift first, the
 objective is evaluated at the argmin in 40 digits, with the polynomials'
 float coefficients, frequencies and phases taken as exact numbers, and
-both relative errors are printed.
+both relative errors are printed.  It also counts the distinct verify
+objectives (G_0 and the designated G_r, compared by their exact float
+terms): `verify_thm311` scans each of them once per process.
 
 Usage:
     python tools/thm311_scan_diff.py [--q-max 2000] [--tol 1e-12]
@@ -62,10 +64,11 @@ def main():
     parser.add_argument("--tol", type=float, default=1e-12)
     args = parser.parse_args()
     moduli = [q for q in range(7, args.q_max + 1) if q not in (8, 10, 12, 24)]
-    shifts, mismatches = [], 0
+    shifts, mismatches, objectives = [], 0, set()
     for q in moduli:
         recipe = build_thm311(q, tau=50.0)
         g0, grs = designated_polys(recipe)
+        objectives.add((g0, tuple(grs)))
         new, old = verify_thm311(recipe).scan, direct_scan(g0, grs)
         for field in ("ok", "certified_step", "argmin", "failure_point"):
             if getattr(new, field) != getattr(old, field):
@@ -74,6 +77,8 @@ def main():
                       f"(direct {getattr(old, field)!r})")
         rel = abs(new.min_value - old.min_value) / abs(old.min_value)
         shifts.append((rel, q, recipe.params["case"], new, old, g0, grs))
+    print(f"{len(moduli)} moduli, {len(objectives)} distinct verify "
+          "objectives")
     print(f"{len(moduli)} moduli, {mismatches} mismatches in ok, step, "
           "argmin or failure point")
     print(f"{'q':>5} {'case':<12} {'evaluate':>22} {'direct':>22} "

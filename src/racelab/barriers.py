@@ -202,14 +202,11 @@ def build_thm311(q: int, tau: float = 0.0, beta: float = 0.75,
     if case in ("even_cyclic", "n8"):
         a, n = structure["a"], structure["n"]
         chi = character_with_value(q, a, Fraction(-1, n))
-        chi_label = character_label(chi)
         labels = {j: character_label(chi**j) for j in range(1, n)}
+        params = {"case": case, "a": a, "n": n, "chi": character_label(chi)}
         if case == "even_cyclic":
-            h = n
-            d = 0
-            while h % 2 == 0:
-                h //= 2
-                d += 1
+            d = (n & -n).bit_length() - 1  # n = 2^d h with h odd
+            h = n >> d
             # s must be a multiple of 2^d (so the weight-h carrier cancels)
             # with |tan(2 pi s / (2^d h))| <= sqrt(3); s = 2^d (h-1)/2 gives
             # slope tan(pi/h), which works for every odd h (s = 2^d alone
@@ -218,59 +215,85 @@ def build_thm311(q: int, tau: float = 0.0, beta: float = 0.75,
             mults = {(2, 6): 3, ((2 * h - 2) % n, 1): 2}
             for k, w in SIN_WEIGHTS.items():
                 mults[(h, k)] = mults.get((h, k), 0) + w
-            designated = sorted({s, n - s, n // 2})
-            params = {"case": case, "a": a, "n": n, "h": h, "d": d, "s": s,
-                      "chi": chi_label, "beta": beta, "gamma": gamma,
-                      "designated": designated}
+            params.update(h=h, d=d)
         else:
             s = 3
             mults = {(2, 1): 4}
             for k, w in SIN_WEIGHTS.items():
                 mults[(3, k)] = w
                 mults[(5, k)] = w
-            designated = [3, 4, 5]
-            params = {"case": case, "a": a, "n": n, "s": s, "chi": chi_label,
-                      "beta": beta, "gamma": gamma, "designated": designated}
+        params["s"] = s
         for (j, k), w in mults.items():
             put(labels[j], k, w)
-        d_set = [pow(a, r, q) for r in designated]
     else:
         a, b = structure["a"], structure["b"]
         table = characters(q)
-        chi1_label = table.label_with((a, Fraction(3, 4)), (b, 0))  # the Z4 factor
-        chi2_label = table.label_with((a, 0), (b, Fraction(1, 2)))  # the Z2 factor
-        put(chi1_label, 1, 1)
+        params = {"case": case, "a": a, "b": b, "subcase": "z4z2",
+                  "chi1": table.label_with((a, Fraction(3, 4)), (b, 0)),
+                  "chi2": table.label_with((a, 0), (b, Fraction(1, 2)))}
+        put(params["chi1"], 1, 1)  # the Z4 factor
         for l, w in SIN_WEIGHTS.items():
-            put(chi2_label, l, w)
-        designated = [(1, 0), (3, 0), (0, 1)]
-        params = {"case": "z4z2", "a": a, "b": b, "chi1": chi1_label,
-                  "chi2": chi2_label, "beta": beta, "gamma": gamma,
-                  "designated": [list(t) for t in designated],
-                  "subcase": "z4z2"}
-        d_set = [a, pow(a, 3, q), b]
+            put(params["chi2"], l, w)  # the Z2 factor
     system = ZeroSystem(q, entries, height_lattice=gamma)
-    params["D"] = d_set
-    params["size"] = system.size
+    points = _thm311_points(q, params)
+    params.update(beta=beta, gamma=gamma, size=system.size,
+                  designated=[list(t) if len(t) > 1 else t[0] for t in points],
+                  D=[unit for unit, _ in points.values()])
     return BarrierRecipe(kind=f"thm311_{case}", q=q, params=params,
                          system=system,
                          claim="player-1 neither trails nor leads all of D")
 
 
-# distinct thm311 scan objectives kept: all q <= 2000 give 67
+# distinct thm311 scan objectives (and closed-form sets) kept: q <= 2000 give 67
 _SCAN_MEMO = 128
 # the integer params of each thm311 case
 _THM311_INTS = {"even_cyclic": ("a", "n", "h", "d", "s", "chi"),
                 "n8": ("a", "n", "s", "chi"), "z4z2": ("a", "b", "chi1", "chi2")}
 
 
+def _thm311_points(q: int, p: dict) -> Dict[Tuple[int, ...], tuple]:
+    """The designated exponents r of the thm311 case p["case"], in recipe
+    order, each with the unit it names (a^r on one factor, a^r1 b^r2 on
+    Z4 x Z2) and the closed forms of `_thm311_forms`: `build_thm311`
+    writes designated and D from it, and the load check and
+    `verify_thm311` read it."""
+    gens = (p["a"], p.get("b"))
+    return {t: (math.prod(pow(g, r, q) for g, r in zip(gens, t)) % q, f)
+            for t, f in _thm311_forms(p["case"], p.get("n"), p.get("s"))}
+
+
+@lru_cache(maxsize=_SCAN_MEMO)
+def _thm311_forms(case: str, n: int | None, s: int | None) -> tuple:
+    """(r, closed forms that G_0 - G_r may equal) per designated r.  Even
+    cyclic, c = 4 pi s/n: (1 - cos c) Q +- sin(c) P at s and n - s, 2R at
+    n/2 (those in [0, n) only).  n = 8: 4 sin v +- 4 cos v + (2 - sqrt 2) R
+    at 3 and 5, either sign, 4R at 4.  Z4 x Z2: sin v -+ cos v at (1, 0)
+    and (3, 0), 2R at (0, 1)."""
+    q_poly, p_poly, r_poly = qpr_polys()
+    sin_v, cos_v = TrigPoly.sine([1.0], [1.0]), TrigPoly.cosine([1.0], [1.0])
+    if case == "even_cyclic":
+        c = 4.0 * math.pi * s / n  # the weight-6 carrier's phase at r = s
+        carrier = q_poly.scale(1 - math.cos(c))
+        by_r = {s: carrier + p_poly.scale(math.sin(c)),
+                n - s: carrier + p_poly.scale(-math.sin(c)),
+                n // 2: r_poly.scale(2.0)}
+        return tuple(((r,), (by_r[r],)) for r in sorted(by_r) if 0 <= r < n)
+    if case == "n8":
+        tail = r_poly.scale(2 - math.sqrt(2))
+        odd = tuple(TrigPoly.combine([sin_v.scale(4.0), cos_v.scale(w), tail])
+                    for w in (4.0, -4.0))
+        return (((3,), odd), ((4,), (r_poly.scale(4.0),)), ((5,), odd))
+    return (((1, 0), (sin_v + cos_v.scale(-1.0),)),
+            ((3, 0), (sin_v + cos_v,)), ((0, 1), (r_poly.scale(2.0),)))
+
+
 def _check_thm311(recipe: BarrierRecipe) -> None:
     """RecipeMismatchError unless the kind is thm311_<case> for a known case
     (tagged subcase z4z2 exactly on Z4 x Z2), the case's params are ints,
     gamma is positive and finite, n divides the group exponent (n = 8 in
-    the n8 case), and the designated exponents are a nonempty list of
-    lattice points the case's identities name: s, n - s or n/2 in [0, n)
-    on the even cyclic lattice, r in [0, 8) in the n8 case, and (1, 0),
-    (3, 0) or (0, 1) on Z4 x Z2."""
+    the n8 case) and 0 <= s < n, designated is a nonempty list of the
+    exponents that `_thm311_points` names for the case, and D lists the
+    units those exponents name, in the same order."""
     p = recipe.params if isinstance(recipe.params, dict) else {}
     case = recipe.kind.removeprefix("thm311_")
     if (case not in _THM311_INTS or p.get("case") != case
@@ -282,16 +305,13 @@ def _check_thm311(recipe: BarrierRecipe) -> None:
         raise RecipeMismatchError(f"thm311 {case} params {bad} must be ints")
     if type(p.get("gamma")) not in (int, float) or not 0 < p["gamma"] < math.inf:
         raise RecipeMismatchError(f"gamma {p.get('gamma')!r} must be positive")
-    if case == "z4z2":
-        named = {(1, 0), (3, 0), (0, 1)}
-    else:
-        n = p["n"]
-        if n < 1 or unit_group(recipe.q).lam % n or case == "n8" and n != 8:
-            raise RecipeMismatchError(f"n {n} is no {case} lattice order "
-                                      f"mod {recipe.q}")
-        named = {(r,) for r in ((p["s"], n - p["s"], n // 2)
-                                if case == "even_cyclic" else range(n))
-                 if 0 <= r < n}
+    if case != "z4z2":
+        n, s = p["n"], p["s"]
+        if (n < 1 or unit_group(recipe.q).lam % n or case == "n8" and n != 8
+                or not 0 <= s < n):
+            raise RecipeMismatchError(f"n {n} with s {s} is no {case} "
+                                      f"lattice mod {recipe.q}")
+    named = _thm311_points(recipe.q, p)
     designated = p.get("designated")
     points = [tuple(t) if isinstance(t, list) else (t,)
               for t in (designated if isinstance(designated, list) else [])]
@@ -300,6 +320,10 @@ def _check_thm311(recipe: BarrierRecipe) -> None:
         raise RecipeMismatchError(
             f"designated {designated!r} must list {case} exponents from "
             f"{[list(t) if len(t) > 1 else t[0] for t in sorted(named)]}")
+    units = [named[t][0] for t in points]
+    if p.get("D") != units or not all(type(u) is int for u in p["D"]):
+        raise RecipeMismatchError(f"D {p.get('D')!r} must be the units "
+                                  f"{units} that designated names")
 
 
 @dataclass(frozen=True)
@@ -335,11 +359,12 @@ def _lattice_scan(g0: TrigPoly, grs: Tuple[TrigPoly, ...],
 def verify_thm311(recipe: BarrierRecipe, step: float = 1e-3,
                   identity_tol: float = 1e-12) -> Thm311Report:
     """Certified check that at every v in [0, 2pi) some designated difference
-    G_0 - G_r (resp. G_00 - G_rs) is negative, plus the closed-form case
-    identities.
+    G_0 - G_r (resp. G_00 - G_rs) is negative, plus the case identity of
+    every designated r: G_0 - G_r equals a closed form of `_thm311_points`.
 
     An identity error is sum over frequencies of |phasor of (G_0 - G_r) -
-    phasor of the closed form|, which bounds the gap at every v.  The scan
+    phasor of the closed form|, which bounds the gap at every v; where a
+    point has two closed forms (n = 8), the lesser error counts.  The scan
     certifies max_r G_r - G_0 > 0; G_0 and every designated G_r (integer
     frequencies in v) come from one `trigpoly.evaluate` call per batch of
     points, within its documented rounding bound of the term-by-term
@@ -352,50 +377,23 @@ def verify_thm311(recipe: BarrierRecipe, step: float = 1e-3,
     if not recipe.kind.startswith("thm311"):
         raise ValueError("recipe is not a three-residue lattice barrier")
     params = recipe.params
-    case = params["case"]
     G = theorem_decomposition(recipe.system, "thm311", params)["G"]
     # G is keyed by exponent tuples: (r,) on one factor, (r, s) on Z4 x Z2
     designated = [tuple(t) if isinstance(t, list) else (t,)
                   for t in params["designated"]]
     g0 = G[(0,) * len(designated[0])]
-    q_poly, p_poly, r_poly = qpr_polys()
-    sin_v, cos_v = TrigPoly.sine([1.0], [1.0]), TrigPoly.cosine([1.0], [1.0])
-
-    def identity_error(r: Tuple[int, ...], form: TrigPoly) -> float:
-        return TrigPoly.combine([g0, G[r].scale(-1.0),
-                                 form.scale(-1.0)]).amplitude_sum
-
-    identity_errors: Dict[str, float] = {}
-    if case == "even_cyclic":
-        n, s = params["n"], params["s"]
-        c = 4.0 * math.pi * s / n  # the weight-6 carrier's phase at r = s
-        carrier = q_poly.scale(1 - math.cos(c))
-        forms = {s: carrier + p_poly.scale(math.sin(c)),
-                 n - s: carrier + p_poly.scale(-math.sin(c)),
-                 n // 2: r_poly.scale(2.0)}
-        for (r,) in sorted(set(designated)):
-            identity_errors[f"G0-G{r}"] = identity_error((r,), forms[r])
-    elif case == "n8":
-        tail = r_poly.scale(2 - math.sqrt(2))
-        forms = [TrigPoly.combine([sin_v.scale(4.0), cos_v.scale(4.0), tail]),
-                 TrigPoly.combine([sin_v.scale(4.0), cos_v.scale(-4.0), tail])]
-        for r in (3, 5):
-            identity_errors[f"G0-G{r}"] = min(identity_error((r,), f)
-                                              for f in forms)
-        identity_errors["G0-G4"] = identity_error((4,), r_poly.scale(4.0))
-    else:
-        closed = {(1, 0): sin_v + cos_v.scale(-1.0),
-                  (3, 0): sin_v + cos_v,
-                  (0, 1): r_poly.scale(2.0)}
-        for rs in designated:
-            identity_errors[f"G00-G{rs[0]}{rs[1]}"] = identity_error(
-                rs, closed[rs])
+    described = _thm311_points(recipe.q, params)
+    identity_errors = {
+        f"G{'0' * len(r)}-G{''.join(map(str, r))}": min(
+            TrigPoly.combine([g0, G[r].scale(-1.0), f.scale(-1.0)]).amplitude_sum
+            for f in described[r][1])
+        for r in designated}
 
     check_scan_grid(0.0, 2 * math.pi, step)  # refusals run on a reuse too
     scan = _lattice_scan(g0, tuple(G[r] for r in designated), step)
     ok = scan.ok and all(e <= identity_tol for e in identity_errors.values())
-    return Thm311Report(case=case, size=recipe.system.size, scan=scan,
-                        identity_errors=identity_errors, ok=ok,
+    return Thm311Report(case=params["case"], size=recipe.system.size,
+                        scan=scan, identity_errors=identity_errors, ok=ok,
                         offending_v=scan.failure_point)
 
 
@@ -534,13 +532,9 @@ def _omega_crossing(omega: OmegaSystem, v: int, w: int) -> float:
         x = w if zero_v else v
         theta = omega.corners[x]
         return theta - omega.level(x)
-    tv, tw = omega.corners[v], omega.corners[w]
-    if tv > tw:
-        tv, tw = tw, tv
+    if omega.corners[v] > omega.corners[w]:
         v, w = w, v
-    cv = -((math.pi - tv) ** 2) / (2 * math.pi)
-    cw = -((math.pi - tw) ** 2) / (2 * math.pi)
-    return tv + (cw - cv)
+    return omega.corners[v] + (omega.level(w) - omega.level(v))
 
 
 def fourier_cosine_coeffs(omega: OmegaSystem, v: int, K: int) -> np.ndarray:

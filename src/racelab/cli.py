@@ -6,7 +6,8 @@ and identical configurations (including --seed) produce byte-identical files.
 
 Exit codes: 0 success, 2 verification failed, 3 invalid configuration
 (including a command line the parser rejects), 4 budget exceeded (the sieve
-range, or a trace's samples x members; RACE_LAB_BUDGET).
+range, the checkpoint grid, a trace's samples x members, a certified scan's
+grid, or the unit group of the modulus; RACE_LAB_BUDGET).
 """
 
 from __future__ import annotations
@@ -157,8 +158,7 @@ def cmd_barrier(args: argparse.Namespace) -> int:
         report = orderings.verdict(
             orderings.census(simulator.one_period_trace(
                 simulator.RaceFunctionSet(recipe.q, recipe.system,
-                                          tuple(recipe.params["D"]),
-                                          pi_proxy="zero"))),
+                                          tuple(recipe.params["D"])))),
             "extremal_exact", r=len(recipe.params["D"]))
         _dump_json(args.out, {"ok": report.ok, "detail": report.detail,
                               "config": _config_of(args)})
@@ -177,8 +177,7 @@ def _recipe_trace(args: argparse.Namespace, mode: str = "dominant-only",
     recipe = BarrierRecipe.from_json(Path(args.recipe).read_text())
     from .residues import unit_group
     members = tuple(recipe.params.get("D") or unit_group(recipe.q).units)
-    rfs = simulator.RaceFunctionSet(recipe.q, recipe.system, members,
-                                    pi_proxy="zero" if mode == "dominant-only" else "li")
+    rfs = simulator.RaceFunctionSet(recipe.q, recipe.system, members)
     if args.window == "period":
         return members, simulator.one_period_trace(rfs, samples=args.samples,
                                                    base_u=args.base_u)

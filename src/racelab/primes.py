@@ -276,8 +276,10 @@ def first_lead_change(q: int, a: int, b: int, x_max: int) -> int | None:
         raise InvalidPairError("residues must be distinct")
     if not (group.is_unit(a) and group.is_unit(b)):
         raise InvalidPairError("residues must be units")
-    if x_max > sieve_budget():
-        raise BudgetExceededError(f"x_max {x_max} exceeds budget")
+    budget = sieve_budget()
+    if x_max > budget:
+        raise BudgetExceededError(
+            f"x_max {x_max} exceeds budget {budget} (RACE_LAB_BUDGET)")
     diff = 0
     initial_sign = 0
     for primes in iter_prime_segments(int(x_max)):

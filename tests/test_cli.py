@@ -564,6 +564,12 @@ def _drop(key):
     (7, _set(["params", "designated"], [])),
     (15, _set(["params", "designated"], [[1, 0], [3, 0], [0, 2]])),
     (15, _set(["params", "designated"], [1, 3, 0])),
+    (17, _set(["params", "designated"], [1, 3, 4, 5])),  # n8 names 3, 4, 5
+    (17, _set(["params", "designated"], [0, 3, 4, 5])),
+    (7, _set(["params", "D"], [2, 3, 4])),  # a^2, a^3, a^4 are 2, 6, 4
+    # s past any float, with a designated point and D that s does not move
+    (7, lambda payload: payload["params"].update(s=10**400, designated=[3],
+                                                 D=[6])),
     (7, _set(["params", "case"], "bogus")),
     (7, _set(["params", "n"], 10**9)),
     (7, _set(["params", "gamma"], 0)),
@@ -575,7 +581,9 @@ def _drop(key):
     (15, _drop("subcase")),
 ], ids=["designated-9999", "designated-negative", "designated-float",
         "designated-bool", "designated-unnamed", "designated-empty",
-        "z4z2-designated-out-of-range", "z4z2-designated-flat", "case-bogus",
+        "z4z2-designated-out-of-range", "z4z2-designated-flat",
+        "n8-designated-unnamed", "n8-designated-zero", "D-not-designated-units",
+        "s-out-of-range", "case-bogus",
         "n-huge", "gamma-zero", "kind-bogus", "kind-other-case",
         "kind-not-a-name", "no-s", "no-gamma", "z4z2-no-subcase"])
 def test_malformed_thm311_recipe_is_config_error(tmp_path, capsys, q, edit):

@@ -273,7 +273,7 @@ def test_budget(monkeypatch):
     monkeypatch.setenv("RACE_LAB_BUDGET", "1000")
     with pytest.raises(BudgetExceededError):
         sieve_race(3, 10**4)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="RACE_LAB_BUDGET"):
         first_lead_change(4, 1, 3, 10**4)
     monkeypatch.delenv("RACE_LAB_BUDGET")
     sieve_race(3, 10**4)

@@ -27,10 +27,11 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .residues import (DirichletCharacter, character_label,
+from .residues import (DirichletCharacter, ResidueGroup, character_label,
                        character_with_value, characters, unit_group)
-from .orderings import column_orders, run_edges
-from .simulator import (RecipeMismatchError, dominant_member_values,
+from .orderings import Verdict, census, column_orders, run_edges, verdict
+from .simulator import (RaceFunctionSet, RecipeMismatchError,
+                        dominant_member_values, one_period_trace,
                         theorem_decomposition)
 from .trigpoly import (ScanReport, TrigPoly, certified_positive_scan,
                        check_scan_grid, eps1, eps2, evaluate as trig_evaluate,
@@ -128,22 +129,22 @@ class BarrierRecipe:
     @classmethod
     def from_json(cls, text: str) -> "BarrierRecipe":
         """The recipe in text; RecipeMismatchError unless its q is an int
-        equal to its system's q, and a thm311 recipe is one verify_thm311
-        can read (`_check_thm311`)."""
+        equal to its system's q and it passes the load check of its kind
+        (`_KIND_CHECKS`), the one its verifier runs too."""
         d = json.loads(text)
         try:
             recipe = cls(kind=d["kind"], q=d["q"], params=d["params"],
                          system=ZeroSystem.from_dict(d["system"]),
                          claim=d["claim"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"not a barrier recipe (missing {exc})") from None
-        if type(recipe.kind) is not str:
-            raise RecipeMismatchError(f"recipe kind {recipe.kind!r} is not a name")
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"not a barrier recipe ({exc!r})") from None
         if type(recipe.q) is not int or recipe.q != recipe.system.q:
             raise RecipeMismatchError(f"recipe q {recipe.q!r} is not its "
                                       f"system's q {recipe.system.q}")
-        if recipe.kind.startswith("thm311"):
-            _check_thm311(recipe)
+        if type(recipe.kind) is not str or recipe.kind not in _KIND_CHECKS:
+            raise RecipeMismatchError(f"recipe kind {recipe.kind!r} is not one "
+                                      f"of {sorted(_KIND_CHECKS)}")
+        _KIND_CHECKS[recipe.kind](recipe)
         return recipe
 
 
@@ -205,8 +206,7 @@ def build_thm311(q: int, tau: float = 0.0, beta: float = 0.75,
         labels = {j: character_label(chi**j) for j in range(1, n)}
         params = {"case": case, "a": a, "n": n, "chi": character_label(chi)}
         if case == "even_cyclic":
-            d = (n & -n).bit_length() - 1  # n = 2^d h with h odd
-            h = n >> d
+            h, d = _odd_split(n)
             # s must be a multiple of 2^d (so the weight-h carrier cancels)
             # with |tan(2 pi s / (2^d h))| <= sqrt(3); s = 2^d (h-1)/2 gives
             # slope tan(pi/h), which works for every odd h (s = 2^d alone
@@ -287,30 +287,53 @@ def _thm311_forms(case: str, n: int | None, s: int | None) -> tuple:
             ((3, 0), (sin_v + cos_v,)), ((0, 1), (r_poly.scale(2.0),)))
 
 
-def _check_thm311(recipe: BarrierRecipe) -> None:
-    """RecipeMismatchError unless the kind is thm311_<case> for a known case
-    (tagged subcase z4z2 exactly on Z4 x Z2), the case's params are ints,
-    gamma is positive and finite, n divides the group exponent (n = 8 in
-    the n8 case) and 0 <= s < n, designated is a nonempty list of the
-    exponents that `_thm311_points` names for the case, and D lists the
-    units those exponents name, in the same order."""
+def _odd_split(n: int) -> Tuple[int, int]:
+    """(h, d) with n = 2^d h, h odd: the even-cyclic split of n >= 1."""
+    d = (n & -n).bit_length() - 1
+    return n >> d, d
+
+
+def _check_params(recipe: BarrierRecipe, ints: Sequence[str],
+                  want: dict | None = None) -> dict:
+    """The params: RecipeMismatchError unless a dict in which ints are ints,
+    gamma is positive and finite and want's keys hold its values, as repr
+    writes them (1 is not 1.0 or True)."""
     p = recipe.params if isinstance(recipe.params, dict) else {}
-    case = recipe.kind.removeprefix("thm311_")
+    bad = [k for k in ints if type(p.get(k)) is not int]
+    if bad:
+        raise RecipeMismatchError(f"{recipe.kind} params {bad} must be ints")
+    if type(p.get("gamma")) not in (int, float) or not 0 < p["gamma"] < math.inf:
+        raise RecipeMismatchError(f"gamma {p.get('gamma')!r} must be positive")
+    bad = [k for k, v in (want or {}).items() if repr(p.get(k)) != repr(v)]
+    if bad:
+        raise RecipeMismatchError(f"{recipe.kind} params {bad} must be "
+                                  f"{[want[k] for k in bad]}")
+    return p
+
+
+def _check_thm311(recipe: BarrierRecipe) -> list:
+    """The designated points with their units and closed forms:
+    RecipeMismatchError unless the kind is thm311_<case> for a known case
+    (subcase z4z2 exactly on Z4 x Z2), the case's params are ints, gamma is
+    positive and finite, n divides the group exponent (n = 8 in the n8 case,
+    n = 2^d h with h odd in the even-cyclic one), 0 <= s < n, designated is
+    a nonempty list of exponents that `_thm311_points` names for the case,
+    and D lists the units they name, in order."""
+    p = recipe.params if isinstance(recipe.params, dict) else {}
+    case = recipe.kind.removeprefix("thm311_") if type(recipe.kind) is str else None
     if (case not in _THM311_INTS or p.get("case") != case
             or (p.get("subcase") == "z4z2") != (case == "z4z2")):
         raise RecipeMismatchError(f"kind {recipe.kind!r} with case "
                                   f"{p.get('case')!r} is not a thm311 case")
-    bad = [k for k in _THM311_INTS[case] if type(p.get(k)) is not int]
-    if bad:
-        raise RecipeMismatchError(f"thm311 {case} params {bad} must be ints")
-    if type(p.get("gamma")) not in (int, float) or not 0 < p["gamma"] < math.inf:
-        raise RecipeMismatchError(f"gamma {p.get('gamma')!r} must be positive")
+    _check_params(recipe, _THM311_INTS[case])
     if case != "z4z2":
         n, s = p["n"], p["s"]
         if (n < 1 or unit_group(recipe.q).lam % n or case == "n8" and n != 8
                 or not 0 <= s < n):
             raise RecipeMismatchError(f"n {n} with s {s} is no {case} "
                                       f"lattice mod {recipe.q}")
+        if case == "even_cyclic":
+            _check_params(recipe, (), dict(zip("hd", _odd_split(n))))
     named = _thm311_points(recipe.q, p)
     designated = p.get("designated")
     points = [tuple(t) if isinstance(t, list) else (t,)
@@ -320,10 +343,8 @@ def _check_thm311(recipe: BarrierRecipe) -> None:
         raise RecipeMismatchError(
             f"designated {designated!r} must list {case} exponents from "
             f"{[list(t) if len(t) > 1 else t[0] for t in sorted(named)]}")
-    units = [named[t][0] for t in points]
-    if p.get("D") != units or not all(type(u) is int for u in p["D"]):
-        raise RecipeMismatchError(f"D {p.get('D')!r} must be the units "
-                                  f"{units} that designated names")
+    _check_params(recipe, (), {"D": [named[t][0] for t in points]})
+    return [(t, named[t]) for t in points]
 
 
 @dataclass(frozen=True)
@@ -372,27 +393,22 @@ def verify_thm311(recipe: BarrierRecipe, step: float = 1e-3,
 
     Moduli of one (case, n, s) class give the same G_0 and G_r, so the scan
     of a repeated objective is kept and reused (the last `_SCAN_MEMO`
-    distinct ones); the step and grid-budget refusals still run on every
-    call."""
-    if not recipe.kind.startswith("thm311"):
-        raise ValueError("recipe is not a three-residue lattice barrier")
-    params = recipe.params
-    G = theorem_decomposition(recipe.system, "thm311", params)["G"]
+    distinct ones); the load check (`_check_thm311`) and the step and
+    grid-budget refusals still run on every call."""
+    designated = _check_thm311(recipe)  # [(r, (unit, closed forms)), ...]
+    G = theorem_decomposition(recipe.system, "thm311", recipe.params)["G"]
     # G is keyed by exponent tuples: (r,) on one factor, (r, s) on Z4 x Z2
-    designated = [tuple(t) if isinstance(t, list) else (t,)
-                  for t in params["designated"]]
-    g0 = G[(0,) * len(designated[0])]
-    described = _thm311_points(recipe.q, params)
+    g0 = G[(0,) * len(designated[0][0])]
     identity_errors = {
         f"G{'0' * len(r)}-G{''.join(map(str, r))}": min(
             TrigPoly.combine([g0, G[r].scale(-1.0), f.scale(-1.0)]).amplitude_sum
-            for f in described[r][1])
-        for r in designated}
+            for f in forms)
+        for r, (_, forms) in designated}
 
     check_scan_grid(0.0, 2 * math.pi, step)  # refusals run on a reuse too
-    scan = _lattice_scan(g0, tuple(G[r] for r in designated), step)
+    scan = _lattice_scan(g0, tuple(G[r] for r, _ in designated), step)
     ok = scan.ok and all(e <= identity_tol for e in identity_errors.values())
-    return Thm311Report(case=params["case"], size=recipe.system.size,
+    return Thm311Report(case=recipe.params["case"], size=recipe.system.size,
                         scan=scan, identity_errors=identity_errors, ok=ok,
                         offending_v=scan.failure_point)
 
@@ -622,30 +638,10 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
     for name, value in (("K", K), ("N", N)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
-    group = unit_group(q)
-    r = group.order(generator)
-    if r < 6:
-        raise ValueError(f"subgroup order must be >= 6, got {r}")
     if not 0.5 < beta1 < 1.0:
         raise ValueError("beta1 must lie in (1/2, 1)")
-    subgroup = group.subgroup(generator)
-    power = {a: i for i, a in enumerate(subgroup)}
-    V: List[int] = []
-    for a in D:
-        a %= q
-        if a not in power:
-            raise ValueError(f"{a} is outside the subgroup of {generator}")
-        V.append(power[a])
-    V = sorted(V)
-    if 0 in V:
-        raise ValueError("1 may not belong to D")
-    for v in V:
-        if v != r - v and (r - v) in V:
-            raise ValueError("D may not contain an inverse pair")
-    if len(V) < 2:
-        raise ValueError("D needs at least two members")
-    if len(set(V)) < len(V):
-        raise ValueError("D names a member twice")
+    levels = _thm43_levels(unit_group(q), generator, D)
+    r, V = levels["r"], levels["V"]
 
     omega = build_omega(r, V, seed=seed)
     w_grid = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)
@@ -697,7 +693,7 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
     shift = int(n_tilde[:, 1:].min())
     n_final = n_tilde[:, 1:] - shift  # drop j=0: a common-mode term
 
-    chi = character_with_value(q, generator, Fraction(-1, r))
+    chi = characters(q)[levels["chi"]]
     entries: Dict[int, Dict[Zero, int]] = {}
     for j in range(1, r):
         label = character_label(chi**j)
@@ -709,22 +705,68 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
                 ch[z] = ch.get(z, 0) + mult
     system = ZeroSystem(q, entries, height_lattice=gamma)
 
-    members = [subgroup[v] for v in V]
-    trace_vals = dominant_member_values(system, members,
+    trace_vals = dominant_member_values(system, levels["D"],
                                         w_grid / gamma)
     final = check_omega_type(trace_vals, w_grid, omega)
     if not final.ok:
         raise OmegaTypeLostError(
             "emitted dominant trace lost the pattern; raise gamma or N")
 
-    params = {"a1": generator, "r": r, "V": V, "D": members, "beta1": beta1,
-              "gamma": gamma, "K": K_use, "N": N_use, "seed": seed,
-              "chi": character_label(chi), "size": system.size,
-              "corners": {str(v): omega.corners[v] for v in omega.corners},
-              "a": generator}
+    params = {**levels, "a": generator, "beta1": beta1, "gamma": gamma,
+              "K": K_use, "N": N_use, "seed": seed, "size": system.size,
+              "corners": {str(v): omega.corners[v] for v in omega.corners}}
     return BarrierRecipe(kind="thm43_extremal", q=q, params=params,
                          system=system,
                          claim=f"census of D capped at {len(V)*(len(V)-1)//2 + 1}")
+
+
+def _thm43_levels(group: ResidueGroup, a: int, D: Sequence[int]) -> dict:
+    """The params of a thm43 recipe that its generator a and set D fix:
+    a1 = a, r = order(a), V = the powers of D in <a>, sorted, D as V names
+    it, and chi, the label of the character with chi(a) = e(-1/r).
+    ValueError unless r >= 6 and D has two or more distinct members of <a>,
+    without 1 or an inverse pair."""
+    r = group.order(a)
+    if r < 6:
+        raise ValueError(f"subgroup order must be >= 6, got {r}")
+    subgroup = group.subgroup(a)
+    power = {u: i for i, u in enumerate(subgroup)}
+    V = sorted(power.get(u % group.q, 0) for u in D)  # 0: 1 or outside <a>
+    if any(v == 0 or v != r - v and r - v in V for v in V):
+        raise ValueError(f"D may hold only powers of {a} other than 1, "
+                         f"without an inverse pair")
+    if len(V) < 2:
+        raise ValueError("D needs at least two members")
+    if len(set(V)) < len(V):
+        raise ValueError("D names a member twice")
+    chi = character_with_value(group.q, a, Fraction(-1, r))
+    return {"a1": a, "r": r, "V": V, "D": [subgroup[v] for v in V],
+            "chi": character_label(chi)}
+
+
+def _check_thm43(recipe: BarrierRecipe) -> None:
+    """RecipeMismatchError unless the kind is thm43_extremal, the params
+    hold `_thm43_levels` of their a and D, and the system sits on the
+    powers of chi at heights k gamma."""
+    if recipe.kind != "thm43_extremal":
+        raise RecipeMismatchError(f"kind {recipe.kind!r} is not thm43_extremal")
+    p = _check_params(recipe, ("a", "K", "N", "seed"))
+    group = unit_group(recipe.q)
+    try:  # a D that is not a list of ints fails here or in the compare
+        want = _thm43_levels(group, p["a"], p.get("D"))
+    except (TypeError, ValueError) as exc:
+        raise RecipeMismatchError(f"thm43 D {p.get('D')!r}: {exc}") from None
+    theorem_decomposition(recipe.system, "thm43",
+                          _check_params(recipe, (), want))
+
+
+def verify_extremal(recipe: BarrierRecipe) -> Verdict:
+    """`_check_thm43`, then the census of D over one period of the system
+    against the claimed |D|(|D|-1)/2 + 1 orderings."""
+    _check_thm43(recipe)
+    D = tuple(recipe.params["D"])
+    trace = one_period_trace(RaceFunctionSet(recipe.q, recipe.system, D))
+    return verdict(census(trace), "extremal_exact", r=len(D))
 
 
 # --- the layered census barrier ------------------------------------------------------
@@ -747,47 +789,33 @@ class WSystem:
 def build_thm51(q: int, tau: float = 0.0, M: int = 64,
                 gamma: float | None = None,
                 betas: Sequence[float] | None = None) -> BarrierRecipe:
-    """Emit the layered census barrier: one level per group generator, two
-    lattice heights per level, coefficients (1, 0) on order-2 levels and
-    (M, 1) otherwise.  Verifies the level-wave conditions (A)-(D); on
-    failure the caller should increase M or perturb the betas."""
-    group = unit_group(q)
-    gens = group.generators
-    m = len(gens)
+    """Emit the layered census barrier: one level per group generator
+    (`_thm51_levels`), two lattice heights per level, coefficients (1, 0)
+    on order-2 levels and (M, 1) otherwise.  Verifies the level-wave
+    conditions (A)-(D); on failure the caller should increase M or perturb
+    the betas."""
+    levels = _thm51_levels(q)
     gamma = gamma if gamma is not None else max(tau + 1.0, 1000.0, 10.0 * M)
     if not (math.isfinite(tau) and math.isfinite(gamma)):
         raise ValueError("tau and gamma must be finite")
     if gamma <= tau:
         raise ValueError("gamma must exceed tau")
     if betas is None:
-        betas = list(np.linspace(0.9, 0.6, m + 2)[1:-1])
+        betas = list(np.linspace(0.9, 0.6, len(levels["orders"]) + 2)[1:-1])
     betas = [float(b) for b in betas]
-    if len(betas) != m or any(b2 >= b1 for b1, b2 in zip(betas, betas[1:])) \
-            or not all(0.5 < b < 1.0 for b in betas):
-        raise ValueError("betas must be strictly decreasing in (1/2, 1)")
 
-    # level j's character is the generator dual: chi_j(g_j) = e(-1/n_j),
-    # chi_j(g_h) = 1 for h != j
-    duals = [DirichletCharacter(q, tuple(n_j - 1 if h == j else 0
-                                         for h in range(m)))
-             for j, (_, n_j) in enumerate(gens)]
-    char_labels = [character_label(chi) for chi in duals]
-
+    table = characters(q)
     entries: Dict[int, Dict[Zero, int]] = {}
-    orders = []
-    for chi, (_, n_j), beta in zip(duals, gens, betas):
-        orders.append(n_j)
+    for label, n_j, beta in zip(levels["chars"], levels["orders"], betas):
         c = (1, 0) if n_j == 2 else (M, 1)
         for k in (1, 2):
             if c[k - 1]:
-                lab_k = character_label(chi**k)
-                ch = entries.setdefault(lab_k, {})
+                ch = entries.setdefault(character_label(table[label]**k), {})
                 z = Zero(beta, k * gamma)
                 ch[z] = ch.get(z, 0) + c[k - 1]
     system = ZeroSystem(q, entries, height_lattice=gamma)
-    params = {"chars": char_labels, "betas": betas, "orders": orders,
-              "gamma": gamma, "M": M, "size": system.size,
-              "generators": [list(g) for g in gens]}
+    params = {**levels, "betas": betas, "gamma": gamma, "M": M,
+              "size": system.size}
     recipe = BarrierRecipe(kind="thm51_census", q=q, params=params,
                            system=system,
                            claim="census of any r members capped at r(r-1)")
@@ -795,17 +823,60 @@ def build_thm51(q: int, tau: float = 0.0, M: int = 64,
     return recipe
 
 
+def _thm51_levels(q: int) -> dict:
+    """The thm51 level params, which q alone fixes: per generator g_j of
+    order n_j, [g_j, n_j], n_j and the label of chi_j, chi_j(g_j) = e(-1/n_j)
+    and 1 at the other generators."""
+    gens = unit_group(q).generators
+    duals = [DirichletCharacter(q, tuple(n - 1 if h == j else 0
+                                         for h in range(len(gens))))
+             for j, (_, n) in enumerate(gens)]
+    return {"generators": [list(g) for g in gens],
+            "orders": [n for _, n in gens],
+            "chars": [character_label(chi) for chi in duals]}
+
+
+def _check_thm51(recipe: BarrierRecipe) -> dict:
+    """The system's level waves: RecipeMismatchError unless the kind is
+    thm51_census, the levels are `_thm51_levels`, betas decrease strictly in
+    (1/2, 1) and the system's level coefficients are (1, 0) at order 2 and
+    (M, 1) above, for the int M >= 1 of the params."""
+    if recipe.kind != "thm51_census":
+        raise RecipeMismatchError(f"kind {recipe.kind!r} is not thm51_census")
+    want = _thm51_levels(recipe.q)
+    p, orders = _check_params(recipe, ("M",), want), want["orders"]
+    betas = p.get("betas")
+    if not (isinstance(betas, list) and len(betas) == len(orders)
+            and all(type(b) in (int, float) for b in betas)
+            and all(x > y for x, y in zip([1, *betas], [*betas, 0.5]))):
+        raise RecipeMismatchError(f"betas {betas!r} must decrease strictly "
+                                  f"in (1/2, 1), one per level")
+    waves = theorem_decomposition(recipe.system, "thm51", p)
+    c = [(waves["c"][(j, 1)], waves["c"][(j, 2)])
+         for j in range(1, len(orders) + 1)]
+    if p["M"] < 1 or c != [(1, 0) if n == 2 else (p["M"], 1) for n in orders]:
+        raise RecipeMismatchError(
+            f"the system's level coefficients {c} are not (1, 0) at order 2 "
+            f"and (M, 1) above, with M = {p['M']} >= 1")
+    return waves
+
+
+# the load check of each recipe kind, which its verifier runs too
+_KIND_CHECKS = {**{f"thm311_{case}": _check_thm311 for case in _THM311_INTS},
+                "thm43_extremal": _check_thm43, "thm51_census": _check_thm51}
+
+
 def check_thm51_conditions(recipe: BarrierRecipe) -> WSystem:
     """Verify (A) two crossings per wave pair and period, (B) all crossing
     points distinct and nonzero, (C) derivative gaps at every crossing, and
-    (D) level-to-level difference non-degeneracy, with explicit margins.
+    (D) level-to-level difference non-degeneracy, with explicit margins,
+    after the load check (`_check_thm51`), so M is the system's.
 
     Every wave pair's crossings come from one `trigpoly.roots` call with
     certified radii, which with the rounding bounds set the tolerances of
     (B)-(D).  (D) and (5.19) are smallest gaps between sorted pair values."""
+    waves: Dict[Tuple[int, int], TrigPoly] = _check_thm51(recipe)["w"]
     p = recipe.params
-    waves: Dict[Tuple[int, int], TrigPoly] = theorem_decomposition(
-        recipe.system, "thm51", p)["w"]
     gamma, betas, orders, M = p["gamma"], p["betas"], p["orders"], p["M"]
     period = 2.0 * math.pi / gamma
     m = len(orders)

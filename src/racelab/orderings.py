@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 import numpy as np
 
@@ -33,27 +33,6 @@ class InconclusiveWindowError(RuntimeError):
 
 
 Chain = Tuple[Tuple[int, ...], ...]  # descending tie blocks of member indices
-
-
-@dataclass(frozen=True)
-class Ordering:
-    """A chain of non-strict inequalities: tie blocks in descending order."""
-
-    blocks: Chain
-
-    @property
-    def is_strict(self) -> bool:
-        return all(len(b) == 1 for b in self.blocks)
-
-    def strict_expansions(self) -> Tuple[Tuple[int, ...], ...]:
-        """All strict permutations compatible with the tie blocks."""
-        parts = [itertools.permutations(b) for b in self.blocks]
-        return tuple(tuple(itertools.chain(*combo))
-                     for combo in itertools.product(*parts))
-
-    def label(self, members: Sequence[int]) -> str:
-        return ">".join("=".join(f"a{members[i]}" for i in blk)
-                        for blk in self.blocks)
 
 
 @dataclass
@@ -80,10 +59,6 @@ class OrderingTrace:
     @property
     def n_members(self) -> int:
         return len(self.members)
-
-    def ordering_at(self, idx: int) -> Ordering:
-        order, gaps, _ = column_orders(self.values[:, [idx]], self.tie_tol)
-        return Ordering(_chain(order[:, 0], gaps[:, 0] > self.tie_tol))
 
 
 def column_orders(values: np.ndarray, tie_tol: float,
@@ -194,14 +169,6 @@ class CensusReport:
     @property
     def strict_count(self) -> int:
         return len(self.strict)
-
-    @property
-    def expanded_count(self) -> int:
-        """Strict orderings including expansions of observed ties."""
-        seen = set(self.strict)
-        for chain in self.weak:
-            seen.update(Ordering(chain).strict_expansions())
-        return len(seen)
 
     def _label(self, perm: Tuple[int, ...]) -> str:
         return ">".join(f"a{self.members[i]}" for i in perm)

@@ -205,15 +205,6 @@ class PrimeRaceTable:
                                                self.pi.tolist(), self.counts)))
         return buf.getvalue()
 
-    @classmethod
-    def from_csv(cls, text: str) -> "PrimeRaceTable":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        header = json.loads(lines[0].lstrip("# "))
-        rows = [ln.split(",") for ln in lines[2:]]
-        data = np.array([[int(v) for v in row] for row in rows], dtype=np.int64)
-        return cls(q=header["q"], residues=tuple(header["residues"]),
-                   checkpoints=data[:, 0], pi=data[:, 1], counts=data[:, 2:])
-
 
 def sieve_race(q: int, x_max: int,
                checkpoint_rule: str | Sequence[float] = "geometric:1.01",

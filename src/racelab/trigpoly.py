@@ -283,10 +283,14 @@ def certified_positive_scan(f: Callable[[np.ndarray], np.ndarray],
     enclosing cells and every cell to its right.  A passing scan reports the
     minimum over every sampled value (the margin) and the finest step used.
     A grid of more points than the sieve budget (RACE_LAB_BUDGET) is refused
-    before it is built (`check_scan_grid`).
+    before it is built (`check_scan_grid`), and so is a depth after which the
+    scan would hold more values than the budget: one per grid point, five
+    per bisected cell (a, b, m, f(m), depth) and four per open half.
     """
+    from .primes import BudgetExceededError, sieve_budget  # primes imports us
     cells = check_scan_grid(lo, hi, step)
     pts = np.linspace(lo, hi, max(int(math.ceil(cells)) + 1, 3))
+    held = len(pts)
     vals = np.asarray(f(pts), dtype=float)
     width = pts[1] - pts[0]
     live = np.flatnonzero(np.minimum(vals[:-1], vals[1:])
@@ -310,6 +314,11 @@ def certified_positive_scan(f: Callable[[np.ndarray], np.ndarray],
         if exhausted or not open_.any():
             break
         a, b, fa, fb = a[open_], b[open_], fa[open_], fb[open_]
+        held += 5 * len(a)
+        if held + 8 * len(a) > sieve_budget():
+            raise BudgetExceededError(
+                f"scan bisection to depth {depth + 1} exceeds budget "
+                f"{sieve_budget()} (RACE_LAB_BUDGET)")
         m = 0.5 * (a + b)
         fm = np.asarray(f(m), dtype=float)
         split.append((a, b, m, fm, np.full(len(m), depth)))

@@ -113,11 +113,6 @@ class ZeroSystem:
         betas = [z.beta for zs in self.entries.values() for z in zs]
         return max(betas) if betas else None
 
-    @property
-    def min_height(self) -> float | None:
-        gs = [z.gamma for zs in self.entries.values() for z in zs]
-        return min(gs) if gs else None
-
     def has_real_zeros(self) -> bool:
         return any(z.is_real for zs in self.entries.values() for z in zs)
 
@@ -145,13 +140,26 @@ class ZeroSystem:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ZeroSystem":
+        """The system of `to_dict`; ZeroDataError unless its fields have the
+        types and ranges that `to_dict` writes (0 < mult <= 2^53)."""
+        lattice, hypothetical = d.get("height_lattice"), d.get("hypothetical", True)
+        zeros = [(z["chi"], z["mult"], z["beta"], z["gamma"]) for z in d["zeros"]]
+        if (type(d["q"]) is not int or type(hypothetical) is not bool
+                or any(type(c) is not int or type(m) is not int
+                       or not 0 < m <= 2**53 or type(b) not in (int, float)
+                       or type(g) not in (int, float) for c, m, b, g in zeros)
+                or lattice is not None and (type(lattice) not in (int, float)
+                                            or not 0 < float(lattice) < math.inf)):
+            raise ZeroDataError("zero system needs int q, chi, mult in "
+                                "(0, 2^53], numeric beta, gamma, bool "
+                                "hypothetical, null or positive height_lattice")
         entries: Dict[int, Dict[Zero, int]] = {}
-        for rec in d["zeros"]:
-            z = Zero(float(rec["beta"]), float(rec["gamma"]))
-            ch = entries.setdefault(int(rec["chi"]), {})
-            ch[z] = ch.get(z, 0) + int(rec["mult"])
-        return cls(d["q"], entries, hypothetical=d.get("hypothetical", True),
-                   height_lattice=d.get("height_lattice"))
+        for chi, mult, beta, gamma in zeros:
+            ch = entries.setdefault(chi, {})
+            z = Zero(float(beta), float(gamma))
+            ch[z] = ch.get(z, 0) + mult
+        return cls(d["q"], entries, hypothetical=hypothetical,
+                   height_lattice=lattice)
 
 
 @dataclass(frozen=True)

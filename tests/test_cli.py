@@ -424,6 +424,23 @@ def test_scan_grid_over_budget_is_budget_error(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_scan_bisection_over_budget_is_budget_error(tmp_path, capsys,
+                                                    monkeypatch):
+    # a multiplicity of 1e9 is legal, but its Lipschitz bound certifies no
+    # cell, so the open cells double at every depth until the budget stops
+    # the scan (it grew to 16.9 M cells at depth 18 without that)
+    payload = json.loads(built_thm311(tmp_path, capsys).read_text())
+    payload["system"]["zeros"][0]["mult"] = 10**9
+    rec, out = tmp_path / "bad.json", tmp_path / "v.json"
+    rec.write_text(json.dumps(payload))
+    monkeypatch.setenv("RACE_LAB_BUDGET", "1e6")
+    assert run(["barrier", "verify", "--recipe", rec, "--out", out]) \
+        == cli.EXIT_BUDGET
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: scan bisection"), err
+    assert not out.exists()
+
+
 def test_thm311_overflowing_gamma_is_config_error(tmp_path, capsys):
     # 1e308 is finite, but the zeros at 2, 3, ... times it are not
     out = tmp_path / "x.json"
@@ -579,27 +596,112 @@ def _drop(key):
     (7, _drop("s")),
     (7, _drop("gamma")),
     (15, _drop("subcase")),
+    (7, _set(["params", "h"], 999)),  # n = 6 is 2^1 * 3
+    (7, _set(["params", "d"], 5)),
 ], ids=["designated-9999", "designated-negative", "designated-float",
         "designated-bool", "designated-unnamed", "designated-empty",
         "z4z2-designated-out-of-range", "z4z2-designated-flat",
         "n8-designated-unnamed", "n8-designated-zero", "D-not-designated-units",
         "s-out-of-range", "case-bogus",
         "n-huge", "gamma-zero", "kind-bogus", "kind-other-case",
-        "kind-not-a-name", "no-s", "no-gamma", "z4z2-no-subcase"])
+        "kind-not-a-name", "no-s", "no-gamma", "z4z2-no-subcase",
+        "h-not-odd-part", "d-not-two-power"])
 def test_malformed_thm311_recipe_is_config_error(tmp_path, capsys, q, edit):
+    from racelab.barriers import verify_thm311
+
+    payload = json.loads(built_thm311(tmp_path, capsys, q).read_text())
+    assert_malformed_recipe(tmp_path, capsys, payload, edit, verify_thm311)
+
+
+RECIPE_COMMANDS = ("barrier verify", "simulate", "orderings")
+
+
+def assert_malformed_recipe(tmp_path, capsys, payload, edit, verify=None,
+                            error=None):
+    """The edited recipe is refused by `from_json` (RecipeMismatchError
+    unless another error is given), and by every command that loads it with
+    exit 3 and one `error:` line.  The same edit made to the params of the
+    recipe in Python makes verify, if given, raise RecipeMismatchError."""
     from racelab.barriers import BarrierRecipe
     from racelab.simulator import RecipeMismatchError
 
-    payload = json.loads(built_thm311(tmp_path, capsys, q).read_text())
+    recipe = BarrierRecipe.from_json(json.dumps(payload))
     edit(payload)
     rec = tmp_path / "bad.json"
     rec.write_text(json.dumps(payload))
-    with pytest.raises(RecipeMismatchError):
+    with pytest.raises(error or RecipeMismatchError):
         BarrierRecipe.from_json(rec.read_text())
-    out = tmp_path / "out"
-    assert_config_error(["barrier", "verify", "--recipe", rec, "--out", out],
-                        capsys)
-    assert not out.exists()
+    for command in RECIPE_COMMANDS:
+        out = tmp_path / "out"
+        assert_config_error([*command.split(), "--recipe", rec, "--out", out],
+                            capsys)
+        assert not out.exists()
+    if verify is not None:
+        fields = {"kind": recipe.kind, "params": recipe.params}
+        edit(fields)
+        recipe.kind, recipe.params = fields["kind"], fields["params"]
+        with pytest.raises(RecipeMismatchError):
+            verify(recipe)
+
+
+README_RECIPES = {
+    "thm311": ["barrier", "build", "thm311", "--q", 7, "--tau", 1000],
+    "thm43": ["barrier", "build", "thm43", "--q", 7, "--D", "a,a2,a3"],
+    "thm51": ["barrier", "build", "thm51", "--q", 5, "--tau", 1000],
+}
+
+
+def _set_item(key, index, value):
+    return _set(["params", key, index], value)
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("thm43", _set(["params", "chi"], 9999)),
+    ("thm43", _set(["params", "chi"], -1)),
+    ("thm43", _set(["params", "V"], [1, 2, 99])),
+    ("thm43", _set(["params", "a1"], 5)),  # a is 3
+    ("thm43", _set_item("D", 0, "x")),
+    ("thm43", _set_item("D", 0, None)),
+    ("thm51", _set(["params", "gamma"], "x")),
+    ("thm51", _set(["params", "gamma"], None)),
+    ("thm51", _drop("gamma")),
+    ("thm51", _set(["params", "chars"], [9999])),
+    ("thm51", _set(["params", "orders"], [5])),  # 5 does not divide 4
+    ("thm51", _set(["params", "orders"], [10**9])),
+    ("thm51", _set(["params", "orders"], ["x"])),
+    ("thm51", _set(["params", "M"], -3)),
+    ("thm51", _set(["params", "M"], 1)),  # the system carries M = 64
+    ("thm51", _drop("M")),
+    ("thm51", _drop("betas")),
+], ids=["thm43-chi-9999", "thm43-chi-negative", "thm43-V-off-D",
+        "thm43-a1-not-a", "thm43-D-text", "thm43-D-null", "thm51-gamma-text",
+        "thm51-gamma-null", "thm51-no-gamma", "thm51-chars-9999",
+        "thm51-orders-5", "thm51-orders-huge", "thm51-orders-text",
+        "thm51-M-negative", "thm51-M-not-the-systems", "thm51-no-M",
+        "thm51-no-betas"])
+def test_malformed_barrier_recipe_is_config_error(tmp_path, capsys, kind,
+                                                  edit):
+    from racelab import barriers
+
+    rec = tmp_path / "rec.json"
+    assert run([*README_RECIPES[kind], "--out", rec]) == 0
+    capsys.readouterr()
+    verify = {"thm43": barriers.verify_extremal,
+              "thm51": barriers.check_thm51_conditions}[kind]
+    assert_malformed_recipe(tmp_path, capsys, json.loads(rec.read_text()),
+                            edit, verify)
+
+
+@pytest.mark.parametrize("kind", list(README_RECIPES))
+def test_non_number_height_lattice_is_config_error(tmp_path, capsys, kind):
+    from racelab.zerosys import ZeroDataError
+
+    rec = tmp_path / "rec.json"
+    assert run([*README_RECIPES[kind], "--out", rec]) == 0
+    capsys.readouterr()
+    assert_malformed_recipe(tmp_path, capsys, json.loads(rec.read_text()),
+                            _set(["system", "height_lattice"], "x"),
+                            error=ZeroDataError)
 
 
 @pytest.mark.parametrize("q", ["seven", 10**9, 7.0, True, 15])

@@ -10,13 +10,15 @@ K/N/M/samples small, because the pool holds no larger integer.
 
 import argparse
 import contextlib
+import copy
 import io
+import json
 import os
 import shutil
 from importlib import resources
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from racelab import cli
@@ -100,3 +102,96 @@ def test_fuzzed_cli_exits_with_documented_code(workdir, argv):
         except Exception as exc:  # an exit-1 traceback on the command line
             pytest.fail(f"{argv}: {type(exc).__name__}: {exc}")
     assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+
+
+# --- recipe fuzz ----------------------------------------------------------------
+#
+# One JSON leaf of a README recipe mutated at a time, then loaded by every
+# command that reads a recipe.
+
+README_RECIPES = {
+    "thm311": ["barrier", "build", "thm311", "--q", "7", "--tau", "1000"],
+    "thm43": ["barrier", "build", "thm43", "--q", "7", "--D", "a,a2,a3"],
+    "thm51": ["barrier", "build", "thm51", "--q", "5", "--tau", "1000"],
+}
+RECIPE_COMMANDS = (["barrier", "verify"], ["simulate", "--samples", "256"],
+                   ["orderings", "--samples", "256"])
+
+
+def _leaves(node, path=()):
+    """The path of every leaf below node (a list's items by index)."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else None)
+    if items is None:
+        return [path]
+    return [leaf for key, child in items for leaf in _leaves(child, path + (key,))]
+
+
+def _mutated(value, how):
+    if how == "wrong type":
+        return 0 if isinstance(value, str) else "x"
+    if how in ("+1", "-1"):
+        if type(value) not in (int, float):
+            return None
+        return value + (1 if how == "+1" else -1)
+    return {"negative": -1, "zero": 0, "huge": 10**9}[how]
+
+
+@pytest.fixture(scope="module")
+def readme_recipes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("recipes")
+    payloads = {}
+    for kind, argv in README_RECIPES.items():
+        out = path / f"{kind}.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
+        payload = json.loads(out.read_text())
+        del payload["config"]  # the build's own options, which nothing reads
+        payloads[kind] = payload
+    return path, payloads
+
+
+@st.composite
+def recipe_mutations(draw, payloads):
+    kind = draw(st.sampled_from(sorted(payloads)))
+    payload = copy.deepcopy(payloads[kind])
+    *parents, key = draw(st.sampled_from(_leaves(payload)))
+    node = payload
+    for parent in parents:
+        node = node[parent]
+    how = draw(st.sampled_from(["+1", "-1", "negative", "zero", "huge",
+                                "wrong type", "dropped"]))
+    if how == "dropped":
+        del node[key]
+    else:
+        value = _mutated(node[key], how)
+        assume(value is not None)
+        node[key] = value
+    return kind, (*parents, key), how, payload
+
+
+def test_mutated_recipes_exit_with_documented_code(readme_recipes, monkeypatch):
+    path, payloads = readme_recipes
+    monkeypatch.chdir(path)
+    monkeypatch.setenv("RACE_LAB_BUDGET", "1e6")
+
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(mutation=recipe_mutations(payloads))
+    def run(mutation):
+        kind, where, how, payload = mutation
+        (path / "mutated.json").write_text(json.dumps(payload))
+        for command in RECIPE_COMMANDS:
+            argv = [*command, "--recipe", "mutated.json", "--out", "out"]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                try:
+                    code = cli.main(argv)
+                except Exception as exc:
+                    pytest.fail(f"{kind} {where} {how}, {argv}: "
+                                f"{type(exc).__name__}: {exc}")
+            assert code in (0, 2, 3, 4), (kind, where, how, argv, code,
+                                          err.getvalue())
+
+    run()

@@ -28,8 +28,8 @@ from hypothesis import strategies as st
 from racelab import barriers, residues, simulator, zerosys
 from racelab.barriers import (OmegaTypeReport, build_omega, build_thm51,
                               check_omega_type)
-from racelab.orderings import (CensusReport, Crossing, Ordering,
-                               OrderingTrace, census, column_orders,
+from racelab.orderings import (CensusReport, Crossing, OrderingTrace,
+                               _chain, census, column_orders,
                                detect_crossings, run_edges, verdict)
 from racelab.trigpoly import EPS, TrigPoly, roots as trig_roots
 
@@ -39,7 +39,8 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 # --- the loop references ------------------------------------------------------
 
 
-def ref_ordering_at(trace: OrderingTrace, idx: int) -> Ordering:
+def ref_ordering_at(trace: OrderingTrace, idx: int) -> tuple:
+    """The chain of tie blocks, in descending order, at sample idx."""
     vals = trace.values[:, idx]
     order = sorted(range(trace.n_members), key=lambda i: -vals[i])
     blocks: List[Tuple[int, ...]] = []
@@ -51,7 +52,7 @@ def ref_ordering_at(trace: OrderingTrace, idx: int) -> Ordering:
             blocks.append(tuple(sorted(cur)))
             cur = [i]
     blocks.append(tuple(sorted(cur)))
-    return Ordering(tuple(blocks))
+    return tuple(blocks)
 
 
 def ref_detect_crossings(trace: OrderingTrace) -> List[Crossing]:
@@ -130,9 +131,9 @@ def ref_census(trace: OrderingTrace) -> CensusReport:
     sequence: List[Tuple[float, Tuple[int, ...]]] = []
     last_perm = None
     for idx in range(len(trace.u)):
-        ordering = ref_ordering_at(trace, idx)
-        if ordering.is_strict:
-            perm = tuple(b[0] for b in ordering.blocks)
+        chain = ref_ordering_at(trace, idx)
+        if all(len(b) == 1 for b in chain):
+            perm = tuple(b[0] for b in chain)
             uu = float(trace.u[idx])
             counts[perm] = counts.get(perm, 0) + 1
             if perm in strict:
@@ -144,7 +145,7 @@ def ref_census(trace: OrderingTrace) -> CensusReport:
                 sequence.append((uu, perm))
                 last_perm = perm
         else:
-            weak[ordering.blocks] = weak.get(ordering.blocks, 0) + 1
+            weak[chain] = weak.get(chain, 0) + 1
     return CensusReport(members=trace.members, strict=strict, weak=weak,
                         crossings=ref_detect_crossings(trace),
                         sequence=sequence,
@@ -390,8 +391,11 @@ def test_long_traces_match_loop_reference(trace):
 @PROPERTY
 @given(quantized_traces())
 def test_ordering_at_matches_loop_reference(trace):
+    # the kernel's ordering of one column, as the census chains it
     for idx in range(len(trace.u)):
-        assert trace.ordering_at(idx) == ref_ordering_at(trace, idx)
+        order, gaps, _ = column_orders(trace.values[:, [idx]], trace.tie_tol)
+        chain = _chain(order[:, 0], gaps[:, 0] > trace.tie_tol)
+        assert chain == ref_ordering_at(trace, idx)
 
 
 @PROPERTY
@@ -525,12 +529,11 @@ def test_trig_roots_refuse_a_near_double_root():
 def test_thm51_condition_a_refuses_a_near_double_root(monkeypatch):
     gamma = 1000.0
     w1, w2 = near_double_pair(gamma)
-    recipe = barriers.BarrierRecipe(
-        kind="thm51_census", q=8, claim="",
-        params={"gamma": gamma, "betas": [0.75], "orders": [2], "M": 64},
-        system=build_thm51(8).system)
-    monkeypatch.setattr(barriers, "theorem_decomposition",
-                        lambda *args: {"w": {(1, 0): w1, (1, 1): w2}})
+    # q = 3 has one level, of order 2, so its two waves are the pair's
+    recipe = build_thm51(3, gamma=gamma)
+    decompose = barriers.theorem_decomposition
+    monkeypatch.setattr(barriers, "theorem_decomposition", lambda *args: {
+        **decompose(*args), "w": {(1, 0): w1, (1, 1): w2}})
     with pytest.raises(barriers.ConditionFailedError) as err:
         barriers.check_thm51_conditions(recipe)
     assert err.value.condition == "A"

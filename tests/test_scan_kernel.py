@@ -159,3 +159,20 @@ def test_refuses_a_grid_over_budget(monkeypatch):
     assert not calls
     assert certified_positive_scan(lambda v: 2.0 + np.cos(v), 1.0, 0.0,
                                    0.999, 1e-3).ok
+
+
+def test_refuses_a_bisection_over_budget(monkeypatch):
+    from racelab.primes import BudgetExceededError
+    monkeypatch.setenv("RACE_LAB_BUDGET", "1000")
+    sizes = []
+
+    def f(v):
+        sizes.append(len(v))
+        return np.ones(len(v))
+
+    # a Lipschitz bound far above the values certifies no cell, so the 10
+    # cells of the 11-point grid double at every depth; the 80 cells of
+    # depth 3 would bring the values held to 11 + 5 * 150 + 8 * 80 > 1000
+    with pytest.raises(BudgetExceededError, match="to depth 4 exceeds"):
+        certified_positive_scan(f, 1e12, 0.0, 1.0, 0.1)
+    assert sizes == [11, 10, 20, 40]

@@ -746,8 +746,8 @@ def _thm43_levels(group: ResidueGroup, a: int, D: Sequence[int]) -> dict:
 
 def _check_thm43(recipe: BarrierRecipe) -> None:
     """RecipeMismatchError unless the kind is thm43_extremal, the params
-    hold `_thm43_levels` of their a and D, and the system sits on the
-    powers of chi at heights k gamma."""
+    hold `_thm43_levels` of their a and D, beta1 is the one real part of the
+    zeros, and the system sits on the powers of chi at heights k gamma."""
     if recipe.kind != "thm43_extremal":
         raise RecipeMismatchError(f"kind {recipe.kind!r} is not thm43_extremal")
     p = _check_params(recipe, ("a", "K", "N", "seed"))
@@ -756,6 +756,11 @@ def _check_thm43(recipe: BarrierRecipe) -> None:
         want = _thm43_levels(group, p["a"], p.get("D"))
     except (TypeError, ValueError) as exc:
         raise RecipeMismatchError(f"thm43 D {p.get('D')!r}: {exc}") from None
+    betas = {z.beta for z in recipe.system.all_zeros()}
+    if len(betas) != 1:
+        raise RecipeMismatchError(f"thm43 zeros have the real parts "
+                                  f"{sorted(betas)}, not one beta1")
+    want["beta1"] = betas.pop()
     theorem_decomposition(recipe.system, "thm43",
                           _check_params(recipe, (), want))
 

@@ -13,6 +13,12 @@ with one order every member pair keeps its sign, so the consumers read only
 run edges and tied columns (`run_edges`): the census groups the run heads
 with `np.unique`, crossing detection finds the flips and tie runs of all
 member pairs there, and `barriers.check_omega_type` tests the run heads.
+
+The ordering graph joins strict orderings that follow each other in the
+trace and differ by one adjacent transposition, labelled by the member pair
+it swaps.  A cycle of that graph returns to its starting permutation, so
+each pair swaps an even number of times on it: every label on a cycle
+repeats, and any spanning forest keeps every label of the graph.
 """
 
 from __future__ import annotations
@@ -290,51 +296,6 @@ def build_ordering_graph(report: CensusReport) -> OrderingGraph:
     return OrderingGraph(vertices=verts, edges=sorted(edges, key=str))
 
 
-def _find_cycle(n_vertices: int, edges: List[Tuple[int, int, FrozenSet[int]]],
-                ) -> List[int] | None:
-    """Indices into edges forming a cycle, or None. Deterministic DFS."""
-    adj: Dict[int, List[Tuple[int, int]]] = {}
-    for eidx, (a, b, _) in enumerate(edges):
-        adj.setdefault(a, []).append((b, eidx))
-        adj.setdefault(b, []).append((a, eidx))
-    visited: Dict[int, Tuple[int | None, int | None]] = {}
-    for root in range(n_vertices):
-        if root in visited:
-            continue
-        stack = [(root, None, None)]
-        while stack:
-            node, parent_edge, parent = stack.pop()
-            if node in visited:
-                continue
-            visited[node] = (parent, parent_edge)
-            for nxt, eidx in sorted(adj.get(node, [])):
-                if eidx == parent_edge:
-                    continue
-                if nxt in visited:
-                    # walk both branches up to their common ancestor
-                    cur = node
-                    chain_a = []
-                    while cur is not None:
-                        chain_a.append(cur)
-                        cur = visited[cur][0]
-                    chain_a_set = {v: k for k, v in enumerate(chain_a)}
-                    cur = nxt
-                    cycle_edges = [eidx]
-                    while cur not in chain_a_set:
-                        par, pe = visited[cur]
-                        cycle_edges.append(pe)
-                        cur = par
-                    meet = cur
-                    cur = node
-                    while cur != meet:
-                        par, pe = visited[cur]
-                        cycle_edges.append(pe)
-                        cur = par
-                    return [e for e in cycle_edges if e is not None]
-                stack.append((nxt, eidx, node))
-    return None
-
-
 @dataclass(frozen=True)
 class TuranBound:
     graph: OrderingGraph
@@ -347,9 +308,11 @@ def turan_graph_bound(report: CensusReport) -> TuranBound:
     """Extract a label-preserving forest from the ordering graph and return
     the resulting lower bound (#forest edges + 1) on the ordering census.
 
-    Requires every pair of members to cross at least once in the window;
-    cycle-breaking deletes an edge whose label repeats along the cycle, so
-    every pair label survives into the forest.
+    Requires every pair of members to cross at least once in the window.
+    Any spanning forest then keeps every pair label: going round a cycle of
+    the ordering graph returns to the same permutation, so every pair of
+    members swaps an even number of times on it, and each label occurs an
+    even number of times on every cycle.
     """
     r = len(report.members)
     needed = {frozenset(p) for p in itertools.combinations(range(r), 2)}
@@ -361,28 +324,23 @@ def turan_graph_bound(report: CensusReport) -> TuranBound:
                         for lab in missing)
         raise MissingLabelError(
             f"pairs never cross as adjacent transpositions in window: {pretty}")
-    edges = list(graph.edges)
-    while True:
-        cycle = _find_cycle(len(graph.vertices), edges)
-        if cycle is None:
-            break
-        labels_in_cycle: Dict[FrozenSet[int], List[int]] = {}
-        for eidx in cycle:
-            labels_in_cycle.setdefault(edges[eidx][2], []).append(eidx)
-        dup = [idxs for idxs in labels_in_cycle.values() if len(idxs) > 1]
-        if dup:
-            drop = max(dup[0])
-        else:
-            # fall back: drop an edge whose label survives elsewhere
-            cands = [e for e in cycle
-                     if sum(1 for x in edges if x[2] == edges[e][2]) > 1]
-            if not cands:
-                raise MissingLabelError(
-                    "cycle with all labels unique; cannot break safely")
-            drop = cands[0]
-        edges = [e for k, e in enumerate(edges) if k != drop]
-    forest = tuple(edges)
-    return TuranBound(graph=graph, forest_edges=forest,
+    # one union-find pass keeps each edge that joins two components; an edge
+    # that closes a cycle has its label (an even count) on the forest path
+    root = list(range(len(graph.vertices)))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    forest = []
+    for a, b, lab in graph.edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            root[ra] = rb
+            forest.append((a, b, lab))
+    return TuranBound(graph=graph, forest_edges=tuple(forest),
                       lower_bound=len(forest) + 1,
                       labels_covered=len({lab for _, _, lab in forest}))
 

@@ -179,18 +179,19 @@ class PrimeRaceTable:
     counts: np.ndarray
     pi: np.ndarray
 
+    def _row(self, x: float) -> int:
+        """The row of checkpoint x; ValueError unless x is a checkpoint."""
+        idx = int(np.searchsorted(self.checkpoints, int(x)))
+        if idx >= len(self.checkpoints) or self.checkpoints[idx] != int(x):
+            raise ValueError(f"{x} is not a checkpoint")
+        return idx
+
     def pi_at(self, x: float) -> int:
         """pi at a checkpoint (exact); x must match a checkpoint."""
-        idx = int(np.searchsorted(self.checkpoints, int(x)))
-        if idx >= len(self.checkpoints) or self.checkpoints[idx] != int(x):
-            raise ValueError(f"{x} is not a checkpoint")
-        return int(self.pi[idx])
+        return int(self.pi[self._row(x)])
 
     def count(self, a: int, x: float) -> int:
-        idx = int(np.searchsorted(self.checkpoints, int(x)))
-        if idx >= len(self.checkpoints) or self.checkpoints[idx] != int(x):
-            raise ValueError(f"{x} is not a checkpoint")
-        return int(self.counts[idx, self.residues.index(a % self.q)])
+        return int(self.counts[self._row(x), self.residues.index(a % self.q)])
 
     # CSV with a JSON header line naming the residues
     def to_csv(self) -> str:

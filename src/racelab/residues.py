@@ -414,11 +414,6 @@ class RootOfUnitySum:
                 self._coeffs.pop(f, None)
         return self
 
-    def __iadd__(self, other: "RootOfUnitySum") -> "RootOfUnitySum":
-        for f, c in other._coeffs.items():
-            self.add(f, c)
-        return self
-
     def is_zero(self) -> bool:
         if not self._coeffs:
             return True

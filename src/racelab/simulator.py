@@ -35,7 +35,7 @@ import numpy as np
 from .orderings import OrderingTrace
 from .residues import DirichletCharacter, character_label, unit_group
 from .trigpoly import TrigPoly, evaluate_phasors
-from .zerosys import DominantData, Zero, ZeroSystem, dominant_data, g_rho_exact
+from .zerosys import Zero, ZeroSystem, dominant_data, g_rho_exact
 
 
 class DomainError(ValueError):
@@ -263,7 +263,6 @@ class DominantProfile:
     beta: float
     poly: TrigPoly
     constant: float
-    dominant: DominantData
     _residual_terms: Tuple[Tuple[float, float, float], ...]  # (|g|*w, beta, |rho|)
     _dominant_terms: Tuple[Tuple[float, float, float], ...]
 
@@ -323,7 +322,7 @@ def dominant_profile(s: RaceFunctionSet, a: int, b: int) -> DominantProfile:
             res_terms.append(rec)
     return DominantProfile(q=s.q, a=a, b=b, beta=beta,
                            poly=TrigPoly.from_phasors(terms),
-                           constant=constant, dominant=dd,
+                           constant=constant,
                            _residual_terms=tuple(res_terms),
                            _dominant_terms=tuple(dom_terms))
 

@@ -90,6 +90,13 @@ class ZeroSystem:
                     f"[{lo}, {hi}]")
             if not self.hypothetical and not (0.5 <= lo <= hi <= 1.0):
                 raise ValueError("real parts must lie in [1/2, 1]")
+        lattice = self.height_lattice
+        if lattice is not None and lattice > 0:  # else the system has none
+            ks = [z.gamma / lattice for z in self.all_zeros()]
+            # past 2^53 every float is whole, so k tells nothing there
+            if any(not k < 2**53 or abs(k - round(k)) > 1e-9 for k in ks):
+                raise ZeroDataError(f"the zeros' heights are not multiples "
+                                    f"k < 2^53 of height_lattice {lattice}")
         # real zeros must appear identically on conjugate characters
         for label, zs in self.entries.items():
             conj = self.conjugate_label(label)
@@ -176,7 +183,6 @@ class DominantData:
     beta: float | None
     zeros: Tuple[Zero, ...]
     g_values: Dict[Zero, complex]
-    per_char: Dict[int, Tuple[Zero, ...]]
 
     @property
     def empty(self) -> bool:
@@ -213,17 +219,11 @@ def dominant_data(system: ZeroSystem, a: int, b: int) -> DominantData:
         if not g.is_zero():
             live[zero] = g.to_complex()
     if not live:
-        return DominantData(a=a, b=b, beta=None, zeros=(), g_values={},
-                            per_char={})
+        return DominantData(a=a, b=b, beta=None, zeros=(), g_values={})
     beta = max(z.beta for z in live)
     zset = tuple(sorted(z for z in live if z.beta == beta))
-    per_char: Dict[int, Tuple[Zero, ...]] = {}
-    for label, zs in system.entries.items():
-        own = tuple(sorted(z for z in zs if z in zset))
-        if own:
-            per_char[label] = own
     return DominantData(a=a, b=b, beta=beta, zeros=zset,
-                        g_values={z: live[z] for z in zset}, per_char=per_char)
+                        g_values={z: live[z] for z in zset})
 
 
 @dataclass(frozen=True)

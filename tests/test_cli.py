@@ -662,6 +662,7 @@ def _set_item(key, index, value):
     ("thm43", _set(["params", "a1"], 5)),  # a is 3
     ("thm43", _set_item("D", 0, "x")),
     ("thm43", _set_item("D", 0, None)),
+    ("thm43", _set(["params", "beta1"], 0.8)),  # the zeros sit at 0.75
     ("thm51", _set(["params", "gamma"], "x")),
     ("thm51", _set(["params", "gamma"], None)),
     ("thm51", _drop("gamma")),
@@ -674,7 +675,8 @@ def _set_item(key, index, value):
     ("thm51", _drop("M")),
     ("thm51", _drop("betas")),
 ], ids=["thm43-chi-9999", "thm43-chi-negative", "thm43-V-off-D",
-        "thm43-a1-not-a", "thm43-D-text", "thm43-D-null", "thm51-gamma-text",
+        "thm43-a1-not-a", "thm43-D-text", "thm43-D-null",
+        "thm43-beta1-not-the-zeros", "thm51-gamma-text",
         "thm51-gamma-null", "thm51-no-gamma", "thm51-chars-9999",
         "thm51-orders-5", "thm51-orders-huge", "thm51-orders-text",
         "thm51-M-negative", "thm51-M-not-the-systems", "thm51-no-M",
@@ -701,6 +703,18 @@ def test_non_number_height_lattice_is_config_error(tmp_path, capsys, kind):
     capsys.readouterr()
     assert_malformed_recipe(tmp_path, capsys, json.loads(rec.read_text()),
                             _set(["system", "height_lattice"], "x"),
+                            error=ZeroDataError)
+
+
+def test_height_lattice_not_a_period_is_config_error(tmp_path, capsys):
+    # the thm43 zeros sit at k * 1000; 2 pi / 1001 is not their period
+    from racelab.zerosys import ZeroDataError
+
+    rec = tmp_path / "rec.json"
+    assert run([*README_RECIPES["thm43"], "--out", rec]) == 0
+    capsys.readouterr()
+    assert_malformed_recipe(tmp_path, capsys, json.loads(rec.read_text()),
+                            _set(["system", "height_lattice"], 1001),
                             error=ZeroDataError)
 
 

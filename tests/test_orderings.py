@@ -1,11 +1,14 @@
 import itertools
 import math
+from typing import Dict, FrozenSet, List, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racelab.orderings import (InconclusiveWindowError, MissingLabelError,
-                               OrderingTrace, census,
+                               OrderingTrace, build_ordering_graph, census,
                                detect_crossings, turan_graph_bound, verdict)
 from racelab.trigpoly import TrigPoly
 
@@ -154,3 +157,160 @@ def test_crossing_signs():
                           (1, 3), u, periodic=True)
     crossings = detect_crossings(tr)
     assert any(c.sign_before == 1 and c.sign_after == -1 for c in crossings)
+
+
+# --- the cycle-breaking reference for the forest bound ---------------------------
+
+
+def ref_find_cycle(n_vertices: int, edges: List[Tuple[int, int, FrozenSet[int]]],
+                   ) -> List[int] | None:
+    """Indices into edges forming a cycle, or None. Deterministic DFS."""
+    adj: Dict[int, List[Tuple[int, int]]] = {}
+    for eidx, (a, b, _) in enumerate(edges):
+        adj.setdefault(a, []).append((b, eidx))
+        adj.setdefault(b, []).append((a, eidx))
+    visited: Dict[int, Tuple[int | None, int | None]] = {}
+    for root in range(n_vertices):
+        if root in visited:
+            continue
+        stack = [(root, None, None)]
+        while stack:
+            node, parent_edge, parent = stack.pop()
+            if node in visited:
+                continue
+            visited[node] = (parent, parent_edge)
+            for nxt, eidx in sorted(adj.get(node, [])):
+                if eidx == parent_edge:
+                    continue
+                if nxt in visited:
+                    # walk both branches up to their common ancestor
+                    cur = node
+                    chain_a = []
+                    while cur is not None:
+                        chain_a.append(cur)
+                        cur = visited[cur][0]
+                    chain_a_set = {v: k for k, v in enumerate(chain_a)}
+                    cur = nxt
+                    cycle_edges = [eidx]
+                    while cur not in chain_a_set:
+                        par, pe = visited[cur]
+                        cycle_edges.append(pe)
+                        cur = par
+                    meet = cur
+                    cur = node
+                    while cur != meet:
+                        par, pe = visited[cur]
+                        cycle_edges.append(pe)
+                        cur = par
+                    return [e for e in cycle_edges if e is not None]
+                stack.append((nxt, eidx, node))
+    return None
+
+
+def ref_turan_graph_bound(report):
+    """The forest bound by repeated cycle breaking: drop an edge whose label
+    repeats along a cycle until no cycle is left.  Returns (lower_bound,
+    labels_covered, number of forest edges)."""
+    r = len(report.members)
+    needed = {frozenset(p) for p in itertools.combinations(range(r), 2)}
+    graph = build_ordering_graph(report)
+    present = {lab for _, _, lab in graph.edges}
+    missing = needed - present
+    if missing:
+        pretty = sorted(tuple(sorted(report.members[i] for i in lab))
+                        for lab in missing)
+        raise MissingLabelError(
+            f"pairs never cross as adjacent transpositions in window: {pretty}")
+    edges = list(graph.edges)
+    while True:
+        cycle = ref_find_cycle(len(graph.vertices), edges)
+        if cycle is None:
+            break
+        labels_in_cycle: Dict[FrozenSet[int], List[int]] = {}
+        for eidx in cycle:
+            labels_in_cycle.setdefault(edges[eidx][2], []).append(eidx)
+        dup = [idxs for idxs in labels_in_cycle.values() if len(idxs) > 1]
+        if dup:
+            drop = max(dup[0])
+        else:
+            # fall back: drop an edge whose label survives elsewhere
+            cands = [e for e in cycle
+                     if sum(1 for x in edges if x[2] == edges[e][2]) > 1]
+            if not cands:
+                raise MissingLabelError(
+                    "cycle with all labels unique; cannot break safely")
+            drop = cands[0]
+        edges = [e for k, e in enumerate(edges) if k != drop]
+    forest = tuple(edges)
+    return len(forest) + 1, len({lab for _, _, lab in forest}), len(forest)
+
+
+def component_count(n_vertices, edges):
+    """Connected components of the graph on range(n_vertices)."""
+    comp = list(range(n_vertices))
+    changed = True
+    while changed:
+        changed = False
+        for a, b, _ in edges:
+            low = min(comp[a], comp[b])
+            if comp[a] != low or comp[b] != low:
+                comp[a] = comp[b] = low
+                changed = True
+    return len(set(comp))
+
+
+@st.composite
+def race_traces(draw):
+    """2-6 members, each a first harmonic of random amplitude and phase (so
+    the ordering tends to wind round and close cycles) plus up to two small
+    random harmonics, over one period or a window; sometimes quantized, so
+    that members tie.  Sizes come from the drawn seed, so that they spread
+    evenly rather than cluster at the smallest."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    r, n, harmonics = rng.integers(2, 7), rng.integers(64, 801), rng.integers(1, 4)
+    periodic = draw(st.booleans())
+    span = 2 * math.pi if periodic else rng.uniform(2.0, 30.0)
+    u = np.linspace(0.0, span, n, endpoint=not periodic)
+    k = np.arange(1, harmonics + 1)[:, None, None]
+    noise = draw(st.sampled_from([0.0, 0.1, 0.3]))
+    amps = np.vstack([rng.uniform(0.5, 1.5, (1, r)),
+                      noise * rng.normal(size=(harmonics - 1, r))])
+    phases = rng.uniform(0.0, 2 * math.pi, (harmonics, r))
+    values = np.einsum("kr,kru->ru", amps, np.sin(k * u + phases[:, :, None]))
+    step = draw(st.sampled_from([None, None, None, 0.05, 0.25]))
+    if step is not None:
+        values = step * np.round(values / step)
+    return OrderingTrace(u=u, members=tuple(range(1, r + 1)), values=values,
+                         periodic=periodic)
+
+
+def test_forest_matches_cycle_breaking_reference():
+    # every label on a cycle of the ordering graph repeats, so one
+    # union-find pass keeps what repeated cycle breaking keeps
+    seen = {"examples": 0, "missing": 0, "cyclic": 0}
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(trace=race_traces())
+    def check(trace):
+        rep = census(trace)
+        seen["examples"] += 1
+        try:
+            want = ref_turan_graph_bound(rep)
+        except MissingLabelError as exc:
+            with pytest.raises(MissingLabelError, match="never cross") as got:
+                turan_graph_bound(rep)
+            assert str(got.value) == str(exc)
+            seen["missing"] += 1
+            return
+        tb = turan_graph_bound(rep)
+        assert (tb.lower_bound, tb.labels_covered, len(tb.forest_edges)) == want
+        n_vertices = len(tb.graph.vertices)
+        components = component_count(n_vertices, tb.graph.edges)
+        assert set(tb.forest_edges) <= set(tb.graph.edges)
+        assert len(tb.forest_edges) == n_vertices - components
+        assert component_count(n_vertices, tb.forest_edges) == components
+        seen["cyclic"] += len(tb.graph.edges) > len(tb.forest_edges)
+
+    check()
+    assert seen["cyclic"] * 3 >= seen["examples"], seen
+    assert seen["missing"] > 0, seen

@@ -51,6 +51,14 @@ def test_g_rho_examples():
     assert g_rho(system, Zero(0.75, 99.0), 2, 1) == 0
 
 
+def exact_sum(s, t):
+    """s + t as one exact root-of-unity sum (`RootOfUnitySum` has no sum
+    operator, since only this test adds two of them)."""
+    for f, c in t._coeffs.items():
+        s.add(f, c)
+    return s
+
+
 def test_g_rho_swap_antisymmetry_exact():
     rng = np.random.default_rng(9)
     for q in (5, 7, 8, 15):
@@ -68,8 +76,8 @@ def test_g_rho_swap_antisymmetry_exact():
         for _ in range(6):
             a, b = rng.choice(units, 2, replace=False)
             for z in system.all_zeros():
-                s = g_rho_exact(system, z, int(a), int(b))
-                s += g_rho_exact(system, z, int(b), int(a))
+                s = exact_sum(g_rho_exact(system, z, int(a), int(b)),
+                              g_rho_exact(system, z, int(b), int(a)))
                 assert s.is_zero()
 
 
@@ -176,3 +184,21 @@ def test_roundtrip_dict():
     assert back.q == system.q
     assert back.entries == system.entries
     assert back.height_lattice == 5.0
+
+
+@pytest.mark.parametrize("lattice, ok", [
+    (5.0, True), (2.5, True), (1.0, True), (3.0, False), (5.5, False),
+    (1e-300, False), (5e-324, False)])  # heights / lattice past 2^53, or inf
+def test_height_lattice_must_be_a_period(lattice, ok):
+    q = 5
+    lbl = label_with_phase(q, 2, Fraction(1, 4))
+    entries = {lbl: {Zero(0.75, 5.0): 2, Zero(0.75, 15.0): 1}}
+    d = ZeroSystem(q, entries).to_dict()
+    d["height_lattice"] = lattice
+    if ok:
+        assert ZeroSystem.from_dict(d).height_lattice == lattice
+    else:
+        with pytest.raises(ZeroDataError, match="not multiples"):
+            ZeroSystem.from_dict(d)
+        with pytest.raises(ZeroDataError, match="not multiples"):
+            ZeroSystem(q, entries, height_lattice=lattice)

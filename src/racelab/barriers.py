@@ -33,7 +33,7 @@ from .orderings import Verdict, census, column_orders, run_edges, verdict
 from .simulator import (RaceFunctionSet, RecipeMismatchError,
                         dominant_member_values, one_period_trace,
                         theorem_decomposition)
-from .trigpoly import (ScanReport, TrigPoly, certified_positive_scan,
+from .trigpoly import (EPS3, ScanReport, TrigPoly, certified_positive_scan,
                        check_scan_grid, eps1, eps2, evaluate as trig_evaluate,
                        roots as trig_roots)
 from .zerosys import Zero, ZeroSystem, dominant_data
@@ -236,12 +236,11 @@ def build_thm311(q: int, tau: float = 0.0, beta: float = 0.75,
             put(params["chi2"], l, w)  # the Z2 factor
     system = ZeroSystem(q, entries, height_lattice=gamma)
     points = _thm311_points(q, params)
-    params.update(beta=beta, gamma=gamma, size=system.size,
+    params.update(beta=beta, gamma=gamma,
                   designated=[list(t) if len(t) > 1 else t[0] for t in points],
                   D=[unit for unit, _ in points.values()])
     return BarrierRecipe(kind=f"thm311_{case}", q=q, params=params,
-                         system=system,
-                         claim="player-1 neither trails nor leads all of D")
+                         system=system, claim=_claim(f"thm311_{case}"))
 
 
 # distinct thm311 scan objectives (and closed-form sets) kept: q <= 2000 give 67
@@ -293,11 +292,20 @@ def _odd_split(n: int) -> Tuple[int, int]:
     return n >> d, d
 
 
+def _claim(kind: str, n_v: int = 0) -> str:
+    """The claim of a recipe of kind (thm43's for |V| = n_v), which its
+    builder writes and its load check requires (`_check_params`)."""
+    return {"thm43_extremal": f"census of D capped at {n_v * (n_v - 1) // 2 + 1}",
+            "thm51_census": "census of any r members capped at r(r-1)",
+            }.get(kind, "player-1 neither trails nor leads all of D")
+
+
 def _check_params(recipe: BarrierRecipe, ints: Sequence[str],
-                  want: dict | None = None) -> dict:
+                  want: dict | None = None, claim: str | None = None) -> dict:
     """The params: RecipeMismatchError unless a dict in which ints are ints,
     gamma is positive and finite and want's keys hold its values, as repr
-    writes them (1 is not 1.0 or True)."""
+    writes them (1 is not 1.0 or True), and the recipe's claim is claim if
+    one is given."""
     p = recipe.params if isinstance(recipe.params, dict) else {}
     bad = [k for k in ints if type(p.get(k)) is not int]
     if bad:
@@ -308,6 +316,8 @@ def _check_params(recipe: BarrierRecipe, ints: Sequence[str],
     if bad:
         raise RecipeMismatchError(f"{recipe.kind} params {bad} must be "
                                   f"{[want[k] for k in bad]}")
+    if claim is not None and recipe.claim != claim:
+        raise RecipeMismatchError(f"claim {recipe.claim!r} must be {claim!r}")
     return p
 
 
@@ -318,14 +328,14 @@ def _check_thm311(recipe: BarrierRecipe) -> list:
     positive and finite, n divides the group exponent (n = 8 in the n8 case,
     n = 2^d h with h odd in the even-cyclic one), 0 <= s < n, designated is
     a nonempty list of exponents that `_thm311_points` names for the case,
-    and D lists the units they name, in order."""
+    D lists the units they name, in order, and the claim is `_claim`'s."""
     p = recipe.params if isinstance(recipe.params, dict) else {}
     case = recipe.kind.removeprefix("thm311_") if type(recipe.kind) is str else None
     if (case not in _THM311_INTS or p.get("case") != case
             or (p.get("subcase") == "z4z2") != (case == "z4z2")):
         raise RecipeMismatchError(f"kind {recipe.kind!r} with case "
                                   f"{p.get('case')!r} is not a thm311 case")
-    _check_params(recipe, _THM311_INTS[case])
+    _check_params(recipe, _THM311_INTS[case], claim=_claim(recipe.kind))
     if case != "z4z2":
         n, s = p["n"], p["s"]
         if (n < 1 or unit_group(recipe.q).lam % n or case == "n8" and n != 8
@@ -377,19 +387,18 @@ def _lattice_scan(g0: TrigPoly, grs: Tuple[TrigPoly, ...],
                                    step)
 
 
-def verify_thm311(recipe: BarrierRecipe, step: float = 1e-3,
-                  identity_tol: float = 1e-12) -> Thm311Report:
+def verify_thm311(recipe: BarrierRecipe, step: float = 1e-3) -> Thm311Report:
     """Certified check that at every v in [0, 2pi) some designated difference
     G_0 - G_r (resp. G_00 - G_rs) is negative, plus the case identity of
     every designated r: G_0 - G_r equals a closed form of `_thm311_points`.
 
     An identity error is sum over frequencies of |phasor of (G_0 - G_r) -
-    phasor of the closed form|, which bounds the gap at every v; where a
-    point has two closed forms (n = 8), the lesser error counts.  The scan
-    certifies max_r G_r - G_0 > 0; G_0 and every designated G_r (integer
-    frequencies in v) come from one `trigpoly.evaluate` call per batch of
-    points, within its documented rounding bound of the term-by-term
-    values.
+    phasor of the closed form|, which bounds the gap at every v and must be
+    <= 1e-12; where a point has two closed forms (n = 8), the lesser error
+    counts.  The scan certifies max_r G_r - G_0 > 0; G_0 and every
+    designated G_r (integer frequencies in v) come from one
+    `trigpoly.evaluate` call per batch of points, within its documented
+    rounding bound of the term-by-term values.
 
     Moduli of one (case, n, s) class give the same G_0 and G_r, so the scan
     of a repeated objective is kept and reused (the last `_SCAN_MEMO`
@@ -407,7 +416,7 @@ def verify_thm311(recipe: BarrierRecipe, step: float = 1e-3,
 
     check_scan_grid(0.0, 2 * math.pi, step)  # refusals run on a reuse too
     scan = _lattice_scan(g0, tuple(G[r] for r, _ in designated), step)
-    ok = scan.ok and all(e <= identity_tol for e in identity_errors.values())
+    ok = scan.ok and all(e <= 1e-12 for e in identity_errors.values())
     return Thm311Report(case=recipe.params["case"], size=recipe.system.size,
                         scan=scan, identity_errors=identity_errors, ok=ok,
                         offending_v=scan.failure_point)
@@ -416,15 +425,14 @@ def verify_thm311(recipe: BarrierRecipe, step: float = 1e-3,
 # --- the per-frequency linear solve ------------------------------------------------
 
 
-def solve_lemma44(r: int, c: Sequence[float], d: Sequence[float],
-                  residual_tol: float = 1e-10) -> np.ndarray:
+def solve_lemma44(r: int, c: Sequence[float], d: Sequence[float]) -> np.ndarray:
     """Solve sum_j nu_j sin(u + 2 pi j v / r) = c_v sin u + d_v cos u.
 
     Requires the compatibility symmetries c_v = c_{r-v}, d_0 = 0,
     d_v = -d_{r-v}.  The system splits into a cosine half and a sine half,
-    each uniquely solvable; the recombined nu is verified on samples.  c and
-    d may also be (m, r) arrays: each row pair is one system, all m are
-    solved at once, and nu has one row per system.
+    each uniquely solvable; the recombined nu is checked on 16 samples to a
+    residual of 1e-10.  c and d may also be (m, r) arrays: each row pair is
+    one system, all m are solved at once, and nu has one row per system.
     """
     c = np.asarray(c, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -476,7 +484,7 @@ def solve_lemma44(r: int, c: Sequence[float], d: Sequence[float],
     jv = np.outer(np.arange(r), np.arange(r)) % r
     lhs = np.tensordot(nu, np.sin(us + 2 * math.pi * jv[:, :, None] / r), 1)
     rhs = c[:, :, None] * np.sin(us) + d[:, :, None] * np.cos(us)
-    if np.max(np.abs(lhs - rhs)) > residual_tol:
+    if np.max(np.abs(lhs - rhs)) > 1e-10:
         raise RuntimeError("solution residual exceeded tolerance "
                            "(internal check)")
     return nu[0] if single else nu
@@ -517,14 +525,13 @@ class OmegaSystem:
         return sorted(self.crossings.values())
 
 
-def build_omega(r: int, V: Sequence[int], seed: int = 0,
-                min_gap: float = 5e-3, max_tries: int = 64) -> OmegaSystem:
-    """Corner abscissae in general position; collisions between crossing
-    points are detected and perturbed away (seeded, deterministic)."""
+def build_omega(r: int, V: Sequence[int], seed: int = 0) -> OmegaSystem:
+    """Corner abscissae in general position; crossing points within 5e-3 of
+    each other, 0 or pi are perturbed away (seeded, deterministic)."""
     V = tuple(sorted(V))
     movable = [v for v in V if 2 * v != r]
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(64):
         base = np.linspace(0.35 * math.pi, 0.75 * math.pi, len(movable))
         jitter = rng.uniform(-0.05, 0.05, len(movable)) * math.pi / max(len(movable), 1)
         corners = {v: float(t + j) for v, t, j in zip(movable, base, jitter)}
@@ -532,11 +539,11 @@ def build_omega(r: int, V: Sequence[int], seed: int = 0,
         crossings = {(v, w): _omega_crossing(omega, v, w)
                      for i, v in enumerate(V) for w in V[i + 1:]}
         # the smallest gap between sorted crossing points, 0 and pi included
-        if np.diff([0.0, *sorted(crossings.values()), math.pi]).min() >= min_gap:
+        if np.diff([0.0, *sorted(crossings.values()), math.pi]).min() >= 5e-3:
             omega.crossings = crossings
             return omega
     raise OmegaConstructionError(
-        f"could not separate crossing points after {max_tries} tries")
+        "could not separate crossing points after 64 tries")
 
 
 def _omega_crossing(omega: OmegaSystem, v: int, w: int) -> float:
@@ -619,19 +626,19 @@ def check_omega_type(candidate: np.ndarray, w_grid: np.ndarray,
 
 def build_extremal(q: int, generator: int, D: Sequence[int],
                    beta1: float = 0.75, gamma: float = 1000.0,
-                   K: int = 16, N: int = 64, seed: int = 0,
-                   max_escalations: int = 5) -> BarrierRecipe:
+                   K: int = 16, N: int = 64, seed: int = 0) -> BarrierRecipe:
     """Emit a bounded extremal barrier for D (two or more members, no 1, no
     inverse pair) inside the cyclic subgroup generated by `generator`
     (order r >= 6).
 
     Pipeline: build the crossing-pattern system, Fourier-approximate each
-    member (escalating K until the truncations follow the pattern), solve the
-    per-frequency linear systems for real multiplicity densities (one batch),
-    integerize at resolution N (escalating until the pattern survives; every
-    N round shares one sine and one cosine table), shift to nonnegative
-    integers and emit zeros at beta1 + i k gamma on the powers of a
-    character pinned at the generator.
+    member (K, 2K, ..., 16K until the truncations follow the pattern), solve
+    the per-frequency linear systems for real multiplicity densities (one
+    batch), integerize at resolution N (N, ..., 16N until the pattern
+    survives; every N round shares one sine and one cosine table), shift to
+    nonnegative integers and emit zeros at beta1 + i k gamma on the powers
+    of a character pinned at the generator.  OmegaTypeLostError names the
+    stage, its last K or N and the first w where the pattern broke.
     """
     if not math.isfinite(gamma):
         raise ValueError("gamma must be finite")
@@ -647,17 +654,18 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
     w_grid = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)
 
     # stage 1: truncation order; stage 3 reuses the last cosine table
-    K_use = K
-    for _ in range(max_escalations):
+    for K_use in (K << i for i in range(5)):
         k = np.arange(1, K_use + 1)[:, None]
         coeffs = np.array([fourier_cosine_coeffs(omega, v, K_use) for v in V])
         cos_kw = np.outer(k, w_grid)
         np.cos(cos_kw, out=cos_kw)
-        if check_omega_type(coeffs @ cos_kw, w_grid, omega).ok:
+        report = check_omega_type(coeffs @ cos_kw, w_grid, omega)
+        if report.ok:
             break
-        K_use *= 2
     else:
-        raise OmegaTypeLostError("K escalation exhausted; raise K")
+        raise OmegaTypeLostError(
+            f"K escalation exhausted: the truncation at K = {K_use} lost the "
+            f"pattern first at w = {report.first_violation:.6g}; raise K")
 
     # stage 2: the per-frequency solves, row k-1 for frequency k.  Targets
     # are the sign-flipped members (so the emitted race traces come out
@@ -677,18 +685,19 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
     sin_kw = np.outer(k, w_grid)
     np.sin(sin_kw, out=sin_kw)
     phase = 2 * math.pi * (np.outer(V, np.arange(r)) % r) / r
-    N_use = N
-    for _ in range(max_escalations):
+    for N_use in (N << i for i in range(5)):
         n_tilde = k * np.floor(N_use * nu).astype(np.int64)
         coef = n_tilde / (k * N_use)
         cand = ((np.cos(phase) @ coef.T) @ sin_kw
                 + (np.sin(phase) @ coef.T) @ cos_kw)
         # candidate tracks -f_v; flip for the pattern comparison
-        if check_omega_type(-cand, w_grid, omega).ok:
+        report = check_omega_type(-cand, w_grid, omega)
+        if report.ok:
             break
-        N_use *= 2
     else:
-        raise OmegaTypeLostError("N escalation exhausted; raise N")
+        raise OmegaTypeLostError(
+            f"N escalation exhausted: the integerization at N = {N_use} lost "
+            f"the pattern first at w = {report.first_violation:.6g}; raise N")
 
     shift = int(n_tilde[:, 1:].min())
     n_final = n_tilde[:, 1:] - shift  # drop j=0: a common-mode term
@@ -707,17 +716,17 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
 
     trace_vals = dominant_member_values(system, levels["D"],
                                         w_grid / gamma)
-    final = check_omega_type(trace_vals, w_grid, omega)
-    if not final.ok:
+    report = check_omega_type(trace_vals, w_grid, omega)
+    if not report.ok:
         raise OmegaTypeLostError(
-            "emitted dominant trace lost the pattern; raise gamma or N")
+            f"the emitted dominant trace at K = {K_use}, N = {N_use} lost the "
+            f"pattern first at w = {report.first_violation:.6g}; raise gamma or N")
 
     params = {**levels, "a": generator, "beta1": beta1, "gamma": gamma,
-              "K": K_use, "N": N_use, "seed": seed, "size": system.size,
+              "K": K_use, "N": N_use, "seed": seed,
               "corners": {str(v): omega.corners[v] for v in omega.corners}}
     return BarrierRecipe(kind="thm43_extremal", q=q, params=params,
-                         system=system,
-                         claim=f"census of D capped at {len(V)*(len(V)-1)//2 + 1}")
+                         system=system, claim=_claim("thm43_extremal", len(V)))
 
 
 def _thm43_levels(group: ResidueGroup, a: int, D: Sequence[int]) -> dict:
@@ -747,7 +756,8 @@ def _thm43_levels(group: ResidueGroup, a: int, D: Sequence[int]) -> dict:
 def _check_thm43(recipe: BarrierRecipe) -> None:
     """RecipeMismatchError unless the kind is thm43_extremal, the params
     hold `_thm43_levels` of their a and D, beta1 is the one real part of the
-    zeros, and the system sits on the powers of chi at heights k gamma."""
+    zeros, the claim is `_claim`'s for |V| and the system sits on the powers
+    of chi at heights k gamma."""
     if recipe.kind != "thm43_extremal":
         raise RecipeMismatchError(f"kind {recipe.kind!r} is not thm43_extremal")
     p = _check_params(recipe, ("a", "K", "N", "seed"))
@@ -761,8 +771,8 @@ def _check_thm43(recipe: BarrierRecipe) -> None:
         raise RecipeMismatchError(f"thm43 zeros have the real parts "
                                   f"{sorted(betas)}, not one beta1")
     want["beta1"] = betas.pop()
-    theorem_decomposition(recipe.system, "thm43",
-                          _check_params(recipe, (), want))
+    theorem_decomposition(recipe.system, "thm43", _check_params(
+        recipe, (), want, _claim(recipe.kind, len(want["V"]))))
 
 
 def verify_extremal(recipe: BarrierRecipe) -> Verdict:
@@ -819,11 +829,9 @@ def build_thm51(q: int, tau: float = 0.0, M: int = 64,
                 z = Zero(beta, k * gamma)
                 ch[z] = ch.get(z, 0) + c[k - 1]
     system = ZeroSystem(q, entries, height_lattice=gamma)
-    params = {**levels, "betas": betas, "gamma": gamma, "M": M,
-              "size": system.size}
+    params = {**levels, "betas": betas, "gamma": gamma, "M": M}
     recipe = BarrierRecipe(kind="thm51_census", q=q, params=params,
-                           system=system,
-                           claim="census of any r members capped at r(r-1)")
+                           system=system, claim=_claim("thm51_census"))
     check_thm51_conditions(recipe)  # raises ConditionFailedError on failure
     return recipe
 
@@ -843,13 +851,14 @@ def _thm51_levels(q: int) -> dict:
 
 def _check_thm51(recipe: BarrierRecipe) -> dict:
     """The system's level waves: RecipeMismatchError unless the kind is
-    thm51_census, the levels are `_thm51_levels`, betas decrease strictly in
-    (1/2, 1) and the system's level coefficients are (1, 0) at order 2 and
-    (M, 1) above, for the int M >= 1 of the params."""
+    thm51_census, the levels are `_thm51_levels`, the claim is `_claim`'s,
+    betas decrease strictly in (1/2, 1) and the system's level coefficients
+    are (1, 0) at order 2 and (M, 1) above, for the int M >= 1 of the
+    params."""
     if recipe.kind != "thm51_census":
         raise RecipeMismatchError(f"kind {recipe.kind!r} is not thm51_census")
     want = _thm51_levels(recipe.q)
-    p, orders = _check_params(recipe, ("M",), want), want["orders"]
+    p, orders = _check_params(recipe, ("M",), want, _claim(recipe.kind)), want["orders"]
     betas = p.get("betas")
     if not (isinstance(betas, list) and len(betas) == len(orders)
             and all(type(b) in (int, float) for b in betas)
@@ -982,12 +991,11 @@ class HypothesisReport:
         return all(ok for _, ok, _ in self.checks)
 
 
-def check_hypotheses(thm: int | str, system: ZeroSystem,
-                     targets: Sequence[int], n_cap: int | None = None,
-                     eps3: float = 1e-3, C: float = 10.0) -> HypothesisReport:
+def check_hypotheses(thm: int | str, system: ZeroSystem, targets: Sequence[int],
+                     n_cap: int | None = None) -> HypothesisReport:
     """Verify the stated hypotheses of the leading/trailing theorems on a
-    system: nonempty dominant sets, height thresholds (with the effective tau
-    computed from the search constants), element counts and group shapes."""
+    system: nonempty dominant sets, height thresholds (the effective tau
+    from the searches' own EPS3 and eps1), element counts and group shapes."""
     thm = str(thm)
     group = unit_group(system.q)
     checks: List[Tuple[str, bool, str]] = []
@@ -1036,7 +1044,7 @@ def check_hypotheses(thm: int | str, system: ZeroSystem,
         checks.append(("order(a1) == 4", group.order(a1) == 4, f"a1={a1}"))
         ok, union = dominant_union([pow(a1, k, system.q) for k in (1, 2, 3)])
         e2 = eps2(cap(union))
-        tau_eff = max(1.0 / e2, 2.0 / (eps3 * (e2 / 2.0) ** 2))
+        tau_eff = max(1.0 / e2, 2.0 / (EPS3 * (e2 / 2.0) ** 2))
         if ok:
             heights(union, tau_eff, f"tau = {tau_eff:.6g}")
     elif thm == "47":
@@ -1048,7 +1056,7 @@ def check_hypotheses(thm: int | str, system: ZeroSystem,
             checks.append((f"z({pair[0]},{pair[1]}) nonempty", not dd.empty, ""))
             union.update(dd.zeros)
         n = cap(union)
-        tau_eff = max(1.0 / eps2(n), 1.0 / eps1(n, C))
+        tau_eff = max(1.0 / eps2(n), 1.0 / eps1(n))
         heights(union, tau_eff, f"tau = {tau_eff:.6g}")
     else:
         raise ValueError(f"unknown theorem {thm!r}")

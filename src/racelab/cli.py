@@ -210,19 +210,15 @@ def cmd_orderings(args: argparse.Namespace) -> int:
     rep = orderings.census(tr)
     payload = rep.to_dict()
     payload["config"] = _config_of(args)
-    ok = True
     if args.claim:
         try:
-            v = orderings.verdict(rep, args.claim, member=args.member,
-                                  r=len(members))
-            payload["verdict"] = v.to_dict()
-            ok = v.ok
-        except orderings.MissingLabelError as exc:
+            payload["verdict"] = orderings.verdict(
+                rep, args.claim, member=args.member, r=len(members)).to_dict()
+        except orderings.InconclusiveWindowError as exc:
             payload["verdict"] = {"claim": args.claim, "ok": False,
                                   "error": str(exc)}
-            ok = False
     _dump_json(args.out, payload)
-    return EXIT_OK if ok else EXIT_VERIFY
+    return EXIT_OK if payload.get("verdict", {}).get("ok", True) else EXIT_VERIFY
 
 
 # --- race ---------------------------------------------------------------------

@@ -54,7 +54,6 @@ class OrderingTrace:
     values: np.ndarray
     tie_tol: float = 1e-9
     periodic: bool = False
-    period: float | None = None
 
     def __post_init__(self) -> None:
         self.u = np.asarray(self.u, dtype=float)

@@ -317,14 +317,13 @@ class ComparisonReport:
 
 def compare_with_simulator(table: PrimeRaceTable, zeros: ZeroSystem,
                            sigma: float, a: int, b: int,
-                           x_min: float = 1e3,
-                           include_sqrt_bias: bool = True) -> ComparisonReport:
+                           x_min: float = 1e3) -> ComparisonReport:
     """Scaled real race u*phi(q)/(2 e^(sigma u)) (pi_a - pi_b) against the
     truncated sigma-line sum.
 
     At sigma = 1/2 the square-root term of the explicit formula contributes
-    the constant (N_q(b) - N_q(a))/2 to the scaled difference; it is added to
-    the prediction unless include_sqrt_bias is off.
+    the constant (N_q(b) - N_q(a))/2 to the scaled difference, which is added
+    to the prediction exactly there.
     """
     from .residues import sqrt_count
 
@@ -349,7 +348,7 @@ def compare_with_simulator(table: PrimeRaceTable, zeros: ZeroSystem,
     u = np.log(xs)
     scaled = u * phi / (2.0 * np.exp(sigma * u)) * diff
     bias = (sqrt_count(q, b % q) - sqrt_count(q, a % q)) / 2.0 \
-        if include_sqrt_bias and sigma == 0.5 else 0.0
+        if sigma == 0.5 else 0.0
     predicted = bias + corollary13_sum(zeros, a, b, u)
     if a % q == b % q:
         agreement = 1.0

@@ -483,11 +483,7 @@ def trace(s: RaceFunctionSet, u_range: Tuple[float, float], step: float,
     n = max(int(round(cells)) + 1, 2)
     u = np.linspace(u0, u1, n)
     lattice = s.system.height_lattice
-    periodic = False
-    period = None
-    if lattice:
-        period = 2.0 * math.pi / lattice
-        periodic = abs((u1 - u0) - period) <= step
+    periodic = bool(lattice) and abs((u1 - u0) - 2.0 * math.pi / lattice) <= step
     if mode == "dominant-only":
         values = dominant_member_values(s.system, s.members, u)
     elif mode == "full-formula":
@@ -496,7 +492,7 @@ def trace(s: RaceFunctionSet, u_range: Tuple[float, float], step: float,
     else:
         raise ValueError(f"unknown trace mode {mode!r}")
     return OrderingTrace(u=u, members=tuple(s.members), values=values,
-                         tie_tol=tie_tol, periodic=periodic, period=period)
+                         tie_tol=tie_tol, periodic=periodic)
 
 
 def _check_budget(samples: float, members: Sequence[int]) -> None:
@@ -518,11 +514,11 @@ def one_period_trace(s: RaceFunctionSet, samples: int = 4096,
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
     _check_budget(samples, s.members)
-    period = 2.0 * math.pi / lattice
-    u = base_u + np.linspace(0.0, period, samples, endpoint=False)
+    u = base_u + np.linspace(0.0, 2.0 * math.pi / lattice, samples,
+                             endpoint=False)
     values = dominant_member_values(s.system, s.members, u)
     return OrderingTrace(u=u, members=tuple(s.members), values=values,
-                         tie_tol=tie_tol, periodic=True, period=period)
+                         tie_tol=tie_tol, periodic=True)
 
 
 # --- theorem-specific decompositions ----------------------------------------------

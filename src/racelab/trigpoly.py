@@ -189,15 +189,21 @@ def empirical_moments(p: TrigPoly, U: float, step: float) -> EmpiricalMoments:
 # --- proof-driven constants ---------------------------------------------------
 
 
-def eps_small_values(n: int, gamma: float, C: float = 10.0) -> float:
-    """The epsilon for which {|P| < eps * sum|c_k|} has density < gamma."""
-    return (1.0 / (2.0 * math.sqrt(n))) * (C / gamma) ** (1 - 2 * n)
+# the small-values constant C behind eps1, and the domination margin eps3
+SMALL_VALUES_C = 10.0
+EPS3 = 1e-3
 
 
-def eps1(n: int, C: float = 10.0) -> float:
+def eps_small_values(n: int, gamma: float) -> float:
+    """The epsilon for which {|P| < eps * sum|c_k|} has density < gamma,
+    at C = SMALL_VALUES_C."""
+    return (1.0 / (2.0 * math.sqrt(n))) * (SMALL_VALUES_C / gamma) ** (1 - 2 * n)
+
+
+def eps1(n: int) -> float:
     """Target threshold for the simultaneous-positivity search (half the
-    small-value epsilon at density 1/(10n); depends on the configured C)."""
-    return eps_small_values(n, 1.0 / (10.0 * n), C) / 2.0
+    small-value epsilon at density 1/(10n))."""
+    return eps_small_values(n, 1.0 / (10.0 * n)) / 2.0
 
 
 def eps2(n: int) -> float:
@@ -538,11 +544,10 @@ def roots(polys: Sequence[TrigPoly], base: float) -> List[TrigRoots]:
 
 
 def _window_scans(objective: Callable[[np.ndarray], np.ndarray],
-                  base_period: float, rounds: int,
-                  ) -> Iterator[Tuple[float, float, float]]:
-    """Per round r, the best (u, objective(u)) over 64 * 2^r periods at
+                  base_period: float) -> Iterator[Tuple[float, float, float]]:
+    """Per round r < 6, the best (u, objective(u)) over 64 * 2^r periods at
     256 * 2^r points per period, and that grid's step."""
-    for r in range(rounds):
+    for r in range(6):
         periods, per_period = 64 << r, 256 << r
         n = periods * per_period
         best_u, best_v = 0.0, -math.inf
@@ -612,10 +617,8 @@ def find_all_negative(t: Sequence[float], beta: Sequence[float]) -> float:
     return -find_fractional_parts(s, 6.0 / 13.0)
 
 
-def find_simultaneous_positive(p_cos: TrigPoly, q_sin: TrigPoly,
-                               eps1_val: float | None = None,
-                               C: float = 10.0,
-                               max_escalations: int = 6) -> SearchCertificate:
+def find_simultaneous_positive(p_cos: TrigPoly,
+                               q_sin: TrigPoly) -> SearchCertificate:
     """A u with P(u) >= eps1*sum|a_k| and Q(u) >= eps1*sum|b_k|, certified.
 
     P is a near-cosine polynomial (phases within eps1 of pi/2), Q near-sine
@@ -628,7 +631,7 @@ def find_simultaneous_positive(p_cos: TrigPoly, q_sin: TrigPoly,
     if freqs_p != freqs_q:
         raise ValueError("P and Q must share their frequency set")
     n = max(p_cos.n_terms, 1)
-    e1 = eps1(n, C) if eps1_val is None else float(eps1_val)
+    e1 = eps1(n)
     for c, t, a in p_cos.terms:
         if abs(a - math.pi / 2) > e1 + 1e-12:
             raise ValueError("P phases exceed eps1 (cosine offsets)")
@@ -647,7 +650,7 @@ def find_simultaneous_positive(p_cos: TrigPoly, q_sin: TrigPoly,
         neg = np.minimum(pv_m - e1 * s1, qv_m - e1 * s2)
         return np.maximum(pos, neg)
 
-    for u, margin, step in _window_scans(objective, base, max_escalations):
+    for u, margin, step in _window_scans(objective, base):
         if margin > 0:
             m = {x: (float(p_cos(x) - e1 * s1), float(q_sin(x) - e1 * s2))
                  for x in (u, -u)}
@@ -679,17 +682,16 @@ def _check_domination_pre(a: np.ndarray, b: np.ndarray, c: np.ndarray,
 
 
 def find_dominating(q_sin: TrigPoly, p_cos: TrigPoly, r_sin: TrigPoly,
-                    gamma: float, eps3: float = 1e-3,
-                    max_escalations: int = 6) -> SearchCertificate:
+                    gamma: float) -> SearchCertificate:
     """A u with Q(u) > max(|P(u)|, R(u)) + margin, maximizing the margin.
 
     Preconditions: shared frequencies, b_k >= |a_k| + c_k, c_k >= 0 and
     sum|a_k| > gamma * sum b_k.  The certificate reports whether the achieved
-    margin meets the configurable target eps3 * gamma^2 * sum(b_k).
+    margin meets the target EPS3 * gamma^2 * sum(b_k).
     """
-    freqs, a, b, c = _aligned_coeffs(q_sin, p_cos, r_sin, )
+    freqs, a, b, c = _aligned_coeffs(q_sin, p_cos, r_sin)
     _check_domination_pre(a, b, c, gamma)
-    target = eps3 * gamma * gamma * float(np.sum(b))
+    target = EPS3 * gamma * gamma * float(np.sum(b))
     lip = q_sin.lipschitz_bound + p_cos.lipschitz_bound + r_sin.lipschitz_bound
     base = TWO_PI / float(freqs.min())
 
@@ -698,7 +700,7 @@ def find_dominating(q_sin: TrigPoly, p_cos: TrigPoly, r_sin: TrigPoly,
         out_m = q_sin(-u) - np.maximum(np.abs(p_cos(-u)), r_sin(-u))
         return np.maximum(out, out_m)
 
-    for u, margin, step in _window_scans(objective, base, max_escalations):
+    for u, margin, step in _window_scans(objective, base):
         direct = float(q_sin(u) - max(abs(p_cos(u)), r_sin(u)))
         if direct < margin - 1e-15:
             u = -u

@@ -51,7 +51,7 @@ def test_thm311_builds():
         rec = build_thm311(q, tau=1000.0)
         assert rec.kind == kind
         assert rec.system.size == size
-        assert rec.params["size"] == size
+        assert "size" not in rec.params  # the system's size is the one size
         assert min_height(rec.system) > 1000.0
         assert len(rec.params["D"]) == 3
 
@@ -291,22 +291,25 @@ def test_build_extremal_q7():
 # the recipe JSON's sha256, or the OmegaTypeLostError message)
 EXTREMAL_GOLDEN = [
     (7, (2, 5), 16, 16, 64,
-     "26554787a6614e85aa46b4c72c606785d81fa70e7a88075a7dffae19deef8bdd"),
+     "a8024f88f22e65afa70f943fc739bf255cf188b045cf7541609c58c285e1ea0b"),
     (7, (1, 2, 3), 16, 16, 256,
-     "801dbda4ef79e805835c966b2a7cc03475563c1ac88f1000b56d3536ef99e13e"),
+     "85487632fa204f87b3a80ff0f48209f6d72c42c2f593d4aa63ba426155937f22"),
     (34, (4, 5, 6), 16, 16, 128,
-     "d459a0cffddc45b9daea8c30bbcf596e5c8163e9f2b71fb88f43e1878a92da80"),
+     "fef45e14ec5cf57c9f7a1d4227c6b200c95473a2c305108e21a4880d68a47468"),
     (19, (2, 8, 9), 16, 16, 512,
-     "4fcc25b18456e37030277697d381c711ec921c6cef85c49a4293a10afd5d09aa"),
+     "b58db3fdbf281f7f8ba01f9ad4946ed4e4da7f83ef195565f206bd037a0deed4"),
     (19, (2, 8, 9), 2, 4, 128,  # K escalates 2 -> 4
-     "886cd5fb0fb3c9461ad6c1a7bb98e4b970cf294b7540053de36249ce166b7084"),
+     "0d71820c7e591bf7839fd7a783251449acbe9f869cd2a68500529d5d3933f942"),
     (29, (1, 11, 14), 16, 16, 1024,
-     "5273a8555e42adc8c0a5ec46252f1939146e049215f99bc59323d3adb1e9950b"),
+     "9d71a2e0de90747c3cec2d921d6b79495e85f6e213887386a273bc2b3934c203"),
     (34, (1, 2, 3, 4), 16, 16, 1024,
-     "4eef0010141c245d3c41a9b1a13554a45a8dfe450e5d410e5cfb2ba2e7eaed93"),
-    (19, (12, 13, 14, 16), 16, None, None, "N escalation exhausted; raise N"),
+     "d547fd8da754ae687525d5e104e07a19e3fd56885e3acd07cf3f28fa594fff8b"),
+    (19, (12, 13, 14, 16), 16, None, None,
+     "N escalation exhausted: the integerization at N = 1024 lost the "
+     "pattern first at w = 1.67204; raise N"),
     (29, (5, 19, 24, 26), 16, None, None,
-     "emitted dominant trace lost the pattern; raise gamma or N"),
+     "the emitted dominant trace at K = 16, N = 1024 lost the pattern first "
+     "at w = 4.61115; raise gamma or N"),
 ]
 
 
@@ -324,6 +327,35 @@ def test_build_extremal_golden():
         rec = build_extremal(q, gen, D, K=K_ask)
         got = hashlib.sha256(rec.to_json().encode()).hexdigest()
         assert (rec.params["K"], rec.params["N"], got) == (K, N, want), (q, V)
+
+
+@pytest.mark.parametrize("passes, want", [
+    (0, "K escalation exhausted: the truncation at K = 256 lost the pattern "
+        "first at w = 1.25; raise K"),
+    (1, "N escalation exhausted: the integerization at N = 1024 lost the "
+        "pattern first at w = 1.25; raise N"),
+    (2, "the emitted dominant trace at K = 16, N = 64 lost the pattern first "
+        "at w = 1.25; raise gamma or N"),
+])
+def test_omega_type_lost_names_stage_and_violation(monkeypatch, passes, want):
+    """The K, N and emitted-trace checks run in that order; the first
+    `passes` of them hold, then every check fails at w = 1.25."""
+    import racelab.barriers as barriers
+
+    calls = []
+
+    def check(candidate, w_grid, omega, tie_tol=0.0):
+        calls.append(None)
+        if len(calls) <= passes:
+            return check_omega_type(candidate, w_grid, omega, tie_tol)
+        return barriers.OmegaTypeReport(False, first_violation=1.25,
+                                        intervals_checked=3)
+
+    monkeypatch.setattr(barriers, "check_omega_type", check)
+    g = unit_group(7)
+    with pytest.raises(OmegaTypeLostError) as exc:
+        build_extremal(7, 3, [g.subgroup(3)[v] for v in (2, 5)])
+    assert str(exc.value) == want
 
 
 def test_build_extremal_rejects_bad_sets():

@@ -19,7 +19,7 @@ def test_barrier_build_and_verify(tmp_path, capsys):
                 "--out", rec]) == 0
     printed = capsys.readouterr().out.splitlines()[-1]
     payload = json.loads(rec.read_text())
-    assert payload["params"]["size"] == 20
+    assert cli.BarrierRecipe.from_json(rec.read_text()).system.size == 20
     assert payload["config"]["q"] == 7  # provenance embedded
     assert run(["barrier", "verify", "--recipe", rec, "--out", out]) == 0
     rep = json.loads(out.read_text())
@@ -53,6 +53,26 @@ def test_extremal_census_via_cli(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["strict_count"] == 4
     assert rep["verdict"]["ok"]
+
+
+def test_inconclusive_window_claim_is_verify_failure(tmp_path, capsys):
+    # a window of 0.00175 ends while new orderings still appear
+    rec = tmp_path / "ext.json"
+    out = tmp_path / "census.json"
+    assert run(["barrier", "build", "thm43", "--q", 7, "--D", "a,a2,a3",
+                "--out", rec]) == 0
+    for claim in ("extremal_exact", "thm51_upper"):
+        capsys.readouterr()
+        assert run(["orderings", "--recipe", rec, "--window", "0:0.00175",
+                    "--samples", 4096, "--claim", claim,
+                    "--out", out]) == cli.EXIT_VERIFY
+        assert capsys.readouterr().err == ""
+        rep = json.loads(out.read_text())
+        assert rep["census_kind"] == "window-lower-bound"
+        assert rep["verdict"] == {
+            "claim": claim, "ok": False,
+            "error": "new orderings still appearing near the window edge; "
+                     "extend the window"}
 
 
 def test_simulate_trace_and_crossings(tmp_path):
@@ -598,6 +618,7 @@ def _drop(key):
     (15, _drop("subcase")),
     (7, _set(["params", "h"], 999)),  # n = 6 is 2^1 * 3
     (7, _set(["params", "d"], 5)),
+    (7, _set(["claim"], "player-1 leads")),
 ], ids=["designated-9999", "designated-negative", "designated-float",
         "designated-bool", "designated-unnamed", "designated-empty",
         "z4z2-designated-out-of-range", "z4z2-designated-flat",
@@ -605,7 +626,7 @@ def _drop(key):
         "s-out-of-range", "case-bogus",
         "n-huge", "gamma-zero", "kind-bogus", "kind-other-case",
         "kind-not-a-name", "no-s", "no-gamma", "z4z2-no-subcase",
-        "h-not-odd-part", "d-not-two-power"])
+        "h-not-odd-part", "d-not-two-power", "claim-other"])
 def test_malformed_thm311_recipe_is_config_error(tmp_path, capsys, q, edit):
     from racelab.barriers import verify_thm311
 
@@ -620,8 +641,9 @@ def assert_malformed_recipe(tmp_path, capsys, payload, edit, verify=None,
                             error=None):
     """The edited recipe is refused by `from_json` (RecipeMismatchError
     unless another error is given), and by every command that loads it with
-    exit 3 and one `error:` line.  The same edit made to the params of the
-    recipe in Python makes verify, if given, raise RecipeMismatchError."""
+    exit 3 and one `error:` line.  The same edit made to the kind, params
+    or claim of the recipe in Python makes verify, if given, raise
+    RecipeMismatchError."""
     from racelab.barriers import BarrierRecipe
     from racelab.simulator import RecipeMismatchError
 
@@ -637,9 +659,11 @@ def assert_malformed_recipe(tmp_path, capsys, payload, edit, verify=None,
                             capsys)
         assert not out.exists()
     if verify is not None:
-        fields = {"kind": recipe.kind, "params": recipe.params}
+        fields = {"kind": recipe.kind, "params": recipe.params,
+                  "claim": recipe.claim}
         edit(fields)
-        recipe.kind, recipe.params = fields["kind"], fields["params"]
+        recipe.kind, recipe.params, recipe.claim = (
+            fields["kind"], fields["params"], fields["claim"])
         with pytest.raises(RecipeMismatchError):
             verify(recipe)
 
@@ -663,6 +687,8 @@ def _set_item(key, index, value):
     ("thm43", _set_item("D", 0, "x")),
     ("thm43", _set_item("D", 0, None)),
     ("thm43", _set(["params", "beta1"], 0.8)),  # the zeros sit at 0.75
+    ("thm43", _set(["claim"], 7)),
+    ("thm43", _set(["claim"], "census of D capped at 7")),  # |V| = 3 caps at 4
     ("thm51", _set(["params", "gamma"], "x")),
     ("thm51", _set(["params", "gamma"], None)),
     ("thm51", _drop("gamma")),
@@ -674,13 +700,15 @@ def _set_item(key, index, value):
     ("thm51", _set(["params", "M"], 1)),  # the system carries M = 64
     ("thm51", _drop("M")),
     ("thm51", _drop("betas")),
+    ("thm51", _set(["claim"], None)),
 ], ids=["thm43-chi-9999", "thm43-chi-negative", "thm43-V-off-D",
         "thm43-a1-not-a", "thm43-D-text", "thm43-D-null",
-        "thm43-beta1-not-the-zeros", "thm51-gamma-text",
+        "thm43-beta1-not-the-zeros", "thm43-claim-int",
+        "thm43-claim-other-cap", "thm51-gamma-text",
         "thm51-gamma-null", "thm51-no-gamma", "thm51-chars-9999",
         "thm51-orders-5", "thm51-orders-huge", "thm51-orders-text",
         "thm51-M-negative", "thm51-M-not-the-systems", "thm51-no-M",
-        "thm51-no-betas"])
+        "thm51-no-betas", "thm51-claim-null"])
 def test_malformed_barrier_recipe_is_config_error(tmp_path, capsys, kind,
                                                   edit):
     from racelab import barriers

@@ -677,7 +677,7 @@ def test_thm51_census_matches_loop_reference_values():
         ref = OrderingTrace(u=tr.u, members=tr.members, tie_tol=tr.tie_tol,
                             values=ref_dominant_member_values(
                                 recipe.system, units, tr.u),
-                            periodic=True, period=tr.period)
+                            periodic=True)
         rep, ref_rep = census(tr), census(ref)
         assert rep.strict == ref_rep.strict, q
         assert rep.crossings == ref_rep.crossings, q

@@ -94,8 +94,8 @@ def test_eps_constants():
     assert eps2(1) == pytest.approx(1 / 13)
     assert eps2(2) == pytest.approx(1 / 169)
     assert eps2(3) == pytest.approx(1 / 28561)
-    assert eps1(1, C=10.0) == pytest.approx(1 / 400)
-    assert eps_small_values(1, 1 / 3, 10.0) == pytest.approx(1 / 60)
+    assert eps1(1) == pytest.approx(1 / 400)
+    assert eps_small_values(1, 1 / 3) == pytest.approx(1 / 60)
 
 
 def test_fractional_parts_base_case():

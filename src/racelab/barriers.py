@@ -97,12 +97,13 @@ def scan_qpr_properties(step: float = 1e-4,
     lip_pq = p.lipschitz_bound + math.sqrt(3.0) * q.lipschitz_bound
 
     def margin(v: np.ndarray) -> np.ndarray:
-        return np.abs(p(v)) - math.sqrt(3.0) * q(v)
+        qv, pv = trig_evaluate([q, p], v)
+        return np.abs(pv) - math.sqrt(3.0) * qv
 
     pieces = (certified_positive_scan(margin, lip_pq, 0.0, 0.759, step),
               certified_positive_scan(margin, lip_pq, 2.7, 2 * math.pi, step))
-    neg_r = certified_positive_scan(lambda v: -r(v), r.lipschitz_bound,
-                                    r_interval[0], r_interval[1], step)
+    neg_r = certified_positive_scan(lambda v: -trig_evaluate([r], v)[0],
+                                    r.lipschitz_bound, *r_interval, step)
     ok = all(s.ok for s in pieces) and neg_r.ok
     return PropertyScan(p_dominates=pieces, r_negative=neg_r, ok=ok)
 
@@ -364,7 +365,6 @@ class Thm311Report:
     scan: ScanReport
     identity_errors: Dict[str, float]
     ok: bool
-    offending_v: float | None = None
 
 
 @lru_cache(maxsize=_SCAN_MEMO)
@@ -418,8 +418,7 @@ def verify_thm311(recipe: BarrierRecipe, step: float = 1e-3) -> Thm311Report:
     scan = _lattice_scan(g0, tuple(G[r] for r, _ in designated), step)
     ok = scan.ok and all(e <= 1e-12 for e in identity_errors.values())
     return Thm311Report(case=recipe.params["case"], size=recipe.system.size,
-                        scan=scan, identity_errors=identity_errors, ok=ok,
-                        offending_v=scan.failure_point)
+                        scan=scan, identity_errors=identity_errors, ok=ok)
 
 
 # --- the per-frequency linear solve ------------------------------------------------
@@ -755,17 +754,22 @@ def _thm43_levels(group: ResidueGroup, a: int, D: Sequence[int]) -> dict:
 
 def _check_thm43(recipe: BarrierRecipe) -> None:
     """RecipeMismatchError unless the kind is thm43_extremal, the params
-    hold `_thm43_levels` of their a and D, beta1 is the one real part of the
-    zeros, the claim is `_claim`'s for |V| and the system sits on the powers
-    of chi at heights k gamma."""
+    hold `_thm43_levels` of their a and D and the corners `build_omega`
+    draws from their seed, beta1 is the one real part of the zeros, the
+    claim is `_claim`'s for |V| and the system sits on the powers of chi at
+    heights k gamma."""
     if recipe.kind != "thm43_extremal":
         raise RecipeMismatchError(f"kind {recipe.kind!r} is not thm43_extremal")
     p = _check_params(recipe, ("a", "K", "N", "seed"))
     group = unit_group(recipe.q)
     try:  # a D that is not a list of ints fails here or in the compare
         want = _thm43_levels(group, p["a"], p.get("D"))
-    except (TypeError, ValueError) as exc:
-        raise RecipeMismatchError(f"thm43 D {p.get('D')!r}: {exc}") from None
+        omega = build_omega(want["r"], want["V"], p["seed"])
+    except (TypeError, ValueError, OmegaConstructionError) as exc:
+        raise RecipeMismatchError(
+            f"thm43 D {p.get('D')!r} with seed {p['seed']}: {exc}") from None
+    if p.get("corners") != {str(v): t for v, t in omega.corners.items()}:
+        raise RecipeMismatchError(f"thm43 corners are not seed {p['seed']}'s")
     betas = {z.beta for z in recipe.system.all_zeros()}
     if len(betas) != 1:
         raise RecipeMismatchError(f"thm43 zeros have the real parts "

@@ -156,7 +156,7 @@ def cmd_barrier(args: argparse.Namespace) -> int:
                           "size": report.size,
                           "identity_errors": report.identity_errors,
                           "scan_min": report.scan.min_value,
-                          "offending_v": report.offending_v,
+                          "offending_v": report.scan.failure_point,
                           "config": _config_of(args)})
     return EXIT_OK if report.ok else EXIT_VERIFY
 

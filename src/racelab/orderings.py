@@ -379,6 +379,9 @@ def verdict(report: CensusReport, claim: str, member: int | None = None,
     """
     r = r if r is not None else len(report.members)
     n = report.strict_count
+    if claim == "lead_trail" and member not in report.members:
+        raise ValueError(f"lead_trail needs a member of the trace, one "
+                         f"of {list(report.members)}; got {member}")
     if len(report.members) == 1:
         return Verdict(claim, True, {"orderings": 1, "note": "single member"})
     if claim == "extremal_exact":
@@ -397,8 +400,6 @@ def verdict(report: CensusReport, claim: str, member: int | None = None,
                        {"missing_pairs": [[report.members[i], report.members[j]]
                                           for i, j in missing]})
     if claim == "lead_trail":
-        if member is None:
-            raise ValueError("lead_trail needs a member")
         idx = report.members.index(member)
         leads = any(p[0] == idx for p in report.strict)
         trails = any(p[-1] == idx for p in report.strict)

@@ -244,7 +244,8 @@ class SearchCertificate:
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Result of certifying f > 0 on [lo, hi] by grid + Lipschitz bound."""
+    """Result of certifying f > 0 on [lo, hi] by grid + Lipschitz bound; see
+    `certified_positive_scan` for its margin, argmin and failure point."""
 
     ok: bool
     min_value: float
@@ -282,78 +283,55 @@ def certified_positive_scan(f: Callable[[np.ndarray], np.ndarray],
     f must accept an ndarray of points.  The bisection runs one depth at a
     time: every cell still uncertified at a depth has its midpoint evaluated
     in one call to f.  A cell fails when an endpoint value is <= 0, or when
-    it is still uncertified at max_depth.  The scan reports the rightmost
-    failing cell (the one a right-first depth-first bisection meets first),
-    and then min_value, argmin and certified_step cover the grid plus only
-    the midpoints such a bisection evaluates before reaching that cell: its
-    enclosing cells and every cell to its right.  A passing scan reports the
-    minimum over every sampled value (the margin) and the finest step used.
-    A grid of more points than the sieve budget (RACE_LAB_BUDGET) is refused
-    before it is built (`check_scan_grid`), and so is a depth after which the
-    scan would hold more values than the budget: one per grid point, five
-    per bisected cell (a, b, m, f(m), depth) and four per open half.
+    it is still uncertified at max_depth.  The scan stops at the first depth
+    with a failing cell and names the leftmost one: its endpoint of smaller
+    value if an endpoint is <= 0, else its left end.  min_value (the margin),
+    argmin (ties to the shallowest, leftmost point) and certified_step (the
+    finest step used) run over every point evaluated.  A grid of more points
+    than the sieve budget (RACE_LAB_BUDGET) is refused before it is built
+    (`check_scan_grid`), and so is a depth whose work would pass the budget,
+    counted as one per grid point, five per bisected cell and four per half.
     """
     from .primes import BudgetExceededError, sieve_budget  # primes imports us
     cells = check_scan_grid(lo, hi, step)
     pts = np.linspace(lo, hi, max(int(math.ceil(cells)) + 1, 3))
-    held = len(pts)
+    work = len(pts)
     vals = np.asarray(f(pts), dtype=float)
     width = pts[1] - pts[0]
+    min_val, argmin, finest = (float(vals.min()),
+                               float(pts[int(vals.argmin())]), float(width))
     live = np.flatnonzero(np.minimum(vals[:-1], vals[1:])
                           <= width * lipschitz / 2.0)
     # live cells (a, b) with end values (fa, fb), kept in position order
     a, b, fa, fb = pts[live], pts[live + 1], vals[live], vals[live + 1]
-    # every bisected cell: (a, b, midpoint, value there, depth), per depth
-    split = [(np.empty(0),) * 4 + (np.empty(0, dtype=int),)]
-    failure_point = None  # of the rightmost failing cell (fail_a, fail_b)
     depth = 0
     while len(a):
         bad = (fa <= 0.0) | (fb <= 0.0)
         open_ = ~bad & ~(np.minimum(fa, fb) > (b - a) * lipschitz / 2.0)
-        exhausted = depth >= max_depth
-        hit = np.flatnonzero(bad | open_ if exhausted else bad)
-        if len(hit):
-            k = hit[-1]
+        fail = np.flatnonzero(bad | open_ if depth >= max_depth else bad)
+        if len(fail):
+            k = fail[0]
             point = (a[k] if fa[k] <= fb[k] else b[k]) if bad[k] else a[k]
-            fail_a, fail_b, failure_point = a[k], b[k], float(point)
-            open_[:k + 1] = False  # cells left of it come later in DFS order
-        if exhausted or not open_.any():
+            return ScanReport(False, min_val, argmin, finest, lipschitz,
+                              failure_point=float(point))
+        if not open_.any():
             break
         a, b, fa, fb = a[open_], b[open_], fa[open_], fb[open_]
-        held += 5 * len(a)
-        if held + 8 * len(a) > sieve_budget():
+        work += 5 * len(a)
+        if work + 8 * len(a) > sieve_budget():
             raise BudgetExceededError(
                 f"scan bisection to depth {depth + 1} exceeds budget "
                 f"{sieve_budget()} (RACE_LAB_BUDGET)")
         m = 0.5 * (a + b)
         fm = np.asarray(f(m), dtype=float)
-        split.append((a, b, m, fm, np.full(len(m), depth)))
+        finest = min(finest, float(((b - a) / 2.0).min()))
+        if fm.min() < min_val:
+            min_val, argmin = float(fm.min()), float(m[fm.argmin()])
         a, b = np.column_stack([a, m]).ravel(), np.column_stack([m, b]).ravel()
         fa, fb = (np.column_stack([fa, fm]).ravel(),
                   np.column_stack([fm, fb]).ravel())
         depth += 1
-
-    min_val = float(vals.min())
-    argmin = float(pts[int(vals.argmin())])
-    finest = float(width)
-    sa, sb, sm, sf, sd = (np.concatenate(col) for col in zip(*split))
-    if failure_point is not None:
-        # what DFS evaluates before the failing cell: its enclosing cells
-        # and the cells right of it
-        seen = (sa >= fail_b) | ((sa <= fail_a) & (sb >= fail_b))
-        sa, sb, sm, sf, sd = (col[seen] for col in (sa, sb, sm, sf, sd))
-    if len(sm):
-        finest = min(finest, float(((sb - sa) / 2.0).min()))
-        mid_min = float(sf.min())
-        if mid_min < min_val:
-            # ties go to the midpoint evaluated first in right-first DFS
-            # order: the shallowest one that is, or encloses, the rightmost
-            tied = np.flatnonzero(sf == mid_min)
-            x = sm[tied].max()
-            tied = tied[(sm[tied] == x) | ((sa[tied] < x) & (x < sb[tied]))]
-            min_val, argmin = mid_min, float(sm[tied[np.argmin(sd[tied])]])
-    return ScanReport(failure_point is None, min_val, argmin, finest,
-                      lipschitz, failure_point=failure_point)
+    return ScanReport(True, min_val, argmin, finest, lipschitz)
 
 
 # --- certified real roots ------------------------------------------------------

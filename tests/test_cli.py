@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -446,18 +447,45 @@ def test_scan_grid_over_budget_is_budget_error(tmp_path, capsys,
 
 def test_scan_bisection_over_budget_is_budget_error(tmp_path, capsys,
                                                     monkeypatch):
-    # a multiplicity of 1e9 is legal, but its Lipschitz bound certifies no
-    # cell, so the open cells double at every depth until the budget stops
-    # the scan (it grew to 16.9 M cells at depth 18 without that)
+    # a third zero at one height: the scan still passes, but only after
+    # bisecting, and the first depth already needs more than the budget
+    payload = json.loads(built_thm311(tmp_path, capsys).read_text())
+    payload["system"]["zeros"][5]["mult"] = 3
+    rec, out = tmp_path / "bad.json", tmp_path / "v.json"
+    rec.write_text(json.dumps(payload))
+    monkeypatch.setenv("RACE_LAB_BUDGET", "6300")
+    assert run(["barrier", "verify", "--recipe", rec, "--out", out]) \
+        == cli.EXIT_BUDGET
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: scan bisection to depth 1 exceeds budget 6300 "
+                   "(RACE_LAB_BUDGET)"], err
+    assert not out.exists()
+
+
+def test_scan_of_a_huge_multiplicity_fails_where_f_is_negative(
+        tmp_path, capsys, monkeypatch):
+    # a multiplicity of 1e9 is legal; its Lipschitz bound certifies no cell,
+    # but f is already negative on the grid, so the scan stops there and
+    # names the point instead of bisecting every cell until the budget
     payload = json.loads(built_thm311(tmp_path, capsys).read_text())
     payload["system"]["zeros"][0]["mult"] = 10**9
     rec, out = tmp_path / "bad.json", tmp_path / "v.json"
     rec.write_text(json.dumps(payload))
     monkeypatch.setenv("RACE_LAB_BUDGET", "1e6")
     assert run(["barrier", "verify", "--recipe", rec, "--out", out]) \
-        == cli.EXIT_BUDGET
+        == cli.EXIT_VERIFY
+    result = json.loads(out.read_text())
+    assert not result["ok"] and result["scan_min"] < 0
+    assert 0 <= result["offending_v"] <= 2 * math.pi
+
+
+def test_lead_trail_member_off_the_trace_is_config_error(tmp_path, capsys):
+    rec, out = built_thm311(tmp_path, capsys), tmp_path / "o.json"
+    assert run(["orderings", "--recipe", rec, "--claim", "lead_trail",
+                "--member", 99, "--out", out]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: scan bisection"), err
+    assert err == ["error: lead_trail needs a member of the trace, one of "
+                   "[2, 6, 4]; got 99"], err
     assert not out.exists()
 
 
@@ -689,6 +717,11 @@ def _set_item(key, index, value):
     ("thm43", _set(["params", "beta1"], 0.8)),  # the zeros sit at 0.75
     ("thm43", _set(["claim"], 7)),
     ("thm43", _set(["claim"], "census of D capped at 7")),  # |V| = 3 caps at 4
+    ("thm43", _set(["params", "seed"], 1)),  # the corners are seed 0's
+    ("thm43", _set(["params", "seed"], -1)),  # build_omega refuses it
+    ("thm43", _set(["params", "corners", "1"], 1.2)),
+    ("thm43", _set(["params", "corners"], {"1": 1.1210713202920448})),
+    ("thm43", _drop("corners")),
     ("thm51", _set(["params", "gamma"], "x")),
     ("thm51", _set(["params", "gamma"], None)),
     ("thm51", _drop("gamma")),
@@ -704,7 +737,9 @@ def _set_item(key, index, value):
 ], ids=["thm43-chi-9999", "thm43-chi-negative", "thm43-V-off-D",
         "thm43-a1-not-a", "thm43-D-text", "thm43-D-null",
         "thm43-beta1-not-the-zeros", "thm43-claim-int",
-        "thm43-claim-other-cap", "thm51-gamma-text",
+        "thm43-claim-other-cap", "thm43-seed-other", "thm43-seed-negative",
+        "thm43-corner-moved", "thm43-corner-dropped", "thm43-no-corners",
+        "thm51-gamma-text",
         "thm51-gamma-null", "thm51-no-gamma", "thm51-chars-9999",
         "thm51-orders-5", "thm51-orders-huge", "thm51-orders-text",
         "thm51-M-negative", "thm51-M-not-the-systems", "thm51-no-M",
@@ -720,6 +755,27 @@ def test_malformed_barrier_recipe_is_config_error(tmp_path, capsys, kind,
               "thm51": barriers.check_thm51_conditions}[kind]
     assert_malformed_recipe(tmp_path, capsys, json.loads(rec.read_text()),
                             edit, verify)
+
+
+def test_thm43_seed_that_cannot_separate_is_config_error(tmp_path, capsys,
+                                                        monkeypatch):
+    # a seed whose corners never separate the crossings is a bad recipe,
+    # not a failed verification
+    from racelab import barriers
+
+    def inseparable(r, V, seed=0):
+        raise barriers.OmegaConstructionError(
+            "could not separate crossing points after 64 tries")
+
+    rec = tmp_path / "rec.json"
+    assert run([*README_RECIPES["thm43"], "--out", rec]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(barriers, "build_omega", inseparable)
+    for command in RECIPE_COMMANDS:
+        out = tmp_path / "out"
+        assert_config_error([*command.split(), "--recipe", rec, "--out", out],
+                            capsys)
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", list(README_RECIPES))

@@ -139,6 +139,19 @@ def test_verdict_lead_trail():
     assert verdict(rep, "lead_trail", member=3).ok
 
 
+@pytest.mark.parametrize("member", [99, None])
+def test_verdict_lead_trail_needs_a_member_of_the_trace(member):
+    u = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+    polys = [TrigPoly.sine([1.0], [1.0]), TrigPoly.zero()]
+    rep = census(trace_from_polys(polys, (1, 3), u, periodic=True))
+    with pytest.raises(ValueError, match=rf"one of \[1, 3\]; got {member}"):
+        verdict(rep, "lead_trail", member=member)
+    # a one-member trace passes every claim, but not for a stranger
+    rep = census(trace_from_polys(polys[:1], (1,), u, periodic=True))
+    with pytest.raises(ValueError, match=rf"one of \[1\]; got {member}"):
+        verdict(rep, "lead_trail", member=member)
+
+
 def test_verdict_inconclusive_window():
     # aperiodic window where a new ordering first appears at the very edge
     u = np.linspace(0.0, 10.0, 1001)

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import barriers, orderings, primes, simulator, trigpoly
 from .barriers import BarrierRecipe
+from .residues import unit_group
 from .zerosys import load_zero_data
 
 EXIT_OK = 0
@@ -54,14 +55,22 @@ def _config_of(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+def _number(kind: type, positive: bool = False):
+    """An argparse type: a finite value of kind, above 0 if positive."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+            if math.isfinite(value) and (value > 0 or not positive):
+                return value
+        except (ValueError, OverflowError):  # an int past the floats overflows
+            pass
+        raise argparse.ArgumentTypeError(
+            f"expected a {'positive' if positive else 'finite'} "
+            f"{kind.__name__}, got {text!r}")
+    return parse
+
+
+_finite_float = _number(float)
 
 
 def _floats(text: str) -> list[float]:
@@ -110,7 +119,6 @@ def cmd_barrier(args: argparse.Namespace) -> int:
             recipe = barriers.build_thm311(args.q, tau=args.tau,
                                            beta=args.beta, gamma=args.gamma)
         elif args.kind == "thm43":
-            from .residues import unit_group
             group = unit_group(args.q)
             gen = args.generator
             if gen is None:
@@ -137,8 +145,7 @@ def cmd_barrier(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if not args.recipe:
-        print("error: verify needs --recipe", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("verify needs --recipe")
     # from_json admits only the kinds that have a verifier
     recipe = BarrierRecipe.from_json(Path(args.recipe).read_text())
     if recipe.kind == "thm51_census":
@@ -169,7 +176,6 @@ def _recipe_trace(args: argparse.Namespace, mode: str = "dominant-only",
     """The recipe's members (its D, else every unit) and their trace over
     --window: one period, or u0:u1 at the step given (else --samples cells)."""
     recipe = BarrierRecipe.from_json(Path(args.recipe).read_text())
-    from .residues import unit_group
     members = tuple(recipe.params.get("D") or unit_group(recipe.q).units)
     rfs = simulator.RaceFunctionSet(recipe.q, recipe.system, members)
     if args.window == "period":
@@ -177,8 +183,6 @@ def _recipe_trace(args: argparse.Namespace, mode: str = "dominant-only",
                                                    base_u=args.base_u)
     u0, u1 = (float(t) for t in args.window.split(":"))
     if step is None:
-        if args.samples < 1:
-            raise ValueError(f"samples must be positive, got {args.samples}")
         step = (u1 - u0) / args.samples
     return members, simulator.trace(rfs, (u0, u1), step, mode=mode)
 
@@ -244,8 +248,7 @@ def cmd_race(args: argparse.Namespace) -> int:
     if args.zeros:
         zs = load_zero_data(args.zeros, q=args.q)
         if zs is None:
-            print("error: empty zero data", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ValueError("empty zero data")
         rep = primes.compare_with_simulator(
             table, zs, args.sigma, args.a, args.b, x_min=args.xmin_compare)
         summary["comparison"] = rep.to_dict()
@@ -269,8 +272,7 @@ def cmd_trig(args: argparse.Namespace) -> int:
     missing = [f"--{name}" for name in _TRIG_NEEDS[args.tool]
                if getattr(args, name) is None]
     if missing:
-        print(f"error: {args.tool} needs {', '.join(missing)}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError(f"{args.tool} needs {', '.join(missing)}")
     if args.tool == "frac-parts":
         s = _floats(args.s)
         u = trigpoly.find_fractional_parts(s, args.alpha)
@@ -336,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target powers, e.g. a,a2,a3")
     b.add_argument("--generator", type=int, default=None)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--step", type=_finite_float, default=1e-3)
+    b.add_argument("--step", type=_number(float, positive=True), default=1e-3)
     b.add_argument("--recipe", type=str, default=None)
     b.add_argument("--out", type=str, default=None)
     b.set_defaults(func=cmd_barrier)
@@ -347,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="dominant-only")
     s.add_argument("--window", type=_window, default="period",
                    help='"period" or "u0:u1"')
-    s.add_argument("--step", type=_finite_float, default=1e-3)
-    s.add_argument("--samples", type=int, default=4096)
+    s.add_argument("--step", type=_number(float, positive=True), default=1e-3)
+    s.add_argument("--samples", type=_number(int, positive=True), default=4096)
     s.add_argument("--base-u", type=_finite_float, default=0.0)
     s.add_argument("--out", default=None)
     s.add_argument("--crossings", default=None,
@@ -359,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("orderings", help="census the orderings of a trace")
     o.add_argument("--recipe", required=True)
     o.add_argument("--window", type=_window, default="period")
-    o.add_argument("--samples", type=int, default=8192)
+    o.add_argument("--samples", type=_number(int, positive=True), default=8192)
     o.add_argument("--base-u", type=_finite_float, default=0.0)
     o.add_argument("--claim", default=None,
                    choices=[None, "extremal_exact", "thm51_upper",

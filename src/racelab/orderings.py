@@ -130,7 +130,8 @@ def _pair_crossings(values: np.ndarray, ii: np.ndarray, jj: np.ndarray,
     return (ii[p], jj[p], *rest)
 
 
-def detect_crossings(trace: OrderingTrace) -> List[Crossing]:
+def detect_crossings(trace: OrderingTrace,
+                     kept: np.ndarray | None = None) -> List[Crossing]:
     """Sign changes of value_i - value_j (i < j), ties within tie_tol read as
     sign 0.  A direct flip between neighbouring samples is a crossing; so is
     a maximal tie run whose signs before and after differ.  A run starting at
@@ -140,12 +141,13 @@ def detect_crossings(trace: OrderingTrace) -> List[Crossing]:
 
     Only the columns where an ordering can change are read (`run_edges`):
     tied ones, the first and the last, and those whose (order, strict) key
-    differs from a neighbour's.  All pairs are read at once, in blocks of
-    at most _PAIR_BLOCK cells, and the columns mapped back."""
+    differs from a neighbour's, unless the caller passes them as kept.  All
+    pairs are read at once, in blocks of at most _PAIR_BLOCK cells."""
     u = trace.u
-    order, _, strict = column_orders(trace.values, trace.tie_tol)
-    heads, tails = run_edges(np.vstack([order, strict]))
-    kept = np.flatnonzero(heads | tails | ~strict)
+    if kept is None:
+        order, _, strict = column_orders(trace.values, trace.tie_tol)
+        heads, tails = run_edges(np.vstack([order, strict]))
+        kept = np.flatnonzero(heads | tails | ~strict)
     values = trace.values[:, kept]
     ii, jj = np.triu_indices(trace.n_members, 1)
     step = max(1, _PAIR_BLOCK // max(len(kept), 1))
@@ -218,10 +220,13 @@ def census(trace: OrderingTrace) -> CensusReport:
     starts and lengths.
     """
     r = trace.n_members
-    order, gaps, _ = column_orders(trace.values, trace.tie_tol)
+    order, gaps, tie_free = column_orders(trace.values, trace.tie_tol)
     keys = np.concatenate([order, gaps > trace.tie_tol],
                           dtype=np.min_scalar_type(r), casting="unsafe")
-    heads, ends = (np.flatnonzero(edge) for edge in run_edges(keys))
+    heads, ends = run_edges(keys)
+    # finer runs than detect_crossings' only between tied columns, kept anyway
+    kept = np.flatnonzero(heads | ends | ~tie_free)
+    heads, ends = np.flatnonzero(heads), np.flatnonzero(ends)
     groups, first, run_group = np.unique(
         keys[:, heads], axis=1, return_index=True, return_inverse=True)
     run_group = run_group.reshape(-1)
@@ -252,8 +257,8 @@ def census(trace: OrderingTrace) -> CensusReport:
     sequence = [(float(u[heads[k]]), perms[g])
                 for k, g in zip(runs[new].tolist(), ids[new].tolist())]
     return CensusReport(members=trace.members, strict=strict, weak=weak,
-                        crossings=detect_crossings(trace), sequence=sequence,
-                        window=(float(u[0]), float(u[-1])),
+                        crossings=detect_crossings(trace, kept),
+                        sequence=sequence, window=(float(u[0]), float(u[-1])),
                         periodic=trace.periodic, sample_counts=sample_counts)
 
 

@@ -20,25 +20,20 @@ from __future__ import annotations
 import io
 import json
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .residues import separating_characters, unit_group
+from .budget import BudgetExceededError, check_budget, sieve_budget
+from .residues import separating_characters, sqrt_count, unit_group
 from .simulator import corollary13_sum
 from .zerosys import ZeroSystem
 
-DEFAULT_BUDGET = 100_000_000
 SEGMENT = 1 << 21
 # odd primes presieved by the segment mask's starting pattern, whose period
 # is their product (255255 odd numbers)
 WHEEL = (3, 5, 7, 11, 13, 17)
-
-
-class BudgetExceededError(ValueError):
-    pass
 
 
 class InvalidPairError(ValueError):
@@ -47,11 +42,6 @@ class InvalidPairError(ValueError):
 
 class InsufficientZeroDataError(ValueError):
     pass
-
-
-def sieve_budget() -> int:
-    env = os.environ.get("RACE_LAB_BUDGET")
-    return int(float(env)) if env else DEFAULT_BUDGET
 
 
 def simple_sieve(limit: int) -> np.ndarray:
@@ -117,13 +107,9 @@ def checkpoints_from_rule(rule: str | Sequence[float], x_max: int,
     or an explicit sequence; every rule keeps the points in [2, x_max], so
     the grid is empty for x_max < 2. Rows x columns above sieve_budget()
     raise BudgetExceededError before the grid is built."""
-    budget = sieve_budget()
-
     def check(rows: float) -> None:
-        if rows * columns > budget:
-            raise BudgetExceededError(
-                f"checkpoint grid of {math.ceil(rows)} rows x {columns} "
-                f"columns exceeds budget {budget} (RACE_LAB_BUDGET)")
+        check_budget(rows * columns, f"checkpoint grid of {math.ceil(rows)} "
+                                     f"rows x {columns} columns")
 
     if not isinstance(rule, str):
         pts = rule
@@ -211,10 +197,7 @@ def sieve_race(q: int, x_max: int,
                checkpoint_rule: str | Sequence[float] = "geometric:1.01",
                ) -> PrimeRaceTable:
     """Segmented sieve accumulating per-residue counts at checkpoints."""
-    budget = sieve_budget()
-    if x_max > budget:
-        raise BudgetExceededError(
-            f"x_max {x_max} exceeds budget {budget} (RACE_LAB_BUDGET)")
+    check_budget(x_max, f"x_max {x_max}")
     residues = unit_group(q).units
     phi = len(residues)
     cps = checkpoints_from_rule(checkpoint_rule, int(x_max), phi + 1)
@@ -268,10 +251,7 @@ def first_lead_change(q: int, a: int, b: int, x_max: int) -> int | None:
         raise InvalidPairError("residues must be distinct")
     if not (group.is_unit(a) and group.is_unit(b)):
         raise InvalidPairError("residues must be units")
-    budget = sieve_budget()
-    if x_max > budget:
-        raise BudgetExceededError(
-            f"x_max {x_max} exceeds budget {budget} (RACE_LAB_BUDGET)")
+    check_budget(x_max, f"x_max {x_max}")
     diff = 0
     initial_sign = 0
     for primes in iter_prime_segments(int(x_max)):
@@ -325,8 +305,6 @@ def compare_with_simulator(table: PrimeRaceTable, zeros: ZeroSystem,
     the constant (N_q(b) - N_q(a))/2 to the scaled difference, which is added
     to the prediction exactly there.
     """
-    from .residues import sqrt_count
-
     if zeros is None or zeros.size == 0:
         raise InsufficientZeroDataError("no zeros supplied")
     if zeros.q != table.q:

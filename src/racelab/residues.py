@@ -26,6 +26,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from .budget import check_budget
+
 
 class InvalidModulusError(ValueError):
     pass
@@ -137,11 +139,8 @@ def unit_group(q: int) -> ResidueGroup:
 def _check_budget(q: int) -> None:
     gens = _generators(q)
     phi = math.prod(n for _, n in gens)
-    from .primes import BudgetExceededError, sieve_budget  # primes imports us
-    if phi * (len(gens) + 1) > sieve_budget():
-        raise BudgetExceededError(
-            f"unit group mod {q}: {phi} units x {len(gens) + 1} columns "
-            f"exceeds budget {sieve_budget()} (RACE_LAB_BUDGET)")
+    check_budget(phi * (len(gens) + 1), f"unit group mod {q}: {phi} units "
+                                        f"x {len(gens) + 1} columns")
 
 
 @lru_cache(maxsize=None)

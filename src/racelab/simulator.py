@@ -32,6 +32,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .budget import check_budget
 from .orderings import OrderingTrace
 from .residues import DirichletCharacter, character_label, unit_group
 from .trigpoly import TrigPoly, evaluate_phasors
@@ -497,11 +498,8 @@ def trace(s: RaceFunctionSet, u_range: Tuple[float, float], step: float,
 
 def _check_budget(samples: float, members: Sequence[int]) -> None:
     """Refuse a trace of more samples x members than the sieve budget."""
-    from .primes import BudgetExceededError, sieve_budget  # primes imports us
-    if samples * len(members) > sieve_budget():
-        raise BudgetExceededError(
-            f"trace of {samples:.6g} samples x {len(members)} members exceeds "
-            f"budget {sieve_budget()} (RACE_LAB_BUDGET)")
+    check_budget(samples * len(members),
+                 f"trace of {samples:.6g} samples x {len(members)} members")
 
 
 def one_period_trace(s: RaceFunctionSet, samples: int = 4096,

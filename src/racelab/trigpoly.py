@@ -26,6 +26,8 @@ from typing import Callable, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from .budget import check_budget
+
 
 class ResolutionTooCoarseError(ValueError):
     pass
@@ -265,11 +267,7 @@ def check_scan_grid(lo: float, hi: float, step: float) -> float:
     if not hi > lo:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     cells = (hi - lo) / step  # inf for a subnormal step
-    from .primes import BudgetExceededError, sieve_budget  # primes imports us
-    if cells + 1 > sieve_budget():
-        raise BudgetExceededError(
-            f"scan grid of {cells + 1:.6g} points exceeds budget "
-            f"{sieve_budget()} (RACE_LAB_BUDGET)")
+    check_budget(cells + 1, f"scan grid of {cells + 1:.6g} points")
     return cells
 
 
@@ -292,7 +290,6 @@ def certified_positive_scan(f: Callable[[np.ndarray], np.ndarray],
     (`check_scan_grid`), and so is a depth whose work would pass the budget,
     counted as one per grid point, five per bisected cell and four per half.
     """
-    from .primes import BudgetExceededError, sieve_budget  # primes imports us
     cells = check_scan_grid(lo, hi, step)
     pts = np.linspace(lo, hi, max(int(math.ceil(cells)) + 1, 3))
     work = len(pts)
@@ -318,10 +315,7 @@ def certified_positive_scan(f: Callable[[np.ndarray], np.ndarray],
             break
         a, b, fa, fb = a[open_], b[open_], fa[open_], fb[open_]
         work += 5 * len(a)
-        if work + 8 * len(a) > sieve_budget():
-            raise BudgetExceededError(
-                f"scan bisection to depth {depth + 1} exceeds budget "
-                f"{sieve_budget()} (RACE_LAB_BUDGET)")
+        check_budget(work + 8 * len(a), f"scan bisection to depth {depth + 1}")
         m = 0.5 * (a + b)
         fm = np.asarray(f(m), dtype=float)
         finest = min(finest, float(((b - a) / 2.0).min()))

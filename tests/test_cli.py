@@ -206,13 +206,33 @@ def test_missing_recipe_file_is_config_error(tmp_path, capsys):
 def test_zero_step_is_config_error(tmp_path, capsys):
     rec = tmp_path / "rec.json"
     assert run(["barrier", "build", "thm311", "--q", 7, "--out", rec]) == 0
+    rec43, rec51 = tmp_path / "rec43.json", tmp_path / "rec51.json"
+    assert run(["barrier", "build", "thm43", "--q", 7, "--out", rec43]) == 0
+    assert run(["barrier", "build", "thm51", "--q", 5, "--tau", 500,
+                "--out", rec51]) == 0
     capsys.readouterr()
+    out = tmp_path / "out"
     assert_config_error(["simulate", "--recipe", rec, "--window", "0:1",
                          "--step", 0, "--out", tmp_path / "t.csv"], capsys)
     assert_config_error(["barrier", "verify", "--recipe", rec, "--step", 0],
                         capsys)
     assert_config_error(["orderings", "--recipe", rec, "--window", "0:1",
                          "--samples", 0], capsys)
+    # every command reads --step and --samples as positive before it runs,
+    # also where the value would go unread
+    for argv in (["barrier", "build", "thm311", "--q", 7, "--step", 0],
+                 ["barrier", "verify", "--recipe", rec51, "--step", -1],
+                 ["barrier", "verify", "--recipe", rec43, "--step", 0],
+                 ["simulate", "--recipe", rec, "--window", "0:1",
+                  "--samples", 0],
+                 ["simulate", "--recipe", rec, "--window", "0:1",
+                  "--samples", -5],
+                 ["orderings", "--recipe", rec, "--samples", "2.5"],
+                 # past the floats: no step can be formed from it
+                 ["orderings", "--recipe", rec, "--window", "0:1",
+                  "--samples", 10**400]):
+        assert_config_error([*argv, "--out", out], capsys)
+        assert not out.exists()
 
 
 def test_full_formula_past_double_range_is_config_error(tmp_path, capsys):
@@ -417,16 +437,18 @@ def test_trace_over_budget_is_budget_error(tmp_path, capsys, monkeypatch,
     rec = built_thm311(tmp_path, capsys)
     out = tmp_path / "t.out"
     # 1e7 / 1e-3 samples at the default step, 1/1e-320 = inf samples, and
-    # 2^20 samples x 3 members
-    argvs = {"simulate": [["--window", "0:1e7"],
-                          ["--window", "0:1", "--step", "1e-320"]],
-             "orderings": [["--window", "0:1", "--samples", 1 << 20]]}
+    # 2^20 cells, so 2^20 + 1 samples, x 3 members
+    argvs = {"simulate": {("--window", "0:1e7"): "1e+10",
+                          ("--window", "0:1", "--step", "1e-320"): "inf"},
+             "orderings": {("--window", "0:1", "--samples", 1 << 20):
+                           "1.04858e+06"}}[command]
     monkeypatch.setenv("RACE_LAB_BUDGET", "3e6")
-    for argv in argvs[command]:
+    for argv, samples in argvs.items():
         assert run([command, "--recipe", rec, *argv, "--out", out]) \
             == cli.EXIT_BUDGET
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "exceeds budget 3000000" in err[0], err
+        assert err == [f"error: trace of {samples} samples x 3 members "
+                       "exceeds budget 3000000 (RACE_LAB_BUDGET)"]
         assert not out.exists()
 
 

@@ -1,0 +1,75 @@
+"""The shape of racelab's imports and of its one work budget, read from the
+source with `ast`: every racelab-internal import sits at module level, the
+module-level import graph has no cycle, and only `racelab.budget` reads
+RACE_LAB_BUDGET or words a refusal."""
+
+import ast
+from graphlib import CycleError, TopologicalSorter
+from pathlib import Path
+
+from racelab import budget, primes
+
+PACKAGE = Path(primes.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+
+
+def _tree(module):
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _internal_targets(node):
+    """The racelab modules a (relative or absolute) import statement names."""
+    if isinstance(node, ast.Import):
+        return [a.name.split(".")[1] if "." in a.name else "__init__"
+                for a in node.names if a.name.split(".")[0] == "racelab"]
+    if node.level == 0 and (node.module or "").split(".")[0] != "racelab":
+        return []
+    base = (node.module or "").removeprefix("racelab").strip(".")
+    if base:
+        return [base.split(".")[0]]
+    # `from . import x`: a submodule when there is one, else the package
+    return [a.name if a.name in MODULES else "__init__" for a in node.names]
+
+
+def test_every_internal_import_is_at_module_level():
+    nested = []
+    for module in MODULES:
+        tree = _tree(module)
+        top = {id(n) for n in tree.body}
+        nested += [f"{module}.py:{n.lineno}" for n in ast.walk(tree)
+                   if isinstance(n, (ast.Import, ast.ImportFrom))
+                   and _internal_targets(n) and id(n) not in top]
+    assert nested == []
+
+
+def test_module_import_graph_has_no_cycle():
+    graph = {m: {t for n in _tree(m).body
+                 if isinstance(n, (ast.Import, ast.ImportFrom))
+                 for t in _internal_targets(n) if t != m}
+             for m in MODULES}
+    assert graph["primes"] >= {"budget", "residues"}
+    assert graph["budget"] == set()
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as exc:
+        raise AssertionError(f"import cycle: {exc.args[1]}") from None
+
+
+def test_only_the_budget_module_words_the_budget():
+    def strings(tree):
+        docs = {id(n.body[0].value) for n in ast.walk(tree)
+                if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                and n.body and isinstance(n.body[0], ast.Expr)}
+        return [n.value for n in ast.walk(tree)
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                and id(n) not in docs]
+
+    wording = {m: [s for s in strings(_tree(m))
+                   if "RACE_LAB_BUDGET" in s or "exceeds budget" in s]
+               for m in MODULES}
+    assert {m for m, found in wording.items() if found} == {"budget"}
+
+
+def test_primes_still_exports_the_budget():
+    assert primes.BudgetExceededError is budget.BudgetExceededError
+    assert primes.sieve_budget is budget.sieve_budget

@@ -3,16 +3,17 @@ per-residue counts pi_{q,a}(x) at checkpoints, exact lead-change detection,
 and comparison of real races against the sigma-line oscillation sum fed by
 critical-line zero data.
 
-One kernel, `_odd_prime_masks`, sieves [2, x_max] segment by segment into
-boolean masks over the odd n = 2k + 1. Each mask starts from a wheel
-pattern with the multiples of 3, 5, 7, 11, 13 and 17 already struck, and
-every base prime above 17 carries its next strike index from segment to
-segment. `iter_prime_segments` turns the masks into prime arrays (for
-`first_lead_change`). `sieve_race` counts the masks directly: n mod q
-depends only on k mod m, m = q / gcd(q, 2), so each class k = s (mod m)
-of a mask is one residue class, and its primes below a checkpoint c are
-its true slots with k < (c + 1) // 2. The prime 2 is added once.
-`simple_sieve` supplies the base primes and is the small-range oracle.
+One kernel, `_progression_sieve`, sieves a progression n = c + d j, d even,
+segment by segment into boolean masks over its slots j: a wheel pattern of
+the row with the multiples of 3..17 struck, then each base prime above 17
+from its first strike on (found from one inverse of d per prime, for every
+row), carried from segment to segment. `iter_prime_segments` reads the odd
+row (c, d) = (1, 2) as prime arrays (for `first_lead_change`). `sieve_race`
+sieves one at a time the rows c prime to r of d = 2r, r the largest divisor
+of m = q / gcd(q, 2) whose rows fill a segment. n mod q depends only on c
+and j mod m / r, so each such sub-class of a row is one residue class,
+counted straight from the mask; 2 and the odd primes dividing r, alone in
+their rows, are added to pi. `simple_sieve` supplies the base primes.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .simulator import corollary13_sum
 from .zerosys import ZeroSystem
 
 SEGMENT = 1 << 21
-# odd primes presieved by the segment mask's starting pattern, whose period
-# is their product (255255 odd numbers)
+# odd primes presieved by a row's starting pattern, whose period is the
+# product of those not dividing its d (255255 slots of the odd row)
 WHEEL = (3, 5, 7, 11, 13, 17)
 
 
@@ -57,38 +58,40 @@ def simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(is_prime).astype(np.int64)
 
 
-def _odd_prime_masks(x_max: int, segment: int = SEGMENT,
-                     ) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yield (k0, mask) per segment [lo, min(lo + segment, x_max + 1)), lo
-    from 2: mask[i] is true exactly when 2(k0 + i) + 1 is an odd prime."""
-    if x_max < 2:
-        return
-    base = simple_sieve(int(math.isqrt(x_max)))
-    base = base[base > WHEEL[-1]]
-    nxt = (base * base - 1) // 2       # k of each base prime's next strike
-    # the wheel pattern over k, long enough to cut a segment's odd slots
-    # from any phase of its period, and no longer than [0, x_max] needs
-    period = math.prod(WHEEL)
-    slots = min(segment, x_max) // 2 + 1
-    pattern = np.ones(min(x_max // 2 + 1, period - 1 + slots), dtype=bool)
-    for p in WHEEL:
-        pattern[(p - 1) // 2:: p] = False
-    lo = 2
-    while lo <= x_max:
-        hi = min(lo + segment, x_max + 1)
-        k0, k1 = lo // 2, hi // 2          # odd n in [lo, hi) <-> k in [k0, k1)
-        phase = k0 % period
-        mask = pattern[phase: phase + k1 - k0].copy()
-        act = nxt < k1
-        strikes, steps = nxt[act], base[act]
-        for s, p in zip((strikes - k0).tolist(), steps.tolist()):
-            mask[s:: p] = False
-        nxt[act] = strikes + (k1 - strikes + steps - 1) // steps * steps
-        for p in WHEEL:
-            if lo <= p < hi:
-                mask[(p - 1) // 2 - k0] = True
-        yield k0, mask
-        lo = hi
+def _progression_sieve(d: int, x_max: int):
+    """Masks of n = c + d j <= x_max, d even: rows(c, edges), 0 < c < d prime
+    to d, c + d edges[0] >= 2, yields (j0, mask) per slot segment [j0, j1)
+    of edges, mask[i] true exactly when c + d(j0 + i) is prime."""
+    base = simple_sieve(math.isqrt(max(x_max, 0)))
+    base = base[(base > WHEEL[-1]) & (d % base != 0)]
+    inv = np.array([pow(d, -1, p) for p in base.tolist()], dtype=np.int64)
+    wheel = [(p, pow(d, -1, p)) for p in WHEEL if d % p]
+    period = math.prod(p for p, _ in wheel)
+
+    def rows(c: int, edges: Sequence[int]) -> Iterator[Tuple[int, np.ndarray]]:
+        # j of each base prime's next strike: its first multiple >= p^2
+        first = (base * base - c + d - 1) // d
+        nxt = first + (-c * inv - first) % base
+        # the wheel pattern over j, long enough to cut any segment from any
+        # phase of its period, and no longer than the row needs; it strikes
+        # the wheel primes of the row too, at the slots `own`
+        longest = max((b - a for a, b in zip(edges, edges[1:])), default=0)
+        pattern = np.ones(min(edges[-1], period - 1 + longest), dtype=bool)
+        for p, u in wheel:
+            pattern[-c * u % p:: p] = False
+        own = [(p - c) // d for p, _ in wheel if (p - c) % d == 0]
+        for j0, j1 in zip(edges, edges[1:]):
+            phase = j0 % period
+            mask = pattern[phase: phase + j1 - j0].copy()
+            act = nxt < j1
+            strikes, steps = nxt[act], base[act]
+            for s, p in zip((strikes - j0).tolist(), steps.tolist()):
+                mask[s:: p] = False
+            nxt[act] = strikes + (j1 - strikes + steps - 1) // steps * steps
+            mask[[j - j0 for j in own if j0 <= j < j1]] = True
+            yield j0, mask
+
+    return rows
 
 
 def iter_prime_segments(x_max: int, segment: int = SEGMENT,
@@ -96,7 +99,12 @@ def iter_prime_segments(x_max: int, segment: int = SEGMENT,
     """Yield ascending arrays of primes covering [2, x_max], one per
     segment [lo, min(lo + segment, x_max + 1)) with lo starting at 2, and
     nothing for x_max < 2."""
-    for i, (k0, mask) in enumerate(_odd_prime_masks(x_max, segment)):
+    if x_max < 2:
+        return
+    # odd n in [lo, hi) <-> slots k of n = 1 + 2k in [lo // 2, hi // 2)
+    edges = [lo // 2 for lo in range(2, x_max + 1, segment)]
+    rows = _progression_sieve(2, x_max)
+    for i, (k0, mask) in enumerate(rows(1, edges + [(x_max + 1) // 2])):
         idx = 2 * (np.flatnonzero(mask) + k0) + 1
         yield np.concatenate(([2], idx)) if i == 0 else idx
 
@@ -198,43 +206,58 @@ def sieve_race(q: int, x_max: int,
                ) -> PrimeRaceTable:
     """Segmented sieve accumulating per-residue counts at checkpoints."""
     check_budget(x_max, f"x_max {x_max}")
+    x_max = int(x_max)
     residues = unit_group(q).units
     phi = len(residues)
-    cps = checkpoints_from_rule(checkpoint_rule, int(x_max), phi + 1)
+    cps = checkpoints_from_rule(checkpoint_rule, x_max, phi + 1)
     # n = 2k + 1 mod q depends on k mod m only; the class of each residue
     # is the k of its odd representative below 2q
     m = q // math.gcd(q, 2)
     units = np.array(residues)
     klass = (units + q * (1 - units % 2) - 1) // 2
-    # the odd n <= c are the k < (c + 1) // 2
-    cut = (cps + 1) // 2
+    # rows n = c + d j, d = 2r for the largest r | m whose rows fill a
+    # segment of SEGMENT / 2 slots: class k is sub-class j = k // r (mod
+    # sub) of row c = 2(k % r) + 1, and each sub-class of a row is one class
+    r = next(r for r in range(max(min(m, x_max // SEGMENT), 1), 0, -1)
+             if m % r == 0)
+    d, sub = 2 * r, m // r
+    rows = _progression_sieve(d, x_max)
     counts = np.zeros((len(cps), phi), dtype=np.int64)
-    pi = np.zeros(len(cps), dtype=np.int64)
-    # odd primes per class below the current segment
-    carry = np.zeros(m, dtype=np.int64)
-    done = 0
-    for k0, mask in _odd_prime_masks(int(x_max)):
-        end = int(np.searchsorted(cut, k0 + len(mask), side="right"))
-        # grid starts at the k below k0 divisible by m, so that row s of
-        # its transpose holds the class k = s (mod m) in order, from
-        # at[rows[s]] to at[rows[s + 1]]
-        lead = k0 % m
-        width = -(-(lead + len(mask)) // m)
-        grid = np.zeros(width * m, dtype=bool)
-        grid[lead: lead + len(mask)] = mask
-        at = np.flatnonzero(grid.reshape(width, m).T)
-        rows = np.searchsorted(at, np.arange(m + 1) * width)
-        # ceil((c - s) / m) slots of row s lie below a cut c
-        s = np.arange(m)[:, None]
-        below = np.searchsorted(
-            at, (cut[done:end] - k0 + lead - s + m - 1) // m + s * width)
-        below += (carry - rows[:-1])[:, None]
-        counts[done:end] = below[klass].T
-        pi[done:end] = below.sum(axis=0)
-        carry += np.diff(rows)
-        done = end
-    # the prime 2 lies below every checkpoint
-    pi += 1
+    # 2, and each odd prime p | r: the one prime of its row, not sieved
+    pi = np.ones(len(cps), dtype=np.int64) + sum(
+        cps >= p for p in simple_sieve(r)[1:].tolist() if r % p == 0)
+    for c in filter(lambda c: math.gcd(c, r) == 1, range(1, d, 2)):
+        # the slots with 2 <= n <= x_max, cut into equal segments
+        lo, hi = int(c == 1), max((x_max - c) // d + 1, 1)
+        parts = max(-(-(hi - lo) // (SEGMENT // 2)), 1)
+        edges = [lo + (hi - lo) * i // parts for i in range(parts + 1)]
+        cols = np.flatnonzero(klass % r == c // 2)
+        # the n <= x are the j < (x - c) // d + 1
+        cut = (cps - c) // d + 1
+        # primes per sub-class below the current segment, and cuts done
+        carry, done = np.zeros(sub, dtype=np.int64), 0
+        for j0, mask in rows(c, edges):
+            end = int(np.searchsorted(cut, j0 + len(mask), side="right"))
+            # grid starts at the j below j0 divisible by sub: row t of its
+            # transpose holds sub-class t in order, at[bounds[t]:bounds[t+1]]
+            lead = j0 % sub
+            width = -(-(lead + len(mask)) // sub)
+            grid = mask
+            if lead or len(mask) % sub:
+                grid = np.zeros(width * sub, dtype=bool)
+                grid[lead: lead + len(mask)] = mask
+            at = np.flatnonzero(grid.reshape(width, sub).T)
+            bounds = np.searchsorted(at, np.arange(sub + 1) * width)
+            # ceil((x - t) / sub) slots of row t lie below a cut x
+            t = np.arange(sub)[:, None]
+            below = np.searchsorted(
+                at, (cut[done:end] - j0 + lead - t + sub - 1) // sub
+                + t * width)
+            below += (carry - bounds[:-1])[:, None]
+            counts[done:end, cols] = below[klass[cols] // r].T
+            pi[done:end] += below.sum(axis=0)
+            carry += np.diff(bounds)
+            done = end
     if q % 2:
         counts[:, residues.index(2)] += 1
     return PrimeRaceTable(q=q, residues=residues, checkpoints=cps,
@@ -256,10 +279,10 @@ def first_lead_change(q: int, a: int, b: int, x_max: int) -> int | None:
     initial_sign = 0
     for primes in iter_prime_segments(int(x_max)):
         rem = primes % q
-        hits = primes[(rem == a) | (rem == b)]
-        if len(hits) == 0:
+        hit = np.flatnonzero((rem == a) | (rem == b))
+        if len(hit) == 0:
             continue
-        deltas = np.where(hits % q == a, 1, -1)
+        deltas = np.where(rem[hit] == a, 1, -1)
         cums = diff + np.cumsum(deltas)
         start = 0
         if initial_sign == 0:
@@ -271,7 +294,7 @@ def first_lead_change(q: int, a: int, b: int, x_max: int) -> int | None:
             initial_sign = int(np.sign(cums[start]))
         flips = np.nonzero(np.sign(cums[start:]) == -initial_sign)[0]
         if len(flips):
-            return int(hits[start + int(flips[0])])
+            return int(primes[hit[start + int(flips[0])]])
         diff = int(cums[-1])
     return None
 

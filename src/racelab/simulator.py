@@ -514,6 +514,8 @@ def one_period_trace(s: RaceFunctionSet, samples: int = 4096,
     _check_budget(samples, s.members)
     u = base_u + np.linspace(0.0, 2.0 * math.pi / lattice, samples,
                              endpoint=False)
+    if not np.all(np.diff(u) > 0):
+        raise ValueError(f"the period's samples collapse at base_u {base_u:g}")
     values = dominant_member_values(s.system, s.members, u)
     return OrderingTrace(u=u, members=tuple(s.members), values=values,
                          tie_tol=tie_tol, periodic=True)

@@ -370,6 +370,33 @@ def test_simulate_non_finite_base_u_is_config_error(tmp_path, capsys):
     assert not csv.exists()
 
 
+def test_period_collapsed_by_base_u_is_config_error(tmp_path, capsys):
+    # the README's q = 7 thm311 recipe: at base_u 1e300 every sample of the
+    # period rounds to the same u, which is no census of the period
+    rec = tmp_path / "rec.json"
+    out = tmp_path / "census.json"
+    assert run(["barrier", "build", "thm311", "--q", 7, "--tau", 1000,
+                "--out", rec]) == 0
+    capsys.readouterr()
+    assert_config_error(["orderings", "--recipe", rec, "--base-u", "1e300",
+                         "--out", out], capsys)
+    assert not out.exists()
+    assert run(["orderings", "--recipe", rec, "--base-u", "1e3",
+                "--out", out]) == 0
+
+
+def test_extremal_claim_on_collapsed_period_is_config_error(tmp_path, capsys):
+    # the README's thm43 recipe: a true claim is not refused (exit 2), the
+    # collapsed period is named as a configuration error
+    rec = tmp_path / "ext.json"
+    assert run(["barrier", "build", "thm43", "--q", 7, "--D", "a,a2,a3",
+                "--out", rec]) == 0
+    capsys.readouterr()
+    assert_config_error(["orderings", "--recipe", rec, "--claim",
+                         "extremal_exact", "--base-u", "1e300",
+                         "--out", tmp_path / "c.json"], capsys)
+
+
 def test_simulate_non_finite_window_is_config_error(tmp_path, capsys):
     rec = built_thm311(tmp_path, capsys)
     csv = tmp_path / "t.csv"

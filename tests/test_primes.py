@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 from importlib import resources
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from racelab import primes
 from racelab.primes import (SEGMENT, BudgetExceededError,
                             InsufficientZeroDataError, InvalidPairError,
                             PrimeRaceTable, checkpoints_from_rule,
@@ -150,6 +152,84 @@ def test_sieve_race_matches_reference(q):
 def test_sieve_race_matches_reference_property(q, x_max, data):
     cps = data.draw(st.lists(st.integers(-3, x_max + 3), max_size=60))
     assert_same_table(q, x_max, cps)
+
+
+def expected_rows(q, x_max):
+    """The rows n = c + d j that sieve_race sieves, restated: d = 2r for the
+    largest r | m, m = q / gcd(q, 2), with x_max >= r * SEGMENT; one row per
+    odd c < d prime to r, its slots j with 2 <= n <= x_max cut into the
+    fewest equal segments of at most SEGMENT / 2 slots."""
+    m = q // math.gcd(q, 2)
+    r = max(r for r in range(1, m + 1) if m % r == 0
+            and (r == 1 or r * SEGMENT <= x_max))
+    rows = {}
+    for c in range(1, 2 * r, 2):
+        if math.gcd(c, r) == 1:
+            lo, hi = int(c == 1), (x_max - c) // (2 * r) + 1
+            parts = -(-(hi - lo) // (SEGMENT // 2))
+            rows[c] = [lo + (hi - lo) * i // parts for i in range(parts + 1)]
+    return 2 * r, rows
+
+
+def spy_rows(monkeypatch):
+    """Record (d, c) -> edges of every row that sieve_race sieves."""
+    seen = {}
+    kernel = primes._progression_sieve
+
+    def spy(d, x_max):
+        rows = kernel(d, x_max)
+
+        def recorded(c, edges):
+            seen[d, c] = list(edges)
+            return rows(c, edges)
+        return recorded
+
+    monkeypatch.setattr(primes, "_progression_sieve", spy)
+    return seen
+
+
+# (q, x_max, r): r = 1 with many segments; 1 < r < m, odd and even, with
+# sub-classes inside each row; r = m with more than one segment per row
+@pytest.mark.parametrize("q,x_max,r", [
+    (1009, 10**6, 1), (1009, 3 * 10**7, 1), (35, 3 * 10**7, 7),
+    (60, 3 * 10**7, 10), (13, 3 * 10**7, 13), (12, 3 * 10**7, 6),
+    (9, 3 * 10**7, 9), (3, 10**8, 3)])
+def test_sieve_race_rows_match_reference(monkeypatch, q, x_max, r):
+    d, rows = expected_rows(q, x_max)
+    assert d == 2 * r and (r == 1 or max(map(len, rows.values())) > 2)
+    seen = spy_rows(monkeypatch)
+    sieve_race(q, x_max, [x_max])
+    monkeypatch.undo()
+    assert seen == {(d, c): edges for c, edges in rows.items()}
+    # checkpoints on both sides of every row-segment edge and at the primes
+    # dividing q, whose rows are not sieved when they divide r
+    cps = [c + d * e + k for c, edges in rows.items() for e in edges
+           for k in (-d, -1, 0, 1, d)]
+    cps += [int(p) + k for p in simple_sieve(q) if q % p == 0
+            for k in (-1, 0, 1)]
+    assert_same_table(q, x_max, cps + [x_max - 1, x_max])
+
+
+@pytest.mark.parametrize("d", [6, 26, 38, 210, 2 * 19 * 23, 30030,
+                               2 * 3 * 5 * 7 * 11 * 13 * 17 * 19])
+def test_progression_rows_match_simple_sieve(d):
+    # every row c < 400 prime to d, at uneven segments: a wheel prime or a
+    # base prime as c, wheel and base primes dividing d, patterns shorter
+    # and longer than a row
+    x_max = 10**6
+    is_prime = np.zeros(x_max + 1, dtype=bool)
+    is_prime[simple_sieve(x_max)] = True
+    rows = primes._progression_sieve(d, x_max)
+    for c in range(1, min(d, 400), 2):
+        if math.gcd(c, d) > 1:
+            continue
+        lo = int(c == 1)
+        hi = max((x_max - c) // d + 1, lo)
+        edges = [lo, *range(lo + 1, hi, 4999), hi]
+        got = list(rows(c, edges))
+        assert [j0 for j0, _ in got] == edges[:-1]
+        assert np.array_equal(np.concatenate([mask for _, mask in got]),
+                              is_prime[c + d * np.arange(lo, hi)])
 
 
 def test_pi_powers_of_ten_to_1e8():

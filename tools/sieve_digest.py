@@ -1,0 +1,66 @@
+#!/usr/bin/env python3
+"""Sieve a fixed grid of prime races and record the sha256 of each table's
+CSV, so that two source trees can be compared case by case.
+
+The grid: q = 3..60, 210, 1009 and 30030, each at x_max = 1e5, 1e6 and
+1e7, plus 3e7 for q <= 13 and 1e8 for q = 3; every case under the
+checkpoint rules "geometric:1.01" and "linear" (step x_max // 1000).  Each
+case records q, x_max, the rule, the number of checkpoints, pi(x_max) and
+the sha256 of `PrimeRaceTable.to_csv()`, so equal lines mean equal tables.
+
+Usage, once per source tree, then compare the two files line by line (one
+case per line, in a fixed order):
+    python tools/sieve_digest.py --out digest.json
+    diff old.json new.json
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from racelab.primes import sieve_race  # noqa: E402
+
+MODULI = list(range(3, 61)) + [210, 1009, 30030]
+RULES = ("geometric:1.01", "linear")
+
+
+def cases():
+    for q in MODULI:
+        xs = [10**5, 10**6, 10**7] + [3 * 10**7] * (q <= 13) \
+            + [10**8] * (q == 3)
+        for x_max in xs:
+            for rule in RULES:
+                yield q, x_max, rule
+
+
+def run_case(q: int, x_max: int, rule: str) -> dict:
+    table = sieve_race(q, x_max, checkpoint_rule=rule)
+    return {"q": q, "x_max": x_max, "rule": rule,
+            "checkpoints": len(table.checkpoints),
+            "pi_max": int(table.pi[-1]),
+            "sha256": hashlib.sha256(table.to_csv().encode()).hexdigest()}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args()
+
+    t0 = time.perf_counter()
+    results = [run_case(*case) for case in cases()]
+    elapsed = time.perf_counter() - t0
+    Path(args.out).write_text(
+        "[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in results)
+        + "\n]\n", encoding="utf-8")
+    print(f"{len(results)} tables in {elapsed:.1f} s -> {args.out}",
+          file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

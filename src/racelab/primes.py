@@ -7,10 +7,10 @@ One kernel, `_progression_sieve`, sieves a progression n = c + d j, d even,
 segment by segment into boolean masks over its slots j: a wheel pattern of
 the row with the multiples of 3..17 struck, then each base prime above 17
 from its first strike on (found from one inverse of d per prime, for every
-row), carried from segment to segment. `iter_prime_segments` reads the odd
-row (c, d) = (1, 2) as prime arrays (for `first_lead_change`). `sieve_race`
-sieves one at a time the rows c prime to r of d = 2r, r the largest divisor
-of m = q / gcd(q, 2) whose rows fill a segment. n mod q depends only on c
+row), carried from segment to segment. `first_lead_change` sieves just the
+two rows of its classes, cut at shared slots. `sieve_race` sieves one at a
+time the rows c prime to r of d = 2r, r the largest divisor of
+m = q / gcd(q, 2) whose rows fill a segment. n mod q depends only on c
 and j mod m / r, so each such sub-class of a row is one residue class,
 counted straight from the mask; 2 and the odd primes dividing r, alone in
 their rows, are added to pi. `simple_sieve` supplies the base primes.
@@ -92,21 +92,6 @@ def _progression_sieve(d: int, x_max: int):
             yield j0, mask
 
     return rows
-
-
-def iter_prime_segments(x_max: int, segment: int = SEGMENT,
-                        ) -> Iterator[np.ndarray]:
-    """Yield ascending arrays of primes covering [2, x_max], one per
-    segment [lo, min(lo + segment, x_max + 1)) with lo starting at 2, and
-    nothing for x_max < 2."""
-    if x_max < 2:
-        return
-    # odd n in [lo, hi) <-> slots k of n = 1 + 2k in [lo // 2, hi // 2)
-    edges = [lo // 2 for lo in range(2, x_max + 1, segment)]
-    rows = _progression_sieve(2, x_max)
-    for i, (k0, mask) in enumerate(rows(1, edges + [(x_max + 1) // 2])):
-        idx = 2 * (np.flatnonzero(mask) + k0) + 1
-        yield np.concatenate(([2], idx)) if i == 0 else idx
 
 
 def checkpoints_from_rule(rule: str | Sequence[float], x_max: int,
@@ -275,27 +260,37 @@ def first_lead_change(q: int, a: int, b: int, x_max: int) -> int | None:
     if not (group.is_unit(a) and group.is_unit(b)):
         raise InvalidPairError("residues must be units")
     check_budget(x_max, f"x_max {x_max}")
-    diff = 0
-    initial_sign = 0
-    for primes in iter_prime_segments(int(x_max)):
-        rem = primes % q
-        hit = np.flatnonzero((rem == a) | (rem == b))
-        if len(hit) == 0:
-            continue
-        deltas = np.where(rem[hit] == a, 1, -1)
-        cums = diff + np.cumsum(deltas)
-        start = 0
-        if initial_sign == 0:
-            nonzero = np.nonzero(cums != 0)[0]
-            if len(nonzero) == 0:
-                diff = int(cums[-1])
+    x_max = int(x_max)
+    # class r is the row n = c + d j of its odd representative c < d; both
+    # rows are cut at the same slots (row 1 from slot 1), so every n of a
+    # segment lies below every n of the next
+    d = 2 * q // math.gcd(q, 2)
+    cs = [r + q * (1 - r % 2) for r in (a, b)]
+    hi = max(x_max // d, 0) + 1
+    cuts = list(range(SEGMENT // 2, hi, SEGMENT // 2)) + [hi]
+    rows = _progression_sieve(d, x_max)
+    # primes per class below the segment; 2, in no row, opens the race for
+    # its class (r = 2 is a unit only for odd q)
+    count = [int(r == 2 and x_max >= 2) for r in (a, b)]
+    lead = count.index(1) if any(count) else None
+    for segment in zip(*(rows(c, [int(c == 1)] + cuts) for c in cs)):
+        ps = [c + d * (np.flatnonzero(mask) + j0)
+              for c, (j0, mask) in zip(cs, segment)]
+        ps = [p[p <= x_max] for p in ps]
+        if lead is None:
+            # the first prime of either class puts its class ahead
+            heads = [(p[0], i) for i, p in enumerate(ps) if len(p)]
+            if not heads:
                 continue
-            start = int(nonzero[0])
-            initial_sign = int(np.sign(cums[start]))
-        flips = np.nonzero(np.sign(cums[start:]) == -initial_sign)[0]
-        if len(flips):
-            return int(primes[hit[start + int(flips[0])]])
-        diff = int(cums[-1])
+            lead = min(heads)[1]
+        # only the trailing class flips the sign: at the first of its primes
+        # t whose count up to t exceeds the leader's
+        ahead, behind = ps[lead], ps[1 - lead]
+        passed = np.flatnonzero(count[1 - lead] + np.arange(1, len(behind) + 1)
+                                > count[lead] + np.searchsorted(ahead, behind))
+        if len(passed):
+            return int(behind[passed[0]])
+        count = [n + len(p) for n, p in zip(count, ps)]
     return None
 
 

@@ -65,14 +65,16 @@ class TrigPoly:
     def sine(coeffs: Sequence[float], freqs: Sequence[float],
              phases: Sequence[float] | None = None) -> "TrigPoly":
         phases = phases if phases is not None else [0.0] * len(coeffs)
+        if not len(coeffs) == len(freqs) == len(phases):
+            raise ValueError(f"lengths differ: {len(coeffs)} coefficients, "
+                             f"{len(freqs)} frequencies, {len(phases)} phases")
         return TrigPoly(tuple(zip(coeffs, freqs, phases)))
 
     @staticmethod
     def cosine(coeffs: Sequence[float], freqs: Sequence[float],
                phases: Sequence[float] | None = None) -> "TrigPoly":
         phases = phases if phases is not None else [0.0] * len(coeffs)
-        return TrigPoly(tuple((c, t, a + math.pi / 2)
-                              for c, t, a in zip(coeffs, freqs, phases)))
+        return TrigPoly.sine(coeffs, freqs, [a + math.pi / 2 for a in phases])
 
     @staticmethod
     def zero() -> "TrigPoly":
@@ -580,6 +582,8 @@ def find_all_negative(t: Sequence[float], beta: Sequence[float]) -> float:
     beta = [float(b) for b in beta]
     n = len(t)
     e2 = eps2(n)
+    if len(beta) != n:
+        raise ValueError("phases and frequencies differ in length")
     if any(x <= 0 for x in t):
         raise ValueError("frequencies must be positive")
     if any(abs(b) > e2 + 1e-15 for b in beta):

@@ -451,6 +451,19 @@ def test_trig_non_finite_list_entry_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_trig_unequal_list_lengths_are_config_errors(tmp_path, capsys):
+    # zip would truncate the longer list and solve a smaller problem
+    out = tmp_path / "t.json"
+    for argv in (["all-negative", "--t", "1,1.7320508,2.5", "--beta", "0"],
+                 ["all-negative", "--t", "1", "--beta", "0,0"],
+                 ["dominate", "--freqs", "1", "--b", "1,1", "--a", "1,0.5"],
+                 ["dominate", "--freqs", "1,2", "--b", "1,1", "--a", "1"],
+                 ["dominate", "--freqs", "1,2", "--b", "1,1", "--c", "1"],
+                 ["dominate", "--freqs", "1,2", "--b", "1"]):
+        assert_config_error(["trig", *argv, "--out", out], capsys)
+    assert not out.exists()
+
+
 def test_trig_list_text_is_kept_in_config(tmp_path):
     out = tmp_path / "neg.json"
     assert run(["trig", "all-negative", "--t", "1,1.7320508",

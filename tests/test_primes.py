@@ -14,7 +14,7 @@ from racelab.primes import (SEGMENT, BudgetExceededError,
                             InsufficientZeroDataError, InvalidPairError,
                             PrimeRaceTable, checkpoints_from_rule,
                             compare_with_simulator, first_lead_change,
-                            iter_prime_segments, sieve_race, simple_sieve)
+                            sieve_race, simple_sieve)
 from racelab.residues import InvalidModulusError, unit_group
 from racelab.zerosys import load_zero_data, parse_zero_lines
 
@@ -40,24 +40,40 @@ def bundled_chi3_zeros():
         return load_zero_data(p)
 
 
+def odd_row_primes(x_max, segment=SEGMENT):
+    """The primes in [2, x_max]: 2, then the kernel's odd row n = 1 + 2k,
+    one ascending array per segment [lo, lo + segment), lo = 2, 2 + segment,
+    and so on."""
+    if x_max < 2:
+        return
+    edges = [lo // 2 for lo in range(2, x_max + 1, segment)]
+    yield np.array([2], dtype=np.int64)
+    rows = primes._progression_sieve(2, x_max)
+    for k0, mask in rows(1, edges + [(x_max + 1) // 2]):
+        yield 2 * (np.flatnonzero(mask) + k0) + 1
+
+
 def test_sieve_matches_trial_division():
     oracle = trial_division_primes(10_000)
     assert simple_sieve(10_000).tolist() == oracle
-    segmented = np.concatenate(list(iter_prime_segments(10_000, segment=512)))
-    assert segmented.tolist() == oracle
+    segmented = np.concatenate(list(odd_row_primes(10_000, segment=512)))
+    assert segmented.dtype == np.int64 and segmented.tolist() == oracle
+    assert list(odd_row_primes(1)) == []
 
 
 def assert_segments_match_oracle(x_max, segment):
-    """Each yielded array holds exactly simple_sieve's primes in its segment
-    [lo, min(lo + segment, x_max + 1)), lo = 2, 2 + segment, ..."""
-    oracle = simple_sieve(x_max)
-    got = list(iter_prime_segments(x_max, segment))
-    bounds = range(2, x_max + 1, segment)
-    assert len(got) == len(bounds)
-    for arr, lo in zip(got, bounds):
-        hi = min(lo + segment, x_max + 1)
-        assert arr.dtype == np.int64
-        assert np.array_equal(arr, oracle[(oracle >= lo) & (oracle < hi)])
+    """The kernel's odd row n = 1 + 2k, cut at n = 2, 2 + segment, ...,
+    yields one mask per segment [lo, min(lo + segment, x_max + 1)), true
+    exactly at simple_sieve's odd primes in it, and nothing for x_max < 2."""
+    is_prime = np.zeros(x_max + 2, dtype=bool)
+    is_prime[simple_sieve(x_max)] = True
+    edges = [lo // 2 for lo in range(2, x_max + 1, segment)]
+    ends = edges[1:] + [(x_max + 1) // 2]
+    got = list(primes._progression_sieve(2, x_max)(1, edges + ends[-1:]))
+    assert [k0 for k0, _ in got] == edges
+    for (k0, mask), k1 in zip(got, ends):
+        assert mask.dtype == bool
+        assert np.array_equal(mask, is_prime[1 + 2 * np.arange(k0, k1)])
 
 
 @pytest.mark.parametrize("segment", [2, 7, 64, 1000, SEGMENT])
@@ -92,7 +108,7 @@ def ref_sieve_race(q, x_max, checkpoint_rule="geometric:1.01"):
     # hist[i]: primes per column in (cps[i-1], cps[i]]; the last row takes
     # the primes above the last checkpoint
     hist = np.zeros((len(cps) + 1, phi + 1), dtype=np.int64)
-    for primes in iter_prime_segments(int(x_max)):
+    for primes in odd_row_primes(int(x_max)):
         if not len(primes):
             continue
         # rows first..last take the segment's primes, cut at the checkpoints
@@ -210,7 +226,7 @@ def test_sieve_race_rows_match_reference(monkeypatch, q, x_max, r):
     assert_same_table(q, x_max, cps + [x_max - 1, x_max])
 
 
-@pytest.mark.parametrize("d", [6, 26, 38, 210, 2 * 19 * 23, 30030,
+@pytest.mark.parametrize("d", [2, 4, 6, 26, 38, 210, 2 * 19 * 23, 30030,
                                2 * 3 * 5 * 7 * 11 * 13 * 17 * 19])
 def test_progression_rows_match_simple_sieve(d):
     # every row c < 400 prime to d, at uneven segments: a wheel prime or a
@@ -347,6 +363,75 @@ def test_first_lead_change_checks_modulus_first():
     for q in (0, 1, 2):
         with pytest.raises(InvalidModulusError):
             first_lead_change(q, 0, 0, 1000)
+
+
+LEAD_PRIMES = simple_sieve(10**5)
+
+
+def ref_lead_change(q, a, b, x_max):
+    """Reference: the running sign of pi_{q,a} - pi_{q,b} over simple_sieve's
+    primes reduced mod q, 2 included, and the first prime where it turns
+    against its first nonzero value."""
+    ps = LEAD_PRIMES[LEAD_PRIMES <= x_max]
+    hits = ps[(ps % q == a) | (ps % q == b)]
+    cums = np.cumsum(np.where(hits % q == a, 1, -1))
+    nz = np.flatnonzero(cums)
+    if not len(nz):
+        return None
+    flips = np.flatnonzero(np.sign(cums[nz[0]:]) == -np.sign(cums[nz[0]]))
+    return int(hits[nz[0] + flips[0]]) if len(flips) else None
+
+
+def assert_lead_changes_match(q, pairs, xs):
+    """first_lead_change equals the reference for each pair at each x, and
+    at the reference's flip x and one below it."""
+    for a, b in pairs:
+        for x in xs:
+            want = ref_lead_change(q, a, b, x)
+            assert first_lead_change(q, a, b, x) == want, (q, a, b, x)
+            if want is not None:
+                assert first_lead_change(q, a, b, want) == want
+                assert first_lead_change(q, a, b, want - 1) is None
+
+
+def unit_pairs(q, first=None):
+    units = unit_group(q).units[:first]
+    return [(a, b) for a in units for b in units if a != b]
+
+
+@pytest.mark.parametrize("q", list(range(3, 41)) + [60, 210, 1009])
+def test_first_lead_change_matches_reference(q):
+    # every ordered unit pair (the first six units for 1009) up to 1e5, and
+    # for small q also at x below 2, at and around 2 and below d
+    xs = [10**5] + [-3, 0, 1, 2, 3, 10, 100, 3000] * (q <= 13)
+    assert_lead_changes_match(q, unit_pairs(q, 6 if q == 1009 else None), xs)
+
+
+@pytest.mark.parametrize("segment,xs", [(2, [3000]), (64, [3000, 10**5])])
+def test_first_lead_change_across_segment_edges(monkeypatch, segment, xs):
+    # SEGMENT / 2 slots of 1 and 32: both rows cross hundreds of edges,
+    # with row 1 starting one slot after the other row
+    monkeypatch.setattr(primes, "SEGMENT", segment)
+    for q in (3, 4, 5, 7, 8, 12, 13, 30):
+        assert_lead_changes_match(q, unit_pairs(q), xs)
+
+
+def test_first_lead_change_edge_cases():
+    # 2 lies in no row: for odd q it puts its class ahead at x = 2, so the
+    # flips come at 83 and 17, where without it they come at 157 and 2459
+    for q, a, b, flip in ((3, 2, 1, None), (5, 2, 3, 83), (5, 3, 2, 83),
+                          (7, 2, 3, 17), (7, 3, 2, 17)):
+        assert first_lead_change(q, a, b, 2) is None
+        assert first_lead_change(q, a, b, 10**5) == flip
+    # row c = 1 with x_max below d = 2q / gcd(q, 2)
+    for q, x in ((1009, 1000), (210, 209), (7, 13)):
+        for b in unit_group(q).units[1:4]:
+            assert first_lead_change(q, 1, b, x) == ref_lead_change(q, 1, b, x)
+    # x_max below 2, and a pair that never flips up to 1e5
+    for x in (-5, 0, 1):
+        assert first_lead_change(4, 1, 3, x) is None
+        assert first_lead_change(3, 2, 1, x) is None
+    assert first_lead_change(3, 2, 1, 10**5) is None
 
 
 def test_budget(monkeypatch):

@@ -33,6 +33,19 @@ def test_eval_examples():
     assert q(0.0) == pytest.approx(1.5)
 
 
+def test_construction_rejects_unequal_lengths():
+    # zip would drop the extra entries of the longer list
+    for build in (TrigPoly.sine, TrigPoly.cosine):
+        for args in (([1.0, 1.0], [1.0]), ([1.0], [1.0, 2.0]),
+                     ([1.0], [1.0], [0.0, 0.0]),
+                     ([1.0, 1.0], [1.0, 2.0], [0.0])):
+            with pytest.raises(ValueError, match="lengths differ"):
+                build(*args)
+    for beta in ([0.0], [0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="differ in length"):
+            find_all_negative([1.0, math.sqrt(3)], beta)
+
+
 def test_construction_rejects_bad_frequencies():
     with pytest.raises(ValueError):
         TrigPoly(((1.0, 0.0, 0.0),))

@@ -7,6 +7,9 @@ The grid: q = 3..60, 210, 1009 and 30030, each at x_max = 1e5, 1e6 and
 checkpoint rules "geometric:1.01" and "linear" (step x_max // 1000).  Each
 case records q, x_max, the rule, the number of checkpoints, pi(x_max) and
 the sha256 of `PrimeRaceTable.to_csv()`, so equal lines mean equal tables.
+Then one line per lead-change case: q = 3..60, the first three unit pairs
+(a, b), a < b, of each, at x_max = 1e5, 1e6 and 1e7, plus (3, 2, 1, 1e8);
+each records q, a, b, x_max and `first_lead_change(q, a, b, x_max)`.
 
 Usage, once per source tree, then compare the two files line by line (one
 case per line, in a fixed order):
@@ -16,6 +19,7 @@ case per line, in a fixed order):
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -23,7 +27,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from racelab.primes import sieve_race  # noqa: E402
+from racelab.primes import first_lead_change, sieve_race  # noqa: E402
+from racelab.residues import unit_group  # noqa: E402
 
 MODULI = list(range(3, 61)) + [210, 1009, 30030]
 RULES = ("geometric:1.01", "linear")
@@ -36,6 +41,21 @@ def cases():
         for x_max in xs:
             for rule in RULES:
                 yield q, x_max, rule
+
+
+def lead_cases():
+    for q in range(3, 61):
+        pairs = list(itertools.islice(
+            itertools.combinations(unit_group(q).units, 2), 3))
+        for x_max in (10**5, 10**6, 10**7):
+            for a, b in pairs:
+                yield q, a, b, x_max
+    yield 3, 2, 1, 10**8
+
+
+def run_lead_case(q: int, a: int, b: int, x_max: int) -> dict:
+    return {"q": q, "a": a, "b": b, "x_max": x_max,
+            "first_lead_change": first_lead_change(q, a, b, x_max)}
 
 
 def run_case(q: int, x_max: int, rule: str) -> dict:
@@ -53,11 +73,12 @@ def main() -> int:
 
     t0 = time.perf_counter()
     results = [run_case(*case) for case in cases()]
+    results += [run_lead_case(*case) for case in lead_cases()]
     elapsed = time.perf_counter() - t0
     Path(args.out).write_text(
         "[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in results)
         + "\n]\n", encoding="utf-8")
-    print(f"{len(results)} tables in {elapsed:.1f} s -> {args.out}",
+    print(f"{len(results)} cases in {elapsed:.1f} s -> {args.out}",
           file=sys.stderr)
     return 0
 

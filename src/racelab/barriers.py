@@ -193,18 +193,10 @@ def build_thm311(q: int, tau: float = 0.0, beta: float = 0.75,
     if gamma <= tau:
         raise ValueError("gamma must exceed tau")
     structure = _pick_structure(q)
-    entries: Dict[int, Dict[Zero, int]] = {}
-
-    def put(label: int, k: int, mult: int) -> None:
-        ch = entries.setdefault(label, {})
-        z = Zero(beta, k * gamma)
-        ch[z] = ch.get(z, 0) + mult
-
     case = structure["case"]
     if case in ("even_cyclic", "n8"):
         a, n = structure["a"], structure["n"]
         chi = character_with_value(q, a, Fraction(-1, n))
-        labels = {j: character_label(chi**j) for j in range(1, n)}
         params = {"case": case, "a": a, "n": n, "chi": character_label(chi)}
         if case == "even_cyclic":
             h, d = _odd_split(n)
@@ -213,29 +205,28 @@ def build_thm311(q: int, tau: float = 0.0, beta: float = 0.75,
             # slope tan(pi/h), which works for every odd h (s = 2^d alone
             # fails at h = 5, where tan(2 pi/5) > sqrt(3))
             s = 2**d * ((h - 1) // 2)
-            mults = {(2, 6): 3, ((2 * h - 2) % n, 1): 2}
-            for k, w in SIN_WEIGHTS.items():
-                mults[(h, k)] = mults.get((h, k), 0) + w
+            mults = [(2, 6, 3), ((2 * h - 2) % n, 1, 2),
+                     *((h, k, w) for k, w in SIN_WEIGHTS.items())]
             params.update(h=h, d=d)
         else:
             s = 3
-            mults = {(2, 1): 4}
-            for k, w in SIN_WEIGHTS.items():
-                mults[(3, k)] = w
-                mults[(5, k)] = w
+            mults = [(2, 1, 4), *((j, k, w) for j in (3, 5)
+                                  for k, w in SIN_WEIGHTS.items())]
         params["s"] = s
-        for (j, k), w in mults.items():
-            put(labels[j], k, w)
+        # (label of chi^j, k, mult) for each zero at height k gamma
+        mults = [(character_label(chi**j), k, w) for j, k, w in mults]
     else:
         a, b = structure["a"], structure["b"]
         table = characters(q)
         params = {"case": case, "a": a, "b": b, "subcase": "z4z2",
                   "chi1": table.label_with((a, Fraction(3, 4)), (b, 0)),
                   "chi2": table.label_with((a, 0), (b, Fraction(1, 2)))}
-        put(params["chi1"], 1, 1)  # the Z4 factor
-        for l, w in SIN_WEIGHTS.items():
-            put(params["chi2"], l, w)  # the Z2 factor
-    system = ZeroSystem(q, entries, height_lattice=gamma)
+        # the Z4 factor, then the Z2 factor
+        mults = [(params["chi1"], 1, 1),
+                 *((params["chi2"], l, w) for l, w in SIN_WEIGHTS.items())]
+    system = ZeroSystem.from_zeros(
+        q, ((label, Zero(beta, k * gamma), w) for label, k, w in mults),
+        height_lattice=gamma)
     points = _thm311_points(q, params)
     params.update(beta=beta, gamma=gamma,
                   designated=[list(t) if len(t) > 1 else t[0] for t in points],
@@ -254,7 +245,7 @@ _THM311_INTS = {"even_cyclic": ("a", "n", "h", "d", "s", "chi"),
 def _thm311_points(q: int, p: dict) -> Dict[Tuple[int, ...], tuple]:
     """The designated exponents r of the thm311 case p["case"], in recipe
     order, each with the unit it names (a^r on one factor, a^r1 b^r2 on
-    Z4 x Z2) and the closed forms of `_thm311_forms`: `build_thm311`
+    Z4 x Z2) and the closed form of `_thm311_forms`: `build_thm311`
     writes designated and D from it, and the load check and
     `verify_thm311` read it."""
     gens = (p["a"], p.get("b"))
@@ -264,11 +255,11 @@ def _thm311_points(q: int, p: dict) -> Dict[Tuple[int, ...], tuple]:
 
 @lru_cache(maxsize=_SCAN_MEMO)
 def _thm311_forms(case: str, n: int | None, s: int | None) -> tuple:
-    """(r, closed forms that G_0 - G_r may equal) per designated r.  Even
+    """(r, the closed form G_0 - G_r equals) per designated r.  Even
     cyclic, c = 4 pi s/n: (1 - cos c) Q +- sin(c) P at s and n - s, 2R at
     n/2 (those in [0, n) only).  n = 8: 4 sin v +- 4 cos v + (2 - sqrt 2) R
-    at 3 and 5, either sign, 4R at 4.  Z4 x Z2: sin v -+ cos v at (1, 0)
-    and (3, 0), 2R at (0, 1)."""
+    at 3 and 5, 4R at 4.  Z4 x Z2: sin v -+ cos v at (1, 0) and (3, 0), 2R
+    at (0, 1)."""
     q_poly, p_poly, r_poly = qpr_polys()
     sin_v, cos_v = TrigPoly.sine([1.0], [1.0]), TrigPoly.cosine([1.0], [1.0])
     if case == "even_cyclic":
@@ -277,14 +268,14 @@ def _thm311_forms(case: str, n: int | None, s: int | None) -> tuple:
         by_r = {s: carrier + p_poly.scale(math.sin(c)),
                 n - s: carrier + p_poly.scale(-math.sin(c)),
                 n // 2: r_poly.scale(2.0)}
-        return tuple(((r,), (by_r[r],)) for r in sorted(by_r) if 0 <= r < n)
+        return tuple(((r,), by_r[r]) for r in sorted(by_r) if 0 <= r < n)
     if case == "n8":
         tail = r_poly.scale(2 - math.sqrt(2))
-        odd = tuple(TrigPoly.combine([sin_v.scale(4.0), cos_v.scale(w), tail])
-                    for w in (4.0, -4.0))
-        return (((3,), odd), ((4,), (r_poly.scale(4.0),)), ((5,), odd))
-    return (((1, 0), (sin_v + cos_v.scale(-1.0),)),
-            ((3, 0), (sin_v + cos_v,)), ((0, 1), (r_poly.scale(2.0),)))
+        odd = {r: TrigPoly.combine([sin_v.scale(4.0), cos_v.scale(w), tail])
+               for r, w in ((3, 4.0), (5, -4.0))}
+        return (((3,), odd[3]), ((4,), r_poly.scale(4.0)), ((5,), odd[5]))
+    return (((1, 0), sin_v + cos_v.scale(-1.0)),
+            ((3, 0), sin_v + cos_v), ((0, 1), r_poly.scale(2.0)))
 
 
 def _odd_split(n: int) -> Tuple[int, int]:
@@ -304,15 +295,18 @@ def _claim(kind: str, n_v: int = 0) -> str:
 def _check_params(recipe: BarrierRecipe, ints: Sequence[str],
                   want: dict | None = None, claim: str | None = None) -> dict:
     """The params: RecipeMismatchError unless a dict in which ints are ints,
-    gamma is positive and finite and want's keys hold its values, as repr
-    writes them (1 is not 1.0 or True), and the recipe's claim is claim if
-    one is given."""
+    gamma is the system's height lattice, positive and finite, and want's
+    keys hold its values, as repr writes them (1 is not 1.0 or True), and
+    the recipe's claim is claim if one is given."""
     p = recipe.params if isinstance(recipe.params, dict) else {}
     bad = [k for k in ints if type(p.get(k)) is not int]
     if bad:
         raise RecipeMismatchError(f"{recipe.kind} params {bad} must be ints")
-    if type(p.get("gamma")) not in (int, float) or not 0 < p["gamma"] < math.inf:
-        raise RecipeMismatchError(f"gamma {p.get('gamma')!r} must be positive")
+    lattice = recipe.system.height_lattice
+    if (lattice is None or repr(p.get("gamma")) != repr(lattice)
+            or not 0 < lattice < math.inf):  # as from_dict checks it
+        raise RecipeMismatchError(f"gamma {p.get('gamma')!r} must be the "
+                                  f"system's height lattice {lattice!r}")
     bad = [k for k, v in (want or {}).items() if repr(p.get(k)) != repr(v)]
     if bad:
         raise RecipeMismatchError(f"{recipe.kind} params {bad} must be "
@@ -326,10 +320,11 @@ def _check_thm311(recipe: BarrierRecipe) -> list:
     """The designated points with their units and closed forms:
     RecipeMismatchError unless the kind is thm311_<case> for a known case
     (subcase z4z2 exactly on Z4 x Z2), the case's params are ints, gamma is
-    positive and finite, n divides the group exponent (n = 8 in the n8 case,
+    the height lattice, n divides the group exponent (n = 8 in the n8 case,
     n = 2^d h with h odd in the even-cyclic one), 0 <= s < n, designated is
     a nonempty list of exponents that `_thm311_points` names for the case,
-    D lists the units they name, in order, and the claim is `_claim`'s."""
+    D lists the units they name, in order, beta is the one real part of the
+    zeros and the claim is `_claim`'s."""
     p = recipe.params if isinstance(recipe.params, dict) else {}
     case = recipe.kind.removeprefix("thm311_") if type(recipe.kind) is str else None
     if (case not in _THM311_INTS or p.get("case") != case
@@ -354,8 +349,19 @@ def _check_thm311(recipe: BarrierRecipe) -> list:
         raise RecipeMismatchError(
             f"designated {designated!r} must list {case} exponents from "
             f"{[list(t) if len(t) > 1 else t[0] for t in sorted(named)]}")
-    _check_params(recipe, (), {"D": [named[t][0] for t in points]})
+    _check_params(recipe, (), {"D": [named[t][0] for t in points],
+                               **_one_beta(recipe, "beta")})
     return [(t, named[t]) for t in points]
+
+
+def _one_beta(recipe: BarrierRecipe, name: str) -> dict:
+    """{name: the one real part of the system's zeros}: RecipeMismatchError
+    unless they share one."""
+    betas = {z.beta for z in recipe.system.all_zeros()}
+    if len(betas) != 1:
+        raise RecipeMismatchError(f"{recipe.kind} zeros have the real parts "
+                                  f"{sorted(betas)}, not one {name}")
+    return {name: betas.pop()}
 
 
 @dataclass(frozen=True)
@@ -390,12 +396,11 @@ def _lattice_scan(g0: TrigPoly, grs: Tuple[TrigPoly, ...],
 def verify_thm311(recipe: BarrierRecipe, step: float = 1e-3) -> Thm311Report:
     """Certified check that at every v in [0, 2pi) some designated difference
     G_0 - G_r (resp. G_00 - G_rs) is negative, plus the case identity of
-    every designated r: G_0 - G_r equals a closed form of `_thm311_points`.
+    every designated r: G_0 - G_r equals its closed form of `_thm311_points`.
 
     An identity error is sum over frequencies of |phasor of (G_0 - G_r) -
     phasor of the closed form|, which bounds the gap at every v and must be
-    <= 1e-12; where a point has two closed forms (n = 8), the lesser error
-    counts.  The scan certifies max_r G_r - G_0 > 0; G_0 and every
+    <= 1e-12.  The scan certifies max_r G_r - G_0 > 0; G_0 and every
     designated G_r (integer frequencies in v) come from one
     `trigpoly.evaluate` call per batch of points, within its documented
     rounding bound of the term-by-term values.
@@ -404,15 +409,14 @@ def verify_thm311(recipe: BarrierRecipe, step: float = 1e-3) -> Thm311Report:
     of a repeated objective is kept and reused (the last `_SCAN_MEMO`
     distinct ones); the load check (`_check_thm311`) and the step and
     grid-budget refusals still run on every call."""
-    designated = _check_thm311(recipe)  # [(r, (unit, closed forms)), ...]
+    designated = _check_thm311(recipe)  # [(r, (unit, closed form)), ...]
     G = theorem_decomposition(recipe.system, "thm311", recipe.params)["G"]
     # G is keyed by exponent tuples: (r,) on one factor, (r, s) on Z4 x Z2
     g0 = G[(0,) * len(designated[0][0])]
     identity_errors = {
-        f"G{'0' * len(r)}-G{''.join(map(str, r))}": min(
+        f"G{'0' * len(r)}-G{''.join(map(str, r))}":
             TrigPoly.combine([g0, G[r].scale(-1.0), f.scale(-1.0)]).amplitude_sum
-            for f in forms)
-        for r, (_, forms) in designated}
+        for r, (_, f) in designated}
 
     check_scan_grid(0.0, 2 * math.pi, step)  # refusals run on a reuse too
     scan = _lattice_scan(g0, tuple(G[r] for r, _ in designated), step)
@@ -702,16 +706,12 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
     n_final = n_tilde[:, 1:] - shift  # drop j=0: a common-mode term
 
     chi = characters(q)[levels["chi"]]
-    entries: Dict[int, Dict[Zero, int]] = {}
-    for j in range(1, r):
-        label = character_label(chi**j)
-        for k in range(1, K_use + 1):
-            mult = int(n_final[k - 1, j - 1])
-            if mult > 0:
-                ch = entries.setdefault(label, {})
-                z = Zero(beta1, k * gamma)
-                ch[z] = ch.get(z, 0) + mult
-    system = ZeroSystem(q, entries, height_lattice=gamma)
+    labels = [character_label(chi**j) for j in range(1, r)]
+    # n_final[k - 1, j - 1] zeros at beta1 + i k gamma on chi^j, j-major
+    system = ZeroSystem.from_zeros(
+        q, ((labels[j], Zero(beta1, (k + 1) * gamma), int(n_final[k, j]))
+            for j, k in np.argwhere(n_final.T > 0).tolist()),
+        height_lattice=gamma)
 
     trace_vals = dominant_member_values(system, levels["D"],
                                         w_grid / gamma)
@@ -770,11 +770,7 @@ def _check_thm43(recipe: BarrierRecipe) -> None:
             f"thm43 D {p.get('D')!r} with seed {p['seed']}: {exc}") from None
     if p.get("corners") != {str(v): t for v, t in omega.corners.items()}:
         raise RecipeMismatchError(f"thm43 corners are not seed {p['seed']}'s")
-    betas = {z.beta for z in recipe.system.all_zeros()}
-    if len(betas) != 1:
-        raise RecipeMismatchError(f"thm43 zeros have the real parts "
-                                  f"{sorted(betas)}, not one beta1")
-    want["beta1"] = betas.pop()
+    want.update(_one_beta(recipe, "beta1"))
     theorem_decomposition(recipe.system, "thm43", _check_params(
         recipe, (), want, _claim(recipe.kind, len(want["V"]))))
 
@@ -823,19 +819,10 @@ def build_thm51(q: int, tau: float = 0.0, M: int = 64,
         betas = list(np.linspace(0.9, 0.6, len(levels["orders"]) + 2)[1:-1])
     betas = [float(b) for b in betas]
 
-    table = characters(q)
-    entries: Dict[int, Dict[Zero, int]] = {}
-    for label, n_j, beta in zip(levels["chars"], levels["orders"], betas):
-        c = (1, 0) if n_j == 2 else (M, 1)
-        for k in (1, 2):
-            if c[k - 1]:
-                ch = entries.setdefault(character_label(table[label]**k), {})
-                z = Zero(beta, k * gamma)
-                ch[z] = ch.get(z, 0) + c[k - 1]
-    system = ZeroSystem(q, entries, height_lattice=gamma)
     params = {**levels, "betas": betas, "gamma": gamma, "M": M}
     recipe = BarrierRecipe(kind="thm51_census", q=q, params=params,
-                           system=system, claim=_claim("thm51_census"))
+                           system=_thm51_system(q, params),
+                           claim=_claim("thm51_census"))
     check_thm51_conditions(recipe)  # raises ConditionFailedError on failure
     return recipe
 
@@ -853,12 +840,23 @@ def _thm51_levels(q: int) -> dict:
             "chars": [character_label(chi) for chi in duals]}
 
 
+def _thm51_system(q: int, p: dict) -> ZeroSystem:
+    """The zeros that thm51 params describe: c_{j,k} of them at
+    beta_j + i k gamma on chi_j^k, k = 1, 2, with coefficients (1, 0) on
+    order-2 levels and (M, 1) otherwise."""
+    table = characters(q)
+    return ZeroSystem.from_zeros(
+        q, ((character_label(table[label]**k), Zero(beta, k * p["gamma"]), c)
+            for label, n_j, beta in zip(p["chars"], p["orders"], p["betas"])
+            for k, c in zip((1, 2), (1, 0) if n_j == 2 else (p["M"], 1))),
+        height_lattice=p["gamma"])
+
+
 def _check_thm51(recipe: BarrierRecipe) -> dict:
     """The system's level waves: RecipeMismatchError unless the kind is
     thm51_census, the levels are `_thm51_levels`, the claim is `_claim`'s,
-    betas decrease strictly in (1/2, 1) and the system's level coefficients
-    are (1, 0) at order 2 and (M, 1) above, for the int M >= 1 of the
-    params."""
+    betas decrease strictly in (1/2, 1), M is an int >= 1 and the system's
+    zeros are those `_thm51_system` emits for the params."""
     if recipe.kind != "thm51_census":
         raise RecipeMismatchError(f"kind {recipe.kind!r} is not thm51_census")
     want = _thm51_levels(recipe.q)
@@ -869,14 +867,11 @@ def _check_thm51(recipe: BarrierRecipe) -> dict:
             and all(x > y for x, y in zip([1, *betas], [*betas, 0.5]))):
         raise RecipeMismatchError(f"betas {betas!r} must decrease strictly "
                                   f"in (1/2, 1), one per level")
-    waves = theorem_decomposition(recipe.system, "thm51", p)
-    c = [(waves["c"][(j, 1)], waves["c"][(j, 2)])
-         for j in range(1, len(orders) + 1)]
-    if p["M"] < 1 or c != [(1, 0) if n == 2 else (p["M"], 1) for n in orders]:
+    if p["M"] < 1 or recipe.system.entries != _thm51_system(recipe.q, p).entries:
         raise RecipeMismatchError(
-            f"the system's level coefficients {c} are not (1, 0) at order 2 "
-            f"and (M, 1) above, with M = {p['M']} >= 1")
-    return waves
+            f"the system's zeros are not the levels' (1, 0) at order 2 and "
+            f"(M, 1) above at beta_j + i k gamma, with M = {p['M']} >= 1")
+    return theorem_decomposition(recipe.system, "thm51", p)
 
 
 # the load check of each recipe kind, which its verifier runs too

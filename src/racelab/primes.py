@@ -267,7 +267,13 @@ def first_lead_change(q: int, a: int, b: int, x_max: int) -> int | None:
     d = 2 * q // math.gcd(q, 2)
     cs = [r + q * (1 - r % 2) for r in (a, b)]
     hi = max(x_max // d, 0) + 1
-    cuts = list(range(SEGMENT // 2, hi, SEGMENT // 2)) + [hi]
+    # segments double from SEGMENT / 1024 slots to SEGMENT / 2, so an early
+    # flip is found before a whole segment is sieved
+    cuts, edge, size = [], 0, max(SEGMENT >> 10, 1)
+    while edge < hi:
+        edge = min(edge + size, hi)
+        cuts.append(edge)
+        size = min(2 * size, SEGMENT // 2)
     rows = _progression_sieve(d, x_max)
     # primes per class below the segment; 2, in no row, opens the race for
     # its class (r = 2 is a unit only for odd q)

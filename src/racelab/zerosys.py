@@ -2,7 +2,8 @@
 
 A ZeroSystem assigns to each non-principal character mod q a finite multiset
 of points rho = beta + i*gamma (gamma >= 0) with positive multiplicities.
-From it we derive, for a pair of residues (a, b): the values
+`ZeroSystem.from_zeros` assembles every system from (label, zero, mult)
+items.  From it we derive, for a pair of residues (a, b): the values
 g(rho) = sum_chi n(rho,chi) (chi(a) - chi(b)), the dominant level
 beta(a,b) = sup{Re rho : g(rho) != 0}, and the dominant set z(a,b).
 
@@ -68,9 +69,9 @@ class ZeroSystem:
             label = int(label)
             if not 0 <= label < len(self.chars):
                 raise ZeroDataError(f"unknown character label {label} mod {q}")
-            if self.chars[label].is_principal and zs:
-                raise ZeroDataError("zeros may not sit on the principal character")
             kept = {z: int(m) for z, m in zs.items() if m}
+            if kept and not self.chars.b[label].any():  # the principal character
+                raise ZeroDataError("zeros may not sit on the principal character")
             if any(m < 0 for m in kept.values()):
                 raise ValueError("multiplicities must be positive")
             if kept:
@@ -99,9 +100,9 @@ class ZeroSystem:
                                     f"k < 2^53 of height_lattice {lattice}")
         # real zeros must appear identically on conjugate characters
         for label, zs in self.entries.items():
-            conj = self.conjugate_label(label)
             for z, m in zs.items():
-                if z.is_real and self.entries.get(conj, {}).get(z, 0) != m:
+                if z.is_real and self.entries.get(
+                        self.conjugate_label(label), {}).get(z, 0) != m:
                     raise ValueError(
                         "real zeros need equal multiplicity on conjugate "
                         "characters")
@@ -160,13 +161,21 @@ class ZeroSystem:
             raise ZeroDataError("zero system needs int q, chi, mult in "
                                 "(0, 2^53], numeric beta, gamma, bool "
                                 "hypothetical, null or positive height_lattice")
+        return cls.from_zeros(d["q"], ((chi, Zero(float(beta), float(gamma)), mult)
+                                       for chi, mult, beta, gamma in zeros),
+                              hypothetical=hypothetical, height_lattice=lattice)
+
+    @classmethod
+    def from_zeros(cls, q: int, zeros: Iterable[Tuple[int, Zero, int]],
+                   **kwargs) -> "ZeroSystem":
+        """The system of the (label, zero, mult) items, with kwargs for the
+        constructor: repeated (label, zero) items sum, labels keep their
+        first-seen order, and a mult-0 item is no zero."""
         entries: Dict[int, Dict[Zero, int]] = {}
-        for chi, mult, beta, gamma in zeros:
-            ch = entries.setdefault(chi, {})
-            z = Zero(float(beta), float(gamma))
+        for label, z, mult in zeros:
+            ch = entries.setdefault(label, {})
             ch[z] = ch.get(z, 0) + mult
-        return cls(d["q"], entries, hypothetical=hypothetical,
-                   height_lattice=lattice)
+        return cls(q, entries, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -273,7 +282,7 @@ def is_kt_candidate(system: ZeroSystem, members: Sequence[int]) -> KTReport:
 
 def parse_zero_lines(lines: Iterable[str], q: int | None = None,
                      ) -> ZeroSystem | None:
-    entries: Dict[int, Dict[Zero, int]] = {}
+    zeros: List[Tuple[int, Zero, int]] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -302,12 +311,10 @@ def parse_zero_lines(lines: Iterable[str], q: int | None = None,
         if not 0 <= label < nchars:
             raise ZeroDataError(
                 f"line {lineno}: unknown character label {label} mod {q}")
-        z = Zero(beta, gamma)
-        ch = entries.setdefault(label, {})
-        ch[z] = ch.get(z, 0) + mult
+        zeros.append((label, Zero(beta, gamma), mult))
     if q is None:
         return None
-    return ZeroSystem(q, entries, hypothetical=False)
+    return ZeroSystem.from_zeros(q, zeros, hypothetical=False)
 
 
 def load_zero_data(path, q: int | None = None) -> ZeroSystem | None:

@@ -864,6 +864,68 @@ def test_height_lattice_not_a_period_is_config_error(tmp_path, capsys):
                             error=ZeroDataError)
 
 
+RECIPE_VERIFIERS = {"thm311": "verify_thm311", "thm43": "verify_extremal",
+                    "thm51": "check_thm51_conditions"}
+
+
+@pytest.mark.parametrize("kind, gamma", [
+    ("thm311", 500.5),  # the heights k 1001 are 2k (1001 / 2)
+    ("thm43", 500.0),  # the heights k 1000 are 2k (1000 / 2)
+    ("thm51", 1001.0000000001),  # within the level waves' height tolerance
+])
+def test_gamma_not_the_height_lattice_is_config_error(tmp_path, capsys, kind,
+                                                      gamma):
+    # one lattice per recipe: each of these gammas also fits the zeros
+    from racelab import barriers
+
+    rec = tmp_path / "rec.json"
+    assert run([*README_RECIPES[kind], "--out", rec]) == 0
+    capsys.readouterr()
+    assert_malformed_recipe(tmp_path, capsys, json.loads(rec.read_text()),
+                            _set(["params", "gamma"], gamma),
+                            getattr(barriers, RECIPE_VERIFIERS[kind]))
+
+
+def test_zero_height_lattice_made_in_python_is_refused():
+    # from_dict refuses a zero lattice; a recipe edited in Python is refused
+    # by its load check, not by a ZeroDivisionError in the decomposition
+    from racelab.barriers import build_thm311, verify_thm311
+    from racelab.simulator import RecipeMismatchError
+
+    recipe = build_thm311(7)
+    recipe.params["gamma"] = recipe.system.height_lattice = 0.0
+    with pytest.raises(RecipeMismatchError, match="height lattice 0.0"):
+        verify_thm311(recipe)
+
+
+def _add_zero(payload):
+    payload["system"]["zeros"].append(
+        {"chi": 2, "beta": 0.95, "gamma": 3003.0, "mult": 5})
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("thm51", _add_zero),  # on the lattice, but no level's zero
+    ("thm311", _set(["system", "zeros", 0, "beta"], 0.95)),
+], ids=["thm51-extra-zero", "thm311-beta-moved"])
+def test_zero_the_params_do_not_emit_is_config_error(tmp_path, capsys, kind,
+                                                     edit):
+    from racelab import barriers
+    from racelab.simulator import RecipeMismatchError
+    from racelab.zerosys import ZeroSystem
+
+    rec = tmp_path / "rec.json"
+    assert run([*README_RECIPES[kind], "--out", rec]) == 0
+    capsys.readouterr()
+    payload = json.loads(rec.read_text())
+    assert_malformed_recipe(tmp_path, capsys, copy.deepcopy(payload), edit)
+    # the same system edit on a recipe in Python
+    recipe = barriers.BarrierRecipe.from_json(rec.read_text())
+    edit(payload)
+    recipe.system = ZeroSystem.from_dict(payload["system"])
+    with pytest.raises(RecipeMismatchError):
+        getattr(barriers, RECIPE_VERIFIERS[kind])(recipe)
+
+
 @pytest.mark.parametrize("q", ["seven", 10**9, 7.0, True, 15])
 @pytest.mark.parametrize("command", ["barrier verify", "simulate", "orderings"])
 def test_recipe_q_not_its_systems_is_config_error(tmp_path, capsys, q,

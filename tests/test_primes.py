@@ -434,6 +434,28 @@ def test_first_lead_change_edge_cases():
     assert first_lead_change(3, 2, 1, 10**5) is None
 
 
+def test_first_lead_change_segments_grow_from_small(monkeypatch):
+    # the flip at 26861 = 1 + 4 * 6715 of a race to 3e7 lies in the third
+    # segment, s + 2s + 4s slots with s = SEGMENT / 1024, and no more of the
+    # two rows (row 1 from slot 1) is sieved
+    sieved = {}
+    progression_sieve = primes._progression_sieve
+
+    def spy(d, x_max):
+        rows = progression_sieve(d, x_max)
+
+        def spied_rows(c, edges):
+            for j0, mask in rows(c, edges):
+                sieved.setdefault(c, []).append(len(mask))
+                yield j0, mask
+        return spied_rows
+
+    monkeypatch.setattr(primes, "_progression_sieve", spy)
+    assert first_lead_change(4, 3, 1, 3 * 10**7) == 26861
+    s = SEGMENT >> 10
+    assert sieved == {3: [s, 2 * s, 4 * s], 1: [s - 1, 2 * s, 4 * s]}
+
+
 def test_budget(monkeypatch):
     monkeypatch.setenv("RACE_LAB_BUDGET", "1000")
     for refused in (lambda: sieve_race(3, 10**4),

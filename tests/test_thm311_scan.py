@@ -100,6 +100,7 @@ def test_changed_objective_misses_the_memo(scans, edit):
         payload["system"]["zeros"][0]["mult"] += 1
     else:  # the heights k gamma become 2k (gamma / 2): new frequencies
         payload["params"]["gamma"] /= 2
+        payload["system"]["height_lattice"] /= 2
     changed = BarrierRecipe.from_json(json.dumps(payload))
     report = verify_thm311(changed)
     assert len(scans) == 2 and report.scan is scans[1]

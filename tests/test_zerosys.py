@@ -40,6 +40,24 @@ def test_principal_character_rejected():
         ZeroSystem(5, {principal: {Zero(0.75, 5.0): 1}})
 
 
+def test_from_zeros_is_a_multiset():
+    # repeats sum, labels keep their first-seen order, and a mult-0 item is
+    # no zero, on the principal character too
+    chars = characters(5)
+    principal = next(i for i, c in enumerate(chars) if c.is_principal)
+    a, b = (label_with_phase(5, 2, Fraction(k, 4)) for k in (1, 3))
+    z, w = Zero(0.75, 5.0), Zero(0.75, 10.0)
+    system = ZeroSystem.from_zeros(
+        5, [(b, w, 1), (principal, z, 0), (a, z, 2), (b, w, 3), (a, w, 0)],
+        height_lattice=5.0)
+    assert list(system.entries) == [b, a]
+    assert system.entries == {b: {w: 4}, a: {z: 2}}
+    assert system.height_lattice == 5.0 and system.hypothetical
+    assert [label for label, _, _ in system.items()] == [b, a]
+    with pytest.raises(ZeroDataError):
+        ZeroSystem.from_zeros(5, [(principal, z, 1)])
+
+
 def test_g_rho_examples():
     q = 5
     lbl = label_with_phase(q, 2, Fraction(3, 4))  # chi(2) = e(-1/4) = -i

@@ -9,11 +9,18 @@ the row with the multiples of 3..17 struck, then each base prime above 17
 from its first strike on (found from one inverse of d per prime, for every
 row), carried from segment to segment. `first_lead_change` sieves just the
 two rows of its classes, cut at shared slots. `sieve_race` sieves one at a
-time the rows c prime to r of d = 2r, r the largest divisor of
-m = q / gcd(q, 2) whose rows fill a segment. n mod q depends only on c
-and j mod m / r, so each such sub-class of a row is one residue class,
-counted straight from the mask; 2 and the odd primes dividing r, alone in
-their rows, are added to pi. `simple_sieve` supplies the base primes.
+time the rows c prime to d of d = 2 r w: r the largest divisor of
+m = q / gcd(q, 2) whose rows fill a segment, and once r = m, w the product
+of the wheel primes not dividing q, taken in order while the rows still fill
+a segment. n mod q depends only on c and j mod m / r, so each such sub-class
+of a row is one residue class, (c + d t) mod q for sub-class t, and the rows
+of one class add up. A prime p dividing d (2, the primes dividing r, the
+wheel primes) lies in no row: it counts in pi from x = p on, and in its
+class when it is a unit. The sub-classes that are not units hold no prime
+but one dividing q, and are not counted; pi counts those primes directly.
+Each segment's primes below its cuts are counted from the sums of the
+mask's 8-slot words, `_prefix_counts`, with no list of primes built.
+`simple_sieve` supplies the base primes.
 """
 
 from __future__ import annotations
@@ -35,6 +42,8 @@ SEGMENT = 1 << 21
 # odd primes presieved by a row's starting pattern, whose period is the
 # product of those not dividing its d (255255 slots of the odd row)
 WHEEL = (3, 5, 7, 11, 13, 17)
+# the slots of an 8-slot word below each offset 0..7, little-endian
+LOW_SLOTS = np.array([(1 << 8 * k) - 1 for k in range(8)], dtype=np.uint64)
 
 
 class InvalidPairError(ValueError):
@@ -92,6 +101,40 @@ def _progression_sieve(d: int, x_max: int):
             yield j0, mask
 
     return rows
+
+
+def _runs(a: np.ndarray) -> np.ndarray:
+    """The starts of the runs of equal values in a nonempty array."""
+    return np.flatnonzero(np.r_[True, a[1:] != a[:-1]])
+
+
+def _prefix_counts(mask: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The Trues of a bool mask below each of one or more ascending
+    positions pos, 0 <= pos <= len(mask): the sums of its whole 8-slot
+    words, added up between the distinct words of pos only, plus the slots
+    of each partial word below its position; a repeated position is counted
+    once."""
+    n8 = len(mask) & -8
+    words = mask[:n8].view("<u8")
+    runs = _runs(pos)
+    at = pos[runs]
+    # the Trues below each distinct position, from the whole words below
+    # each distinct word (none below word 0)
+    word = at >> 3
+    words_at = _runs(word)
+    ends = word[words_at]
+    below = np.zeros(len(ends), dtype=np.int64)
+    i = int(ends[0] == 0)
+    if i < len(ends):
+        below[i:] = np.add.reduceat(
+            np.bitwise_count(words[:ends[-1]]), np.r_[0, ends[i:-1]],
+            dtype=np.int64).cumsum()
+    pref = np.repeat(below, np.diff(words_at, append=len(at)))
+    # positions in a whole word, then in the tail of fewer than 8 slots
+    k = int(np.searchsorted(at, n8))
+    pref[:k] += np.bitwise_count(words[word[:k]] & LOW_SLOTS[at[:k] & 7])
+    pref[k:] += np.r_[0, np.cumsum(mask[n8:])][at[k:] - n8]
+    return np.repeat(pref, np.diff(runs, append=len(pos)))
 
 
 def checkpoints_from_rule(rule: str | Sequence[float], x_max: int,
@@ -170,6 +213,9 @@ class PrimeRaceTable:
         return int(self.pi[self._row(x)])
 
     def count(self, a: int, x: float) -> int:
+        """pi_{q,a} at a checkpoint (exact); a must be a unit mod q."""
+        if a % self.q not in self.residues:
+            raise ValueError(f"{a} is not a unit mod {self.q}")
         return int(self.counts[self._row(x), self.residues.index(a % self.q)])
 
     # CSV with a JSON header line naming the residues
@@ -195,56 +241,70 @@ def sieve_race(q: int, x_max: int,
     residues = unit_group(q).units
     phi = len(residues)
     cps = checkpoints_from_rule(checkpoint_rule, x_max, phi + 1)
-    # n = 2k + 1 mod q depends on k mod m only; the class of each residue
-    # is the k of its odd representative below 2q
+    # rows n = c + d j, d = 2r for the largest r | m, m = q / gcd(q, 2),
+    # whose rows fill a segment of SEGMENT / 2 slots: n mod q is then
+    # (c + d t) mod q on the slots j = t (mod sub), and each such sub-class
+    # is one class. Once r = m, d takes the wheel primes not dividing q in
+    # order, while its rows still fill a segment.
     m = q // math.gcd(q, 2)
-    units = np.array(residues)
-    klass = (units + q * (1 - units % 2) - 1) // 2
-    # rows n = c + d j, d = 2r for the largest r | m whose rows fill a
-    # segment of SEGMENT / 2 slots: class k is sub-class j = k // r (mod
-    # sub) of row c = 2(k % r) + 1, and each sub-class of a row is one class
-    r = next(r for r in range(max(min(m, x_max // SEGMENT), 1), 0, -1)
-             if m % r == 0)
+    most = max(x_max // SEGMENT, 1)
+    r = next(r for r in range(min(m, most), 0, -1) if m % r == 0)
     d, sub = 2 * r, m // r
+    if sub == 1:
+        for p in (p for p in WHEEL if q % p):
+            if d // 2 * p > most:
+                break
+            d *= p
     rows = _progression_sieve(d, x_max)
+    col = np.full(q, -1, dtype=np.int64)
+    col[list(residues)] = np.arange(phi)
     counts = np.zeros((len(cps), phi), dtype=np.int64)
-    # 2, and each odd prime p | r: the one prime of its row, not sieved
-    pi = np.ones(len(cps), dtype=np.int64) + sum(
-        cps >= p for p in simple_sieve(r)[1:].tolist() if r % p == 0)
-    for c in filter(lambda c: math.gcd(c, r) == 1, range(1, d, 2)):
+    # a prime p | d lies in no row: it counts in its class from x = p on
+    # when it is a unit
+    for p in simple_sieve(d).tolist():
+        if d % p == 0 and col[p % q] >= 0:
+            counts[:, col[p % q]] += cps >= p
+    for c in filter(lambda c: math.gcd(c, d) == 1, range(1, d, 2)):
         # the slots with 2 <= n <= x_max, cut into equal segments
         lo, hi = int(c == 1), max((x_max - c) // d + 1, 1)
         parts = max(-(-(hi - lo) // (SEGMENT // 2)), 1)
         edges = [lo + (hi - lo) * i // parts for i in range(parts + 1)]
-        cols = np.flatnonzero(klass % r == c // 2)
-        # the n <= x are the j < (x - c) // d + 1
+        # the sub-classes t that are units, and their columns; the others
+        # hold no prime but one dividing q
+        cols = col[(c + d * np.arange(sub)) % q]
+        t = np.flatnonzero(cols >= 0)
+        cols, t = cols[t], t[:, None]
+        # the n <= x are the j < (x - c) // d + 1: each segment takes the
+        # cuts in (j0, j1], the first one those in [j0, j1]
         cut = (cps - c) // d + 1
         # primes per sub-class below the current segment, and cuts done
-        carry, done = np.zeros(sub, dtype=np.int64), 0
+        carry, done = np.zeros((len(t), 1), dtype=np.int64), 0
         for j0, mask in rows(c, edges):
             end = int(np.searchsorted(cut, j0 + len(mask), side="right"))
             # grid starts at the j below j0 divisible by sub: row t of its
-            # transpose holds sub-class t in order, at[bounds[t]:bounds[t+1]]
+            # transpose, slots t width to (t + 1) width, holds sub-class t
             lead = j0 % sub
             width = -(-(lead + len(mask)) // sub)
             grid = mask
             if lead or len(mask) % sub:
                 grid = np.zeros(width * sub, dtype=bool)
                 grid[lead: lead + len(mask)] = mask
-            at = np.flatnonzero(grid.reshape(width, sub).T)
-            bounds = np.searchsorted(at, np.arange(sub + 1) * width)
-            # ceil((x - t) / sub) slots of row t lie below a cut x
-            t = np.arange(sub)[:, None]
-            below = np.searchsorted(
-                at, (cut[done:end] - j0 + lead - t + sub - 1) // sub
-                + t * width)
-            below += (carry - bounds[:-1])[:, None]
-            counts[done:end, cols] = below[klass[cols] // r].T
-            pi[done:end] += below.sum(axis=0)
-            carry += np.diff(bounds)
-            done = end
-    if q % 2:
-        counts[:, residues.index(2)] += 1
+            grid = np.ascontiguousarray(grid.reshape(width, sub).T).ravel()
+            # per sub-class: its start, the ceil((x - t) / sub) slots of row
+            # t below each cut x, and its end
+            pos = np.empty((len(t), end - done + 2), dtype=np.int64)
+            pos[:, 0], pos[:, -1] = 0, width
+            np.subtract(cut[done:end] - j0 + lead + sub - 1, t,
+                        out=pos[:, 1:-1])
+            pos[:, 1:-1] //= sub
+            pos += t * width
+            pref = _prefix_counts(grid, pos.ravel()).reshape(pos.shape)
+            pref -= pref[:, :1] - carry
+            counts[done:end, cols] += pref[:, 1:-1].T
+            carry, done = pref[:, -1:], end
+    # every prime is a unit mod q or divides q
+    pi = counts.sum(axis=1) + sum(
+        cps >= p for p in simple_sieve(q).tolist() if q % p == 0)
     return PrimeRaceTable(q=q, residues=residues, checkpoints=cps,
                           counts=counts, pi=pi)
 

@@ -96,6 +96,41 @@ def test_segments_match_simple_sieve(x_max, segment):
     assert_segments_match_oracle(x_max, segment)
 
 
+def assert_prefix_counts(mask, pos):
+    """_prefix_counts equals the Trues of mask below each sorted position,
+    read off the list of True slots."""
+    pos = np.sort(np.asarray(pos, dtype=np.int64))
+    got = primes._prefix_counts(mask, pos)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.searchsorted(np.flatnonzero(mask), pos))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 300), st.sampled_from(["random", "all", "none"]),
+       st.sampled_from(["sparse", "dense"]), st.data())
+def test_prefix_counts_match_flatnonzero(n, fill, density, data):
+    # lengths of every residue mod 8, masks random, all True or all False,
+    # a few positions or more positions than slots, repeats, 0 and len
+    if fill == "random":
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                           max_size=n)), dtype=bool)
+    else:
+        mask = np.full(n, fill == "all")
+    most = 3 if density == "sparse" else 4 * n + 4
+    pos = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=most))
+    pos += data.draw(st.sampled_from([[], [0], [n], [0, n], [n, n, 0, 0]]))
+    assert_prefix_counts(mask, pos)
+
+
+def test_prefix_counts_long_masks():
+    # segment-sized masks: a few cuts far apart, and many cuts per word
+    rng = np.random.default_rng(7)
+    for n in (SEGMENT // 2, SEGMENT // 2 - 5):
+        mask = rng.random(n) < 0.1
+        assert_prefix_counts(mask, [0, 1, 7, 8, 9, n // 3, n - 1, n])
+        assert_prefix_counts(mask, rng.integers(0, n + 1, 3 * n))
+
+
 def ref_sieve_race(q, x_max, checkpoint_rule="geometric:1.01"):
     """Reference: the per-prime sieve_race that the mask counting replaced
     (prime arrays reduced with % q, repeat and bincount)."""
@@ -171,20 +206,30 @@ def test_sieve_race_matches_reference_property(q, x_max, data):
 
 
 def expected_rows(q, x_max):
-    """The rows n = c + d j that sieve_race sieves, restated: d = 2r for the
-    largest r | m, m = q / gcd(q, 2), with x_max >= r * SEGMENT; one row per
-    odd c < d prime to r, its slots j with 2 <= n <= x_max cut into the
-    fewest equal segments of at most SEGMENT / 2 slots."""
+    """The rows n = c + d j that sieve_race sieves, restated: d = 2rw for
+    the largest r | m, m = q / gcd(q, 2), with x_max >= r * SEGMENT, and,
+    once r = m, w the product of the odd primes 3, 5, 7, ... not dividing q,
+    taken in order while x_max >= rw * SEGMENT; one row per c < d prime to
+    d, its slots j with 2 <= n <= x_max cut into the fewest equal segments
+    of at most SEGMENT / 2 slots."""
     m = q // math.gcd(q, 2)
     r = max(r for r in range(1, m + 1) if m % r == 0
             and (r == 1 or r * SEGMENT <= x_max))
+    w = 1
+    for p in [3, 5, 7, 11, 13, 17] * (r == m):
+        if q % p == 0:
+            continue
+        if r * w * p * SEGMENT > x_max:
+            break
+        w *= p
+    d = 2 * r * w
     rows = {}
-    for c in range(1, 2 * r, 2):
-        if math.gcd(c, r) == 1:
-            lo, hi = int(c == 1), (x_max - c) // (2 * r) + 1
+    for c in range(1, d, 2):
+        if math.gcd(c, d) == 1:
+            lo, hi = int(c == 1), (x_max - c) // d + 1
             parts = -(-(hi - lo) // (SEGMENT // 2))
             rows[c] = [lo + (hi - lo) * i // parts for i in range(parts + 1)]
-    return 2 * r, rows
+    return d, rows
 
 
 def spy_rows(monkeypatch):
@@ -205,24 +250,30 @@ def spy_rows(monkeypatch):
 
 
 # (q, x_max, r): r = 1 with many segments; 1 < r < m, odd and even, with
-# sub-classes inside each row; r = m with more than one segment per row
+# sub-classes inside each row; r = m with more than one segment per row,
+# and w > 1 where a wheel prime not dividing q fits (WHEELED: its d = 2rw)
+WHEELED = {(3, 10**8): 30, (4, 3 * 10**7): 12, (8, 3 * 10**7): 24}
+
+
 @pytest.mark.parametrize("q,x_max,r", [
     (1009, 10**6, 1), (1009, 3 * 10**7, 1), (35, 3 * 10**7, 7),
     (60, 3 * 10**7, 10), (13, 3 * 10**7, 13), (12, 3 * 10**7, 6),
-    (9, 3 * 10**7, 9), (3, 10**8, 3)])
+    (9, 3 * 10**7, 9), (3, 10**8, 3), (4, 3 * 10**7, 2),
+    (8, 3 * 10**7, 4)])
 def test_sieve_race_rows_match_reference(monkeypatch, q, x_max, r):
     d, rows = expected_rows(q, x_max)
-    assert d == 2 * r and (r == 1 or max(map(len, rows.values())) > 2)
+    assert d == WHEELED.get((q, x_max), 2 * r)
+    assert r == 1 or max(map(len, rows.values())) > 2
     seen = spy_rows(monkeypatch)
     sieve_race(q, x_max, [x_max])
     monkeypatch.undo()
     assert seen == {(d, c): edges for c, edges in rows.items()}
-    # checkpoints on both sides of every row-segment edge and at the primes
-    # dividing q, whose rows are not sieved when they divide r
+    # checkpoints on both sides of every row-segment edge, and at the primes
+    # dividing q or d: those dividing d lie in no row
     cps = [c + d * e + k for c, edges in rows.items() for e in edges
            for k in (-d, -1, 0, 1, d)]
-    cps += [int(p) + k for p in simple_sieve(q) if q % p == 0
-            for k in (-1, 0, 1)]
+    cps += [int(p) + k for p in simple_sieve(max(q, d))
+            if q % p == 0 or d % p == 0 for k in (-1, 0, 1)]
     assert_same_table(q, x_max, cps + [x_max - 1, x_max])
 
 
@@ -289,6 +340,18 @@ def test_counts_at_100():
     # primes below 100 split 11 / 13 between the classes 1 and 2 mod 3
     tab = sieve_race(3, 100, checkpoint_rule=[100])
     assert tab.counts[-1].tolist() == [11, 13]
+
+
+def test_count_refuses_non_units():
+    # a is taken mod q; a residue outside the unit group is named with q,
+    # as a missing checkpoint is named
+    tab = sieve_race(3, 1000, [10, 100, 1000])
+    assert tab.count(1, 100) == 11 and tab.count(5, 100) == 13
+    for a in (0, 3, 6):
+        with pytest.raises(ValueError, match=f"^{a} is not a unit mod 3$"):
+            tab.count(a, 100)
+    with pytest.raises(ValueError, match="^50 is not a checkpoint$"):
+        tab.count(1, 50)
 
 
 def test_q4_partition_identity():

@@ -15,6 +15,9 @@ Usage, once per source tree, then compare the two files line by line (one
 case per line, in a fixed order):
     python tools/sieve_digest.py --out digest.json
     diff old.json new.json
+
+The five slowest cases and their wall times go to stderr, after the total;
+the file holds no times, so it stays comparable between trees.
 """
 
 import argparse
@@ -71,15 +74,21 @@ def main() -> int:
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
 
-    t0 = time.perf_counter()
-    results = [run_case(*case) for case in cases()]
-    results += [run_lead_case(*case) for case in lead_cases()]
-    elapsed = time.perf_counter() - t0
+    results, times = [], []
+    for run, name, grid in ((run_case, "sieve_race", cases()),
+                            (run_lead_case, "first_lead_change",
+                             lead_cases())):
+        for case in grid:
+            t0 = time.perf_counter()
+            results.append(run(*case))
+            times.append((time.perf_counter() - t0, f"{name}{case}"))
     Path(args.out).write_text(
         "[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in results)
         + "\n]\n", encoding="utf-8")
-    print(f"{len(results)} cases in {elapsed:.1f} s -> {args.out}",
-          file=sys.stderr)
+    print(f"{len(results)} cases in {sum(t for t, _ in times):.1f} s -> "
+          f"{args.out}", file=sys.stderr)
+    for seconds, case in sorted(times, reverse=True)[:5]:
+        print(f"{seconds:8.3f} s  {case}", file=sys.stderr)
     return 0
 
 

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -482,8 +483,7 @@ def solve_lemma44(r: int, c: Sequence[float], d: Sequence[float]) -> np.ndarray:
     nu[:, js] = (mu[:, js] + lam[:, js]) / 2.0
     nu[:, r - js] = (mu[:, js] - lam[:, js]) / 2.0
 
-    rng = np.random.default_rng(12345)
-    us = rng.uniform(0, 2 * math.pi, 16)
+    us = 2 * math.pi * np.fromiter(_uniform_draws(12345), float, 16)
     jv = np.outer(np.arange(r), np.arange(r)) % r
     lhs = np.tensordot(nu, np.sin(us + 2 * math.pi * jv[:, :, None] / r), 1)
     rhs = c[:, :, None] * np.sin(us) + d[:, :, None] * np.cos(us)
@@ -528,15 +528,77 @@ class OmegaSystem:
         return sorted(self.crossings.values())
 
 
+def _uniform_draws(seed: int) -> Iterator[float]:
+    """The doubles in [0, 1) of numpy's `default_rng(seed).random()`, bit
+    for bit and in order, for any non-negative int seed: SeedSequence's
+    4-word pool hashed from the seed's 32-bit words, its
+    `generate_state(4, uint64)` seeding PCG64 (XSL-RR 128/64), and each
+    double from the top 53 bits of one 64-bit output.  A negative seed
+    raises numpy's ValueError and a non-int one (None too) a TypeError,
+    both before the first draw."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    m32, m64, m128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+    words = [seed >> s & m32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hash_a = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = hash_a * 0x931E8875 & m32
+        value = value * hash_a & m32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        x = (0xCA01F9DD * x - 0x4973F715 * y) & m32
+        return x ^ x >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out, hash_b = [], 0x8B51F9DD
+    for i in range(8):
+        value = pool[i % 4] ^ hash_b
+        hash_b = hash_b * 0x58F38DED & m32
+        value = value * hash_b & m32
+        out.append(value ^ value >> 16)
+    # uint64 k is out[2k] | out[2k + 1] << 32; words 0, 1 seed the state
+    # and 2, 3 the increment, each the high 64 bits first
+    w = [out[2 * k] | out[2 * k + 1] << 32 for k in range(4)]
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    inc = (w[2] << 64 | w[3]) << 1 & m128 | 1
+    state = ((inc + (w[0] << 64 | w[1])) * mult + inc) & m128
+
+    def draws() -> Iterator[float]:
+        nonlocal state
+        while True:
+            state = (state * mult + inc) & m128
+            x, rot = (state >> 64 ^ state) & m64, state >> 122
+            yield (((x >> rot | x << (64 - rot)) & m64) >> 11) * 2.0 ** -53
+
+    return draws()
+
+
 def build_omega(r: int, V: Sequence[int], seed: int = 0) -> OmegaSystem:
     """Corner abscissae in general position; crossing points within 5e-3 of
-    each other, 0 or pi are perturbed away (seeded, deterministic)."""
+    each other, 0 or pi are perturbed away (seeded, deterministic).  The
+    jitter is drawn from `_uniform_draws`, racelab's copy of numpy's
+    `default_rng(seed)` stream, so the corners are those numpy's
+    `uniform(-0.05, 0.05)` draws would give, for every seed."""
     V = tuple(sorted(V))
     movable = [v for v in V if 2 * v != r]
-    rng = np.random.default_rng(seed)
+    draws = _uniform_draws(seed)
     for _ in range(64):
         base = np.linspace(0.35 * math.pi, 0.75 * math.pi, len(movable))
-        jitter = rng.uniform(-0.05, 0.05, len(movable)) * math.pi / max(len(movable), 1)
+        # numpy's uniform(low, high) is low + (high - low) x
+        x = np.fromiter(draws, float, len(movable))
+        jitter = (-0.05 + 0.1 * x) * math.pi / max(len(movable), 1)
         corners = {v: float(t + j) for v, t, j in zip(movable, base, jitter)}
         omega = OmegaSystem(r=r, V=V, corners=corners, crossings={})
         crossings = {(v, w): _omega_crossing(omega, v, w)
@@ -808,7 +870,9 @@ def build_thm51(q: int, tau: float = 0.0, M: int = 64,
     (`_thm51_levels`), two lattice heights per level, coefficients (1, 0)
     on order-2 levels and (M, 1) otherwise.  Verifies the level-wave
     conditions (A)-(D); on failure the caller should increase M or perturb
-    the betas."""
+    the betas.  M < 1 is refused (ValueError) before anything is built."""
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
     levels = _thm51_levels(q)
     gamma = gamma if gamma is not None else max(tau + 1.0, 1000.0, 10.0 * M)
     if not (math.isfinite(tau) and math.isfinite(gamma)):
@@ -867,10 +931,12 @@ def _check_thm51(recipe: BarrierRecipe) -> dict:
             and all(x > y for x, y in zip([1, *betas], [*betas, 0.5]))):
         raise RecipeMismatchError(f"betas {betas!r} must decrease strictly "
                                   f"in (1/2, 1), one per level")
-    if p["M"] < 1 or recipe.system.entries != _thm51_system(recipe.q, p).entries:
+    if p["M"] < 1:
+        raise RecipeMismatchError(f"M must be >= 1, got {p['M']}")
+    if recipe.system.entries != _thm51_system(recipe.q, p).entries:
         raise RecipeMismatchError(
             f"the system's zeros are not the levels' (1, 0) at order 2 and "
-            f"(M, 1) above at beta_j + i k gamma, with M = {p['M']} >= 1")
+            f"(M, 1) above at beta_j + i k gamma, with M = {p['M']}")
     return theorem_decomposition(recipe.system, "thm51", p)
 
 

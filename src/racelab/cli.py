@@ -193,8 +193,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cols = ["u"] + [f"a{m}" for m in tr.members]
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
-        for i, u in enumerate(tr.u):
-            fh.write(f"{u:.12g}," + ",".join(f"{v:.12g}" for v in tr.values[:, i]) + "\n")
+        row = ",".join(["%.12g"] * len(cols)) + "\n"
+        table = np.column_stack([tr.u, tr.values.T])
+        for i in range(0, len(table), 512):  # rows become floats 512 at a time
+            fh.writelines(row % tuple(r) for r in table[i:i + 512].tolist())
     print(f"trace written to {out} ({len(tr.u)} samples)")
     if args.crossings:
         rep = orderings.census(tr)

@@ -42,8 +42,6 @@ SEGMENT = 1 << 21
 # odd primes presieved by a row's starting pattern, whose period is the
 # product of those not dividing its d (255255 slots of the odd row)
 WHEEL = (3, 5, 7, 11, 13, 17)
-# the slots of an 8-slot word below each offset 0..7, little-endian
-LOW_SLOTS = np.array([(1 << 8 * k) - 1 for k in range(8)], dtype=np.uint64)
 
 
 class InvalidPairError(ValueError):
@@ -105,21 +103,32 @@ def _progression_sieve(d: int, x_max: int):
 
 def _runs(a: np.ndarray) -> np.ndarray:
     """The starts of the runs of equal values in a nonempty array."""
-    return np.flatnonzero(np.r_[True, a[1:] != a[:-1]])
+    starts = np.empty(len(a), dtype=bool)
+    starts[0] = True
+    np.not_equal(a[1:], a[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
 
 
 def _prefix_counts(mask: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """The Trues of a bool mask below each of one or more ascending
-    positions pos, 0 <= pos <= len(mask): the sums of its whole 8-slot
-    words, added up between the distinct words of pos only, plus the slots
-    of each partial word below its position; a repeated position is counted
-    once."""
+    positions pos, 0 <= pos <= len(mask): those of `_distinct_prefix_counts`
+    at the distinct positions, repeated over each run.  Its arrays the size
+    of the distinct positions are freed before the repeat allocates one the
+    size of pos."""
+    runs = _runs(pos)
+    return np.repeat(_distinct_prefix_counts(mask, pos[runs]),
+                     np.diff(runs, append=len(pos)))
+
+
+def _distinct_prefix_counts(mask: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The Trues of a bool mask below each of strictly ascending positions
+    at: the sums of its whole 8-slot words, added up between the distinct
+    words of at only, plus the slots of each partial word below its
+    position."""
     n8 = len(mask) & -8
     words = mask[:n8].view("<u8")
-    runs = _runs(pos)
-    at = pos[runs]
-    # the Trues below each distinct position, from the whole words below
-    # each distinct word (none below word 0)
+    # the Trues below each position, from the whole words below each
+    # distinct word (none below word 0)
     word = at >> 3
     words_at = _runs(word)
     ends = word[words_at]
@@ -130,11 +139,18 @@ def _prefix_counts(mask: np.ndarray, pos: np.ndarray) -> np.ndarray:
             np.bitwise_count(words[:ends[-1]]), np.r_[0, ends[i:-1]],
             dtype=np.int64).cumsum()
     pref = np.repeat(below, np.diff(words_at, append=len(at)))
-    # positions in a whole word, then in the tail of fewer than 8 slots
+    # positions in a whole word: its slots, less those from the position
+    # on, which the word shifted right by 8 (at & 7) bits holds
     k = int(np.searchsorted(at, n8))
-    pref[:k] += np.bitwise_count(words[word[:k]] & LOW_SLOTS[at[:k] & 7])
+    part = words[word[:k]]
+    pref[:k] += np.bitwise_count(part)
+    shift = np.bitwise_and(at[:k], 7, out=word[:k])  # word[:k] is done
+    shift <<= 3
+    part >>= shift.view("<u8")
+    pref[:k] -= np.bitwise_count(part)
+    # then in the tail of fewer than 8 slots
     pref[k:] += np.r_[0, np.cumsum(mask[n8:])][at[k:] - n8]
-    return np.repeat(pref, np.diff(runs, append=len(pos)))
+    return pref
 
 
 def checkpoints_from_rule(rule: str | Sequence[float], x_max: int,

@@ -1,20 +1,26 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from racelab.barriers import (BarrierRecipe,
-                              ExcludedModulusError, OmegaTypeLostError,
-                              build_extremal,
+                              ExcludedModulusError, OmegaSystem,
+                              OmegaTypeLostError, _omega_crossing,
+                              _uniform_draws, build_extremal,
                               build_omega, build_thm311, build_thm51,
                               check_hypotheses, check_omega_type,
                               check_thm51_conditions, fourier_cosine_coeffs,
                               qpr_polys, scan_qpr_properties, solve_lemma44,
                               verify_thm311)
 from racelab.residues import characters, unit_group
-from racelab.simulator import RaceFunctionSet, one_period_trace
+from racelab.simulator import (RaceFunctionSet, RecipeMismatchError,
+                               one_period_trace)
 from racelab.orderings import census, verdict
 from racelab.zerosys import Zero, ZeroSystem
 
@@ -230,6 +236,88 @@ def test_solve_lemma44_symmetry_validation():
         solve_lemma44(4, [[0.0] * 4] * 2, [[0.0] * 4])
 
 
+def draws(seed, n):
+    return np.fromiter(_uniform_draws(seed), float, n)
+
+
+def test_uniform_draws_are_numpys_default_rng_stream():
+    for seed in range(4096):
+        assert np.array_equal(draws(seed, 8),
+                              np.random.default_rng(seed).random(8)), seed
+    # build_omega may draw up to 64 x |movable| values from one stream
+    for seed in (0, 1, 12345):
+        assert np.array_equal(draws(seed, 4096),
+                              np.random.default_rng(seed).random(4096)), seed
+    # multiword seeds, and the ints numpy also takes
+    for seed in (2**32 - 1, 2**32, 2**40 + 7, 2**64 + 3, 2**127 + 11,
+                 2**200 + 5, 10**30, True, np.int64(5)):
+        assert np.array_equal(draws(seed, 64),
+                              np.random.default_rng(seed).random(64)), seed
+
+
+def test_uniform_draws_as_numpys_uniform():
+    # build_omega's jitter and solve_lemma44's sample points
+    for seed in (0, 7, 12345):
+        x = draws(seed, 16)
+        assert np.array_equal(-0.05 + 0.1 * x, np.random.default_rng(seed)
+                              .uniform(-0.05, 0.05, 16))
+        assert np.array_equal(2 * math.pi * x, np.random.default_rng(seed)
+                              .uniform(0, 2 * math.pi, 16))
+
+
+def numpy_omega_corners(r, V, seed):
+    """build_omega's corners as drawn with numpy's own generator: the
+    reference for `_uniform_draws` across retries."""
+    V = tuple(sorted(V))
+    movable = [v for v in V if 2 * v != r]
+    rng = np.random.default_rng(seed)
+    for _ in range(64):
+        base = np.linspace(0.35 * math.pi, 0.75 * math.pi, len(movable))
+        jitter = rng.uniform(-0.05, 0.05, len(movable)) * math.pi / len(movable)
+        corners = {v: float(t + j) for v, t, j in zip(movable, base, jitter)}
+        omega = OmegaSystem(r=r, V=V, corners=corners, crossings={})
+        pts = [0.0, *sorted(_omega_crossing(omega, v, w)
+                            for i, v in enumerate(V) for w in V[i + 1:]),
+               math.pi]
+        if np.diff(pts).min() >= 5e-3:
+            return corners
+
+
+def test_build_omega_corners_are_numpys_across_retries():
+    # r = 12, V = 1..5: seed 53 takes 4 tries and seed 84 takes 7
+    for r, V, seeds in ((6, (1, 2, 3), range(50)),
+                        (12, (1, 2, 3, 4, 5), range(100))):
+        for seed in seeds:
+            assert build_omega(r, V, seed).corners == \
+                numpy_omega_corners(r, V, seed), (r, V, seed)
+
+
+def test_uniform_draws_refuse_what_numpy_refuses():
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        _uniform_draws(-1)
+    # None would be fresh OS entropy in numpy: not deterministic, refused
+    for seed in (1.5, "3", None):
+        with pytest.raises(TypeError):
+            _uniform_draws(seed)
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        build_omega(6, [1, 2, 3], seed=-1)
+
+
+def test_thm43_build_and_verify_leave_numpy_random_unloaded():
+    # the README's thm43 inputs: q = 7, D = a, a^2, a^3 for a = 3
+    script = (
+        "import sys\n"
+        "from racelab.barriers import build_extremal, verify_extremal\n"
+        "recipe = build_extremal(7, 3, [3, 2, 6])\n"
+        "assert verify_extremal(recipe).ok\n"
+        "print('numpy.random' in sys.modules)\n")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
+
+
 def test_omega_construction():
     omega = build_omega(6, [1, 2, 3], seed=0)
     assert 3 not in omega.corners  # r/2 member is identically zero
@@ -398,6 +486,19 @@ def test_build_thm51_q5_and_conditions():
     t1, t2 = ws.theta[(1, 0, 2)]
     assert sorted([t1 * gamma, t2 * gamma]) == pytest.approx(
         sorted([math.pi - eps_j, 2 * math.pi - eps_j]), abs=1e-6)
+
+
+def test_thm51_m_below_one_is_refused():
+    for M in (0, -3):
+        with pytest.raises(ValueError, match=f"^M must be >= 1, got {M}$"):
+            build_thm51(5, M=M)
+    rec = build_thm51(5, tau=1000.0)
+    rec.params["M"] = 0
+    with pytest.raises(RecipeMismatchError, match="^M must be >= 1, got 0$"):
+        check_thm51_conditions(rec)
+    rec.params["M"] = 32  # the system carries M = 64
+    with pytest.raises(RecipeMismatchError, match="with M = 32$"):
+        check_thm51_conditions(rec)
 
 
 def test_build_thm51_two_coefficient_shape():

@@ -91,6 +91,44 @@ def test_simulate_trace_and_crossings(tmp_path):
     assert rep["crossings"]
 
 
+def test_simulate_csv_matches_per_cell_formatting(tmp_path, monkeypatch):
+    # the README trace, with special values in a few cells: the file is
+    # byte-identical to formatting each cell with f"{x:.12g}"
+    rec = tmp_path / "rec.json"
+    assert run(["barrier", "build", "thm311", "--q", 7, "--tau", 1000,
+                "--out", rec]) == 0
+    traces = []
+
+    def recipe_trace(*args):
+        members, tr = recipe_trace.inner(*args)
+        specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                    -2.2250738585072014e-308, 1e300, 0.1, 123456789012345.6]
+        tr.values[0, :len(specials)] = specials
+        tr.u[-1] = -0.0
+        traces.append(tr)
+        return members, tr
+
+    recipe_trace.inner = cli._recipe_trace
+    monkeypatch.setattr(cli, "_recipe_trace", recipe_trace)
+    csv = tmp_path / "trace.csv"
+    assert run(["simulate", "--recipe", rec, "--window", "period",
+                "--out", csv]) == 0
+    (tr,) = traces
+    want = ",".join(["u"] + [f"a{m}" for m in tr.members]) + "\n" + "".join(
+        f"{u:.12g}," + ",".join(f"{v:.12g}" for v in tr.values[:, i]) + "\n"
+        for i, u in enumerate(tr.u))
+    assert tr.values.shape == (3, 4096)
+    assert csv.read_bytes() == want.encode()
+
+
+def test_thm51_m_below_one_is_config_error(tmp_path, capsys):
+    out = tmp_path / "t51.json"
+    assert run(["barrier", "build", "thm51", "--q", 5, "--M", 0,
+                "--out", out]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: M must be >= 1, got 0\n"
+    assert not out.exists()
+
+
 def test_thm51_build_and_verify(tmp_path):
     rec = tmp_path / "t51.json"
     out = tmp_path / "v51.json"

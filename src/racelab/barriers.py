@@ -21,13 +21,13 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from .budget import Record
 from .residues import (DirichletCharacter, ResidueGroup, character_label,
                        character_with_value, characters, unit_group)
 from .orderings import Verdict, census, column_orders, run_edges, verdict
@@ -72,8 +72,7 @@ def qpr_polys() -> Tuple[TrigPoly, TrigPoly, TrigPoly]:
     return q, p, r
 
 
-@dataclass(frozen=True)
-class PropertyScan:
+class PropertyScan(NamedTuple):
     """Certified margins for the sign properties of the Q/P/R trio."""
 
     p_dominates: Tuple[ScanReport, ...]   # |P| - sqrt(3) Q > 0 pieces
@@ -112,15 +111,15 @@ def scan_qpr_properties(step: float = 1e-4,
 # --- recipes -------------------------------------------------------------------
 
 
-@dataclass
-class BarrierRecipe:
+class BarrierRecipe(Record):
     """A named construction, its parameters, and the zero system it emits."""
 
-    kind: str
-    q: int
-    params: dict
-    system: ZeroSystem
-    claim: str
+    __slots__ = _fields = ("kind", "q", "params", "system", "claim")
+
+    def __init__(self, kind: str, q: int, params: dict, system: ZeroSystem,
+                 claim: str) -> None:
+        self.kind, self.q, self.params, self.system, self.claim = (
+            kind, q, params, system, claim)
 
     def to_json(self) -> str:
         return json.dumps({"kind": self.kind, "q": self.q, "claim": self.claim,
@@ -365,8 +364,7 @@ def _one_beta(recipe: BarrierRecipe, name: str) -> dict:
     return {name: betas.pop()}
 
 
-@dataclass(frozen=True)
-class Thm311Report:
+class Thm311Report(NamedTuple):
     case: str
     size: int
     scan: ScanReport
@@ -496,17 +494,19 @@ def solve_lemma44(r: int, c: Sequence[float], d: Sequence[float]) -> np.ndarray:
 # --- crossing-pattern systems -------------------------------------------------------
 
 
-@dataclass
-class OmegaSystem:
+class OmegaSystem(Record):
     """A family of even 2pi-periodic zero-mean piecewise-linear functions
     indexed by V, pairwise crossing exactly once on [0, pi] at distinct
     abscissae.  Functions are flat left of their corner and rise with slope
-    one up to pi; the member at r/2 (its own inverse) is identically zero."""
+    one up to pi; the member at r/2 (its own inverse) is identically zero.
+    corners maps v to its corner abscissa (none for r/2), crossings each
+    pair (v, w) to its crossing point."""
 
-    r: int
-    V: Tuple[int, ...]
-    corners: Dict[int, float]        # v -> corner abscissa (absent for r/2)
-    crossings: Dict[Tuple[int, int], float]
+    __slots__ = _fields = ("r", "V", "corners", "crossings")
+
+    def __init__(self, r: int, V: Tuple[int, ...], corners: Dict[int, float],
+                 crossings: Dict[Tuple[int, int], float]) -> None:
+        self.r, self.V, self.corners, self.crossings = r, V, corners, crossings
 
     def level(self, v: int) -> float:
         theta = self.corners[v]
@@ -635,8 +635,7 @@ def fourier_cosine_coeffs(omega: OmegaSystem, v: int, K: int) -> np.ndarray:
     return 2.0 / (math.pi * k * k) * ((-1.0) ** k - np.cos(k * theta))
 
 
-@dataclass(frozen=True)
-class OmegaTypeReport:
+class OmegaTypeReport(NamedTuple):
     ok: bool
     first_violation: float | None = None
     intervals_checked: int = 0
@@ -849,8 +848,7 @@ def verify_extremal(recipe: BarrierRecipe) -> Verdict:
 # --- the layered census barrier ------------------------------------------------------
 
 
-@dataclass
-class WSystem:
+class WSystem(NamedTuple):
     """Level waves of a layered system: per level j its exponent beta_j, the
     generator order n_j, the two coefficients, the crossing points theta of
     each pair of phases, and the condition margins."""
@@ -1045,8 +1043,7 @@ def _avoidance_poly(M: int, z: float, gu, n_j: int, a3, a4):
 # --- hypothesis checkers ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     theorem: str
     checks: Tuple[Tuple[str, bool, str], ...]
     effective_tau: float | None = None

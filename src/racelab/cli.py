@@ -32,7 +32,7 @@ EXIT_BUDGET = 4
 
 
 def _dump_json(path: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_coerce)
+    text = json.dumps(_plain(payload), indent=2, sort_keys=True, default=_coerce)
     if path:
         Path(path).write_text(text + "\n", encoding="utf-8")
     else:
@@ -46,9 +46,19 @@ def _coerce(obj):
         return float(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if hasattr(obj, "to_dict"):
-        return obj.to_dict()
     raise TypeError(f"not serializable: {type(obj)}")
+
+
+def _plain(obj):
+    """obj with each object that has a `to_dict`, at any depth, replaced by
+    that dict: json writes a tuple record as a list, never asking _coerce."""
+    if hasattr(obj, "to_dict"):
+        obj = obj.to_dict()
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    return obj
 
 
 def _config_of(args: argparse.Namespace) -> dict:

@@ -24,10 +24,11 @@ repeats, and any spanning forest keeps every label of the graph.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
 import numpy as np
+
+from .budget import Record
 
 
 class MissingLabelError(RuntimeError):
@@ -41,25 +42,30 @@ class InconclusiveWindowError(RuntimeError):
 Chain = Tuple[Tuple[int, ...], ...]  # descending tie blocks of member indices
 
 
-@dataclass
-class OrderingTrace:
+class _OrderingTrace(NamedTuple):
+    u: np.ndarray
+    members: Tuple[int, ...]
+    values: np.ndarray
+    tie_tol: float
+    periodic: bool
+
+
+class OrderingTrace(_OrderingTrace):
     """Sampled member values over a u-grid.
 
     values has shape (n_members, n_samples).  periodic=True means the grid
     covers exactly one period, so the census over the window is exact.
     """
 
-    u: np.ndarray
-    members: Tuple[int, ...]
-    values: np.ndarray
-    tie_tol: float = 1e-9
-    periodic: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        self.u = np.asarray(self.u, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (len(self.members), len(self.u)):
+    def __new__(cls, u, members: Tuple[int, ...], values, tie_tol: float = 1e-9,
+                periodic: bool = False) -> "OrderingTrace":
+        u = np.asarray(u, dtype=float)
+        values = np.asarray(values, dtype=float)
+        if values.shape != (len(members), len(u)):
             raise ValueError("values must be (n_members, n_samples)")
+        return super().__new__(cls, u, members, values, tie_tol, periodic)
 
     @property
     def n_members(self) -> int:
@@ -92,8 +98,7 @@ def run_edges(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.r_[True, change], np.r_[change, True]
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     pair: Tuple[int, int]          # member indices (i, j), i < j
     u_enter: float
     u_exit: float
@@ -162,16 +167,23 @@ def detect_crossings(trace: OrderingTrace,
                 i, j, u[enter], u[exit_], sb, sa)))]
 
 
-@dataclass
-class CensusReport:
-    members: Tuple[int, ...]
-    strict: Dict[Tuple[int, ...], Tuple[float, float]]  # perm -> first/last u
-    weak: Dict[Chain, int]                              # observed chains
-    crossings: List[Crossing]
-    sequence: List[Tuple[float, Tuple[int, ...]]]       # resolved arc starts
-    window: Tuple[float, float]
-    periodic: bool
-    sample_counts: Dict[Tuple[int, ...], int] = field(default_factory=dict)
+class CensusReport(Record):
+    """What `census` saw: strict maps each ordering to its first and last u,
+    weak counts each observed tie chain, sequence holds the arc starts."""
+
+    __slots__ = _fields = ("members", "strict", "weak", "crossings",
+                           "sequence", "window", "periodic", "sample_counts")
+
+    def __init__(self, members: Tuple[int, ...],
+                 strict: Dict[Tuple[int, ...], Tuple[float, float]],
+                 weak: Dict[Chain, int], crossings: List[Crossing],
+                 sequence: List[Tuple[float, Tuple[int, ...]]],
+                 window: Tuple[float, float], periodic: bool,
+                 sample_counts: Dict[Tuple[int, ...], int] | None = None) -> None:
+        self.members, self.strict, self.weak, self.crossings = (
+            members, strict, weak, crossings)
+        self.sequence, self.window, self.periodic = sequence, window, periodic
+        self.sample_counts = {} if sample_counts is None else sample_counts
 
     @property
     def strict_count(self) -> int:
@@ -265,8 +277,7 @@ def census(trace: OrderingTrace) -> CensusReport:
 # --- ordering graph and the forest lower bound --------------------------------
 
 
-@dataclass
-class OrderingGraph:
+class OrderingGraph(NamedTuple):
     vertices: List[Tuple[int, ...]]
     edges: List[Tuple[int, int, FrozenSet[int]]]  # vertex idx, vertex idx, label
 
@@ -300,8 +311,7 @@ def build_ordering_graph(report: CensusReport) -> OrderingGraph:
     return OrderingGraph(vertices=verts, edges=sorted(edges, key=str))
 
 
-@dataclass(frozen=True)
-class TuranBound:
+class TuranBound(NamedTuple):
     graph: OrderingGraph
     forest_edges: Tuple[Tuple[int, int, FrozenSet[int]], ...]
     lower_bound: int
@@ -352,8 +362,7 @@ def turan_graph_bound(report: CensusReport) -> TuranBound:
 # --- claim verdicts -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     claim: str
     ok: bool
     detail: dict

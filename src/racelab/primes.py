@@ -28,12 +28,11 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .budget import BudgetExceededError, check_budget, sieve_budget
+from .budget import BudgetExceededError, Record, check_budget, sieve_budget
 from .residues import separating_characters, sqrt_count, unit_group
 from .simulator import corollary13_sum
 from .zerosys import ZeroSystem
@@ -203,19 +202,20 @@ def checkpoints_from_rule(rule: str | Sequence[float], x_max: int,
     return pts
 
 
-@dataclass
-class PrimeRaceTable:
+class PrimeRaceTable(Record):
     """Exact counts pi(x_i) and pi_{q,a}(x_i) at the checkpoints.
 
     counts has shape (n_checkpoints, phi(q)); columns follow `residues`.
     Primes dividing q are counted in pi but in no residue class.
     """
 
-    q: int
-    residues: Tuple[int, ...]
-    checkpoints: np.ndarray
-    counts: np.ndarray
-    pi: np.ndarray
+    __slots__ = _fields = ("q", "residues", "checkpoints", "counts", "pi")
+
+    def __init__(self, q: int, residues: Tuple[int, ...],
+                 checkpoints: np.ndarray, counts: np.ndarray,
+                 pi: np.ndarray) -> None:
+        self.q, self.residues, self.checkpoints, self.counts, self.pi = (
+            q, residues, checkpoints, counts, pi)
 
     def _row(self, x: float) -> int:
         """The row of checkpoint x; ValueError unless x is a checkpoint."""
@@ -376,8 +376,7 @@ def first_lead_change(q: int, a: int, b: int, x_max: int) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     q: int
     a: int
     b: int

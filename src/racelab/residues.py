@@ -19,14 +19,13 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .budget import check_budget
+from .budget import FrozenRecord, check_budget
 
 
 class InvalidModulusError(ValueError):
@@ -89,23 +88,24 @@ def _crt_lift(residue: int, modulus: int, q: int) -> int:
     return (1 + other * inv * (residue - 1)) % q
 
 
-@dataclass(frozen=True)
-class ResidueGroup:
+class ResidueGroup(FrozenRecord):
     """The multiplicative group (Z/qZ)^* with a fixed generating set.
 
     generators is a tuple of (g_j, n_j) with n_1 * ... * n_m = phi(q); every
     unit a has a unique exponent vector alpha with 0 <= alpha_j < n_j and
     a = prod g_j^alpha_j (mod q).  unit_exponents holds these vectors as a
-    (phi, m) int64 array, row i for units[i].
+    (phi, m) int64 array, row i for units[i]; equality and repr skip it.
     """
 
-    q: int
-    units: Tuple[int, ...]
-    generators: Tuple[Tuple[int, int], ...]
-    phi: int
-    lam: int
-    unit_exponents: np.ndarray = field(compare=False, repr=False)
-    _exponents: Dict[int, Tuple[int, ...]]
+    __slots__ = ("q", "units", "generators", "phi", "lam", "_exponents",
+                 "unit_exponents")
+    _fields = __slots__[:-1]
+
+    def __init__(self, q: int, units: Tuple[int, ...],
+                 generators: Tuple[Tuple[int, int], ...], phi: int, lam: int,
+                 unit_exponents: np.ndarray,
+                 _exponents: Dict[int, Tuple[int, ...]]) -> None:
+        self._init(q, units, generators, phi, lam, _exponents, unit_exponents)
 
     def exponents(self, a: int) -> Tuple[int, ...]:
         a %= self.q
@@ -193,8 +193,7 @@ def _frac_mod1(x: Fraction) -> Fraction:
     return x - (x.numerator // x.denominator)
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
+class DirichletCharacter(FrozenRecord):
     """A Dirichlet character mod q as an exponent vector over the dual group.
 
     b_j in [0, n_j) for the generators (g_j, n_j) of unit_group(q), so
@@ -202,20 +201,18 @@ class DirichletCharacter:
     hashable and compare by (q, b).
     """
 
-    q: int
-    b: Tuple[int, ...]
+    __slots__ = ("q", "b", "_group", "_w")
+    _fields = ("q", "b")
 
-    def __post_init__(self) -> None:
-        group = _unit_group(self.q)
-        if len(self.b) != len(group.generators):
-            raise ValueError(f"exponent vector {self.b} does not fit the "
-                             f"{len(group.generators)} generators mod {self.q}")
-        b = tuple(int(x) % n for x, (_, n) in zip(self.b, group.generators))
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_group", group)
+    def __init__(self, q: int, b: Tuple[int, ...]) -> None:
+        group = _unit_group(q)
+        if len(b) != len(group.generators):
+            raise ValueError(f"exponent vector {b} does not fit the "
+                             f"{len(group.generators)} generators mod {q}")
+        b = tuple([int(x) % n for x, (_, n) in zip(b, group.generators)])
         # phase numerator weights: phase(a) = sum_j w_j alpha_j(a) / lam
-        object.__setattr__(self, "_w", tuple(
-            x * (group.lam // n) for x, (_, n) in zip(b, group.generators)))
+        self._init(q, b, group, tuple([
+            x * (group.lam // n) for x, (_, n) in zip(b, group.generators)]))
 
     def _numerator(self, a: int) -> int:
         alpha = self._group.exponents(a)

@@ -27,8 +27,7 @@ import itertools
 import math
 import operator
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -188,8 +187,14 @@ def li(x: float) -> float:
     return float(_ei(math.log(x)))
 
 
-@dataclass(frozen=True)
-class RaceFunctionSet:
+class _RaceFunctionSet(NamedTuple):
+    q: int
+    system: ZeroSystem
+    members: Tuple[int, ...]
+    pi_proxy: object
+
+
+class RaceFunctionSet(_RaceFunctionSet):
     """A modulus, a zero system, the racing residues, and a pi(x) source.
 
     pi_proxy: "li", "zero" (drop the common pi/phi term; pairwise differences
@@ -197,18 +202,17 @@ class RaceFunctionSet:
     exposing pi_at(x).
     """
 
-    q: int
-    system: ZeroSystem
-    members: Tuple[int, ...]
-    pi_proxy: object = "li"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        group = unit_group(self.q)
-        for m in self.members:
+    def __new__(cls, q: int, system: ZeroSystem, members: Tuple[int, ...],
+                pi_proxy: object = "li") -> "RaceFunctionSet":
+        group = unit_group(q)
+        for m in members:
             if not group.is_unit(m):
-                raise ValueError(f"{m} is not a unit mod {self.q}")
-        if self.system.q != self.q:
+                raise ValueError(f"{m} is not a unit mod {q}")
+        if system.q != q:
             raise ValueError("zero system modulus mismatch")
+        return super().__new__(cls, q, system, members, pi_proxy)
 
     def pi_value(self, x: float) -> float:
         proxy = self.pi_proxy
@@ -252,8 +256,7 @@ def race_values(s: RaceFunctionSet, x: float) -> Dict[int, float]:
 # --- dominant profiles ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DominantProfile:
+class DominantProfile(NamedTuple):
     """The dominant part M of a scaled race difference, as a TrigPoly in
     u = log x, plus its constant term (real zeros) and an explicit residual
     bound: |scaled difference - M(u)| <= residual_bound(x)."""
@@ -264,8 +267,8 @@ class DominantProfile:
     beta: float
     poly: TrigPoly
     constant: float
-    _residual_terms: Tuple[Tuple[float, float, float], ...]  # (|g|*w, beta, |rho|)
-    _dominant_terms: Tuple[Tuple[float, float, float], ...]
+    residual_terms: Tuple[Tuple[float, float, float], ...]  # (|g|*w, beta, |rho|)
+    dominant_terms: Tuple[Tuple[float, float, float], ...]
 
     def __call__(self, u):
         return self.poly(u) + self.constant
@@ -277,10 +280,10 @@ class DominantProfile:
         scale = w / x**self.beta
         total = 0.0
         env_cache: Dict[float, float] = {}
-        for gw, beta, mod in self._dominant_terms:
+        for gw, beta, mod in self.dominant_terms:
             env = env_cache.setdefault(beta, envelope_integral(beta, x))
             total += gw * env / mod
-        for gw, beta, mod in self._residual_terms:
+        for gw, beta, mod in self.residual_terms:
             env = env_cache.setdefault(beta, envelope_integral(beta, x))
             total += gw * (x**beta / (mod * w) + env / mod)
         return scale * total
@@ -324,8 +327,8 @@ def dominant_profile(s: RaceFunctionSet, a: int, b: int) -> DominantProfile:
     return DominantProfile(q=s.q, a=a, b=b, beta=beta,
                            poly=TrigPoly.from_phasors(terms),
                            constant=constant,
-                           _residual_terms=tuple(res_terms),
-                           _dominant_terms=tuple(dom_terms))
+                           residual_terms=tuple(res_terms),
+                           dominant_terms=tuple(dom_terms))
 
 
 # --- the sigma-line comparison sum ------------------------------------------------
@@ -622,7 +625,7 @@ def decompose_level_waves(system: ZeroSystem, char_labels: Sequence[int],
                           + math.atan2(beta, k * gamma))
                     terms.append((amp, k * gamma, ph))
             waves[(j, alpha)] = TrigPoly(tuple(terms))
-    return {"w": waves, "c": coeffs, "gamma": gamma,
+    return {"w": waves, "gamma": gamma,
             "betas": tuple(betas), "orders": tuple(orders)}
 
 

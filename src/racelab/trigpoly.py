@@ -21,12 +21,12 @@ interval claims rigorous.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import (Callable, Iterable, Iterator, List, Mapping, NamedTuple,
+                    Sequence, Tuple)
 
 import numpy as np
 
-from .budget import check_budget
+from .budget import FrozenRecord, check_budget
 
 
 class ResolutionTooCoarseError(ValueError):
@@ -44,15 +44,15 @@ EPS = float(np.finfo(float).eps)
 _CHUNK = 6144
 
 
-@dataclass(frozen=True)
-class TrigPoly:
+class TrigPoly(FrozenRecord):
     """P(u) = sum c_k sin(t_k u + alpha_k), distinct frequencies t_k > 0."""
 
+    __slots__ = _fields = ("terms",)
     terms: Tuple[Tuple[float, float, float], ...]  # (c_k, t_k, alpha_k)
 
-    def __post_init__(self) -> None:
-        terms = tuple((float(c), float(t), float(a)) for c, t, a in self.terms
-                      if c != 0.0)
+    def __init__(self, terms: Iterable[Tuple[float, float, float]]) -> None:
+        terms = tuple([(float(c), float(t), float(a)) for c, t, a in terms
+                       if c != 0.0])
         freqs = [t for _, t, _ in terms]
         if any(t <= 0 for t in freqs):
             raise ValueError("frequencies must be positive")
@@ -149,8 +149,7 @@ def l2_norm(p: TrigPoly) -> float:
     return p.l2_norm()
 
 
-@dataclass(frozen=True)
-class EmpiricalMoments:
+class EmpiricalMoments(NamedTuple):
     mean: float
     l2: float
     positive_fraction: float
@@ -223,8 +222,7 @@ def eps_box(n: int, alpha: float) -> float:
 # --- certified grid scans ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchCertificate:
+class SearchCertificate(NamedTuple):
     """A found point plus the data certifying the claim.
 
     margins are the strict-inequality slacks actually achieved at u; for
@@ -246,8 +244,7 @@ class SearchCertificate:
                 "satisfied": self.satisfied}
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """Result of certifying f > 0 on [lo, hi] by grid + Lipschitz bound; see
     `certified_positive_scan` for its margin, argmin and failure point."""
 
@@ -333,8 +330,7 @@ def certified_positive_scan(f: Callable[[np.ndarray], np.ndarray],
 # --- certified real roots ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrigRoots:
+class TrigRoots(NamedTuple):
     """The real roots of one TrigPoly on [0, 2 pi/base), see `roots`:
     [root - radius, root + radius] holds exactly one root, slope is P'
     there, and margin > 0 certifies that no other root exists."""

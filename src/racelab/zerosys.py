@@ -14,8 +14,7 @@ cyclotomic polynomial); the complex values used numerically are floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .residues import RootOfUnitySum, character_label, characters, unit_group
 
@@ -24,18 +23,23 @@ class ZeroDataError(ValueError):
     """Malformed zero-list input (bad line or unknown character label)."""
 
 
-@dataclass(frozen=True, order=True)
-class Zero:
-    """A point beta + i*gamma in the closed upper half plane."""
-
+class _Zero(NamedTuple):
     beta: float
     gamma: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.beta) and math.isfinite(self.gamma)):
-            raise ValueError(f"zero {self.beta} + i*{self.gamma} is not finite")
-        if self.gamma < 0:
+
+class Zero(_Zero):
+    """A point beta + i*gamma in the closed upper half plane: a (beta,
+    gamma) tuple, so zeros sort by beta, then gamma, and hash as that pair."""
+
+    __slots__ = ()
+
+    def __new__(cls, beta: float, gamma: float) -> "Zero":
+        if not (math.isfinite(beta) and math.isfinite(gamma)):
+            raise ValueError(f"zero {beta} + i*{gamma} is not finite")
+        if gamma < 0:
             raise ValueError("heights must be nonnegative")
+        return super().__new__(cls, beta, gamma)
 
     @property
     def rho(self) -> complex:
@@ -178,8 +182,7 @@ class ZeroSystem:
         return cls(q, entries, **kwargs)
 
 
-@dataclass(frozen=True)
-class DominantData:
+class DominantData(NamedTuple):
     """The dominant level and set for one pair of residues.
 
     zeros lists z(a,b); g_values holds the (float) complex g at each of them.
@@ -235,15 +238,13 @@ def dominant_data(system: ZeroSystem, a: int, b: int) -> DominantData:
                         g_values={z: live[z] for z in zset})
 
 
-@dataclass(frozen=True)
-class KTPairReport:
+class KTPairReport(NamedTuple):
     a: int
     b: int
     dominant_nonempty: bool
 
 
-@dataclass(frozen=True)
-class KTReport:
+class KTReport(NamedTuple):
     """Hypothesis check for the sign-change (Knapowski-Turan) property:
     the system has no real elements and z(a,b) is nonempty for every pair."""
 

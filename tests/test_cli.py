@@ -981,3 +981,32 @@ def test_recipe_q_not_its_systems_is_config_error(tmp_path, capsys, q,
     assert_config_error([*command.split(), "--recipe", rec, "--out", out],
                         capsys)
     assert not out.exists()
+
+
+def test_dump_json_writes_records_by_their_to_dict(tmp_path):
+    # tuple records would otherwise be written as JSON lists, since json
+    # hands `default` only the objects it cannot serialize itself
+    import numpy as np
+    from racelab.orderings import OrderingTrace, Verdict, census
+    from racelab.primes import ComparisonReport
+    from racelab.trigpoly import SearchCertificate
+
+    u = np.linspace(0.0, 6.0, 61)
+    records = [
+        SearchCertificate(u=1.0, margins=(0.5, 0.25), derivative_bound=2.0,
+                          grid_step=1e-3),
+        Verdict("kt_all_pairs", True, {"missing_pairs": []}),
+        ComparisonReport(q=3, a=2, b=1, sigma=0.5, checkpoints=np.array([1e3]),
+                         scaled_difference=np.array([0.5]),
+                         predicted=np.array([0.25]), sign_agreement=1.0,
+                         bias_constant=0.5),
+        census(OrderingTrace(u=u, members=(1, 2),
+                             values=np.vstack([np.sin(u), np.cos(u)]))),
+    ]
+    out = tmp_path / "payload.json"
+    cli._dump_json(out, {"one": records[0], "nested": [{"r": r} for r in records]})
+    written = json.loads(out.read_text())
+    expected = [json.loads(json.dumps(r.to_dict(), default=cli._coerce))
+                for r in records]
+    assert written["one"] == expected[0]
+    assert [item["r"] for item in written["nested"]] == expected

@@ -1,9 +1,13 @@
 """The shape of racelab's imports and of its one work budget, read from the
 source with `ast`: every racelab-internal import sits at module level, the
-module-level import graph has no cycle, and only `racelab.budget` reads
-RACE_LAB_BUDGET or words a refusal."""
+module-level import graph has no cycle, only `racelab.budget` reads
+RACE_LAB_BUDGET or words a refusal, and no module imports `dataclasses`
+(nor does importing the CLI load it)."""
 
 import ast
+import os
+import subprocess
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -73,3 +77,21 @@ def test_only_the_budget_module_words_the_budget():
 def test_primes_still_exports_the_budget():
     assert primes.BudgetExceededError is budget.BudgetExceededError
     assert primes.sieve_budget is budget.sieve_budget
+
+
+def test_no_module_imports_dataclasses():
+    found = [f"{module}.py:{n.lineno}" for module in MODULES
+             for n in ast.walk(_tree(module))
+             if isinstance(n, ast.Import) and any(
+                 a.name.split(".")[0] == "dataclasses" for a in n.names)
+             or isinstance(n, ast.ImportFrom)
+             and (n.module or "").split(".")[0] == "dataclasses"]
+    assert found == []
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    code = "import sys, racelab.cli; print('dataclasses' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

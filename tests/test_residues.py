@@ -382,3 +382,17 @@ def test_table_lookups_reject_foreign_input():
     with pytest.raises(IndexError):
         table[len(table)]
     assert table[-1] == list(table)[-1]
+
+
+def test_character_records_compare_and_hash_by_q_and_b():
+    chi = DirichletCharacter(7, (1,))
+    assert chi == DirichletCharacter(7, (7,))  # b is reduced mod 6, the order of 3
+    assert chi.b == (1,) and hash(chi) == hash((7, (1,)))
+    assert chi != DirichletCharacter(7, (2,)) and chi != DirichletCharacter(9, (1,))
+    assert chi * chi == chi**2 == DirichletCharacter(7, (2,))
+    assert chi**6 == DirichletCharacter(7, (0,)) and (chi**6).is_principal
+    assert len({chi, DirichletCharacter(7, (13,)), chi**2}) == 2
+    with pytest.raises(TypeError):
+        2 * chi
+    with pytest.raises(AttributeError):
+        chi.b = (2,)

@@ -289,3 +289,18 @@ def test_evaluate_longer_than_a_block_equals_its_blocks():
                        for s in range(0, len(v), _CHUNK)])
     assert whole.tobytes() == parts.tobytes()
     assert np.allclose(whole, [p(v) for p in polys], rtol=0, atol=1e-13)
+
+
+def test_trigpoly_record_semantics():
+    p = TrigPoly(((1, 1, 0), (0.0, 2.0, 0.0), (2, 3, 0.5)))
+    assert p.terms == ((1.0, 1.0, 0.0), (2.0, 3.0, 0.5))  # zero terms dropped
+    assert p == TrigPoly(p.terms) and hash(p) == hash((p.terms,))
+    assert p + TrigPoly.sine([1.0], [1.0]) == TrigPoly(((2.0, 1.0, 0.0),
+                                                        (2.0, 3.0, 0.5)))
+    assert p != p.terms
+    with pytest.raises(TypeError):
+        2 * p
+    with pytest.raises(TypeError):
+        len(p)
+    with pytest.raises(AttributeError):
+        p.terms = ()

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -220,3 +221,18 @@ def test_height_lattice_must_be_a_period(lattice, ok):
             ZeroSystem.from_dict(d)
         with pytest.raises(ZeroDataError, match="not multiples"):
             ZeroSystem(q, entries, height_lattice=lattice)
+
+
+def test_zero_is_an_immutable_beta_gamma_pair():
+    z = Zero(0.75, 10.0)
+    assert z == Zero(beta=0.75, gamma=10.0) and z != Zero(0.75, 11.0)
+    assert hash(z) == hash((z.beta, z.gamma))
+    # ordered by beta, then gamma
+    assert sorted([Zero(0.8, 1.0), Zero(0.6, 5.0), Zero(0.6, 2.0)]) == [
+        Zero(0.6, 2.0), Zero(0.6, 5.0), Zero(0.8, 1.0)]
+    for beta, gamma in ((math.nan, 1.0), (0.75, math.inf), (0.75, -1.0)):
+        with pytest.raises(ValueError):
+            Zero(beta, gamma)
+    for field in ("beta", "gamma", "other"):
+        with pytest.raises(AttributeError):
+            setattr(z, field, 0.5)

@@ -11,8 +11,10 @@ calls `cli.main` on the command's arguments, its output discarded.
 To stdout, one JSON line per command: its arguments, its exit code and the
 modules it loaded beyond `import racelab.cli`, sorted.  This part is
 deterministic, so the output of two source trees can be diffed.  To stderr
-only: each command's wall time (interpreter start included) and the
-child's max RSS (`getrusage`, Linux kB).
+only: first the import floor, the median wall time and the largest max RSS
+of IMPORT_RUNS children that only run `import racelab.cli`; then each
+command's wall time (interpreter start included) and the child's max RSS
+(`getrusage`, Linux kB).
 
 Usage:
     python tools/cli_footprint.py > footprint.jsonl
@@ -22,6 +24,7 @@ Usage:
 import json
 import os
 import shlex
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -45,6 +48,25 @@ with open(sys.argv[1], "w", encoding="utf-8") as fh:
                .ru_maxrss}, fh)
 """
 
+# the import floor: a child that imports racelab.cli and prints its max RSS
+IMPORT_CHILD = ("import resource, racelab.cli; "
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+IMPORT_RUNS = 5
+
+
+def import_floor(env: dict, cwd: str) -> tuple:
+    """Median wall time (s) and largest max RSS (MB) of IMPORT_RUNS
+    children that only import racelab.cli."""
+    walls, rss = [], []
+    for _ in range(IMPORT_RUNS):
+        start = time.perf_counter()
+        out = subprocess.run([sys.executable, "-c", IMPORT_CHILD], cwd=cwd,
+                             env=env, check=True, capture_output=True,
+                             text=True).stdout
+        walls.append(time.perf_counter() - start)
+        rss.append(int(out) / 1024)
+    return statistics.median(walls), max(rss)
+
 
 def readme_commands() -> list:
     """The argument lists of the README's "Command line" block, with
@@ -62,6 +84,9 @@ def main() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         report = Path(tmp) / ".footprint.json"
+        wall, rss = import_floor(env, tmp)
+        print(f"{wall:7.3f} s {rss:7.1f} MB  import racelab.cli (median wall "
+              f"and max RSS of {IMPORT_RUNS})", file=sys.stderr, flush=True)
         for argv in readme_commands():
             start = time.perf_counter()
             proc = subprocess.run(

@@ -32,8 +32,7 @@ from .residues import (DirichletCharacter, ResidueGroup, character_label,
                        character_with_value, characters, unit_group)
 from .orderings import Verdict, census, column_orders, run_edges, verdict
 from .simulator import (RaceFunctionSet, RecipeMismatchError,
-                        dominant_member_values, one_period_trace,
-                        theorem_decomposition)
+                        one_period_trace, theorem_decomposition)
 from .trigpoly import (EPS3, ScanReport, TrigPoly, certified_positive_scan,
                        check_scan_grid, eps1, eps2, evaluate as trig_evaluate,
                        roots as trig_roots)
@@ -774,9 +773,10 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
             for j, k in np.argwhere(n_final.T > 0).tolist()),
         height_lattice=gamma)
 
-    trace_vals = dominant_member_values(system, levels["D"],
-                                        w_grid / gamma)
-    report = check_omega_type(trace_vals, w_grid, omega)
+    # the samples `verify_extremal` censuses, at v = w_grid
+    trace = one_period_trace(RaceFunctionSet(q, system, levels["D"]),
+                             samples=len(w_grid))
+    report = check_omega_type(trace.values, w_grid, omega)
     if not report.ok:
         raise OmegaTypeLostError(
             f"the emitted dominant trace at K = {K_use}, N = {N_use} lost the "

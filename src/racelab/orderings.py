@@ -53,8 +53,9 @@ class _OrderingTrace(NamedTuple):
 class OrderingTrace(_OrderingTrace):
     """Sampled member values over a u-grid.
 
-    values has shape (n_members, n_samples).  periodic=True means the grid
-    covers exactly one period, so the census over the window is exact.
+    values has shape (n_members, n_samples).  periodic=True means the
+    samples cover one period evenly, so the first follows the last (a seam
+    that crossing detection closes); the census is still sampled.
     """
 
     __slots__ = ()
@@ -141,25 +142,36 @@ def detect_crossings(trace: OrderingTrace,
     sign 0.  A direct flip between neighbouring samples is a crossing; so is
     a maximal tie run whose signs before and after differ.  A run starting at
     the first sample is never a crossing, and a run reaching the last sample
-    has sign 0 after it.  Crossings come sorted by u_enter, ties in (i, j,
-    sample) order.
+    has sign 0 after it, unless the trace is periodic: then it is read on, a
+    period (n mean steps) later, into a run's end, so crossings at the seam
+    count, their u_exit past the last sample.  Crossings come sorted by
+    u_enter, ties in (i, j, sample) order.
 
     Only the columns where an ordering can change are read (`run_edges`):
     tied ones, the first and the last, and those whose (order, strict) key
     differs from a neighbour's, unless the caller passes them as kept.  All
     pairs are read at once, in blocks of at most _PAIR_BLOCK cells."""
-    u = trace.u
+    u, n = trace.u, len(trace.u)
     if kept is None:
         order, _, strict = column_orders(trace.values, trace.tie_tol)
         heads, tails = run_edges(np.vstack([order, strict]))
         kept = np.flatnonzero(heads | tails | ~strict)
-    values = trace.values[:, kept]
+    first = len(kept)
+    if trace.periodic and n > 1:
+        # read on, a period later, up to the first strict column (a run
+        # head, so kept): every run across the seam has ended there
+        strict = np.flatnonzero(column_orders(trace.values.take(kept, axis=1),
+                                              trace.tie_tol)[2])
+        kept = np.r_[kept, kept[:strict[0] + 1 if len(strict) else first] + n]
+        u = np.r_[u, u + (u[-1] - u[0]) / (n - 1) * n]
+    values = trace.values.take(kept % n, axis=1)
     ii, jj = np.triu_indices(trace.n_members, 1)
     step = max(1, _PAIR_BLOCK // max(len(kept), 1))
     blocks = [_pair_crossings(values, ii[s:s + step], jj[s:s + step],
                               trace.tie_tol)
               for s in range(0, max(len(ii), 1), step)]  # one, if no pairs
-    i, j, key, enter, exit_, sb, sa = (np.concatenate(col) for col in zip(*blocks))
+    cols = [np.concatenate(col) for col in zip(*blocks)]
+    i, j, key, enter, exit_, sb, sa = (c[cols[2] < first] for c in cols)
     key, enter, exit_ = kept[key], kept[enter], kept[exit_]
     pick = np.lexsort((key, j, i, u[enter]))
     return [Crossing((a, b), ue, ux, s0, s1)
@@ -210,8 +222,8 @@ class CensusReport(Record):
                           for c in self.crossings],
             "window": list(self.window),
             "periodic": self.periodic,
-            # a periodic window censuses the dominant part exactly; anything
-            # else is only a lower bound on what happens for ever-larger x
+            # sampled either way, whatever the label says; a window is only
+            # a lower bound on what happens for ever-larger x
             "census_kind": "exact-period" if self.periodic
                            else "window-lower-bound",
         }

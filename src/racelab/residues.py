@@ -94,7 +94,8 @@ class ResidueGroup(FrozenRecord):
     generators is a tuple of (g_j, n_j) with n_1 * ... * n_m = phi(q); every
     unit a has a unique exponent vector alpha with 0 <= alpha_j < n_j and
     a = prod g_j^alpha_j (mod q).  unit_exponents holds these vectors as a
-    (phi, m) int64 array, row i for units[i]; equality and repr skip it.
+    (phi, m) int64 array, row i for units[i]; repr skips it.  Equality and
+    hash read (q, generators), from which every other field follows.
     """
 
     __slots__ = ("q", "units", "generators", "phi", "lam", "_exponents",
@@ -106,6 +107,9 @@ class ResidueGroup(FrozenRecord):
                  unit_exponents: np.ndarray,
                  _exponents: Dict[int, Tuple[int, ...]]) -> None:
         self._init(q, units, generators, phi, lam, _exponents, unit_exponents)
+
+    def _key(self) -> tuple:
+        return self.q, self.generators
 
     def exponents(self, a: int) -> Tuple[int, ...]:
         a %= self.q

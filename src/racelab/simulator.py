@@ -17,7 +17,10 @@ exponential integrals E1 and Ei, computed here in numpy.
 
 Two trace modes: full-formula (closed-form f(rho), refused where u or
 R+ u exceeds 690, near the double range) and dominant-only (the scaled
-limit the dominant-term analysis uses, valid for any u).
+limit the dominant-term analysis uses, valid for any u).  A u-window is a
+window, whatever its length.  One period of a height lattice lambda is one
+grid in the phase v = lambda u, with each level's weight frozen at the
+period's base_u (`one_period_trace`); only that trace is periodic.
 """
 
 from __future__ import annotations
@@ -417,6 +420,22 @@ def member_waves(system: ZeroSystem, members: Sequence[int],
     return waves
 
 
+def _streamed_values(system: ZeroSystem, members: Sequence[int], u: np.ndarray,
+                     at: float | np.ndarray) -> np.ndarray:
+    """The members' dominant values with each zero streamed: its wave
+    e^(i Im rho u) and its level weight e^((Re rho - R+) at) are built once
+    and added to every member's row, so no zeros x samples table is held."""
+    values = np.zeros((len(members), len(u)))
+    for z, row in _zero_amplitudes(system, members).items():
+        wave = np.exp(1j * z.gamma * u) if z.gamma else None
+        decay = np.exp((z.beta - system.r_plus) * at) \
+            if z.beta != system.r_plus else None
+        for acc, c in zip(values, row):
+            osc = (c * wave).real if z.gamma else c.real
+            acc += osc if decay is None else osc * decay
+    return np.negative(values, out=values)
+
+
 def dominant_member_values(system: ZeroSystem, members: Sequence[int],
                            u: np.ndarray) -> np.ndarray:
     """Scaled member values in dominant-only mode:
@@ -428,34 +447,21 @@ def dominant_member_values(system: ZeroSystem, members: Sequence[int],
     residuals dropped.  Levels below R+ carry exponentially decaying weights,
     so any u is within numeric reach.
 
-    On a height lattice lambda (when `member_waves` gives tables) every
-    level goes through one `trigpoly.evaluate_phasors` call at v = lambda u,
-    weighted by its decay: one cos and one sin per sample, K - 1 complex
-    products and one matmul, within that function's error bound plus what
-    rounding lambda u and the decays moves.  Otherwise the zeros are
-    streamed: each zero's wave e^(i Im rho u) and decay are built once and
-    added to every member's row, so no zeros x samples table is held.
+    A one-level system on a height lattice lambda (when `member_waves` gives
+    its table) goes through one `trigpoly.evaluate_phasors` call at
+    v = lambda u, within that function's error bound plus what rounding
+    lambda u moves.  Otherwise the zeros are streamed, each weighted by its
+    decay at every u (a layered system has few distinct zeros).
     """
     u = np.asarray(u, dtype=float)
-    beta_star = system.r_plus
-    if beta_star is None:
+    if system.r_plus is None:
         return np.zeros((len(members), len(u)))
     waves = member_waves(system, members)
-    if waves is not None:
-        betas = list(waves)
-        decay = None if len(betas) == 1 else \
-            np.exp(np.subtract(betas, beta_star)[:, None] * u)
+    if waves is not None and len(waves) == 1:
         # -Re(W z^k) = Im(-i W z^k)
-        return evaluate_phasors(-1j * np.stack(list(waves.values()), axis=1),
-                                system.height_lattice * u, decay)
-    values = np.zeros((len(members), len(u)))
-    for z, row in _zero_amplitudes(system, members).items():
-        wave = np.exp(1j * z.gamma * u) if z.gamma else None
-        decay = np.exp((z.beta - beta_star) * u) if z.beta != beta_star else None
-        for acc, c in zip(values, row):
-            osc = (c * wave).real if z.gamma else c.real
-            acc += osc if decay is None else osc * decay
-    return np.negative(values, out=values)
+        return evaluate_phasors(-1j * waves[system.r_plus],
+                                system.height_lattice * u)
+    return _streamed_values(system, members, u, u)
 
 
 def trace(s: RaceFunctionSet, u_range: Tuple[float, float], step: float,
@@ -486,8 +492,6 @@ def trace(s: RaceFunctionSet, u_range: Tuple[float, float], step: float,
     _check_budget(cells + 1, s.members)
     n = max(int(round(cells)) + 1, 2)
     u = np.linspace(u0, u1, n)
-    lattice = s.system.height_lattice
-    periodic = bool(lattice) and abs((u1 - u0) - 2.0 * math.pi / lattice) <= step
     if mode == "dominant-only":
         values = dominant_member_values(s.system, s.members, u)
     elif mode == "full-formula":
@@ -496,7 +500,7 @@ def trace(s: RaceFunctionSet, u_range: Tuple[float, float], step: float,
     else:
         raise ValueError(f"unknown trace mode {mode!r}")
     return OrderingTrace(u=u, members=tuple(s.members), values=values,
-                         tie_tol=tie_tol, periodic=periodic)
+                         tie_tol=tie_tol)
 
 
 def _check_budget(samples: float, members: Sequence[int]) -> None:
@@ -508,18 +512,49 @@ def _check_budget(samples: float, members: Sequence[int]) -> None:
 def one_period_trace(s: RaceFunctionSet, samples: int = 4096,
                      base_u: float = 0.0, tie_tol: float = 1e-9,
                      ) -> OrderingTrace:
-    """Dominant-only trace over exactly one lattice period."""
-    lattice = s.system.height_lattice
+    """Dominant-only trace over one lattice period, sampled in the phase
+    v = lambda u at v0 + 2 pi i/samples, v0 = fmod(lambda base_u, 2 pi), each
+    level's weight e^((beta - R+) base_u) frozen (all 1 at base_u 0): the
+    trace is periodic in v, and its levels fold into one `evaluate_phasors`
+    table (zeros are streamed where `member_waves` gives none).  The u
+    column, base_u + i 2 pi/(lambda samples), is for output only.
+
+    ValueError when lambda base_u is not finite, or when a level moves a
+    member difference by more than tie_tol at weight 1 but not at its weight
+    w (2 w max_a sum_k |W[a, k]| <= tie_tol): it would drop out unseen."""
+    system, lattice = s.system, s.system.height_lattice
     if not lattice:
         raise ValueError("system has no height lattice; supply a u-range")
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
+    if not math.isfinite(lattice * base_u):
+        raise ValueError(f"the phase {lattice:g} * base_u {base_u:g} "
+                         f"is not finite")
     _check_budget(samples, s.members)
+    waves, reach, weights = member_waves(system, s.members), {}, {}
+    if waves is None:
+        for z, row in _zero_amplitudes(system, s.members).items():
+            reach[z.beta] = reach.get(z.beta, 0.0) + np.abs(row)
+    else:
+        reach = {beta: np.abs(W).sum(axis=1) for beta, W in waves.items()}
+    for beta, spread in reach.items():
+        top = 2.0 * spread.max(initial=0.0)
+        exponent = (beta - system.r_plus) * base_u
+        w = weights[beta] = math.exp(exponent) if exponent < 709 else math.inf
+        if not w < math.inf or w * top <= tie_tol < top:
+            raise ValueError(f"level beta = {beta:g} has weight {w:.3g} at "
+                             f"base_u {base_u:g}; it must be finite and move "
+                             f"a member difference by more than tie_tol "
+                             f"{tie_tol:g}")
+    v = math.fmod(lattice * base_u, 2.0 * math.pi) + np.linspace(
+        0.0, 2.0 * math.pi, samples, endpoint=False)
+    if waves is None:
+        values = _streamed_values(system, s.members, v / lattice, base_u)
+    else:  # -Re(W z^k) = Im(-i W z^k)
+        values = evaluate_phasors(-1j * np.sum(
+            [weights[beta] * W for beta, W in waves.items()], axis=0), v)
     u = base_u + np.linspace(0.0, 2.0 * math.pi / lattice, samples,
                              endpoint=False)
-    if not np.all(np.diff(u) > 0):
-        raise ValueError(f"the period's samples collapse at base_u {base_u:g}")
-    values = dominant_member_values(s.system, s.members, u)
     return OrderingTrace(u=u, members=tuple(s.members), values=values,
                          tie_tol=tie_tol, periodic=True)
 

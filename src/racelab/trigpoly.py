@@ -361,43 +361,32 @@ def _phasor_table(polys: Sequence[TrigPoly], base: float,
     return c, a, c * np.exp(1j * a)
 
 
-def evaluate_phasors(C: np.ndarray, v, decay: np.ndarray | None = None,
-                     ) -> np.ndarray:
-    """Im(sum_(l,k) d_l C[i, l, k-1] e^{ikv}) for every row i of the complex
-    (n, L, K) phasor table C at every point of the 1-D array v, as an
-    (n, len(v)) array: L tables of K powers each, level l scaled by the
-    real weights d_l = decay[l] (an (L, len(v)) array; all 1 by default).
+def evaluate_phasors(C: np.ndarray, v) -> np.ndarray:
+    """Im(sum_k C[i, k-1] e^{ikv}) for every row i of the complex (n, K)
+    phasor table C at every point of the 1-D array v, as an (n, len(v)) array.
 
     With z = e^{iv} the values are Im(C @ Z) = Re(C) @ Im(Z) + Im(C) @ Re(Z)
-    over the powers Z = (d_l z^k): one cos and one sin per point, then K - 1
-    complex products, L K scalings when decay is given, and one matmul in
-    which only the imaginary part is summed.  Points go through in blocks of
-    at most _CHUNK powers (one point at least), so no K x len(v) table is
-    held, and a longer input gives the same floats as its blocks one by one.
+    over the powers Z = (z^k): one cos and one sin per point, then K - 1
+    complex products and one matmul in which only the imaginary part is
+    summed.  Points go through in blocks of at most _CHUNK powers (one
+    point at least), so no K x len(v) table is held, and a longer input
+    gives the same floats as its blocks one by one.
 
-    Against the exact value of row i at the float v (and the given decay),
-    the error is at most
-        EPS * sum_(l,k) |d_l C[i, l, k-1]| * (6LK + 4),
-    plus one rounding of each term when decay is given: cos and sin with up
-    to 4 ulp error, the powers, the phasors and any summation order.
+    Against the exact value of row i at the float v, the error is at most
+    EPS * sum_k |C[i, k-1]| * (6K + 4): cos and sin with up to 4 ulp error,
+    the powers, the phasors and any summation order.
     """
-    n, L, K = C.shape
-    C = C.reshape(n, L * K)
+    n, K = C.shape
     v = np.asarray(v, dtype=float)
     out = np.empty((n, len(v)))
-    step = max(_CHUNK // max(L * K, 1), 1)
+    step = max(_CHUNK // max(K, 1), 1)
     for start in range(0, len(v), step):
         w = v[start:start + step]
-        z = np.empty((L, K, len(w)), dtype=complex)
+        z = np.empty((K, len(w)), dtype=complex)
         if K:
-            z[0, 0] = np.cos(w) + 1j * np.sin(w)
+            z[0] = np.cos(w) + 1j * np.sin(w)
         for k in range(1, K):
-            np.multiply(z[0, k - 1], z[0, 0], out=z[0, k])
-        if decay is not None:
-            d = decay[:, None, start:start + len(w)]
-            np.multiply(z[0], d[1:], out=z[1:])
-            z[0] *= d[0]
-        z = z.reshape(L * K, len(w))
+            np.multiply(z[k - 1], z[0], out=z[k])
         out[:, start:start + len(w)] = C.real @ z.imag + C.imag @ z.real
     return out
 
@@ -408,7 +397,7 @@ def evaluate(polys: Sequence[TrigPoly], v) -> np.ndarray:
     otherwise): `evaluate_phasors` on their phasors C = c e^{i alpha}, as
     c sin(kv + alpha) = Im(C e^{ikv}).  The error is at most
     EPS * sum|c_k| * (6K + 4), K the polynomial's largest frequency."""
-    return evaluate_phasors(_phasor_table(polys, 1.0)[2][:, None], v)
+    return evaluate_phasors(_phasor_table(polys, 1.0)[2], v)
 
 
 def roots(polys: Sequence[TrigPoly], base: float) -> List[TrigRoots]:

@@ -408,31 +408,63 @@ def test_simulate_non_finite_base_u_is_config_error(tmp_path, capsys):
     assert not csv.exists()
 
 
-def test_period_collapsed_by_base_u_is_config_error(tmp_path, capsys):
-    # the README's q = 7 thm311 recipe: at base_u 1e300 every sample of the
-    # period rounds to the same u, which is no census of the period
+def test_huge_base_u_censuses_the_phase_it_names(tmp_path, capsys):
+    # the README's q = 7 thm311 recipe: at base_u 1e300 the u column rounds
+    # to one value, but the period is sampled in the phase, from
+    # v0 = fmod(lambda base_u, 2 pi), so it is the census of base_u 0 moved
     rec = tmp_path / "rec.json"
-    out = tmp_path / "census.json"
     assert run(["barrier", "build", "thm311", "--q", 7, "--tau", 1000,
                 "--out", rec]) == 0
     capsys.readouterr()
-    assert_config_error(["orderings", "--recipe", rec, "--base-u", "1e300",
-                         "--out", out], capsys)
-    assert not out.exists()
-    assert run(["orderings", "--recipe", rec, "--base-u", "1e3",
-                "--out", out]) == 0
+    reports = []
+    for base_u in ("0", "1e300"):
+        out = tmp_path / f"census_{base_u}.json"
+        assert run(["orderings", "--recipe", rec, "--base-u", base_u,
+                    "--out", out]) == 0
+        reports.append(json.loads(out.read_text()))
+    for rep in reports:
+        assert rep["strict_count"] == 6 and len(rep["crossings"]) == 10
+    zero, huge = reports
+    assert huge["orderings"] == zero["orderings"]
+    assert sorted(c["pair"] for c in huge["crossings"]) \
+        == sorted(c["pair"] for c in zero["crossings"])
+    # a phase lambda base_u past the floats names no period
+    assert_config_error(["orderings", "--recipe", rec, "--base-u", "1e306",
+                         "--out", tmp_path / "c.json"], capsys)
+    assert not (tmp_path / "c.json").exists()
 
 
-def test_extremal_claim_on_collapsed_period_is_config_error(tmp_path, capsys):
-    # the README's thm43 recipe: a true claim is not refused (exit 2), the
-    # collapsed period is named as a configuration error
+def test_extremal_claim_holds_at_huge_base_u(tmp_path, capsys):
+    # the README's thm43 recipe: one level, so base_u moves only the phase
     rec = tmp_path / "ext.json"
     assert run(["barrier", "build", "thm43", "--q", 7, "--D", "a,a2,a3",
                 "--out", rec]) == 0
+    out = tmp_path / "c.json"
+    assert run(["orderings", "--recipe", rec, "--claim", "extremal_exact",
+                "--base-u", "1e300", "--out", out]) == 0
+    assert json.loads(out.read_text())["verdict"]["ok"]
+
+
+def test_level_lost_to_its_frozen_weight_is_config_error(tmp_path, capsys):
+    # q = 15's thm51 recipe: the beta = 0.7 level's weight e^(-0.1 base_u)
+    # is 2e-9 at base_u 200, too small to move a member difference by more
+    # than tie_tol, so its census would drop the level unseen
+    rec = tmp_path / "t15.json"
+    assert run(["barrier", "build", "thm51", "--q", 15, "--tau", 1000,
+                "--out", rec]) == 0
+    for base_u in ("0", "60"):
+        out = tmp_path / f"c_{base_u}.json"
+        assert run(["orderings", "--recipe", rec, "--claim", "thm51_upper",
+                    "--base-u", base_u, "--out", out]) == 0
+        assert json.loads(out.read_text())["verdict"]["ok"]
     capsys.readouterr()
-    assert_config_error(["orderings", "--recipe", rec, "--claim",
-                         "extremal_exact", "--base-u", "1e300",
-                         "--out", tmp_path / "c.json"], capsys)
+    out = tmp_path / "c_200.json"
+    assert run(["orderings", "--recipe", rec, "--claim", "thm51_upper",
+                "--base-u", "200", "--out", out]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: level beta = 0.7 ")
+    assert "weight" in err[0] and "tie_tol 1e-09" in err[0]
+    assert not out.exists()
 
 
 def test_simulate_non_finite_window_is_config_error(tmp_path, capsys):

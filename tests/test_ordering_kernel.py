@@ -6,7 +6,11 @@ wave-crossing root finder and the per-member dominant trace, kept here
 verbatim apart from names (and two fixes: the root finder does not bracket
 a cell whose end value is exactly zero, and the trace returns an empty
 array for no members, where the loop's np.vstack raised); the root finder
-is now the reference for `trigpoly.roots`.  `scan_detect_crossings` is not
+is now the reference for `trigpoly.roots`.  Two semantic changes followed
+the kernel: the crossing loop reads a periodic trace through `seam_closed`,
+so crossings between its last and first sample count, and the trace loop
+can weight every level at one frozen u, as a one-period trace does.
+`scan_detect_crossings` is not
 one of them: it is a per-sample scan, checked against the crossing loop and
 fast enough for sweeps over many members.  Random traces are quantized so
 that ties, tie runs at both ends of the window and all-tied columns occur
@@ -55,8 +59,23 @@ def ref_ordering_at(trace: OrderingTrace, idx: int) -> tuple:
     return tuple(blocks)
 
 
+def seam_closed(trace: OrderingTrace) -> Tuple[OrderingTrace, int]:
+    """A periodic trace as a window of two periods, the second a period on
+    (n samples of its mean step), with the n of the first: its crossings
+    are the window's whose sample before the change lies in the first
+    period.  A window is itself, with its own length."""
+    n = len(trace.u)
+    if not trace.periodic or n < 2:
+        return trace, n
+    period = (trace.u[-1] - trace.u[0]) / (n - 1) * n
+    return OrderingTrace(u=np.r_[trace.u, trace.u + period],
+                         members=trace.members, tie_tol=trace.tie_tol,
+                         values=np.hstack([trace.values, trace.values])), n
+
+
 def ref_detect_crossings(trace: OrderingTrace) -> List[Crossing]:
     out: List[Crossing] = []
+    trace, first = seam_closed(trace)
     u = trace.u
     for i in range(trace.n_members):
         for j in range(i + 1, trace.n_members):
@@ -64,7 +83,7 @@ def ref_detect_crossings(trace: OrderingTrace) -> List[Crossing]:
             state = np.where(np.abs(diff) <= trace.tie_tol, 0, np.sign(diff))
             k = 0
             n = len(state)
-            while k < n - 1:
+            while k < n - 1 and k < first:
                 if state[k] != 0 and state[k + 1] != 0 and state[k] != state[k + 1]:
                     out.append(Crossing((i, j), float(u[k]), float(u[k + 1]),
                                         int(state[k]), int(state[k + 1])))
@@ -96,7 +115,9 @@ def scan_detect_crossings(trace: OrderingTrace) -> List[Crossing]:
     u_enter, then (i, j), then the sample where the loop met the crossing.
     Checked against `ref_detect_crossings` below; it takes O(samples) numpy
     steps instead of O(pairs x samples) Python ones, so the sweep over many
-    members can use it."""
+    members can use it.  A periodic trace is read as `seam_closed` reads
+    it."""
+    trace, first = seam_closed(trace)
     ii, jj = np.triu_indices(trace.n_members, 1)
     state = np.ascontiguousarray(np.concatenate([  # by sample, pairs (i, j > i)
         np.where(np.abs(diff) <= trace.tie_tol, 0, np.sign(diff)).astype(np.int8)
@@ -121,7 +142,7 @@ def scan_detect_crossings(trace: OrderingTrace) -> List[Crossing]:
                   for i, j, s, b, a in zip(*(x.tolist() for x in (
                       ii[p], jj[p], start[p], before[p], state[k, p])))]
     found.sort(key=lambda f: f[:4])
-    return [f[4] for f in found]
+    return [f[4] for f in found if f[3] < first]
 
 
 def ref_census(trace: OrderingTrace) -> CensusReport:
@@ -219,8 +240,11 @@ def ref_wave_crossings(w1, w2, period, samples):
     return roots
 
 
-def ref_dominant_member_values(system, members, u):
+def ref_dominant_member_values(system, members, u, at=None):
+    """The loop, each level weighted by its decay at u, or at the one
+    frozen u `at` given (as `one_period_trace` weighs a period)."""
     u = np.asarray(u, dtype=float)
+    at = u if at is None else at
     beta_star = system.r_plus
     if beta_star is None:
         return np.zeros((len(members), len(u)))
@@ -237,7 +261,7 @@ def ref_dominant_member_values(system, members, u):
         for z, c in amps.items():
             osc = (c * np.exp(1j * z.gamma * u)).real if z.gamma else np.full_like(u, c.real)
             if z.beta != beta_star:
-                osc = osc * np.exp((z.beta - beta_star) * u)
+                osc = osc * np.exp((z.beta - beta_star) * at)
             acc += osc
         rows.append(-acc)
     return np.vstack(rows) if rows else np.zeros((0, len(u)))
@@ -341,6 +365,23 @@ def test_detect_crossings_matches_loop_reference_on_fixed_traces(name):
     trace = FIXED_TRACES[name]
     assert detect_crossings(trace) == ref_detect_crossings(trace)
     assert scan_detect_crossings(trace) == ref_detect_crossings(trace)
+
+
+def test_periodic_trace_closes_its_seam():
+    # (0, 1) and (1, 2) flip from the last sample to the first, and (0, 2)
+    # is tied at both, between signs + (sample 2) and - (sample 1)
+    values = [[1, 1, -1, -1], [0, 0, 0, 0], [1, 2, -2, -1]]
+    trace = fixed_trace(values, tie_tol=1e-9)
+    inner = [Crossing((0, 1), 0.5, 1.0, 1, -1),
+             Crossing((0, 2), 0.5, 1.0, -1, 1),
+             Crossing((1, 2), 0.5, 1.0, -1, 1)]
+    assert detect_crossings(trace) == inner
+    periodic = trace._replace(periodic=True)
+    assert detect_crossings(periodic) == inner + [
+        Crossing((0, 1), 1.5, 2.0, -1, 1), Crossing((0, 2), 1.5, 2.0, 1, -1),
+        Crossing((1, 2), 1.5, 2.0, 1, -1)]
+    assert ref_detect_crossings(periodic) == detect_crossings(periodic)
+    assert census(periodic).crossings == detect_crossings(periodic)
 
 
 def kept_columns(trace):
@@ -543,18 +584,21 @@ def test_thm51_condition_a_refuses_a_near_double_root(monkeypatch):
 
 def test_q35_all_units_census_golden():
     """Pins the sampled census of the q=35 layered recipe with all 24 units
-    as members at 1024 and 32768 samples.  It records what each sample count
-    sees, not a converged count (more samples see more orderings); only at
-    32768 samples does every pair cross twice, r(r-1) = 552 crossings."""
+    as members at 1024 and 32768 samples, level weights frozen at base_u 0.
+    It records what each sample count sees, not a converged count (more
+    samples see more orderings).  With the seam closed every pair crosses
+    twice, r(r-1) = 552 crossings, at both; at 32768 two samples tie the
+    members at indices 4 and 19 within tie_tol (4.5e-10 apart)."""
     recipe = build_thm51(35, tau=1000.0)
     rfs = simulator.RaceFunctionSet(35, recipe.system,
                                     residues.unit_group(35).units,
                                     pi_proxy="zero")
-    for samples, strict, crossings in ((1024, 231, 540), (32768, 371, 552)):
+    for samples, strict, crossings, tied in ((1024, 230, 552, 0),
+                                             (32768, 346, 552, 2)):
         rep = census(simulator.one_period_trace(rfs, samples=samples))
         assert rep.strict_count == strict
         assert len(rep.crossings) == crossings
-        assert not rep.weak
+        assert sum(rep.weak.values()) == tied
 
 
 # --- the dominant trace ---------------------------------------------------------
@@ -609,39 +653,37 @@ DOMINANT_CASES = {
     "one sample": lambda: recipe_case(barriers.build_thm311(7), samples=1),
     "far sparse height": far_height_case,
 }
-# members of systems whose heights fill a lattice take the phasor-table path
-# and meet `lattice_bound`; the rest stream their zeros as the loop does, bit
-# for bit ("no members" is on a lattice, but has no values to differ)
+# members of systems whose heights fill a lattice get `member_waves` tables;
+# those of one level take the phasor-table path and meet `lattice_bound`,
+# the rest stream their zeros as the loop does, bit for bit ("no members"
+# is on a lattice, but has no values to differ)
 ON_LATTICE = {"thm311 Z4 x Z2", "thm51 all units", "thm43", "one sample"}
+ONE_LEVEL = ON_LATTICE - {"thm51 all units"}
 
 
 def lattice_bound(system, members, u):
     """How far the phasor-table values and the loop reference's may lie
-    apart, per member and sample: the sum of what each may lie from
-    -Re sum_rho A_rho d_rho(u) e^(i gamma_rho u), with the amplitudes A and
-    the float decays d that both compute alike.  Per zero, in units of
-    EPS |A| d:
-    - the table: `evaluate_phasors`' bound 6LK + 4 (L levels, K the largest
-      height multiple), 1 for the decay scaling, and |gamma u| / 2 for
-      v = fl(lambda u);
+    apart, per member and sample, on a one-level lattice: the sum of what
+    each may lie from -Re sum_rho A_rho e^(i gamma_rho u), with the
+    amplitudes A that both compute alike.  Per zero, in units of EPS |A|:
+    - the table: `evaluate_phasors`' bound 6K + 4 on its (n, K) table (K
+      the largest height multiple), and |gamma u| / 2 for v = fl(lambda u);
     - the loop: |gamma u| / 2 for fl(gamma u), 6 for cos and sin of up to
-      4 ulp each (in modulus), 2 for the real part of A e^(i theta), 1 for
-      the decay product, and N for the sum over the N zeros.
+      4 ulp each (in modulus), 2 for the real part of A e^(i theta), and N
+      for the sum over the N zeros.
     """
-    beta_star = system.r_plus
     lam = system.height_lattice
     amps = {}
     for label, z, mult in system.items():
         chi_bar = system.chars[label].conjugate()
         row = amps.setdefault(z, np.zeros(len(members), dtype=complex))
         row += [mult * chi_bar(a) / z.rho for a in members]
-    L = len({z.beta for z in amps})
+    assert len({z.beta for z in amps}) == 1
     K = max(round(z.gamma / lam) for z in amps)
     bound = np.zeros((len(members), len(u)))
     for z, a in amps.items():
-        decay = np.exp((z.beta - beta_star) * u)
-        units = 6 * L * K + 4 + 1 + np.abs(z.gamma * u) + 6 + 2 + 1 + len(amps)
-        bound += np.outer(np.abs(a), decay * units)
+        units = 6 * K + 4 + np.abs(z.gamma * u) + 6 + 2 + len(amps)
+        bound += np.outer(np.abs(a), units)
     return EPS * bound
 
 
@@ -650,7 +692,7 @@ def test_dominant_member_values_match_loop_reference(case):
     system, members, u = DOMINANT_CASES[case]()
     values = simulator.dominant_member_values(system, members, u)
     ref = ref_dominant_member_values(system, members, u)
-    if case in ON_LATTICE:
+    if case in ONE_LEVEL:
         assert values.dtype == ref.dtype and values.shape == ref.shape
         assert np.all(np.abs(values - ref) <= lattice_bound(system, members, u))
     else:
@@ -660,15 +702,19 @@ def test_dominant_member_values_match_loop_reference(case):
 def test_member_waves_only_on_a_filled_lattice():
     for case, build in DOMINANT_CASES.items():
         system, members, _ = build()
-        on_lattice = simulator.member_waves(system, members) is not None
-        assert on_lattice == (case in ON_LATTICE or case == "no members"), case
+        waves = simulator.member_waves(system, members)
+        assert (waves is not None) == (case in ON_LATTICE
+                                       or case == "no members"), case
+        if case in ON_LATTICE:
+            assert (len(waves) == 1) == (case in ONE_LEVEL), case
 
 
 @pytest.mark.slow
 def test_thm51_census_matches_loop_reference_values():
     """Every thm51 recipe for q <= 100, all units as members, 1024 samples:
     the census of the phasor-table values and of the loop reference's
-    values agree in strict orderings, crossings and verdict."""
+    values, with the level weights frozen at base_u 0, agree in strict
+    orderings, crossings and verdict."""
     for q in range(3, 101):
         recipe = build_thm51(q, tau=1000.0)
         units = residues.unit_group(q).units
@@ -676,7 +722,7 @@ def test_thm51_census_matches_loop_reference_values():
             q, recipe.system, units, pi_proxy="zero"), samples=1024)
         ref = OrderingTrace(u=tr.u, members=tr.members, tie_tol=tr.tie_tol,
                             values=ref_dominant_member_values(
-                                recipe.system, units, tr.u),
+                                recipe.system, units, tr.u, at=0.0),
                             periodic=True)
         rep, ref_rep = census(tr), census(ref)
         assert rep.strict == ref_rep.strict, q

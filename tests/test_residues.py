@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 from fractions import Fraction
@@ -396,3 +397,14 @@ def test_character_records_compare_and_hash_by_q_and_b():
         2 * chi
     with pytest.raises(AttributeError):
         chi.b = (2,)
+
+
+def test_unit_groups_compare_and_hash_by_q_and_generators():
+    group = unit_group(7)
+    assert hash(group) == hash((7, group.generators))
+    twin = copy.deepcopy(group)  # a separate object with equal fields
+    assert twin is not group and twin == group and hash(twin) == hash(group)
+    assert len({group, twin, unit_group(9), unit_group(15)}) == 3
+    assert group != unit_group(9)
+    with pytest.raises(AttributeError):
+        group.q = 9

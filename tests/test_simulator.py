@@ -483,6 +483,78 @@ def test_trace_periodicity():
     assert tr.periodic
 
 
+@pytest.mark.parametrize("q, crossings", [(7, 58), (13, 350), (15, 106),
+                                          (19, 732)])
+def test_period_census_closes_its_seam(q, crossings):
+    # the lattice-1001 thm311 recipes over all units, 65536 samples: the
+    # last sample is compared with the first, so every crossing of the
+    # period counts, wherever the phase grid starts
+    from racelab.barriers import build_thm311
+    from racelab.orderings import census
+    recipe = build_thm311(q, tau=1000.0)
+    s = RaceFunctionSet(q, recipe.system, unit_group(q).units, pi_proxy="zero")
+    for base_u in (0.0, 1.234e-4):
+        rep = census(one_period_trace(s, samples=65536, base_u=base_u))
+        assert len(rep.crossings) == crossings, base_u
+
+
+def test_period_samples_the_phase_with_frozen_level_weights():
+    from racelab.barriers import build_thm51
+    recipe = build_thm51(15, tau=1000.0)
+    lam = recipe.system.height_lattice
+    s = RaceFunctionSet(15, recipe.system, unit_group(15).units,
+                        pi_proxy="zero")
+    tr = one_period_trace(s, samples=512, base_u=50.0)
+    assert np.array_equal(tr.u, 50.0 + np.linspace(0.0, 2 * math.pi / lam,
+                                                    512, endpoint=False))
+    # each level weighted at base_u 50 for the whole period: the two
+    # levels' values at the phase, the lower one scaled by e^(-0.1 * 50)
+    levels = {}
+    for beta in recipe.params["betas"]:
+        one = ZeroSystem(15, {label: {z: m for z, m in zs.items()
+                                      if z.beta == beta}
+                              for label, zs in recipe.system.entries.items()},
+                         height_lattice=lam)
+        levels[beta] = dominant_member_values(one, s.members, tr.u)
+    hi, lo = sorted(levels)[::-1]
+    frozen = levels[hi] + math.exp((lo - hi) * 50.0) * levels[lo]
+    assert np.max(np.abs(tr.values - frozen)) < 1e-12
+    # weights that drift across the period move the values by far more
+    drifting = dominant_member_values(recipe.system, s.members, tr.u)
+    assert np.max(np.abs(drifting - frozen)) > 1e-9
+    # far out the lower level's weight is below tie_tol's reach, and far
+    # back it overflows: both are refused, naming the level
+    for base_u in (200.0, -1e4):
+        with pytest.raises(ValueError, match="level beta = 0.7 has weight"):
+            one_period_trace(s, base_u=base_u)
+
+
+def test_one_period_window_is_not_periodic():
+    # only `one_period_trace` samples a period; a u-window of that length
+    # drifts in its level weights and is censused as a window
+    from racelab.barriers import build_thm311
+    from racelab.orderings import census
+    recipe = build_thm311(7, tau=1000.0)
+    period = 2 * math.pi / recipe.system.height_lattice
+    s = RaceFunctionSet(7, recipe.system, unit_group(7).units, pi_proxy="zero")
+    tr = trace(s, (0.0, period), period / 256)
+    assert not tr.periodic
+    assert census(tr).to_dict()["census_kind"] == "window-lower-bound"
+    assert one_period_trace(s, samples=256).periodic
+
+
+def test_period_phase_past_the_floats_is_refused():
+    system, _, _ = single_zero_system(gamma=10.0)
+    s = RaceFunctionSet(5, system, (1, 2), pi_proxy="zero")
+    with pytest.raises(ValueError, match="not finite"):
+        one_period_trace(s, base_u=1e308)
+    # a huge finite phase is one v0 in [0, 2 pi): the u column collapses,
+    # the values do not
+    tr = one_period_trace(s, samples=64, base_u=1e300)
+    assert len(set(tr.u.tolist())) == 1
+    assert np.all(np.isfinite(tr.values)) and np.ptp(tr.values[0]) > 0
+
+
 def test_trace_overflow_guard():
     system, _, _ = single_zero_system()
     s = RaceFunctionSet(5, system, (1, 2), pi_proxy="zero")

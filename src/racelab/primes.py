@@ -33,7 +33,7 @@ from typing import Iterator, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .budget import BudgetExceededError, Record, check_budget, sieve_budget
-from .residues import separating_characters, sqrt_count, unit_group
+from .residues import sqrt_count, unit_group
 from .simulator import corollary13_sum
 from .zerosys import ZeroSystem
 
@@ -408,9 +408,8 @@ def compare_with_simulator(table: PrimeRaceTable, zeros: ZeroSystem,
         raise InsufficientZeroDataError("no zeros supplied")
     if zeros.q != table.q:
         raise InsufficientZeroDataError("zero data modulus mismatch")
-    sep = separating_characters(zeros.q, a, b)
-    covered = any(zeros.chars[label] in sep for label in zeros.entries)
-    if sep and not covered:
+    separates = zeros.chars.numerators(a) != zeros.chars.numerators(b)
+    if separates.any() and not separates[list(zeros.entries)].any():
         raise InsufficientZeroDataError(
             "zero data covers no character separating the pair")
     q = table.q

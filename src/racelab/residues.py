@@ -335,14 +335,6 @@ def character_label(chi: DirichletCharacter) -> int:
     return _character_table(chi.q).index(chi)
 
 
-def separating_characters(q: int, a: int, b: int) -> Tuple[DirichletCharacter, ...]:
-    """Characters with chi(a) != chi(b) (exact phase test); the principal
-    character is 1 at both, so it never separates."""
-    table = characters(q)
-    differ = np.flatnonzero(table.numerators(a) != table.numerators(b))
-    return tuple(table[i] for i in differ.tolist())
-
-
 def character_with_value(q: int, a: int, target_phase: Fraction) -> DirichletCharacter:
     """The first character chi mod q, in label order, with
     chi(a) = e(target_phase)."""

@@ -21,6 +21,10 @@ limit the dominant-term analysis uses, valid for any u).  A u-window is a
 window, whatever its length.  One period of a height lattice lambda is one
 grid in the phase v = lambda u, with each level's weight frozen at the
 period's base_u (`one_period_trace`); only that trace is periodic.
+
+Every trace reads one amplitude table, A[a, rho] = sum_chi n(rho, chi)
+w(rho) conj(chi)(a) from the characters' integer exponent vectors: the full
+formula weights f(rho) by it, and the dominant-only values read A/rho.
 """
 
 from __future__ import annotations
@@ -235,15 +239,9 @@ def _star_weight(z: Zero) -> float:
 def _formula_sums(s: RaceFunctionSet, x: Sequence[float]) -> np.ndarray:
     """Re sum_(chi,rho) n(rho,chi) conj(chi)(a) f(rho) at every x >= 2, with
     the half-weight star convention: one row per member, one column per x."""
-    zeros = s.system.all_zeros()
-    col = {z: k for k, z in enumerate(zeros)}
-    chi_bar = _character_values(s.system, s.members)
-    amp = np.zeros((len(s.members), len(zeros)), dtype=complex)
-    for label, z, mult in s.system.items():
-        for i, chi in enumerate(chi_bar[label]):
-            amp[i, col[z]] += chi * mult * _star_weight(z)
+    zeros, amps = _amplitudes(s.system, s.members)
     main, tail, _ = _f_table([z.rho for z in zeros], x)
-    return (amp @ (main + tail)).real
+    return (amps @ (main + tail)).real
 
 
 def race_values(s: RaceFunctionSet, x: float) -> Dict[int, float]:
@@ -359,80 +357,86 @@ def corollary13_sum(zeros: ZeroSystem, a: int, b: int,
 # --- traces -----------------------------------------------------------------------
 
 
-def _character_values(system: ZeroSystem, members: Sequence[int],
-                       ) -> Dict[int, List[complex]]:
-    """conj(chi)(a) for each character label that carries zeros and each
-    member a, in member order: one character call per (label, member)."""
-    out = {}
-    for label in system.entries:
-        chi_bar = system.chars[label].conjugate()
-        out[label] = [chi_bar(a) for a in members]
-    return out
-
-
-def _zero_amplitudes(system: ZeroSystem, members: Sequence[int],
-                     ) -> Dict[Zero, np.ndarray]:
-    """Per distinct zero rho, in the order of system.items(), each member
-    a's star-weighted amplitude sum_chi n(rho, chi) conj(chi)(a) / rho, from
-    one character value per (label, member)."""
-    chi_bar = _character_values(system, members)
-    amps: Dict[Zero, np.ndarray] = {}
-    for label, z, mult in system.items():
-        weight = mult * _star_weight(z)
-        row = amps.setdefault(z, np.zeros(len(members), dtype=complex))
-        row += [weight * chi / z.rho for chi in chi_bar[label]]
-    return amps
+def _amplitudes(system: ZeroSystem, members: Sequence[int],
+                ) -> Tuple[List[Zero], np.ndarray]:
+    """The system's zeros, sorted, and the (len(members), len(zeros)) table
+    A[a, rho] = sum_chi n(rho, chi) w(rho) conj(chi)(a), w the star weight:
+    e(-phase) from integer phase numerators (the members' unit exponents
+    against the labels' exponent vectors), times the (label x zero) n w."""
+    zeros = system.all_zeros()
+    col = {z: k for k, z in enumerate(zeros)}
+    weighted = np.zeros((len(system.entries), len(zeros)))
+    for row, zs in zip(weighted, system.entries.values()):
+        row[[col[z] for z in zs]] = [m * _star_weight(z) for z, m in zs.items()]
+    group = unit_group(system.q)
+    alpha = np.array([group.exponents(a) for a in members], dtype=np.int64)
+    scale = [group.lam // n for _, n in group.generators]
+    numerators = alpha.reshape(-1, len(scale)) * scale \
+        @ system.chars.b[list(system.entries)].T
+    chi_bar = np.exp(2j * np.pi * (-numerators % group.lam / group.lam))
+    return zeros, chi_bar @ weighted
 
 
 # The lattice path takes K powers of one phasor per sample and one matmul;
-# the loop takes a complex exponential per zero and a pass per (zero,
-# member).  With 8 members, 17 heights and 8192 samples the lattice path
-# took 0.6x the loop's time at K = 34 and 1.3x at K = 64.
+# the stream a complex exponential and a step per zero.  With 8 members, 17
+# heights and 8192 samples the lattice path took 0.44x the stream's time at
+# K = 34 and 1.1x at K = 64 (0.6x and 1.3x of a pass per (zero, member)).
 _LATTICE_FILL = 2
+# The stream's blocks: with 24 members and 200000 samples, unblocked
+# (members, samples) temporaries took 5x the values' memory and 3x the time.
+_STREAM_CELLS = 1 << 15
 
 
-def member_waves(system: ZeroSystem, members: Sequence[int],
-                 ) -> Dict[float, np.ndarray] | None:
-    """The members' waves on the system's height lattice lambda, per real
-    part beta: a (len(members), K) complex table W_beta whose column k - 1
-    holds the `_zero_amplitudes` of the zero beta + i k lambda (0 where
-    there is none), K the largest height multiple over all levels, so that
-        v_a(u) = -Re sum_beta e^((beta - R+) u)
-                         sum_k W_beta[a, k-1] e^(i k lambda u).
-    None when the system has no lattice, when some height is not an exact
-    float multiple k >= 1 of it, or when K exceeds _LATTICE_FILL times the
-    number of distinct heights.
-    """
+def _lattice_table(system: ZeroSystem, zeros: Sequence[Zero],
+                   amps: np.ndarray) -> np.ndarray | None:
+    """The (len(amps), K) table whose column k - 1 sums, in zero order, the
+    columns of amps at the zeros of height k lambda on the system's height
+    lattice; None without one, when some height is not an exact float
+    multiple k >= 1 of it, or when K > _LATTICE_FILL x distinct heights."""
     lattice = system.height_lattice
     if lattice is None or not lattice > 0.0:
         return None
-    heights = {z.gamma for z in system.all_zeros()}
+    heights = {z.gamma for z in zeros}
     cap = _LATTICE_FILL * len(heights)
     ks = {g: round(g / lattice) if 1.0 <= g / lattice <= cap else 0
           for g in heights}
     if any(k == 0 or k * lattice != g for g, k in ks.items()):
         return None
-    K = max(ks.values(), default=0)
-    waves: Dict[float, np.ndarray] = {}
-    for z, row in _zero_amplitudes(system, members).items():
-        waves.setdefault(z.beta, np.zeros((len(members), K), dtype=complex)
-                         )[:, ks[z.gamma] - 1] = row
-    return waves
+    table = np.zeros((len(amps), max(ks.values(), default=0)), dtype=complex)
+    np.add.at(table.T, np.array([ks[z.gamma] - 1 for z in zeros], dtype=int),
+              amps.T)
+    return table
 
 
-def _streamed_values(system: ZeroSystem, members: Sequence[int], u: np.ndarray,
-                     at: float | np.ndarray) -> np.ndarray:
-    """The members' dominant values with each zero streamed: its wave
-    e^(i Im rho u) and its level weight e^((Re rho - R+) at) are built once
-    and added to every member's row, so no zeros x samples table is held."""
-    values = np.zeros((len(members), len(u)))
-    for z, row in _zero_amplitudes(system, members).items():
-        wave = np.exp(1j * z.gamma * u) if z.gamma else None
-        decay = np.exp((z.beta - system.r_plus) * at) \
-            if z.beta != system.r_plus else None
-        for acc, c in zip(values, row):
-            osc = (c * wave).real if z.gamma else c.real
-            acc += osc if decay is None else osc * decay
+def member_waves(system: ZeroSystem, members: Sequence[int],
+                 ) -> Dict[float, np.ndarray] | None:
+    """The members' waves on the system's height lattice lambda: per real
+    part beta, the `_lattice_table` W_beta of the level's A[a, rho]/rho (None
+    where there is none), so that v_a(u) = -Re sum_beta e^((beta - R+) u)
+    sum_k W_beta[a, k-1] e^(i k lambda u)."""
+    zeros, amps = _amplitudes(system, members)
+    amps, betas = amps / [z.rho for z in zeros], [z.beta for z in zeros]
+    if _lattice_table(system, zeros, amps) is None:
+        return None
+    return {beta: _lattice_table(system, zeros, amps * np.equal(betas, beta))
+            for beta in dict.fromkeys(betas)}
+
+
+def _streamed_values(zeros: Sequence[Zero], amps: np.ndarray, r_plus: float,
+                     u: np.ndarray, at: float | np.ndarray) -> np.ndarray:
+    """The dominant values of the amplitudes amps with each zero streamed:
+    one step per zero, its wave e^(i Im rho u) and its level weight
+    e^((Re rho - R+) at) across all members, over blocks of u of at most
+    _STREAM_CELLS members x samples, so no zeros x u table is held."""
+    values = np.zeros((len(amps), len(u)))
+    at = np.broadcast_to(at, u.shape)
+    step = max(_STREAM_CELLS // max(len(amps), 1), 1)
+    for start in range(0, len(u), step):
+        part = slice(start, start + step)
+        for z, c in zip(zeros, amps.T):
+            osc = (c[:, None] * np.exp(1j * z.gamma * u[part])).real  # exact at gamma 0
+            values[:, part] += osc if z.beta == r_plus \
+                else osc * np.exp((z.beta - r_plus) * at[part])
     return np.negative(values, out=values)
 
 
@@ -447,21 +451,20 @@ def dominant_member_values(system: ZeroSystem, members: Sequence[int],
     residuals dropped.  Levels below R+ carry exponentially decaying weights,
     so any u is within numeric reach.
 
-    A one-level system on a height lattice lambda (when `member_waves` gives
-    its table) goes through one `trigpoly.evaluate_phasors` call at
+    A one-level system on a height lattice lambda (when its zeros have
+    a `_lattice_table`) goes through one `trigpoly.evaluate_phasors` call at
     v = lambda u, within that function's error bound plus what rounding
     lambda u moves.  Otherwise the zeros are streamed, each weighted by its
     decay at every u (a layered system has few distinct zeros).
     """
     u = np.asarray(u, dtype=float)
-    if system.r_plus is None:
-        return np.zeros((len(members), len(u)))
-    waves = member_waves(system, members)
-    if waves is not None and len(waves) == 1:
+    zeros, amps = _amplitudes(system, members)
+    amps = amps / [z.rho for z in zeros]
+    table = _lattice_table(system, zeros, amps)
+    if table is not None and len({z.beta for z in zeros}) <= 1:
         # -Re(W z^k) = Im(-i W z^k)
-        return evaluate_phasors(-1j * waves[system.r_plus],
-                                system.height_lattice * u)
-    return _streamed_values(system, members, u, u)
+        return evaluate_phasors(-1j * table, system.height_lattice * u)
+    return _streamed_values(zeros, amps, system.r_plus, u, u)
 
 
 def trace(s: RaceFunctionSet, u_range: Tuple[float, float], step: float,
@@ -515,13 +518,13 @@ def one_period_trace(s: RaceFunctionSet, samples: int = 4096,
     """Dominant-only trace over one lattice period, sampled in the phase
     v = lambda u at v0 + 2 pi i/samples, v0 = fmod(lambda base_u, 2 pi), each
     level's weight e^((beta - R+) base_u) frozen (all 1 at base_u 0): the
-    trace is periodic in v, and its levels fold into one `evaluate_phasors`
-    table (zeros are streamed where `member_waves` gives none).  The u
-    column, base_u + i 2 pi/(lambda samples), is for output only.
+    trace is periodic in v.  One `_amplitudes` table gives each level's
+    reach and, weighted, one `_lattice_table` (or the zeros are streamed).
+    The u column, base_u + i 2 pi/(lambda samples), is for output only.
 
     ValueError when lambda base_u is not finite, or when a level moves a
     member difference by more than tie_tol at weight 1 but not at its weight
-    w (2 w max_a sum_k |W[a, k]| <= tie_tol): it would drop out unseen."""
+    w (2 w max_a sum_rho |A[a, rho]/rho| <= tie_tol): it would drop out."""
     system, lattice = s.system, s.system.height_lattice
     if not lattice:
         raise ValueError("system has no height lattice; supply a u-range")
@@ -531,16 +534,14 @@ def one_period_trace(s: RaceFunctionSet, samples: int = 4096,
         raise ValueError(f"the phase {lattice:g} * base_u {base_u:g} "
                          f"is not finite")
     _check_budget(samples, s.members)
-    waves, reach, weights = member_waves(system, s.members), {}, {}
-    if waves is None:
-        for z, row in _zero_amplitudes(system, s.members).items():
-            reach[z.beta] = reach.get(z.beta, 0.0) + np.abs(row)
-    else:
-        reach = {beta: np.abs(W).sum(axis=1) for beta, W in waves.items()}
-    for beta, spread in reach.items():
-        top = 2.0 * spread.max(initial=0.0)
+    zeros, amps = _amplitudes(system, s.members)
+    amps, betas = amps / [z.rho for z in zeros], np.array([z.beta for z in zeros])
+    weights = np.empty(len(zeros))
+    for beta in dict.fromkeys(betas.tolist()):
+        level = betas == beta
+        top = 2.0 * np.abs(amps[:, level]).sum(axis=1).max(initial=0.0)
         exponent = (beta - system.r_plus) * base_u
-        w = weights[beta] = math.exp(exponent) if exponent < 709 else math.inf
+        w = weights[level] = math.exp(exponent) if exponent < 709 else math.inf
         if not w < math.inf or w * top <= tie_tol < top:
             raise ValueError(f"level beta = {beta:g} has weight {w:.3g} at "
                              f"base_u {base_u:g}; it must be finite and move "
@@ -548,11 +549,12 @@ def one_period_trace(s: RaceFunctionSet, samples: int = 4096,
                              f"{tie_tol:g}")
     v = math.fmod(lattice * base_u, 2.0 * math.pi) + np.linspace(
         0.0, 2.0 * math.pi, samples, endpoint=False)
-    if waves is None:
-        values = _streamed_values(system, s.members, v / lattice, base_u)
+    table = _lattice_table(system, zeros, amps * weights)
+    if table is None:
+        values = _streamed_values(zeros, amps, system.r_plus, v / lattice,
+                                  base_u)
     else:  # -Re(W z^k) = Im(-i W z^k)
-        values = evaluate_phasors(-1j * np.sum(
-            [weights[beta] * W for beta, W in waves.items()], axis=0), v)
+        values = evaluate_phasors(-1j * table, v)
     u = base_u + np.linspace(0.0, 2.0 * math.pi / lattice, samples,
                              endpoint=False)
     return OrderingTrace(u=u, members=tuple(s.members), values=values,
@@ -642,12 +644,9 @@ def decompose_level_waves(system: ZeroSystem, char_labels: Sequence[int],
                                            start=1):
         chi = _recipe_character(system, label)
         for k in (1, 2):
-            lab_k = character_label(chi**k)
-            c = 0
-            for z, mult in system.zeros_of(lab_k).items():
-                if z.beta == beta and abs(z.gamma - k * gamma) < 1e-9:
-                    c += mult
-            coeffs[(j, k)] = c
+            zs = system.zeros_of(character_label(chi**k))
+            coeffs[(j, k)] = sum(m for z, m in zs.items() if z.beta == beta
+                                 and abs(z.gamma - k * gamma) < 1e-9)
         if coeffs[(j, 1)] == 0 and coeffs[(j, 2)] == 0:
             raise RecipeMismatchError(f"level {j} carries no zeros")
         for alpha in range(n_j):

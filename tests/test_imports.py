@@ -2,16 +2,20 @@
 source with `ast`: every racelab-internal import sits at module level, the
 module-level import graph has no cycle, only `racelab.budget` reads
 RACE_LAB_BUDGET or words a refusal, and no module imports `dataclasses`
-(nor does importing the CLI load it)."""
+(nor does importing the CLI load it).  One check runs code: once the
+character tables are built, the traces and the real-race comparison read
+character values from their integer exponent vectors and build no
+`DirichletCharacter`."""
 
 import ast
 import os
 import subprocess
 import sys
 from graphlib import CycleError, TopologicalSorter
+from importlib import resources
 from pathlib import Path
 
-from racelab import budget, primes
+from racelab import barriers, budget, primes, residues, simulator, zerosys
 
 PACKAGE = Path(primes.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
@@ -95,3 +99,31 @@ def test_importing_the_cli_loads_no_dataclasses():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_traces_build_no_characters(monkeypatch):
+    recipes = [barriers.build_thm311(7, tau=1000.0),
+               barriers.build_thm51(15, tau=1000.0)]
+    with resources.as_file(resources.files("racelab") / "data/chi3_zeros.txt") as p:
+        chi3 = zerosys.load_zero_data(p)
+    table = primes.sieve_race(3, 10**5)
+    built = []
+    init = residues.DirichletCharacter.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(residues.DirichletCharacter, "__init__", counted)
+    for recipe in recipes:
+        units = residues.unit_group(recipe.system.q).units
+        s = simulator.RaceFunctionSet(recipe.system.q, recipe.system, units,
+                                      pi_proxy="zero")
+        simulator.one_period_trace(s, samples=64)
+        simulator.trace(s, (1.0, 3.0), 0.5)
+        simulator.trace(s, (1.0, 3.0), 0.5, mode="full-formula")
+    s = simulator.RaceFunctionSet(3, chi3, (2, 1))
+    simulator.trace(s, (1.0, 3.0), 0.5)
+    simulator.trace(s, (1.0, 3.0), 0.5, mode="full-formula")
+    primes.compare_with_simulator(table, chi3, 0.5, 2, 1)
+    assert built == []

@@ -9,7 +9,10 @@ array for no members, where the loop's np.vstack raised); the root finder
 is now the reference for `trigpoly.roots`.  Two semantic changes followed
 the kernel: the crossing loop reads a periodic trace through `seam_closed`,
 so crossings between its last and first sample count, and the trace loop
-can weight every level at one frozen u, as a one-period trace does.
+can weight every level at one frozen u, as a one-period trace does.  The
+trace loop can also read its amplitudes from `simulator._amplitudes`' table:
+given the same table, the streamed values are pinned bit for bit, and the
+table itself is pinned against a character loop in `test_simulator.py`.
 `scan_detect_crossings` is not
 one of them: it is a per-sample scan, checked against the crossing loop and
 fast enough for sweeps over many members.  Random traces are quantized so
@@ -240,9 +243,13 @@ def ref_wave_crossings(w1, w2, period, samples):
     return roots
 
 
-def ref_dominant_member_values(system, members, u, at=None):
+def ref_dominant_member_values(system, members, u, at=None, table=None):
     """The loop, each level weighted by its decay at u, or at the one
-    frozen u `at` given (as `one_period_trace` weighs a period)."""
+    frozen u `at` given (as `one_period_trace` weighs a period).  Given
+    table, the (zeros, A) of `simulator._amplitudes`, the loop reads its
+    amplitudes A[a, rho]/rho, zero by zero in table order, in place of its
+    own sum over characters (which `test_amplitudes_match_character_loop`
+    pins against it), so that the evaluation can be compared bit for bit."""
     u = np.asarray(u, dtype=float)
     at = u if at is None else at
     beta_star = system.r_plus
@@ -251,12 +258,15 @@ def ref_dominant_member_values(system, members, u, at=None):
     chi_bar = {label: system.chars[label].conjugate()
                for label in system.entries}
     rows = []
-    for a in members:
-        amps = {}
-        for label, z, mult in system.items():
-            w = 0.5 if z.is_real else 1.0
-            c = mult * w * chi_bar[label](a) / z.rho
-            amps[z] = amps.get(z, 0.0j) + c
+    for i, a in enumerate(members):
+        if table is None:
+            amps = {}
+            for label, z, mult in system.items():
+                w = 0.5 if z.is_real else 1.0
+                c = mult * w * chi_bar[label](a) / z.rho
+                amps[z] = amps.get(z, 0.0j) + c
+        else:
+            amps = {z: c / z.rho for z, c in zip(table[0], table[1][i])}
         acc = np.zeros_like(u)
         for z, c in amps.items():
             osc = (c * np.exp(1j * z.gamma * u)).real if z.gamma else np.full_like(u, c.real)
@@ -691,7 +701,8 @@ def lattice_bound(system, members, u):
 def test_dominant_member_values_match_loop_reference(case):
     system, members, u = DOMINANT_CASES[case]()
     values = simulator.dominant_member_values(system, members, u)
-    ref = ref_dominant_member_values(system, members, u)
+    ref = ref_dominant_member_values(
+        system, members, u, table=simulator._amplitudes(system, members))
     if case in ONE_LEVEL:
         assert values.dtype == ref.dtype and values.shape == ref.shape
         assert np.all(np.abs(values - ref) <= lattice_bound(system, members, u))
@@ -748,5 +759,6 @@ def test_corollary13_sum_matches_loop_reference():
     with resources.as_file(resources.files("racelab") / "data/chi3_zeros.txt") as p:
         chi3 = zerosys.load_zero_data(p)
     u = np.linspace(0.0, 40.0, 1001)
-    ref = ref_dominant_member_values(chi3, [2, 1], u)
+    ref = ref_dominant_member_values(
+        chi3, [2, 1], u, table=simulator._amplitudes(chi3, [2, 1]))
     assert_bitwise(simulator.corollary13_sum(chi3, 2, 1, u), ref[0] - ref[1])

@@ -12,7 +12,7 @@ from racelab.residues import (DirichletCharacter, InvalidModulusError,
                               InvalidResidueError, NotRepresentableError,
                               RootOfUnitySum, character_label,
                               character_with_value, characters,
-                              separating_characters, sqrt_count, unit_group)
+                              sqrt_count, unit_group)
 from racelab.residues import _order_mod
 from racelab.zerosys import ZeroSystem
 
@@ -115,7 +115,7 @@ def test_c5_sizes():
     assert sum(not c.is_principal for c in characters(5)) == 3
     assert sum(not c.is_principal for c in characters(3)) == 1
     # all non-principal chi mod 5 separate 2 from 1 (direct table evaluation)
-    assert len(separating_characters(5, 2, 1)) == 3
+    assert (characters(5).numerators(2) != characters(5).numerators(1)).sum() == 3
 
 
 def test_phase_multiplicativity_exact():
@@ -336,11 +336,6 @@ def ref_character_with_value(chars, a, target_phase):
     raise NotRepresentableError(target)
 
 
-def ref_separating_characters(chars, a, b):
-    return tuple(c for c in chars if not c.is_principal
-                 and c._numerator(a) != c._numerator(b))
-
-
 def test_table_matches_object_reference():
     for q in range(3, 401):
         group = unit_group(q)
@@ -365,9 +360,6 @@ def test_table_matches_object_reference():
                     character_with_value(q, a, phase)
             else:
                 assert character_with_value(q, a, phase) == want
-        for a, b in ((sample[1], sample[-1]), (sample[-1], sample[-1])):
-            assert separating_characters(q, a, b) \
-                == ref_separating_characters(ref, a, b)
 
 
 def test_table_lookups_reject_foreign_input():
@@ -378,8 +370,6 @@ def test_table_lookups_reject_foreign_input():
         table.numerators(5)
     with pytest.raises(InvalidResidueError):
         character_with_value(15, 3, Fraction(1, 2))
-    with pytest.raises(InvalidResidueError):
-        separating_characters(15, 1, 6)
     with pytest.raises(IndexError):
         table[len(table)]
     assert table[-1] == list(table)[-1]

@@ -473,6 +473,89 @@ def test_trace_empty_system():
     assert rep.strict_count == 0 and len(rep.weak) == 1  # one all-tie chain
 
 
+def test_one_period_trace_of_a_lattice_system_without_zeros():
+    # no zeros, no levels: the period's values are the zeros that `trace`
+    # and `dominant_member_values` give, not a folded empty level list
+    s = RaceFunctionSet(7, ZeroSystem(7, {}, height_lattice=1.0), (1, 2))
+    tr = one_period_trace(s, samples=64)
+    assert tr.periodic and tr.values.shape == (2, 64)
+    assert np.array_equal(tr.values, np.zeros((2, 64)))
+    assert np.array_equal(
+        tr.values, dominant_member_values(s.system, s.members, tr.u))
+    assert np.array_equal(trace(s, (0.0, 63.0), 1.0).values, tr.values)
+
+
+def ref_amplitudes(system, members):
+    """A[a, rho] = sum_chi n(rho, chi) w(rho) conj(chi)(a) by the loop over
+    (label, zero, member), each value from `DirichletCharacter.conjugate()`,
+    with each zero's number of labels L and weight sum S = sum_chi n w."""
+    zeros = system.all_zeros()
+    col = {z: k for k, z in enumerate(zeros)}
+    amps = np.zeros((len(members), len(zeros)), dtype=complex)
+    labels, weight = np.zeros(len(zeros)), np.zeros(len(zeros))
+    for label, z, mult in system.items():
+        w = mult * (0.5 if z.is_real else 1.0)
+        chi_bar = system.chars[label].conjugate()
+        for i, a in enumerate(members):
+            amps[i, col[z]] += w * chi_bar(a)
+        labels[col[z]] += 1
+        weight[col[z]] += w
+    return zeros, amps, labels, weight
+
+
+def amplitude_cases():
+    from importlib import resources
+    from racelab.barriers import build_thm311
+    from racelab.zerosys import load_zero_data
+    with resources.as_file(resources.files("racelab") / "data/chi3_zeros.txt") as p:
+        chi3 = load_zero_data(p)
+    quarter, half, three = (label_with_phase(5, 2, Fraction(k, 4))
+                            for k in (1, 2, 3))
+    shared = ZeroSystem(5, {quarter: {Zero(0.75, 3.5): 2},
+                            half: {Zero(0.75, 0.0): 1, Zero(0.75, 7.25): 3},
+                            three: {Zero(0.75, 3.5): 1, Zero(0.7, 1.5): 5}})
+    real_pair = ZeroSystem(5, {quarter: {Zero(0.8, 0.0): 2},
+                               three: {Zero(0.8, 0.0): 2, Zero(0.6, 2.0): 1}})
+    thm311 = build_thm311(7).system
+    return {"half-weight real zero": (real_pair, (1, 2, 3, 4)),
+            "zero on two characters": (shared, (1, 2, 3, 4)),
+            "no members": (shared, ()),
+            "unreduced residues": (thm311, (10, 3, 13, 6, 1)),
+            "chi3 zeros": (chi3, (2, 1))}
+
+
+@pytest.mark.parametrize("case", ["half-weight real zero",
+                                  "zero on two characters", "no members",
+                                  "unreduced residues", "chi3 zeros"])
+def test_amplitudes_match_character_loop(case):
+    """`_amplitudes` against the loop.  At each (a, rho) both sum the same
+    L terms w_l e(theta_l), w_l = n w exact, theta_l = 2 pi x_l and x_l the
+    phase numerator over lam.  Against that exact sum each lies within
+    (17 + L) EPS S, S = sum_l |w_l|:
+    - each character value within 16 EPS: the angle is rounded in x, in
+      2 pi and in their product, 3/2 EPS relative, so by 3 pi EPS < 10 EPS,
+      and cos and sin are within 4 ulp each, under 6 EPS in modulus;
+    - each product w_l e(theta_l) within EPS |w_l|;
+    - the sum, in any order, within (L - 1) EPS S.
+    So the two lie within 2 (17 + L) EPS S of each other."""
+    from racelab.simulator import _amplitudes
+    from racelab.trigpoly import EPS
+    system, members = amplitude_cases()[case]
+    zeros, amps = _amplitudes(system, members)
+    ref_zeros, ref, labels, weight = ref_amplitudes(system, members)
+    assert zeros == ref_zeros and amps.shape == ref.shape
+    assert amps.dtype == complex
+    bound = 2 * (17 + labels) * EPS * weight
+    assert np.all(np.abs(amps - ref) <= bound)
+    if case == "half-weight real zero":
+        assert set(weight) == {2.0, 1.0}  # mult 2 at half weight, twice
+    if case == "zero on two characters":
+        assert labels.max() == 2
+    if case == "unreduced residues":
+        assert np.array_equal(amps[0], amps[1])  # 10 = 3 mod 7
+        assert np.array_equal(amps[2], amps[3])  # 13 = 6 mod 7
+
+
 def test_trace_periodicity():
     system, z, _ = single_zero_system(gamma=10.0)
     s = RaceFunctionSet(5, system, (1, 2, 3, 4), pi_proxy="zero")

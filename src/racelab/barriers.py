@@ -28,8 +28,7 @@ from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .budget import Record
-from .residues import (DirichletCharacter, ResidueGroup, character_label,
-                       character_with_value, characters, unit_group)
+from .residues import ResidueGroup, characters, unit_group
 from .orderings import Verdict, census, column_orders, run_edges, verdict
 from .simulator import (RaceFunctionSet, RecipeMismatchError,
                         one_period_trace, theorem_decomposition)
@@ -193,10 +192,11 @@ def build_thm311(q: int, tau: float = 0.0, beta: float = 0.75,
         raise ValueError("gamma must exceed tau")
     structure = _pick_structure(q)
     case = structure["case"]
+    table = characters(q)
     if case in ("even_cyclic", "n8"):
         a, n = structure["a"], structure["n"]
-        chi = character_with_value(q, a, Fraction(-1, n))
-        params = {"case": case, "a": a, "n": n, "chi": character_label(chi)}
+        chi = table.label_with((a, Fraction(-1, n)))
+        params = {"case": case, "a": a, "n": n, "chi": chi}
         if case == "even_cyclic":
             h, d = _odd_split(n)
             # s must be a multiple of 2^d (so the weight-h carrier cancels)
@@ -213,10 +213,10 @@ def build_thm311(q: int, tau: float = 0.0, beta: float = 0.75,
                                   for k, w in SIN_WEIGHTS.items())]
         params["s"] = s
         # (label of chi^j, k, mult) for each zero at height k gamma
-        mults = [(character_label(chi**j), k, w) for j, k, w in mults]
+        powers = table.labels(np.outer([j for j, _, _ in mults], table.b[chi]))
+        mults = [(label, k, w) for label, (_, k, w) in zip(powers.tolist(), mults)]
     else:
         a, b = structure["a"], structure["b"]
-        table = characters(q)
         params = {"case": case, "a": a, "b": b, "subcase": "z4z2",
                   "chi1": table.label_with((a, Fraction(3, 4)), (b, 0)),
                   "chi2": table.label_with((a, 0), (b, Fraction(1, 2)))}
@@ -765,8 +765,8 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
     shift = int(n_tilde[:, 1:].min())
     n_final = n_tilde[:, 1:] - shift  # drop j=0: a common-mode term
 
-    chi = characters(q)[levels["chi"]]
-    labels = [character_label(chi**j) for j in range(1, r)]
+    table = characters(q)
+    labels = table.labels(np.outer(range(1, r), table.b[levels["chi"]])).tolist()
     # n_final[k - 1, j - 1] zeros at beta1 + i k gamma on chi^j, j-major
     system = ZeroSystem.from_zeros(
         q, ((labels[j], Zero(beta1, (k + 1) * gamma), int(n_final[k, j]))
@@ -808,9 +808,8 @@ def _thm43_levels(group: ResidueGroup, a: int, D: Sequence[int]) -> dict:
         raise ValueError("D needs at least two members")
     if len(set(V)) < len(V):
         raise ValueError("D names a member twice")
-    chi = character_with_value(group.q, a, Fraction(-1, r))
     return {"a1": a, "r": r, "V": V, "D": [subgroup[v] for v in V],
-            "chi": character_label(chi)}
+            "chi": characters(group.q).label_with((a, Fraction(-1, r)))}
 
 
 def _check_thm43(recipe: BarrierRecipe) -> None:
@@ -894,12 +893,10 @@ def _thm51_levels(q: int) -> dict:
     order n_j, [g_j, n_j], n_j and the label of chi_j, chi_j(g_j) = e(-1/n_j)
     and 1 at the other generators."""
     gens = unit_group(q).generators
-    duals = [DirichletCharacter(q, tuple(n - 1 if h == j else 0
-                                         for h in range(len(gens))))
-             for j, (_, n) in enumerate(gens)]
+    duals = np.diag([n - 1 for _, n in gens])  # row j: chi_j's exponents
     return {"generators": [list(g) for g in gens],
             "orders": [n for _, n in gens],
-            "chars": [character_label(chi) for chi in duals]}
+            "chars": characters(q).labels(duals).tolist()}
 
 
 def _thm51_system(q: int, p: dict) -> ZeroSystem:
@@ -908,7 +905,7 @@ def _thm51_system(q: int, p: dict) -> ZeroSystem:
     order-2 levels and (M, 1) otherwise."""
     table = characters(q)
     return ZeroSystem.from_zeros(
-        q, ((character_label(table[label]**k), Zero(beta, k * p["gamma"]), c)
+        q, ((int(table.labels(k * table.b[label])), Zero(beta, k * p["gamma"]), c)
             for label, n_j, beta in zip(p["chars"], p["orders"], p["betas"])
             for k, c in zip((1, 2), (1, 0) if n_j == 2 else (p["M"], 1))),
         height_lattice=p["gamma"])

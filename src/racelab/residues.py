@@ -8,10 +8,11 @@ characters(q) holds every b in one label-ordered integer table: "which
 characters take this value at a" reads one column, and DirichletCharacter
 objects are built only when indexed.  Product, power and conjugation are
 vector operations mod n_j; phases are integer numerators over the group
-exponent lam, handed out as exact Fractions in [0, 1) at the API boundary.
-All zero-tests on character combinations (chi(a) != chi(b), orthogonality
-sums, the g-values of zero systems) reduce to exact rational/cyclotomic
-arithmetic; floats appear only when a numeric value is explicitly requested.
+exponent lam, and the exact sums (chi(a) != chi(b), orthogonality sums, the
+g-values of zero systems) run on them, reduced against a cyclotomic
+polynomial.  Fractions remain only at the public boundary: phase, phases and
+the target phases of character_with_value and label_with.  Floats appear
+only when a numeric value is explicitly requested.
 """
 
 from __future__ import annotations
@@ -330,11 +331,6 @@ def characters(q: int) -> CharacterTable:
 _character_table = lru_cache(maxsize=None)(CharacterTable)
 
 
-def character_label(chi: DirichletCharacter) -> int:
-    """The index of chi in characters(chi.q)."""
-    return _character_table(chi.q).index(chi)
-
-
 def character_with_value(q: int, a: int, target_phase: Fraction) -> DirichletCharacter:
     """The first character chi mod q, in label order, with
     chi(a) = e(target_phase)."""
@@ -391,36 +387,35 @@ def _cyclotomic(n: int) -> Tuple[int, ...]:
 
 
 class RootOfUnitySum:
-    """Exact integer combination sum_f coeff[f] * e(f), f rational in [0,1)."""
+    """Exact integer combination sum_k coeff[k] * e(k / level) over integer
+    numerators k mod level (for characters, the group exponent lam)."""
 
-    def __init__(self) -> None:
-        self._coeffs: Dict[Fraction, int] = {}
+    def __init__(self, level: int) -> None:
+        self.level = level
+        self._coeffs: Dict[int, int] = {}
 
-    def add(self, phase: Fraction, coeff: int = 1) -> "RootOfUnitySum":
-        if coeff:
-            f = _frac_mod1(Fraction(phase))
-            new = self._coeffs.get(f, 0) + coeff
-            if new:
-                self._coeffs[f] = new
-            else:
-                self._coeffs.pop(f, None)
+    def add(self, numerator: int, coeff: int = 1) -> "RootOfUnitySum":
+        k = numerator % self.level
+        self._coeffs[k] = self._coeffs.get(k, 0) + coeff
+        if not self._coeffs[k]:
+            del self._coeffs[k]
         return self
 
     def is_zero(self) -> bool:
-        if not self._coeffs:
-            return True
-        denoms = [f.denominator for f in self._coeffs]
-        level = math.lcm(*denoms)
-        poly = [0] * level
-        for f, c in self._coeffs.items():
-            poly[int(f * level)] += c
-        _, rem = _poly_divmod(poly, list(_cyclotomic(level)))
+        """Reduced against Phi_n, n = level / gcd(level, numerators): the
+        lcm of the reduced phases' denominators (1 for no terms)."""
+        step = math.gcd(self.level, *self._coeffs)
+        poly = [0] * (self.level // step)
+        for k, c in self._coeffs.items():
+            poly[k // step] += c
+        _, rem = _poly_divmod(poly, list(_cyclotomic(len(poly))))
         return not any(rem)
 
     def to_complex(self) -> complex:
-        return sum(c * cmath.exp(2j * cmath.pi * float(f))
-                   for f, c in self._coeffs.items()) or 0j
+        return sum(c * cmath.exp(2j * cmath.pi * (k / self.level))
+                   for k, c in self._coeffs.items()) or 0j
 
     def __repr__(self) -> str:
-        body = " + ".join(f"{c}*e({f})" for f, c in sorted(self._coeffs.items()))
+        body = " + ".join(f"{c}*e({k}/{self.level})"
+                          for k, c in sorted(self._coeffs.items()))
         return f"RootOfUnitySum({body or '0'})"

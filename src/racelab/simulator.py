@@ -40,7 +40,7 @@ import numpy as np
 
 from .budget import check_budget
 from .orderings import OrderingTrace
-from .residues import DirichletCharacter, character_label, unit_group
+from .residues import unit_group
 from .trigpoly import TrigPoly, evaluate_phasors
 from .zerosys import Zero, ZeroSystem, dominant_data, g_rho_exact
 
@@ -408,20 +408,6 @@ def _lattice_table(system: ZeroSystem, zeros: Sequence[Zero],
     return table
 
 
-def member_waves(system: ZeroSystem, members: Sequence[int],
-                 ) -> Dict[float, np.ndarray] | None:
-    """The members' waves on the system's height lattice lambda: per real
-    part beta, the `_lattice_table` W_beta of the level's A[a, rho]/rho (None
-    where there is none), so that v_a(u) = -Re sum_beta e^((beta - R+) u)
-    sum_k W_beta[a, k-1] e^(i k lambda u)."""
-    zeros, amps = _amplitudes(system, members)
-    amps, betas = amps / [z.rho for z in zeros], [z.beta for z in zeros]
-    if _lattice_table(system, zeros, amps) is None:
-        return None
-    return {beta: _lattice_table(system, zeros, amps * np.equal(betas, beta))
-            for beta in dict.fromkeys(betas)}
-
-
 def _streamed_values(zeros: Sequence[Zero], amps: np.ndarray, r_plus: float,
                      u: np.ndarray, at: float | np.ndarray) -> np.ndarray:
     """The dominant values of the amplitudes amps with each zero streamed:
@@ -564,13 +550,14 @@ def one_period_trace(s: RaceFunctionSet, samples: int = 4096,
 # --- theorem-specific decompositions ----------------------------------------------
 
 
-def _recipe_character(system: ZeroSystem, label) -> DirichletCharacter:
-    """The character a recipe names by label: RecipeMismatchError unless an
-    int in [0, phi(q)), where a negative one would index from the end."""
+def _recipe_character(system: ZeroSystem, label) -> np.ndarray:
+    """The exponent row of the character a recipe names by label:
+    RecipeMismatchError unless an int in [0, phi(q)), where a negative one
+    would index from the end."""
     if type(label) is not int or not 0 <= label < len(system.chars):
         raise RecipeMismatchError(
             f"character label {label!r} is not in 0..{len(system.chars) - 1}")
-    return system.chars[label]
+    return system.chars.b[label]
 
 
 class _LazyMapping(Mapping):
@@ -604,7 +591,7 @@ def decompose_lattice(system: ZeroSystem, gamma: float,
     lcm = math.lcm(*orders)
     exponents = list(itertools.product(*(range(n) for n in orders)))
     # chi_1^e_1 ... chi_m^e_m has the exponent vector e B, B the rows of b
-    base = np.array([_recipe_character(system, label).b for label, _ in factors])
+    base = np.array([_recipe_character(system, label) for label, _ in factors])
     labels = system.chars.labels(
         np.array(exponents[1:], dtype=np.int64).reshape(-1, len(orders)) @ base)
     family = dict(zip(labels.tolist(), exponents[1:]))
@@ -642,9 +629,10 @@ def decompose_level_waves(system: ZeroSystem, char_labels: Sequence[int],
     coeffs: Dict[Tuple[int, int], int] = {}
     for j, (label, beta, n_j) in enumerate(zip(char_labels, betas, orders),
                                            start=1):
-        chi = _recipe_character(system, label)
-        for k in (1, 2):
-            zs = system.zeros_of(character_label(chi**k))
+        powers = system.chars.labels(
+            np.outer((1, 2), _recipe_character(system, label))).tolist()
+        for k, power in zip((1, 2), powers):
+            zs = system.zeros_of(power)
             coeffs[(j, k)] = sum(m for z, m in zs.items() if z.beta == beta
                                  and abs(z.gamma - k * gamma) < 1e-9)
         if coeffs[(j, 1)] == 0 and coeffs[(j, 2)] == 0:

@@ -7,16 +7,18 @@ items.  From it we derive, for a pair of residues (a, b): the values
 g(rho) = sum_chi n(rho,chi) (chi(a) - chi(b)), the dominant level
 beta(a,b) = sup{Re rho : g(rho) != 0}, and the dominant set z(a,b).
 
-g-zero-tests are exact (rational character phases reduced against the
-cyclotomic polynomial); the complex values used numerically are floats.
+g-zero-tests are exact (the characters' integer phase numerators over the
+group exponent, reduced against a cyclotomic polynomial); the complex values
+used numerically are floats.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
-from .residues import RootOfUnitySum, character_label, characters, unit_group
+from .residues import RootOfUnitySum, characters, unit_group
 
 
 class ZeroDataError(ValueError):
@@ -54,6 +56,14 @@ class Zero(_Zero):
         return self.gamma == 0.0
 
 
+def _integer(x, what: str) -> int:
+    """x as an int: ZeroDataError unless operator.index takes it."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ZeroDataError(f"{what} {x!r} is not an integer") from None
+
+
 class ZeroSystem:
     """Per-character multisets of hypothetical zeros with multiplicities.
 
@@ -70,10 +80,9 @@ class ZeroSystem:
         self.chars = characters(q)
         clean: Dict[int, Dict[Zero, int]] = {}
         for label, zs in entries.items():
-            label = int(label)
-            if not 0 <= label < len(self.chars):
-                raise ZeroDataError(f"unknown character label {label} mod {q}")
-            kept = {z: int(m) for z, m in zs.items() if m}
+            label = self._label(label)
+            kept = {z: m for z, m in ((z, _integer(m, "multiplicity"))
+                                      for z, m in zs.items()) if m}
             if kept and not self.chars.b[label].any():  # the principal character
                 raise ZeroDataError("zeros may not sit on the principal character")
             if any(m < 0 for m in kept.values()):
@@ -112,8 +121,15 @@ class ZeroSystem:
                         "characters")
 
     # --- basic queries -----------------------------------------------------
+    def _label(self, label) -> int:
+        """label as an int: ZeroDataError unless it is one in 0..phi(q)-1."""
+        label = _integer(label, "character label")
+        if not 0 <= label < len(self.chars):
+            raise ZeroDataError(f"unknown character label {label} mod {self.q}")
+        return label
+
     def conjugate_label(self, label: int) -> int:
-        return character_label(self.chars[label].conjugate())
+        return int(self.chars.labels(-self.chars.b[self._label(label)]))
 
     @property
     def size(self) -> int:
@@ -202,17 +218,18 @@ class DominantData(NamedTuple):
 
 
 def g_rho_exact(system: ZeroSystem, zero: Zero, a: int, b: int) -> RootOfUnitySum:
-    """g(rho; a, b) as an exact root-of-unity sum."""
+    """g(rho; a, b) as an exact root-of-unity sum over the group exponent."""
     group = unit_group(system.q)
     if not (group.is_unit(a) and group.is_unit(b)):
         raise ValueError("a and b must be units")
-    s = RootOfUnitySum()
+    at_a = system.chars.numerators(a).tolist()
+    at_b = system.chars.numerators(b).tolist()
+    s = RootOfUnitySum(group.lam)
     for label, zs in system.entries.items():
         m = zs.get(zero, 0)
         if m:
-            chi = system.chars[label]
-            s.add(chi.phase(a), m)
-            s.add(chi.phase(b), -m)
+            s.add(at_a[label], m)
+            s.add(at_b[label], -m)
     return s
 
 

@@ -2,12 +2,14 @@
 source with `ast`: every racelab-internal import sits at module level, the
 module-level import graph has no cycle, only `racelab.budget` reads
 RACE_LAB_BUDGET or words a refusal, and no module imports `dataclasses`
-(nor does importing the CLI load it).  One check runs code: once the
-character tables are built, the traces and the real-race comparison read
-character values from their integer exponent vectors and build no
+(nor does importing the CLI load it).  Two checks run code: once the
+character tables are built, the traces and the real-race comparison, and
+the builders, load checks, verifiers, decompositions and exact g-sums, read
+characters as labels and integer exponent vectors and build no
 `DirichletCharacter`."""
 
 import ast
+import itertools
 import os
 import subprocess
 import sys
@@ -101,12 +103,8 @@ def test_importing_the_cli_loads_no_dataclasses():
     assert out.strip() == "False"
 
 
-def test_traces_build_no_characters(monkeypatch):
-    recipes = [barriers.build_thm311(7, tau=1000.0),
-               barriers.build_thm51(15, tau=1000.0)]
-    with resources.as_file(resources.files("racelab") / "data/chi3_zeros.txt") as p:
-        chi3 = zerosys.load_zero_data(p)
-    table = primes.sieve_race(3, 10**5)
+def _count_characters(monkeypatch):
+    """The argument tuples of every `DirichletCharacter` built from now on."""
     built = []
     init = residues.DirichletCharacter.__init__
 
@@ -115,6 +113,16 @@ def test_traces_build_no_characters(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(residues.DirichletCharacter, "__init__", counted)
+    return built
+
+
+def test_traces_build_no_characters(monkeypatch):
+    recipes = [barriers.build_thm311(7, tau=1000.0),
+               barriers.build_thm51(15, tau=1000.0)]
+    with resources.as_file(resources.files("racelab") / "data/chi3_zeros.txt") as p:
+        chi3 = zerosys.load_zero_data(p)
+    table = primes.sieve_race(3, 10**5)
+    built = _count_characters(monkeypatch)
     for recipe in recipes:
         units = residues.unit_group(recipe.system.q).units
         s = simulator.RaceFunctionSet(recipe.system.q, recipe.system, units,
@@ -126,4 +134,42 @@ def test_traces_build_no_characters(monkeypatch):
     simulator.trace(s, (1.0, 3.0), 0.5)
     simulator.trace(s, (1.0, 3.0), 0.5, mode="full-formula")
     primes.compare_with_simulator(table, chi3, 0.5, 2, 1)
+    assert built == []
+
+
+def test_barriers_and_dominant_data_build_no_characters(monkeypatch):
+    """thm311 (all three cases), thm43 and thm51: build, load, verify and
+    decompose; the dominant data, profiles, sign-change candidacy and
+    hypothesis checks of their pairs; conjugate labels and a zero list."""
+    for q in (7, 15, 17, 35):
+        residues.characters(q)
+    built = _count_characters(monkeypatch)
+    recipes = [barriers.build_thm311(q) for q in (7, 15, 17)]
+    recipes += [barriers.build_extremal(7, 3, [3, 2, 6]),
+                barriers.build_thm51(15), barriers.build_thm51(35)]
+    for recipe in recipes:
+        loaded = barriers.BarrierRecipe.from_json(recipe.to_json())
+        if recipe.kind == "thm51_census":
+            barriers.check_thm51_conditions(loaded)
+            case = "thm51"
+        elif recipe.kind == "thm43_extremal":
+            barriers.verify_extremal(loaded)
+            case = "thm43"
+        else:
+            barriers.verify_thm311(loaded)
+            case = "thm311"
+        simulator.theorem_decomposition(loaded.system, case, loaded.params)
+        system = loaded.system
+        members = residues.unit_group(system.q).units[:3]
+        s = simulator.RaceFunctionSet(system.q, system, members)
+        for a, b in itertools.combinations(members, 2):
+            if not zerosys.dominant_data(system, a, b).empty:
+                simulator.dominant_profile(s, a, b)
+        zerosys.is_kt_candidate(system, members)
+        barriers.check_hypotheses(31, system, members[1:])
+        for label in range(len(system.chars)):
+            system.conjugate_label(label)
+    with resources.as_file(resources.files("racelab") / "data/chi3_zeros.txt") as p:
+        chi3 = zerosys.load_zero_data(p)
+    zerosys.dominant_data(chi3, 2, 1)
     assert built == []

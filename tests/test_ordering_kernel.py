@@ -663,7 +663,7 @@ DOMINANT_CASES = {
     "one sample": lambda: recipe_case(barriers.build_thm311(7), samples=1),
     "far sparse height": far_height_case,
 }
-# members of systems whose heights fill a lattice get `member_waves` tables;
+# members of systems whose heights fill a lattice get `_lattice_table`s;
 # those of one level take the phasor-table path and meet `lattice_bound`,
 # the rest stream their zeros as the loop does, bit for bit ("no members"
 # is on a lattice, but has no values to differ)
@@ -710,14 +710,22 @@ def test_dominant_member_values_match_loop_reference(case):
         assert_bitwise(values, ref)
 
 
-def test_member_waves_only_on_a_filled_lattice():
+def test_lattice_table_only_on_a_filled_lattice():
+    """The members' wave table A/rho on the height lattice, and one table
+    per real part (the other levels' amplitudes masked), which sum to it."""
     for case, build in DOMINANT_CASES.items():
         system, members, _ = build()
-        waves = simulator.member_waves(system, members)
-        assert (waves is not None) == (case in ON_LATTICE
+        zeros, amps = simulator._amplitudes(system, members)
+        amps, betas = amps / [z.rho for z in zeros], [z.beta for z in zeros]
+        table = simulator._lattice_table(system, zeros, amps)
+        assert (table is not None) == (case in ON_LATTICE
                                        or case == "no members"), case
         if case in ON_LATTICE:
-            assert (len(waves) == 1) == (case in ONE_LEVEL), case
+            levels = [simulator._lattice_table(
+                system, zeros, amps * np.equal(betas, beta))
+                for beta in dict.fromkeys(betas)]
+            assert (len(levels) == 1) == (case in ONE_LEVEL), case
+            np.testing.assert_allclose(sum(levels), table, rtol=1e-12)
 
 
 @pytest.mark.slow

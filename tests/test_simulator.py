@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import racelab
 
-from racelab.residues import character_label, characters, unit_group
+from racelab.residues import characters, unit_group
 from racelab.simulator import (DomainError, EmptyDominantSetError,
                                OverflowRiskError, RaceFunctionSet,
                                RecipeMismatchError, corollary13_sum,
@@ -340,7 +340,7 @@ def ref_decompose_power_lattice(system, a, n, gamma, chi_label):
     chi = chars[chi_label]
     power_label = {}
     for j in range(1, n):
-        power_label[character_label(chi**j)] = j
+        power_label[chars.index(chi**j)] = j
     m = {}
     for label, z, mult in system.items():
         if label not in power_label:
@@ -373,7 +373,7 @@ def ref_decompose_two_generator_lattice(system, gamma, chi1_label, chi2_label):
     for j in range(4):
         for k in range(2):
             if (j, k) != (0, 0):
-                jk_label[character_label((chi1**j) * (chi2**k))] = (j, k)
+                jk_label[chars.index((chi1**j) * (chi2**k))] = (j, k)
     m = {}
     for label, z, mult in system.items():
         if label not in jk_label:

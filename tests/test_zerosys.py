@@ -1,9 +1,12 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from racelab import residues
+from racelab.barriers import build_thm311
 from racelab.residues import characters, unit_group
 from racelab.zerosys import (Zero, ZeroDataError, ZeroSystem, dominant_data,
                              g_rho, g_rho_exact, is_kt_candidate,
@@ -41,6 +44,39 @@ def test_principal_character_rejected():
         ZeroSystem(5, {principal: {Zero(0.75, 5.0): 1}})
 
 
+@pytest.mark.parametrize("entries", [
+    {1.7: {Zero(0.75, 100.0): 2}},     # was filed under label 1
+    {"1": {Zero(0.75, 100.0): 2}},
+    {1: {Zero(0.75, 100.0): 2.9}},     # was stored as 2
+    {1: {Zero(0.75, 100.0): 0.5}},     # was stored as 0, with size 0
+    {1: {Zero(0.75, 100.0): 0.0}},
+], ids=["label-1.7", "label-str", "mult-2.9", "mult-0.5", "mult-0.0"])
+def test_non_integer_label_or_multiplicity_refused(entries):
+    with pytest.raises(ZeroDataError, match="is not an integer"):
+        ZeroSystem(7, entries)
+
+
+def test_integer_like_labels_and_multiplicities_kept():
+    z = Zero(0.75, 100.0)
+    system = ZeroSystem(7, {np.int64(1): {z: np.int64(2)}, 2: {z: 0}})
+    assert system.entries == {1: {z: 2}} and system.size == 2
+    assert all(type(label) is int and type(m) is int
+               for label, _, m in system.items())
+
+
+def test_conjugate_label_refuses_labels_out_of_range():
+    chars = characters(7)
+    system = ZeroSystem(7, {})
+    assert [system.conjugate_label(label) for label in range(6)] == [
+        chars.index(chi.conjugate()) for chi in chars]
+    assert system.conjugate_label(np.int64(1)) == chars.index(chars[1].conjugate())
+    for label in (-1, 6, 99):  # -1 gave 2, indexing from the end; 99 IndexError
+        with pytest.raises(ZeroDataError, match="unknown character label"):
+            system.conjugate_label(label)
+    with pytest.raises(ZeroDataError, match="is not an integer"):
+        system.conjugate_label(1.0)
+
+
 def test_from_zeros_is_a_multiset():
     # repeats sum, labels keep their first-seen order, and a mult-0 item is
     # no zero, on the principal character too
@@ -71,10 +107,12 @@ def test_g_rho_examples():
 
 
 def exact_sum(s, t):
-    """s + t as one exact root-of-unity sum (`RootOfUnitySum` has no sum
+    """s + t as one exact root-of-unity sum, numerator by numerator over
+    their common level, the group exponent (`RootOfUnitySum` has no sum
     operator, since only this test adds two of them)."""
-    for f, c in t._coeffs.items():
-        s.add(f, c)
+    assert s.level == t.level
+    for k, c in t._coeffs.items():
+        s.add(k, c)
     return s
 
 
@@ -98,6 +136,21 @@ def test_g_rho_swap_antisymmetry_exact():
                 s = exact_sum(g_rho_exact(system, z, int(a), int(b)),
                               g_rho_exact(system, z, int(b), int(a)))
                 assert s.is_zero()
+
+
+def test_g_tests_reduce_to_the_subgroup_level(monkeypatch):
+    """The exact g-tests of the q = 1009 thm311 recipe (zeros on powers of
+    one character of order n = 6) ask `_cyclotomic` only for levels that
+    divide n, never for the group exponent 1008."""
+    recipe = build_thm311(1009)
+    asked = []
+    cyclotomic = residues._cyclotomic
+    monkeypatch.setattr(residues, "_cyclotomic",
+                        lambda n: asked.append(n) or cyclotomic(n))
+    for a, b in itertools.permutations([1, *recipe.params["D"]], 2):
+        dominant_data(recipe.system, a, b)
+    assert recipe.params["n"] == 6 and unit_group(1009).lam == 1008
+    assert asked and all(6 % level == 0 for level in asked)
 
 
 def test_g_real_part_negative_for_involutions():

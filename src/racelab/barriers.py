@@ -29,7 +29,7 @@ import numpy as np
 
 from .budget import Record
 from .residues import ResidueGroup, characters, unit_group
-from .orderings import Verdict, census, column_orders, run_edges, verdict
+from .orderings import Verdict, census, column_orders, verdict
 from .simulator import (RaceFunctionSet, RecipeMismatchError,
                         one_period_trace, theorem_decomposition)
 from .trigpoly import (EPS3, ScanReport, TrigPoly, certified_positive_scan,
@@ -640,23 +640,24 @@ class OmegaTypeReport(NamedTuple):
     intervals_checked: int = 0
 
 
-def check_omega_type(candidate: np.ndarray, w_grid: np.ndarray,
-                     omega: OmegaSystem, tie_tol: float = 0.0) -> OmegaTypeReport:
-    """Does the candidate family (rows indexed like omega.V, sampled on one
-    period w_grid in [0, 2pi)) follow the reference crossing pattern?
+class OmegaPattern(NamedTuple):
+    """`check_omega_type`'s reference for one omega on one grid.
 
-    Between midpoints of consecutive reference crossing points, every sample's
-    ordering must match the reference ordering at one of the two midpoints;
-    tied samples pass if either reference ordering is admissible once ties
-    within tie_tol split.  All columns are ordered at once by
-    `orderings.column_orders`, each column's two reference orderings are
-    looked up with one searchsorted, and first_violation is the u of the
-    first failing column (intervals_checked counts the columns before it).
+    Between midpoints of consecutive reference crossing points the reference
+    ordering is constant, so each grid column has two reference orderings,
+    lo and hi, those at the midpoints around it.  order[k, o, c] is the flat
+    candidate index of the k-th member of ordering o (0 for lo, 1 for hi)
+    at column c, so order[:-1] and order[1:] are its |V| - 1 neighbour
+    pairs.  u is the grid mod 2pi."""
 
-    Only tied columns and the heads of runs of equal (order, strict,
-    reference interval) keys are tested (`orderings.run_edges`): a strict
-    column passes or fails with the head of its run.
-    """
+    shape: Tuple[int, int]
+    u: np.ndarray
+    order: np.ndarray
+
+
+def omega_pattern(omega: OmegaSystem, w_grid: np.ndarray) -> OmegaPattern:
+    """The reference crossing pattern of omega on w_grid (one period in
+    [0, 2pi)), built once for every candidate checked on that grid."""
     pts = omega.crossing_points()
     pts = sorted(pts + [2 * math.pi - p for p in pts])
     mids = [(a + b) / 2.0 for a, b in zip(pts, pts[1:])]
@@ -665,25 +666,51 @@ def check_omega_type(candidate: np.ndarray, w_grid: np.ndarray,
     ref, _, _ = column_orders(omega.values(np.array(mids)), 0.0)
 
     u = np.asarray(w_grid, dtype=float) % (2 * math.pi)
-    idx = np.searchsorted(mids, u) - 1
-    order, _, strict = column_orders(candidate, tie_tol)
-    heads, _ = run_edges(np.vstack([order, strict, idx]))
-    test = np.flatnonzero(heads | ~strict)
-    lo = ref[:, idx[test] % len(mids)]
-    hi = ref[:, (idx[test] + 1) % len(mids)]
-    values, order = candidate[:, test], order[:, test]
+    lo = (np.searchsorted(mids, u) - 1) % len(mids)
+    order = (np.take(ref, np.stack([lo, (lo + 1) % len(mids)]), axis=1)
+             * len(u) + np.arange(len(u)))
+    return OmegaPattern((len(omega.V), len(u)), u, order)
 
-    def admissible(perm: np.ndarray) -> np.ndarray:
-        vals = np.take_along_axis(values, perm, axis=0)
-        return np.all(vals[:-1] >= vals[1:] - tie_tol, axis=0)
 
-    ok = np.where(strict[test],
-                  np.all(order == lo, axis=0) | np.all(order == hi, axis=0),
-                  admissible(lo) | admissible(hi))
-    bad = test[~ok]
+def check_omega_type(candidate: np.ndarray, pattern: OmegaPattern,
+                     tie_tol: float = 0.0) -> OmegaTypeReport:
+    """Does the candidate family (rows indexed like omega.V, sampled on the
+    pattern's grid) follow the reference crossing pattern?
+
+    A strict sample (every member pair further apart than tie_tol >= 0)
+    must have the reference ordering of one of the two midpoints around it
+    (`OmegaPattern`); a tied sample passes if either reference ordering is
+    admissible once ties within tie_tol split.  The candidate is never
+    sorted: the known orderings are tested.  A column where every
+    neighbour pair of lo, or of hi, is in descending order passes; the
+    others pass only if they are tied and lo's or hi's neighbours hold
+    v_above >= v_below - tie_tol.  first_violation is the u of the first
+    failing column (intervals_checked counts the columns before it).
+    ValueError unless the candidate has the pattern's shape, |V| x samples.
+    """
+    candidate = np.asarray(candidate)
+    if candidate.shape != pattern.shape:
+        raise ValueError(f"candidate of shape {candidate.shape} against an "
+                         f"omega pattern of shape {pattern.shape}")
+    if not tie_tol >= 0:
+        raise ValueError(f"tie_tol must be >= 0, got {tie_tol}")
+    ranked = np.take(candidate, pattern.order)
+    above, below = ranked[:-1], ranked[1:]
+    ok = np.all(above > below, axis=0).any(axis=0)
+    if not ok.all():
+        # a column in neither order passes where admissible and tied; it
+        # is tied where some pair is within tie_tol, as no pair's gap is
+        # below the least gap between sorted neighbours, rounding included
+        admissible = np.all(above >= below - tie_tol, axis=0).any(axis=0)
+        maybe = np.flatnonzero(admissible & ~ok)
+        values = candidate[:, maybe]
+        i, j = np.triu_indices(len(candidate), 1)
+        ok[maybe] = ~np.all(np.abs(values[i] - values[j]) > tie_tol, axis=0)
+    bad = np.flatnonzero(~ok)
     if len(bad):
-        return OmegaTypeReport(False, first_violation=float(u[bad[0]]),
-                               intervals_checked=int(bad[0]))
+        first = int(bad[0])
+        return OmegaTypeReport(False, first_violation=float(pattern.u[first]),
+                               intervals_checked=first)
     return OmegaTypeReport(True, intervals_checked=candidate.shape[1])
 
 
@@ -700,8 +727,10 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
     batch), integerize at resolution N (N, ..., 16N until the pattern
     survives; every N round shares one sine and one cosine table), shift to
     nonnegative integers and emit zeros at beta1 + i k gamma on the powers
-    of a character pinned at the generator.  OmegaTypeLostError names the
-    stage, its last K or N and the first w where the pattern broke.
+    of a character pinned at the generator.  Every round and the emitted
+    trace are checked against one `omega_pattern`.  OmegaTypeLostError
+    names the stage, its last K or N and the first w where the pattern
+    broke.
     """
     if not math.isfinite(gamma):
         raise ValueError("gamma must be finite")
@@ -715,6 +744,7 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
 
     omega = build_omega(r, V, seed=seed)
     w_grid = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)
+    pattern = omega_pattern(omega, w_grid)
 
     # stage 1: truncation order; stage 3 reuses the last cosine table
     for K_use in (K << i for i in range(5)):
@@ -722,7 +752,7 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
         coeffs = np.array([fourier_cosine_coeffs(omega, v, K_use) for v in V])
         cos_kw = np.outer(k, w_grid)
         np.cos(cos_kw, out=cos_kw)
-        report = check_omega_type(coeffs @ cos_kw, w_grid, omega)
+        report = check_omega_type(coeffs @ cos_kw, pattern)
         if report.ok:
             break
     else:
@@ -754,7 +784,7 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
         cand = ((np.cos(phase) @ coef.T) @ sin_kw
                 + (np.sin(phase) @ coef.T) @ cos_kw)
         # candidate tracks -f_v; flip for the pattern comparison
-        report = check_omega_type(-cand, w_grid, omega)
+        report = check_omega_type(-cand, pattern)
         if report.ok:
             break
     else:
@@ -776,7 +806,7 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
     # the samples `verify_extremal` censuses, at v = w_grid
     trace = one_period_trace(RaceFunctionSet(q, system, levels["D"]),
                              samples=len(w_grid))
-    report = check_omega_type(trace.values, w_grid, omega)
+    report = check_omega_type(trace.values, pattern)
     if not report.ok:
         raise OmegaTypeLostError(
             f"the emitted dominant trace at K = {K_use}, N = {N_use} lost the "

@@ -11,8 +11,10 @@ descending argsort of each column, the gaps between neighbours in that
 order, and the mask of tie-free columns.  Through a run of strict columns
 with one order every member pair keeps its sign, so the consumers read only
 run edges and tied columns (`run_edges`): the census groups the run heads
-with `np.unique`, crossing detection finds the flips and tie runs of all
-member pairs there, and `barriers.check_omega_type` tests the run heads.
+with `np.unique`, and crossing detection finds the flips and tie runs of
+all member pairs there.  `barriers.check_omega_type` sorts no candidate: it
+orders only its reference with `column_orders` and tests each column's two
+known orderings neighbour pair by neighbour pair.
 
 The ordering graph joins strict orderings that follow each other in the
 trace and differ by one adjacent transposition, labelled by the member pair

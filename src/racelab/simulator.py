@@ -42,7 +42,7 @@ from .budget import check_budget
 from .orderings import OrderingTrace
 from .residues import unit_group
 from .trigpoly import TrigPoly, evaluate_phasors
-from .zerosys import Zero, ZeroSystem, dominant_data, g_rho_exact
+from .zerosys import Zero, ZeroSystem, _dominant
 
 
 class DomainError(ValueError):
@@ -299,7 +299,7 @@ class DominantProfile(NamedTuple):
 def dominant_profile(s: RaceFunctionSet, a: int, b: int) -> DominantProfile:
     """M_{q,a,b} as a trig polynomial: one term per dominant height with
     amplitude |g(beta+i gamma)| / |beta+i gamma|."""
-    dd = dominant_data(s.system, a, b)
+    dd, live = _dominant(s.system, a, b)
     if dd.empty:
         raise EmptyDominantSetError(f"z({a},{b}) is empty")
     beta = dd.beta
@@ -315,11 +315,8 @@ def dominant_profile(s: RaceFunctionSet, a: int, b: int) -> DominantProfile:
             terms[z.gamma] = terms.get(z.gamma, 0.0j) + 1j * coeff
     dom_terms = []
     res_terms = []
-    for zero in s.system.all_zeros():
-        g = g_rho_exact(s.system, zero, a, b)
-        if g.is_zero():
-            continue
-        gw = abs(g.to_complex()) * _star_weight(zero)
+    for zero, g in live.items():
+        gw = abs(g) * _star_weight(zero)
         rec = (gw, zero.beta, zero.modulus)
         if zero.beta == beta:
             dom_terms.append(rec)

@@ -81,6 +81,10 @@ class ZeroSystem:
         clean: Dict[int, Dict[Zero, int]] = {}
         for label, zs in entries.items():
             label = self._label(label)
+            for z in zs:
+                if not isinstance(z, Zero):
+                    raise ZeroDataError(f"zero {z!r} on character {label} "
+                                        f"is not a Zero")
             kept = {z: m for z, m in ((z, _integer(m, "multiplicity"))
                                       for z, m in zs.items()) if m}
             if kept and not self.chars.b[label].any():  # the principal character
@@ -217,20 +221,27 @@ class DominantData(NamedTuple):
         return self.beta is None
 
 
-def g_rho_exact(system: ZeroSystem, zero: Zero, a: int, b: int) -> RootOfUnitySum:
-    """g(rho; a, b) as an exact root-of-unity sum over the group exponent."""
+def _g_sums(system: ZeroSystem, zeros: Iterable[Zero], a: int, b: int,
+            ) -> Dict[Zero, RootOfUnitySum]:
+    """g(rho; a, b) as an exact root-of-unity sum over the group exponent at
+    each of the zeros: the numerator columns of a and b are read once, and
+    each sum adds its characters in label order."""
     group = unit_group(system.q)
     if not (group.is_unit(a) and group.is_unit(b)):
         raise ValueError("a and b must be units")
     at_a = system.chars.numerators(a).tolist()
     at_b = system.chars.numerators(b).tolist()
-    s = RootOfUnitySum(group.lam)
+    sums = {zero: RootOfUnitySum(group.lam) for zero in zeros}
     for label, zs in system.entries.items():
-        m = zs.get(zero, 0)
-        if m:
-            s.add(at_a[label], m)
-            s.add(at_b[label], -m)
-    return s
+        for zero, m in zs.items():
+            if zero in sums:
+                sums[zero].add(at_a[label], m).add(at_b[label], -m)
+    return sums
+
+
+def g_rho_exact(system: ZeroSystem, zero: Zero, a: int, b: int) -> RootOfUnitySum:
+    """g(rho; a, b) as an exact root-of-unity sum over the group exponent."""
+    return _g_sums(system, [zero], a, b)[zero]
 
 
 def g_rho(system: ZeroSystem, zero: Zero, a: int, b: int) -> complex:
@@ -238,21 +249,26 @@ def g_rho(system: ZeroSystem, zero: Zero, a: int, b: int) -> complex:
     return g_rho_exact(system, zero, a, b).to_complex()
 
 
-def dominant_data(system: ZeroSystem, a: int, b: int) -> DominantData:
-    """beta(a,b) and z(a,b) for the pair, with exact g != 0 tests."""
+def _dominant(system: ZeroSystem, a: int, b: int,
+              ) -> Tuple[DominantData, Dict[Zero, complex]]:
+    """dominant_data for the pair, and g as a float at every zero where
+    the exact sum is nonzero, in sorted zero order: one `_g_sums` call."""
     if a % system.q == b % system.q:
         raise ValueError("dominant data needs distinct residues")
-    live: Dict[Zero, complex] = {}
-    for zero in system.all_zeros():
-        g = g_rho_exact(system, zero, a, b)
-        if not g.is_zero():
-            live[zero] = g.to_complex()
+    zeros = system.all_zeros()  # with none, non-units are not refused
+    sums = _g_sums(system, zeros, a, b) if zeros else {}
+    live = {z: g.to_complex() for z, g in sums.items() if not g.is_zero()}
     if not live:
-        return DominantData(a=a, b=b, beta=None, zeros=(), g_values={})
+        return DominantData(a=a, b=b, beta=None, zeros=(), g_values={}), live
     beta = max(z.beta for z in live)
     zset = tuple(sorted(z for z in live if z.beta == beta))
     return DominantData(a=a, b=b, beta=beta, zeros=zset,
-                        g_values={z: live[z] for z in zset})
+                        g_values={z: live[z] for z in zset}), live
+
+
+def dominant_data(system: ZeroSystem, a: int, b: int) -> DominantData:
+    """beta(a,b) and z(a,b) for the pair, with exact g != 0 tests."""
+    return _dominant(system, a, b)[0]
 
 
 class KTPairReport(NamedTuple):

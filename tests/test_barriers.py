@@ -16,8 +16,8 @@ from racelab.barriers import (BarrierRecipe,
                               build_omega, build_thm311, build_thm51,
                               check_hypotheses, check_omega_type,
                               check_thm51_conditions, fourier_cosine_coeffs,
-                              qpr_polys, scan_qpr_properties, solve_lemma44,
-                              verify_thm311)
+                              omega_pattern, qpr_polys, scan_qpr_properties,
+                              solve_lemma44, verify_thm311)
 from racelab.residues import characters, unit_group
 from racelab.simulator import (RaceFunctionSet, RecipeMismatchError,
                                one_period_trace)
@@ -335,16 +335,17 @@ def test_omega_type_reference_and_perturbation():
     omega = build_omega(6, [1, 2, 3], seed=1)
     w = np.linspace(0, 2 * math.pi, 2048, endpoint=False)
     vals = omega.values(w)
-    assert check_omega_type(vals, w, omega).ok
+    pattern = omega_pattern(omega, w)
+    assert check_omega_type(vals, pattern).ok
     rng = np.random.default_rng(4)
     min_gap = 1e9
     pts = omega.crossing_points()
     wiggle = vals + rng.uniform(-1e-4, 1e-4, vals.shape)
-    assert check_omega_type(wiggle, w, omega).ok
+    assert check_omega_type(wiggle, pattern).ok
     # removing one crossing (flattening a member onto another) fails
     broken = vals.copy()
     broken[0] = broken[1] + 1e-3
-    assert not check_omega_type(broken, w, omega).ok
+    assert not check_omega_type(broken, pattern).ok
 
 
 def test_fourier_coeffs_match_function():
@@ -432,10 +433,10 @@ def test_omega_type_lost_names_stage_and_violation(monkeypatch, passes, want):
 
     calls = []
 
-    def check(candidate, w_grid, omega, tie_tol=0.0):
+    def check(candidate, pattern, tie_tol=0.0):
         calls.append(None)
         if len(calls) <= passes:
-            return check_omega_type(candidate, w_grid, omega, tie_tol)
+            return check_omega_type(candidate, pattern, tie_tol)
         return barriers.OmegaTypeReport(False, first_violation=1.25,
                                         intervals_checked=3)
 

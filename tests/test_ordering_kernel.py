@@ -18,7 +18,10 @@ one of them: it is a per-sample scan, checked against the crossing loop and
 fast enough for sweeps over many members.  Random traces are quantized so
 that ties, tie runs at both ends of the window and all-tied columns occur
 often; long traces with sparse order changes make crossing detection and
-the omega-type check skip most columns.
+the census skip most columns.  The omega-type check sorts no candidate: it
+tests the two known reference orderings of each column, and is pinned here
+against the loop on random edits and on every candidate `build_extremal`
+checks.
 """
 
 import math
@@ -33,8 +36,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from racelab import barriers, residues, simulator, zerosys
-from racelab.barriers import (OmegaTypeReport, build_omega, build_thm51,
-                              check_omega_type)
+from racelab.barriers import (OmegaTypeReport, build_extremal, build_omega,
+                              build_thm51, check_omega_type, omega_pattern)
 from racelab.orderings import (CensusReport, Crossing, OrderingTrace,
                                _chain, census, column_orders,
                                detect_crossings, run_edges, verdict)
@@ -473,7 +476,7 @@ def test_check_omega_type_matches_loop_reference(data):
         vals[i, lo:hi] = vals[j, lo:hi] + data.draw(
             st.sampled_from([-0.05, -0.005, 0.0, 0.005, 0.05]))
     tie_tol = data.draw(st.sampled_from([0.0, 0.01, 0.1]))
-    assert check_omega_type(vals, w, omega, tie_tol) \
+    assert check_omega_type(vals, omega_pattern(omega, w), tie_tol) \
         == ref_check_omega_type(vals, w, omega, tie_tol)
 
 
@@ -492,16 +495,126 @@ def test_omega_failure_where_only_the_reference_interval_changes():
     k = next(k for k in range(len(mids) - 2)
              if {tuple(ref[:, k])} - {tuple(ref[:, k + 1]), tuple(ref[:, k + 2])})
     vals = omega.values(w)
-    assert check_omega_type(vals, w, omega).ok
+    pattern = omega_pattern(omega, w)
+    assert check_omega_type(vals, pattern).ok
     cols = np.flatnonzero((idx == k) | (idx == k + 1))
     vals[ref[:, k], cols[:, None]] = np.arange(3, 0, -1)  # strict, order ref[k]
     first = np.flatnonzero(idx == k + 1)[0]
-    rep = check_omega_type(vals, w, omega)
+    rep = check_omega_type(vals, pattern)
     assert rep == ref_check_omega_type(vals, w, omega)
     assert rep == OmegaTypeReport(False, first_violation=float(w[first]),
                                   intervals_checked=int(first))
     order, _, strict = column_orders(vals[:, first - 1:first + 1], 0.0)
     assert strict.all() and (order[:, 0] == order[:, 1]).all()
+
+
+def omega_column_case():
+    """omega(6, (1, 2, 3)) on 2048 points, its pattern, and the reference
+    orderings lo and hi of every column, from the midpoints."""
+    omega = build_omega(6, (1, 2, 3), seed=0)
+    w = np.linspace(0.0, 2 * math.pi, 2048, endpoint=False)
+    pts = omega.crossing_points()
+    pts = sorted(pts + [2 * math.pi - p for p in pts])
+    mids = sorted([(a + b) / 2.0 for a, b in zip(pts, pts[1:])]
+                  + [((pts[-1] + pts[0] + 2 * math.pi) / 2.0) % (2 * math.pi)])
+    ref, _, _ = column_orders(omega.values(np.array(mids)), 0.0)
+    idx = np.searchsorted(mids, w) - 1
+    return (omega, w, omega_pattern(omega, w), ref[:, idx % len(mids)],
+            ref[:, (idx + 1) % len(mids)])
+
+
+def test_omega_quantized_column_admissible_only_as_v_a_ge_v_b_minus_tol():
+    # a tied column (-0.1 - -0.2 is 0.1, not above tie_tol) holding lo's
+    # members in ascending order: lo's neighbours hold as
+    # v_above >= v_below - tie_tol, though v_above - v_below >= -tie_tol
+    # fails for the first pair (-0.10000000000000003)
+    omega, w, pattern, lo, _ = omega_column_case()
+    vals, col, tol = omega.values(w), 700, 0.1
+    vals[lo[:, col], col] = [-0.30000000000000004, -0.2, -0.1]
+    a, b = vals[lo[0, col], col], vals[lo[1, col], col]
+    assert a >= b - tol and not a - b >= -tol
+    rep = check_omega_type(vals, pattern, tol)
+    assert rep == ref_check_omega_type(vals, w, omega, tol)
+    assert rep == OmegaTypeReport(True, intervals_checked=len(w))
+
+
+def test_omega_strict_column_needs_the_reference_order_exactly():
+    # a strict column (gaps 0.7 and 0.10000000000000003 > tie_tol 0.1)
+    # whose order is neither lo nor hi fails, though v_above >= v_below -
+    # tie_tol holds for every neighbour pair of lo: -0.2 - 0.1 rounds to
+    # -0.30000000000000004
+    omega, w, pattern, lo, hi = omega_column_case()
+    col = np.flatnonzero(lo[2] == hi[2])[0]  # hi swaps lo's first two
+    vals, tol = omega.values(w), 0.1
+    vals[lo[:, col], col] = [0.5, -0.30000000000000004, -0.2]
+    order, _, strict = column_orders(vals[:, [col]], tol)
+    assert strict[0] and order[:, 0].tolist() not in (lo[:, col].tolist(),
+                                                       hi[:, col].tolist())
+    upper, lower = vals[lo[1:, col], col], vals[lo[:-1, col], col]
+    assert (lower >= upper - tol).all()
+    rep = check_omega_type(vals, pattern, tol)
+    assert rep == ref_check_omega_type(vals, w, omega, tol)
+    assert rep == OmegaTypeReport(False, first_violation=float(w[col]),
+                                  intervals_checked=int(col))
+
+
+@pytest.mark.parametrize("tie_tol", [0.0, 0.1])
+def test_omega_nan_sample_fails_its_column(tie_tol):
+    omega, w, pattern, _, _ = omega_column_case()
+    vals = omega.values(w)
+    vals[1, 1000] = np.nan
+    rep = check_omega_type(vals, pattern, tie_tol)
+    assert rep == ref_check_omega_type(vals, w, omega, tie_tol)
+    assert rep == OmegaTypeReport(False, first_violation=float(w[1000]),
+                                  intervals_checked=1000)
+
+
+@pytest.mark.parametrize("shape", [(2, 64), (4, 64), (3, 50), (64,)])
+def test_omega_candidate_of_the_wrong_shape_is_refused(shape):
+    omega = build_omega(6, (1, 2, 3), seed=0)
+    pattern = omega_pattern(omega, np.linspace(0.0, 2 * math.pi, 64,
+                                               endpoint=False))
+    want = (f"candidate of shape {shape} against an omega pattern of shape "
+            f"(3, 64)")
+    with pytest.raises(ValueError) as exc:
+        check_omega_type(np.zeros(shape), pattern)
+    assert str(exc.value) == want
+
+
+def test_omega_negative_tie_tol_is_refused():
+    omega = build_omega(6, (1, 2, 3), seed=0)
+    w = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+    with pytest.raises(ValueError, match="tie_tol must be >= 0"):
+        check_omega_type(omega.values(w), omega_pattern(omega, w), -0.1)
+
+
+@pytest.mark.parametrize("q, V, K", [(7, (1, 2, 3), 1), (7, (2, 3, 5), 16),
+                                     (11, (2, 3), 16), (11, (1, 3, 5, 6), 1),
+                                     (13, (5, 6, 9), 16)])
+def test_build_extremal_checks_match_loop_reference(monkeypatch, q, V, K):
+    """Every candidate build_extremal checks (its K rounds, N rounds and
+    emitted trace, failing rounds included) gets the loop's report."""
+    checked = []
+
+    def recording(candidate, pattern, tie_tol=0.0):
+        report = check_omega_type(candidate, pattern, tie_tol)
+        checked.append((np.array(candidate), tie_tol, report))
+        return report
+
+    monkeypatch.setattr(barriers, "check_omega_type", recording)
+    group = residues.unit_group(q)
+    gen = min(a for a in group.units if group.order(a) == group.phi)
+    sub = group.subgroup(gen)
+    recipe = build_extremal(q, gen, [sub[v] for v in V], K=K)
+    omega = build_omega(group.phi, V, seed=0)
+    w = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)
+    reports = [report for _, _, report in checked]
+    assert reports == [ref_check_omega_type(c, w, omega, t)
+                       for c, t, _ in checked]
+    # K, 2K, ... up to the K used, N rounds likewise from 64, the trace
+    assert len(reports) == ((recipe.params["K"] // K).bit_length()
+                            + (recipe.params["N"] // 64).bit_length() + 1)
+    assert [r.ok for r in reports].count(False) == len(reports) - 3
 
 
 @PROPERTY

@@ -253,6 +253,35 @@ def test_dominant_profile_tracks_scaled_difference():
         assert err <= prof.residual_bound(x)
 
 
+def test_dominant_profile_forms_one_g_sum_per_zero(monkeypatch):
+    """Each zero's exact g-sum is formed once per profile, and the
+    numerator columns of a and b are read once."""
+    from racelab import residues, zerosys
+    from racelab.barriers import build_thm311
+    system = build_thm311(7).system
+    s = RaceFunctionSet(7, system, (1, 2, 3), pi_proxy="zero")
+    want = dominant_profile(s, 3, 1)
+    sums, reads = [], []
+
+    class Counted(residues.RootOfUnitySum):
+        def __init__(self, level):
+            sums.append(level)
+            super().__init__(level)
+
+    numerators = residues.CharacterTable.numerators
+
+    def counted_numerators(table, a):
+        reads.append(a)
+        return numerators(table, a)
+
+    monkeypatch.setattr(zerosys, "RootOfUnitySum", Counted)
+    monkeypatch.setattr(residues.CharacterTable, "numerators",
+                        counted_numerators)
+    assert dominant_profile(s, 3, 1) == want
+    assert len(sums) == len(system.all_zeros()) > 1
+    assert reads == [3, 1]
+
+
 def test_dominant_profile_errors():
     system, _, _ = single_zero_system()
     s = RaceFunctionSet(5, system, (1, 2, 3, 4), pi_proxy="zero")

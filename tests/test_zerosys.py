@@ -56,6 +56,13 @@ def test_non_integer_label_or_multiplicity_refused(entries):
         ZeroSystem(7, entries)
 
 
+@pytest.mark.parametrize("key", [(0.75, 100.0), "x"], ids=["tuple", "str"])
+def test_zero_key_that_is_not_a_zero_refused(key):
+    with pytest.raises(ZeroDataError) as exc:
+        ZeroSystem(7, {1: {key: 1}})
+    assert str(exc.value) == f"zero {key!r} on character 1 is not a Zero"
+
+
 def test_integer_like_labels_and_multiplicities_kept():
     z = Zero(0.75, 100.0)
     system = ZeroSystem(7, {np.int64(1): {z: np.int64(2)}, 2: {z: 0}})

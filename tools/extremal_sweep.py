@@ -7,7 +7,13 @@ r >= 6, with the generator the CLI and the benchmark use (the least unit of
 maximal order).  For each member count m in (2, 3, 4), up to two admissible
 exponent sets V (no 0, no inverse pair v, r - v) are drawn by a generator
 seeded with (q, m).  Each case records q, V, and either K, N and the sha256
-of the recipe JSON, or the error as "<class>: <message>".
+of the recipe JSON, or the error as "<class>: <message>".  It also records
+every omega-type report of the build, in call order, as [stage, K or N,
+ok, first_violation, intervals_checked]: the K rounds K, 2K, ... until one
+passes, then the N rounds likewise, then the emitted trace (stage "trace",
+no K or N).  The reports are read by wrapping `barriers.check_omega_type`,
+whatever its arguments, so a failing round that moves shows up in a diff
+even when the final recipe does not change.
 
 Usage, once per source tree, then compare the two files line by line (one
 case per line, in a fixed order):
@@ -32,6 +38,7 @@ from racelab.residues import unit_group  # noqa: E402
 Q_MAX = 100
 SIZES = (2, 3, 4)
 SETS_PER_SIZE = 2
+K0, N0 = 16, 64  # build_extremal's defaults, the first K and N rounds
 
 
 def cases():
@@ -50,14 +57,41 @@ def cases():
                 yield q, gen, V
 
 
+def staged(reports) -> list:
+    """Each report as [stage, K or N, ok, first_violation,
+    intervals_checked]: a stage ends at its first passing round."""
+    out, stage, value = [], "K", K0
+    for rep in reports:
+        out.append([stage, value, bool(rep.ok), rep.first_violation,
+                    rep.intervals_checked])
+        if stage == "trace":
+            continue
+        if rep.ok:
+            stage, value = ("N", N0) if stage == "K" else ("trace", None)
+        else:
+            value *= 2
+    return out
+
+
 def run_case(q: int, gen: int, V) -> dict:
     sub = unit_group(q).subgroup(gen)
     out = {"q": q, "V": list(V)}
+    reports = []
+    check = barriers.check_omega_type
+
+    def recording(*args, **kwargs):
+        reports.append(check(*args, **kwargs))
+        return reports[-1]
+
+    barriers.check_omega_type = recording
     try:
         recipe = barriers.build_extremal(q, gen, [sub[v] for v in V])
     except (ValueError, RuntimeError) as exc:
         out["error"] = f"{type(exc).__name__}: {exc}"
         return out
+    finally:
+        barriers.check_omega_type = check
+        out["reports"] = staged(reports)
     out.update(K=recipe.params["K"], N=recipe.params["N"],
                sha256=hashlib.sha256(recipe.to_json().encode()).hexdigest())
     return out

@@ -976,8 +976,8 @@ def check_thm51_conditions(recipe: BarrierRecipe) -> WSystem:
     (D) level-to-level difference non-degeneracy, with explicit margins,
     after the load check (`_check_thm51`), so M is the system's.
 
-    Every wave pair's crossings come from one `trigpoly.roots` call with
-    certified radii, which with the rounding bounds set the tolerances of
+    One `trigpoly.roots` call isolates every wave pair's crossings by Taylor
+    cells; their radii, with the rounding bounds, set the tolerances of
     (B)-(D).  (D) and (5.19) are smallest gaps between sorted pair values."""
     waves: Dict[Tuple[int, int], TrigPoly] = _check_thm51(recipe)["w"]
     p = recipe.params
@@ -993,8 +993,8 @@ def check_thm51_conditions(recipe: BarrierRecipe) -> WSystem:
         if not res.certified or len(res.roots) != 2:
             raise ConditionFailedError(
                 "A", f"level {j} phases ({a1},{a2}): {len(res.roots)} isolated "
-                     f"crossings per period, count margin {res.margin:.3g} "
-                     f"({'' if res.certified else 'not '}certified)")
+                     f"crossings per period, {res.unresolved} unresolved "
+                     f"cells")
     theta = {key: (float(res.roots[0]), float(res.roots[1]))
              for key, res in zip(keys, found)}
     level_pts = {j: np.array([t for key, pair in theta.items() if key[0] == j

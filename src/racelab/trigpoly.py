@@ -5,11 +5,10 @@ A TrigPoly is a finite sum  P(u) = sum_k c_k sin(t_k u + alpha_k)  with
 pairwise distinct positive frequencies.  Cosines are phase-shifted sines.
 Calling it evaluates term by term, for any real frequencies.  When every
 frequency is an integer multiple k * base, P is Im(sum_k C_k z^k) over the
-phasors C_k = c_k e^{i alpha_k} and z = e^{i base u}: `roots` finds the
-real roots of such polynomials as unit-circle eigenvalues, and `evaluate`
-computes many integer-frequency (base 1) ones through `evaluate_phasors`,
-from one table of powers of z: two transcendentals per point rather than
-one per term.
+phasors C_k = c_k e^{i alpha_k} and z = e^{i base u}: `evaluate_phasors`
+computes many such polynomials from one table of powers of z, two
+transcendentals per point rather than one per term, and `roots` isolates
+their real roots by Taylor cells on it.
 
 The existence searches (find_simultaneous_positive, find_dominating) are
 backed by L2/measure arguments guaranteeing solutions on a positive-density
@@ -333,37 +332,38 @@ def certified_positive_scan(f: Callable[[np.ndarray], np.ndarray],
 class TrigRoots(NamedTuple):
     """The real roots of one TrigPoly on [0, 2 pi/base), see `roots`:
     [root - radius, root + radius] holds exactly one root, slope is P'
-    there, and margin > 0 certifies that no other root exists."""
+    there, and certified (no unresolved cell) says there is no other."""
 
     roots: np.ndarray
     radii: np.ndarray
     slopes: np.ndarray
-    margin: float
+    unresolved: int
 
     @property
     def certified(self) -> bool:
-        return self.margin > 0.0
+        return self.unresolved == 0
 
 
-def _phasor_table(polys: Sequence[TrigPoly], base: float,
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(c, alpha, C), each (len(polys), K): column k - 1 of row i holds the
-    term c sin(k base u + alpha) of polys[i] and its phasor C = c e^{i alpha},
-    zero where there is none.  Every frequency must be an exact integer
-    multiple k * base."""
+def _phasor_table(polys: Sequence[TrigPoly], base: float) -> np.ndarray:
+    """The complex (len(polys), K) table whose column k - 1 of row i holds
+    the phasor C = c e^{i alpha} of the term c sin(k base u + alpha) of
+    polys[i], zero where there is none.  Every frequency must be an exact
+    integer multiple k * base."""
     row, ci, t, ai = np.array([(i, *term) for i, p in enumerate(polys)
                                for term in p.terms]).reshape(-1, 4).T
     row, kt = row.astype(int), np.rint(t / base).astype(int)
     if np.any((kt < 1) | (kt * base != t)):
         raise ValueError(f"frequencies must be integer multiples of {base}")
-    c, a = np.zeros((2, len(polys), int(kt.max(initial=0))))
-    c[row, kt - 1], a[row, kt - 1] = ci, ai
-    return c, a, c * np.exp(1j * a)
+    C = np.zeros((len(polys), int(kt.max(initial=0))), dtype=complex)
+    C[row, kt - 1] = ci * np.exp(1j * ai)
+    return C
 
 
-def evaluate_phasors(C: np.ndarray, v) -> np.ndarray:
+def evaluate_phasors(C: np.ndarray, v, rows: np.ndarray | None = None,
+                     ) -> np.ndarray:
     """Im(sum_k C[i, k-1] e^{ikv}) for every row i of the complex (n, K)
-    phasor table C at every point of the 1-D array v, as an (n, len(v)) array.
+    phasor table C at every point of the 1-D array v, as an (n, len(v))
+    array; or of row rows[j] at v[j] only, as a 1-D array, given rows.
 
     With z = e^{iv} the values are Im(C @ Z) = Re(C) @ Im(Z) + Im(C) @ Re(Z)
     over the powers Z = (z^k): one cos and one sin per point, then K - 1
@@ -378,16 +378,20 @@ def evaluate_phasors(C: np.ndarray, v) -> np.ndarray:
     """
     n, K = C.shape
     v = np.asarray(v, dtype=float)
-    out = np.empty((n, len(v)))
+    out = np.empty((n, len(v)) if rows is None else len(v))
     step = max(_CHUNK // max(K, 1), 1)
     for start in range(0, len(v), step):
-        w = v[start:start + step]
+        part = slice(start, start + step)
+        w = v[part]
         z = np.empty((K, len(w)), dtype=complex)
         if K:
             z[0] = np.cos(w) + 1j * np.sin(w)
         for k in range(1, K):
             np.multiply(z[k - 1], z[0], out=z[k])
-        out[:, start:start + len(w)] = C.real @ z.imag + C.imag @ z.real
+        if rows is None:
+            out[:, part] = C.real @ z.imag + C.imag @ z.real
+        else:
+            out[part] = np.einsum("jk,kj->j", C[rows[part]], z).imag
     return out
 
 
@@ -397,109 +401,104 @@ def evaluate(polys: Sequence[TrigPoly], v) -> np.ndarray:
     otherwise): `evaluate_phasors` on their phasors C = c e^{i alpha}, as
     c sin(kv + alpha) = Im(C e^{ikv}).  The error is at most
     EPS * sum|c_k| * (6K + 4), K the polynomial's largest frequency."""
-    return evaluate_phasors(_phasor_table(polys, 1.0)[2], v)
+    return evaluate_phasors(_phasor_table(polys, 1.0), v)
+
+
+# a cell is tested on [m - R, m + R], R this multiple of its half-width, so
+# that a root on or near an edge lies inside both cells that share it
+_OVERLAP = 1.5
 
 
 def roots(polys: Sequence[TrigPoly], base: float) -> List[TrigRoots]:
     """Certified real roots on [0, 2 pi/base) of polynomials whose
-    frequencies are exact integer multiples k * base.
+    frequencies are exact integer multiples k * base, by Taylor cells
+    (Tucker, Validated Numerics, 2011) in v = base u on the rows f(v) =
+    Im(sum_k C_k e^{ikv}) of their phasor table C (K columns).
 
-    With v = base * u and z = e^{iv}, c sin(kv + a) = Im(c e^{ia} z^k), so
-    the roots are unit-circle eigenvalues of the companion matrix of
-    z^K sum_k (C_k z^k - conj(C_k) z^-k) (Boyd, SIAM Review 55, 2013), one
-    np.linalg.eigvals call per degree K.  After one Newton step a root's
-    radius 2(|P| + delta)/(|P'| - delta') (delta, delta': rounding bounds)
-    is valid when L2 * radius <= (|P'| - delta')/2, L2 = sum |c| k^2: P is
-    monotone and changes sign on the interval.  margin is what one
-    coefficient of the quotient by the valid roots exceeds the others' sum
-    by, less the error that rounding and the radii put in, relative to its
-    l1 norm; margin > 0 and disjoint intervals leave the quotient no
-    unit-circle root.  That holds for the degree-2 wave pairs of the layered
-    barrier; on higher degrees the test can refuse a right count.
+    A nonzero row starts from max(64, 8K) cells covering [0, 2 pi], each
+    tested on [m - R, m + R] around its midpoint (see _OVERLAP); an all-zero
+    row is one unresolved cell.  One `evaluate_phasors` call per depth gives
+    f(m) and f'(m) (table i k C) at every live cell within delta =
+    EPS sum|C_k| (6K + 4) and delta' = EPS sum|C_k| k (6K + 4); |f''| <= L2 =
+    sum|C_k| k^2.  A cell has no root when |f(m)| - delta > (|f'(m)| +
+    delta') R + L2 R^2/2; else, if |f'(m)| - delta' > L2 R, one simple root
+    or none as the Taylor bounds at its ends differ in sign or not; else it
+    is split, or left unresolved once the terms that halving shrinks are
+    below delta or m is not strictly inside it (a double root, or roots
+    closer than rounding can tell).  Newton steps kept in the cell polish
+    each root, whose radius rho = 2(|f| + delta)/(|f'| - delta') must meet
+    L2 rho <= (|f'| - delta')/2 and keep the interval in the cell, or the
+    cell is unresolved.  Cells that hold one root report it once.  Radii
+    add 2 EPS 2 pi for the reduction to [0, 2 pi).
     """
-    c, a, C = _phasor_table(polys, base)
-    k_max = c.shape[1]
-    k = np.arange(1, k_max + 1)
-    l2 = np.abs(c) @ (k * k)
-    delta = np.array([p.rounding_bound(TWO_PI / base) for p in polys])
-    delta1 = np.array([p.rounding_bound(TWO_PI / base, 1) for p in polys]) / base
-    coef = np.zeros((len(polys), 2 * k_max + 1), dtype=complex)  # ascending
-    coef[:, k_max + 1:], coef[:, :k_max] = C, -np.conj(C[:, ::-1])
+    C = _phasor_table(polys, base)
+    n, K = C.shape
+    k = np.arange(1, K + 1)
+    mag = np.abs(C)
+    delta, delta1 = EPS * (6 * K + 4) * np.array([mag.sum(1), mag @ k])
+    l2 = mag @ (k * k)
+    table = np.vstack([C, 1j * k * C])  # f in row i, f' in row n + i
 
-    # candidates: eigenvalues within 1e-6 of the unit circle (the count is
-    # certified below).  Terms below rounding level stay out of the companion
-    # matrix, where they would put entries near 1/EPS, not the certificate
-    big = np.abs(c) > EPS * np.abs(c).sum(1, keepdims=True)
-    degree = np.where(big.any(1), k_max - np.argmax(big[:, ::-1], 1), 0)
-    pi, v = [np.zeros(0, dtype=int)], [np.zeros(0)]
-    live = np.sort(degree[degree > 0])
-    # a sorted dedupe: in numpy 2.x a plain np.unique imports numpy.ma
-    for K in live[np.diff(live, prepend=0) > 0]:
-        idx = np.flatnonzero(degree == K)
-        mid = coef[idx, k_max - K:k_max + K + 1]
-        comp = np.zeros((len(idx), 2 * K, 2 * K), dtype=complex)
-        comp[:, np.arange(1, 2 * K), np.arange(2 * K - 1)] = 1.0
-        comp[:, :, -1] = -mid[:, :-1] / mid[:, -1:]
-        eig = np.linalg.eigvals(comp)
-        row, col = np.nonzero(np.abs(np.abs(eig) - 1.0) <= 1e-6)
-        pi.append(idx[row])
-        v.append(np.angle(eig[row, col]) % TWO_PI)
-    pi, v = np.concatenate(pi), np.concatenate(v)
+    def values(row, v: np.ndarray) -> np.ndarray:  # f(v) and f'(v)
+        return evaluate_phasors(table, np.tile(v, 2),
+                                np.concatenate([row, row + n])).reshape(2, -1)
 
-    def values(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        arg = k * v[:, None] + a[pi]
-        return (c[pi] * np.sin(arg)).sum(1), (c[pi] * k * np.cos(arg)).sum(1)
+    cells = max(64, 8 * K)
+    row = np.repeat(np.flatnonzero(delta), cells)
+    j = np.arange(len(row)) % cells
+    a, b = np.linspace(0.0, np.nextafter(TWO_PI, 7.0), cells + 1)[[j, j + 1]]
+    unresolved = (delta == 0.0).astype(int)
+    hits = [(row[:0], a[:0], a[:0], a[:0])]  # one-root rows, ends, roots
+    while len(row):
+        m = 0.5 * (a + b)
+        R = _OVERLAP * (1.0 + 2.0 * EPS) * np.maximum(m - a, b - m)
+        (f, g), d, d1, L = values(row, m), delta[row], delta1[row], l2[row]
+        shrinks = (np.abs(g) + d1) * R + 0.5 * L * R * R
+        lo, hi, err = f - g * R, f + g * R, d + d1 * R + 0.5 * L * R * R
+        sure = ((np.abs(g) - d1 > L * R)
+                & (np.minimum(np.abs(lo), np.abs(hi)) > err))
+        one = sure & ((lo > 0.0) != (hi > 0.0))
+        hits.append((row[one], (m - R)[one], (m + R)[one], (m - f / g)[one]))
+        split = ~sure & (np.abs(f) - d <= shrinks)
+        stuck = split & ((shrinks <= d) | (m <= a) | (m >= b))
+        unresolved += np.bincount(row[stuck], minlength=n)
+        split &= ~stuck
+        row, a, b, m = np.repeat(row[split], 2), a[split], b[split], m[split]
+        a, b = np.column_stack([a, m]).ravel(), np.column_stack([m, b]).ravel()
 
+    row, lo, hi, x = (np.concatenate(col) for col in zip(*hits))
     with np.errstate(divide="ignore", invalid="ignore"):
-        f, fp = values(v)
-        v = (v - f / fp) % TWO_PI
-        v[v == TWO_PI] = 0.0
-        f, fp = values(v)
-        slope = np.abs(fp) - delta1[pi]
-        rho = 2.0 * (np.abs(f) + delta[pi]) / slope
-        ok = (slope > 0) & (l2[pi] * rho <= slope / 2.0)
-    order = np.flatnonzero(ok)
-    order = order[np.lexsort((v[order], pi[order]))]
-    pi, v, rho, fp = pi[order], v[order], rho[order], fp[order]
-    count = np.bincount(pi, minlength=len(polys))
-    n = np.arange(len(pi))
-    first = np.searchsorted(pi, pi)
-    zeta = np.zeros((len(polys), count.max(initial=0)), dtype=complex)
-    dz = np.zeros(zeta.shape)
-    zeta[pi, n - first], dz[pi, n - first] = np.exp(1j * v), rho + 2.0 * EPS
+        for _ in range(32):
+            f, g = values(row, x)
+            if not np.any(np.abs(f / g) > 4.0 * EPS):
+                break
+            x = np.clip(x - f / g, lo, hi)
+        else:
+            f, g = values(row, x)
+        slope = np.abs(g) - delta1[row]
+        rho = 2.0 * (np.abs(f) + delta[row]) / slope
+        ok = ((slope > 0.0) & (l2[row] * rho <= slope / 2.0)
+              & (x - rho >= lo) & (x + rho <= hi))
+    unresolved += np.bincount(row[~ok], minlength=n)
+    x = x[ok] % TWO_PI
+    x[x == TWO_PI] = 0.0  # a tiny negative x, rounded up
+    order = np.lexsort((x, row[ok]))
+    row, x, g = row[ok][order], x[order], g[ok][order]
+    rho = rho[ok][order] + 2.0 * EPS * TWO_PI
 
-    # divide by (z - zeta), zeta within dz of a true root, keeping the width
-    # 2 k_max + 1: b_j = sum_{i>j} q_i zeta^(i-j-1), so an l1 error E of q
-    # becomes at most d (1+2eps)^d (E + (d-1) dz (|q|_1 + E)), plus
-    # 8 eps d^2 |q|_1 for the division's rounding (d = 2 k_max)
-    d = 2 * k_max
-    q, err = coef, 8.0 * EPS * np.abs(c).sum(1)
-    for r in range(zeta.shape[1]):
-        rows = count > r
-        b = np.zeros_like(q)
-        for j in range(d, 0, -1):
-            b[:, j - 1] = q[:, j] + zeta[:, r] * b[:, j]
-        size = np.abs(q).sum(1)
-        err = np.where(rows, d * (1.0 + 2.0 * EPS) ** d * (
-            err + (d - 1) * dz[:, r] * (size + err)) + 8.0 * EPS * d * d * size,
-            err)
-        q = np.where(rows[:, None], b, q)
-    mag = np.abs(q)
-    total = mag.sum(1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        margin = np.where(total > 0, (2.0 * mag.max(1) - total - err) / total,
-                          -math.inf)
-    # intervals that meet, across the wrap-around too
-    last = np.searchsorted(pi, pi, side="right") - 1
-    nxt = np.where(n == last, first, n + 1)
-    margin[pi[(nxt != n) & ((v[nxt] - v) % TWO_PI <= rho + rho[nxt])]] = -math.inf
-
-    split = np.cumsum(count)[:-1]
-    radii = (rho + 2.0 * EPS * TWO_PI) / base
-    return [TrigRoots(roots=r, radii=w, slopes=s, margin=float(m))
-            for r, w, s, m in zip(np.split(v / base, split),
-                                  np.split(radii, split),
-                                  np.split(fp * base, split), margin)]
+    # of two intervals with one slope sign that meet, a row's last and first
+    # across 2 pi too, drop the later: they hold one root
+    i = np.arange(len(x))
+    first = np.searchsorted(row, row)
+    nxt = np.where(i == np.searchsorted(row, row, "right") - 1, first, i + 1)
+    meet = ((nxt != i) & (g * g[nxt] > 0.0)
+            & ((x[nxt] - x) % TWO_PI <= rho + rho[nxt]))
+    keep = np.ones(len(x), dtype=bool)
+    keep[np.maximum(i, nxt)[meet]] = False
+    x, rho, g = x[keep] / base, rho[keep] / base, g[keep] * base
+    ends = np.cumsum(np.bincount(row[keep], minlength=n)).tolist()
+    return [TrigRoots(x[i:j], rho[i:j], g[i:j], u) for i, j, u in
+            zip([0, *ends], ends, unresolved.tolist())]
 
 
 def _window_scans(objective: Callable[[np.ndarray], np.ndarray],

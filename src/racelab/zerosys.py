@@ -255,8 +255,7 @@ def _dominant(system: ZeroSystem, a: int, b: int,
     the exact sum is nonzero, in sorted zero order: one `_g_sums` call."""
     if a % system.q == b % system.q:
         raise ValueError("dominant data needs distinct residues")
-    zeros = system.all_zeros()  # with none, non-units are not refused
-    sums = _g_sums(system, zeros, a, b) if zeros else {}
+    sums = _g_sums(system, system.all_zeros(), a, b)
     live = {z: g.to_complex() for z, g in sums.items() if not g.is_zero()}
     if not live:
         return DominantData(a=a, b=b, beta=None, zeros=(), g_values={}), live

@@ -35,7 +35,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from racelab import barriers, residues, simulator, zerosys
+from racelab import barriers, residues, simulator, trigpoly, zerosys
 from racelab.barriers import (OmegaTypeReport, build_extremal, build_omega,
                               build_thm51, check_omega_type, omega_pattern)
 from racelab.orderings import (CensusReport, Crossing, OrderingTrace,
@@ -687,7 +687,109 @@ def test_trig_roots_refuse_a_near_double_root():
     # a grid of 2^14 cells sees only the two far roots
     assert len(ref_wave_crossings(w1, w2, 2 * math.pi / gamma, 1 << 14)) == 2
     [res] = trig_roots([diff], gamma)
-    assert not res.certified
+    assert res.unresolved > 0 and not res.certified
+
+
+def exact_value(poly, v):
+    """poly at v in mpmath, its float terms taken as exact numbers."""
+    return sum(mpmath.mpf(c) * mpmath.sin(mpmath.mpf(t) * mpmath.mpf(v)
+                                          + mpmath.mpf(a))
+               for c, t, a in poly.terms)
+
+
+def assert_isolated(poly, res):
+    """Each interval's ends straddle a sign change, at 40 digits."""
+    with mpmath.workdps(40):
+        for r, rho in zip(res.roots, res.radii):
+            assert exact_value(poly, r - rho) * exact_value(poly, r + rho) < 0
+
+
+def test_trig_roots_leave_a_planted_double_root_unresolved():
+    # cos t - cos 2t, t = v - 1: a double root at v = 1, simple ones at
+    # 1 +- 2 pi/3
+    poly = TrigPoly.cosine([1.0, -1.0], [1.0, 2.0], [-1.0, -2.0])
+    [res] = trig_roots([poly], 1.0)
+    assert res.unresolved > 0
+    assert np.allclose(res.roots, [1 + 2 * math.pi / 3, 1 - 2 * math.pi / 3
+                                   + 2 * math.pi], atol=1e-13)
+    assert_isolated(poly, res)
+
+
+def test_trig_roots_leave_two_roots_1e_15_apart_unresolved():
+    # sin(v - x1) sin(v - x2) sin(v - x3) as its four product-to-sum terms:
+    # roots x1, x2 = x1 + 1e-15 and x3, and each of them + pi
+    x1, x2, x3 = 1.0, 1.0 + 1e-15, 2.5
+    poly = TrigPoly.combine([
+        TrigPoly.sine([0.25], [1.0], [x3 - x1 - x2]),
+        TrigPoly.sine([0.25], [1.0], [x1 - x2 - x3]),
+        TrigPoly.sine([0.25], [1.0], [x2 - x3 - x1]),
+        TrigPoly.sine([-0.25], [3.0], [-(x1 + x2 + x3)])])
+    [res] = trig_roots([poly], 1.0)
+    assert res.unresolved > 0
+    assert np.allclose(res.roots, [x3, x3 + math.pi], atol=1e-13)
+    assert_isolated(poly, res)
+
+
+def test_trig_roots_leave_an_all_zero_row_unresolved_unsplit(monkeypatch):
+    seen = []
+    evaluate = trigpoly.evaluate_phasors
+    monkeypatch.setattr(trigpoly, "evaluate_phasors", lambda C, v, rows=None:
+                        seen.append(rows) or evaluate(C, v, rows))
+    zero, sine = trig_roots([TrigPoly.zero(), TrigPoly.sine([1.0], [1.0])],
+                            1.0)
+    assert zero.unresolved == 1 and len(zero.roots) == 0
+    assert sine.certified and np.allclose(sine.roots, [0.0, math.pi])
+    # rows 0 and 2 (its derivative) are the zero row's: never evaluated
+    assert seen and not any(np.isin(rows, [0, 2]).any() for rows in seen)
+
+
+@PROPERTY
+@given(st.data())
+def test_trig_roots_certified_rows_have_even_isolated_roots(data):
+    part = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.0, 0.5, 1.0, 2.0]),
+                     st.floats(-2.0, 2.0))
+    n, K = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
+    table = [[complex(data.draw(part), data.draw(part)) for _ in range(K)]
+             for _ in range(n)]
+    polys = [TrigPoly.from_phasors(dict(enumerate(row, start=1)))
+             for row in table]
+    for poly, res in zip(polys, trig_roots(polys, 1.0)):
+        if poly.n_terms == 0:
+            assert res.unresolved == 1 and len(res.roots) == 0
+        if not res.certified:
+            continue
+        # simple roots on a circle: the sign changes an even number of times
+        assert len(res.roots) % 2 == 0
+        assert np.all((res.roots >= 0.0) & (res.roots < 2 * math.pi))
+        assert_isolated(poly, res)
+
+
+def thm311_pair_polys(q):
+    """The pair differences of the members' waves, all units as members, of
+    `build_thm311(q, tau=1000)` in the lattice phase: each member's row is
+    -1j * W of the lattice table W of its amplitudes over rho."""
+    recipe = barriers.build_thm311(q, tau=1000.0)
+    units = residues.unit_group(q).units
+    zeros, amps = simulator._amplitudes(recipe.system, units)
+    table = -1j * simulator._lattice_table(recipe.system, zeros,
+                                           amps / [z.rho for z in zeros])
+    a, b = np.triu_indices(len(units), 1)
+    return recipe, units, [TrigPoly.from_phasors(dict(enumerate(row, start=1)))
+                           for row in table[a] - table[b]]
+
+
+@pytest.mark.parametrize("q, crossings", [(7, 58), (13, 350), (15, 106),
+                                          (19, 732)])
+def test_trig_roots_certify_every_thm311_pair(q, crossings):
+    # today's sampled census sees every crossing of these recipes; the
+    # kernel certifies the same count, with no cell left undecided
+    recipe, units, polys = thm311_pair_polys(q)
+    found = trig_roots(polys, 1.0)
+    assert all(res.certified for res in found)
+    assert sum(len(res.roots) for res in found) == crossings
+    rfs = simulator.RaceFunctionSet(q, recipe.system, units, pi_proxy="zero")
+    rep = census(simulator.one_period_trace(rfs, samples=65536))
+    assert len(rep.crossings) == crossings
 
 
 def test_thm51_condition_a_refuses_a_near_double_root(monkeypatch):
@@ -702,7 +804,7 @@ def test_thm51_condition_a_refuses_a_near_double_root(monkeypatch):
         barriers.check_thm51_conditions(recipe)
     assert err.value.condition == "A"
     assert "level 1 phases (0,1)" in str(err.value)
-    assert "margin" in str(err.value)
+    assert "unresolved cells" in str(err.value)
 
 
 def test_q35_all_units_census_golden():

@@ -197,6 +197,13 @@ def test_dominant_data_empty_cases():
         dominant_data(system, 2, 2)
 
 
+def test_dominant_data_refuses_a_non_unit_with_or_without_zeros():
+    with_zero = ZeroSystem.from_zeros(7, [(1, Zero(0.75, 10.0), 1)])
+    for system in (ZeroSystem(7, {}), with_zero):
+        with pytest.raises(ValueError, match="a and b must be units"):
+            dominant_data(system, 0, 1)
+
+
 def test_is_kt_candidate():
     q = 5
     lbl = label_with_phase(q, 2, Fraction(1, 4))

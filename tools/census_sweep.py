@@ -18,6 +18,13 @@ where there is none), and at 65536 samples, for each of two base_u (0 and
 crossings of `one_period_trace`'s census, or the error as
 "<class>: <message>".  The counts are sampled, not exact.
 
+A thm311 case also records `kernel_crossings`: the total number of roots
+that `trigpoly.roots` certifies over the members' pair difference
+polynomials in the lattice phase, and the number of pairs it leaves with
+unresolved cells.  A pair of tied members (every exact g-sum zero,
+`zerosys.dominant_data` empty) gets the all-zero polynomial, which is
+unresolved: the float difference of their waves is rounding noise.
+
 Usage, once per source tree, then compare the two files line by line (one
 case per line, in a fixed order):
     python tools/census_sweep.py --out sweep.json
@@ -32,10 +39,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from racelab import barriers  # noqa: E402
+import numpy as np  # noqa: E402
+
+from racelab import barriers, simulator  # noqa: E402
 from racelab.orderings import census  # noqa: E402
 from racelab.residues import unit_group  # noqa: E402
 from racelab.simulator import RaceFunctionSet, one_period_trace  # noqa: E402
+from racelab.trigpoly import TrigPoly, roots  # noqa: E402
+from racelab.zerosys import dominant_data  # noqa: E402
 
 SAMPLES = 65536
 TAU = 1000.0
@@ -61,9 +72,29 @@ def cases():
     yield recipe, D, len(D) * (len(D) - 1) // 2 + 1, BASE_US
 
 
+def kernel_crossings(recipe, members) -> list:
+    """[roots, pairs with unresolved cells] over the members' pairs: each
+    member's wave is row -1j * W of the lattice table W of its amplitudes
+    over rho, as in `one_period_trace` at base_u 0."""
+    system = recipe.system
+    zeros, amps = simulator._amplitudes(system, members)
+    table = -1j * simulator._lattice_table(
+        system, zeros, amps / [z.rho for z in zeros])
+    a, b = np.triu_indices(len(members), 1)
+    pairs = [TrigPoly.from_phasors(dict(enumerate(row, start=1)))
+             if not dominant_data(system, members[i], members[j]).empty
+             else TrigPoly.zero()
+             for i, j, row in zip(a, b, table[a] - table[b])]
+    found = roots(pairs, 1.0)
+    return [sum(len(r.roots) for r in found),
+            sum(not r.certified for r in found)]
+
+
 def run_case(recipe, members, bound, base_us) -> dict:
     out = {"kind": recipe.kind, "q": recipe.q, "members": list(members),
            "bound": bound, "samples": SAMPLES, "base_u": list(base_us)}
+    if recipe.kind.startswith("thm311"):
+        out["kernel_crossings"] = kernel_crossings(recipe, tuple(members))
     rfs = RaceFunctionSet(recipe.q, recipe.system, tuple(members),
                           pi_proxy="zero")
     strict, crossings = [], []

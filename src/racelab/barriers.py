@@ -13,7 +13,7 @@ Three families are built here:
   any r members by r(r-1), verified through the level-wave conditions
   (A)-(D).
 
-All verification scans are Lipschitz-certified grids with local refinement.
+All verification scans are Taylor cells whose bounds cover float rounding.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from .orderings import Verdict, census, column_orders, verdict
 from .simulator import (RaceFunctionSet, RecipeMismatchError,
                         one_period_trace, theorem_decomposition)
 from .trigpoly import (EPS3, ScanReport, TrigPoly, certified_positive_scan,
-                       check_scan_grid, eps1, eps2, evaluate as trig_evaluate,
-                       roots as trig_roots)
+                       check_scan_grid, eps1, eps2, roots as trig_roots)
 from .zerosys import Zero, ZeroSystem, dominant_data
 
 
@@ -89,19 +88,13 @@ class PropertyScan(NamedTuple):
 def scan_qpr_properties(step: float = 1e-4,
                         r_interval: Tuple[float, float] = (0.758, math.pi - 1e-6),
                         ) -> PropertyScan:
-    """Certified grid scan of |P(v)| > sqrt(3) Q(v) on [0, 0.759] u [2.7, 2pi]
-    and R(v) < 0 on r_interval."""
+    """Certified scans of max(P, -P) - sqrt(3) Q > 0 on [0, 0.759] u
+    [2.7, 2pi] and of max(0) - R > 0 on r_interval."""
     q, p, r = qpr_polys()
-    lip_pq = p.lipschitz_bound + math.sqrt(3.0) * q.lipschitz_bound
-
-    def margin(v: np.ndarray) -> np.ndarray:
-        qv, pv = trig_evaluate([q, p], v)
-        return np.abs(pv) - math.sqrt(3.0) * qv
-
-    pieces = (certified_positive_scan(margin, lip_pq, 0.0, 0.759, step),
-              certified_positive_scan(margin, lip_pq, 2.7, 2 * math.pi, step))
-    neg_r = certified_positive_scan(lambda v: -trig_evaluate([r], v)[0],
-                                    r.lipschitz_bound, *r_interval, step)
+    pq = (q.scale(math.sqrt(3.0)), [p, p.scale(-1.0)])
+    pieces = (certified_positive_scan(*pq, 0.0, 0.759, step),
+              certified_positive_scan(*pq, 2.7, 2 * math.pi, step))
+    neg_r = certified_positive_scan(r, [TrigPoly.zero()], *r_interval, step)
     ok = all(s.ok for s in pieces) and neg_r.ok
     return PropertyScan(p_dominates=pieces, r_negative=neg_r, ok=ok)
 
@@ -374,21 +367,11 @@ class Thm311Report(NamedTuple):
 @lru_cache(maxsize=_SCAN_MEMO)
 def _lattice_scan(g0: TrigPoly, grs: Tuple[TrigPoly, ...],
                   step: float) -> ScanReport:
-    """The certified scan of max_r G_r - G_0 over [0, 2 pi].  TrigPolys
-    compare by their float terms, and equal terms give the same phasor
-    table (e^{+0i} and e^{-0i} are both 1 + 0j), so a repeated objective
-    gets the report its own scan would give."""
-    lips = [g0.lipschitz_bound + gr.lipschitz_bound for gr in grs]
-
-    def objective(v: np.ndarray) -> np.ndarray:
-        # certify: max over designated r of (G_r - G_0) stays positive;
-        # x -> fl(x - g) is monotone, so subtracting G_0 once after the max
-        # gives the same floats as subtracting it from every G_r
-        vals = trig_evaluate([g0, *grs], v)
-        return vals[1:].max(axis=0) - vals[0]
-
-    return certified_positive_scan(objective, max(lips), 0.0, 2 * math.pi,
-                                   step)
+    """The certified scan of branches G_r over base G_0 on [0, 2 pi].
+    TrigPolys compare by their float terms, and equal terms give the same
+    phasor table (e^{+0i} and e^{-0i} are both 1 + 0j), so a repeated
+    objective gets the report its own scan would give."""
+    return certified_positive_scan(g0, grs, 0.0, 2 * math.pi, step)
 
 
 def verify_thm311(recipe: BarrierRecipe, step: float = 1e-3) -> Thm311Report:
@@ -398,10 +381,10 @@ def verify_thm311(recipe: BarrierRecipe, step: float = 1e-3) -> Thm311Report:
 
     An identity error is sum over frequencies of |phasor of (G_0 - G_r) -
     phasor of the closed form|, which bounds the gap at every v and must be
-    <= 1e-12.  The scan certifies max_r G_r - G_0 > 0; G_0 and every
-    designated G_r (integer frequencies in v) come from one
-    `trigpoly.evaluate` call per batch of points, within its documented
-    rounding bound of the term-by-term values.
+    <= 1e-12.  The scan certifies max_r G_r - G_0 > 0 on Taylor cells in v
+    (`trigpoly.certified_positive_scan`, G_0 the base and the designated
+    G_r the branches), float rounding included; its lower_bound is the
+    certified minimum.
 
     Moduli of one (case, n, s) class give the same G_0 and G_r, so the scan
     of a repeated objective is kept and reused (the last `_SCAN_MEMO`

@@ -8,7 +8,8 @@ frequency is an integer multiple k * base, P is Im(sum_k C_k z^k) over the
 phasors C_k = c_k e^{i alpha_k} and z = e^{i base u}: `evaluate_phasors`
 computes many such polynomials from one table of powers of z, two
 transcendentals per point rather than one per term, and `roots` isolates
-their real roots by Taylor cells on it.
+their real roots and `certified_positive_scan` certifies a sign by Taylor
+cells on it, with bounds that cover its rounding (`_taylor_table`).
 
 The existence searches (find_simultaneous_positive, find_dominating) are
 backed by L2/measure arguments guaranteeing solutions on a positive-density
@@ -244,14 +245,15 @@ class SearchCertificate(NamedTuple):
 
 
 class ScanReport(NamedTuple):
-    """Result of certifying f > 0 on [lo, hi] by grid + Lipschitz bound; see
-    `certified_positive_scan` for its margin, argmin and failure point."""
+    """Result of certifying max_i B_i - A > 0 on [lo, hi] by Taylor cells;
+    see `certified_positive_scan` for each field."""
 
     ok: bool
     min_value: float
     argmin: float
     certified_step: float
-    lipschitz: float
+    delta: float
+    lower_bound: float
     failure_point: float | None = None
 
 
@@ -269,61 +271,77 @@ def check_scan_grid(lo: float, hi: float, step: float) -> float:
     return cells
 
 
-def certified_positive_scan(f: Callable[[np.ndarray], np.ndarray],
-                            lipschitz: float, lo: float, hi: float,
-                            step: float, max_depth: int = 40) -> ScanReport:
-    """Certify f > 0 on [lo, hi], lo < hi: each grid cell needs min endpoint
-    value > (cell width) * L / 2; cells failing that are bisected, down to
-    max_depth halvings.
+def certified_positive_scan(base: TrigPoly, branches: Sequence[TrigPoly],
+                            lo: float, hi: float, step: float,
+                            max_depth: int = 40) -> ScanReport:
+    """Certify max_i branches[i] - base > 0 on [lo, hi], lo < hi, for
+    integer frequencies, by Taylor cells on the rows d_i = C_i - C_0 of
+    their `_taylor_table`.  delta_i covers rounding: that row's bound
+    taken half again, plus the bounds of the rows C_i and C_0 themselves,
+    since building C_i - C_0 errs by a few EPS sum(|C_i| + |C_0|) however
+    small d_i is.
 
-    f must accept an ndarray of points.  The bisection runs one depth at a
-    time: every cell still uncertified at a depth has its midpoint evaluated
-    in one call to f.  A cell fails when an endpoint value is <= 0, or when
-    it is still uncertified at max_depth.  The scan stops at the first depth
-    with a failing cell and names the leftmost one: its endpoint of smaller
-    value if an endpoint is <= 0, else its left end.  min_value (the margin),
-    argmin (ties to the shallowest, leftmost point) and certified_step (the
-    finest step used) run over every point evaluated.  A grid of more points
-    than the sieve budget (RACE_LAB_BUDGET) is refused before it is built
-    (`check_scan_grid`), and so is a depth whose work would pass the budget,
-    counted as one per grid point, five per bisected cell and four per half.
+    Cells start on a grid of step <= `step` and are halved a depth at a
+    time, with one half-width R per depth.  A cell passes when some branch
+    has d_i(m) - delta_i - shrinks > 0 at its midpoint m, shrinks =
+    (|d_i'(m)| + delta'_i) R + L2_i R^2/2; it fails when every branch has
+    d_i(m) + delta_i <= 0, d_i(m) + delta_i + shrinks <= 0 or shrinks <=
+    delta_i (a margin below rounding), or at max_depth; else it is split.
+    The scan stops at the first depth with a failing cell, and names the
+    leftmost one's midpoint.  lower_bound is the least bound of a passing
+    cell (and of every cell of a failing depth), min_value and argmin (the
+    shallowest, leftmost on ties) run over the midpoints, certified_step
+    is the finest cell width and delta the largest delta_i.  Grids and
+    depths over the sieve budget (RACE_LAB_BUDGET) are refused, counting
+    one per grid point, five per split cell and four per half.
     """
+    if not branches:
+        raise ValueError("need at least one branch")
     cells = check_scan_grid(lo, hi, step)
+    C = _phasor_table([base, *branches], 1.0)
+    table, delta, delta1, l2 = _taylor_table(C[1:] - C[0])
+    own = _taylor_table(C)[1]
+    # the table D = C_i - C_0 errs from the exact one by < 6 EPS sum(|C_i| +
+    # |C_0|) <= own_i + own_0 (>= 10 EPS sum(...)); the extra half of delta
+    # (>= 5 EPS sum|D|) covers rounding i k D, L2 and the tests
+    rnd, rnd1, curv = (x[:, None] for x in
+                       (1.5 * delta + own[1:] + own[0], 1.5 * delta1, l2 / 2))
     pts = np.linspace(lo, hi, max(int(math.ceil(cells)) + 1, 3))
-    work = len(pts)
-    vals = np.asarray(f(pts), dtype=float)
-    width = pts[1] - pts[0]
-    min_val, argmin, finest = (float(vals.min()),
-                               float(pts[int(vals.argmin())]), float(width))
-    live = np.flatnonzero(np.minimum(vals[:-1], vals[1:])
-                          <= width * lipschitz / 2.0)
-    # live cells (a, b) with end values (fa, fb), kept in position order
-    a, b, fa, fb = pts[live], pts[live + 1], vals[live], vals[live + 1]
-    depth = 0
-    while len(a):
-        bad = (fa <= 0.0) | (fb <= 0.0)
-        open_ = ~bad & ~(np.minimum(fa, fb) > (b - a) * lipschitz / 2.0)
-        fail = np.flatnonzero(bad | open_ if depth >= max_depth else bad)
-        if len(fail):
-            k = fail[0]
-            point = (a[k] if fa[k] <= fb[k] else b[k]) if bad[k] else a[k]
-            return ScanReport(False, min_val, argmin, finest, lipschitz,
-                              failure_point=float(point))
-        if not open_.any():
-            break
-        a, b, fa, fb = a[open_], b[open_], fa[open_], fb[open_]
-        work += 5 * len(a)
-        check_budget(work + 8 * len(a), f"scan bisection to depth {depth + 1}")
+    a, b, work, width = pts[:-1], pts[1:], len(pts), float(pts[1] - pts[0])
+    min_val, argmin, lower = math.inf, 0.0, math.inf
+    for depth in range(max(max_depth, 0) + 1):
         m = 0.5 * (a + b)
-        fm = np.asarray(f(m), dtype=float)
-        finest = min(finest, float(((b - a) / 2.0).min()))
-        if fm.min() < min_val:
-            min_val, argmin = float(fm.min()), float(m[fm.argmin()])
+        # m rounds by at most EPS max|v| / 2
+        R = 0.5 * float((b - a).max()) + 2.0 * EPS * max(abs(lo), abs(hi))
+        vals = evaluate_phasors(table, m)
+        d, g = vals[:len(rnd)], vals[len(rnd):]
+        np.abs(g, out=g)
+        g *= R  # R |d_i'(m)|; g + shrinks are the terms that halving shrinks
+        shrinks = rnd1 * R + curv * R * R
+        best = d - g
+        best -= shrinks + rnd
+        top, best = d.max(0), best.max(0)
+        k, low = int(top.argmin()), float(best.min())
+        if top[k] < min_val:
+            min_val, argmin = float(top[k]), float(m[k])
+        if low > 0.0:
+            return ScanReport(True, min_val, argmin, width, float(rnd.max()),
+                              min(lower, low))
+        i = np.flatnonzero(~(best > 0.0))
+        lower = min(lower, float(best.min(initial=math.inf, where=best > 0)))
+        d, s = d[:, i], g[:, i] + shrinks
+        fail = (~((d + rnd).max(0) > 0.0)
+                | ((s <= rnd) | (d + s + rnd <= 0.0)).all(0))
+        fail |= depth >= max_depth
+        if fail.any():
+            return ScanReport(False, min_val, argmin, width, float(rnd.max()),
+                              min(lower, low),
+                              failure_point=float(m[i[fail.argmax()]]))
+        work += 5 * len(i)
+        check_budget(work + 8 * len(i), f"scan bisection to depth {depth + 1}")
+        a, b, m = a[i], b[i], m[i]
         a, b = np.column_stack([a, m]).ravel(), np.column_stack([m, b]).ravel()
-        fa, fb = (np.column_stack([fa, fm]).ravel(),
-                  np.column_stack([fm, fb]).ravel())
-        depth += 1
-    return ScanReport(True, min_val, argmin, finest, lipschitz)
+        width /= 2.0
 
 
 # --- certified real roots ------------------------------------------------------
@@ -395,13 +413,17 @@ def evaluate_phasors(C: np.ndarray, v, rows: np.ndarray | None = None,
     return out
 
 
-def evaluate(polys: Sequence[TrigPoly], v) -> np.ndarray:
-    """Every polynomial at every point of the 1-D array v, as a
-    (len(polys), len(v)) array, for integer frequencies (ValueError
-    otherwise): `evaluate_phasors` on their phasors C = c e^{i alpha}, as
-    c sin(kv + alpha) = Im(C e^{ikv}).  The error is at most
-    EPS * sum|c_k| * (6K + 4), K the polynomial's largest frequency."""
-    return evaluate_phasors(_phasor_table(polys, 1.0), v)
+def _taylor_table(C: np.ndarray,
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The table [C; i k C] of an (n, K) phasor table C: f = Im(sum_k C_k
+    e^{ikv}) in row i and f' in row n + i.  Per row, the bounds of its
+    Taylor cells: the rounding bounds of `evaluate_phasors` on f and f',
+    delta = EPS sum|C_k| (6K + 4) and delta' = EPS sum|C_k| k (6K + 4),
+    and L2 = sum|C_k| k^2 >= |f''|."""
+    k = np.arange(1, C.shape[1] + 1)
+    mag = np.abs(C)
+    delta, delta1 = EPS * (6 * len(k) + 4) * np.array([mag.sum(1), mag @ k])
+    return np.vstack([C, 1j * k * C]), delta, delta1, mag @ (k * k)
 
 
 # a cell is tested on [m - R, m + R], R this multiple of its half-width, so
@@ -418,26 +440,20 @@ def roots(polys: Sequence[TrigPoly], base: float) -> List[TrigRoots]:
     A nonzero row starts from max(64, 8K) cells covering [0, 2 pi], each
     tested on [m - R, m + R] around its midpoint (see _OVERLAP); an all-zero
     row is one unresolved cell.  One `evaluate_phasors` call per depth gives
-    f(m) and f'(m) (table i k C) at every live cell within delta =
-    EPS sum|C_k| (6K + 4) and delta' = EPS sum|C_k| k (6K + 4); |f''| <= L2 =
-    sum|C_k| k^2.  A cell has no root when |f(m)| - delta > (|f'(m)| +
-    delta') R + L2 R^2/2; else, if |f'(m)| - delta' > L2 R, one simple root
-    or none as the Taylor bounds at its ends differ in sign or not; else it
-    is split, or left unresolved once the terms that halving shrinks are
-    below delta or m is not strictly inside it (a double root, or roots
-    closer than rounding can tell).  Newton steps kept in the cell polish
-    each root, whose radius rho = 2(|f| + delta)/(|f'| - delta') must meet
-    L2 rho <= (|f'| - delta')/2 and keep the interval in the cell, or the
-    cell is unresolved.  Cells that hold one root report it once.  Radii
+    f(m) and f'(m) at every live cell, within the bounds delta and delta' of
+    `_taylor_table`, and |f''| <= L2.  A cell has no root when |f(m)| - delta
+    > (|f'(m)| + delta') R + L2 R^2/2; else, if |f'(m)| - delta' > L2 R, one
+    simple root or none as the Taylor bounds at its ends differ in sign or
+    not; else it is split, or left unresolved once the terms that halving
+    shrinks are below delta or m is not strictly inside it (a double root,
+    or roots closer than rounding can tell).  Newton steps kept in the cell
+    polish each root, whose radius rho = 2(|f| + delta)/(|f'| - delta') must
+    meet L2 rho <= (|f'| - delta')/2 and keep the interval in the cell, or
+    the cell is unresolved.  Cells that hold one root report it once.  Radii
     add 2 EPS 2 pi for the reduction to [0, 2 pi).
     """
-    C = _phasor_table(polys, base)
-    n, K = C.shape
-    k = np.arange(1, K + 1)
-    mag = np.abs(C)
-    delta, delta1 = EPS * (6 * K + 4) * np.array([mag.sum(1), mag @ k])
-    l2 = mag @ (k * k)
-    table = np.vstack([C, 1j * k * C])  # f in row i, f' in row n + i
+    table, delta, delta1, l2 = _taylor_table(_phasor_table(polys, base))
+    n, K = len(delta), table.shape[1]
 
     def values(row, v: np.ndarray) -> np.ndarray:  # f(v) and f'(v)
         return evaluate_phasors(table, np.tile(v, 2),

@@ -579,15 +579,18 @@ def test_scan_grid_over_budget_is_budget_error(tmp_path, capsys,
 
 def test_scan_bisection_over_budget_is_budget_error(tmp_path, capsys,
                                                     monkeypatch):
-    # a third zero at one height: the scan still passes, but only after
-    # bisecting, and the first depth already needs more than the budget
+    # multiplicities 4 and 3 on the first two zeros: the objective dips
+    # below zero between grid-cell midpoints, so a cell must be split before
+    # that shows; at --step 9.99e-4 the grid has 6291 points, and splitting
+    # one cell at the first depth already needs more than the budget
     payload = json.loads(built_thm311(tmp_path, capsys).read_text())
-    payload["system"]["zeros"][5]["mult"] = 3
+    payload["system"]["zeros"][0]["mult"] = 4
+    payload["system"]["zeros"][1]["mult"] = 3
     rec, out = tmp_path / "bad.json", tmp_path / "v.json"
     rec.write_text(json.dumps(payload))
     monkeypatch.setenv("RACE_LAB_BUDGET", "6300")
-    assert run(["barrier", "verify", "--recipe", rec, "--out", out]) \
-        == cli.EXIT_BUDGET
+    assert run(["barrier", "verify", "--recipe", rec, "--step", "9.99e-4",
+                "--out", out]) == cli.EXIT_BUDGET
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: scan bisection to depth 1 exceeds budget 6300 "
                    "(RACE_LAB_BUDGET)"], err
@@ -596,9 +599,9 @@ def test_scan_bisection_over_budget_is_budget_error(tmp_path, capsys,
 
 def test_scan_of_a_huge_multiplicity_fails_where_f_is_negative(
         tmp_path, capsys, monkeypatch):
-    # a multiplicity of 1e9 is legal; its Lipschitz bound certifies no cell,
-    # but f is already negative on the grid, so the scan stops there and
-    # names the point instead of bisecting every cell until the budget
+    # a multiplicity of 1e9 is legal; f is already negative at midpoints of
+    # the first depth, so the scan stops there and names the point instead
+    # of splitting cells until the budget
     payload = json.loads(built_thm311(tmp_path, capsys).read_text())
     payload["system"]["zeros"][0]["mult"] = 10**9
     rec, out = tmp_path / "bad.json", tmp_path / "v.json"

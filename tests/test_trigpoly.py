@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racelab.trigpoly import (_CHUNK, EPS, ResolutionTooCoarseError,
-                              TrigPoly, certified_positive_scan,
+                              TrigPoly, _phasor_table, certified_positive_scan,
                               empirical_moments, eps1, eps2, eps_box,
-                              eps_small_values, evaluate, find_all_negative,
-                              find_dominating, find_fractional_parts,
+                              eps_small_values, evaluate_phasors,
+                              find_all_negative, find_dominating,
+                              find_fractional_parts,
                               find_simultaneous_positive, l2_norm)
 
 TWO_PI = 2 * math.pi
@@ -210,10 +211,14 @@ def test_find_dominating_precondition():
 
 
 def test_certified_scan():
-    rep = certified_positive_scan(np.sin, 1.0, 0.1, math.pi - 0.1, 1e-3)
+    sine = [TrigPoly.sine([1.0], [1.0])]
+    rep = certified_positive_scan(TrigPoly.zero(), sine, 0.1, math.pi - 0.1,
+                                  1e-3)
     assert rep.ok
-    assert rep.min_value == pytest.approx(math.sin(0.1), abs=1e-6)
-    bad = certified_positive_scan(np.sin, 1.0, 0.0, math.pi, 1e-3)
+    assert rep.min_value == pytest.approx(math.sin(0.1), abs=1e-3)
+    assert rep.lower_bound == pytest.approx(math.sin(0.1), abs=1e-3)
+    assert rep.lower_bound <= math.sin(0.1)
+    bad = certified_positive_scan(TrigPoly.zero(), sine, 0.0, math.pi, 1e-3)
     assert not bad.ok  # endpoint zeros cannot be certified positive
 
 
@@ -243,8 +248,13 @@ def integer_frequency_polys(draw):
     return polys, np.array(v)
 
 
+def evaluate(polys, v):
+    """Every polynomial at every point of v, from one phasor table."""
+    return evaluate_phasors(_phasor_table(polys, 1.0), v)
+
+
 def evaluate_bound(p):
-    """evaluate's documented error bound for p."""
+    """evaluate_phasors' documented error bound for p."""
     return EPS * p.amplitude_sum * (6 * round(p.max_freq) + 4)
 
 

@@ -6,7 +6,8 @@ compared case by case.
 The grid: every admissible q <= 2000 (q >= 7, q not in {8, 10, 12, 24}),
 built with `build_thm311(q, tau=50)` and checked with `verify_thm311` at its
 default step.  Each case records q, the sha256 of the recipe JSON, ok, the
-identity errors, and the scan's min_value, argmin, certified_step and
+identity errors, and the scan's min_value, argmin, certified_step, delta
+(its rounding term), lower_bound (its certified minimum) and
 failure_point; every float is written as its hex form (`float.hex`), so
 equal lines mean equal bits.
 
@@ -47,6 +48,8 @@ def run_case(q: int) -> dict:
             "min_value": hex_or_none(scan.min_value),
             "argmin": hex_or_none(scan.argmin),
             "certified_step": hex_or_none(scan.certified_step),
+            "delta": hex_or_none(scan.delta),
+            "lower_bound": hex_or_none(scan.lower_bound),
             "failure_point": hex_or_none(scan.failure_point)}
 
 

@@ -22,7 +22,7 @@ import json
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -32,8 +32,8 @@ from .residues import ResidueGroup, characters, unit_group
 from .orderings import Verdict, census, column_orders, verdict
 from .simulator import (RaceFunctionSet, RecipeMismatchError,
                         one_period_trace, theorem_decomposition)
-from .trigpoly import (EPS3, ScanReport, TrigPoly, certified_positive_scan,
-                       check_scan_grid, eps1, eps2, roots as trig_roots)
+from .trigpoly import (EPS, EPS3, ScanReport, TrigPoly, certified_positive_scan,
+                       eps1, eps2, roots as trig_roots)
 from .zerosys import Zero, ZeroSystem, dominant_data
 
 
@@ -57,6 +57,7 @@ class ConditionFailedError(RuntimeError):
 
 
 SIN_WEIGHTS = {2: 1, 3: 2, 4: 3, 5: 4, 6: 3, 7: 2}
+SQRT3_UP = math.nextafter(math.sqrt(3.0), 2.0)  # math.sqrt(3.0) < sqrt(3)
 
 
 def qpr_polys() -> Tuple[TrigPoly, TrigPoly, TrigPoly]:
@@ -88,10 +89,10 @@ class PropertyScan(NamedTuple):
 def scan_qpr_properties(step: float = 1e-4,
                         r_interval: Tuple[float, float] = (0.758, math.pi - 1e-6),
                         ) -> PropertyScan:
-    """Certified scans of max(P, -P) - sqrt(3) Q > 0 on [0, 0.759] u
-    [2.7, 2pi] and of max(0) - R > 0 on r_interval."""
+    """Certified scans of max(P, -P) - sqrt(3) Q > 0 (by SQRT3_UP, so for the
+    true sqrt(3)) on [0, 0.759] u [2.7, 2pi], and of -R > 0 on r_interval."""
     q, p, r = qpr_polys()
-    pq = (q.scale(math.sqrt(3.0)), [p, p.scale(-1.0)])
+    pq = (q.scale(SQRT3_UP), [p, p.scale(-1.0)])
     pieces = (certified_positive_scan(*pq, 0.0, 0.759, step),
               certified_positive_scan(*pq, 2.7, 2 * math.pi, step))
     neg_r = certified_positive_scan(r, [TrigPoly.zero()], *r_interval, step)
@@ -191,20 +192,14 @@ def build_thm311(q: int, tau: float = 0.0, beta: float = 0.75,
         chi = table.label_with((a, Fraction(-1, n)))
         params = {"case": case, "a": a, "n": n, "chi": chi}
         if case == "even_cyclic":
-            h, d = _odd_split(n)
-            # s must be a multiple of 2^d (so the weight-h carrier cancels)
-            # with |tan(2 pi s / (2^d h))| <= sqrt(3); s = 2^d (h-1)/2 gives
-            # slope tan(pi/h), which works for every odd h (s = 2^d alone
-            # fails at h = 5, where tan(2 pi/5) > sqrt(3))
-            s = 2**d * ((h - 1) // 2)
+            params.update(_even_cyclic_split(n))
+            h = params["h"]
             mults = [(2, 6, 3), ((2 * h - 2) % n, 1, 2),
                      *((h, k, w) for k, w in SIN_WEIGHTS.items())]
-            params.update(h=h, d=d)
         else:
-            s = 3
+            params["s"] = 3
             mults = [(2, 1, 4), *((j, k, w) for j in (3, 5)
                                   for k, w in SIN_WEIGHTS.items())]
-        params["s"] = s
         # (label of chi^j, k, mult) for each zero at height k gamma
         powers = table.labels(np.outer([j for j, _, _ in mults], table.b[chi]))
         mults = [(label, k, w) for label, (_, k, w) in zip(powers.tolist(), mults)]
@@ -227,8 +222,6 @@ def build_thm311(q: int, tau: float = 0.0, beta: float = 0.75,
                          system=system, claim=_claim(f"thm311_{case}"))
 
 
-# distinct thm311 scan objectives (and closed-form sets) kept: q <= 2000 give 67
-_SCAN_MEMO = 128
 # the integer params of each thm311 case
 _THM311_INTS = {"even_cyclic": ("a", "n", "h", "d", "s", "chi"),
                 "n8": ("a", "n", "s", "chi"), "z4z2": ("a", "b", "chi1", "chi2")}
@@ -245,22 +238,20 @@ def _thm311_points(q: int, p: dict) -> Dict[Tuple[int, ...], tuple]:
             for t, f in _thm311_forms(p["case"], p.get("n"), p.get("s"))}
 
 
-@lru_cache(maxsize=_SCAN_MEMO)
+@lru_cache(maxsize=128)  # distinct (case, n, s) of q <= 2000: 67
 def _thm311_forms(case: str, n: int | None, s: int | None) -> tuple:
     """(r, the closed form G_0 - G_r equals) per designated r.  Even
     cyclic, c = 4 pi s/n: (1 - cos c) Q +- sin(c) P at s and n - s, 2R at
-    n/2 (those in [0, n) only).  n = 8: 4 sin v +- 4 cos v + (2 - sqrt 2) R
-    at 3 and 5, 4R at 4.  Z4 x Z2: sin v -+ cos v at (1, 0) and (3, 0), 2R
-    at (0, 1)."""
+    n/2.  n = 8: 4 sin v +- 4 cos v + (2 - sqrt 2) R at 3 and 5, 4R at 4.
+    Z4 x Z2: sin v -+ cos v at (1, 0) and (3, 0), 2R at (0, 1)."""
     q_poly, p_poly, r_poly = qpr_polys()
-    sin_v, cos_v = TrigPoly.sine([1.0], [1.0]), TrigPoly.cosine([1.0], [1.0])
-    if case == "even_cyclic":
+    if case == "even_cyclic":  # s < n/2 < n - s at the s of the builder
         c = 4.0 * math.pi * s / n  # the weight-6 carrier's phase at r = s
         carrier = q_poly.scale(1 - math.cos(c))
-        by_r = {s: carrier + p_poly.scale(math.sin(c)),
-                n - s: carrier + p_poly.scale(-math.sin(c)),
-                n // 2: r_poly.scale(2.0)}
-        return tuple(((r,), by_r[r]) for r in sorted(by_r) if 0 <= r < n)
+        return (((s,), carrier + p_poly.scale(math.sin(c))),
+                ((n // 2,), r_poly.scale(2.0)),
+                ((n - s,), carrier + p_poly.scale(-math.sin(c))))
+    sin_v, cos_v = TrigPoly.sine([1.0], [1.0]), TrigPoly.cosine([1.0], [1.0])
     if case == "n8":
         tail = r_poly.scale(2 - math.sqrt(2))
         odd = {r: TrigPoly.combine([sin_v.scale(4.0), cos_v.scale(w), tail])
@@ -270,10 +261,29 @@ def _thm311_forms(case: str, n: int | None, s: int | None) -> tuple:
             ((3, 0), sin_v + cos_v), ((0, 1), r_poly.scale(2.0)))
 
 
-def _odd_split(n: int) -> Tuple[int, int]:
-    """(h, d) with n = 2^d h, h odd: the even-cyclic split of n >= 1."""
+@cache
+def thm311_certificate(case: str) -> ScanReport:
+    """The certified scan on [0, 2 pi], step 1e-3, made once per process,
+    that decides every thm311 recipe of the case.  Even cyclic: kappa(v) =
+    max(|P| - c3 Q, -R) > 0, c3 = SQRT3_UP, as branches P, -P and c3 Q - R
+    over base c3 Q.  n8 and Z4 x Z2: max_r -f_r > 0, f_r `_thm311_forms`."""
+    q_poly, p_poly, r_poly = qpr_polys()
+    if case == "even_cyclic":
+        base = q_poly.scale(SQRT3_UP)
+        branches = [p_poly, p_poly.scale(-1.0), base + r_poly.scale(-1.0)]
+    else:
+        base = TrigPoly.zero()
+        branches = [f.scale(-1.0) for _, f in _thm311_forms(case, None, None)]
+    return certified_positive_scan(base, branches, 0.0, 2 * math.pi, 1e-3)
+
+
+def _even_cyclic_split(n: int) -> dict:
+    """{h, d, s} of the even-cyclic lattice of order n = 2^d h, h odd: s =
+    2^d (h-1)/2 is a multiple of 2^d (so the weight-h carrier cancels) with
+    |tan(2 pi s/n)| = tan(pi/h) <= sqrt(3) for every odd h >= 3 (s = 2^d
+    alone fails at h = 5, where tan(2 pi/5) > sqrt(3))."""
     d = (n & -n).bit_length() - 1
-    return n >> d, d
+    return {"h": n >> d, "d": d, "s": 2**d * ((n >> d) - 1) // 2}
 
 
 def _claim(kind: str, n_v: int = 0) -> str:
@@ -313,10 +323,10 @@ def _check_thm311(recipe: BarrierRecipe) -> list:
     RecipeMismatchError unless the kind is thm311_<case> for a known case
     (subcase z4z2 exactly on Z4 x Z2), the case's params are ints, gamma is
     the height lattice, n divides the group exponent (n = 8 in the n8 case,
-    n = 2^d h with h odd in the even-cyclic one), 0 <= s < n, designated is
-    a nonempty list of exponents that `_thm311_points` names for the case,
-    D lists the units they name, in order, beta is the one real part of the
-    zeros and the claim is `_claim`'s."""
+    n = 2^d h with d >= 1 and h >= 3 in the even-cyclic one, with the h, d
+    and s of `_even_cyclic_split`), 0 <= s < n, designated and D list every
+    exponent `_thm311_points` names for the case and its unit, in order,
+    beta is the one real part of the zeros and the claim is `_claim`'s."""
     p = recipe.params if isinstance(recipe.params, dict) else {}
     case = recipe.kind.removeprefix("thm311_") if type(recipe.kind) is str else None
     if (case not in _THM311_INTS or p.get("case") != case
@@ -327,23 +337,16 @@ def _check_thm311(recipe: BarrierRecipe) -> list:
     if case != "z4z2":
         n, s = p["n"], p["s"]
         if (n < 1 or unit_group(recipe.q).lam % n or case == "n8" and n != 8
+                or case == "even_cyclic" and (n % 2 or not n & (n - 1))
                 or not 0 <= s < n):
             raise RecipeMismatchError(f"n {n} with s {s} is no {case} "
                                       f"lattice mod {recipe.q}")
-        if case == "even_cyclic":
-            _check_params(recipe, (), dict(zip("hd", _odd_split(n))))
     named = _thm311_points(recipe.q, p)
-    designated = p.get("designated")
-    points = [tuple(t) if isinstance(t, list) else (t,)
-              for t in (designated if isinstance(designated, list) else [])]
-    if not points or not all(all(type(x) is int for x in t) and t in named
-                             for t in points):
-        raise RecipeMismatchError(
-            f"designated {designated!r} must list {case} exponents from "
-            f"{[list(t) if len(t) > 1 else t[0] for t in sorted(named)]}")
-    _check_params(recipe, (), {"D": [named[t][0] for t in points],
-                               **_one_beta(recipe, "beta")})
-    return [(t, named[t]) for t in points]
+    _check_params(recipe, (), {  # as build_thm311 writes them
+        **(_even_cyclic_split(p["n"]) if case == "even_cyclic" else {}),
+        "designated": [list(t) if len(t) > 1 else t[0] for t in named],
+        "D": [unit for unit, _ in named.values()], **_one_beta(recipe, "beta")})
+    return list(named.items())
 
 
 def _one_beta(recipe: BarrierRecipe, name: str) -> dict:
@@ -359,51 +362,50 @@ def _one_beta(recipe: BarrierRecipe, name: str) -> dict:
 class Thm311Report(NamedTuple):
     case: str
     size: int
-    scan: ScanReport
+    scan: ScanReport  # the case's `thm311_certificate`
     identity_errors: Dict[str, float]
+    lower_bound: float
     ok: bool
 
 
-@lru_cache(maxsize=_SCAN_MEMO)
-def _lattice_scan(g0: TrigPoly, grs: Tuple[TrigPoly, ...],
-                  step: float) -> ScanReport:
-    """The certified scan of branches G_r over base G_0 on [0, 2 pi].
-    TrigPolys compare by their float terms, and equal terms give the same
-    phasor table (e^{+0i} and e^{-0i} are both 1 + 0j), so a repeated
-    objective gets the report its own scan would give."""
-    return certified_positive_scan(g0, grs, 0.0, 2 * math.pi, step)
-
-
-def verify_thm311(recipe: BarrierRecipe, step: float = 1e-3) -> Thm311Report:
+def verify_thm311(recipe: BarrierRecipe) -> Thm311Report:
     """Certified check that at every v in [0, 2pi) some designated difference
-    G_0 - G_r (resp. G_00 - G_rs) is negative, plus the case identity of
-    every designated r: G_0 - G_r equals its closed form of `_thm311_points`.
+    G_0 - G_r (resp. G_00 - G_rs) is negative, from the case identities and
+    the case's one certificate, `thm311_certificate`.
 
-    An identity error is sum over frequencies of |phasor of (G_0 - G_r) -
-    phasor of the closed form|, which bounds the gap at every v and must be
-    <= 1e-12.  The scan certifies max_r G_r - G_0 > 0 on Taylor cells in v
-    (`trigpoly.certified_positive_scan`, G_0 the base and the designated
-    G_r the branches), float rounding included; its lower_bound is the
-    certified minimum.
-
-    Moduli of one (case, n, s) class give the same G_0 and G_r, so the scan
-    of a repeated objective is kept and reused (the last `_SCAN_MEMO`
-    distinct ones); the load check (`_check_thm311`) and the step and
-    grid-budget refusals still run on every call."""
+    The identity error E_r, the sum over frequencies of |phasor of (G_0 -
+    G_r) - phasor of its closed form f_r| (`_thm311_points`), bounds |G_0 -
+    G_r - f_r| at every v.  So max_r G_r - G_0 >= max_r -f_r - max_r E_r -
+    rho, rho = 16 EPS max_r (amplitude sums of G_0, G_r and f_r) covering
+    the rounding of E_r and f_r.  The certificate, of lower bound m, gives
+    max_r -f_r >= scale m.  n8 and Z4 x Z2: it is max_r -f_r, scale = 1.
+    Even cyclic: c = 4 pi s/n = 2 pi - 2 pi/h (the load check pins s), so
+    max(-f_s, -f_{n-s}) = (1 - cos c)(cot(pi/h) |P| - Q) >= ((1 - cos c)/c3)
+    (|P| - c3 Q), as tan(pi/h) <= sqrt(3) <= c3 for h >= 3, and -f_{n/2} =
+    2 (-R); with scale = (1 - cos c)/c3 < 2 that is >= scale kappa >= scale
+    m wherever kappa > 0, which the certificate gives.  lower_bound = scale
+    m - max_r E_r - rho, and ok = (the certificate is ok) and lower_bound >
+    0 and every E_r <= 1e-12."""
     designated = _check_thm311(recipe)  # [(r, (unit, closed form)), ...]
-    G = theorem_decomposition(recipe.system, "thm311", recipe.params)["G"]
+    p = recipe.params
+    G = theorem_decomposition(recipe.system, "thm311", p)["G"]
     # G is keyed by exponent tuples: (r,) on one factor, (r, s) on Z4 x Z2
     g0 = G[(0,) * len(designated[0][0])]
     identity_errors = {
         f"G{'0' * len(r)}-G{''.join(map(str, r))}":
             TrigPoly.combine([g0, G[r].scale(-1.0), f.scale(-1.0)]).amplitude_sum
         for r, (_, f) in designated}
-
-    check_scan_grid(0.0, 2 * math.pi, step)  # refusals run on a reuse too
-    scan = _lattice_scan(g0, tuple(G[r] for r, _ in designated), step)
-    ok = scan.ok and all(e <= 1e-12 for e in identity_errors.values())
-    return Thm311Report(case=recipe.params["case"], size=recipe.system.size,
-                        scan=scan, identity_errors=identity_errors, ok=ok)
+    rho = 16.0 * EPS * max(g0.amplitude_sum + G[r].amplitude_sum
+                           + f.amplitude_sum for r, (_, f) in designated)
+    scan = thm311_certificate(p["case"])
+    scale = ((1 - math.cos(4.0 * math.pi * p["s"] / p["n"])) / SQRT3_UP
+             if p["case"] == "even_cyclic" else 1.0)
+    lower_bound = scale * scan.lower_bound - max(identity_errors.values()) - rho
+    ok = (scan.ok and lower_bound > 0.0
+          and all(e <= 1e-12 for e in identity_errors.values()))
+    return Thm311Report(case=p["case"], size=recipe.system.size, scan=scan,
+                        identity_errors=identity_errors,
+                        lower_bound=lower_bound, ok=ok)
 
 
 # --- the per-frequency linear solve ------------------------------------------------

@@ -150,7 +150,7 @@ def cmd_barrier(args: argparse.Namespace) -> int:
         print(f"recipe written to {out} (|B| = {recipe.system.size})")
         if args.kind == "thm311":
             report = barriers.verify_thm311(recipe)
-            print(f"verify: ok={report.ok} min_margin={report.scan.min_value:.6g}")
+            print(f"verify: ok={report.ok} min_margin={report.lower_bound:.6g}")
             return EXIT_OK if report.ok else EXIT_VERIFY
         return EXIT_OK
 
@@ -168,11 +168,11 @@ def cmd_barrier(args: argparse.Namespace) -> int:
         _dump_json(args.out, {"ok": report.ok, "detail": report.detail,
                               "config": _config_of(args)})
         return EXIT_OK if report.ok else EXIT_VERIFY
-    report = barriers.verify_thm311(recipe, step=args.step)
+    report = barriers.verify_thm311(recipe)
     _dump_json(args.out, {"ok": report.ok, "case": report.case,
                           "size": report.size,
                           "identity_errors": report.identity_errors,
-                          "scan_min": report.scan.min_value,
+                          "scan_min": report.lower_bound,
                           "offending_v": report.scan.failure_point,
                           "config": _config_of(args)})
     return EXIT_OK if report.ok else EXIT_VERIFY
@@ -350,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target powers, e.g. a,a2,a3")
     b.add_argument("--generator", type=int, default=None)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--step", type=_number(float, positive=True), default=1e-3)
     b.add_argument("--recipe", type=str, default=None)
     b.add_argument("--out", type=str, default=None)
     b.set_defaults(func=cmd_barrier)

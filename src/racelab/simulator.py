@@ -33,7 +33,7 @@ import cmath
 import itertools
 import math
 import operator
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -558,40 +558,47 @@ def _recipe_character(system: ZeroSystem, label) -> np.ndarray:
 
 
 class _LazyMapping(Mapping):
-    """A read-only mapping over the given keys, in their order, whose value
-    at a key is build(key), built on first access."""
+    """A read-only mapping over prod_i Z/n_i, in itertools.product order,
+    whose value at a key is build(key), built on first access."""
 
-    def __init__(self, keys: Iterable, build: Callable) -> None:
-        self._values, self._build = dict.fromkeys(keys), build
+    def __init__(self, orders: Sequence[int], build: Callable) -> None:
+        self._orders, self._build, self._built = tuple(orders), build, {}
 
     def __getitem__(self, key):
-        if self._values[key] is None:
-            self._values[key] = self._build(key)
-        return self._values[key]
+        if key not in self._built:
+            if not (isinstance(key, tuple) and len(key) == len(self._orders)
+                    and all(r in range(n) for r, n in zip(key, self._orders))):
+                raise KeyError(key)
+            self._built[key] = self._build(key)
+        return self._built[key]
 
     def __iter__(self) -> Iterator:
-        return iter(self._values)
+        return itertools.product(*map(range, self._orders))
 
     def __len__(self) -> int:
-        return len(self._values)
+        return math.prod(self._orders)
 
 
 def decompose_lattice(system: ZeroSystem, gamma: float,
-                      factors: Sequence[Tuple[int, int]]) -> dict:
+                      factors: Sequence[Tuple[int, int, int]]) -> dict:
     """G_r(v) = sum_{e,k} m_{e,k}/k sin(k v + 2 pi <e, r>) read off a system
     whose zeros sit at heights k*gamma on the characters chi_1^e_1 ...
-    chi_m^e_m, where factors = [(label of chi_i, n_i), ...], chi_i has order
-    n_i and <e, r> = sum_i e_i r_i / n_i.  m and G are keyed by exponent
-    tuples: m by (e, k), G by r in prod_i Z/n_i.  G is a read-only mapping
-    that builds each G_r when it is first read."""
-    orders = [n for _, n in factors]
+    chi_m^e_m, where factors = [(label of chi_i, n_i, u_i), ...], 0 <= e_i <
+    n_i, <e, r> = sum_i e_i r_i / n_i and chi_j(u_i) = e(-1/n_i) if j = i,
+    else 1: e_i is -n_i times the phase at u_i, read off the label rows as
+    `_amplitudes` reads them, and one `labels` call checks chi^e.  m is
+    keyed by (e, k), and G, which builds each G_r when first read, by r."""
+    orders = [n for _, n, _ in factors]
     lcm = math.lcm(*orders)
-    exponents = list(itertools.product(*(range(n) for n in orders)))
-    # chi_1^e_1 ... chi_m^e_m has the exponent vector e B, B the rows of b
-    base = np.array([_recipe_character(system, label) for label, _ in factors])
-    labels = system.chars.labels(
-        np.array(exponents[1:], dtype=np.int64).reshape(-1, len(orders)) @ base)
-    family = dict(zip(labels.tolist(), exponents[1:]))
+    base = np.array([_recipe_character(system, label) for label, _, _ in factors])
+    group, labels = unit_group(system.q), list(system.entries)
+    units = (np.array([group.exponents(u) for _, _, u in factors])
+             * [group.lam // n for _, n in group.generators])
+    exps = (-(system.chars.b[labels] @ units.T) % group.lam
+            // (group.lam // np.array(orders)))
+    named = (system.chars.labels(exps @ base) == labels) & exps.any(axis=1)
+    family = {label: tuple(row) for label, row, ok
+              in zip(labels, exps.tolist(), named) if ok}
     m: Dict[Tuple[Tuple[int, ...], int], int] = {}
     for label, z, mult in system.items():
         if label not in family:
@@ -613,7 +620,7 @@ def decompose_lattice(system: ZeroSystem, gamma: float,
             phasors[float(k)] = phasors.get(float(k), 0j) + amp * cmath.exp(1j * ph)
         return TrigPoly.from_phasors(phasors)
 
-    return {"m": m, "G": _LazyMapping(exponents, G), "gamma": gamma}
+    return {"m": m, "G": _LazyMapping(orders, G), "gamma": gamma}
 
 
 def decompose_level_waves(system: ZeroSystem, char_labels: Sequence[int],
@@ -650,9 +657,10 @@ def decompose_level_waves(system: ZeroSystem, char_labels: Sequence[int],
 
 _DECOMPOSERS = {
     "thm311": lambda sys_, p: decompose_lattice(
-        sys_, p["gamma"], [(p["chi1"], 4), (p["chi2"], 2)]
-        if p.get("subcase") == "z4z2" else [(p["chi"], p["n"])]),
-    "thm43": lambda sys_, p: decompose_lattice(sys_, p["gamma"], [(p["chi"], p["r"])]),
+        sys_, p["gamma"], [(p["chi1"], 4, p["a"]), (p["chi2"], 2, p["b"])]
+        if p.get("subcase") == "z4z2" else [(p["chi"], p["n"], p["a"])]),
+    "thm43": lambda sys_, p: decompose_lattice(
+        sys_, p["gamma"], [(p["chi"], p["r"], p["a"])]),
     "thm51": lambda sys_, p: decompose_level_waves(
         sys_, p["chars"], p["betas"], p["orders"], p["gamma"]),
 }

@@ -257,20 +257,6 @@ class ScanReport(NamedTuple):
     failure_point: float | None = None
 
 
-def check_scan_grid(lo: float, hi: float, step: float) -> float:
-    """The cell count (hi - lo) / step of a scan grid over [lo, hi]:
-    ValueError unless step > 0 and lo < hi, BudgetExceededError when the
-    grid has more points than the sieve budget (RACE_LAB_BUDGET).  Every
-    scan runs it, and so does a caller that reuses a scan's report."""
-    if not step > 0:
-        raise ValueError(f"step must be positive, got {step}")
-    if not hi > lo:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    cells = (hi - lo) / step  # inf for a subnormal step
-    check_budget(cells + 1, f"scan grid of {cells + 1:.6g} points")
-    return cells
-
-
 def certified_positive_scan(base: TrigPoly, branches: Sequence[TrigPoly],
                             lo: float, hi: float, step: float,
                             max_depth: int = 40) -> ScanReport:
@@ -297,7 +283,12 @@ def certified_positive_scan(base: TrigPoly, branches: Sequence[TrigPoly],
     """
     if not branches:
         raise ValueError("need at least one branch")
-    cells = check_scan_grid(lo, hi, step)
+    if not step > 0:
+        raise ValueError(f"step must be positive, got {step}")
+    if not hi > lo:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    cells = (hi - lo) / step  # inf for a subnormal step
+    check_budget(cells + 1, f"scan grid of {cells + 1:.6g} points")
     C = _phasor_table([base, *branches], 1.0)
     table, delta, delta1, l2 = _taylor_table(C[1:] - C[0])
     own = _taylor_table(C)[1]

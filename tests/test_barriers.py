@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from racelab.barriers import (BarrierRecipe,
+from racelab.barriers import (SQRT3_UP, BarrierRecipe,
                               ExcludedModulusError, OmegaSystem,
                               OmegaTypeLostError, _omega_crossing,
                               _uniform_draws, build_extremal,
@@ -38,6 +38,13 @@ def test_qpr_values():
     # the sine-weight pattern 1,2,3,4,3,2 on k = 2..7
     weights = {int(t): c * t for c, t, _ in r.terms}
     assert weights == pytest.approx({2: 1, 3: 2, 4: 3, 5: 4, 6: 3, 7: 2})
+
+
+def test_sqrt3_up_is_the_float_just_above_sqrt3():
+    from mpmath import mp, mpf, sqrt
+    with mp.workdps(40):
+        assert mpf(math.sqrt(3.0)) < sqrt(3) <= mpf(SQRT3_UP)
+    assert SQRT3_UP == math.nextafter(math.sqrt(3.0), 2.0)
 
 
 def test_qpr_property_scan_true_intervals():
@@ -81,9 +88,9 @@ def test_thm311_excluded_moduli():
 def test_thm311_verification():
     for q in (7, 17, 15):
         rec = build_thm311(q, tau=500.0)
-        rep = verify_thm311(rec, step=1e-3)
+        rep = verify_thm311(rec)
         assert rep.ok
-        assert rep.scan.min_value > 0  # designated max margin stays positive
+        assert rep.lower_bound > 0  # designated max margin stays positive
         assert max(rep.identity_errors.values()) <= 1e-12
 
 

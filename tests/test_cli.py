@@ -24,7 +24,9 @@ def test_barrier_build_and_verify(tmp_path, capsys):
     assert payload["config"]["q"] == 7  # provenance embedded
     assert run(["barrier", "verify", "--recipe", rec, "--out", out]) == 0
     rep = json.loads(out.read_text())
-    assert rep["ok"] and rep["scan_min"] > 0
+    # scan_min is the certified lower bound, ((1 - cos(2 pi/3))/c3) times the
+    # even-cyclic certificate's, less the identity errors and their rounding
+    assert rep["ok"] and rep["scan_min"] == pytest.approx(0.0336156, rel=1e-5)
     # build prints the same positive margin that verify writes
     assert printed == f"verify: ok=True min_margin={rep['scan_min']:.6g}"
 
@@ -252,15 +254,14 @@ def test_zero_step_is_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert_config_error(["simulate", "--recipe", rec, "--window", "0:1",
                          "--step", 0, "--out", tmp_path / "t.csv"], capsys)
-    assert_config_error(["barrier", "verify", "--recipe", rec, "--step", 0],
-                        capsys)
     assert_config_error(["orderings", "--recipe", rec, "--window", "0:1",
                          "--samples", 0], capsys)
     # every command reads --step and --samples as positive before it runs,
-    # also where the value would go unread
+    # also where the value would go unread; barrier takes no --step at all
     for argv in (["barrier", "build", "thm311", "--q", 7, "--step", 0],
                  ["barrier", "verify", "--recipe", rec51, "--step", -1],
-                 ["barrier", "verify", "--recipe", rec43, "--step", 0],
+                 ["barrier", "verify", "--recipe", rec43, "--step", 1e-3],
+                 ["barrier", "verify", "--recipe", rec, "--step", 1e-3],
                  ["simulate", "--recipe", rec, "--window", "0:1",
                   "--samples", 0],
                  ["simulate", "--recipe", rec, "--window", "0:1",
@@ -363,6 +364,22 @@ def test_tampered_thm311_recipe_is_config_error(tmp_path, capsys, q):
         assert_config_error(["barrier", "verify", "--recipe", path,
                              "--out", out], capsys)
         assert not out.exists()
+
+
+@pytest.mark.parametrize("q, params", [(7, {"a": 5, "D": [4, 6, 2]}),
+                                       (15, {"b": 14, "D": [2, 8, 14]})])
+def test_unit_that_does_not_name_its_character_is_config_error(
+        tmp_path, capsys, q, params):
+    # chi(5) = e(1/6), not e(-1/6), mod 7; chi1(14) = -1, not 1, mod 15.
+    # The load check passes, but verify reads each zero's exponent at the
+    # units the recipe names, and then chi^e is not the zero's character
+    payload = json.loads(built_thm311(tmp_path, capsys, q).read_text())
+    payload["params"].update(params)
+    rec, out = tmp_path / "bad.json", tmp_path / "v.json"
+    rec.write_text(json.dumps(payload))
+    assert_config_error(["barrier", "verify", "--recipe", rec, "--out", out],
+                        capsys)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("label", [9999, -1])
@@ -562,46 +579,11 @@ def test_trace_over_budget_is_budget_error(tmp_path, capsys, monkeypatch,
         assert not out.exists()
 
 
-def test_scan_grid_over_budget_is_budget_error(tmp_path, capsys,
-                                               monkeypatch):
-    # 2 pi / 1e-320 grid points is inf; the scan refuses it before numpy
-    # is asked for the grid
-    rec = built_thm311(tmp_path, capsys)
-    out = tmp_path / "v.json"
-    monkeypatch.setenv("RACE_LAB_BUDGET", "1e6")
-    assert run(["barrier", "verify", "--recipe", rec, "--step", "1e-320",
-                "--out", out]) == cli.EXIT_BUDGET
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error:"), err
-    assert "scan grid of inf points exceeds budget 1000000" in err[0]
-    assert not out.exists()
-
-
-def test_scan_bisection_over_budget_is_budget_error(tmp_path, capsys,
-                                                    monkeypatch):
-    # multiplicities 4 and 3 on the first two zeros: the objective dips
-    # below zero between grid-cell midpoints, so a cell must be split before
-    # that shows; at --step 9.99e-4 the grid has 6291 points, and splitting
-    # one cell at the first depth already needs more than the budget
-    payload = json.loads(built_thm311(tmp_path, capsys).read_text())
-    payload["system"]["zeros"][0]["mult"] = 4
-    payload["system"]["zeros"][1]["mult"] = 3
-    rec, out = tmp_path / "bad.json", tmp_path / "v.json"
-    rec.write_text(json.dumps(payload))
-    monkeypatch.setenv("RACE_LAB_BUDGET", "6300")
-    assert run(["barrier", "verify", "--recipe", rec, "--step", "9.99e-4",
-                "--out", out]) == cli.EXIT_BUDGET
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: scan bisection to depth 1 exceeds budget 6300 "
-                   "(RACE_LAB_BUDGET)"], err
-    assert not out.exists()
-
-
 def test_scan_of_a_huge_multiplicity_fails_where_f_is_negative(
         tmp_path, capsys, monkeypatch):
-    # a multiplicity of 1e9 is legal; f is already negative at midpoints of
-    # the first depth, so the scan stops there and names the point instead
-    # of splitting cells until the budget
+    # a multiplicity of 1e9 is legal; it breaks the identities of the two
+    # designated r whose G_r reads its zero, so verify exits 2 with those
+    # identity errors named and a negative lower bound
     payload = json.loads(built_thm311(tmp_path, capsys).read_text())
     payload["system"]["zeros"][0]["mult"] = 10**9
     rec, out = tmp_path / "bad.json", tmp_path / "v.json"
@@ -611,7 +593,9 @@ def test_scan_of_a_huge_multiplicity_fails_where_f_is_negative(
         == cli.EXIT_VERIFY
     result = json.loads(out.read_text())
     assert not result["ok"] and result["scan_min"] < 0
-    assert 0 <= result["offending_v"] <= 2 * math.pi
+    assert sorted(k for k, e in result["identity_errors"].items()
+                  if not e <= 1e-12) == ["G0-G2", "G0-G4"]
+    assert result["offending_v"] is None
 
 
 def test_lead_trail_member_off_the_trace_is_config_error(tmp_path, capsys):
@@ -723,25 +707,6 @@ def test_unit_group_over_budget_is_budget_error(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
-def test_reused_scan_over_budget_is_budget_error(tmp_path, capsys,
-                                                 monkeypatch):
-    # the q = 7 scan at step 1e-3 is kept once made, but its 6284 grid
-    # points still exceed a budget of 1000 when it is asked for again
-    monkeypatch.delenv("RACE_LAB_BUDGET", raising=False)
-    rec = built_thm311(tmp_path, capsys)
-    argv = ["barrier", "verify", "--recipe", rec, "--step", "1e-3",
-            "--out", tmp_path / "out"]
-    assert run(argv) == cli.EXIT_OK
-    capsys.readouterr()
-    monkeypatch.setenv("RACE_LAB_BUDGET", "1000")
-    (tmp_path / "out").unlink()
-    assert run(argv) == cli.EXIT_BUDGET
-    assert capsys.readouterr().err.splitlines() == [
-        "error: scan grid of 6284.19 points exceeds budget 1000 "
-        "(RACE_LAB_BUDGET)"]
-    assert not (tmp_path / "out").exists()
-
-
 def _set(path, value):
     def edit(payload):
         *keys, last = path
@@ -782,6 +747,18 @@ def _drop(key):
     (7, _set(["params", "h"], 999)),  # n = 6 is 2^1 * 3
     (7, _set(["params", "d"], 5)),
     (7, _set(["claim"], "player-1 leads")),
+    # s = 14 instead of 2 (41 - 1)/2 = 40, with the designated points and D
+    # it names: |tan(2 pi 14/82)| > sqrt(3), which no certificate covers
+    (83, lambda payload: payload["params"].update(
+        s=14, designated=[14, 41, 68], D=[pow(2, r, 83) for r in (14, 41, 68)])),
+    # two of the three designated points, with their units
+    (7, lambda payload: payload["params"].update(designated=[2, 4], D=[2, 4])),
+    # n = 2 = 2^1 * 1 and n = 3 = 2^0 * 3, each with its own h, d and s and
+    # the points and units the closed forms at that s name
+    (7, lambda payload: payload["params"].update(
+        n=2, h=1, d=1, s=0, designated=[0, 1, 2], D=[1, 3, 2])),
+    (7, lambda payload: payload["params"].update(
+        n=3, h=3, d=0, s=1, designated=[1, 2], D=[3, 2])),
 ], ids=["designated-9999", "designated-negative", "designated-float",
         "designated-bool", "designated-unnamed", "designated-empty",
         "z4z2-designated-out-of-range", "z4z2-designated-flat",
@@ -789,7 +766,8 @@ def _drop(key):
         "s-out-of-range", "case-bogus",
         "n-huge", "gamma-zero", "kind-bogus", "kind-other-case",
         "kind-not-a-name", "no-s", "no-gamma", "z4z2-no-subcase",
-        "h-not-odd-part", "d-not-two-power", "claim-other"])
+        "h-not-odd-part", "d-not-two-power", "claim-other", "s-other",
+        "designated-subset", "h-one", "n-odd"])
 def test_malformed_thm311_recipe_is_config_error(tmp_path, capsys, q, edit):
     from racelab.barriers import verify_thm311
 

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from mpmath import findroot, mp, mpf, sin
 
 from racelab import trigpoly
-from racelab.barriers import qpr_polys, scan_qpr_properties
+from racelab.barriers import SQRT3_UP, qpr_polys, scan_qpr_properties
 from racelab.trigpoly import (TrigPoly, _phasor_table, certified_positive_scan,
                               evaluate_phasors)
 
@@ -251,8 +251,8 @@ def test_failing_r_scan_of_criterion_1():
 def test_qpr_lower_bounds_hold_at_40_digits():
     q, p, r = qpr_polys()
     scan = scan_qpr_properties(step=1e-4, r_interval=(0.758, 2.72))
-    pieces = [(q.scale(math.sqrt(3.0)), [p, p.scale(-1.0)], 0.0, 0.759),
-              (q.scale(math.sqrt(3.0)), [p, p.scale(-1.0)], 2.7, 2 * math.pi),
+    pieces = [(q.scale(SQRT3_UP), [p, p.scale(-1.0)], 0.0, 0.759),
+              (q.scale(SQRT3_UP), [p, p.scale(-1.0)], 2.7, 2 * math.pi),
               (r, [TrigPoly.zero()], 0.758, 2.72)]
     for rep, (base, branches, lo, hi) in zip(
             [*scan.p_dominates, scan.r_negative], pieces):

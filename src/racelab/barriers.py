@@ -21,13 +21,14 @@ from __future__ import annotations
 import json
 import math
 import operator
+import random
 from fractions import Fraction
 from functools import cache, lru_cache
-from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .budget import Record
+from .budget import Record, check_budget
 from .residues import ResidueGroup, characters, unit_group
 from .orderings import Verdict, census, column_orders, verdict
 from .simulator import (RaceFunctionSet, RecipeMismatchError,
@@ -184,13 +185,11 @@ def build_thm311(q: int, tau: float = 0.0, beta: float = 0.75,
         raise ValueError("tau and gamma must be finite")
     if gamma <= tau:
         raise ValueError("gamma must exceed tau")
-    structure = _pick_structure(q)
-    case = structure["case"]
-    table = characters(q)
+    params = _pick_structure(q)
+    case, table = params["case"], characters(q)
+    params.update(_thm311_chars(table, params))
     if case in ("even_cyclic", "n8"):
-        a, n = structure["a"], structure["n"]
-        chi = table.label_with((a, Fraction(-1, n)))
-        params = {"case": case, "a": a, "n": n, "chi": chi}
+        n, chi = params["n"], params["chi"]
         if case == "even_cyclic":
             params.update(_even_cyclic_split(n))
             h = params["h"]
@@ -204,10 +203,7 @@ def build_thm311(q: int, tau: float = 0.0, beta: float = 0.75,
         powers = table.labels(np.outer([j for j, _, _ in mults], table.b[chi]))
         mults = [(label, k, w) for label, (_, k, w) in zip(powers.tolist(), mults)]
     else:
-        a, b = structure["a"], structure["b"]
-        params = {"case": case, "a": a, "b": b, "subcase": "z4z2",
-                  "chi1": table.label_with((a, Fraction(3, 4)), (b, 0)),
-                  "chi2": table.label_with((a, 0), (b, Fraction(1, 2)))}
+        params["subcase"] = "z4z2"
         # the Z4 factor, then the Z2 factor
         mults = [(params["chi1"], 1, 1),
                  *((params["chi2"], l, w) for l, w in SIN_WEIGHTS.items())]
@@ -225,6 +221,16 @@ def build_thm311(q: int, tau: float = 0.0, beta: float = 0.75,
 # the integer params of each thm311 case
 _THM311_INTS = {"even_cyclic": ("a", "n", "h", "d", "s", "chi"),
                 "n8": ("a", "n", "s", "chi"), "z4z2": ("a", "b", "chi1", "chi2")}
+
+
+def _thm311_chars(table, p: dict) -> dict:
+    """The character labels of thm311 params p: chi(a) = e(-1/n), or chi1
+    = e(3/4), 1 and chi2 = 1, -1 at a, b on Z4 x Z2 (NotRepresentableError
+    if no character takes those values)."""
+    if p["case"] != "z4z2":
+        return {"chi": table.label_with((p["a"], Fraction(-1, p["n"])))}
+    return {"chi1": table.label_with((p["a"], Fraction(3, 4)), (p["b"], 0)),
+            "chi2": table.label_with((p["a"], 0), (p["b"], Fraction(1, 2)))}
 
 
 def _thm311_points(q: int, p: dict) -> Dict[Tuple[int, ...], tuple]:
@@ -261,12 +267,18 @@ def _thm311_forms(case: str, n: int | None, s: int | None) -> tuple:
             ((3, 0), sin_v + cos_v), ((0, 1), r_poly.scale(2.0)))
 
 
-@cache
 def thm311_certificate(case: str) -> ScanReport:
-    """The certified scan on [0, 2 pi], step 1e-3, made once per process,
-    that decides every thm311 recipe of the case.  Even cyclic: kappa(v) =
-    max(|P| - c3 Q, -R) > 0, c3 = SQRT3_UP, as branches P, -P and c3 Q - R
-    over base c3 Q.  n8 and Z4 x Z2: max_r -f_r > 0, f_r `_thm311_forms`."""
+    """The certified scan on [0, 2 pi], step 1e-3, made once per process
+    (its grid counts against the budget on every call), that decides every
+    thm311 recipe of the case.  Even cyclic: kappa(v) = max(|P| - c3 Q, -R)
+    > 0, c3 = SQRT3_UP, as branches P, -P and c3 Q - R over base c3 Q.  n8
+    and Z4 x Z2: max_r -f_r > 0, f_r `_thm311_forms`."""
+    check_budget(2 * math.pi / 1e-3 + 1, "scan grid of 6284.19 points")
+    return _thm311_scan(case)
+
+
+@cache
+def _thm311_scan(case: str) -> ScanReport:
     q_poly, p_poly, r_poly = qpr_polys()
     if case == "even_cyclic":
         base = q_poly.scale(SQRT3_UP)
@@ -324,9 +336,10 @@ def _check_thm311(recipe: BarrierRecipe) -> list:
     (subcase z4z2 exactly on Z4 x Z2), the case's params are ints, gamma is
     the height lattice, n divides the group exponent (n = 8 in the n8 case,
     n = 2^d h with d >= 1 and h >= 3 in the even-cyclic one, with the h, d
-    and s of `_even_cyclic_split`), 0 <= s < n, designated and D list every
-    exponent `_thm311_points` names for the case and its unit, in order,
-    beta is the one real part of the zeros and the claim is `_claim`'s."""
+    and s of `_even_cyclic_split`), 0 <= s < n, the characters are those
+    `_thm311_chars` pins, designated and D list every exponent
+    `_thm311_points` names for the case and its unit, in order, beta is the
+    one real part of the zeros and the claim is `_claim`'s."""
     p = recipe.params if isinstance(recipe.params, dict) else {}
     case = recipe.kind.removeprefix("thm311_") if type(recipe.kind) is str else None
     if (case not in _THM311_INTS or p.get("case") != case
@@ -341,9 +354,13 @@ def _check_thm311(recipe: BarrierRecipe) -> list:
                 or not 0 <= s < n):
             raise RecipeMismatchError(f"n {n} with s {s} is no {case} "
                                       f"lattice mod {recipe.q}")
+    try:
+        chars = _thm311_chars(characters(recipe.q), p)
+    except ValueError as exc:  # a or b is no unit, or no character fits
+        raise RecipeMismatchError(f"{recipe.kind} units: {exc}") from None
     named = _thm311_points(recipe.q, p)
     _check_params(recipe, (), {  # as build_thm311 writes them
-        **(_even_cyclic_split(p["n"]) if case == "even_cyclic" else {}),
+        **(_even_cyclic_split(p["n"]) if case == "even_cyclic" else {}), **chars,
         "designated": [list(t) if len(t) > 1 else t[0] for t in named],
         "D": [unit for unit, _ in named.values()], **_one_beta(recipe, "beta")})
     return list(named.items())
@@ -416,9 +433,10 @@ def solve_lemma44(r: int, c: Sequence[float], d: Sequence[float]) -> np.ndarray:
 
     Requires the compatibility symmetries c_v = c_{r-v}, d_0 = 0,
     d_v = -d_{r-v}.  The system splits into a cosine half and a sine half,
-    each uniquely solvable; the recombined nu is checked on 16 samples to a
-    residual of 1e-10.  c and d may also be (m, r) arrays: each row pair is
-    one system, all m are solved at once, and nu has one row per system.
+    each uniquely solvable; the recombined nu is checked to a residual of
+    1e-10 at 16 points 2 pi x, x drawn from `random.Random(12345)`.  c and
+    d may also be (m, r) arrays: each row pair is one system, all m are
+    solved at once, and nu has one row per system.
     """
     c = np.asarray(c, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -465,7 +483,8 @@ def solve_lemma44(r: int, c: Sequence[float], d: Sequence[float]) -> np.ndarray:
     nu[:, js] = (mu[:, js] + lam[:, js]) / 2.0
     nu[:, r - js] = (mu[:, js] - lam[:, js]) / 2.0
 
-    us = 2 * math.pi * np.fromiter(_uniform_draws(12345), float, 16)
+    rng = random.Random(12345)
+    us = 2 * math.pi * np.array([rng.random() for _ in range(16)])
     jv = np.outer(np.arange(r), np.arange(r)) % r
     lhs = np.tensordot(nu, np.sin(us + 2 * math.pi * jv[:, :, None] / r), 1)
     rhs = c[:, :, None] * np.sin(us) + d[:, :, None] * np.cos(us)
@@ -512,77 +531,22 @@ class OmegaSystem(Record):
         return sorted(self.crossings.values())
 
 
-def _uniform_draws(seed: int) -> Iterator[float]:
-    """The doubles in [0, 1) of numpy's `default_rng(seed).random()`, bit
-    for bit and in order, for any non-negative int seed: SeedSequence's
-    4-word pool hashed from the seed's 32-bit words, its
-    `generate_state(4, uint64)` seeding PCG64 (XSL-RR 128/64), and each
-    double from the top 53 bits of one 64-bit output.  A negative seed
-    raises numpy's ValueError and a non-int one (None too) a TypeError,
-    both before the first draw."""
+def build_omega(r: int, V: Sequence[int], seed: int = 0) -> OmegaSystem:
+    """Corner abscissae in general position; crossing points within 5e-3 of
+    each other, 0 or pi are perturbed away.  The jitter is drawn from
+    `random.Random(seed)`, whose stream Python keeps for a seed across
+    releases; a non-int seed is a TypeError and a negative one, which
+    Random would take as |seed|, a ValueError."""
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError("expected non-negative integer")
-    m32, m64, m128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-    words = [seed >> s & m32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    hash_a = 0x43B0D7E5
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_a
-        value ^= hash_a
-        hash_a = hash_a * 0x931E8875 & m32
-        value = value * hash_a & m32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        x = (0xCA01F9DD * x - 0x4973F715 * y) & m32
-        return x ^ x >> 16
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    out, hash_b = [], 0x8B51F9DD
-    for i in range(8):
-        value = pool[i % 4] ^ hash_b
-        hash_b = hash_b * 0x58F38DED & m32
-        value = value * hash_b & m32
-        out.append(value ^ value >> 16)
-    # uint64 k is out[2k] | out[2k + 1] << 32; words 0, 1 seed the state
-    # and 2, 3 the increment, each the high 64 bits first
-    w = [out[2 * k] | out[2 * k + 1] << 32 for k in range(4)]
-    mult = 0x2360ED051FC65DA44385DF649FCCF645
-    inc = (w[2] << 64 | w[3]) << 1 & m128 | 1
-    state = ((inc + (w[0] << 64 | w[1])) * mult + inc) & m128
-
-    def draws() -> Iterator[float]:
-        nonlocal state
-        while True:
-            state = (state * mult + inc) & m128
-            x, rot = (state >> 64 ^ state) & m64, state >> 122
-            yield (((x >> rot | x << (64 - rot)) & m64) >> 11) * 2.0 ** -53
-
-    return draws()
-
-
-def build_omega(r: int, V: Sequence[int], seed: int = 0) -> OmegaSystem:
-    """Corner abscissae in general position; crossing points within 5e-3 of
-    each other, 0 or pi are perturbed away (seeded, deterministic).  The
-    jitter is drawn from `_uniform_draws`, racelab's copy of numpy's
-    `default_rng(seed)` stream, so the corners are those numpy's
-    `uniform(-0.05, 0.05)` draws would give, for every seed."""
     V = tuple(sorted(V))
     movable = [v for v in V if 2 * v != r]
-    draws = _uniform_draws(seed)
+    base = np.linspace(0.35 * math.pi, 0.75 * math.pi, len(movable))
+    rng = random.Random(seed)
     for _ in range(64):
-        base = np.linspace(0.35 * math.pi, 0.75 * math.pi, len(movable))
-        # numpy's uniform(low, high) is low + (high - low) x
-        x = np.fromiter(draws, float, len(movable))
-        jitter = (-0.05 + 0.1 * x) * math.pi / max(len(movable), 1)
+        jitter = [(-0.05 + 0.1 * rng.random()) * math.pi / len(movable)
+                  for _ in movable]
         corners = {v: float(t + j) for v, t, j in zip(movable, base, jitter)}
         omega = OmegaSystem(r=r, V=V, corners=corners, crossings={})
         crossings = {(v, w): _omega_crossing(omega, v, w)

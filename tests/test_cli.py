@@ -370,9 +370,8 @@ def test_tampered_thm311_recipe_is_config_error(tmp_path, capsys, q):
                                        (15, {"b": 14, "D": [2, 8, 14]})])
 def test_unit_that_does_not_name_its_character_is_config_error(
         tmp_path, capsys, q, params):
-    # chi(5) = e(1/6), not e(-1/6), mod 7; chi1(14) = -1, not 1, mod 15.
-    # The load check passes, but verify reads each zero's exponent at the
-    # units the recipe names, and then chi^e is not the zero's character
+    # chi(5) = e(1/6), not e(-1/6), mod 7; chi1(14) = -1, not 1, mod 15:
+    # the load check pins the characters' values at a and b
     payload = json.loads(built_thm311(tmp_path, capsys, q).read_text())
     payload["params"].update(params)
     rec, out = tmp_path / "bad.json", tmp_path / "v.json"
@@ -759,6 +758,10 @@ def _drop(key):
         n=2, h=1, d=1, s=0, designated=[0, 1, 2], D=[1, 3, 2])),
     (7, lambda payload: payload["params"].update(
         n=3, h=3, d=0, s=1, designated=[1, 2], D=[3, 2])),
+    # a = 5 and 13 with the units they name: chi(5) = e(1/6), not e(-1/6),
+    # mod 7, and chi1(13) = e(1/4), not e(3/4), mod 15
+    (7, lambda payload: payload["params"].update(a=5, D=[4, 6, 2])),
+    (15, lambda payload: payload["params"].update(a=13, D=[13, 7, 11])),
 ], ids=["designated-9999", "designated-negative", "designated-float",
         "designated-bool", "designated-unnamed", "designated-empty",
         "z4z2-designated-out-of-range", "z4z2-designated-flat",
@@ -767,7 +770,7 @@ def _drop(key):
         "n-huge", "gamma-zero", "kind-bogus", "kind-other-case",
         "kind-not-a-name", "no-s", "no-gamma", "z4z2-no-subcase",
         "h-not-odd-part", "d-not-two-power", "claim-other", "s-other",
-        "designated-subset", "h-one", "n-odd"])
+        "designated-subset", "h-one", "n-odd", "a-not-chi", "z4z2-a-not-chi1"])
 def test_malformed_thm311_recipe_is_config_error(tmp_path, capsys, q, edit):
     from racelab.barriers import verify_thm311
 

@@ -24,6 +24,7 @@ from test_scan_kernel import direct_objective, ref_certified_positive_scan
 from racelab import barriers
 from racelab.barriers import (SQRT3_UP, _pick_structure, build_thm311,
                               qpr_polys, thm311_certificate, verify_thm311)
+from racelab.budget import BudgetExceededError
 from racelab.residues import unit_group
 from racelab.simulator import theorem_decomposition
 from racelab.trigpoly import certified_positive_scan
@@ -117,10 +118,10 @@ def scans(monkeypatch):
         made.append(certified_positive_scan(*args, **kwargs))
         return made[-1]
 
-    barriers.thm311_certificate.cache_clear()
+    barriers._thm311_scan.cache_clear()
     monkeypatch.setattr(barriers, "certified_positive_scan", counting)
     yield made
-    barriers.thm311_certificate.cache_clear()
+    barriers._thm311_scan.cache_clear()
 
 
 def test_one_scan_per_objective(scans):
@@ -132,6 +133,21 @@ def test_one_scan_per_objective(scans):
     assert all(reports[q].scan is scans[0] for q in (7, 9, 13, 83))
     assert reports[17].scan is scans[1] and reports[15].scan is scans[2]
     assert all(rep.ok for rep in reports.values())
+
+
+def test_certificate_grid_is_refused_over_budget_made_or_not(scans,
+                                                               monkeypatch):
+    # the grid counts on every call: a scan made under the default budget
+    # does not let a later call at budget 1000 through
+    recipe = build_thm311(7, tau=1000.0)
+    for made in (0, 1):
+        monkeypatch.setenv("RACE_LAB_BUDGET", "1000")
+        with pytest.raises(BudgetExceededError,
+                           match="^scan grid of 6284.19 points exceeds"):
+            verify_thm311(recipe)
+        assert len(scans) == made
+        monkeypatch.delenv("RACE_LAB_BUDGET")
+        assert verify_thm311(recipe).ok and len(scans) == 1
 
 
 def ref_pick_structure(q):

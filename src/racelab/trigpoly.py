@@ -9,7 +9,9 @@ phasors C_k = c_k e^{i alpha_k} and z = e^{i base u}: `evaluate_phasors`
 computes many such polynomials from one table of powers of z, two
 transcendentals per point rather than one per term, and `roots` isolates
 their real roots and `certified_positive_scan` certifies a sign by Taylor
-cells on it, with bounds that cover its rounding (`_taylor_table`).
+cells on it, with bounds that cover its rounding (`_taylor_table`).  The
+scan goes through its cells a block at a time, so its memory is bounded by
+one block plus the cells it splits, not by its grid.
 
 The existence searches (find_simultaneous_positive, find_dominating) are
 backed by L2/measure arguments guaranteeing solutions on a positive-density
@@ -260,8 +262,8 @@ class ScanReport(NamedTuple):
 def certified_positive_scan(base: TrigPoly, branches: Sequence[TrigPoly],
                             lo: float, hi: float, step: float,
                             max_depth: int = 40) -> ScanReport:
-    """Certify max_i branches[i] - base > 0 on [lo, hi], lo < hi, for
-    integer frequencies, by Taylor cells on the rows d_i = C_i - C_0 of
+    """Certify max_i branches[i] - base > 0 on a finite [lo, hi], lo < hi,
+    for integer frequencies, by Taylor cells on the rows d_i = C_i - C_0 of
     their `_taylor_table`.  delta_i covers rounding: that row's bound
     taken half again, plus the bounds of the rows C_i and C_0 themselves,
     since building C_i - C_0 errs by a few EPS sum(|C_i| + |C_0|) however
@@ -280,11 +282,20 @@ def certified_positive_scan(base: TrigPoly, branches: Sequence[TrigPoly],
     is the finest cell width and delta the largest delta_i.  Grids and
     depths over the sieve budget (RACE_LAB_BUDGET) are refused, counting
     one per grid point, five per split cell and four per half.
+
+    A depth's cells go through in grid order, in blocks of at most _CHUNK
+    made of whole `evaluate_phasors` blocks, and the depth decides only
+    once all are folded in: R, the minimum, the bounds, the leftmost
+    failing midpoint and the budget are the whole depth's, so the report
+    does not depend on the block size.  A scan's memory is bounded by one
+    block plus the cells it splits, not by its grid.
     """
     if not branches:
         raise ValueError("need at least one branch")
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"need a finite interval, got [{lo}, {hi}]")
     if not hi > lo:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     cells = (hi - lo) / step  # inf for a subnormal step
@@ -297,41 +308,62 @@ def certified_positive_scan(base: TrigPoly, branches: Sequence[TrigPoly],
     # (>= 5 EPS sum|D|) covers rounding i k D, L2 and the tests
     rnd, rnd1, curv = (x[:, None] for x in
                        (1.5 * delta + own[1:] + own[0], 1.5 * delta1, l2 / 2))
-    pts = np.linspace(lo, hi, max(int(math.ceil(cells)) + 1, 3))
-    a, b, work, width = pts[:-1], pts[1:], len(pts), float(pts[1] - pts[0])
+    work = n = max(int(math.ceil(cells)) + 1, 3)
+    dx, halves = (hi - lo) / (n - 1), None
+    width = (dx + lo) - lo  # pts[1] - pts[0]
+    # whole `evaluate_phasors` blocks, so that each cell's values are summed
+    # as they would be with the depth's cells at once
+    size = max(_CHUNK // max(table.shape[1], 1), 1)
+    size *= max(_CHUNK // size, 1)
+
+    def blocks():  # (a, b) of the depth's cells, a block at a time
+        for j in range(0, n - 1 if halves is None else len(halves[0]), size):
+            if halves is None:  # np.linspace(lo, hi, n), a block at a time
+                pts = np.arange(j, min(j + size + 1, n)) * dx + lo
+                if j + size >= n - 1:
+                    pts[-1] = hi
+                yield pts[:-1], pts[1:]
+            else:
+                yield halves[0][j:j + size], halves[1][j:j + size]
+
     min_val, argmin, lower = math.inf, 0.0, math.inf
     for depth in range(max(max_depth, 0) + 1):
-        m = 0.5 * (a + b)
         # m rounds by at most EPS max|v| / 2
-        R = 0.5 * float((b - a).max()) + 2.0 * EPS * max(abs(lo), abs(hi))
-        vals = evaluate_phasors(table, m)
-        d, g = vals[:len(rnd)], vals[len(rnd):]
-        np.abs(g, out=g)
-        g *= R  # R |d_i'(m)|; g + shrinks are the terms that halving shrinks
+        R = (0.5 * max(float((b - a).max()) for a, b in blocks())
+             + 2.0 * EPS * max(abs(lo), abs(hi)))
         shrinks = rnd1 * R + curv * R * R
-        best = d - g
-        best -= shrinks + rnd
-        top, best = d.max(0), best.max(0)
-        k, low = int(top.argmin()), float(best.min())
-        if top[k] < min_val:
-            min_val, argmin = float(top[k]), float(m[k])
-        if low > 0.0:
-            return ScanReport(True, min_val, argmin, width, float(rnd.max()),
-                              min(lower, low))
-        i = np.flatnonzero(~(best > 0.0))
-        lower = min(lower, float(best.min(initial=math.inf, where=best > 0)))
-        d, s = d[:, i], g[:, i] + shrinks
-        fail = (~((d + rnd).max(0) > 0.0)
-                | ((s <= rnd) | (d + s + rnd <= 0.0)).all(0))
-        fail |= depth >= max_depth
-        if fail.any():
-            return ScanReport(False, min_val, argmin, width, float(rnd.max()),
-                              min(lower, low),
-                              failure_point=float(m[i[fail.argmax()]]))
-        work += 5 * len(i)
-        check_budget(work + 8 * len(i), f"scan bisection to depth {depth + 1}")
-        a, b, m = a[i], b[i], m[i]
-        a, b = np.column_stack([a, m]).ravel(), np.column_stack([m, b]).ravel()
+        low, failure, kept = math.inf, None, []
+        for a, b in blocks():
+            m = 0.5 * (a + b)
+            vals = evaluate_phasors(table, m)
+            d, g = vals[:len(rnd)], vals[len(rnd):]
+            np.abs(g, out=g)
+            g *= R  # R |d_i'(m)|; g + shrinks are the terms halving shrinks
+            best = d - g
+            best -= shrinks + rnd
+            top, best = d.max(0), best.max(0)
+            k, low = int(top.argmin()), float(np.minimum(low, best.min()))
+            if top[k] < min_val:
+                min_val, argmin = float(top[k]), float(m[k])
+            i = np.flatnonzero(~(best > 0.0))
+            lower = min(lower, float(best.min(initial=math.inf, where=best > 0)))
+            if failure is None and len(i):
+                d, s = d[:, i], g[:, i] + shrinks
+                fail = (~((d + rnd).max(0) > 0.0)
+                        | ((s <= rnd) | (d + s + rnd <= 0.0)).all(0))
+                fail |= depth >= max_depth
+                if fail.any():
+                    failure = float(m[i[fail.argmax()]])
+                kept.append((a[i], m[i], b[i]))
+        if low > 0.0 or failure is not None:
+            return ScanReport(low > 0.0, min_val, argmin, width,
+                              float(rnd.max()), min(lower, low),
+                              failure_point=failure)
+        a, m, b = (np.concatenate(x) for x in zip(*kept))
+        work += 5 * len(m)
+        check_budget(work + 8 * len(m), f"scan bisection to depth {depth + 1}")
+        halves = (np.column_stack([a, m]).ravel(),
+                  np.column_stack([m, b]).ravel())
         width /= 2.0
 
 
@@ -377,9 +409,11 @@ def evaluate_phasors(C: np.ndarray, v, rows: np.ndarray | None = None,
     With z = e^{iv} the values are Im(C @ Z) = Re(C) @ Im(Z) + Im(C) @ Re(Z)
     over the powers Z = (z^k): one cos and one sin per point, then K - 1
     complex products and one matmul in which only the imaginary part is
-    summed.  Points go through in blocks of at most _CHUNK powers (one
-    point at least), so no K x len(v) table is held, and a longer input
-    gives the same floats as its blocks one by one.
+    summed.  Points go through in blocks of _CHUNK // K (one point at
+    least), so no K x len(v) table is held.  Below K = 16 a longer input
+    gives the same floats as its blocks one by one; from 16 on, the BLAS
+    product (OpenBLAS 0.3) sums the last few columns of a block in another
+    order, so only the same blocks give the same floats.
 
     Against the exact value of row i at the float v, the error is at most
     EPS * sum_k |C[i, k-1]| * (6K + 4): cos and sin with up to 4 ulp error,
@@ -392,15 +426,17 @@ def evaluate_phasors(C: np.ndarray, v, rows: np.ndarray | None = None,
     for start in range(0, len(v), step):
         part = slice(start, start + step)
         w = v[part]
-        z = np.empty((K, len(w)), dtype=complex)
+        # two columns at least: numpy sums a one-column product as dot
+        # products, in another order than a wider one
+        z = np.empty((K, max(len(w), 2)), dtype=complex)
         if K:
             z[0] = np.cos(w) + 1j * np.sin(w)
         for k in range(1, K):
             np.multiply(z[k - 1], z[0], out=z[k])
         if rows is None:
-            out[:, part] = C.real @ z.imag + C.imag @ z.real
+            out[:, part] = (C.real @ z.imag + C.imag @ z.real)[:, :len(w)]
         else:
-            out[part] = np.einsum("jk,kj->j", C[rows[part]], z).imag
+            out[part] = np.einsum("jk,kj->j", C[rows[part]], z[:, :len(w)]).imag
     return out
 
 

@@ -314,3 +314,91 @@ def test_refuses_a_bisection_over_budget(monkeypatch, sizes):
     with pytest.raises(BudgetExceededError, match="to depth 4 exceeds"):
         certified_positive_scan(TrigPoly.zero(), [branch], 1.0, 2.0, 0.1)
     assert sizes == [10, 20, 40, 80]
+
+
+# the scan of test_refuses_a_bisection_over_budget
+WAVY = (TrigPoly.zero(), [TrigPoly.sine([1.0, 0.5], [1.0, 400.0])], 1.0, 2.0,
+        0.1)
+
+
+def block_cases():
+    """Scans whose reports must not depend on the scan's block size."""
+    from racelab import barriers
+    sine = TrigPoly.sine([1.0], [1.0])
+    return [
+        # the QPR pieces, and the refused R < 0 scan on [0.758, pi - 1e-6]
+        lambda: scan_qpr_properties(step=1e-4),
+        lambda: scan_qpr_properties(step=1e-4, r_interval=(0.758, 2.72)),
+        # the three thm311 objectives, made anew
+        lambda: [barriers._thm311_scan.__wrapped__(case)
+                 for case in ("even_cyclic", "n8", "z4z2")],
+        # fails at depth 0, where the end cells of 3142 are not certified
+        lambda: certified_positive_scan(TrigPoly.zero(), [sine], 1e-9,
+                                        math.pi - 1e-9, 1e-3, max_depth=0),
+        # every cell splits at depths 1 to 3, so those span several blocks
+        lambda: certified_positive_scan(*WAVY),
+        # fails at depth 2, first at pi / 32 of the midpoints where -cos 8v
+        # is negative
+        lambda: certified_positive_scan(TrigPoly.zero(),
+                                        [TrigPoly.cosine([-1.0], [8.0])],
+                                        0.0, 2 * math.pi, 2 * math.pi / 8),
+        # an objective of exactly 0: every midpoint ties for the minimum
+        lambda: certified_positive_scan(sine, [sine], 0.0, 1.0, 0.01),
+    ]
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_block_size_does_not_change_the_report(monkeypatch, block):
+    from racelab.primes import BudgetExceededError
+
+    def refusal():
+        with monkeypatch.context() as budget:
+            budget.setenv("RACE_LAB_BUDGET", "1000")
+            with pytest.raises(BudgetExceededError) as err:
+                certified_positive_scan(*WAVY)
+        return str(err.value)
+
+    whole = [case() for case in block_cases()]
+    refused = refusal()
+    assert "to depth 4 exceeds" in refused
+    assert not whole[0].ok and whole[0].r_negative.failure_point is not None
+    assert not whole[3].ok and whole[4].ok and whole[4].certified_step < 0.01
+    assert whole[5].failure_point == pytest.approx(math.pi / 32)
+    assert whole[6].min_value == 0.0 and whole[6].argmin == 0.005
+    monkeypatch.setattr(trigpoly, "_CHUNK", block)
+    assert [case() for case in block_cases()] == whole
+    assert refusal() == refused
+
+
+def test_memory_is_bounded_by_a_block_not_the_grid():
+    import tracemalloc
+    q, p, _ = qpr_polys()
+    tracemalloc.start()
+    try:
+        # 3.6 million cells at depth 0
+        rep = certified_positive_scan(q.scale(SQRT3_UP), [p, p.scale(-1.0)],
+                                      2.7, 2 * math.pi, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.certified_step < 1e-6
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (0.0, math.inf),
+                                    (-math.inf, math.inf), (math.nan, 1.0)])
+def test_rejects_an_infinite_interval(lo, hi):
+    with pytest.raises(ValueError, match="need a finite interval"):
+        certified_positive_scan(TrigPoly.zero(), [TrigPoly.sine([1.0], [1.0])],
+                                lo, hi, 0.1)
+
+
+def test_blocks_are_whole_evaluation_blocks(sizes):
+    # from K = 16 powers on, the floats of `evaluate_phasors` depend on its
+    # blocks of _CHUNK // K points; the scan's blocks are whole ones, 40 of
+    # 153 points at K = 40, so each value is the one a single call per
+    # depth gives
+    branch = TrigPoly.sine([3.0] + [0.01] * 39, np.arange(1.0, 41.0))
+    rep = certified_positive_scan(TrigPoly.zero(), [branch], 0.5, 2.5, 1e-4)
+    assert rep.ok and rep.certified_step == pytest.approx(1e-4)
+    assert sizes == [6120, 6120, 6120, 1640]

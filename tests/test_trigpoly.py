@@ -295,9 +295,10 @@ def test_evaluate_longer_than_a_block_equals_its_blocks():
                            rng.uniform(-3, 3, 7)) for _ in range(4)]
     v = rng.uniform(0.0, TWO_PI, 2 * _CHUNK + 123)
     whole = evaluate(polys, v)
-    parts = np.hstack([evaluate(polys, v[s:s + _CHUNK])
-                       for s in range(0, len(v), _CHUNK)])
-    assert whole.tobytes() == parts.tobytes()
+    for size in (_CHUNK, 1):
+        parts = np.hstack([evaluate(polys, v[s:s + size])
+                           for s in range(0, len(v), size)])
+        assert whole.tobytes() == parts.tobytes()
     assert np.allclose(whole, [p(v) for p in polys], rtol=0, atol=1e-13)
 
 

@@ -4,23 +4,19 @@ and comparison of real races against the sigma-line oscillation sum fed by
 critical-line zero data.
 
 One kernel, `_progression_sieve`, sieves a progression n = c + d j, d even,
-segment by segment into boolean masks over its slots j: a wheel pattern of
-the row with the multiples of 3..17 struck, then each base prime above 17
-from its first strike on (found from one inverse of d per prime, for every
-row), carried from segment to segment. `first_lead_change` sieves just the
-two rows of its classes, cut at shared slots. `sieve_race` sieves one at a
-time the rows c prime to d of d = 2 r w: r the largest divisor of
-m = q / gcd(q, 2) whose rows fill a segment, and once r = m, w the product
-of the wheel primes not dividing q, taken in order while the rows still fill
-a segment. n mod q depends only on c and j mod m / r, so each such sub-class
-of a row is one residue class, (c + d t) mod q for sub-class t, and the rows
-of one class add up. A prime p dividing d (2, the primes dividing r, the
-wheel primes) lies in no row: it counts in pi from x = p on, and in its
-class when it is a unit. The sub-classes that are not units hold no prime
-but one dividing q, and are not counted; pi counts those primes directly.
-Each segment's primes below its cuts are counted from the sums of the
-mask's 8-slot words, `_prefix_counts`, with no list of primes built.
-`simple_sieve` supplies the base primes.
+segment by segment into boolean masks over its slots j: each tiled from one
+period of the row's wheel pattern (the multiples of 3..17 struck), then the
+base primes above 17 struck, each carried from segment to segment.
+`sieve_race` sieves one at a time the rows c prime to d of d = 2 r w: r the
+largest divisor of m = q / gcd(q, 2) whose rows fill a segment, and once
+r = m, w the product of the wheel primes not dividing q, taken in order
+while each lowers a measured cost of slots, strike slices and rows. n mod q
+depends only on c and j mod m / r, so each such sub-class of a row is one
+residue class, (c + d t) mod q, and the rows of one class add up. A prime
+p | d lies in no row: it counts in pi from x = p on, and in its class when
+it is a unit; pi counts the primes dividing q directly. `first_lead_change`
+reads the two rows of its classes as one running count. No list of primes
+is built: masks are counted by the sums of their 8-slot words.
 """
 
 from __future__ import annotations
@@ -78,17 +74,23 @@ def _progression_sieve(d: int, x_max: int):
         # j of each base prime's next strike: its first multiple >= p^2
         first = (base * base - c + d - 1) // d
         nxt = first + (-c * inv - first) % base
-        # the wheel pattern over j, long enough to cut any segment from any
-        # phase of its period, and no longer than the row needs; it strikes
-        # the wheel primes of the row too, at the slots `own`
-        longest = max((b - a for a, b in zip(edges, edges[1:])), default=0)
-        pattern = np.ones(min(edges[-1], period - 1 + longest), dtype=bool)
+        # the wheel pattern over one period of j (the whole row if shorter);
+        # it strikes the row's own wheel primes too, at the slots `own`
+        pattern = np.ones(min(edges[-1], period), dtype=bool)
         for p, u in wheel:
             pattern[-c * u % p:: p] = False
         own = [(p - c) // d for p, _ in wheel if (p - c) % d == 0]
         for j0, j1 in zip(edges, edges[1:]):
-            phase = j0 % period
-            mask = pattern[phase: phase + j1 - j0].copy()
+            # the mask, tiled: a period from j0's phase, then doubling copies
+            phase, n = j0 % period, j1 - j0
+            mask = np.empty(n, dtype=bool)
+            k = min(period - phase, n)
+            mask[:k] = pattern[phase: phase + k]
+            mask[k: period] = pattern[: min(phase, n - k)]
+            k = period
+            while k < n:
+                mask[k: 2 * k] = mask[: min(k, n - k)]
+                k *= 2
             act = nxt < j1
             strikes, steps = nxt[act], base[act]
             for s, p in zip((strikes - j0).tolist(), steps.tolist()):
@@ -248,6 +250,37 @@ class PrimeRaceTable(Record):
         return buf.getvalue()
 
 
+# the modelled cost of sieve_race's layout, in seconds: SLOT_S per slot,
+# SLICE_S per strike slice (a base prime in a segment of a row), ROW_S per
+# row; fitted by least squares to best-of-7 times of sieve_race at forced d
+# on one CPU, relative error within 10% (`tools/sieve_layout_fit.py`)
+SLOT_S, SLICE_S, ROW_S = 1.3e-9, 2.9e-7, 1.2e-4
+
+
+def _row_layout(q: int, x_max: int) -> Tuple[int, int]:
+    """(d, sub) of sieve_race's rows n = c + d j: d = 2r for the largest
+    r | m, m = q / gcd(q, 2), whose rows fill a segment, and sub = m / r;
+    once r = m, d takes the next wheel prime p not dividing q while that
+    lowers the cost, p - 1 rows for each row of d."""
+    m = q // math.gcd(q, 2)
+    most = max(x_max // SEGMENT, 1)
+    r = next(r for r in range(min(m, most), 0, -1) if m % r == 0)
+    d, sub = 2 * r, m // r
+    base = simple_sieve(math.isqrt(max(x_max, 0)))
+    base = np.count_nonzero(base > WHEEL[-1])
+
+    def row_cost(d: int) -> float:
+        slots = x_max // d + 1
+        return (slots * SLOT_S + ROW_S
+                + -(-slots // (SEGMENT // 2)) * base * SLICE_S)
+
+    for p in [p for p in WHEEL if q % p] * (sub == 1):
+        if (p - 1) * row_cost(d * p) >= row_cost(d):
+            break
+        d *= p
+    return d, sub
+
+
 def sieve_race(q: int, x_max: int,
                checkpoint_rule: str | Sequence[float] = "geometric:1.01",
                ) -> PrimeRaceTable:
@@ -257,20 +290,7 @@ def sieve_race(q: int, x_max: int,
     residues = unit_group(q).units
     phi = len(residues)
     cps = checkpoints_from_rule(checkpoint_rule, x_max, phi + 1)
-    # rows n = c + d j, d = 2r for the largest r | m, m = q / gcd(q, 2),
-    # whose rows fill a segment of SEGMENT / 2 slots: n mod q is then
-    # (c + d t) mod q on the slots j = t (mod sub), and each such sub-class
-    # is one class. Once r = m, d takes the wheel primes not dividing q in
-    # order, while its rows still fill a segment.
-    m = q // math.gcd(q, 2)
-    most = max(x_max // SEGMENT, 1)
-    r = next(r for r in range(min(m, most), 0, -1) if m % r == 0)
-    d, sub = 2 * r, m // r
-    if sub == 1:
-        for p in (p for p in WHEEL if q % p):
-            if d // 2 * p > most:
-                break
-            d *= p
+    d, sub = _row_layout(q, x_max)
     rows = _progression_sieve(d, x_max)
     col = np.full(q, -1, dtype=np.int64)
     col[list(residues)] = np.arange(phi)
@@ -337,42 +357,53 @@ def first_lead_change(q: int, a: int, b: int, x_max: int) -> int | None:
         raise InvalidPairError("residues must be units")
     check_budget(x_max, f"x_max {x_max}")
     x_max = int(x_max)
-    # class r is the row n = c + d j of its odd representative c < d; both
-    # rows are cut at the same slots (row 1 from slot 1), so every n of a
-    # segment lies below every n of the next
+    # class r is the row n = c + d j of its odd representative c < d, signed
+    # +1 for a, -1 for b; both are cut at the same slots (row 1 from slot 1),
+    # and in a slot the row of the smaller c comes first
     d = 2 * q // math.gcd(q, 2)
-    cs = [r + q * (1 - r % 2) for r in (a, b)]
-    hi = max(x_max // d, 0) + 1
+    cs, signs = zip(*sorted((r + q * (1 - r % 2), s)
+                            for r, s in ((a, 1), (b, -1))))
+    signs = np.array(signs, dtype=np.int8)
     # segments double from SEGMENT / 1024 slots to SEGMENT / 2, so an early
     # flip is found before a whole segment is sieved
-    cuts, edge, size = [], 0, max(SEGMENT >> 10, 1)
-    while edge < hi:
-        edge = min(edge + size, hi)
-        cuts.append(edge)
+    hi, cuts, size = max(x_max // d, 0) + 1, [0], max(SEGMENT >> 10, 1)
+    while cuts[-1] < hi:
+        cuts.append(min(cuts[-1] + size, hi))
         size = min(2 * size, SEGMENT // 2)
     rows = _progression_sieve(d, x_max)
-    # primes per class below the segment; 2, in no row, opens the race for
-    # its class (r = 2 is a unit only for odd q)
-    count = [int(r == 2 and x_max >= 2) for r in (a, b)]
-    lead = count.index(1) if any(count) else None
-    for segment in zip(*(rows(c, [int(c == 1)] + cuts) for c in cs)):
-        ps = [c + d * (np.flatnonzero(mask) + j0)
-              for c, (j0, mask) in zip(cs, segment)]
-        ps = [p[p <= x_max] for p in ps]
-        if lead is None:
-            # the first prime of either class puts its class ahead
-            heads = [(p[0], i) for i, p in enumerate(ps) if len(p)]
-            if not heads:
+    # ahead: the sign of pi_a - pi_b once nonzero, lead: its size below the
+    # segment; 2, in no row, opens the race for its class (a unit for odd q)
+    ahead = int(x_max >= 2) * ((a == 2) - (b == 2))
+    lead = abs(ahead)
+    for j0, j1, segment in zip(cuts, cuts[1:], zip(
+            *(rows(c, [int(c == 1)] + cuts[1:]) for c in cs))):
+        # both masks over [j0, j1), n <= x_max, in whole blocks of 512 slots
+        masks = []
+        for c, (j, mask) in zip(cs, segment):
+            mask[max((x_max - c) // d + 1 - j, 0):] = False
+            if j > j0 or len(mask) % 512:
+                mask = np.r_[np.zeros(j - j0, dtype=bool), mask,
+                             np.zeros(-(j1 - j0) % 512, dtype=bool)]
+            masks.append(mask)
+        if not ahead:  # the first prime of either class puts it ahead
+            first = np.flatnonzero(np.column_stack(masks))
+            if not len(first):
                 continue
-            lead = min(heads)[1]
-        # only the trailing class flips the sign: at the first of its primes
-        # t whose count up to t exceeds the leader's
-        ahead, behind = ps[lead], ps[1 - lead]
-        passed = np.flatnonzero(count[1 - lead] + np.arange(1, len(behind) + 1)
-                                > count[lead] + np.searchsorted(ahead, behind))
-        if len(passed):
-            return int(behind[passed[0]])
-        count = [n + len(p) for n, p in zip(count, ps)]
+            ahead = int(signs[first[0] % 2])
+        # per block, the primes of the leading row and of the trailing one;
+        # the lead sinks within a block by at most the trailing ones
+        up, down = (np.bitwise_count(m.view("<u8")).reshape(-1, 64).sum(
+            axis=1, dtype=np.int64) for m in masks[::signs[0] * ahead])
+        after = np.cumsum(up - down) + lead
+        maybe = np.flatnonzero(after < up)
+        # there, the lead slot by slot in order of n, from the lead before
+        steps = np.stack([m.reshape(-1, 512)[maybe] for m in masks], axis=2)
+        run = np.cumsum((steps * (signs * ahead)).reshape(-1, 1024), axis=1)
+        flips = np.flatnonzero(run + (after - up + down)[maybe, None] < 0)
+        if len(flips):
+            k, i = divmod(int(flips[0]), 1024)
+            return cs[i % 2] + d * (j0 + 512 * int(maybe[k]) + i // 2)
+        lead = int(after[-1])
     return None
 
 

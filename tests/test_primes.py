@@ -209,17 +209,26 @@ def expected_rows(q, x_max):
     """The rows n = c + d j that sieve_race sieves, restated: d = 2rw for
     the largest r | m, m = q / gcd(q, 2), with x_max >= r * SEGMENT, and,
     once r = m, w the product of the odd primes 3, 5, 7, ... not dividing q,
-    taken in order while x_max >= rw * SEGMENT; one row per c < d prime to
-    d, its slots j with 2 <= n <= x_max cut into the fewest equal segments
-    of at most SEGMENT / 2 slots."""
+    taken in order while each lowers the modelled cost of the rows (per
+    row: SLOT_S per slot, SLICE_S per base prime above 17 and segment, and
+    ROW_S); one row per c < d prime to d, its slots j with 2 <= n <= x_max
+    cut into the fewest equal segments of at most SEGMENT / 2 slots."""
     m = q // math.gcd(q, 2)
     r = max(r for r in range(1, m + 1) if m % r == 0
             and (r == 1 or r * SEGMENT <= x_max))
+    base = int(np.sum(simple_sieve(math.isqrt(x_max)) > 17))
+
+    def cost(d):
+        slots = x_max // d + 1
+        per_row = (primes.SLOT_S * slots + primes.ROW_S + primes.SLICE_S
+                   * base * math.ceil(slots / (SEGMENT // 2)))
+        return per_row * sum(math.gcd(c, d) == 1 for c in range(1, d, 2))
+
     w = 1
     for p in [3, 5, 7, 11, 13, 17] * (r == m):
         if q % p == 0:
             continue
-        if r * w * p * SEGMENT > x_max:
+        if cost(2 * r * w * p) >= cost(2 * r * w):
             break
         w *= p
     d = 2 * r * w
@@ -250,9 +259,10 @@ def spy_rows(monkeypatch):
 
 
 # (q, x_max, r): r = 1 with many segments; 1 < r < m, odd and even, with
-# sub-classes inside each row; r = m with more than one segment per row,
-# and w > 1 where a wheel prime not dividing q fits (WHEELED: its d = 2rw)
-WHEELED = {(3, 10**8): 30, (4, 3 * 10**7): 12, (8, 3 * 10**7): 24}
+# sub-classes inside each row; r = m with more than one segment per row, or
+# with w > 1 where the cost model takes wheel primes (WHEELED: its d = 2rw)
+WHEELED = {(3, 10**8): 30, (4, 3 * 10**7): 60, (8, 3 * 10**7): 24,
+           (12, 3 * 10**7): 60, (13, 3 * 10**7): 78}
 
 
 @pytest.mark.parametrize("q,x_max,r", [
@@ -263,7 +273,7 @@ WHEELED = {(3, 10**8): 30, (4, 3 * 10**7): 12, (8, 3 * 10**7): 24}
 def test_sieve_race_rows_match_reference(monkeypatch, q, x_max, r):
     d, rows = expected_rows(q, x_max)
     assert d == WHEELED.get((q, x_max), 2 * r)
-    assert r == 1 or max(map(len, rows.values())) > 2
+    assert r == 1 or max(map(len, rows.values())) > 2 or d > 2 * r
     seen = spy_rows(monkeypatch)
     sieve_race(q, x_max, [x_max])
     monkeypatch.undo()
@@ -275,6 +285,44 @@ def test_sieve_race_rows_match_reference(monkeypatch, q, x_max, r):
     cps += [int(p) + k for p in simple_sieve(max(q, d))
             if q % p == 0 or d % p == 0 for k in (-1, 0, 1)]
     assert_same_table(q, x_max, cps + [x_max - 1, x_max])
+
+
+@pytest.mark.parametrize("q,x_max", [(3, 10**6), (4, 2 * 10**6),
+                                     (13, 10**6 + 7)])
+def test_sieve_race_every_wheel_layout(monkeypatch, q, x_max):
+    # every d = 2m w the cost model chooses among, forced, while a row keeps
+    # 300 slots, at segments of 2^15 slots; and the model's own choice
+    monkeypatch.setattr(primes, "SEGMENT", 1 << 16)
+    m = q // math.gcd(q, 2)
+    ds = [2 * m * math.prod(p for p in (3, 5, 7, 11, 13, 17)[:k] if q % p)
+          for k in range(7)]
+    ds = sorted(d for d in set(ds) if x_max // d >= 300)
+    assert primes._row_layout(q, x_max)[0] in ds and len(ds) >= 4
+    cps = [x_max // 7 * k + e for k in range(8) for e in (-1, 0, 1)]
+    assert_same_table(q, x_max, cps)
+    for d in ds:
+        monkeypatch.setattr(primes, "_row_layout", lambda *_: (d, 1))
+        assert_same_table(q, x_max, cps)
+
+
+@pytest.mark.parametrize("d", [2, 2 * 3 * 5 * 7 * 11, 2 * 3 * 5 * 7 * 11 * 13])
+def test_rows_tile_the_wheel_period(d):
+    # segments shorter than, as long as and longer than the wheel pattern's
+    # period P (255255, 221 and 17 slots), from phases on both sides of its
+    # end, and one segment across several periods
+    period = math.prod(p for p in primes.WHEEL if d % p)
+    edges = [1, period - 3, period + 2, 2 * period + 2, 2 * period + 5,
+             4 * period + 1, 5 * period + 1, 5 * period + 2, 9 * period - 1,
+             9 * period + 40]
+    x_max = d * edges[-1]
+    is_prime = np.zeros(x_max + 1, dtype=bool)
+    is_prime[simple_sieve(x_max)] = True
+    rows = primes._progression_sieve(d, x_max)
+    for c in [c for c in range(1, min(d, 60), 2) if math.gcd(c, d) == 1]:
+        got = list(rows(c, edges))
+        assert [j0 for j0, _ in got] == edges[:-1]
+        for (j0, mask), j1 in zip(got, edges[1:]):
+            assert np.array_equal(mask, is_prime[c + d * np.arange(j0, j1)])
 
 
 @pytest.mark.parametrize("d", [2, 4, 6, 26, 38, 210, 2 * 19 * 23, 30030,

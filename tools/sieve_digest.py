@@ -16,8 +16,9 @@ case per line, in a fixed order):
     python tools/sieve_digest.py --out digest.json
     diff old.json new.json
 
-The five slowest cases and their wall times go to stderr, after the total;
-the file holds no times, so it stays comparable between trees.
+Each sieve case's row modulus d (see `primes._row_layout`) and wall time
+go to stderr as it runs, then the total and the five slowest cases; the
+file holds neither, so it stays comparable between trees.
 """
 
 import argparse
@@ -30,7 +31,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from racelab.primes import first_lead_change, sieve_race  # noqa: E402
+from racelab.primes import (_row_layout, first_lead_change,  # noqa: E402
+                             sieve_race)
 from racelab.residues import unit_group  # noqa: E402
 
 MODULI = list(range(3, 61)) + [210, 1009, 30030]
@@ -82,6 +84,11 @@ def main() -> int:
             t0 = time.perf_counter()
             results.append(run(*case))
             times.append((time.perf_counter() - t0, f"{name}{case}"))
+            if run is run_case:
+                q, x_max, _ = case
+                d, _ = _row_layout(q, x_max)
+                print(f"{times[-1][1]} d={d} {times[-1][0]:.3f} s",
+                      file=sys.stderr)
     Path(args.out).write_text(
         "[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in results)
         + "\n]\n", encoding="utf-8")

@@ -23,7 +23,7 @@ import math
 import operator
 import random
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -186,36 +186,14 @@ def build_thm311(q: int, tau: float = 0.0, beta: float = 0.75,
     if gamma <= tau:
         raise ValueError("gamma must exceed tau")
     params = _pick_structure(q)
-    case, table = params["case"], characters(q)
-    params.update(_thm311_chars(table, params))
-    if case in ("even_cyclic", "n8"):
-        n, chi = params["n"], params["chi"]
-        if case == "even_cyclic":
-            params.update(_even_cyclic_split(n))
-            h = params["h"]
-            mults = [(2, 6, 3), ((2 * h - 2) % n, 1, 2),
-                     *((h, k, w) for k, w in SIN_WEIGHTS.items())]
-        else:
-            params["s"] = 3
-            mults = [(2, 1, 4), *((j, k, w) for j in (3, 5)
-                                  for k, w in SIN_WEIGHTS.items())]
-        # (label of chi^j, k, mult) for each zero at height k gamma
-        powers = table.labels(np.outer([j for j, _, _ in mults], table.b[chi]))
-        mults = [(label, k, w) for label, (_, k, w) in zip(powers.tolist(), mults)]
-    else:
-        params["subcase"] = "z4z2"
-        # the Z4 factor, then the Z2 factor
-        mults = [(params["chi1"], 1, 1),
-                 *((params["chi2"], l, w) for l, w in SIN_WEIGHTS.items())]
-    system = ZeroSystem.from_zeros(
-        q, ((label, Zero(beta, k * gamma), w) for label, k, w in mults),
-        height_lattice=gamma)
-    points = _thm311_points(q, params)
-    params.update(beta=beta, gamma=gamma,
-                  designated=[list(t) if len(t) > 1 else t[0] for t in points],
-                  D=[unit for unit, _ in points.values()])
+    case = params["case"]
+    params.update(_thm311_chars(characters(q), params), beta=beta, gamma=gamma,
+                  **(_even_cyclic_split(params["n"]) if case == "even_cyclic"
+                     else {"s": 3} if case == "n8" else {"subcase": "z4z2"}))
+    params.update(_thm311_points(q, params))
     return BarrierRecipe(kind=f"thm311_{case}", q=q, params=params,
-                         system=system, claim=_claim(f"thm311_{case}"))
+                         system=_thm311_system(q, params),
+                         claim=_claim(f"thm311_{case}"))
 
 
 # the integer params of each thm311 case
@@ -233,38 +211,55 @@ def _thm311_chars(table, p: dict) -> dict:
             "chi2": table.label_with((p["a"], 0), (p["b"], Fraction(1, 2)))}
 
 
-def _thm311_points(q: int, p: dict) -> Dict[Tuple[int, ...], tuple]:
-    """The designated exponents r of the thm311 case p["case"], in recipe
-    order, each with the unit it names (a^r on one factor, a^r1 b^r2 on
-    Z4 x Z2) and the closed form of `_thm311_forms`: `build_thm311`
-    writes designated and D from it, and the load check and
-    `verify_thm311` read it."""
+def _thm311_template(p: dict) -> list:
+    """(e, k, w) per zero of the thm311 case p["case"]: w zeros at height k
+    gamma on chi^e (chi1^e1 chi2^e2 on Z4 x Z2), e a tuple."""
+    if p["case"] == "even_cyclic":
+        n, h = p["n"], p["h"]
+        head, carriers = [((2,), 6, 3), (((2 * h - 2) % n,), 1, 2)], [(h,)]
+    elif p["case"] == "n8":
+        head, carriers = [((2,), 1, 4)], [(3,), (5,)]
+    else:
+        head, carriers = [((1, 0), 1, 1)], [(0, 1)]
+    return head + [(e, k, w) for e in carriers for k, w in SIN_WEIGHTS.items()]
+
+
+def _thm311_system(q: int, p: dict) -> ZeroSystem:
+    """`_thm311_template`'s zeros at beta + i k gamma, as `build_thm311`
+    emits them and the load check requires them.
+
+    On them G_0 - G_r = f_r is algebra.  G_r(v) = sum (w/k) sin(kv + 2 pi
+    <e, r>), <e, r> = e r/n (e1 r1/4 + e2 r2/2 on Z4 x Z2), and the load
+    check pins every e, r and n.  With Q, P and R of `qpr_polys`:
+    * even cyclic, n = 2^d h, s = 2^d (h-1)/2, c = 4 pi s/n = 2 pi - 2 pi/h:
+      at r = s the weight-6 phase is c, the weight-1 one 2 pi (h-1)^2/h =
+      -c and the carrier's pi (h-1) = 0 (mod 2 pi), so f_s = (1 - cos c) Q
+      + sin(c) P; at n - s the phases turn, f_{n-s} = (1 - cos c) Q -
+      sin(c) P; at n/2 they are 2 pi, 2 pi (h-1) and pi h = pi, so f = 2R;
+    * n8: the phases at r = 3 are 3 pi/2, 9 pi/4 and 15 pi/4, so f_3 = 4
+      sin v + 4 cos v + (2 - sqrt 2) R, f_5 turns cos v, and at r = 4 they
+      are 2 pi, 3 pi and 5 pi, so f_4 = 4R;
+    * Z4 x Z2: at (1, 0) and (3, 0) they are pi/2 or 3 pi/2 and 0, so f =
+      sin v -+ cos v; at (0, 1) 0 and pi, so f = 2R."""
+    table = characters(q)
+    zeros = _thm311_template(p)
+    chis = [p["chi1"], p["chi2"]] if p["case"] == "z4z2" else [p["chi"]]
+    labels = table.labels(np.array([e for e, _, _ in zeros]) @ table.b[chis])
+    return ZeroSystem.from_zeros(
+        q, ((label, Zero(p["beta"], k * p["gamma"]), w)
+            for label, (_, k, w) in zip(labels.tolist(), zeros)),
+        height_lattice=p["gamma"])
+
+
+def _thm311_points(q: int, p: dict) -> dict:
+    """designated and D of the thm311 case p["case"], in recipe order: the
+    exponents s, n/2 and n - s, or (1, 0), (3, 0) and (0, 1) on Z4 x Z2,
+    and the units a^r (a^r1 b^r2) they name."""
+    rs = ([[1, 0], [3, 0], [0, 1]] if p["case"] == "z4z2"
+          else [p["s"], p["n"] // 2, p["n"] - p["s"]])
     gens = (p["a"], p.get("b"))
-    return {t: (math.prod(pow(g, r, q) for g, r in zip(gens, t)) % q, f)
-            for t, f in _thm311_forms(p["case"], p.get("n"), p.get("s"))}
-
-
-@lru_cache(maxsize=128)  # distinct (case, n, s) of q <= 2000: 67
-def _thm311_forms(case: str, n: int | None, s: int | None) -> tuple:
-    """(r, the closed form G_0 - G_r equals) per designated r.  Even
-    cyclic, c = 4 pi s/n: (1 - cos c) Q +- sin(c) P at s and n - s, 2R at
-    n/2.  n = 8: 4 sin v +- 4 cos v + (2 - sqrt 2) R at 3 and 5, 4R at 4.
-    Z4 x Z2: sin v -+ cos v at (1, 0) and (3, 0), 2R at (0, 1)."""
-    q_poly, p_poly, r_poly = qpr_polys()
-    if case == "even_cyclic":  # s < n/2 < n - s at the s of the builder
-        c = 4.0 * math.pi * s / n  # the weight-6 carrier's phase at r = s
-        carrier = q_poly.scale(1 - math.cos(c))
-        return (((s,), carrier + p_poly.scale(math.sin(c))),
-                ((n // 2,), r_poly.scale(2.0)),
-                ((n - s,), carrier + p_poly.scale(-math.sin(c))))
-    sin_v, cos_v = TrigPoly.sine([1.0], [1.0]), TrigPoly.cosine([1.0], [1.0])
-    if case == "n8":
-        tail = r_poly.scale(2 - math.sqrt(2))
-        odd = {r: TrigPoly.combine([sin_v.scale(4.0), cos_v.scale(w), tail])
-               for r, w in ((3, 4.0), (5, -4.0))}
-        return (((3,), odd[3]), ((4,), r_poly.scale(4.0)), ((5,), odd[5]))
-    return (((1, 0), sin_v + cos_v.scale(-1.0)),
-            ((3, 0), sin_v + cos_v), ((0, 1), r_poly.scale(2.0)))
+    return {"designated": rs, "D": [math.prod(pow(g, r, q) for g, r in zip(
+        gens, t if isinstance(t, list) else [t])) % q for t in rs]}
 
 
 def thm311_certificate(case: str) -> ScanReport:
@@ -272,7 +267,7 @@ def thm311_certificate(case: str) -> ScanReport:
     (its grid counts against the budget on every call), that decides every
     thm311 recipe of the case.  Even cyclic: kappa(v) = max(|P| - c3 Q, -R)
     > 0, c3 = SQRT3_UP, as branches P, -P and c3 Q - R over base c3 Q.  n8
-    and Z4 x Z2: max_r -f_r > 0, f_r `_thm311_forms`."""
+    and Z4 x Z2: max_r -f_r > 0 (f_r as `_thm311_system` derives them)."""
     check_budget(2 * math.pi / 1e-3 + 1, "scan grid of 6284.19 points")
     return _thm311_scan(case)
 
@@ -283,9 +278,14 @@ def _thm311_scan(case: str) -> ScanReport:
     if case == "even_cyclic":
         base = q_poly.scale(SQRT3_UP)
         branches = [p_poly, p_poly.scale(-1.0), base + r_poly.scale(-1.0)]
-    else:
-        base = TrigPoly.zero()
-        branches = [f.scale(-1.0) for _, f in _thm311_forms(case, None, None)]
+    else:  # -f_r at the designated r
+        sin_v, cos_v = TrigPoly.sine([1.0], [1.0]), TrigPoly.cosine([1.0], [1.0])
+        f3, f5 = (TrigPoly.combine([sin_v.scale(4.0), cos_v.scale(w),
+                                    r_poly.scale(2 - math.sqrt(2))])
+                  for w in (4.0, -4.0))
+        forms = ([f3, r_poly.scale(4.0), f5] if case == "n8" else
+                 [sin_v + cos_v.scale(-1.0), sin_v + cos_v, r_poly.scale(2.0)])
+        base, branches = TrigPoly.zero(), [f.scale(-1.0) for f in forms]
     return certified_positive_scan(base, branches, 0.0, 2 * math.pi, 1e-3)
 
 
@@ -296,6 +296,15 @@ def _even_cyclic_split(n: int) -> dict:
     alone fails at h = 5, where tan(2 pi/5) > sqrt(3))."""
     d = (n & -n).bit_length() - 1
     return {"h": n >> d, "d": d, "s": 2**d * ((n >> d) - 1) // 2}
+
+
+def _even_cyclic_scale(h: int) -> float:
+    """2 sin(pi/h)^2/c3, rounded down.  With u = EPS/2, sin(pi/h) is off by
+    4u (2u from pi/h, which sin keeps for h >= 3, and 2u its own), its
+    square by 9u, and /c3 and the factor 1 - 16 EPS add 1u each: 11u.  The
+    factor's 32u also cover the two roundings `verify_thm311` adds."""
+    x = math.sin(math.pi / h)
+    return 2.0 * x * x / SQRT3_UP * (1.0 - 16.0 * EPS)
 
 
 def _claim(kind: str, n_v: int = 0) -> str:
@@ -330,16 +339,14 @@ def _check_params(recipe: BarrierRecipe, ints: Sequence[str],
     return p
 
 
-def _check_thm311(recipe: BarrierRecipe) -> list:
-    """The designated points with their units and closed forms:
-    RecipeMismatchError unless the kind is thm311_<case> for a known case
-    (subcase z4z2 exactly on Z4 x Z2), the case's params are ints, gamma is
-    the height lattice, n divides the group exponent (n = 8 in the n8 case,
-    n = 2^d h with d >= 1 and h >= 3 in the even-cyclic one, with the h, d
-    and s of `_even_cyclic_split`), 0 <= s < n, the characters are those
-    `_thm311_chars` pins, designated and D list every exponent
-    `_thm311_points` names for the case and its unit, in order, beta is the
-    one real part of the zeros and the claim is `_claim`'s."""
+def _check_thm311(recipe: BarrierRecipe) -> None:
+    """RecipeMismatchError unless the kind is thm311_<case> for a known
+    case (subcase z4z2 exactly on Z4 x Z2), the case's params are ints,
+    gamma is the height lattice, n divides the group exponent (n = 8 for
+    n8, n = 2^d h, d >= 1, h >= 3 and h, d, s `_even_cyclic_split`'s for
+    even cyclic), 0 <= s < n, the characters, designated, D and claim are
+    the builder's, beta is a float in (1/2, 1), and the system's zeros are
+    those `_thm311_system` emits for the params."""
     p = recipe.params if isinstance(recipe.params, dict) else {}
     case = recipe.kind.removeprefix("thm311_") if type(recipe.kind) is str else None
     if (case not in _THM311_INTS or p.get("case") != case
@@ -358,25 +365,22 @@ def _check_thm311(recipe: BarrierRecipe) -> list:
         chars = _thm311_chars(characters(recipe.q), p)
     except ValueError as exc:  # a or b is no unit, or no character fits
         raise RecipeMismatchError(f"{recipe.kind} units: {exc}") from None
-    named = _thm311_points(recipe.q, p)
     _check_params(recipe, (), {  # as build_thm311 writes them
         **(_even_cyclic_split(p["n"]) if case == "even_cyclic" else {}), **chars,
-        "designated": [list(t) if len(t) > 1 else t[0] for t in named],
-        "D": [unit for unit, _ in named.values()], **_one_beta(recipe, "beta")})
-    return list(named.items())
-
-
-def _one_beta(recipe: BarrierRecipe, name: str) -> dict:
-    """{name: the one real part of the system's zeros}: RecipeMismatchError
-    unless they share one."""
-    betas = {z.beta for z in recipe.system.all_zeros()}
-    if len(betas) != 1:
-        raise RecipeMismatchError(f"{recipe.kind} zeros have the real parts "
-                                  f"{sorted(betas)}, not one {name}")
-    return {name: betas.pop()}
+        **_thm311_points(recipe.q, p)})
+    if not (isinstance(p.get("beta"), float) and 0.5 < p["beta"] < 1.0):
+        raise RecipeMismatchError(f"beta {p.get('beta')!r} must be a float "
+                                  f"in (1/2, 1)")
+    if (not math.isfinite(7 * p["gamma"])  # the template's top height
+            or recipe.system.entries != _thm311_system(recipe.q, p).entries):
+        raise RecipeMismatchError(f"the system's zeros are not the {case} "
+                                  f"template's at beta {p['beta']!r}")
 
 
 class Thm311Report(NamedTuple):
+    """`verify_thm311`'s verdict; identity_errors holds 0.0, the exact
+    error of each designated identity on the zeros the load check pins."""
+
     case: str
     size: int
     scan: ScanReport  # the case's `thm311_certificate`
@@ -385,44 +389,34 @@ class Thm311Report(NamedTuple):
     ok: bool
 
 
+# the certificates' rows stand for Q, P, R and the closed forms with float
+# terms (2/3, 2 - sqrt 2, phases pi/2 and pi), off by < 1e-14 at every v
+_CERT_SLACK = 1e-12
+
+
 def verify_thm311(recipe: BarrierRecipe) -> Thm311Report:
     """Certified check that at every v in [0, 2pi) some designated difference
-    G_0 - G_r (resp. G_00 - G_rs) is negative, from the case identities and
-    the case's one certificate, `thm311_certificate`.
-
-    The identity error E_r, the sum over frequencies of |phasor of (G_0 -
-    G_r) - phasor of its closed form f_r| (`_thm311_points`), bounds |G_0 -
-    G_r - f_r| at every v.  So max_r G_r - G_0 >= max_r -f_r - max_r E_r -
-    rho, rho = 16 EPS max_r (amplitude sums of G_0, G_r and f_r) covering
-    the rounding of E_r and f_r.  The certificate, of lower bound m, gives
-    max_r -f_r >= scale m.  n8 and Z4 x Z2: it is max_r -f_r, scale = 1.
-    Even cyclic: c = 4 pi s/n = 2 pi - 2 pi/h (the load check pins s), so
-    max(-f_s, -f_{n-s}) = (1 - cos c)(cot(pi/h) |P| - Q) >= ((1 - cos c)/c3)
-    (|P| - c3 Q), as tan(pi/h) <= sqrt(3) <= c3 for h >= 3, and -f_{n/2} =
-    2 (-R); with scale = (1 - cos c)/c3 < 2 that is >= scale kappa >= scale
-    m wherever kappa > 0, which the certificate gives.  lower_bound = scale
-    m - max_r E_r - rho, and ok = (the certificate is ok) and lower_bound >
-    0 and every E_r <= 1e-12."""
-    designated = _check_thm311(recipe)  # [(r, (unit, closed form)), ...]
+    G_0 - G_r (G_00 - G_rs) is negative, from the load check and the case's
+    certificate `thm311_certificate`, of lower bound m; no decomposition is
+    read.  On the pinned zeros G_0 - G_r = f_r exactly (`_thm311_system`),
+    and the certificate bounds its exact objective by m - _CERT_SLACK.  n8
+    and Z4 x Z2: it is max_r -f_r, scale = 1.  Even cyclic: c = 2 pi - 2
+    pi/h, so max(-f_s, -f_{n-s}) = (1 - cos c)(cot(pi/h)|P| - Q) >= scale
+    (|P| - c3 Q), scale = (1 - cos c)/c3 = 2 sin(pi/h)^2/c3 (rounded down
+    by `_even_cyclic_scale`), as tan(pi/h) <= sqrt(3) <= c3; and -f_{n/2} =
+    2 (-R) >= scale (-R) where -R > 0, as scale < 2.  So max_r -f_r >=
+    lower_bound = scale (m - _CERT_SLACK), and ok = (the certificate is ok)
+    and lower_bound > 0."""
+    _check_thm311(recipe)
     p = recipe.params
-    G = theorem_decomposition(recipe.system, "thm311", p)["G"]
-    # G is keyed by exponent tuples: (r,) on one factor, (r, s) on Z4 x Z2
-    g0 = G[(0,) * len(designated[0][0])]
-    identity_errors = {
-        f"G{'0' * len(r)}-G{''.join(map(str, r))}":
-            TrigPoly.combine([g0, G[r].scale(-1.0), f.scale(-1.0)]).amplitude_sum
-        for r, (_, f) in designated}
-    rho = 16.0 * EPS * max(g0.amplitude_sum + G[r].amplitude_sum
-                           + f.amplitude_sum for r, (_, f) in designated)
     scan = thm311_certificate(p["case"])
-    scale = ((1 - math.cos(4.0 * math.pi * p["s"] / p["n"])) / SQRT3_UP
-             if p["case"] == "even_cyclic" else 1.0)
-    lower_bound = scale * scan.lower_bound - max(identity_errors.values()) - rho
-    ok = (scan.ok and lower_bound > 0.0
-          and all(e <= 1e-12 for e in identity_errors.values()))
+    scale = _even_cyclic_scale(p["h"]) if p["case"] == "even_cyclic" else 1.0
+    lower_bound = scale * (scan.lower_bound - _CERT_SLACK)
+    rs = [t if isinstance(t, list) else [t] for t in p["designated"]]
+    errors = {f"G{'0' * len(r)}-G{''.join(map(str, r))}": 0.0 for r in rs}
     return Thm311Report(case=p["case"], size=recipe.system.size, scan=scan,
-                        identity_errors=identity_errors,
-                        lower_bound=lower_bound, ok=ok)
+                        identity_errors=errors, lower_bound=lower_bound,
+                        ok=scan.ok and lower_bound > 0.0)
 
 
 # --- the per-frequency linear solve ------------------------------------------------
@@ -809,7 +803,11 @@ def _check_thm43(recipe: BarrierRecipe) -> None:
             f"thm43 D {p.get('D')!r} with seed {p['seed']}: {exc}") from None
     if p.get("corners") != {str(v): t for v, t in omega.corners.items()}:
         raise RecipeMismatchError(f"thm43 corners are not seed {p['seed']}'s")
-    want.update(_one_beta(recipe, "beta1"))
+    betas = {z.beta for z in recipe.system.all_zeros()}
+    if len(betas) != 1:
+        raise RecipeMismatchError(f"thm43 zeros have the real parts "
+                                  f"{sorted(betas)}, not one beta1")
+    want["beta1"] = betas.pop()
     theorem_decomposition(recipe.system, "thm43", _check_params(
         recipe, (), want, _claim(recipe.kind, len(want["V"]))))
 

@@ -6,7 +6,8 @@ compared case by case.
 
 The grid: every admissible q <= 2000 (q >= 7, q not in {8, 10, 12, 24}),
 built with `build_thm311(q, tau=50)`.  `verify_thm311` decides each case
-from its case's one certificate and the identities; beside it, the
+from its case's one certificate, the identities being exact on the zeros
+its load check pins; beside it, the
 per-modulus scan certifies max_r G_r - G_0 > 0 on [0, 2 pi] at step 1e-3
 (`certified_positive_scan`, G_0 the base and the designated G_r the
 branches), as `verify_thm311` did before the certificates.  Each case

@@ -33,8 +33,9 @@ from .residues import ResidueGroup, characters, unit_group
 from .orderings import Verdict, census, column_orders, verdict
 from .simulator import (RaceFunctionSet, RecipeMismatchError,
                         one_period_trace, theorem_decomposition)
-from .trigpoly import (EPS, EPS3, ScanReport, TrigPoly, certified_positive_scan,
-                       eps1, eps2, roots as trig_roots)
+from .trigpoly import (EPS, EPS3, ScanReport, TrigPoly, _phasor_table,
+                       _taylor_table, certified_positive_scan, eps1, eps2,
+                       evaluate_phasors, roots as trig_roots)
 from .zerosys import Zero, ZeroSystem, dominant_data
 
 
@@ -316,11 +317,12 @@ def _claim(kind: str, n_v: int = 0) -> str:
 
 
 def _check_params(recipe: BarrierRecipe, ints: Sequence[str],
-                  want: dict | None = None, claim: str | None = None) -> dict:
+                  want: dict | None = None, claim: str | None = None,
+                  beta: str | None = None) -> dict:
     """The params: RecipeMismatchError unless a dict in which ints are ints,
-    gamma is the system's height lattice, positive and finite, and want's
-    keys hold its values, as repr writes them (1 is not 1.0 or True), and
-    the recipe's claim is claim if one is given."""
+    gamma is the system's height lattice, positive and finite, want's keys
+    hold its values, as repr writes them (1 is not 1.0 or True), and, if
+    given, the claim is claim and the param beta is a float in (1/2, 1)."""
     p = recipe.params if isinstance(recipe.params, dict) else {}
     bad = [k for k in ints if type(p.get(k)) is not int]
     if bad:
@@ -336,6 +338,9 @@ def _check_params(recipe: BarrierRecipe, ints: Sequence[str],
                                   f"{[want[k] for k in bad]}")
     if claim is not None and recipe.claim != claim:
         raise RecipeMismatchError(f"claim {recipe.claim!r} must be {claim!r}")
+    if beta and not (isinstance(p.get(beta), float) and 0.5 < p[beta] < 1.0):
+        raise RecipeMismatchError(f"{beta} {p.get(beta)!r} must be a float "
+                                  f"in (1/2, 1)")
     return p
 
 
@@ -367,10 +372,7 @@ def _check_thm311(recipe: BarrierRecipe) -> None:
         raise RecipeMismatchError(f"{recipe.kind} units: {exc}") from None
     _check_params(recipe, (), {  # as build_thm311 writes them
         **(_even_cyclic_split(p["n"]) if case == "even_cyclic" else {}), **chars,
-        **_thm311_points(recipe.q, p)})
-    if not (isinstance(p.get("beta"), float) and 0.5 < p["beta"] < 1.0):
-        raise RecipeMismatchError(f"beta {p.get('beta')!r} must be a float "
-                                  f"in (1/2, 1)")
+        **_thm311_points(recipe.q, p)}, beta="beta")
     if (not math.isfinite(7 * p["gamma"])  # the template's top height
             or recipe.system.entries != _thm311_system(recipe.q, p).entries):
         raise RecipeMismatchError(f"the system's zeros are not the {case} "
@@ -668,12 +670,12 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
     member (K, 2K, ..., 16K until the truncations follow the pattern), solve
     the per-frequency linear systems for real multiplicity densities (one
     batch), integerize at resolution N (N, ..., 16N until the pattern
-    survives; every N round shares one sine and one cosine table), shift to
-    nonnegative integers and emit zeros at beta1 + i k gamma on the powers
-    of a character pinned at the generator.  Every round and the emitted
-    trace are checked against one `omega_pattern`.  OmegaTypeLostError
-    names the stage, its last K or N and the first w where the pattern
-    broke.
+    survives), shift to nonnegative integers and emit zeros at beta1 + i k
+    gamma on the powers of a character pinned at the generator, by the
+    `_thm43_*` stages that the load check runs too.  Every round (through
+    `evaluate_phasors`) and the emitted trace are checked against one
+    `omega_pattern`.  OmegaTypeLostError names the stage, its last K or N
+    and the first w where the pattern broke.
     """
     if not math.isfinite(gamma):
         raise ValueError("gamma must be finite")
@@ -689,13 +691,10 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
     w_grid = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)
     pattern = omega_pattern(omega, w_grid)
 
-    # stage 1: truncation order; stage 3 reuses the last cosine table
+    # stage 1: truncation order; sum_k b_kv cos(kw) = Im(sum_k i b_kv e^{ikw})
     for K_use in (K << i for i in range(5)):
-        k = np.arange(1, K_use + 1)[:, None]
-        coeffs = np.array([fourier_cosine_coeffs(omega, v, K_use) for v in V])
-        cos_kw = np.outer(k, w_grid)
-        np.cos(cos_kw, out=cos_kw)
-        report = check_omega_type(coeffs @ cos_kw, pattern)
+        coeffs, nu = _thm43_densities(omega, K_use, gamma)
+        report = check_omega_type(evaluate_phasors(1j * coeffs, w_grid), pattern)
         if report.ok:
             break
     else:
@@ -703,31 +702,15 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
             f"K escalation exhausted: the truncation at K = {K_use} lost the "
             f"pattern first at w = {report.first_violation:.6g}; raise K")
 
-    # stage 2: the per-frequency solves, row k-1 for frequency k.  Targets
-    # are the sign-flipped members (so the emitted race traces come out
-    # ordered like the reference pattern), completed by d_{r-v} = -d_v; the
-    # member r/2 is zero, so its two writes agree
-    d_rows = np.zeros((K_use, r))
-    d_rows[:, V] = -coeffs.T
-    d_rows[:, np.subtract(r, V)] = coeffs.T
-    nu = solve_lemma44(r, np.zeros((K_use, r)), d_rows)
-
     # stage 3: integerization resolution.  Member v's candidate is
-    # sum_(k,j) c_kj sin(k w + phi_vj), c_kj = n_kj/(kN) and
-    # phi_vj = 2 pi (j v mod r)/r.  By angle addition that is
-    # sum_k (cos phi . c)_vk sin(k w) + (sin phi . c)_vk cos(k w), so the
-    # K x 4096 sine and cosine tables are built once, and each N round forms
-    # two (|V|, K) matrices
-    sin_kw = np.outer(k, w_grid)
-    np.sin(sin_kw, out=sin_kw)
-    phase = 2 * math.pi * (np.outer(V, np.arange(r)) % r) / r
+    # sum_(k,j) c_kj sin(k w + phi_vj), c_kj = counts_kj/N and phi_vj = 2 pi
+    # (j v mod r)/r, so its phasor at frequency k is sum_j c_kj e^{i phi_vj}
+    turns = np.exp(2j * math.pi * (np.outer(V, np.arange(r)) % r) / r)
     for N_use in (N << i for i in range(5)):
-        n_tilde = k * np.floor(N_use * nu).astype(np.int64)
-        coef = n_tilde / (k * N_use)
-        cand = ((np.cos(phase) @ coef.T) @ sin_kw
-                + (np.sin(phase) @ coef.T) @ cos_kw)
-        # candidate tracks -f_v; flip for the pattern comparison
-        report = check_omega_type(-cand, pattern)
+        counts = _thm43_counts(nu, N_use)
+        # the candidate tracks -f_v; flip it for the pattern comparison
+        report = check_omega_type(-evaluate_phasors(
+            turns @ (counts / N_use).T, w_grid), pattern)
         if report.ok:
             break
     else:
@@ -735,17 +718,10 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
             f"N escalation exhausted: the integerization at N = {N_use} lost "
             f"the pattern first at w = {report.first_violation:.6g}; raise N")
 
-    shift = int(n_tilde[:, 1:].min())
-    n_final = n_tilde[:, 1:] - shift  # drop j=0: a common-mode term
-
-    table = characters(q)
-    labels = table.labels(np.outer(range(1, r), table.b[levels["chi"]])).tolist()
-    # n_final[k - 1, j - 1] zeros at beta1 + i k gamma on chi^j, j-major
-    system = ZeroSystem.from_zeros(
-        q, ((labels[j], Zero(beta1, (k + 1) * gamma), int(n_final[k, j]))
-            for j, k in np.argwhere(n_final.T > 0).tolist()),
-        height_lattice=gamma)
-
+    params = {**levels, "a": generator, "beta1": beta1, "gamma": gamma,
+              "K": K_use, "N": N_use, "seed": seed,
+              "corners": {str(v): omega.corners[v] for v in omega.corners}}
+    system = _thm43_system(q, params, counts)
     # the samples `verify_extremal` censuses, at v = w_grid
     trace = one_period_trace(RaceFunctionSet(q, system, levels["D"]),
                              samples=len(w_grid))
@@ -754,12 +730,55 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
         raise OmegaTypeLostError(
             f"the emitted dominant trace at K = {K_use}, N = {N_use} lost the "
             f"pattern first at w = {report.first_violation:.6g}; raise gamma or N")
-
-    params = {**levels, "a": generator, "beta1": beta1, "gamma": gamma,
-              "K": K_use, "N": N_use, "seed": seed,
-              "corners": {str(v): omega.corners[v] for v in omega.corners}}
     return BarrierRecipe(kind="thm43_extremal", q=q, params=params,
                          system=system, claim=_claim("thm43_extremal", len(V)))
+
+
+def _thm43_densities(omega: OmegaSystem, K: int, gamma: float) -> tuple:
+    """Stages 1 and 2: the (|V|, K) cosine coefficients of omega's members,
+    and the densities nu, row k - 1 for frequency k, that solve for the
+    members sign-flipped (so the race traces come out in the pattern's
+    order).  RecipeMismatchError unless 1 <= K < 2^53 and K gamma is finite;
+    BudgetExceededError if the solve's largest arrays, its K x r x 16
+    residuals and r x r x 16 sines, pass the budget."""
+    r, V = omega.r, list(omega.V)
+    if not (0 < K < 2**53 and math.isfinite(K * gamma)):
+        raise RecipeMismatchError(f"K = {K} must be in [1, 2^53), K gamma finite")
+    check_budget(16 * max(K, r) * r, f"thm43 solve of {max(K, r)} x {r} x 16 values")
+    coeffs = np.array([fourier_cosine_coeffs(omega, v, K) for v in V])
+    d_rows = np.zeros((K, r))
+    d_rows[:, V] = -coeffs.T
+    d_rows[:, np.subtract(r, V)] = coeffs.T  # d_{r-v} = -d_v, 0 at r/2
+    return coeffs, solve_lemma44(r, np.zeros((K, r)), d_rows)
+
+
+def _thm43_counts(nu: np.ndarray, N: int) -> np.ndarray:
+    """Stage 3: the counts floor(N nu + 1e-9), so N nu within 1e-9 of an
+    integer counts as that integer.  The solve's matrices have condition
+    numbers below 2 for r <= 1000, so a density that is an integer over N
+    (0 above all) errs in N nu by under 2 r N EPS max|nu|: below 5e-11 for
+    r < 100, N <= 1024 and |nu| < 1, the extremal sweep's ranges (8.5e-14
+    seen), while a genuine fraction falls within 1e-9 with odds 2e-9 (4.3e-8
+    the sweep's nearest); so no count turns on a rounding error's sign.
+    RecipeMismatchError unless 1 <= N < 2^53 and the multiplicities, at
+    most 2K (N max|nu| + 1), stay below 2^53, the recipe format's bound."""
+    if not (0 < N < 2**53 and 2 * len(nu) * (N * np.abs(nu).max() + 1) < 2**53):
+        raise RecipeMismatchError(f"N = {N} must be >= 1 and keep multiplicities below 2^53")
+    return np.floor(N * nu + 1e-9).astype(np.int64)
+
+
+def _thm43_system(q: int, p: dict, counts: np.ndarray) -> ZeroSystem:
+    """The zeros of stage 3's counts under params p: with column j = 0 (a
+    common-mode term) dropped, n = k counts[k-1, j] less its least entry,
+    n of them at beta1 + i k gamma on chi^j, j-major."""
+    n = np.arange(1, len(counts) + 1)[:, None] * counts[:, 1:]
+    n -= n.min()
+    table = characters(q)
+    labels = table.labels(np.outer(range(1, p["r"]), table.b[p["chi"]])).tolist()
+    return ZeroSystem.from_zeros(
+        q, ((labels[j], Zero(p["beta1"], (k + 1) * p["gamma"]), int(n[k, j]))
+            for j, k in np.argwhere(n.T > 0).tolist()),
+        height_lattice=p["gamma"])
 
 
 def _thm43_levels(group: ResidueGroup, a: int, D: Sequence[int]) -> dict:
@@ -788,9 +807,10 @@ def _thm43_levels(group: ResidueGroup, a: int, D: Sequence[int]) -> dict:
 def _check_thm43(recipe: BarrierRecipe) -> None:
     """RecipeMismatchError unless the kind is thm43_extremal, the params
     hold `_thm43_levels` of their a and D and the corners `build_omega`
-    draws from their seed, beta1 is the one real part of the zeros, the
-    claim is `_claim`'s for |V| and the system sits on the powers of chi at
-    heights k gamma."""
+    draws from their seed, the claim is `_claim`'s for |V|, beta1 is a
+    float in (1/2, 1) and the system's zeros are those the builder's
+    `_thm43_*` stages emit from the corners and the int params K and N
+    (which bound K and N first); no decomposition is read."""
     if recipe.kind != "thm43_extremal":
         raise RecipeMismatchError(f"kind {recipe.kind!r} is not thm43_extremal")
     p = _check_params(recipe, ("a", "K", "N", "seed"))
@@ -803,18 +823,16 @@ def _check_thm43(recipe: BarrierRecipe) -> None:
             f"thm43 D {p.get('D')!r} with seed {p['seed']}: {exc}") from None
     if p.get("corners") != {str(v): t for v, t in omega.corners.items()}:
         raise RecipeMismatchError(f"thm43 corners are not seed {p['seed']}'s")
-    betas = {z.beta for z in recipe.system.all_zeros()}
-    if len(betas) != 1:
-        raise RecipeMismatchError(f"thm43 zeros have the real parts "
-                                  f"{sorted(betas)}, not one beta1")
-    want["beta1"] = betas.pop()
-    theorem_decomposition(recipe.system, "thm43", _check_params(
-        recipe, (), want, _claim(recipe.kind, len(want["V"]))))
+    _check_params(recipe, (), want, _claim(recipe.kind, len(want["V"])), "beta1")
+    nu = _thm43_densities(omega, p["K"], p["gamma"])[1]
+    if recipe.system.entries != _thm43_system(
+            recipe.q, p, _thm43_counts(nu, p["N"])).entries:
+        raise RecipeMismatchError("the zeros are not those its K, N and beta1 emit")
 
 
 def verify_extremal(recipe: BarrierRecipe) -> Verdict:
-    """`_check_thm43`, then the census of D over one period of the system
-    against the claimed |D|(|D|-1)/2 + 1 orderings."""
+    """`_check_thm43`, which requires the zeros the params re-emit, then the
+    census of D over one period against the claimed |D|(|D|-1)/2 + 1."""
     _check_thm43(recipe)
     D = tuple(recipe.params["D"])
     trace = one_period_trace(RaceFunctionSet(recipe.q, recipe.system, D))
@@ -925,7 +943,10 @@ def check_thm51_conditions(recipe: BarrierRecipe) -> WSystem:
 
     One `trigpoly.roots` call isolates every wave pair's crossings by Taylor
     cells; their radii, with the rounding bounds, set the tolerances of
-    (B)-(D).  (D) and (5.19) are smallest gaps between sorted pair values."""
+    (B)-(D).  (D) and (5.19) are smallest gaps between sorted pair values.
+    `_taylor_table` bounds the waves as rows F(v) of one phasor table, v =
+    gamma u: (C) takes gamma delta' and gamma^2 L2 (f' = gamma F', f'' =
+    gamma^2 F''), (D) delta + pi EPS lip/gamma (v rounds by <= pi EPS)."""
     waves: Dict[Tuple[int, int], TrigPoly] = _check_thm51(recipe)["w"]
     p = recipe.params
     gamma, betas, orders, M = p["gamma"], p["betas"], p["orders"], p["M"]
@@ -950,11 +971,10 @@ def check_thm51_conditions(recipe: BarrierRecipe) -> WSystem:
     # each margin moves by at most (its Lipschitz bound) * radius between a
     # computed crossing point and the true one, plus the rounding bounds
     radius = max(float(res.radii.max()) for res in found)
-    delta = max(w.rounding_bound(period) for w in waves.values())
-    delta1 = max(w.rounding_bound(period, 1) for w in waves.values())
     lip = max(w.lipschitz_bound for w in waves.values())
-    second_deriv = max(sum(abs(c) * t * t for c, t, _ in w.terms)
-                       for w in waves.values())
+    C = _phasor_table(list(waves.values()), gamma)
+    delta, delta1, l2 = (float(x.max()) for x in _taylor_table(C)[1:])
+    delta += 4.0 * EPS * lip / gamma  # v = gamma u rounds by <= pi EPS
 
     # (B): crossing points must also stay clear of 0 (mod period)
     min_gap = float(np.diff([0.0, *sorted(np.concatenate(
@@ -965,7 +985,7 @@ def check_thm51_conditions(recipe: BarrierRecipe) -> WSystem:
                  f"{2.0 * radius:.3g})")
 
     min_deriv = min(float(np.abs(res.slopes).min()) for res in found)
-    deriv_tol = 2.0 * (second_deriv * radius + delta1)
+    deriv_tol = 2.0 * gamma * (gamma * l2 * radius + delta1)
     if min_deriv <= deriv_tol:
         raise ConditionFailedError(
             "C", f"derivative gap {min_deriv:.3g} below {deriv_tol:.3g}")
@@ -977,11 +997,11 @@ def check_thm51_conditions(recipe: BarrierRecipe) -> WSystem:
     # (D): W3 - W4 - W5 + W6 = (W3 + W6) - (W4 + W5), and the excluded index
     # cases are exactly {a3, a6} = {a4, a5}, so min |D| at a crossing point
     # of a lower level is the smallest gap between sorted pair sums
-    min_d = math.inf
+    min_d, row = math.inf, {key: i for i, key in enumerate(waves)}
     for j_prime in range(1, m + 1):
         for j in range(j_prime + 1, m + 1):
-            w = np.array([waves[(j, a)](level_pts[j_prime])
-                          for a in range(orders[j - 1])])
+            w = evaluate_phasors(C[[row[(j, a)] for a in range(orders[j - 1])]],
+                                 gamma * level_pts[j_prime])
             a, b = np.triu_indices(orders[j - 1])
             min_d = min(min_d, smallest_gap(w[a] + w[b]))
     d_tol = 4.0 * (lip * radius + 2.0 * delta)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -99,25 +100,23 @@ class ResidueGroup(FrozenRecord):
     hash read (q, generators), from which every other field follows.
     """
 
-    __slots__ = ("q", "units", "generators", "phi", "lam", "_exponents",
-                 "unit_exponents")
+    __slots__ = ("q", "units", "generators", "phi", "lam", "unit_exponents")
     _fields = __slots__[:-1]
 
     def __init__(self, q: int, units: Tuple[int, ...],
                  generators: Tuple[Tuple[int, int], ...], phi: int, lam: int,
-                 unit_exponents: np.ndarray,
-                 _exponents: Dict[int, Tuple[int, ...]]) -> None:
-        self._init(q, units, generators, phi, lam, _exponents, unit_exponents)
+                 unit_exponents: np.ndarray) -> None:
+        self._init(q, units, generators, phi, lam, unit_exponents)
 
     def _key(self) -> tuple:
         return self.q, self.generators
 
     def exponents(self, a: int) -> Tuple[int, ...]:
         a %= self.q
-        try:
-            return self._exponents[a]
-        except KeyError:
-            raise InvalidResidueError(f"{a} is not a unit mod {self.q}") from None
+        i = bisect_left(self.units, a)
+        if i == self.phi or self.units[i] != a:
+            raise InvalidResidueError(f"{a} is not a unit mod {self.q}")
+        return tuple(self.unit_exponents[i].tolist())
 
     def order(self, a: int) -> int:
         """Multiplicative order of the unit a: lcm_j n_j/gcd(alpha_j(a), n_j)."""
@@ -190,8 +189,7 @@ def _unit_group(q: int) -> ResidueGroup:
     alpha.flags.writeable = False  # the cached group is shared by every caller
     return ResidueGroup(q=q, units=tuple(units.tolist()), generators=tuple(gens),
                         phi=len(units), lam=math.lcm(*(n for _, n in gens)),
-                        unit_exponents=alpha, _exponents=dict(
-                            zip(units.tolist(), map(tuple, alpha.tolist()))))
+                        unit_exponents=alpha)
 
 
 def _frac_mod1(x: Fraction) -> Fraction:

@@ -138,14 +138,6 @@ class TrigPoly(FrozenRecord):
         """Besicovitch norm, closed form (half the coefficient energy)."""
         return math.sqrt(0.5 * sum(c * c for c, _, _ in self.terms))
 
-    def rounding_bound(self, u_max: float, order: int = 0) -> float:
-        """A bound on the float error of evaluating P (order 0) or P' (order
-        1) at any |u| <= u_max: the argument t u + alpha, the sine and the
-        product each round, and the sum adds one rounding per term."""
-        return (self.n_terms + 4) * EPS * sum(
-            abs(c) * t ** order * (3.0 + t * u_max + abs(a))
-            for c, t, a in self.terms)
-
 
 def l2_norm(p: TrigPoly) -> float:
     return p.l2_norm()

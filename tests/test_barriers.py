@@ -429,6 +429,49 @@ def test_omega_type_lost_names_stage_and_violation(monkeypatch, passes, want):
     assert str(exc.value) == want
 
 
+def test_thm43_counts_do_not_turn_on_rounding_noise(monkeypatch):
+    # q = 13, V = (2, 8): the densities at j = 0, 3, 6, 9 are 0 in exact
+    # arithmetic at every k, and the solve gives 0 or about +-3e-17 there.
+    # Planted as +-1e-20 instead, they give the same recipe: floor alone
+    # would take each negative one to -1 and move every multiplicity
+    import racelab.barriers as barriers
+
+    g = unit_group(13)
+    gen = min(a for a in g.units if g.order(a) == 12)
+    D = [g.subgroup(gen)[v] for v in (2, 8)]
+    want = build_extremal(13, gen, D)
+    solve, planted = barriers.solve_lemma44, []
+
+    def noisy(r, c, d):
+        nu = solve(r, c, d)
+        zero = np.abs(nu) < 1e-12
+        nu[zero] = np.where(np.arange(zero.sum()) % 2, 1e-20, -1e-20)
+        planted.append(int(zero.sum()))
+        return nu
+
+    monkeypatch.setattr(barriers, "solve_lemma44", noisy)
+    got = build_extremal(13, gen, D)
+    assert planted == [64] and got.to_json() == want.to_json()
+
+
+def test_thm43_load_check_reads_no_decomposition(monkeypatch):
+    # the README recipe loads and verifies from its params and zeros alone
+    import racelab.barriers as barriers
+    import racelab.simulator as simulator
+    from racelab.barriers import verify_extremal
+
+    recipe = build_extremal(7, 3, [3, 2, 6])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a decomposition was read")
+
+    for module in (barriers, simulator):
+        monkeypatch.setattr(module, "theorem_decomposition", refuse)
+    monkeypatch.setattr(simulator, "decompose_lattice", refuse)
+    verdict = verify_extremal(BarrierRecipe.from_json(recipe.to_json()))
+    assert verdict.ok and verdict.detail["orderings"] == 4
+
+
 def test_build_extremal_rejects_bad_sets():
     g = unit_group(7)
     gen = min(a for a in g.units if g.order(a) == 6)

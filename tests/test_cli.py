@@ -622,6 +622,61 @@ def test_thm43_nonpositive_k_or_n_is_config_error(tmp_path, capsys, flag,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--N", 10**30],  # multiplicities past 2^53
+    ["--K", 2**53],  # heights k gamma, k past 2^53
+    ["--gamma", "1e307", "--K", 32],  # 32 gamma overflows
+], ids=["N-1e30", "K-2^53", "K-gamma-overflows"])
+def test_thm43_k_or_n_past_the_floats_is_config_error(tmp_path, capsys,
+                                                      flags):
+    out = tmp_path / "x.json"
+    assert_config_error(["barrier", "build", "thm43", "--q", 7, *flags,
+                         "--out", out], capsys)
+    assert not out.exists()
+
+
+def test_thm43_k_past_the_budget_is_budget_error(tmp_path, capsys,
+                                                 monkeypatch):
+    # K sizes the solve's K x r x 16 residuals: a K of 10^9 edited into the
+    # README recipe passes the default budget, and --K 2048 a budget of
+    # 1e5; both are refused before anything of that size is allocated, and
+    # so is r = 1008's r x r x 16 sine table under a budget of 1e7
+    from racelab.barriers import BarrierRecipe
+    from racelab.budget import BudgetExceededError
+
+    monkeypatch.delenv("RACE_LAB_BUDGET", raising=False)
+    rec = tmp_path / "rec.json"
+    assert run(["barrier", "build", "thm43", "--q", 7, "--D", "a,a2,a3",
+                "--out", rec]) == 0
+    capsys.readouterr()
+    payload = json.loads(rec.read_text())
+    payload["params"]["K"] = 10**9
+    rec.write_text(json.dumps(payload))
+    message = ("error: thm43 solve of {} x {} x 16 values exceeds budget "
+               "{} (RACE_LAB_BUDGET)")
+    with pytest.raises(BudgetExceededError):
+        BarrierRecipe.from_json(rec.read_text())
+    for command in ("barrier verify", "simulate", "orderings"):
+        out = tmp_path / "out"
+        assert run([*command.split(), "--recipe", rec, "--out", out]) \
+            == cli.EXIT_BUDGET
+        assert capsys.readouterr().err.splitlines() == [
+            message.format(10**9, 6, 100000000)]
+        assert not out.exists()
+    monkeypatch.setenv("RACE_LAB_BUDGET", "1e5")
+    out = tmp_path / "x.json"
+    assert run(["barrier", "build", "thm43", "--q", 7, "--K", 2048,
+                "--out", out]) == cli.EXIT_BUDGET
+    assert capsys.readouterr().err.splitlines() == [
+        message.format(2048, 6, 100000)]
+    monkeypatch.setenv("RACE_LAB_BUDGET", "1e7")
+    assert run(["barrier", "build", "thm43", "--q", 1009, "--out", out]) \
+        == cli.EXIT_BUDGET
+    assert capsys.readouterr().err.splitlines() == [
+        message.format(1008, 1008, 10000000)]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("a,b", [(1, 2), (3, 3)])
 def test_race_bad_pair_writes_no_table(tmp_path, capsys, a, b):
     csv = tmp_path / "race.csv"
@@ -829,6 +884,13 @@ def _set_item(key, index, value):
     ("thm43", _set(["params", "corners", "1"], 1.2)),
     ("thm43", _set(["params", "corners"], {"1": 1.1210713202920448})),
     ("thm43", _drop("corners")),
+    # K and N re-emit the zeros: 32 and 7 emit other ones
+    ("thm43", _set(["params", "K"], 32)),
+    ("thm43", _set(["params", "N"], 7)),
+    ("thm43", _set(["params", "K"], 0)),
+    ("thm43", _set(["params", "K"], "16")),
+    ("thm43", _set(["params", "N"], 10**30)),  # multiplicities past 2^53
+    ("thm43", _set(["params", "K"], 2**53)),  # heights k gamma, k past 2^53
     ("thm51", _set(["params", "gamma"], "x")),
     ("thm51", _set(["params", "gamma"], None)),
     ("thm51", _drop("gamma")),
@@ -846,6 +908,8 @@ def _set_item(key, index, value):
         "thm43-beta1-not-the-zeros", "thm43-claim-int",
         "thm43-claim-other-cap", "thm43-seed-other", "thm43-seed-negative",
         "thm43-corner-moved", "thm43-corner-dropped", "thm43-no-corners",
+        "thm43-K-16-to-32", "thm43-N-128-to-7", "thm43-K-zero",
+        "thm43-K-text", "thm43-N-1e30", "thm43-K-2^53",
         "thm51-gamma-text",
         "thm51-gamma-null", "thm51-no-gamma", "thm51-chars-9999",
         "thm51-orders-5", "thm51-orders-huge", "thm51-orders-text",
@@ -956,6 +1020,13 @@ def _add_carrier_zero(payload):
     payload["system"]["zeros"].append(zero)
 
 
+def _add_zero_above(payload):
+    # the last zero again, one lattice step above the top height
+    zero = dict(payload["system"]["zeros"][-1], mult=1)
+    zero["gamma"] += payload["system"]["height_lattice"]
+    payload["system"]["zeros"].append(zero)
+
+
 def _overflowing_lattice(payload):
     # every zero at one lattice step of 3e307, so 7 steps, the template's
     # top height, overflow
@@ -980,10 +1051,15 @@ ZERO_RECIPES = {**README_RECIPES, "thm311-q15": [
     ("thm311-q15", _set(["system", "zeros", 0, "mult"], 10**9)),
     ("thm311-q15", _add_carrier_zero),
     ("thm311", _overflowing_lattice),
+    # the first zero is 79 of them at gamma on chi
+    ("thm43", _set(["system", "zeros", 0, "mult"], 80)),
+    ("thm43", _add_zero_above),
+    ("thm43", lambda payload: payload["system"]["zeros"].pop()),
 ], ids=["thm51-extra-zero", "thm311-beta-moved", "thm311-mult-3-to-4",
         "thm311-mult-1e9", "thm311-extra-carrier-zero", "thm311-q15-mult-1-to-2",
         "thm311-q15-mult-1e9", "thm311-q15-extra-carrier-zero",
-        "thm311-lattice-overflows"])
+        "thm311-lattice-overflows", "thm43-mult-79-to-80",
+        "thm43-extra-zero", "thm43-dropped-zero"])
 def test_zero_the_params_do_not_emit_is_config_error(tmp_path, capsys, name,
                                                      edit):
     # the load check compares the zeros with the ones the params emit, so

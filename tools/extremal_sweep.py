@@ -8,8 +8,9 @@ maximal order).  For each member count m in (2, 3, 4), up to two admissible
 exponent sets V (no 0, no inverse pair v, r - v) are drawn by a generator
 seeded with (q, m).  Each case records q, V, and either K, N and the sha256
 of the recipe JSON, or the error as "<class>: <message>".  A case that
-builds also records `verify_extremal`'s ok and ordering count, so the
-census count and verdict of every build can be diffed too.  It also records
+builds also records the ok and ordering count of `verify_extremal` on the
+recipe read back from its JSON, which runs the load check as the CLI does,
+so the census count and verdict of every build can be diffed too.  It also records
 every omega-type report of the build, in call order, as [stage, K or N,
 ok, first_violation, intervals_checked]: the K rounds K, 2K, ... until one
 passes, then the N rounds likewise, then the emitted trace (stage "trace",
@@ -94,7 +95,9 @@ def run_case(q: int, gen: int, V) -> dict:
     finally:
         barriers.check_omega_type = check
         out["reports"] = staged(reports)
-    verdict = barriers.verify_extremal(recipe)
+    # verified as the CLI reads it back: the load check re-emits the zeros
+    verdict = barriers.verify_extremal(
+        barriers.BarrierRecipe.from_json(recipe.to_json()))
     out.update(K=recipe.params["K"], N=recipe.params["N"],
                sha256=hashlib.sha256(recipe.to_json().encode()).hexdigest(),
                verify_ok=verdict.ok, orderings=verdict.detail["orderings"])

@@ -31,8 +31,7 @@ import numpy as np
 from .budget import Record, check_budget
 from .residues import ResidueGroup, characters, unit_group
 from .orderings import Verdict, census, column_orders, verdict
-from .simulator import (RaceFunctionSet, RecipeMismatchError,
-                        one_period_trace, theorem_decomposition)
+from .simulator import RaceFunctionSet, RecipeMismatchError, one_period_trace
 from .trigpoly import (EPS, EPS3, ScanReport, TrigPoly, _phasor_table,
                        _taylor_table, certified_positive_scan, eps1, eps2,
                        evaluate_phasors, roots as trig_roots)
@@ -481,8 +480,10 @@ def solve_lemma44(r: int, c: Sequence[float], d: Sequence[float]) -> np.ndarray:
 
     rng = random.Random(12345)
     us = 2 * math.pi * np.array([rng.random() for _ in range(16)])
-    jv = np.outer(np.arange(r), np.arange(r)) % r
-    lhs = np.tensordot(nu, np.sin(us + 2 * math.pi * jv[:, :, None] / r), 1)
+    # sin(u + theta) = sin u cos theta + cos u sin theta: r x r tables only
+    theta = 2 * math.pi * (np.outer(np.arange(r), np.arange(r)) % r) / r
+    lhs = ((nu @ np.cos(theta))[:, :, None] * np.sin(us)
+           + (nu @ np.sin(theta))[:, :, None] * np.cos(us))
     rhs = c[:, :, None] * np.sin(us) + d[:, :, None] * np.cos(us)
     if np.max(np.abs(lhs - rhs)) > 1e-10:
         raise RuntimeError("solution residual exceeded tolerance "
@@ -740,11 +741,12 @@ def _thm43_densities(omega: OmegaSystem, K: int, gamma: float) -> tuple:
     members sign-flipped (so the race traces come out in the pattern's
     order).  RecipeMismatchError unless 1 <= K < 2^53 and K gamma is finite;
     BudgetExceededError if the solve's largest arrays, its K x r x 16
-    residuals and r x r x 16 sines, pass the budget."""
+    residuals and r x r cosines and sines, pass the budget."""
     r, V = omega.r, list(omega.V)
     if not (0 < K < 2**53 and math.isfinite(K * gamma)):
         raise RecipeMismatchError(f"K = {K} must be in [1, 2^53), K gamma finite")
-    check_budget(16 * max(K, r) * r, f"thm43 solve of {max(K, r)} x {r} x 16 values")
+    check_budget(r * (16 * K + 2 * r),
+                 f"thm43 solve of {K} x {r} x 16 residuals and 2 x {r} x {r} tables")
     coeffs = np.array([fourier_cosine_coeffs(omega, v, K) for v in V])
     d_rows = np.zeros((K, r))
     d_rows[:, V] = -coeffs.T
@@ -906,11 +908,26 @@ def _thm51_system(q: int, p: dict) -> ZeroSystem:
         height_lattice=p["gamma"])
 
 
-def _check_thm51(recipe: BarrierRecipe) -> dict:
-    """The system's level waves: RecipeMismatchError unless the kind is
-    thm51_census, the levels are `_thm51_levels`, the claim is `_claim`'s,
-    betas decrease strictly in (1/2, 1), M is an int >= 1 and the system's
-    zeros are those `_thm51_system` emits for the params."""
+def _thm51_waves(p: dict) -> Dict[Tuple[int, int], TrigPoly]:
+    """The level waves of thm51 params p, keyed (j, alpha) j-major:
+    w_{j,alpha}(u) = sum_k c_{j,k}/|beta_j + i k gamma| sin(k gamma u +
+    2 pi k alpha/n_j + atan(beta_j/(k gamma))), with the coefficients
+    c_{j,k} of `_thm51_system` (TrigPoly drops the zero ones)."""
+    gamma = p["gamma"]
+    return {(j, alpha): TrigPoly(
+                (c / math.hypot(k * gamma, beta), k * gamma,
+                 2.0 * math.pi * ((k * alpha) % n_j) / n_j
+                 + math.atan2(beta, k * gamma))
+                for k, c in zip((1, 2), (1, 0) if n_j == 2 else (p["M"], 1)))
+            for j, (n_j, beta) in enumerate(zip(p["orders"], p["betas"]), start=1)
+            for alpha in range(n_j)}
+
+
+def _check_thm51(recipe: BarrierRecipe) -> None:
+    """RecipeMismatchError unless the kind is thm51_census, the levels are
+    `_thm51_levels`, the claim is `_claim`'s, betas decrease strictly in
+    (1/2, 1), M is an int >= 1 and the system's zeros are those
+    `_thm51_system` emits for the params; no decomposition is read."""
     if recipe.kind != "thm51_census":
         raise RecipeMismatchError(f"kind {recipe.kind!r} is not thm51_census")
     want = _thm51_levels(recipe.q)
@@ -927,7 +944,6 @@ def _check_thm51(recipe: BarrierRecipe) -> dict:
         raise RecipeMismatchError(
             f"the system's zeros are not the levels' (1, 0) at order 2 and "
             f"(M, 1) above at beta_j + i k gamma, with M = {p['M']}")
-    return theorem_decomposition(recipe.system, "thm51", p)
 
 
 # the load check of each recipe kind, which its verifier runs too
@@ -939,7 +955,8 @@ def check_thm51_conditions(recipe: BarrierRecipe) -> WSystem:
     """Verify (A) two crossings per wave pair and period, (B) all crossing
     points distinct and nonzero, (C) derivative gaps at every crossing, and
     (D) level-to-level difference non-degeneracy, with explicit margins,
-    after the load check (`_check_thm51`), so M is the system's.
+    on the waves of the params (`_thm51_waves`) once the load check
+    (`_check_thm51`) has pinned the system's zeros to them.
 
     One `trigpoly.roots` call isolates every wave pair's crossings by Taylor
     cells; their radii, with the rounding bounds, set the tolerances of
@@ -947,8 +964,9 @@ def check_thm51_conditions(recipe: BarrierRecipe) -> WSystem:
     `_taylor_table` bounds the waves as rows F(v) of one phasor table, v =
     gamma u: (C) takes gamma delta' and gamma^2 L2 (f' = gamma F', f'' =
     gamma^2 F''), (D) delta + pi EPS lip/gamma (v rounds by <= pi EPS)."""
-    waves: Dict[Tuple[int, int], TrigPoly] = _check_thm51(recipe)["w"]
+    _check_thm51(recipe)
     p = recipe.params
+    waves = _thm51_waves(p)
     gamma, betas, orders, M = p["gamma"], p["betas"], p["orders"], p["M"]
     period = 2.0 * math.pi / gamma
     m = len(orders)

@@ -623,46 +623,12 @@ def decompose_lattice(system: ZeroSystem, gamma: float,
     return {"m": m, "G": _LazyMapping(orders, G), "gamma": gamma}
 
 
-def decompose_level_waves(system: ZeroSystem, char_labels: Sequence[int],
-                          betas: Sequence[float], orders: Sequence[int],
-                          gamma: float) -> dict:
-    """The level waves w_{j,alpha}(u) = sum_k c_{j,k}/sqrt(k^2 g^2 + b_j^2)
-    sin(k g u + 2 pi k alpha/n_j + atan(b_j/(k g))) of a layered system with
-    zeros at beta_j + i k gamma on chi_j^k."""
-    waves: Dict[Tuple[int, int], TrigPoly] = {}
-    coeffs: Dict[Tuple[int, int], int] = {}
-    for j, (label, beta, n_j) in enumerate(zip(char_labels, betas, orders),
-                                           start=1):
-        powers = system.chars.labels(
-            np.outer((1, 2), _recipe_character(system, label))).tolist()
-        for k, power in zip((1, 2), powers):
-            zs = system.zeros_of(power)
-            coeffs[(j, k)] = sum(m for z, m in zs.items() if z.beta == beta
-                                 and abs(z.gamma - k * gamma) < 1e-9)
-        if coeffs[(j, 1)] == 0 and coeffs[(j, 2)] == 0:
-            raise RecipeMismatchError(f"level {j} carries no zeros")
-        for alpha in range(n_j):
-            terms = []
-            for k in (1, 2):
-                c = coeffs[(j, k)]
-                if c:
-                    amp = c / math.hypot(k * gamma, beta)
-                    ph = (2.0 * math.pi * ((k * alpha) % n_j) / n_j
-                          + math.atan2(beta, k * gamma))
-                    terms.append((amp, k * gamma, ph))
-            waves[(j, alpha)] = TrigPoly(tuple(terms))
-    return {"w": waves, "gamma": gamma,
-            "betas": tuple(betas), "orders": tuple(orders)}
-
-
 _DECOMPOSERS = {
     "thm311": lambda sys_, p: decompose_lattice(
         sys_, p["gamma"], [(p["chi1"], 4, p["a"]), (p["chi2"], 2, p["b"])]
         if p.get("subcase") == "z4z2" else [(p["chi"], p["n"], p["a"])]),
     "thm43": lambda sys_, p: decompose_lattice(
         sys_, p["gamma"], [(p["chi"], p["r"], p["a"])]),
-    "thm51": lambda sys_, p: decompose_level_waves(
-        sys_, p["chars"], p["betas"], p["orders"], p["gamma"]),
 }
 
 

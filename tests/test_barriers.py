@@ -465,8 +465,8 @@ def test_thm43_load_check_reads_no_decomposition(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a decomposition was read")
 
-    for module in (barriers, simulator):
-        monkeypatch.setattr(module, "theorem_decomposition", refuse)
+    assert not hasattr(barriers, "theorem_decomposition")
+    monkeypatch.setattr(simulator, "theorem_decomposition", refuse)
     monkeypatch.setattr(simulator, "decompose_lattice", refuse)
     verdict = verify_extremal(BarrierRecipe.from_json(recipe.to_json()))
     assert verdict.ok and verdict.detail["orderings"] == 4
@@ -558,6 +558,42 @@ def test_build_thm51_multi_level():
     rep = census(one_period_trace(s, samples=1 << 15, base_u=60.0))
     r = len(g.units)
     assert verdict(rep, "thm51_upper", r=r).ok
+
+
+def test_thm51_conditions_read_no_decomposition(monkeypatch):
+    # building, loading and the conditions read the params' waves on the
+    # zeros the load check pinned, and no decomposition of the system
+    import racelab.simulator as simulator
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a decomposition was read")
+
+    for name in dir(simulator):
+        if name == "theorem_decomposition" or name.startswith("decompose_"):
+            monkeypatch.setattr(simulator, name, refuse)
+    for q in (5, 8, 15, 35):
+        recipe = BarrierRecipe.from_json(build_thm51(q).to_json())
+        assert check_thm51_conditions(recipe).margins["B_min_gap"] > 0
+
+
+def test_thm51_waves_are_the_systems_member_values():
+    # v_a(u) = -sum_j e^((beta_j - R+) u) w_{j, alpha_j(a)}(u): the waves
+    # the conditions read are the members' dominant values, term for term
+    from racelab.barriers import _thm51_waves
+    from racelab.simulator import dominant_member_values
+
+    u = np.linspace(0.0, 0.05, 2001)
+    for q in (5, 8, 15, 16, 35, 40, 91):
+        recipe = build_thm51(q)
+        p, group = recipe.params, unit_group(q)
+        waves = _thm51_waves(p)
+        got = dominant_member_values(recipe.system, group.units, u)
+        weights = [np.exp((beta - recipe.system.r_plus) * u) for beta in p["betas"]]
+        want = -np.array([sum(
+            weight * waves[(j, alpha % n_j)](u) for j, (weight, n_j, alpha)
+            in enumerate(zip(weights, p["orders"], group.exponents(a)), start=1))
+            for a in group.units])
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), q
 
 
 @pytest.mark.slow

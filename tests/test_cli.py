@@ -640,7 +640,7 @@ def test_thm43_k_past_the_budget_is_budget_error(tmp_path, capsys,
     # K sizes the solve's K x r x 16 residuals: a K of 10^9 edited into the
     # README recipe passes the default budget, and --K 2048 a budget of
     # 1e5; both are refused before anything of that size is allocated, and
-    # so is r = 1008's r x r x 16 sine table under a budget of 1e7
+    # so are r = 1008's r x r cosine and sine tables under a budget of 1e6
     from racelab.barriers import BarrierRecipe
     from racelab.budget import BudgetExceededError
 
@@ -652,8 +652,8 @@ def test_thm43_k_past_the_budget_is_budget_error(tmp_path, capsys,
     payload = json.loads(rec.read_text())
     payload["params"]["K"] = 10**9
     rec.write_text(json.dumps(payload))
-    message = ("error: thm43 solve of {} x {} x 16 values exceeds budget "
-               "{} (RACE_LAB_BUDGET)")
+    message = ("error: thm43 solve of {0} x {1} x 16 residuals and 2 x {1} x "
+               "{1} tables exceeds budget {2} (RACE_LAB_BUDGET)")
     with pytest.raises(BudgetExceededError):
         BarrierRecipe.from_json(rec.read_text())
     for command in ("barrier verify", "simulate", "orderings"):
@@ -669,11 +669,11 @@ def test_thm43_k_past_the_budget_is_budget_error(tmp_path, capsys,
                 "--out", out]) == cli.EXIT_BUDGET
     assert capsys.readouterr().err.splitlines() == [
         message.format(2048, 6, 100000)]
-    monkeypatch.setenv("RACE_LAB_BUDGET", "1e7")
+    monkeypatch.setenv("RACE_LAB_BUDGET", "1e6")
     assert run(["barrier", "build", "thm43", "--q", 1009, "--out", out]) \
         == cli.EXIT_BUDGET
     assert capsys.readouterr().err.splitlines() == [
-        message.format(1008, 1008, 10000000)]
+        message.format(16, 1008, 1000000)]
     assert not out.exists()
 
 

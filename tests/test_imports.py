@@ -138,8 +138,8 @@ def test_traces_build_no_characters(monkeypatch):
 
 
 def test_barriers_and_dominant_data_build_no_characters(monkeypatch):
-    """thm311 (all three cases), thm43 and thm51: build, load, verify and
-    decompose; the dominant data, profiles, sign-change candidacy and
+    """thm311 (all three cases), thm43 and thm51: build, load and verify,
+    and decompose the lattice kinds; the dominant data, profiles, sign-change candidacy and
     hypothesis checks of their pairs; conjugate labels and a zero list."""
     for q in (7, 15, 17, 35):
         residues.characters(q)
@@ -151,14 +151,12 @@ def test_barriers_and_dominant_data_build_no_characters(monkeypatch):
         loaded = barriers.BarrierRecipe.from_json(recipe.to_json())
         if recipe.kind == "thm51_census":
             barriers.check_thm51_conditions(loaded)
-            case = "thm51"
         elif recipe.kind == "thm43_extremal":
             barriers.verify_extremal(loaded)
-            case = "thm43"
+            simulator.theorem_decomposition(loaded.system, "thm43", loaded.params)
         else:
             barriers.verify_thm311(loaded)
-            case = "thm311"
-        simulator.theorem_decomposition(loaded.system, case, loaded.params)
+            simulator.theorem_decomposition(loaded.system, "thm311", loaded.params)
         system = loaded.system
         members = residues.unit_group(system.q).units[:3]
         s = simulator.RaceFunctionSet(system.q, system, members)

@@ -797,9 +797,8 @@ def test_thm51_condition_a_refuses_a_near_double_root(monkeypatch):
     w1, w2 = near_double_pair(gamma)
     # q = 3 has one level, of order 2, so its two waves are the pair's
     recipe = build_thm51(3, gamma=gamma)
-    decompose = barriers.theorem_decomposition
-    monkeypatch.setattr(barriers, "theorem_decomposition", lambda *args: {
-        **decompose(*args), "w": {(1, 0): w1, (1, 1): w2}})
+    monkeypatch.setattr(barriers, "_thm51_waves",
+                        lambda p: {(1, 0): w1, (1, 1): w2})
     with pytest.raises(barriers.ConditionFailedError) as err:
         barriers.check_thm51_conditions(recipe)
     assert err.value.condition == "A"

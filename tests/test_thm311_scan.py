@@ -197,8 +197,8 @@ def test_verify_reads_no_decomposition(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a decomposition was read")
 
-    for module in (barriers, simulator):
-        monkeypatch.setattr(module, "theorem_decomposition", refuse)
+    assert not hasattr(barriers, "theorem_decomposition")
+    monkeypatch.setattr(simulator, "theorem_decomposition", refuse)
     monkeypatch.setattr(simulator, "decompose_lattice", refuse)
     for recipe in recipes:
         report = verify_thm311(BarrierRecipe.from_json(recipe.to_json()))

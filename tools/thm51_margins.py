@@ -2,11 +2,11 @@
 """Print the layered-barrier condition margins next to 40-digit mpmath
 values at the true crossing points.
 
-For each modulus, `build_thm51(q)` (default arguments) gives the level
-waves and `check_thm51_conditions` the float margins.  Every crossing point
-is then refined with mpmath.findroot on the wave difference, taken with the
-waves' float coefficients, frequencies and phases as exact numbers, and the
-margins are evaluated there in 40 digits: (B) the smallest gap between
+For each modulus, `build_thm51(q)` (default arguments) gives the params,
+`_thm51_waves` their level waves and `check_thm51_conditions` the float
+margins.  Every crossing point is then refined with mpmath.findroot on the
+wave difference, taken with the waves' float coefficients, frequencies and
+phases as exact numbers, and the margins are evaluated there in 40 digits: (B) the smallest gap between
 sorted crossing points with 0 and the period included, (C) the smallest
 derivative gap, (D) the smallest gap between sorted pair sums of a higher
 level's waves, and (5.19) the smallest gap between sorted F(a3, a4).
@@ -25,8 +25,8 @@ from mpmath import mp, mpf
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from racelab.barriers import build_thm51, check_thm51_conditions  # noqa: E402
-from racelab.simulator import theorem_decomposition  # noqa: E402
+from racelab.barriers import (_thm51_waves, build_thm51,  # noqa: E402
+                              check_thm51_conditions)
 
 mp.dps = 40
 
@@ -47,7 +47,7 @@ def margins(q):
     recipe = build_thm51(q)
     ws = check_thm51_conditions(recipe)
     p = recipe.params
-    waves = theorem_decomposition(recipe.system, "thm51", p)["w"]
+    waves = _thm51_waves(p)
     gamma, orders, betas, M = mpf(p["gamma"]), p["orders"], p["betas"], p["M"]
     period = 2 * mp.pi / gamma
     roots = {}

@@ -4,17 +4,25 @@ Subcommands: `barrier build|verify`, `simulate`, `orderings`, `race`, and
 the `trig` toolbox.  Every JSON output embeds the resolved run configuration,
 and identical configurations (including --seed) produce byte-identical files.
 
-Exit codes: 0 success, 2 verification failed, 3 invalid configuration
+Exit codes: 0 success, 1 stdout closed by its reader (as a `| head` does;
+nothing is reported), 2 verification failed, 3 invalid configuration
 (including a command line the parser rejects), 4 budget exceeded (the sieve
 range, the checkpoint grid, a trace's samples x members, a certified scan's
 grid or bisection, or the unit group of the modulus; RACE_LAB_BUDGET).
+
+`main(argv)` is the in-process API: it returns the exit code and leaves the
+garbage collector alone.  `entry()` is the process's, behind both
+`python -m racelab.cli` and the `racelab` script: it runs `main()` and then
+freezes every object, so the collection at exit skips them.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -26,6 +34,7 @@ from .residues import unit_group
 from .zerosys import load_zero_data
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_VERIFY = 2
 EXIT_CONFIG = 3
 EXIT_BUDGET = 4
@@ -412,7 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:  # an OSError, but the reader left: say nothing
+        return EXIT_PIPE
     except (barriers.ConditionFailedError, barriers.OmegaTypeLostError,
             barriers.OmegaConstructionError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
@@ -425,5 +438,18 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
 
+def entry() -> None:
+    """Run main() on the process's arguments and exit with its code."""
+    code = main()
+    try:  # main flushes after a command that returns, not one that raised
+        sys.stdout.flush()
+    except BrokenPipeError:  # what stdout still holds goes nowhere at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    # the collections at shutdown skip frozen objects, so the process exits
+    # without walking every object that numpy, racelab and the command made
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -1,6 +1,11 @@
 import copy
+import gc
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -685,15 +690,11 @@ def test_race_bad_pair_writes_no_table(tmp_path, capsys, a, b):
     assert not csv.exists()
 
 
-def run_limited(args, tmp_path):
-    """The CLI in a child process whose address space is capped at 3 GiB, so
-    a regression that builds a huge table fails fast instead of using up
-    the machine's memory."""
-    import os
-    import resource
-    import subprocess
-    import sys
-
+def run_limited(args, tmp_path, stdout=subprocess.PIPE):
+    """The CLI in a child process (`python -m racelab.cli`, so through the
+    process entry) whose address space is capped at 3 GiB, so a regression
+    that builds a huge table fails fast instead of using up the machine's
+    memory."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
@@ -703,7 +704,83 @@ def run_limited(args, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "racelab.cli",
                            *map(str, args)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, preexec_fn=cap)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          preexec_fn=cap)
+
+
+def test_in_process_main_leaves_the_collector_alone(tmp_path):
+    frozen = gc.get_freeze_count()
+    assert run(["barrier", "build", "thm311", "--q", 7,
+                "--out", tmp_path / "rec.json"]) == 0
+    assert run(["trig", "frac-parts"]) == cli.EXIT_CONFIG
+    assert gc.get_freeze_count() == frozen
+
+
+def test_process_entry_writes_what_main_writes(tmp_path, capsys, monkeypatch):
+    argv = ["barrier", "build", "thm311", "--q", 7, "--tau", 1000,
+            "--out", "rec.json"]
+    child_dir, own_dir = tmp_path / "child", tmp_path / "own"
+    child_dir.mkdir()
+    own_dir.mkdir()
+    proc = run_limited(argv, child_dir)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    monkeypatch.chdir(own_dir)
+    assert run(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
+    assert ((child_dir / "rec.json").read_bytes()
+            == (own_dir / "rec.json").read_bytes())
+
+
+def test_console_script_runs_the_process_entry():
+    pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
+    assert 'racelab = "racelab.cli:entry"' in pyproject.read_text().splitlines()
+
+
+def test_process_entry_reports_a_config_error(tmp_path):
+    proc = run_limited(["trig", "frac-parts"], tmp_path)
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: frac-parts needs --s"]
+
+
+def run_closed_stdout(args, tmp_path, monkeypatch, unbuffered):
+    """run_limited with stdout a pipe whose reader is gone, as in
+    `racelab ... | head -c1` once head has exited: a write fails with EPIPE.
+    Unbuffered, the first print raises; buffered, a flush."""
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return run_limited(args, tmp_path, stdout=write_end)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv", [
+    ["trig", "dominate", "--freqs", 1, "--b", 1, "--a", 1, "--gamma", 0.5],
+    ["barrier", "build", "thm311", "--q", 7, "--out", "rec.json"]])
+def test_closed_stdout_is_exit_pipe_and_says_nothing(tmp_path, monkeypatch,
+                                                     argv, unbuffered):
+    # neither a configuration error nor worth a traceback
+    proc = run_closed_stdout(argv, tmp_path, monkeypatch, unbuffered)
+    assert proc.stderr == ""
+    assert proc.returncode == cli.EXIT_PIPE == 1
+
+
+def test_error_after_output_to_a_closed_stdout_is_reported(tmp_path,
+                                                          monkeypatch):
+    # buffered, the race table's line waits in stdout while the empty zero
+    # list fails: the error is the exit, and what stdout holds is dropped
+    (tmp_path / "empty.txt").write_text("")
+    proc = run_closed_stdout(["race", "--q", 3, "--xmax", 1000, "--a", 2,
+                              "--b", 1, "--zeros", "empty.txt"],
+                             tmp_path, monkeypatch, unbuffered=False)
+    assert proc.stderr.splitlines() == ["error: no zeros supplied"]
+    assert proc.returncode == cli.EXIT_CONFIG
 
 
 @pytest.mark.parametrize("argv", [["barrier", "build", "thm311"],

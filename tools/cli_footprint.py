@@ -6,15 +6,17 @@ The commands run in one temporary directory, so the files one writes are
 the ones the next reads (rec.json, ext.json, ...); an argument naming a
 file of the repository (the chi3 zeros) is given its absolute path.  Each
 command is its own `python -c` child that imports `racelab.cli` and then
-calls `cli.main` on the command's arguments, its output discarded.
+calls `cli.main` on the command's arguments, its output discarded; like the
+CLI's process entry, every child calls `gc.freeze()` last, so it exits
+without the final collection.
 
 To stdout, one JSON line per command: its arguments, its exit code and the
 modules it loaded beyond `import racelab.cli`, sorted.  This part is
 deterministic, so the output of two source trees can be diffed.  To stderr
 only: first the import floor, the median wall time and the largest max RSS
 of IMPORT_RUNS children that only run `import racelab.cli`; then each
-command's wall time (interpreter start included) and the child's max RSS
-(`getrusage`, Linux kB).
+command's wall time (interpreter start and exit included) and the child's
+max RSS (`getrusage`, Linux kB).
 
 Usage:
     python tools/cli_footprint.py > footprint.jsonl
@@ -36,7 +38,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # the child: what `import racelab.cli` loads is the base, and the command's
 # report goes to the file named in argv[1], apart from its own output
 CHILD = """\
-import contextlib, io, json, resource, sys
+import contextlib, gc, io, json, resource, sys
 import racelab.cli
 base = set(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()), \\
@@ -46,11 +48,13 @@ with open(sys.argv[1], "w", encoding="utf-8") as fh:
     json.dump({"exit": code, "modules": sorted(set(sys.modules) - base),
                "max_rss_kb": resource.getrusage(resource.RUSAGE_SELF)
                .ru_maxrss}, fh)
+gc.freeze()
 """
 
 # the import floor: a child that imports racelab.cli and prints its max RSS
-IMPORT_CHILD = ("import resource, racelab.cli; "
-                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+IMPORT_CHILD = ("import gc, resource, racelab.cli; "
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); "
+                "gc.freeze()")
 IMPORT_RUNS = 5
 
 

@@ -8,7 +8,7 @@ Three families are built here:
 * extremal barriers capping the ordering census of a chosen set D inside a
   cyclic subgroup at |D|(|D|-1)/2 + 1, built from a crossing-pattern system
   of piecewise-linear functions, its Fourier approximation, a per-frequency
-  linear solve, and integerized multiplicities;
+  inverse DFT, and integerized multiplicities;
 * a layered system (one level per group generator) bounding the census of
   any r members by r(r-1), verified through the level-wave conditions
   (A)-(D).
@@ -420,23 +420,28 @@ def verify_thm311(recipe: BarrierRecipe) -> Thm311Report:
                         ok=scan.ok and lower_bound > 0.0)
 
 
-# --- the per-frequency linear solve ------------------------------------------------
+# --- the per-frequency inverse DFT --------------------------------------------------
 
 
 def solve_lemma44(r: int, c: Sequence[float], d: Sequence[float]) -> np.ndarray:
     """Solve sum_j nu_j sin(u + 2 pi j v / r) = c_v sin u + d_v cos u.
 
-    Requires the compatibility symmetries c_v = c_{r-v}, d_0 = 0,
-    d_v = -d_{r-v}.  The system splits into a cosine half and a sine half,
-    each uniquely solvable; the recombined nu is checked to a residual of
-    1e-10 at 16 points 2 pi x, x drawn from `random.Random(12345)`.  c and
-    d may also be (m, r) arrays: each row pair is one system, all m are
-    solved at once, and nu has one row per system.
+    Requires r >= 1, finite c and d, and the compatibility symmetries
+    c_v = c_{r-v}, d_0 = 0, d_v = -d_{r-v}, which make c + i d Hermitian.
+    The left side is Im(e^{iu} sum_j nu_j e(jv/r)), so nu is the inverse
+    DFT of c + i d; it is checked to a residual of 1e-10 at 16 points
+    2 pi x, x drawn from `random.Random(12345)`.  c and d may also be
+    (m, r) arrays: each row pair is one system, all m are solved at once,
+    and nu has one row per system.
     """
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
     c = np.asarray(c, dtype=float)
     d = np.asarray(d, dtype=float)
     if c.shape[-1:] != (r,) or c.ndim > 2 or d.shape != c.shape:
         raise ValueError("c and d must have length r")
+    if not (np.isfinite(c).all() and np.isfinite(d).all()):
+        raise ValueError("c and d must be finite")
     single = c.ndim == 1
     c, d = np.atleast_2d(c), np.atleast_2d(d)
     # the least offending v names the broken symmetry
@@ -449,34 +454,7 @@ def solve_lemma44(r: int, c: Sequence[float], d: Sequence[float]) -> np.ndarray:
     if np.any(np.abs(d[:, 0]) > 1e-12):
         raise ValueError("need d_0 = 0")
 
-    half = r // 2
-    js = np.arange(half + 1)
-    # j v is reduced mod r in integers, so each phase keeps full precision
-    a_cos = np.cos(2 * math.pi * (np.outer(js, js) % r) / r)
-    # one right-hand side per stacked system rounds as a lone solve does (a
-    # multi-column solve would not, and would move build_extremal's output)
-    try:
-        mu = np.linalg.solve(a_cos, c[:, : half + 1, None])[:, :, 0]
-    except np.linalg.LinAlgError as exc:  # the proof rules this out
-        raise RuntimeError(f"cosine system unexpectedly singular: {exc}")
-
-    half_s = (r - 1) // 2
-    lam = np.zeros((len(c), half_s + 1))
-    if half_s >= 1:
-        js = np.arange(1, half_s + 1)
-        a_sin = np.sin(2 * math.pi * (np.outer(js, js) % r) / r)
-        try:
-            lam[:, 1:] = np.linalg.solve(a_sin, d[:, 1: half_s + 1, None])[:, :, 0]
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"sine system unexpectedly singular: {exc}")
-
-    nu = np.zeros((len(c), r))
-    nu[:, 0] = mu[:, 0]
-    if r % 2 == 0:
-        nu[:, half] = mu[:, half]
-    js = np.arange(1, (r + 1) // 2)
-    nu[:, js] = (mu[:, js] + lam[:, js]) / 2.0
-    nu[:, r - js] = (mu[:, js] - lam[:, js]) / 2.0
+    nu = np.fft.fft(c + 1j * d, axis=-1).real / r  # .imag is only rounding
 
     rng = random.Random(12345)
     us = 2 * math.pi * np.array([rng.random() for _ in range(16)])
@@ -485,7 +463,7 @@ def solve_lemma44(r: int, c: Sequence[float], d: Sequence[float]) -> np.ndarray:
     lhs = ((nu @ np.cos(theta))[:, :, None] * np.sin(us)
            + (nu @ np.sin(theta))[:, :, None] * np.cos(us))
     rhs = c[:, :, None] * np.sin(us) + d[:, :, None] * np.cos(us)
-    if np.max(np.abs(lhs - rhs)) > 1e-10:
+    if not np.max(np.abs(lhs - rhs)) <= 1e-10:  # so a NaN fails too
         raise RuntimeError("solution residual exceeded tolerance "
                            "(internal check)")
     return nu[0] if single else nu
@@ -668,8 +646,8 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
     (order r >= 6).
 
     Pipeline: build the crossing-pattern system, Fourier-approximate each
-    member (K, 2K, ..., 16K until the truncations follow the pattern), solve
-    the per-frequency linear systems for real multiplicity densities (one
+    member (K, 2K, ..., 16K until the truncations follow the pattern), take
+    the real multiplicity densities as one inverse DFT per frequency (one
     batch), integerize at resolution N (N, ..., 16N until the pattern
     survives), shift to nonnegative integers and emit zeros at beta1 + i k
     gamma on the powers of a character pinned at the generator, by the
@@ -756,10 +734,10 @@ def _thm43_densities(omega: OmegaSystem, K: int, gamma: float) -> tuple:
 
 def _thm43_counts(nu: np.ndarray, N: int) -> np.ndarray:
     """Stage 3: the counts floor(N nu + 1e-9), so N nu within 1e-9 of an
-    integer counts as that integer.  The solve's matrices have condition
-    numbers below 2 for r <= 1000, so a density that is an integer over N
-    (0 above all) errs in N nu by under 2 r N EPS max|nu|: below 5e-11 for
-    r < 100, N <= 1024 and |nu| < 1, the extremal sweep's ranges (8.5e-14
+    integer counts as that integer.  The inverse DFT errs in nu by a small
+    multiple of log2(r) sqrt(r) EPS max|nu|, so a density that is an integer
+    over N (0 above all) errs in N nu by a small multiple of 1.5e-11 for
+    r < 100, N <= 1024 and |nu| < 1, the extremal sweep's ranges (3.6e-14
     seen), while a genuine fraction falls within 1e-9 with odds 2e-9 (4.3e-8
     the sweep's nearest); so no count turns on a rounding error's sign.
     RecipeMismatchError unless 1 <= N < 2^53 and the multiplicities, at

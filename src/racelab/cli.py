@@ -339,6 +339,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         raise ValueError(message)
 
+    def _print_message(self, message, file=None):
+        """argparse's, but a closed stdout raises (so exit 1), not exit 0."""
+        print(message, end="", file=file or sys.stderr, flush=True)
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="racelab", description=__doc__.split("\n")[0])

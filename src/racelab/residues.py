@@ -354,13 +354,11 @@ def sqrt_count(q: int, c: int) -> int:
 
 
 def _poly_divmod(num: List[int], den: List[int]) -> Tuple[List[int], List[int]]:
+    """(quot, rem) of num by the monic den, ascending; rem keeps num's length."""
     num = num[:]
     quot = [0] * (len(num) - len(den) + 1)
     for i in range(len(quot) - 1, -1, -1):
         coef = num[i + len(den) - 1]
-        if den[-1] != 1:
-            assert coef % den[-1] == 0
-            coef //= den[-1]
         quot[i] = coef
         if coef:
             for j, d in enumerate(den):

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -241,6 +242,116 @@ def test_solve_lemma44_symmetry_validation():
         solve_lemma44(4, [[0.0] * 4] * 2, [[0.0] * 4, [1, 0, 0, 0]])
     with pytest.raises(ValueError, match="length r"):
         solve_lemma44(4, [[0.0] * 4] * 2, [[0.0] * 4])
+
+
+@pytest.mark.parametrize("r, c, d", [
+    (0, [], []),
+    (3, [0.0, math.nan, math.nan], [0.0] * 3),
+    (3, [0.0] * 3, [0.0, math.inf, -math.inf])])
+def test_solve_lemma44_refuses_what_it_cannot_solve(r, c, d):
+    # r = 0 raised IndexError; a NaN passed every check (each comparison
+    # with it is False) and came back as nu, and so did inf - inf
+    with pytest.raises(ValueError, match="r must be >= 1|finite"):
+        solve_lemma44(r, c, d)
+
+
+def test_solve_lemma44_residual_check_fails_on_nan(monkeypatch):
+    # the check reads `not (residual <= 1e-10)`: a NaN residual fails it
+    monkeypatch.setattr(np.fft, "fft", lambda a, axis: np.full(a.shape, math.nan))
+    with pytest.raises(RuntimeError, match="residual exceeded"):
+        solve_lemma44(3, [0.0] * 3, [0.0, 1.0, -1.0])
+
+
+# The two-half solve (a cosine and a sine system, two np.linalg.solve calls)
+# that the inverse DFT replaced, kept verbatim apart from its name as the
+# reference for it.
+
+
+def ref_solve_lemma44(r: int, c: Sequence[float], d: Sequence[float]) -> np.ndarray:
+    """Solve sum_j nu_j sin(u + 2 pi j v / r) = c_v sin u + d_v cos u.
+
+    Requires the compatibility symmetries c_v = c_{r-v}, d_0 = 0,
+    d_v = -d_{r-v}.  The system splits into a cosine half and a sine half,
+    each uniquely solvable; the recombined nu is checked to a residual of
+    1e-10 at 16 points 2 pi x, x drawn from `random.Random(12345)`.  c and
+    d may also be (m, r) arrays: each row pair is one system, all m are
+    solved at once, and nu has one row per system.
+    """
+    c = np.asarray(c, dtype=float)
+    d = np.asarray(d, dtype=float)
+    if c.shape[-1:] != (r,) or c.ndim > 2 or d.shape != c.shape:
+        raise ValueError("c and d must have length r")
+    single = c.ndim == 1
+    c, d = np.atleast_2d(c), np.atleast_2d(d)
+    # the least offending v names the broken symmetry
+    bad_c = np.any(np.abs(c[:, 1:] - c[:, :0:-1]) > 1e-12, axis=0)
+    bad_d = np.any(np.abs(d[:, 1:] + d[:, :0:-1]) > 1e-12, axis=0)
+    if np.any(bad_c | bad_d):
+        v = np.argmax(bad_c | bad_d)
+        raise ValueError("need c_v = c_{r-v}" if bad_c[v]
+                         else "need d_v = -d_{r-v}")
+    if np.any(np.abs(d[:, 0]) > 1e-12):
+        raise ValueError("need d_0 = 0")
+
+    half = r // 2
+    js = np.arange(half + 1)
+    # j v is reduced mod r in integers, so each phase keeps full precision
+    a_cos = np.cos(2 * math.pi * (np.outer(js, js) % r) / r)
+    # one right-hand side per stacked system rounds as a lone solve does (a
+    # multi-column solve would not, and would move build_extremal's output)
+    try:
+        mu = np.linalg.solve(a_cos, c[:, : half + 1, None])[:, :, 0]
+    except np.linalg.LinAlgError as exc:  # the proof rules this out
+        raise RuntimeError(f"cosine system unexpectedly singular: {exc}")
+
+    half_s = (r - 1) // 2
+    lam = np.zeros((len(c), half_s + 1))
+    if half_s >= 1:
+        js = np.arange(1, half_s + 1)
+        a_sin = np.sin(2 * math.pi * (np.outer(js, js) % r) / r)
+        try:
+            lam[:, 1:] = np.linalg.solve(a_sin, d[:, 1: half_s + 1, None])[:, :, 0]
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"sine system unexpectedly singular: {exc}")
+
+    nu = np.zeros((len(c), r))
+    nu[:, 0] = mu[:, 0]
+    if r % 2 == 0:
+        nu[:, half] = mu[:, half]
+    js = np.arange(1, (r + 1) // 2)
+    nu[:, js] = (mu[:, js] + lam[:, js]) / 2.0
+    nu[:, r - js] = (mu[:, js] - lam[:, js]) / 2.0
+
+    rng = random.Random(12345)
+    us = 2 * math.pi * np.array([rng.random() for _ in range(16)])
+    # sin(u + theta) = sin u cos theta + cos u sin theta: r x r tables only
+    theta = 2 * math.pi * (np.outer(np.arange(r), np.arange(r)) % r) / r
+    lhs = ((nu @ np.cos(theta))[:, :, None] * np.sin(us)
+           + (nu @ np.sin(theta))[:, :, None] * np.cos(us))
+    rhs = c[:, :, None] * np.sin(us) + d[:, :, None] * np.cos(us)
+    if np.max(np.abs(lhs - rhs)) > 1e-10:
+        raise RuntimeError("solution residual exceeded tolerance "
+                           "(internal check)")
+    return nu[0] if single else nu
+
+
+def random_lemma44_rows(rng, m, r):
+    """m random (c, d) rows with c_v = c_{r-v}, d_0 = 0 and d_v = -d_{r-v}
+    exactly: the rows of f = (x + conj(x_{-v})) / 2, x complex normal."""
+    x = rng.normal(size=(m, r)) + 1j * rng.normal(size=(m, r))
+    f = (x + x[:, -np.arange(r) % r].conj()) / 2
+    return f.real, f.imag
+
+
+@pytest.mark.parametrize("r", [*range(1, 65), 1008])
+def test_solve_lemma44_matches_the_two_half_solve(r):
+    c, d = random_lemma44_rows(np.random.default_rng(r), 3, r)
+    want = [ref_solve_lemma44(r, ci, di) for ci, di in zip(c, d)]
+    batch = solve_lemma44(r, c, d)
+    for ci, di, row, nu in zip(c, d, batch, want):
+        tol = 1e-13 * np.abs(nu).max()
+        assert np.abs(solve_lemma44(r, ci, di) - nu).max() <= tol
+        assert np.abs(row - nu).max() <= tol
 
 
 def random_omega_corners(r, V, seed):

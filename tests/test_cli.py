@@ -762,7 +762,8 @@ def run_closed_stdout(args, tmp_path, monkeypatch, unbuffered):
 @pytest.mark.parametrize("unbuffered", [True, False])
 @pytest.mark.parametrize("argv", [
     ["trig", "dominate", "--freqs", 1, "--b", 1, "--a", 1, "--gamma", 0.5],
-    ["barrier", "build", "thm311", "--q", 7, "--out", "rec.json"]])
+    ["barrier", "build", "thm311", "--q", 7, "--out", "rec.json"],
+    ["--help"], ["barrier", "--help"]])
 def test_closed_stdout_is_exit_pipe_and_says_nothing(tmp_path, monkeypatch,
                                                      argv, unbuffered):
     # neither a configuration error nor worth a traceback

@@ -34,7 +34,7 @@ from .orderings import Verdict, census, column_orders, verdict
 from .simulator import RaceFunctionSet, RecipeMismatchError, one_period_trace
 from .trigpoly import (EPS, EPS3, ScanReport, TrigPoly, _phasor_table,
                        _taylor_table, certified_positive_scan, eps1, eps2,
-                       evaluate_phasors, roots as trig_roots)
+                       evaluate_phasors, phasor_powers, roots as trig_roots)
 from .zerosys import Zero, ZeroSystem, dominant_data
 
 
@@ -429,10 +429,13 @@ def solve_lemma44(r: int, c: Sequence[float], d: Sequence[float]) -> np.ndarray:
     Requires r >= 1, finite c and d, and the compatibility symmetries
     c_v = c_{r-v}, d_0 = 0, d_v = -d_{r-v}, which make c + i d Hermitian.
     The left side is Im(e^{iu} sum_j nu_j e(jv/r)), so nu is the inverse
-    DFT of c + i d; it is checked to a residual of 1e-10 at 16 points
-    2 pi x, x drawn from `random.Random(12345)`.  c and d may also be
-    (m, r) arrays: each row pair is one system, all m are solved at once,
-    and nu has one row per system.
+    DFT of c + i d, taken as the direct sum nu_j = (sum_v c_v cos theta_vj
+    + d_v sin theta_vj)/r over the r x r tables of theta_vj = 2 pi (vj mod
+    r)/r that the residual check reads too; it is checked to a residual of
+    1e-10 at 16 points 2 pi x, x drawn from `random.Random(12345)`.  c and
+    d may also be (m, r) arrays, m = 0 included: each row pair is one
+    system, all m are solved at once, and nu has one row per system, the
+    same floats as each row solved alone.
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
@@ -454,16 +457,19 @@ def solve_lemma44(r: int, c: Sequence[float], d: Sequence[float]) -> np.ndarray:
     if np.any(np.abs(d[:, 0]) > 1e-12):
         raise ValueError("need d_0 = 0")
 
-    nu = np.fft.fft(c + 1j * d, axis=-1).real / r  # .imag is only rounding
+    theta = 2 * math.pi * (np.outer(np.arange(r), np.arange(r)) % r) / r
+    cos, sin = np.cos(theta), np.sin(theta)
+    # einsum, unlike matmul, sums each row alike in a batch of any size
+    nu = np.einsum("mv,vj->mj", np.hstack([c, d]), np.vstack([cos, sin])) / r
 
     rng = random.Random(12345)
     us = 2 * math.pi * np.array([rng.random() for _ in range(16)])
     # sin(u + theta) = sin u cos theta + cos u sin theta: r x r tables only
-    theta = 2 * math.pi * (np.outer(np.arange(r), np.arange(r)) % r) / r
-    lhs = ((nu @ np.cos(theta))[:, :, None] * np.sin(us)
-           + (nu @ np.sin(theta))[:, :, None] * np.cos(us))
+    lhs = ((nu @ cos)[:, :, None] * np.sin(us)
+           + (nu @ sin)[:, :, None] * np.cos(us))
     rhs = c[:, :, None] * np.sin(us) + d[:, :, None] * np.cos(us)
-    if not np.max(np.abs(lhs - rhs)) <= 1e-10:  # so a NaN fails too
+    # so a NaN fails too, and an empty batch passes
+    if not np.max(np.abs(lhs - rhs), initial=0.0) <= 1e-10:
         raise RuntimeError("solution residual exceeded tolerance "
                            "(internal check)")
     return nu[0] if single else nu
@@ -653,11 +659,15 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
     gamma on the powers of a character pinned at the generator, by the
     `_thm43_*` stages that the load check runs too.  Every round (through
     `evaluate_phasors`) and the emitted trace are checked against one
-    `omega_pattern`.  OmegaTypeLostError names the stage, its last K or N
-    and the first w where the pattern broke.
+    `omega_pattern` on one 4096-point grid, whose K x 4096 powers each K
+    round builds once (`phasor_powers`, counted against the budget) for
+    its own check and every N round after it.  OmegaTypeLostError names
+    the stage, its last K or N and the first w where the pattern broke.
     """
     if not math.isfinite(gamma):
         raise ValueError("gamma must be finite")
+    if not gamma > 0:
+        raise ValueError("gamma must be positive")
     for name, value in (("K", K), ("N", N)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
@@ -673,7 +683,11 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
     # stage 1: truncation order; sum_k b_kv cos(kw) = Im(sum_k i b_kv e^{ikw})
     for K_use in (K << i for i in range(5)):
         coeffs, nu = _thm43_densities(omega, K_use, gamma)
-        report = check_omega_type(evaluate_phasors(1j * coeffs, w_grid), pattern)
+        check_budget(K_use * len(w_grid),
+                     f"thm43 power table of {K_use} x {len(w_grid)} points")
+        powers = phasor_powers(w_grid, K_use)
+        report = check_omega_type(
+            evaluate_phasors(1j * coeffs, w_grid, powers=powers), pattern)
         if report.ok:
             break
     else:
@@ -689,7 +703,7 @@ def build_extremal(q: int, generator: int, D: Sequence[int],
         counts = _thm43_counts(nu, N_use)
         # the candidate tracks -f_v; flip it for the pattern comparison
         report = check_omega_type(-evaluate_phasors(
-            turns @ (counts / N_use).T, w_grid), pattern)
+            turns @ (counts / N_use).T, w_grid, powers=powers), pattern)
         if report.ok:
             break
     else:
@@ -734,14 +748,17 @@ def _thm43_densities(omega: OmegaSystem, K: int, gamma: float) -> tuple:
 
 def _thm43_counts(nu: np.ndarray, N: int) -> np.ndarray:
     """Stage 3: the counts floor(N nu + 1e-9), so N nu within 1e-9 of an
-    integer counts as that integer.  The inverse DFT errs in nu by a small
-    multiple of log2(r) sqrt(r) EPS max|nu|, so a density that is an integer
-    over N (0 above all) errs in N nu by a small multiple of 1.5e-11 for
-    r < 100, N <= 1024 and |nu| < 1, the extremal sweep's ranges (3.6e-14
-    seen), while a genuine fraction falls within 1e-9 with odds 2e-9 (4.3e-8
-    the sweep's nearest); so no count turns on a rounding error's sign.
-    RecipeMismatchError unless 1 <= N < 2^53 and the multiplicities, at
-    most 2K (N max|nu| + 1), stay below 2^53, the recipe format's bound."""
+    integer counts as that integer.  Each nu_j is a direct sum of the 2|V|
+    nonzero terms d_v sin theta_vj over r, with |d_v| <= 4/pi and each
+    sine within 20 EPS (theta_vj rounds in [0, 2 pi)), so it errs by less
+    than (2|V| + 22) EPS (4/pi) 2|V|/r < 4e-14 for r < 100.  So a density
+    that is an integer over N (0 above all) errs in N nu by less than
+    4e-11 for N <= 1024, the extremal sweep's ranges (3.6e-14 seen against
+    an 80-bit reference), while a genuine fraction falls within 1e-9 with
+    odds 2e-9 (4.3e-8 the sweep's nearest); so no count turns on a
+    rounding error's sign.  RecipeMismatchError unless 1 <= N < 2^53 and
+    the multiplicities, at most 2K (N max|nu| + 1), stay below 2^53, the
+    recipe format's bound."""
     if not (0 < N < 2**53 and 2 * len(nu) * (N * np.abs(nu).max() + 1) < 2**53):
         raise RecipeMismatchError(f"N = {N} must be >= 1 and keep multiplicities below 2^53")
     return np.floor(N * nu + 1e-9).astype(np.int64)

@@ -147,7 +147,8 @@ def cmd_barrier(args: argparse.Namespace) -> int:
             sub = group.subgroup(gen)
             D = [sub[v % len(sub)] for v in powers]
             recipe = barriers.build_extremal(
-                args.q, gen, D, beta1=args.beta, gamma=args.gamma or 1000.0,
+                args.q, gen, D, beta1=args.beta,
+                gamma=1000.0 if args.gamma is None else args.gamma,
                 K=args.K, N=args.N, seed=args.seed)
         else:
             recipe = barriers.build_thm51(args.q, tau=args.tau, M=args.M,

@@ -392,20 +392,37 @@ def _phasor_table(polys: Sequence[TrigPoly], base: float) -> np.ndarray:
     return C
 
 
+def phasor_powers(v, K: int) -> np.ndarray:
+    """The complex (K, len(v)) table of the powers z^k, k = 1..K, of z =
+    e^{iv} at every point of the 1-D array v: one cos and one sin per
+    point, then K - 1 complex products.  Each entry is computed from its
+    own point alone, so a slice of the table holds the floats that the
+    slice's points give on their own."""
+    v = np.asarray(v, dtype=float)
+    z = np.empty((K, len(v)), dtype=complex)
+    if K:
+        z[0] = np.cos(v) + 1j * np.sin(v)
+    for k in range(1, K):
+        np.multiply(z[k - 1], z[0], out=z[k])
+    return z
+
+
 def evaluate_phasors(C: np.ndarray, v, rows: np.ndarray | None = None,
-                     ) -> np.ndarray:
+                     powers: np.ndarray | None = None) -> np.ndarray:
     """Im(sum_k C[i, k-1] e^{ikv}) for every row i of the complex (n, K)
     phasor table C at every point of the 1-D array v, as an (n, len(v))
     array; or of row rows[j] at v[j] only, as a 1-D array, given rows.
 
     With z = e^{iv} the values are Im(C @ Z) = Re(C) @ Im(Z) + Im(C) @ Re(Z)
-    over the powers Z = (z^k): one cos and one sin per point, then K - 1
-    complex products and one matmul in which only the imaginary part is
-    summed.  Points go through in blocks of _CHUNK // K (one point at
-    least), so no K x len(v) table is held.  Below K = 16 a longer input
-    gives the same floats as its blocks one by one; from 16 on, the BLAS
-    product (OpenBLAS 0.3) sums the last few columns of a block in another
-    order, so only the same blocks give the same floats.
+    over the powers Z = (z^k) of `phasor_powers`, by a matmul in which only
+    the imaginary part is summed.  Points go through in blocks of _CHUNK //
+    K (one point at least), so no K x len(v) table is held, unless a caller
+    that evaluates many tables at the same v passes powers =
+    `phasor_powers(v, K)`, built once; it is read in the same blocks, so
+    the values are the same floats.  Below K = 16 a longer input gives the
+    same floats as its blocks one by one; from 16 on, the BLAS product
+    (OpenBLAS 0.3) sums the last few columns of a block in another order,
+    so only the same blocks give the same floats.
 
     Against the exact value of row i at the float v, the error is at most
     EPS * sum_k |C[i, k-1]| * (6K + 4): cos and sin with up to 4 ulp error,
@@ -417,18 +434,14 @@ def evaluate_phasors(C: np.ndarray, v, rows: np.ndarray | None = None,
     step = max(_CHUNK // max(K, 1), 1)
     for start in range(0, len(v), step):
         part = slice(start, start + step)
-        w = v[part]
-        # two columns at least: numpy sums a one-column product as dot
-        # products, in another order than a wider one
-        z = np.empty((K, max(len(w), 2)), dtype=complex)
-        if K:
-            z[0] = np.cos(w) + 1j * np.sin(w)
-        for k in range(1, K):
-            np.multiply(z[k - 1], z[0], out=z[k])
+        z = phasor_powers(v[part], K) if powers is None else powers[:, part]
         if rows is None:
-            out[:, part] = (C.real @ z.imag + C.imag @ z.real)[:, :len(w)]
+            # two columns at least: numpy sums a one-column product as dot
+            # products, in another order than a wider one
+            wide = z if z.shape[1] > 1 else np.repeat(z, 2, axis=1)
+            out[:, part] = (C.real @ wide.imag + C.imag @ wide.real)[:, :z.shape[1]]
         else:
-            out[part] = np.einsum("jk,kj->j", C[rows[part]], z[:, :len(w)]).imag
+            out[part] = np.einsum("jk,kj->j", C[rows[part]], z).imag
     return out
 
 

@@ -257,9 +257,16 @@ def test_solve_lemma44_refuses_what_it_cannot_solve(r, c, d):
 
 def test_solve_lemma44_residual_check_fails_on_nan(monkeypatch):
     # the check reads `not (residual <= 1e-10)`: a NaN residual fails it
-    monkeypatch.setattr(np.fft, "fft", lambda a, axis: np.full(a.shape, math.nan))
+    monkeypatch.setattr(np, "einsum", lambda spec, a, b:
+                        np.full((len(a), b.shape[1]), math.nan))
     with pytest.raises(RuntimeError, match="residual exceeded"):
         solve_lemma44(3, [0.0] * 3, [0.0, 1.0, -1.0])
+
+
+def test_solve_lemma44_empty_batch():
+    # raised numpy's "zero-size array to reduction operation maximum"
+    nu = solve_lemma44(5, np.zeros((0, 5)), np.zeros((0, 5)))
+    assert nu.shape == (0, 5)
 
 
 # The two-half solve (a cosine and a sine system, two np.linalg.solve calls)
@@ -581,6 +588,42 @@ def test_thm43_load_check_reads_no_decomposition(monkeypatch):
     monkeypatch.setattr(simulator, "decompose_lattice", refuse)
     verdict = verify_extremal(BarrierRecipe.from_json(recipe.to_json()))
     assert verdict.ok and verdict.detail["orderings"] == 4
+
+
+@pytest.mark.parametrize("gamma", [0.0, -0.0, -5.0])
+def test_build_extremal_refuses_a_gamma_that_is_not_positive(gamma):
+    # gamma = 0 failed deep in the zero system ("real zeros need equal
+    # multiplicity"), and a negative gamma in Zero ("heights must be
+    # nonnegative")
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        build_extremal(7, 3, [3, 2, 6], gamma=gamma)
+
+
+def test_build_extremal_computes_the_grid_powers_once_per_k_round(
+        monkeypatch):
+    # K rounds 1, 2, 4 and N rounds 16, 32, 64: each K round builds one
+    # power table for its check, and every N round reads the last one
+    import racelab.barriers as barriers
+
+    built, read = [], []
+    powers_of, evaluate = barriers.phasor_powers, barriers.evaluate_phasors
+
+    def counted(v, K):
+        built.append((len(v), K, powers_of(v, K)))
+        return built[-1][2]
+
+    def reading(C, v, rows=None, powers=None):
+        read.append(powers)
+        return evaluate(C, v, rows, powers)
+
+    monkeypatch.setattr(barriers, "phasor_powers", counted)
+    monkeypatch.setattr(barriers, "evaluate_phasors", reading)
+    recipe = build_extremal(7, 3, [3, 2, 6], K=1, N=16)
+    assert (recipe.params["K"], recipe.params["N"]) == (4, 64)
+    assert [(n, K) for n, K, _ in built] == [(4096, 1), (4096, 2), (4096, 4)]
+    tables = [table for _, _, table in built]
+    assert len(read) == 6
+    assert all(got is want for got, want in zip(read, tables + tables[-1:] * 3))
 
 
 def test_build_extremal_rejects_bad_sets():

@@ -421,6 +421,38 @@ def test_thm43_non_finite_gamma_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("gamma", ["0", "-5"])
+def test_thm43_gamma_not_positive_is_config_error(tmp_path, capsys, gamma):
+    # --gamma 0 built a recipe at gamma = 1000 whose config said 0.0, and
+    # -5 failed in Zero ("heights must be nonnegative")
+    out = tmp_path / "x.json"
+    assert run(["barrier", "build", "thm43", "--q", 7, f"--gamma={gamma}",
+                "--out", out]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "error: gamma must be positive"]
+    assert not out.exists()
+
+
+def test_thm43_power_table_past_the_budget_is_budget_error(tmp_path, capsys,
+                                                           monkeypatch):
+    # the solve at q = 7, K = 16 counts 6 x (16 x 16 + 12) = 1608 values,
+    # the K x 4096 power table 65536: refused before it is built
+    from racelab import barriers
+
+    def refuse(v, K):
+        raise AssertionError("the power table was built")
+
+    monkeypatch.setattr(barriers, "phasor_powers", refuse)
+    monkeypatch.setenv("RACE_LAB_BUDGET", "10000")
+    out = tmp_path / "x.json"
+    assert run(["barrier", "build", "thm43", "--q", 7,
+                "--out", out]) == cli.EXIT_BUDGET
+    assert capsys.readouterr().err.splitlines() == [
+        "error: thm43 power table of 16 x 4096 points exceeds budget 10000 "
+        "(RACE_LAB_BUDGET)"]
+    assert not out.exists()
+
+
 def test_simulate_non_finite_base_u_is_config_error(tmp_path, capsys):
     rec = built_thm311(tmp_path, capsys)
     csv = tmp_path / "t.csv"

@@ -103,6 +103,18 @@ def test_importing_the_cli_loads_no_dataclasses():
     assert out.strip() == "False"
 
 
+def test_thm43_build_and_load_leave_numpy_fft_unloaded():
+    code = ("import sys\n"
+            "from racelab.barriers import BarrierRecipe, build_extremal\n"
+            "recipe = build_extremal(7, 3, [3, 2, 6])\n"
+            "BarrierRecipe.from_json(recipe.to_json())\n"
+            "print('numpy.fft' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def _count_characters(monkeypatch):
     """The argument tuples of every `DirichletCharacter` built from now on."""
     built = []

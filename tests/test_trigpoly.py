@@ -12,7 +12,8 @@ from racelab.trigpoly import (_CHUNK, EPS, ResolutionTooCoarseError,
                               eps_small_values, evaluate_phasors,
                               find_all_negative, find_dominating,
                               find_fractional_parts,
-                              find_simultaneous_positive, l2_norm)
+                              find_simultaneous_positive, l2_norm,
+                              phasor_powers)
 
 TWO_PI = 2 * math.pi
 
@@ -300,6 +301,24 @@ def test_evaluate_longer_than_a_block_equals_its_blocks():
                            for s in range(0, len(v), size)])
         assert whole.tobytes() == parts.tobytes()
     assert np.allclose(whole, [p(v) for p in polys], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("K", [1, 2, 7, 15, 16, 17, 40])
+def test_evaluate_from_a_shared_power_table_equals_its_blocks(K):
+    # a table built once over all of v is read in evaluate_phasors' own
+    # blocks, so every value is the float the per-block powers give
+    rng = np.random.default_rng(K)
+    C = rng.normal(size=(3, K)) + 1j * rng.normal(size=(3, K))
+    step = max(_CHUNK // K, 1)
+    for n in sorted({1, 2, step - 1, step, step + 1, 4096} - {0}):
+        v = np.linspace(0.0, TWO_PI, n, endpoint=False) + 0.25
+        powers = phasor_powers(v, K)
+        assert powers.shape == (K, n)
+        rows = rng.integers(0, 3, n)
+        assert (evaluate_phasors(C, v, powers=powers).tobytes()
+                == evaluate_phasors(C, v).tobytes())
+        assert (evaluate_phasors(C, v, rows, powers=powers).tobytes()
+                == evaluate_phasors(C, v, rows).tobytes())
 
 
 def test_trigpoly_record_semantics():
